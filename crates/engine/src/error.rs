@@ -82,9 +82,11 @@ pub enum EngineError {
         /// The underlying I/O failure, stringified.
         detail: String,
     },
-    /// The coordinator observed a remote worker die: its control connection
-    /// reset, or its process exited. `detail` names the evidence (exit
-    /// status or socket error) so the failure is attributable.
+    /// A worker died — on any transport: its thread panicked or returned a
+    /// typed error, its process exited, its connection reset, its channel
+    /// closed. Peers and the driver all name the partition that died
+    /// *first*, never a cascade; `detail` carries the evidence (panic
+    /// message, worker error, exit status or socket error).
     RemoteWorkerDied {
         /// The partition whose worker died.
         partition: u16,

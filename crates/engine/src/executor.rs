@@ -1,21 +1,26 @@
-//! The TI-BSP executor: a simulated distributed cluster.
+//! The TI-BSP worker: one partition's timestep/superstep loop.
 //!
-//! One OS thread per partition stands in for one GoFFish host (the paper's
-//! EC2 VMs). Within a timestep, workers run barrier-synchronised BSP
-//! supersteps over their subgraphs; across timesteps the configured
-//! [`Pattern`] decides how state flows (§II.B's three design patterns).
+//! One worker stands in for one GoFFish host (the paper's EC2 VMs) and
+//! owns one partition's subgraphs. Within a timestep, workers run
+//! barrier-synchronised BSP supersteps over their subgraphs; across
+//! timesteps the configured [`Pattern`] decides how state flows (§II.B's
+//! three design patterns). The loop is written against the
+//! [`Transport`] trait only; hosting the `k` workers of a job — as
+//! threads, over sockets, as processes — and recovering their deaths is
+//! the driver's business ([`crate::cluster`]).
 //!
 //! **Messaging.** Intra-partition messages move as values; inter-partition
 //! messages are genuinely serialised through [`crate::wire`], shipped over
-//! a crossbeam channel, and deserialised by the receiving worker — so the
+//! the transport, and deserialised by the receiving worker — so the
 //! "partition overhead" metric measures real marshalling work and remote
 //! byte counts are true wire sizes.
 //!
-//! **Synchronisation.** Each superstep ends at a [`SyncPoint`] rendezvous
-//! that also folds the halting votes and message counts; BSP terminates when
-//! all subgraphs voted to halt and no messages are in flight (§II.C), and in
-//! `WhileActive` mode the timestep loop terminates when all subgraphs voted
-//! `VoteToHaltTimestep` and no cross-timestep messages were emitted (§II.D).
+//! **Synchronisation.** Each superstep ends at a [`Transport::arrive`]
+//! rendezvous that also folds the halting votes and message counts; BSP
+//! terminates when all subgraphs voted to halt and no messages are in
+//! flight (§II.C), and in `WhileActive` mode the timestep loop terminates
+//! when all subgraphs voted `VoteToHaltTimestep` and no cross-timestep
+//! messages were emitted (§II.D).
 //!
 //! **Determinism.** Message delivery is sorted by (sender, sequence), so a
 //! job's emitted results are identical across runs and partition layouts
@@ -29,21 +34,20 @@ use crate::checkpoint::{
     self, checkpoint_path, commit_manifest, CheckpointConfig, SubgraphCheckpoint, WorkerCheckpoint,
 };
 use crate::error::EngineError;
-use crate::faults::{injected_panic_message, payload_is_injected, FaultPlan};
-use crate::metrics::{Emit, JobResult, MetricsShard, TimestepMetrics};
+use crate::faults::{injected_panic_message, FaultPlan};
+use crate::metrics::{Emit, MetricsShard, TimestepMetrics};
 use crate::program::{Context, Outbox, Phase, SubgraphProgram};
 use crate::provider::{InstanceProvider, InstanceSource};
-use crate::sync::{join_partition, Contribution, PoisonOnPanic, SyncPoint};
-use crate::transport::{BatchKind, InProcess, TelemetryFlush, Transport};
+use crate::sync::{join_partition, Contribution};
+use crate::transport::{BatchKind, TelemetryFlush, Transport};
 use crate::wire::{sort_envelopes, Envelope};
 use bytes::{Buf, Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use tempograph_gofs::store::{tmp_sibling, write_atomic};
 use tempograph_gofs::SubgraphInstance;
 use tempograph_partition::{PartitionedGraph, SubgraphId};
-use tempograph_trace::{Clock, Trace, TraceConfig, TraceSink};
+use tempograph_trace::{TraceConfig, TraceSink};
 
 /// One unit of work for the intra-partition compute pool: the subgraph's
 /// index, its program slot (taken while the worker thread runs it), and
@@ -97,11 +101,6 @@ pub struct JobConfig<M> {
     pub max_supersteps: usize,
     /// Application input messages, delivered at timestep 0, superstep 0.
     pub initial_messages: Vec<(SubgraphId, M)>,
-    /// Ablation A1: process instances without per-timestep barriers
-    /// (independent / eventually-dependent patterns whose compute uses no
-    /// superstep messaging only). The paper notes GoFFish does *not* exploit
-    /// this; defaults to `false` for fidelity.
-    pub temporal_parallelism: bool,
     /// Run a worker's subgraphs in parallel within each superstep (scoped
     /// threads) —
     /// the multi-core use of a host that GoFFish gets from the JVM (the
@@ -116,36 +115,37 @@ pub struct JobConfig<M> {
     pub combiner: Option<Arc<dyn Combiner<M>>>,
     /// Structured tracing (see [`tempograph_trace`]). When set, every
     /// worker records timestep/superstep/compute/send/barrier spans and
-    /// traffic counters into a per-partition sink, and [`JobResult::trace`]
-    /// carries the assembled [`Trace`]. `None` (the default) keeps the
+    /// traffic counters into a per-partition sink, and
+    /// [`crate::JobResult::trace`] carries the assembled
+    /// [`tempograph_trace::Trace`]. `None` (the default) keeps the
     /// engine on the inert-sink path: clock reads only, no recording.
     pub trace: Option<TraceConfig>,
     /// Metrics collection (see [`tempograph_metrics`]). When `true`, every
     /// worker keeps an inline histogram shard fed from the same
     /// `TraceSink::now` readings the trace spans use, the driver folds the
     /// shards plus job-level counters into a registry, and
-    /// [`JobResult::registry`] carries it. `false` (the default) adds no
+    /// [`crate::JobResult::registry`] carries it. `false` (the default) adds no
     /// work and no allocations to the superstep hot path.
     pub metrics: bool,
     /// Per-(subgraph, timestep) compute attribution (see
     /// [`crate::metrics::CostAttribution`]). When `true`, every worker
     /// accumulates per-invocation compute nanoseconds into a dense
     /// preallocated grid — same `TraceSink::now` clock discipline as the
-    /// trace and metrics layers — and [`JobResult::attribution`] carries
+    /// trace and metrics layers — and [`crate::JobResult::attribution`] carries
     /// the assembled table. `false` (the default) keeps every record site
     /// a branch on `None`: no clock reads, no allocations.
     pub attribution: bool,
     /// Superstep checkpointing (see [`crate::checkpoint`]). When set, every
     /// worker snapshots its recovery state at the configured timestep
-    /// interval, and an injected worker death makes [`run_job`] restart the
+    /// interval, and an injected worker death makes the driver restart the
     /// cluster from the latest committed checkpoint instead of failing.
     pub checkpoint: Option<CheckpointConfig>,
     /// Deterministic fault injection (see [`crate::faults`]). Arc-shared so
     /// one-shot panic events stay latched across recovery attempts.
     pub faults: Option<Arc<FaultPlan>>,
-    /// TCP-mode live introspection: when set, [`crate::run_job_tcp`]'s
-    /// coordinator serves the status board (`tempograph status`) on this
-    /// address for the life of the job. Ignored by the in-process driver.
+    /// TCP-mode live introspection: when set, a TCP cluster's coordinator
+    /// serves the status board (`tempograph status`) on this address for
+    /// the life of the job. Ignored by [`crate::Cluster::InProcess`].
     pub status_addr: Option<String>,
     /// Straggler threshold: a worker whose per-timestep barrier wait
     /// exceeds this multiple of the round's median wait earns a
@@ -161,7 +161,6 @@ impl<M> std::fmt::Debug for JobConfig<M> {
             .field("mode", &self.mode)
             .field("max_supersteps", &self.max_supersteps)
             .field("initial_messages", &self.initial_messages.len())
-            .field("temporal_parallelism", &self.temporal_parallelism)
             .field(
                 "intra_partition_parallelism",
                 &self.intra_partition_parallelism,
@@ -200,7 +199,6 @@ impl<M> JobConfig<M> {
             mode: TimestepMode::Fixed(timesteps),
             max_supersteps: 100_000,
             initial_messages: Vec::new(),
-            temporal_parallelism: false,
             intra_partition_parallelism: false,
             combiner: None,
             trace: None,
@@ -222,12 +220,6 @@ impl<M> JobConfig<M> {
     /// Provide application input messages.
     pub fn with_initial_messages(mut self, msgs: Vec<(SubgraphId, M)>) -> Self {
         self.initial_messages = msgs;
-        self
-    }
-
-    /// Enable the temporal-parallelism ablation (see field docs).
-    pub fn with_temporal_parallelism(mut self) -> Self {
-        self.temporal_parallelism = true;
         self
     }
 
@@ -290,6 +282,13 @@ impl<M> JobConfig<M> {
         assert!(factor >= 1.0, "straggler factor must be ≥ 1");
         self.straggler_factor = factor;
         self
+    }
+
+    /// True when any of trace/metrics/attribution is armed — the one
+    /// predicate that decides, on both sides of a TCP cluster, whether
+    /// workers ship Telemetry frames and the coordinator accepts them.
+    pub(crate) fn telemetry_armed(&self) -> bool {
+        self.trace.is_some() || self.metrics || self.attribution
     }
 }
 
@@ -359,12 +358,15 @@ impl AttributionShard {
     }
 }
 
-/// Per-worker result shipped back to the driver.
+/// Per-worker result handed back to the driver — directly by an
+/// in-process worker, as an Output frame (`encode`/`decode`, in
+/// [`crate::cluster`]) plus telemetry by a TCP one.
 ///
 /// Counter maps are `BTreeMap`s: they are iterated when assembling the
-/// global [`JobResult`] and when encoding checkpoints, and `HashMap`
+/// global [`crate::JobResult`] and when encoding checkpoints, and `HashMap`
 /// iteration order would leak hasher nondeterminism into both (lint rule
 /// D01).
+#[derive(Default)]
 pub(crate) struct WorkerOutput {
     pub(crate) metrics: Vec<TimestepMetrics>,
     pub(crate) merge_metrics: TimestepMetrics,
@@ -372,7 +374,7 @@ pub(crate) struct WorkerOutput {
     pub(crate) merge_counters: BTreeMap<&'static str, u64>,
     pub(crate) emits: Vec<Emit>,
     pub(crate) timesteps_run: usize,
-    /// Final per-subgraph program state (see [`JobResult::final_states`]).
+    /// Final per-subgraph program state (see [`crate::JobResult::final_states`]).
     pub(crate) final_states: Vec<(SubgraphId, Vec<u8>)>,
     /// Drained trace sinks (worker + provider), named for track metadata.
     pub(crate) sinks: Vec<(String, TraceSink)>,
@@ -385,207 +387,10 @@ pub(crate) struct WorkerOutput {
     pub(crate) attr_rows: Vec<crate::metrics::AttributionRow>,
 }
 
-/// True when a panic payload is a *cascade* failure — a worker that died
-/// only because a peer died first (poisoned barrier or closed channel).
-/// The recovery loop prefers the primary panic when re-surfacing errors.
-fn payload_is_cascade(payload: &(dyn std::any::Any + Send)) -> bool {
-    let msg = payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&'static str>().copied());
-    msg.is_some_and(|m| m.contains("a peer worker died"))
-}
-
-/// Run a TI-BSP job and gather its results and metrics.
-///
-/// `factory` builds one program instance per subgraph; program state
-/// persists across supersteps and timesteps.
-pub fn run_job<P, F>(
-    pg: &Arc<PartitionedGraph>,
-    source: &InstanceSource,
-    factory: F,
-    config: JobConfig<P::Msg>,
-) -> JobResult
-where
-    P: SubgraphProgram,
-    F: Fn(&tempograph_partition::Subgraph, &PartitionedGraph) -> P + Send + Sync,
-{
-    let k = pg.num_partitions();
-    let timesteps = effective_timesteps(&config, source.num_timesteps());
-
-    let job_start = Clock::start();
-    // Driver-side sink (its own track, after the k partition tracks) for
-    // recovery markers.
-    let mut driver_sink = config.trace.map(|tc| tc.sink(k as u32));
-    // Each recovery consumes at least one one-shot panic event, so the
-    // plan's panic count bounds the attempts a recoverable job can need;
-    // anything beyond that is a real bug re-triggering deterministically.
-    let max_recoveries = config.faults.as_ref().map_or(0, |f| f.panic_events());
-    let mut recoveries = 0usize;
-    let mut resume_from: Option<u64> = None;
-
-    let mut outputs: Vec<WorkerOutput> = loop {
-        let sync = SyncPoint::new(k);
-        let mut txs: Vec<Sender<(BatchKind, Bytes)>> = Vec::with_capacity(k);
-        let mut rxs: Vec<Option<Receiver<(BatchKind, Bytes)>>> = Vec::with_capacity(k);
-        for _ in 0..k {
-            let (tx, rx) = unbounded();
-            txs.push(tx);
-            rxs.push(Some(rx));
-        }
-
-        type WorkerResult = Result<WorkerOutput, EngineError>;
-        let results: Vec<std::thread::Result<WorkerResult>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(k);
-            for (p, rx_slot) in rxs.iter_mut().enumerate() {
-                let rx = rx_slot.take().expect("receiver unclaimed");
-                let txs = txs.clone();
-                let sync = &sync;
-                let factory = &factory;
-                let config = config.clone();
-                let source = source.clone();
-                handles.push(scope.spawn(move || {
-                    // If this worker dies, poison the barrier so peers fail
-                    // fast (as cascades) instead of deadlocking.
-                    let _poison = PoisonOnPanic(sync);
-                    let mut transport = InProcess::new(p as u16, rx, txs, sync);
-                    let out = run_worker_body::<P, F>(
-                        p as u16,
-                        pg,
-                        &source,
-                        factory,
-                        &config,
-                        timesteps,
-                        resume_from,
-                        &mut transport,
-                    );
-                    if out.is_err() {
-                        // An error return unwinds no stack, so the RAII
-                        // guard won't fire — poison explicitly so peers
-                        // blocked at a barrier fail fast as cascades.
-                        sync.poison();
-                    }
-                    out
-                }));
-            }
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-
-        if results.iter().all(|r| matches!(r, Ok(Ok(_)))) {
-            break results
-                .into_iter()
-                .map(|r| match r {
-                    Ok(Ok(o)) => o,
-                    _ => unreachable!("checked ok"),
-                })
-                .collect();
-        }
-
-        // A typed worker error (wire corruption) is deterministic: a restart
-        // would re-decode the same bytes and fail again, so surface it now,
-        // naming the partition.
-        if let Some((p, e)) = results.iter().enumerate().find_map(|(p, r)| match r {
-            Ok(Err(e)) => Some((p, e.clone())),
-            _ => None,
-        }) {
-            panic!("worker for partition {p} failed: {e}");
-        }
-
-        // Recover only from *injected* deaths with checkpointing armed: a
-        // real bug would deterministically re-trigger after restore, so
-        // re-surface it instead of looping.
-        let injected = results
-            .iter()
-            .any(|r| r.as_ref().err().is_some_and(|e| payload_is_injected(&**e)));
-        if config.checkpoint.is_none() || !injected || recoveries >= max_recoveries {
-            let (p, joined) = results
-                .into_iter()
-                .enumerate()
-                .filter(|(_, r)| r.is_err())
-                .min_by_key(|(p, r)| {
-                    let cascade = r.as_ref().err().is_some_and(|e| payload_is_cascade(&**e));
-                    (cascade, *p)
-                })
-                .expect("some worker failed");
-            let _ = join_partition(p, joined);
-            unreachable!("join_partition re-panics on Err");
-        }
-
-        recoveries += 1;
-        resume_from = config
-            .checkpoint
-            .as_ref()
-            .and_then(|ck| checkpoint::latest_valid::<P::Msg>(&ck.dir, k as u16));
-        if let Some(sink) = &mut driver_sink {
-            sink.instant(
-                "recovery.attempt",
-                Some(("resume_t", resume_from.unwrap_or(u64::MAX))),
-            );
-        }
-    };
-    let total_wall_ns = job_start.elapsed_ns();
-
-    let trace = config.trace.map(|_| {
-        let mut sinks: Vec<(String, TraceSink)> =
-            outputs.iter_mut().flat_map(|o| o.sinks.drain(..)).collect();
-        if let Some(sink) = driver_sink.take() {
-            if !sink.events().is_empty() {
-                sinks.push(("driver".to_string(), sink));
-            }
-        }
-        Trace::from_sinks(sinks)
-    });
-
-    assemble_job_result(
-        outputs,
-        k,
-        total_wall_ns,
-        recoveries,
-        trace,
-        config.metrics,
-        config.attribution,
-    )
-}
-
-/// Resolve the configured [`TimestepMode`] against the stored instance
-/// count and validate mode/pattern/checkpoint interactions. Shared by the
-/// in-process driver and the TCP coordinator/workers, so both reject the
-/// same misconfigurations and agree on the loop bound.
-pub(crate) fn effective_timesteps<M>(config: &JobConfig<M>, available: usize) -> usize {
-    let timesteps = match config.mode {
-        TimestepMode::Fixed(n) => {
-            assert!(
-                n <= available,
-                "job wants {n} timesteps but source stores {available}"
-            );
-            n
-        }
-        TimestepMode::WhileActive { max } => max.min(available),
-    };
-    if config.temporal_parallelism {
-        assert!(
-            config.pattern != Pattern::SequentiallyDependent,
-            "temporal parallelism cannot apply to sequentially dependent jobs"
-        );
-        assert!(
-            matches!(config.mode, TimestepMode::Fixed(_)),
-            "temporal parallelism requires a fixed timestep range"
-        );
-    }
-    if let Some(ck) = &config.checkpoint {
-        assert!(
-            !config.temporal_parallelism,
-            "checkpointing requires the barriered timestep loop"
-        );
-        std::fs::create_dir_all(&ck.dir).expect("create checkpoint directory");
-    }
-    timesteps
-}
-
 /// One worker's whole life over an already-connected transport: provider
 /// setup, program construction, optional checkpoint restore, then the
-/// TI-BSP run. Shared by the in-process driver (one call per scoped
-/// thread) and the TCP worker (one call per connected worker).
+/// TI-BSP run — the same call whichever [`crate::Cluster`] hosts the
+/// worker.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_worker_body<P, F>(
     partition: u16,
@@ -617,118 +422,6 @@ where
         None => 0,
     };
     worker.run(start_t, timesteps, config)
-}
-
-/// Fold per-worker outputs into the global [`JobResult`]. Shared by the
-/// in-process driver and the TCP coordinator (which passes `trace: None` —
-/// trace sinks are process-local and do not cross the wire).
-pub(crate) fn assemble_job_result(
-    mut outputs: Vec<WorkerOutput>,
-    k: usize,
-    total_wall_ns: u64,
-    recoveries: usize,
-    trace: Option<Trace>,
-    metrics_enabled: bool,
-    attribution_enabled: bool,
-) -> JobResult {
-    let timesteps_run = outputs[0].timesteps_run;
-    debug_assert!(outputs.iter().all(|o| o.timesteps_run == timesteps_run));
-    let mut metrics = vec![vec![TimestepMetrics::default(); k]; timesteps_run];
-    for (p, o) in outputs.iter().enumerate() {
-        for (t, m) in o.metrics.iter().enumerate() {
-            metrics[t][p] = m.clone();
-        }
-    }
-    let merge_metrics = outputs.iter().map(|o| o.merge_metrics.clone()).collect();
-
-    let mut counters: BTreeMap<String, Vec<Vec<u64>>> = BTreeMap::new();
-    for (p, o) in outputs.iter().enumerate() {
-        for (t, per_t) in o.counters.iter().enumerate() {
-            for (&name, &v) in per_t {
-                let rows = counters
-                    .entry(name.to_string())
-                    .or_insert_with(|| vec![vec![0; k]; timesteps_run]);
-                rows[t][p] += v;
-            }
-        }
-    }
-    let mut merge_counters: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-    for (p, o) in outputs.iter().enumerate() {
-        for (&name, &v) in &o.merge_counters {
-            merge_counters
-                .entry(name.to_string())
-                .or_insert_with(|| vec![0; k])[p] += v;
-        }
-    }
-
-    let mut final_states: Vec<(SubgraphId, Vec<u8>)> = outputs
-        .iter_mut()
-        .flat_map(|o| o.final_states.drain(..))
-        .collect();
-    final_states.sort_by_key(|(sg, _)| *sg);
-
-    // Fold the per-worker histogram shards (barrier-time shard merging is
-    // associative and commutative, so worker order cannot matter). Shards
-    // cover the final successful attempt; the restored pre-crash portion of
-    // a recovered run lives in the counter aggregates added by
-    // `JobResult::export_into` below.
-    let registry_base = metrics_enabled.then(|| {
-        let mut reg = tempograph_metrics::Registry::new();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for o in &outputs {
-            if let Some(sh) = &o.shard {
-                sh.fold_into(&mut reg);
-                hits += sh.cache_hits;
-                misses += sh.cache_misses;
-            }
-        }
-        reg.gauge_set(
-            "tempograph_gofs_cache_hit_rate",
-            &[],
-            tempograph_metrics::ratio_or_zero(hits, hits + misses),
-        );
-        reg
-    });
-
-    // Assemble the attribution table: concatenate worker rows (each
-    // subgraph lives on exactly one partition, so rows cannot collide) and
-    // sort by (subgraph, timestep) — merge rows (`u32::MAX`) sort last.
-    let attribution = attribution_enabled.then(|| {
-        let mut rows: Vec<crate::metrics::AttributionRow> = outputs
-            .iter_mut()
-            .flat_map(|o| o.attr_rows.drain(..))
-            .collect();
-        rows.sort_by_key(|r| (r.subgraph, r.timestep));
-        crate::metrics::CostAttribution { rows }
-    });
-
-    let mut emitted: Vec<Emit> = outputs.into_iter().flat_map(|o| o.emits).collect();
-    emitted.sort_by(|a, b| {
-        (a.timestep, a.vertex)
-            .cmp(&(b.timestep, b.vertex))
-            .then(a.value.total_cmp(&b.value))
-    });
-
-    let mut result = JobResult {
-        timesteps_run,
-        metrics,
-        merge_metrics,
-        counters,
-        merge_counters,
-        emitted,
-        total_wall_ns,
-        recoveries,
-        final_states,
-        trace,
-        attribution,
-        registry: None,
-    };
-    if let Some(mut reg) = registry_base {
-        result.export_into(&mut reg);
-        result.registry = Some(reg);
-    }
-    result
 }
 
 /// Per-partition execution state.
@@ -855,18 +548,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             cur_t: 0,
             cur_ss: 0,
             loop_finished: false,
-            out: WorkerOutput {
-                metrics: Vec::new(),
-                merge_metrics: TimestepMetrics::default(),
-                counters: Vec::new(),
-                merge_counters: BTreeMap::new(),
-                emits: Vec::new(),
-                timesteps_run: 0,
-                final_states: Vec::new(),
-                sinks: Vec::new(),
-                shard: None,
-                attr_rows: Vec::new(),
-            },
+            out: WorkerOutput::default(),
             cur_counters: BTreeMap::new(),
             allow_next_timestep: config.pattern == Pattern::SequentiallyDependent,
         }
@@ -889,10 +571,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         timesteps: usize,
         config: &JobConfig<P::Msg>,
     ) -> Result<WorkerOutput, EngineError> {
-        if config.temporal_parallelism {
-            debug_assert_eq!(start_t, 0, "checkpointing excludes the temporal fast path");
-            self.run_temporally_parallel(timesteps, config)?;
-        } else if !self.loop_finished {
+        if !self.loop_finished {
             self.run_timestep_loop(start_t, timesteps, config)?;
         }
         if config.pattern == Pattern::EventuallyDependent {
@@ -1429,77 +1108,6 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         self.out.merge_metrics = m;
         self.out.merge_counters = std::mem::take(&mut self.cur_counters);
         Ok(())
-    }
-
-    // ---- temporal-parallelism fast path ---------------------------------
-
-    fn run_temporally_parallel(
-        &mut self,
-        timesteps: usize,
-        _config: &JobConfig<P::Msg>,
-    ) -> Result<(), EngineError> {
-        // No per-timestep barriers: each worker streams through all
-        // (subgraph, timestep) pairs. Valid only for programs whose compute
-        // never uses superstep messaging (Context enforces this).
-        let mut per_t = vec![TimestepMetrics::default(); timesteps];
-        let mut per_t_counters: Vec<BTreeMap<&'static str, u64>> = vec![BTreeMap::new(); timesteps];
-        let wall = Clock::start();
-        for i in 0..self.sg_ids.len() {
-            for t in 0..timesteps {
-                self.memo.clear();
-                let c0 = self.tracer.now();
-                let mut outbox = Outbox::new(false, false, self.merge_seq[i], self.next_seq[i]);
-                self.invoke(i, t, 0, timesteps, Phase::Compute, &[], &mut outbox);
-                self.merge_seq[i] = outbox.merge_seq;
-                self.next_seq[i] = outbox.seq;
-                let mut none = Vec::new();
-                self.cur_counters = std::mem::take(&mut per_t_counters[t]);
-                self.absorb_outbox(i, t, &mut outbox, &mut none, None);
-                debug_assert!(none.is_empty());
-
-                let mut outbox = Outbox::new(false, false, self.merge_seq[i], self.next_seq[i]);
-                self.invoke(i, t, 1, timesteps, Phase::EndOfTimestep, &[], &mut outbox);
-                self.merge_seq[i] = outbox.merge_seq;
-                self.next_seq[i] = outbox.seq;
-                self.absorb_outbox(i, t, &mut outbox, &mut none, None);
-                per_t_counters[t] = std::mem::take(&mut self.cur_counters);
-                let c1 = self.tracer.now();
-                if let Some(sh) = self.shard.as_deref_mut() {
-                    sh.compute_ns.record(c1 - c0);
-                }
-                if let Some(at) = self.attr.as_deref_mut() {
-                    // One cell covers the fused compute+end-of-timestep
-                    // pair this fast path runs per (subgraph, timestep);
-                    // reuses the readings above (no extra clock reads).
-                    at.record(i, t, c1 - c0);
-                }
-                per_t[t].compute_ns += c1 - c0;
-                self.tracer.span_arg_at("compute", c0, c1, "t", t as u64);
-                per_t[t].supersteps = 1;
-            }
-        }
-        let io = self.provider.take_io_stats();
-        if let Some(sh) = self.shard.as_deref_mut() {
-            sh.cache_hits += io.cache_hits;
-            sh.cache_misses += io.cache_misses;
-            sh.cache_evictions += io.cache_evictions;
-            sh.bytes_read += io.bytes;
-        }
-        if let Some(first) = per_t.first_mut() {
-            first.io_ns = io.ns;
-            first.slice_loads = io.loads;
-        }
-        // Wall time is not separable per timestep in this mode; assign the
-        // total to the aggregate and split evenly for plotting.
-        let total_wall = wall.elapsed_ns();
-        let share = total_wall / timesteps.max(1) as u64;
-        for mt in &mut per_t {
-            mt.wall_ns = share;
-        }
-        self.out.metrics = per_t;
-        self.out.counters = per_t_counters;
-        self.out.timesteps_run = timesteps;
-        self.transport.barrier()
     }
 
     // ---- plumbing -------------------------------------------------------

@@ -7,10 +7,13 @@
 //! patterns — independent, eventually dependent, sequentially dependent —
 //! govern how state moves between timesteps (§II.B).
 //!
-//! The "cluster" is simulated: one worker thread per partition plays one
-//! GoFFish host, remote messages are genuinely serialised and shipped over
-//! channels, and instance data is loaded lazily (from GoFS slice files or an
-//! in-memory collection). Per-partition, per-timestep metrics record
+//! One worker per partition plays one GoFFish host ([`executor`]), and one
+//! driver hosts a job's workers ([`cluster`]): as threads exchanging
+//! batches over channels ([`run_job`], the simulated cluster), as threads
+//! over loopback TCP, or as spawned worker processes ([`run_job_tcp`] with
+//! a [`Cluster`]). Remote messages are genuinely serialised on every
+//! transport, and instance data is loaded lazily (from GoFS slice files or
+//! an in-memory collection). Per-partition, per-timestep metrics record
 //! compute time, partition overhead (marshalling), sync overhead (barrier
 //! waits) and I/O — everything needed to regenerate the paper's Figures 6
 //! and 7.
@@ -35,6 +38,7 @@
 
 pub mod batch;
 pub mod checkpoint;
+pub mod cluster;
 pub mod error;
 pub mod executor;
 pub mod faults;
@@ -43,6 +47,7 @@ pub mod net;
 pub mod program;
 pub mod provider;
 pub mod sync;
+pub mod telemetry;
 pub mod transport;
 pub mod wire;
 
@@ -54,17 +59,18 @@ pub use checkpoint::{
     checkpoint_path, latest_valid, manifest_path, read_manifest, CheckpointConfig, Manifest,
     SubgraphCheckpoint, WorkerCheckpoint,
 };
+pub use cluster::{
+    run_cluster as run_job_tcp, run_job, run_tcp_worker, Cluster, INJECTED_EXIT_CODE,
+};
 pub use error::{EngineError, WireError};
-pub use executor::{run_job, JobConfig, Pattern, TimestepMode, DEFAULT_STRAGGLER_FACTOR};
+pub use executor::{JobConfig, Pattern, TimestepMode, DEFAULT_STRAGGLER_FACTOR};
 pub use faults::{FaultPlan, FrameFault, INJECTED_FAULT_MARKER};
 pub use metrics::{AttributionRow, CostAttribution, Emit, JobResult, TimestepMetrics};
 pub use net::{Frame, FrameConn, FrameKind, StatusReplyMsg, TelemetryMsg, WorkerStatusWire};
 pub use program::{Context, Phase, SubgraphProgram};
 pub use provider::{GofsProvider, InstanceProvider, InstanceSource, IoStats, MemoryProvider};
 pub use sync::{join_partition, Aggregate, Contribution, PoisonOnPanic, SyncPoint};
+pub use telemetry::query_status;
 pub use tempograph_trace::{Trace, TraceConfig, TraceMode, TraceSink};
-pub use transport::{
-    query_status, run_job_tcp, run_tcp_worker, BatchKind, Cluster, InProcess, Tcp, Transport,
-    INJECTED_EXIT_CODE,
-};
+pub use transport::{BatchKind, InProcess, Tcp, Transport};
 pub use wire::{Envelope, WireMsg};

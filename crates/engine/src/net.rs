@@ -251,7 +251,7 @@ impl Header {
     }
 }
 
-fn net_err(context: String) -> impl FnOnce(io::Error) -> EngineError {
+pub(crate) fn net_err(context: String) -> impl FnOnce(io::Error) -> EngineError {
     move |e| EngineError::Net {
         context,
         detail: e.to_string(),
@@ -445,6 +445,16 @@ impl FrameConn {
     pub fn shutdown_write(&mut self) {
         let _ = self.writer.shutdown(std::net::Shutdown::Write);
     }
+}
+
+/// Bind an ephemeral loopback listener for `what`; returns it with its
+/// dialable address.
+pub(crate) fn bind_loopback(what: &str) -> Result<(TcpListener, String), EngineError> {
+    let listener = TcpListener::bind("127.0.0.1:0").map_err(net_err(format!("binding {what}")))?;
+    let addr = listener
+        .local_addr()
+        .map_err(net_err(format!("resolving the address of {what}")))?;
+    Ok((listener, addr.to_string()))
 }
 
 /// Dial `addr`, retrying with doubling backoff (2 ms base, 200 ms cap,

@@ -7,6 +7,7 @@
 //! rendezvous per superstep, exactly the structure whose wait time the paper
 //! reports as "Sync Overhead" (Fig. 7b/7d).
 
+use crate::error::EngineError;
 use parking_lot::{Condvar, Mutex};
 
 /// Per-worker contribution folded at the barrier.
@@ -35,19 +36,28 @@ impl Aggregate {
     }
 }
 
-/// Panic message used when a barrier is poisoned by a dying peer. The
-/// executor's recovery loop treats panics carrying this text as *cascade*
-/// failures (secondary deaths caused by the primary one) and prefers the
-/// original panic when re-surfacing errors.
-pub(crate) const POISON_MSG: &str = "sync point poisoned: a peer worker died";
-
 struct State {
     arrived: usize,
     generation: u64,
     msgs: u64,
     halted: bool,
-    poisoned: bool,
+    /// The first death reported to [`SyncPoint::poison`]: the partition
+    /// that died and the evidence. Every later arrival is told about this
+    /// one, so cascades name the primary failure.
+    poisoned: Option<(u16, String)>,
     result: Aggregate,
+}
+
+impl State {
+    /// The typed error every arrival at a poisoned sync point receives.
+    fn death(&self) -> Option<EngineError> {
+        self.poisoned
+            .as_ref()
+            .map(|(partition, detail)| EngineError::RemoteWorkerDied {
+                partition: *partition,
+                detail: detail.clone(),
+            })
+    }
 }
 
 /// Reusable barrier-with-reduction for `n` workers. See module docs.
@@ -68,7 +78,7 @@ impl SyncPoint {
                 generation: 0,
                 msgs: 0,
                 halted: true,
-                poisoned: false,
+                poisoned: None,
                 result: Aggregate::default(),
             }),
             cv: Condvar::new(),
@@ -82,14 +92,14 @@ impl SyncPoint {
 
     /// Block until all `n` workers arrive; returns the folded [`Aggregate`].
     ///
-    /// Panics (with [`POISON_MSG`]) if the sync point was [`SyncPoint::poison`]ed
-    /// — a peer worker died, so the full complement can never arrive and
-    /// waiting would deadlock.
-    pub fn arrive(&self, c: Contribution) -> Aggregate {
+    /// Fails with [`EngineError::RemoteWorkerDied`] naming the dead
+    /// partition if the sync point was [`SyncPoint::poison`]ed — a peer
+    /// worker died, so the full complement can never arrive and waiting
+    /// would deadlock.
+    pub fn arrive(&self, c: Contribution) -> Result<Aggregate, EngineError> {
         let mut s = self.state.lock();
-        if s.poisoned {
-            drop(s);
-            panic!("{POISON_MSG}");
+        if let Some(e) = s.death() {
+            return Err(e);
         }
         s.msgs += c.msgs_sent;
         s.halted &= c.all_halted;
@@ -104,47 +114,56 @@ impl SyncPoint {
             s.halted = true;
             s.generation += 1;
             self.cv.notify_all();
-            s.result
         } else {
             let gen = s.generation;
             while s.generation == gen {
                 self.cv.wait(&mut s);
-                if s.poisoned {
-                    drop(s);
-                    panic!("{POISON_MSG}");
+                if let Some(e) = s.death() {
+                    return Err(e);
                 }
             }
-            s.result
         }
+        Ok(s.result)
     }
 
-    /// Mark the sync point dead and wake every waiter: their `arrive` calls
-    /// panic instead of deadlocking on a worker that will never show up.
-    pub fn poison(&self) {
+    /// Report that `partition`'s worker died (with `detail` as evidence)
+    /// and wake every waiter: their `arrive` calls fail instead of
+    /// deadlocking on a worker that will never show up. The first report
+    /// wins, so a cascade re-reporting the death it was told about cannot
+    /// displace the primary.
+    pub fn poison(&self, partition: u16, detail: &str) {
         let mut s = self.state.lock();
-        s.poisoned = true;
+        if s.poisoned.is_none() {
+            s.poisoned = Some((partition, detail.to_string()));
+        }
         self.cv.notify_all();
     }
 
+    /// The death this sync point was poisoned with, if any.
+    pub fn poisoned_by(&self) -> Option<(u16, String)> {
+        self.state.lock().poisoned.clone()
+    }
+
     /// Pure barrier: arrive with an empty contribution.
-    pub fn barrier(&self) {
+    pub fn barrier(&self) -> Result<(), EngineError> {
         self.arrive(Contribution {
             msgs_sent: 0,
             all_halted: true,
-        });
+        })
+        .map(|_| ())
     }
 }
 
 /// RAII guard a worker holds for its whole run: if the worker unwinds (an
-/// injected fault or a real bug), `Drop` poisons the sync point so peers
-/// blocked at the barrier die promptly instead of deadlocking. A normal
-/// return drops the guard without poisoning.
-pub struct PoisonOnPanic<'a>(pub &'a SyncPoint);
+/// injected fault or a real bug), `Drop` poisons the sync point in the
+/// worker's name so peers blocked at the barrier fail promptly instead of
+/// deadlocking. A normal return drops the guard without poisoning.
+pub struct PoisonOnPanic<'a>(pub &'a SyncPoint, pub u16);
 
 impl Drop for PoisonOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.poison();
+            self.0.poison(self.1, "worker thread panicked");
         }
     }
 }
@@ -163,14 +182,19 @@ pub fn join_partition<T>(partition: usize, joined: std::thread::Result<T>) -> T 
     match joined {
         Ok(v) => v,
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&'static str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
+            let msg = panic_message(payload.as_ref());
             panic!("worker for partition {partition} panicked: {msg}");
         }
     }
+}
+
+/// The message a panic payload carries, when it was a string.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&'static str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 #[cfg(test)]
@@ -181,18 +205,22 @@ mod tests {
     #[test]
     fn single_worker_reduction() {
         let sp = SyncPoint::new(1);
-        let agg = sp.arrive(Contribution {
-            msgs_sent: 3,
-            all_halted: false,
-        });
+        let agg = sp
+            .arrive(Contribution {
+                msgs_sent: 3,
+                all_halted: false,
+            })
+            .unwrap();
         assert_eq!(agg.total_msgs, 3);
         assert!(!agg.all_halted);
         assert!(!agg.should_stop());
         // Reusable: accumulators were reset.
-        let agg2 = sp.arrive(Contribution {
-            msgs_sent: 0,
-            all_halted: true,
-        });
+        let agg2 = sp
+            .arrive(Contribution {
+                msgs_sent: 0,
+                all_halted: true,
+            })
+            .unwrap();
         assert!(agg2.should_stop());
     }
 
@@ -207,6 +235,7 @@ mod tests {
                         msgs_sent: i,
                         all_halted: i != 2,
                     })
+                    .unwrap()
                 })
             })
             .collect();
@@ -226,10 +255,12 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut seen = Vec::new();
                     for round in 0..100u64 {
-                        let agg = sp.arrive(Contribution {
-                            msgs_sent: round,
-                            all_halted: true,
-                        });
+                        let agg = sp
+                            .arrive(Contribution {
+                                msgs_sent: round,
+                                all_halted: true,
+                            })
+                            .unwrap();
                         seen.push(agg.total_msgs);
                     }
                     seen
@@ -247,8 +278,8 @@ mod tests {
         let sp = Arc::new(SyncPoint::new(2));
         let sp2 = sp.clone();
         let t = std::thread::spawn(move || sp2.barrier());
-        sp.barrier();
-        join_partition(1, t.join());
+        sp.barrier().unwrap();
+        join_partition(1, t.join()).unwrap();
     }
 
     #[test]
@@ -260,37 +291,46 @@ mod tests {
         };
         // Give the waiter time to block, then poison instead of arriving.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        sp.poison();
-        let err = waiter.join().expect_err("waiter must panic, not hang");
-        assert!(err
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.contains("poisoned")));
-        // Later arrivals fail fast too.
-        let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sp.barrier()));
-        assert!(late.is_err());
+        sp.poison(1, "killed");
+        let died = EngineError::RemoteWorkerDied {
+            partition: 1,
+            detail: "killed".into(),
+        };
+        let err = join_partition(0, waiter.join()).expect_err("waiter must fail, not hang");
+        assert_eq!(err, died);
+        // Later arrivals fail fast too, and a cascade re-reporting (or
+        // blaming someone else) cannot displace the primary.
+        sp.poison(0, "cascade");
+        assert_eq!(sp.barrier(), Err(died));
+        assert_eq!(sp.poisoned_by(), Some((1, "killed".to_string())));
     }
 
     #[test]
     fn poison_on_panic_guard_only_fires_during_unwind() {
         let sp = Arc::new(SyncPoint::new(2));
         {
-            let _guard = PoisonOnPanic(&sp);
+            let _guard = PoisonOnPanic(&sp, 0);
         }
         // Clean drop: not poisoned, a 2-party barrier still works.
         let sp2 = sp.clone();
         let t = std::thread::spawn(move || sp2.barrier());
-        sp.barrier();
-        join_partition(1, t.join());
+        sp.barrier().unwrap();
+        join_partition(1, t.join()).unwrap();
 
         let sp3 = sp.clone();
         let dead = std::thread::spawn(move || {
-            let _guard = PoisonOnPanic(&sp3);
+            let _guard = PoisonOnPanic(&sp3, 1);
             panic!("worker bug");
         })
         .join();
         assert!(dead.is_err());
-        let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sp.barrier()));
-        assert!(late.is_err(), "unwinding drop must poison");
+        assert!(
+            matches!(
+                sp.barrier(),
+                Err(EngineError::RemoteWorkerDied { partition: 1, .. })
+            ),
+            "unwinding drop must poison in the worker's name"
+        );
     }
 
     #[test]

@@ -7,16 +7,17 @@
 //! halting votes ([`Transport::arrive`] / [`Transport::barrier`]). Two
 //! implementations exist:
 //!
-//! * [`InProcess`] — today's simulated cluster: crossbeam channels between
-//!   worker threads and a shared [`SyncPoint`] barrier. Zero behaviour
-//!   change from the pre-trait engine; [`crate::run_job`] uses it.
+//! * [`InProcess`] — the simulated cluster: crossbeam channels between
+//!   worker threads and a shared [`SyncPoint`] barrier, no socket.
 //! * [`Tcp`] — a real cluster over loopback/LAN TCP: one full-duplex
 //!   framed connection per unordered worker pair (see [`crate::net`] for
 //!   the frame layout), plus one control connection per worker to a
 //!   coordinator that serves barriers by folding [`Contribution`] frames
-//!   into [`Aggregate`] broadcasts. [`run_job_tcp`] drives it with workers
-//!   as in-process threads ([`Cluster::Threads`]) or as real spawned worker
-//!   processes ([`Cluster::Processes`], the `tempograph worker` binary).
+//!   into [`Aggregate`] broadcasts.
+//!
+//! Which one a job's workers run over is the [`crate::Cluster`] choice of
+//! the one driver in [`crate::cluster`]; this module holds only the
+//! worker-side seam.
 //!
 //! **Why both transports produce byte-identical results.** Delivery order
 //! is canonicalised *after* transport: staged runs are merged by the
@@ -36,53 +37,34 @@
 //! contiguously cover the watermark. See [`crate::FrameFault`] for the
 //! injectable fault kinds.
 //!
-//! **Failure attribution.** A worker that observes a dead peer reports the
-//! peer's partition to the coordinator in an Abort frame before unwinding;
-//! the coordinator broadcasts the abort, reaps everyone, and surfaces a
-//! typed [`EngineError::RemoteWorkerDied`] naming the *primary* death —
-//! never the cascade. With checkpointing armed and an *injected* death
-//! (the fault plan's panic events, or a killed worker process), the
-//! coordinator instead relaunches the epoch from the latest committed
-//! checkpoint, exactly like [`crate::run_job`]'s in-process recovery.
+//! **Failure attribution.** Both transports tell a worker about a dead
+//! peer the same way: the failing call returns
+//! [`EngineError::RemoteWorkerDied`] naming the partition that died
+//! *first* — a closed channel or a poisoned [`SyncPoint`] in process, a
+//! lost mesh connection or the coordinator's Abort frame over TCP — never
+//! the cascade. What the driver does with that is in [`crate::cluster`].
 
-use crate::checkpoint::{self, CheckpointConfig};
 use crate::error::{EngineError, WireError};
-use crate::executor::{
-    assemble_job_result, effective_timesteps, run_worker_body, JobConfig, WorkerOutput,
-};
-use crate::faults::{payload_is_injected, FaultPlan, FrameFault};
-use crate::metrics::{AttributionRow, Emit, JobResult, MetricsShard, TimestepMetrics};
+use crate::faults::{FaultPlan, FrameFault};
+use crate::metrics::{AttributionRow, MetricsShard};
 use crate::net::{
-    accept_with_deadline, connect_with_retry, decode_payload, encode_payload, read_frame, AbortMsg,
-    AttrRowWire, Frame, FrameConn, FrameKind, HelloMsg, MetricsShardWire, StartMsg, StatusReplyMsg,
-    TelemetryMsg, TraceEventWire, WorkerStatusWire, COORDINATOR, RESUME_NONE,
+    accept_with_deadline, connect_with_retry, decode_payload, encode_payload, net_err, read_frame,
+    AbortMsg, AttrRowWire, Frame, FrameConn, FrameKind, MetricsShardWire, TelemetryMsg,
+    TraceEventWire,
 };
-use crate::program::SubgraphProgram;
-use crate::provider::InstanceSource;
 use crate::sync::{Aggregate, Contribution, SyncPoint};
-use crate::wire::WireMsg;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use tempograph_partition::{PartitionedGraph, Subgraph, SubgraphId};
-use tempograph_trace::{Clock, Trace, TraceEvent, TraceSink};
+use std::sync::Arc;
+use tempograph_trace::{TraceEvent, TraceSink};
 
 /// Handshake patience: how long the coordinator waits for worker hellos and
 /// a worker waits for higher-numbered peers to dial its mesh listener.
 /// Generous because process-mode workers pay binary startup plus graph
 /// reload before their first frame.
 pub(crate) const HANDSHAKE_TIMEOUT_MS: u64 = 30_000;
-
-/// Exit code a worker process uses for an *injected* death (fault-plan
-/// panic), so the coordinator can tell "recoverable drill" from "real bug"
-/// across a process boundary, where panic payloads don't travel.
-pub const INJECTED_EXIT_CODE: i32 = 42;
 
 /// Which inbox a shipped frame is destined for. An enum (not a `u8` tag)
 /// so every routing `match` is exhaustive — adding a delivery class forces
@@ -165,9 +147,7 @@ pub struct TelemetryFlush {
 // ---- in-process transport ----------------------------------------------
 
 /// The simulated cluster's transport: unbounded crossbeam channels between
-/// worker threads, barriers on a shared [`SyncPoint`]. Behaviour (including
-/// the poison-cascade panic message peers rely on) is identical to the
-/// pre-trait engine.
+/// worker threads, barriers on a shared [`SyncPoint`].
 pub struct InProcess<'a> {
     partition: u16,
     rx: Receiver<(BatchKind, Bytes)>,
@@ -206,11 +186,13 @@ impl Transport for InProcess<'_> {
             .ok_or_else(|| EngineError::Protocol {
                 detail: format!("send to unknown partition {dst}"),
             })?;
-        tx.send((kind, bytes)).unwrap_or_else(|_| {
-            // A receiver only disappears when its worker died; surface
-            // this as a cascade so recovery blames the primary failure.
-            panic!("channel to partition {dst} closed: a peer worker died")
-        });
+        // A receiver only disappears when its worker died: name it, so
+        // the driver blames the primary failure and not this cascade.
+        tx.send((kind, bytes))
+            .map_err(|_| EngineError::RemoteWorkerDied {
+                partition: dst,
+                detail: "in-process channel closed".into(),
+            })?;
         Ok(0)
     }
 
@@ -223,23 +205,11 @@ impl Transport for InProcess<'_> {
     }
 
     fn arrive(&mut self, c: Contribution) -> Result<Aggregate, EngineError> {
-        Ok(self.sync.arrive(c))
-    }
-
-    fn barrier(&mut self) -> Result<(), EngineError> {
-        self.sync.barrier();
-        Ok(())
+        self.sync.arrive(c)
     }
 }
 
 // ---- TCP transport -------------------------------------------------------
-
-fn net_error(context: String) -> impl FnOnce(std::io::Error) -> EngineError {
-    move |e| EngineError::Net {
-        context,
-        detail: e.to_string(),
-    }
-}
 
 type ReadResult = Result<(Frame, usize), EngineError>;
 
@@ -329,7 +299,7 @@ impl Tcp {
     /// PeerHello naming us), accept every higher-numbered one (identified
     /// by *its* PeerHello) — one full-duplex connection per unordered pair.
     #[allow(clippy::too_many_arguments)]
-    fn connect_mesh(
+    pub(crate) fn connect_mesh(
         partition: u16,
         epoch: u32,
         coord: FrameConn,
@@ -345,13 +315,13 @@ impl Tcp {
         let mut peers_rx: Vec<Option<Receiver<ReadResult>>> = (0..k).map(|_| None).collect();
         for (j, addr) in peer_addrs.iter().enumerate().take(me) {
             let stream = connect_with_retry(addr, &format!("partition {j}"))?;
-            stream.set_nodelay(true).map_err(net_error(format!(
-                "configuring connection to partition {j}"
-            )))?;
+            stream
+                .set_nodelay(true)
+                .map_err(net_err(format!("configuring connection to partition {j}")))?;
             let reader = BufReader::new(
                 stream
                     .try_clone()
-                    .map_err(net_error(format!("cloning connection to partition {j}")))?,
+                    .map_err(net_err(format!("cloning connection to partition {j}")))?,
             );
             let mut writer = PeerWriter {
                 stream,
@@ -371,11 +341,11 @@ impl Tcp {
             let stream = accept_with_deadline(listener, HANDSHAKE_TIMEOUT_MS, "a peer handshake")?;
             stream
                 .set_nodelay(true)
-                .map_err(net_error("configuring an accepted peer connection".into()))?;
+                .map_err(net_err("configuring an accepted peer connection".into()))?;
             let mut reader = BufReader::new(
                 stream
                     .try_clone()
-                    .map_err(net_error("cloning an accepted peer connection".into()))?,
+                    .map_err(net_err("cloning an accepted peer connection".into()))?,
             );
             let (hello, _) = read_frame(&mut reader, "peer (handshaking)")?;
             if hello.kind != FrameKind::PeerHello {
@@ -423,7 +393,7 @@ impl Tcp {
 
     /// Send one control frame to the coordinator (also used by the worker
     /// wrapper after the run, for Output/Abort frames).
-    fn coord_send(&mut self, frame: &Frame) -> Result<(), EngineError> {
+    pub(crate) fn coord_send(&mut self, frame: &Frame) -> Result<(), EngineError> {
         self.coord.send(frame)
     }
 
@@ -744,1256 +714,9 @@ impl Transport for Tcp {
     }
 }
 
-// ---- worker results on the wire -----------------------------------------
-
-/// The transportable subset of a worker's results, shipped in the final
-/// Output frame. Observability state (trace events, metrics shards,
-/// attribution rows) travels separately, in the Telemetry frames each
-/// barrier round and the final flush emit — the coordinator grafts it
-/// back onto these essentials before assembling the [`JobResult`].
-pub(crate) struct WorkerEssentials {
-    pub(crate) metrics: Vec<TimestepMetrics>,
-    pub(crate) merge_metrics: TimestepMetrics,
-    pub(crate) counters: Vec<Vec<(String, u64)>>,
-    pub(crate) merge_counters: Vec<(String, u64)>,
-    pub(crate) emits: Vec<Emit>,
-    pub(crate) timesteps_run: u64,
-    pub(crate) final_states: Vec<(SubgraphId, Vec<u8>)>,
-}
-
-fn counters_row(row: &BTreeMap<&'static str, u64>) -> Vec<(String, u64)> {
-    row.iter().map(|(&n, &v)| (n.to_string(), v)).collect()
-}
-
-fn intern_row(row: Vec<(String, u64)>) -> BTreeMap<&'static str, u64> {
-    row.into_iter()
-        .map(|(n, v)| (checkpoint::intern(&n), v))
-        .collect()
-}
-
-impl WorkerEssentials {
-    pub(crate) fn from_output(out: &WorkerOutput) -> WorkerEssentials {
-        WorkerEssentials {
-            metrics: out.metrics.clone(),
-            merge_metrics: out.merge_metrics.clone(),
-            counters: out.counters.iter().map(counters_row).collect(),
-            merge_counters: counters_row(&out.merge_counters),
-            emits: out.emits.clone(),
-            timesteps_run: out.timesteps_run as u64,
-            final_states: out.final_states.clone(),
-        }
-    }
-
-    pub(crate) fn into_output(self) -> WorkerOutput {
-        WorkerOutput {
-            metrics: self.metrics,
-            merge_metrics: self.merge_metrics,
-            counters: self.counters.into_iter().map(intern_row).collect(),
-            merge_counters: intern_row(self.merge_counters),
-            emits: self.emits,
-            timesteps_run: self.timesteps_run as usize,
-            final_states: self.final_states,
-            sinks: Vec::new(),
-            shard: None,
-            attr_rows: Vec::new(),
-        }
-    }
-
-    pub(crate) fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        (self.metrics.len() as u32).encode(&mut buf);
-        for m in &self.metrics {
-            checkpoint::put_metrics(&mut buf, m);
-        }
-        checkpoint::put_metrics(&mut buf, &self.merge_metrics);
-        (self.counters.len() as u32).encode(&mut buf);
-        for row in &self.counters {
-            put_counter_row(&mut buf, row);
-        }
-        put_counter_row(&mut buf, &self.merge_counters);
-        (self.emits.len() as u32).encode(&mut buf);
-        for e in &self.emits {
-            (e.timestep as u64).encode(&mut buf);
-            e.vertex.encode(&mut buf);
-            e.value.encode(&mut buf);
-        }
-        self.timesteps_run.encode(&mut buf);
-        (self.final_states.len() as u32).encode(&mut buf);
-        for (sg, state) in &self.final_states {
-            sg.encode(&mut buf);
-            (state.len() as u32).encode(&mut buf);
-            buf.put_slice(state);
-        }
-        buf.freeze()
-    }
-
-    pub(crate) fn decode(mut buf: Bytes) -> Result<WorkerEssentials, EngineError> {
-        let n_metrics = u32::decode(&mut buf)? as usize;
-        let mut metrics = Vec::new();
-        for _ in 0..n_metrics {
-            metrics.push(get_metrics(&mut buf)?);
-        }
-        let merge_metrics = get_metrics(&mut buf)?;
-        let n_rows = u32::decode(&mut buf)? as usize;
-        let mut counters = Vec::new();
-        for _ in 0..n_rows {
-            counters.push(get_counter_row(&mut buf)?);
-        }
-        let merge_counters = get_counter_row(&mut buf)?;
-        let n_emits = u32::decode(&mut buf)? as usize;
-        let mut emits = Vec::new();
-        for _ in 0..n_emits {
-            emits.push(Emit {
-                timestep: u64::decode(&mut buf)? as usize,
-                vertex: tempograph_core::VertexIdx::decode(&mut buf)?,
-                value: f64::decode(&mut buf)?,
-            });
-        }
-        let timesteps_run = u64::decode(&mut buf)?;
-        let n_states = u32::decode(&mut buf)? as usize;
-        let mut final_states = Vec::new();
-        for _ in 0..n_states {
-            let sg = SubgraphId::decode(&mut buf)?;
-            let len = u32::decode(&mut buf)? as usize;
-            if buf.remaining() < len {
-                return Err(EngineError::Wire(WireError::Eof {
-                    context: "final program state",
-                    needed: len,
-                    remaining: buf.remaining(),
-                }));
-            }
-            final_states.push((sg, buf.split_to(len).to_vec()));
-        }
-        if buf.remaining() != 0 {
-            return Err(EngineError::Protocol {
-                detail: format!("{} trailing bytes after worker results", buf.remaining()),
-            });
-        }
-        Ok(WorkerEssentials {
-            metrics,
-            merge_metrics,
-            counters,
-            merge_counters,
-            emits,
-            timesteps_run,
-            final_states,
-        })
-    }
-}
-
-fn put_counter_row(buf: &mut BytesMut, row: &[(String, u64)]) {
-    (row.len() as u32).encode(buf);
-    for (name, v) in row {
-        name.encode(buf);
-        v.encode(buf);
-    }
-}
-
-fn get_counter_row(buf: &mut Bytes) -> Result<Vec<(String, u64)>, EngineError> {
-    let n = u32::decode(buf)? as usize;
-    let mut row = Vec::new();
-    for _ in 0..n {
-        row.push((String::decode(buf)?, u64::decode(buf)?));
-    }
-    Ok(row)
-}
-
-fn get_metrics(buf: &mut Bytes) -> Result<TimestepMetrics, EngineError> {
-    checkpoint::get_metrics(buf).map_err(|e| EngineError::Protocol {
-        detail: format!("worker results metrics: {e}"),
-    })
-}
-
-// ---- worker side ---------------------------------------------------------
-
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| {
-            payload
-                .downcast_ref::<&'static str>()
-                .map(|s| s.to_string())
-        })
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-/// One TCP worker, start to finish: handshake with the coordinator, build
-/// the peer mesh, run the TI-BSP loop over the [`Tcp`] transport, ship the
-/// results back. On a peer death observed first-hand, reports the dead
-/// partition to the coordinator (an Abort frame) before unwinding, so the
-/// coordinator can attribute the primary failure even when the dying
-/// worker's own connection reset is observed later.
-fn tcp_worker<P, F>(
-    coord_addr: &str,
-    partition: u16,
-    pg: &Arc<PartitionedGraph>,
-    source: &InstanceSource,
-    factory: &F,
-    config: &JobConfig<P::Msg>,
-    timesteps: usize,
-) -> Result<(), EngineError>
-where
-    P: SubgraphProgram,
-    F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync,
-{
-    assert!(
-        !config.temporal_parallelism,
-        "temporal parallelism is not supported over the TCP transport"
-    );
-    let listener = TcpListener::bind("127.0.0.1:0")
-        .map_err(net_error("binding the peer-mesh listener".into()))?;
-    let listen_addr = listener
-        .local_addr()
-        .map_err(net_error("resolving the peer-mesh listener address".into()))?
-        .to_string();
-    let stream = connect_with_retry(coord_addr, "coordinator")?;
-    let mut coord = FrameConn::new(stream, "coordinator")?;
-    coord.send(&Frame::control(
-        FrameKind::Hello,
-        partition,
-        0,
-        encode_payload(&HelloMsg {
-            partition,
-            listen_addr,
-        }),
-    ))?;
-    let frame = coord.recv()?;
-    if frame.kind != FrameKind::Start {
-        return Err(EngineError::Protocol {
-            detail: format!("expected Start from coordinator, got {:?}", frame.kind),
-        });
-    }
-    let start: StartMsg = decode_payload(frame.payload)?;
-    if let Some(faults) = &config.faults {
-        // One-shot events consumed in earlier epochs stay consumed: a
-        // relaunched worker process must not re-fire them.
-        faults.mark_fired(&start.fired);
-    }
-    let resume_from = (start.resume_from != RESUME_NONE).then_some(start.resume_from);
-    let tracer = config
-        .trace
-        .map(|tc| tc.sink(partition as u32))
-        .unwrap_or_else(TraceSink::inert);
-    let telemetry_armed = config.trace.is_some() || config.metrics || config.attribution;
-    let mut tcp = Tcp::connect_mesh(
-        partition,
-        start.epoch,
-        coord,
-        &listener,
-        &start.peer_addrs,
-        config.faults.clone(),
-        tracer,
-        telemetry_armed,
-    )?;
-    let epoch = start.epoch;
-    let out = run_worker_body::<P, F>(
-        partition,
-        pg,
-        source,
-        factory,
-        config,
-        timesteps,
-        resume_from,
-        &mut tcp,
-    );
-    match out {
-        Ok(mut output) => {
-            if tcp.wants_telemetry() {
-                // Final flush: drain whatever the per-round flushes did not
-                // cover (merge-phase events, the provider's GoFS sink, the
-                // last cumulative shard/attribution snapshots). Sent before
-                // the Output frame so the coordinator has the complete
-                // picture by the time it assembles the JobResult.
-                let mut events = Vec::new();
-                for (_, sink) in &mut output.sinks {
-                    events.extend(sink.take_events());
-                }
-                tcp.telemetry(TelemetryFlush {
-                    timestep: output.timesteps_run.saturating_sub(1) as u32,
-                    supersteps: 0,
-                    barrier_wait_ns: 0,
-                    final_flush: true,
-                    events,
-                    shard: output.shard.take().map(|b| *b),
-                    attr_rows: std::mem::take(&mut output.attr_rows),
-                })?;
-            }
-            let essentials = WorkerEssentials::from_output(&output);
-            tcp.coord_send(&Frame::control(
-                FrameKind::Output,
-                partition,
-                epoch,
-                essentials.encode(),
-            ))?;
-            Ok(())
-        }
-        Err(e) => {
-            if let EngineError::RemoteWorkerDied {
-                partition: dead,
-                detail,
-            } = &e
-            {
-                // Best-effort: name the primary death for the coordinator.
-                let _ = tcp.coord_send(&Frame::control(
-                    FrameKind::Abort,
-                    partition,
-                    epoch,
-                    encode_payload(&AbortMsg {
-                        dead_partition: *dead,
-                        detail: detail.clone(),
-                    }),
-                ));
-            }
-            Err(e)
-        }
-    }
-}
-
-/// Worker-process entry point (the `tempograph worker` subcommand). Runs
-/// [`tcp_worker`] on a joinable thread so an injected panic can be mapped
-/// to [`INJECTED_EXIT_CODE`] — the cross-process substitute for the panic
-/// payload the in-process driver inspects. Returns the process exit code.
-pub fn run_tcp_worker<P, F>(
-    coordinator: String,
-    partition: u16,
-    pg: Arc<PartitionedGraph>,
-    source: InstanceSource,
-    factory: F,
-    config: JobConfig<P::Msg>,
-) -> i32
-where
-    P: SubgraphProgram,
-    F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync + 'static,
-{
-    let handle = std::thread::spawn(move || {
-        let timesteps = effective_timesteps(&config, source.num_timesteps());
-        tcp_worker::<P, F>(
-            &coordinator,
-            partition,
-            &pg,
-            &source,
-            &factory,
-            &config,
-            timesteps,
-        )
-    });
-    match handle.join() {
-        Ok(Ok(())) => 0,
-        Ok(Err(e)) => {
-            eprintln!("worker for partition {partition} failed: {e}");
-            1
-        }
-        Err(payload) => {
-            if payload_is_injected(payload.as_ref()) {
-                INJECTED_EXIT_CODE
-            } else {
-                eprintln!(
-                    "worker for partition {partition} panicked: {}",
-                    payload_message(payload.as_ref())
-                );
-                101
-            }
-        }
-    }
-}
-
-// ---- coordinator side ----------------------------------------------------
-
-/// How [`run_job_tcp`] hosts its workers.
-pub enum Cluster {
-    /// Workers are threads in this process dialing the coordinator over
-    /// loopback TCP — every frame really crosses a socket, no process
-    /// boundary. The default for tests: fast, and panic payloads stay
-    /// inspectable.
-    Threads,
-    /// Workers are real spawned processes running `worker_bin` with
-    /// `worker_args` plus `--partition N --coordinator ADDR` appended.
-    /// The binary must reconstruct the same graph, program, and config
-    /// from those args (the `tempograph worker` subcommand does).
-    Processes {
-        /// Path to the worker binary (usually `std::env::current_exe()`).
-        worker_bin: PathBuf,
-        /// Arguments before the appended per-worker pair — subcommand,
-        /// data directory, algorithm, fault spec, checkpoint flags.
-        worker_args: Vec<String>,
-    },
-}
-
-/// Coordinator-side evidence of a worker death (not yet attributed to
-/// injection or a real bug — that needs the join result / exit status).
-struct Death {
-    partition: u16,
-    detail: String,
-}
-
-/// How one epoch ended, after every worker was reaped.
-enum EpochEnd {
-    /// All workers reported results, indexed by partition.
-    Done(Vec<WorkerOutput>),
-    /// A worker died; `injected` decides recoverability, `typed` carries a
-    /// deterministic worker error to re-surface verbatim.
-    Died {
-        partition: u16,
-        detail: String,
-        injected: bool,
-        typed: Option<EngineError>,
-    },
-}
-
-fn fold_contributions(contribs: &[Contribution]) -> Aggregate {
-    Aggregate {
-        total_msgs: contribs.iter().map(|c| c.msgs_sent).sum(),
-        all_halted: contribs.iter().all(|c| c.all_halted),
-    }
-}
-
-/// Broadcast an Abort naming the primary death to every live worker
-/// connection (best-effort; TCP buffers absorb the frames for workers that
-/// reach their next barrier later), and return the evidence.
-fn abort_cluster(conns: &mut [Option<FrameConn>], primary: u16, detail: String) -> Death {
-    let payload = encode_payload(&AbortMsg {
-        dead_partition: primary,
-        detail: detail.clone(),
-    });
-    for conn in conns.iter_mut().flatten() {
-        let _ = conn.send(&Frame::control(
-            FrameKind::Abort,
-            COORDINATOR,
-            0,
-            payload.clone(),
-        ));
-    }
-    Death {
-        partition: primary,
-        detail,
-    }
-}
-
-// ---- coordinator-side telemetry ------------------------------------------
-
-/// Per-partition observability accumulated at the coordinator from
-/// Telemetry frames.
-struct PartTelemetry {
-    /// Decoded trace events, in arrival order (worker clock domain).
-    events: Vec<TraceEvent>,
-    /// Latest cumulative metrics-shard snapshot.
-    shard: Option<MetricsShard>,
-    /// Latest cumulative attribution snapshot.
-    attr_rows: Vec<AttributionRow>,
-}
-
-/// The coordinator's half of the telemetry plane: ingests Telemetry frames
-/// during [`serve_epoch`], keeps the live status board, judges stragglers
-/// over complete barrier rounds, and grafts the accumulated observability
-/// back onto the epoch's outputs so [`assemble_job_result`] sees exactly
-/// what the in-process driver would have.
-pub(crate) struct CoordTelemetry {
-    parts: Vec<PartTelemetry>,
-    /// Straggler threshold (multiple of the round's median barrier wait).
-    straggler_factor: f64,
-    /// Barrier-wait reports per timestep — `(partition, wait_ns,
-    /// clock_ns)` per worker — judged once the round is complete.
-    rounds: BTreeMap<u32, Vec<(u16, u64, u64)>>,
-    /// Live status board, shared with the status-server thread.
-    board: Arc<Mutex<StatusBoard>>,
-}
-
-impl CoordTelemetry {
-    fn new(k: usize, straggler_factor: f64) -> CoordTelemetry {
-        CoordTelemetry {
-            parts: (0..k)
-                .map(|_| PartTelemetry {
-                    events: Vec::new(),
-                    shard: None,
-                    attr_rows: Vec::new(),
-                })
-                .collect(),
-            straggler_factor,
-            rounds: BTreeMap::new(),
-            board: Arc::new(Mutex::new(StatusBoard::new(k))),
-        }
-    }
-
-    /// Discard a failed epoch's accumulation. The relaunched workers
-    /// re-record events from the restore point and re-send cumulative
-    /// snapshots, so keeping the dead epoch's state would double count —
-    /// this mirrors the in-process driver, whose result only carries the
-    /// final successful attempt's sinks and shards.
-    fn reset(&mut self, epoch: u32) {
-        for part in &mut self.parts {
-            part.events.clear();
-            part.shard = None;
-            part.attr_rows.clear();
-        }
-        self.rounds.clear();
-        lock_board(&self.board).reset(epoch);
-    }
-
-    /// Ingest one Telemetry frame from partition `p`: append drained
-    /// events, replace cumulative snapshots, update the status board, and
-    /// judge the barrier round once all `k` workers reported it.
-    fn ingest(&mut self, p: usize, payload: Bytes) -> Result<(), EngineError> {
-        let msg: TelemetryMsg = decode_payload(payload)?;
-        if p >= self.parts.len() {
-            return Err(EngineError::Protocol {
-                detail: format!("telemetry from unknown partition {p}"),
-            });
-        }
-        lock_board(&self.board).note(p as u16, &msg);
-        if !msg.final_flush {
-            let k = self.parts.len();
-            let round = self.rounds.entry(msg.timestep).or_default();
-            round.push((p as u16, msg.barrier_wait_ns, msg.clock_ns));
-            if round.len() == k {
-                let round = self.rounds.remove(&msg.timestep).unwrap_or_default();
-                self.judge_round(round);
-            }
-        }
-        if let Some(part) = self.parts.get_mut(p) {
-            part.events
-                .extend(msg.events.into_iter().map(TraceEventWire::into_event));
-            if let Some(shard) = msg.shard {
-                part.shard = Some(shard.into_shard());
-            }
-            part.attr_rows = msg.attr.into_iter().map(AttrRowWire::into_row).collect();
-        }
-        Ok(())
-    }
-
-    /// A complete barrier round: any worker whose wait exceeded
-    /// `straggler_factor` × the round's median earns a
-    /// `straggler.detected` instant on its own track — timestamped in the
-    /// worker's clock domain, with the wait riding the `wait_ns` arg (the
-    /// partition is the track identity).
-    fn judge_round(&mut self, round: Vec<(u16, u64, u64)>) {
-        let mut waits: Vec<u64> = round.iter().map(|&(_, w, _)| w).collect();
-        waits.sort_unstable();
-        let median = waits.get(waits.len() / 2).copied().unwrap_or(0);
-        if median == 0 {
-            return;
-        }
-        let threshold = median as f64 * self.straggler_factor;
-        for (p, wait, clock_ns) in round {
-            if (wait as f64) > threshold {
-                if let Some(part) = self.parts.get_mut(p as usize) {
-                    part.events.push(TraceEvent::Instant {
-                        name: "straggler.detected",
-                        ts_ns: clock_ns,
-                        arg: Some(("wait_ns", wait)),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Graft the accumulated observability onto the epoch's outputs:
-    /// per-partition recorded sinks, the latest shard snapshots, and the
-    /// latest attribution rows.
-    fn merge_into(self, outputs: &mut [WorkerOutput]) {
-        for (p, (out, part)) in outputs.iter_mut().zip(self.parts).enumerate() {
-            if !part.events.is_empty() {
-                out.sinks.push((
-                    format!("partition {p}"),
-                    TraceSink::from_recorded(p as u32, part.events),
-                ));
-            }
-            out.shard = part.shard.map(Box::new);
-            out.attr_rows = part.attr_rows;
-        }
-    }
-}
-
-/// The coordinator's live status board: one row per partition, updated on
-/// every Telemetry frame, served to `tempograph status` clients.
-pub(crate) struct StatusBoard {
-    /// Recovery epoch currently being served.
-    epoch: u32,
-    rows: Vec<WorkerStatusWire>,
-    /// Coordinator-clock reading at each partition's last telemetry
-    /// (`None` = not heard from this epoch).
-    last_seen_ns: Vec<Option<u64>>,
-    /// The coordinator clock the last-telemetry ages are measured on.
-    clock: Clock,
-}
-
-fn blank_row(p: usize, epoch: u32) -> WorkerStatusWire {
-    WorkerStatusWire {
-        partition: p as u16,
-        epoch,
-        timestep: 0,
-        supersteps: 0,
-        barrier_wait_ns: 0,
-        bytes_sent: 0,
-        bytes_received: 0,
-        last_telemetry_ms: u64::MAX,
-    }
-}
-
-impl StatusBoard {
-    fn new(k: usize) -> StatusBoard {
-        StatusBoard {
-            epoch: 0,
-            rows: (0..k).map(|p| blank_row(p, 0)).collect(),
-            last_seen_ns: vec![None; k],
-            clock: Clock::start(),
-        }
-    }
-
-    fn reset(&mut self, epoch: u32) {
-        let k = self.rows.len();
-        self.epoch = epoch;
-        self.rows = (0..k).map(|p| blank_row(p, epoch)).collect();
-        self.last_seen_ns = vec![None; k];
-    }
-
-    fn note(&mut self, p: u16, msg: &TelemetryMsg) {
-        let epoch = self.epoch;
-        let now = self.clock.elapsed_ns();
-        if let (Some(row), Some(seen)) = (
-            self.rows.get_mut(p as usize),
-            self.last_seen_ns.get_mut(p as usize),
-        ) {
-            row.epoch = epoch;
-            row.timestep = msg.timestep;
-            if !msg.final_flush {
-                // The final flush closes no new round; keep the last
-                // round's superstep count on the board.
-                row.supersteps = msg.supersteps;
-            }
-            row.barrier_wait_ns = row.barrier_wait_ns.max(msg.barrier_wait_ns);
-            row.bytes_sent = msg.bytes_sent;
-            row.bytes_received = msg.bytes_received;
-            *seen = Some(now);
-        }
-    }
-
-    /// Snapshot with last-telemetry ages materialised (coordinator clock).
-    fn snapshot(&self) -> StatusReplyMsg {
-        let now = self.clock.elapsed_ns();
-        let workers = self
-            .rows
-            .iter()
-            .zip(&self.last_seen_ns)
-            .map(|(row, seen)| {
-                let mut row = row.clone();
-                row.last_telemetry_ms = match seen {
-                    Some(t) => now.saturating_sub(*t) / 1_000_000,
-                    None => u64::MAX,
-                };
-                row
-            })
-            .collect();
-        StatusReplyMsg { workers }
-    }
-}
-
-fn lock_board(board: &Mutex<StatusBoard>) -> std::sync::MutexGuard<'_, StatusBoard> {
-    // A poisoned board only means a panicking thread held the lock; the
-    // data (plain counters) is still coherent enough to serve.
-    board.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Handle to the coordinator's status endpoint: a polling accept thread
-/// serving one StatusRequest → StatusReply exchange per connection.
-/// Stopped and joined on drop, when the job ends.
-struct StatusServer {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl StatusServer {
-    fn spawn(addr: &str, board: Arc<Mutex<StatusBoard>>) -> Result<StatusServer, EngineError> {
-        let listener = TcpListener::bind(addr)
-            .map_err(net_error(format!("binding the status listener on {addr}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(net_error("configuring the status listener".into()))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        let handle = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        if let Ok(mut conn) = FrameConn::new(stream, "status client") {
-                            let _ = serve_status_client(&mut conn, &board);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(std::time::Duration::from_millis(10));
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(StatusServer {
-            stop,
-            handle: Some(handle),
-        })
-    }
-}
-
-impl Drop for StatusServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// One status exchange: expect a StatusRequest, answer with the board.
-fn serve_status_client(
-    conn: &mut FrameConn,
-    board: &Mutex<StatusBoard>,
-) -> Result<(), EngineError> {
-    let frame = conn.recv()?;
-    if frame.kind != FrameKind::StatusRequest {
-        return Err(EngineError::Protocol {
-            detail: format!("expected StatusRequest, got {:?}", frame.kind),
-        });
-    }
-    let (epoch, reply) = {
-        let b = lock_board(board);
-        (b.epoch, b.snapshot())
-    };
-    conn.send(&Frame::control(
-        FrameKind::StatusReply,
-        COORDINATOR,
-        epoch,
-        encode_payload(&reply),
-    ))
-}
-
-/// Query a running coordinator's status board (the `tempograph status`
-/// subcommand): one StatusRequest over a fresh connection, one decoded
-/// StatusReply back.
-pub fn query_status(addr: &str) -> Result<StatusReplyMsg, EngineError> {
-    let stream = connect_with_retry(addr, "status server")?;
-    let mut conn = FrameConn::new(stream, "status server")?;
-    conn.send(&Frame::control(
-        FrameKind::StatusRequest,
-        COORDINATOR,
-        0,
-        Bytes::new(),
-    ))?;
-    let frame = conn.recv()?;
-    if frame.kind != FrameKind::StatusReply {
-        return Err(EngineError::Protocol {
-            detail: format!("expected StatusReply, got {:?}", frame.kind),
-        });
-    }
-    decode_payload(frame.payload)
-}
-
-/// Serve one epoch over the coordinator listener: accept `k` hellos, send
-/// Start, then serve barrier rounds (fold k Contributions, broadcast the
-/// Aggregate) until all k workers deliver Output frames. Telemetry frames
-/// interleave with the barrier protocol and are drained into `telem` as
-/// they arrive (a protocol error when telemetry is disabled — the zero-cost
-/// contract says no such frame may exist). Returns `Ok(Err(death))` when a
-/// worker died mid-epoch (remaining workers have been told to abort), and
-/// `Err` only for unrecoverable coordinator-side failures (handshake
-/// timeout, protocol violations).
-fn serve_epoch(
-    listener: &TcpListener,
-    k: usize,
-    epoch: u32,
-    resume_from: Option<u64>,
-    faults: Option<&FaultPlan>,
-    mut telem: Option<&mut CoordTelemetry>,
-) -> Result<Result<Vec<WorkerEssentials>, Death>, EngineError> {
-    let mut conns: Vec<Option<FrameConn>> = (0..k).map(|_| None).collect();
-    let mut peer_addrs = vec![String::new(); k];
-    for _ in 0..k {
-        let stream = accept_with_deadline(listener, HANDSHAKE_TIMEOUT_MS, "a worker hello")?;
-        let mut conn = FrameConn::new(stream, "worker (handshaking)")?;
-        let frame = conn.recv()?;
-        if frame.kind != FrameKind::Hello {
-            return Err(EngineError::Protocol {
-                detail: format!("expected Hello from a worker, got {:?}", frame.kind),
-            });
-        }
-        let hello: HelloMsg = decode_payload(frame.payload)?;
-        let p = hello.partition as usize;
-        if p >= k || conns[p].is_some() {
-            return Err(EngineError::Protocol {
-                detail: format!("unexpected Hello from partition {p}"),
-            });
-        }
-        conn.set_peer(format!("worker {p}"));
-        peer_addrs[p] = hello.listen_addr;
-        conns[p] = Some(conn);
-    }
-    let start = encode_payload(&StartMsg {
-        epoch,
-        resume_from: resume_from.unwrap_or(RESUME_NONE),
-        peer_addrs,
-        fired: faults.map(FaultPlan::fired_indices).unwrap_or_default(),
-    });
-    for p in 0..k {
-        let conn = conns[p].as_mut().expect("all workers connected");
-        if let Err(e) = conn.send(&Frame::control(
-            FrameKind::Start,
-            COORDINATOR,
-            epoch,
-            start.clone(),
-        )) {
-            return Ok(Err(abort_cluster(&mut conns, p as u16, e.to_string())));
-        }
-    }
-    let mut outputs: Vec<Option<WorkerEssentials>> = (0..k).map(|_| None).collect();
-    loop {
-        let mut contribs: Vec<Contribution> = Vec::with_capacity(k);
-        let mut outputs_this_round = 0usize;
-        for p in 0..k {
-            // Telemetry frames interleave with the barrier protocol on the
-            // same connection; drain them until a protocol frame arrives.
-            let frame = loop {
-                let conn = conns[p].as_mut().expect("all workers connected");
-                let frame = match conn.recv() {
-                    Ok(f) => f,
-                    // EOF / reset without an Abort naming someone else
-                    // first: this worker is the primary death.
-                    Err(e) => return Ok(Err(abort_cluster(&mut conns, p as u16, e.to_string()))),
-                };
-                if frame.kind != FrameKind::Abort && frame.epoch != epoch {
-                    return Err(EngineError::Protocol {
-                        detail: format!(
-                            "worker {p} sent a frame for epoch {} (serving {epoch})",
-                            frame.epoch
-                        ),
-                    });
-                }
-                if frame.kind != FrameKind::Telemetry {
-                    break frame;
-                }
-                match telem.as_deref_mut() {
-                    Some(ct) => ct.ingest(p, frame.payload)?,
-                    None => {
-                        return Err(EngineError::Protocol {
-                            detail: format!(
-                                "unexpected Telemetry frame from worker {p} \
-                                 (observability disabled)"
-                            ),
-                        })
-                    }
-                }
-            };
-            match frame.kind {
-                FrameKind::Contribution => contribs.push(decode_payload(frame.payload)?),
-                FrameKind::Output => {
-                    outputs[p] = Some(WorkerEssentials::decode(frame.payload)?);
-                    outputs_this_round += 1;
-                }
-                FrameKind::Abort => {
-                    // A worker saw the death first-hand; trust its
-                    // attribution over our own later EOF observation.
-                    let abort: AbortMsg = decode_payload(frame.payload)?;
-                    return Ok(Err(abort_cluster(
-                        &mut conns,
-                        abort.dead_partition,
-                        abort.detail,
-                    )));
-                }
-                other => {
-                    return Err(EngineError::Protocol {
-                        detail: format!("unexpected {other:?} frame from worker {p}"),
-                    })
-                }
-            }
-        }
-        if outputs_this_round == k {
-            let collected: Vec<WorkerEssentials> = outputs
-                .into_iter()
-                .map(|o| o.expect("all outputs present"))
-                .collect();
-            return Ok(Ok(collected));
-        }
-        if outputs_this_round != 0 {
-            return Err(EngineError::Protocol {
-                detail: "workers disagree on the barrier schedule".into(),
-            });
-        }
-        let agg = encode_payload(&fold_contributions(&contribs));
-        for p in 0..k {
-            let conn = conns[p].as_mut().expect("all workers connected");
-            if let Err(e) = conn.send(&Frame::control(
-                FrameKind::Aggregate,
-                COORDINATOR,
-                epoch,
-                agg.clone(),
-            )) {
-                return Ok(Err(abort_cluster(&mut conns, p as u16, e.to_string())));
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_epoch_threads<P, F>(
-    listener: &TcpListener,
-    coord_addr: &str,
-    k: usize,
-    epoch: u32,
-    resume_from: Option<u64>,
-    pg: &Arc<PartitionedGraph>,
-    source: &InstanceSource,
-    factory: &F,
-    config: &JobConfig<P::Msg>,
-    timesteps: usize,
-    telem: Option<&mut CoordTelemetry>,
-) -> Result<EpochEnd, EngineError>
-where
-    P: SubgraphProgram,
-    F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync,
-{
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..k)
-            .map(|p| {
-                // Per-thread clones, as in `run_job`: `Msg` is Send + Clone
-                // but not necessarily Sync.
-                let config = config.clone();
-                let source = source.clone();
-                scope.spawn(move || {
-                    tcp_worker::<P, F>(
-                        coord_addr, p as u16, pg, &source, factory, &config, timesteps,
-                    )
-                })
-            })
-            .collect();
-        match serve_epoch(
-            listener,
-            k,
-            epoch,
-            resume_from,
-            config.faults.as_deref(),
-            telem,
-        ) {
-            Ok(Ok(essentials)) => {
-                for (p, h) in handles.into_iter().enumerate() {
-                    match h.join() {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => return Err(e),
-                        Err(_) => {
-                            return Err(EngineError::RemoteWorkerDied {
-                                partition: p as u16,
-                                detail: "worker thread panicked after reporting results".into(),
-                            })
-                        }
-                    }
-                }
-                Ok(EpochEnd::Done(
-                    essentials
-                        .into_iter()
-                        .map(WorkerEssentials::into_output)
-                        .collect(),
-                ))
-            }
-            Ok(Err(death)) => {
-                // Reap every thread (the Abort broadcast unblocks them),
-                // then judge the primary by its join result.
-                let mut results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-                let p = death.partition as usize;
-                let (injected, typed, detail) = if p < results.len() {
-                    match results.swap_remove(p) {
-                        Err(payload) => (
-                            payload_is_injected(payload.as_ref()),
-                            None,
-                            format!("{} ({})", death.detail, payload_message(payload.as_ref())),
-                        ),
-                        // A typed error is deterministic: a relaunch would
-                        // hit it again, so it is re-surfaced verbatim.
-                        Ok(Err(e)) => (false, Some(e), death.detail),
-                        Ok(Ok(())) => (false, None, death.detail),
-                    }
-                } else {
-                    (false, None, death.detail)
-                };
-                Ok(EpochEnd::Died {
-                    partition: death.partition,
-                    detail,
-                    injected,
-                    typed,
-                })
-            }
-            Err(e) => {
-                for h in handles {
-                    let _ = h.join();
-                }
-                Err(e)
-            }
-        }
-    })
-}
-
-#[cfg(unix)]
-fn killed_by_signal(status: &std::process::ExitStatus) -> bool {
-    use std::os::unix::process::ExitStatusExt;
-    status.signal().is_some()
-}
-
-#[cfg(not(unix))]
-fn killed_by_signal(_status: &std::process::ExitStatus) -> bool {
-    false
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_epoch_processes(
-    listener: &TcpListener,
-    coord_addr: &str,
-    k: usize,
-    epoch: u32,
-    resume_from: Option<u64>,
-    worker_bin: &Path,
-    worker_args: &[String],
-    faults: Option<&FaultPlan>,
-    telem: Option<&mut CoordTelemetry>,
-) -> Result<EpochEnd, EngineError> {
-    let mut children: Vec<Child> = Vec::with_capacity(k);
-    for p in 0..k {
-        match Command::new(worker_bin)
-            .args(worker_args)
-            .arg("--partition")
-            .arg(p.to_string())
-            .arg("--coordinator")
-            .arg(coord_addr)
-            .spawn()
-        {
-            Ok(child) => children.push(child),
-            Err(e) => {
-                for c in &mut children {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-                return Err(EngineError::Net {
-                    context: format!("spawning the worker process for partition {p}"),
-                    detail: e.to_string(),
-                });
-            }
-        }
-    }
-    match serve_epoch(listener, k, epoch, resume_from, faults, telem) {
-        Ok(Ok(essentials)) => {
-            for c in &mut children {
-                let _ = c.wait();
-            }
-            Ok(EpochEnd::Done(
-                essentials
-                    .into_iter()
-                    .map(WorkerEssentials::into_output)
-                    .collect(),
-            ))
-        }
-        Ok(Err(death)) => {
-            let p = death.partition as usize;
-            let mut injected = false;
-            let mut detail = death.detail;
-            // The primary's exit status is the cross-process stand-in for
-            // a panic payload: the injected exit code, or a kill signal
-            // (the worker-kill drill), marks a recoverable death.
-            if let Some(child) = children.get_mut(p) {
-                match child.wait() {
-                    Ok(status) => {
-                        injected =
-                            status.code() == Some(INJECTED_EXIT_CODE) || killed_by_signal(&status);
-                        detail = format!("{detail}; {status}");
-                    }
-                    Err(e) => detail = format!("{detail}; wait failed: {e}"),
-                }
-            }
-            for (q, child) in children.iter_mut().enumerate() {
-                if q != p {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-            }
-            Ok(EpochEnd::Died {
-                partition: death.partition,
-                detail,
-                injected,
-                typed: None,
-            })
-        }
-        Err(e) => {
-            for c in &mut children {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
-            Err(e)
-        }
-    }
-}
-
-/// Run a TI-BSP job over real TCP: workers exchange batches over a
-/// loopback socket mesh and synchronise through a coordinator (this
-/// function), which also recovers worker deaths from checkpoints. Returns
-/// a typed error naming the failing partition instead of panicking —
-/// unlike [`crate::run_job`], whose in-process driver re-raises worker
-/// panics.
-///
-/// With any of trace/metrics/attribution armed, workers ship their
-/// observability over the telemetry plane (one Telemetry frame per barrier
-/// round plus a final flush) and the returned [`JobResult`] carries the
-/// same trace, registry, and attribution a [`crate::run_job`] run would —
-/// see `tests/transport_equivalence.rs`. With [`JobConfig::status_addr`]
-/// set, the coordinator additionally serves the live status board (the
-/// `tempograph status` view) for the life of the job. Temporal parallelism
-/// is not supported over TCP.
-pub fn run_job_tcp<P, F>(
-    pg: &Arc<PartitionedGraph>,
-    source: &InstanceSource,
-    factory: F,
-    config: JobConfig<P::Msg>,
-    cluster: Cluster,
-) -> Result<JobResult, EngineError>
-where
-    P: SubgraphProgram,
-    F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync,
-{
-    let k = pg.num_partitions();
-    assert!(
-        !config.temporal_parallelism,
-        "temporal parallelism is not supported over the TCP transport"
-    );
-    let timesteps = effective_timesteps(&config, source.num_timesteps());
-    let listener = TcpListener::bind("127.0.0.1:0")
-        .map_err(net_error("binding the coordinator listener".into()))?;
-    let coord_addr = listener
-        .local_addr()
-        .map_err(net_error("resolving the coordinator address".into()))?
-        .to_string();
-    let job_start = Clock::start();
-    let panic_budget = config.faults.as_ref().map_or(0, |f| f.panic_events());
-    // Threads can only die by injected panic; processes can additionally be
-    // killed from outside (the worker-kill drill), so grant at least one
-    // recovery whenever checkpointing is armed.
-    let max_recoveries = if config.checkpoint.is_some() {
-        match &cluster {
-            Cluster::Threads => panic_budget,
-            Cluster::Processes { .. } => panic_budget.max(1),
-        }
-    } else {
-        0
-    };
-    let mut recoveries = 0usize;
-    let mut resume_from: Option<u64> = None;
-    let mut epoch = 0u32;
-    // Coordinator-side telemetry accumulation — armed by exactly the same
-    // predicate the workers use, so a Telemetry frame arriving while this
-    // is `None` is a protocol violation, not a silent drop.
-    let telemetry_armed = config.trace.is_some() || config.metrics || config.attribution;
-    let mut telem = telemetry_armed.then(|| CoordTelemetry::new(k, config.straggler_factor));
-    // Driver-side sink (its own track, after the k partition tracks) for
-    // recovery markers, mirroring the in-process driver.
-    let mut driver_sink = config.trace.map(|tc| tc.sink(k as u32));
-    let _status_server = match (&config.status_addr, &telem) {
-        (Some(addr), Some(ct)) => Some(StatusServer::spawn(addr, ct.board.clone())?),
-        _ => None,
-    };
-    loop {
-        let end = match &cluster {
-            Cluster::Threads => run_epoch_threads::<P, F>(
-                &listener,
-                &coord_addr,
-                k,
-                epoch,
-                resume_from,
-                pg,
-                source,
-                &factory,
-                &config,
-                timesteps,
-                telem.as_mut(),
-            )?,
-            Cluster::Processes {
-                worker_bin,
-                worker_args,
-            } => run_epoch_processes(
-                &listener,
-                &coord_addr,
-                k,
-                epoch,
-                resume_from,
-                worker_bin,
-                worker_args,
-                config.faults.as_deref(),
-                telem.as_mut(),
-            )?,
-        };
-        match end {
-            EpochEnd::Done(mut outputs) => {
-                let total_wall_ns = job_start.elapsed_ns();
-                if let Some(ct) = telem.take() {
-                    ct.merge_into(&mut outputs);
-                }
-                let trace = config.trace.map(|_| {
-                    let mut sinks: Vec<(String, TraceSink)> =
-                        outputs.iter_mut().flat_map(|o| o.sinks.drain(..)).collect();
-                    if let Some(sink) = driver_sink.take() {
-                        if !sink.events().is_empty() {
-                            sinks.push(("driver".to_string(), sink));
-                        }
-                    }
-                    Trace::from_sinks(sinks)
-                });
-                return Ok(assemble_job_result(
-                    outputs,
-                    k,
-                    total_wall_ns,
-                    recoveries,
-                    trace,
-                    config.metrics,
-                    config.attribution,
-                ));
-            }
-            EpochEnd::Died {
-                partition,
-                detail,
-                injected,
-                typed,
-            } => {
-                if let Some(e) = typed {
-                    return Err(e);
-                }
-                if config.checkpoint.is_none() || !injected || recoveries >= max_recoveries {
-                    return Err(EngineError::RemoteWorkerDied { partition, detail });
-                }
-                recoveries += 1;
-                epoch += 1;
-                if matches!(cluster, Cluster::Processes { .. }) {
-                    // The dead process took its latched fault state with it;
-                    // latch the event it fired in the coordinator's copy so
-                    // the next epoch's StartMsg ships it as already-fired.
-                    if let Some(faults) = &config.faults {
-                        faults.attribute_death(partition);
-                    }
-                }
-                resume_from = config
-                    .checkpoint
-                    .as_ref()
-                    .and_then(|ck: &CheckpointConfig| {
-                        checkpoint::latest_valid::<P::Msg>(&ck.dir, k as u16)
-                    });
-                if let Some(ct) = telem.as_mut() {
-                    ct.reset(epoch);
-                }
-                if let Some(sink) = &mut driver_sink {
-                    sink.instant(
-                        "recovery.attempt",
-                        Some(("resume_t", resume_from.unwrap_or(u64::MAX))),
-                    );
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempograph_core::VertexIdx;
 
     #[test]
     fn in_process_transport_round_trips_and_synchronises() {
@@ -2024,76 +747,5 @@ mod tests {
         assert_eq!(agg.total_msgs, 3);
         assert!(agg.all_halted);
         t.barrier().unwrap();
-    }
-
-    #[test]
-    fn contributions_fold_like_the_sync_point() {
-        let agg = fold_contributions(&[
-            Contribution {
-                msgs_sent: 2,
-                all_halted: true,
-            },
-            Contribution {
-                msgs_sent: 5,
-                all_halted: false,
-            },
-        ]);
-        assert_eq!(agg.total_msgs, 7);
-        assert!(!agg.all_halted);
-        let agg = fold_contributions(&[Contribution {
-            msgs_sent: 0,
-            all_halted: true,
-        }]);
-        assert!(agg.should_stop());
-    }
-
-    #[test]
-    fn worker_essentials_roundtrip() {
-        let m = TimestepMetrics {
-            compute_ns: 42,
-            msgs_remote: 7,
-            supersteps: 3,
-            superstep_compute_ns: vec![40, 2],
-            ..Default::default()
-        };
-        let essentials = WorkerEssentials {
-            metrics: vec![m.clone(), TimestepMetrics::default()],
-            merge_metrics: m,
-            counters: vec![
-                vec![("edges".to_string(), 10), ("visited".to_string(), 4)],
-                vec![],
-            ],
-            merge_counters: vec![("merged".to_string(), 1)],
-            emits: vec![Emit {
-                timestep: 1,
-                vertex: VertexIdx(9),
-                value: 2.5,
-            }],
-            timesteps_run: 2,
-            final_states: vec![(SubgraphId(3), vec![1, 2, 3]), (SubgraphId(5), vec![])],
-        };
-        let decoded = WorkerEssentials::decode(essentials.encode()).unwrap();
-        assert_eq!(decoded.metrics, essentials.metrics);
-        assert_eq!(decoded.merge_metrics, essentials.merge_metrics);
-        assert_eq!(decoded.counters, essentials.counters);
-        assert_eq!(decoded.merge_counters, essentials.merge_counters);
-        assert_eq!(decoded.emits.len(), 1);
-        assert_eq!(decoded.emits[0].vertex, VertexIdx(9));
-        assert_eq!(decoded.timesteps_run, 2);
-        assert_eq!(decoded.final_states, essentials.final_states);
-
-        // Trailing garbage is rejected, truncation is a typed error.
-        let mut enc = BytesMut::from(essentials.encode()[..].to_vec());
-        enc.put_u8(0);
-        assert!(WorkerEssentials::decode(enc.freeze()).is_err());
-        let enc = essentials.encode();
-        let cut = enc.slice(..enc.len() - 2);
-        assert!(WorkerEssentials::decode(cut).is_err());
-
-        // The interned round trip back to a WorkerOutput keeps counters.
-        let decoded = WorkerEssentials::decode(essentials.encode()).unwrap();
-        let out = decoded.into_output();
-        assert_eq!(out.counters[0].get("edges"), Some(&10));
-        assert_eq!(out.timesteps_run, 2);
     }
 }

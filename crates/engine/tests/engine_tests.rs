@@ -313,10 +313,10 @@ fn runs_are_deterministic() {
     assert_eq!(a.timesteps_run, b.timesteps_run);
 }
 
-// ---- 8. temporal parallelism ablation ---------------------------------------
+// ---- 8. merge phase under the intra-partition compute pool ------------------
 
 #[test]
-fn temporal_parallelism_matches_barriered_run() {
+fn intra_partition_parallelism_matches_sequential_merge() {
     let (pg, coll) = fixture(20, 2, 5);
     let src = InstanceSource::Memory(coll);
     let normal = run_job(
@@ -325,15 +325,15 @@ fn temporal_parallelism_matches_barriered_run() {
         |_, _| CountToMerge,
         JobConfig::eventually_dependent(5),
     );
-    let fast = run_job(
+    let pooled = run_job(
         &pg,
         &src,
         |_, _| CountToMerge,
-        JobConfig::eventually_dependent(5).with_temporal_parallelism(),
+        JobConfig::eventually_dependent(5).with_intra_partition_parallelism(),
     );
     assert_eq!(
         normal.merge_counters.get("grand_total"),
-        fast.merge_counters.get("grand_total")
+        pooled.merge_counters.get("grand_total")
     );
 }
 

@@ -245,6 +245,7 @@ proptest! {
                         msgs_sent: msgs,
                         all_halted: halted,
                     })
+                    .unwrap()
                 })
             })
             .collect();

@@ -10,24 +10,21 @@ use crate::error::{GofsError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tempograph_core::{AttrType, Column, GraphTemplate, Schema, TemplateBuilder, VertexIdx};
 
-/// Format version stamped into every framed file this build writes.
-/// Version 2 switched slice payloads to the columnar delta layout and the
-/// frame checksum to [`fnv1a64_words`]; version-1 files remain readable.
+/// Format version stamped into every framed file this build writes, and
+/// the only one it reads: columnar delta slice payloads, [`fnv1a64_words`]
+/// frame checksums. Any other version is
+/// [`GofsError::UnsupportedVersion`].
 pub const FORMAT_VERSION: u16 = 2;
 
-/// The previous format version: row-major slice payloads, byte-serial
-/// [`fnv1a64`] frame checksums. Still decoded for backward compatibility.
-pub const FORMAT_V1: u16 = 1;
-
-/// FNV-1a 64-bit checksum — tiny, dependency-free, adequate for detecting
-/// torn writes and bit rot (not cryptographic). Used by version-1 frames.
+/// FNV-1a 64-bit hash — tiny, dependency-free, not cryptographic. Used
+/// for run-ledger ids.
 ///
 /// This is inherently byte-serial: every step multiplies the running hash
 /// before the next byte is folded in (`h = (h ^ b) · p`), so the chain
 /// cannot be widened or reordered without changing the output — there is
-/// no output-compatible 8-byte-at-a-time form. Version-2 frames therefore
-/// use [`fnv1a64_words`], the same mixing applied per 8-byte word, which
-/// does ~1/8th of the serial multiplies.
+/// no output-compatible 8-byte-at-a-time form. Frames therefore use
+/// [`fnv1a64_words`], the same mixing applied per 8-byte word, which does
+/// ~1/8th of the serial multiplies.
 pub fn fnv1a64(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {
@@ -38,7 +35,8 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
 }
 
 /// FNV-1a-style checksum folding 8-byte little-endian words instead of
-/// single bytes — the version-2 frame checksum. A short tail is
+/// single bytes — the frame checksum, adequate for detecting torn writes
+/// and bit rot. A short tail is
 /// zero-padded; that is unambiguous because the frame header fixes the
 /// payload length before the checksum is compared. Distinct from
 /// [`fnv1a64`] output-wise (see there for why the byte form cannot be
@@ -63,51 +61,19 @@ pub fn fnv1a64_words(data: &[u8]) -> u64 {
     h
 }
 
-fn checksum_for_version(version: u16, payload: &[u8]) -> Result<u64> {
-    match version {
-        FORMAT_V1 => Ok(fnv1a64(payload)),
-        FORMAT_VERSION => Ok(fnv1a64_words(payload)),
-        other => Err(GofsError::UnsupportedVersion(other)),
-    }
-}
-
 /// Wrap `payload` with `magic`, the current version and checksum footer.
 pub fn frame(magic: [u8; 4], payload: &[u8]) -> Bytes {
-    frame_with_version(magic, FORMAT_VERSION, payload)
-}
-
-/// Wrap `payload` as a version-1 frame — what pre-v2 writers produced.
-/// Kept so compatibility tests (and tooling that must interoperate with
-/// old readers) can still emit the legacy format.
-pub fn frame_v1(magic: [u8; 4], payload: &[u8]) -> Bytes {
-    frame_with_version(magic, FORMAT_V1, payload)
-}
-
-fn frame_with_version(magic: [u8; 4], version: u16, payload: &[u8]) -> Bytes {
-    let checksum = match checksum_for_version(version, payload) {
-        Ok(c) => c,
-        // Only the two constants above reach this; a bad version here is a
-        // programming error, not corrupt input.
-        Err(_) => unreachable!("frame_with_version called with unknown version"),
-    };
     let mut out = BytesMut::with_capacity(payload.len() + 22);
     out.put_slice(&magic);
-    out.put_u16_le(version);
+    out.put_u16_le(FORMAT_VERSION);
     out.put_u64_le(payload.len() as u64);
     out.put_slice(payload);
-    out.put_u64_le(checksum);
+    out.put_u64_le(fnv1a64_words(payload));
     out.freeze()
 }
 
 /// Validate magic/version/checksum and return the payload.
 pub fn unframe(magic: [u8; 4], data: &[u8]) -> Result<Bytes> {
-    unframe_versioned(magic, data).map(|(_, payload)| payload)
-}
-
-/// [`unframe`], additionally reporting which format version the frame
-/// carries so payload decoders can dispatch (slice files changed layout
-/// between versions 1 and 2).
-pub fn unframe_versioned(magic: [u8; 4], data: &[u8]) -> Result<(u16, Bytes)> {
     if data.len() < 22 {
         return Err(GofsError::Corrupt("file shorter than frame header".into()));
     }
@@ -118,6 +84,9 @@ pub fn unframe_versioned(magic: [u8; 4], data: &[u8]) -> Result<(u16, Bytes)> {
         return Err(GofsError::BadMagic { found });
     }
     let version = buf.get_u16_le();
+    if version != FORMAT_VERSION {
+        return Err(GofsError::UnsupportedVersion(version));
+    }
     let len = buf.get_u64_le() as usize;
     if buf.remaining() != len + 8 {
         return Err(GofsError::Corrupt(format!(
@@ -127,11 +96,11 @@ pub fn unframe_versioned(magic: [u8; 4], data: &[u8]) -> Result<(u16, Bytes)> {
     let payload = Bytes::copy_from_slice(&buf[..len]);
     buf.advance(len);
     let expected = buf.get_u64_le();
-    let actual = checksum_for_version(version, &payload)?;
+    let actual = fnv1a64_words(&payload);
     if expected != actual {
         return Err(GofsError::ChecksumMismatch { expected, actual });
     }
-    Ok((version, payload))
+    Ok(payload)
 }
 
 // ---- primitives ---------------------------------------------------------
@@ -227,6 +196,19 @@ pub fn get_u8(buf: &mut Bytes) -> Result<u8> {
         return Err(GofsError::Corrupt("unexpected EOF reading u8".into()));
     }
     Ok(buf.get_u8())
+}
+
+/// Reject an element count the rest of `buf` cannot back (each element
+/// encodes to at least `min_size` bytes), so a corrupt count can never
+/// size an allocation.
+pub(crate) fn check_count(buf: &Bytes, n: usize, min_size: usize) -> Result<usize> {
+    if n.saturating_mul(min_size) > buf.remaining() {
+        return Err(GofsError::Corrupt(format!(
+            "count {n} overruns the {} bytes left",
+            buf.remaining()
+        )));
+    }
+    Ok(n)
 }
 
 // ---- schema -------------------------------------------------------------
@@ -325,14 +307,14 @@ pub fn get_column(buf: &mut Bytes) -> Result<Column> {
     let len = get_u32(buf)? as usize;
     Ok(match ty {
         AttrType::Long => {
-            let mut v = Vec::with_capacity(len);
+            let mut v = Vec::with_capacity(check_count(buf, len, 8)?);
             for _ in 0..len {
                 v.push(get_i64(buf)?);
             }
             Column::Long(v)
         }
         AttrType::Double => {
-            let mut v = Vec::with_capacity(len);
+            let mut v = Vec::with_capacity(check_count(buf, len, 8)?);
             for _ in 0..len {
                 v.push(get_f64(buf)?);
             }
@@ -348,17 +330,17 @@ pub fn get_column(buf: &mut Bytes) -> Result<Column> {
             Column::Bool(v)
         }
         AttrType::Text => {
-            let mut v = Vec::with_capacity(len);
+            let mut v = Vec::with_capacity(check_count(buf, len, 4)?);
             for _ in 0..len {
                 v.push(get_str(buf)?);
             }
             Column::Text(v)
         }
         AttrType::LongList => {
-            let mut v = Vec::with_capacity(len);
+            let mut v = Vec::with_capacity(check_count(buf, len, 4)?);
             for _ in 0..len {
                 let m = get_u32(buf)? as usize;
-                let mut list = Vec::with_capacity(m);
+                let mut list = Vec::with_capacity(check_count(buf, m, 8)?);
                 for _ in 0..m {
                     list.push(get_i64(buf)?);
                 }
@@ -367,10 +349,10 @@ pub fn get_column(buf: &mut Bytes) -> Result<Column> {
             Column::LongList(v)
         }
         AttrType::TextList => {
-            let mut v = Vec::with_capacity(len);
+            let mut v = Vec::with_capacity(check_count(buf, len, 4)?);
             for _ in 0..len {
                 let m = get_u32(buf)? as usize;
-                let mut list = Vec::with_capacity(m);
+                let mut list = Vec::with_capacity(check_count(buf, m, 4)?);
                 for _ in 0..m {
                     list.push(get_str(buf)?);
                 }
@@ -594,33 +576,32 @@ mod tests {
     }
 
     #[test]
-    fn frame_versions_roundtrip_and_dispatch() {
-        let v2 = frame(*b"TEST", b"payload");
-        let v1 = frame_v1(*b"TEST", b"payload");
-        assert_ne!(&v2[..], &v1[..], "versions differ on the wire");
-        let (ver2, p2) = unframe_versioned(*b"TEST", &v2).unwrap();
-        let (ver1, p1) = unframe_versioned(*b"TEST", &v1).unwrap();
-        assert_eq!((ver2, &p2[..]), (FORMAT_VERSION, &b"payload"[..]));
-        assert_eq!((ver1, &p1[..]), (FORMAT_V1, &b"payload"[..]));
-        // Plain unframe accepts both.
-        assert_eq!(&unframe(*b"TEST", &v1).unwrap()[..], b"payload");
+    fn other_frame_versions_are_rejected() {
+        // Any version but the current one — the retired version 1
+        // included — is rejected before any checksum guesswork.
+        for other in [1u16, 9] {
+            let mut framed = frame(*b"TEST", b"payload").to_vec();
+            framed[4..6].copy_from_slice(&other.to_le_bytes());
+            assert!(matches!(
+                unframe(*b"TEST", &framed),
+                Err(GofsError::UnsupportedVersion(v)) if v == other
+            ));
+        }
+    }
 
-        // An unknown version is rejected before any checksum guesswork.
-        let mut v9 = v2.to_vec();
-        v9[4] = 9;
-        v9[5] = 0;
-        assert!(matches!(
-            unframe(*b"TEST", &v9),
-            Err(GofsError::UnsupportedVersion(9))
-        ));
-
-        // Tampering with a v1 frame is still caught by the byte checksum.
-        let mut evil = v1.to_vec();
-        evil[15] ^= 0x40;
-        assert!(matches!(
-            unframe(*b"TEST", &evil),
-            Err(GofsError::ChecksumMismatch { .. })
-        ));
+    #[test]
+    fn corrupt_column_count_is_an_error_not_an_allocation() {
+        // A Text column claiming u32::MAX rows with nothing behind it: the
+        // count must be rejected before it sizes a ~100 GB Vec.
+        for ty in [AttrType::Long, AttrType::Text, AttrType::TextList] {
+            let mut buf = BytesMut::new();
+            buf.put_u8(ty.tag());
+            buf.put_u32_le(u32::MAX);
+            assert!(matches!(
+                get_column(&mut buf.freeze()),
+                Err(GofsError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! other 8. What remains of the paper's Fig. 6 every-`packing`-timesteps
 //! spike is the file read itself plus the base-snapshot decode.
 //!
-//! # Version-2 payload layout (columnar, delta-encoded)
+//! # Payload layout (columnar, delta-encoded)
 //!
 //! ```text
 //! u16  partition          u32 bin, pack, t_start, n_timesteps, n_sg
@@ -27,11 +27,8 @@
 //! indices, gathered values) unless re-encoding the whole column is
 //! smaller, in which case it falls back to dense — see
 //! [`codec::put_delta_column`].
-//!
-//! Version-1 files (row-major, eagerly decoded) still load via the same
-//! [`decode_slice`] entry point.
 
-use crate::codec::{self, frame, frame_v1, unframe_versioned};
+use crate::codec::{self, frame, unframe};
 use crate::error::{GofsError, Result};
 use crate::view::SubgraphInstance;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -67,10 +64,9 @@ pub enum ColSide {
     Edge,
 }
 
-/// A decoded slice. Version-2 slices hold the raw payload as a zero-copy
-/// [`Bytes`] view plus a column directory; instances materialize on first
-/// [`SliceData::get`] and stay cached in per-cell `OnceLock`s. Version-1
-/// slices decode eagerly (their layout interleaves everything anyway).
+/// A decoded slice: the raw payload as a zero-copy [`Bytes`] view plus a
+/// column directory; instances materialize on first [`SliceData::get`]
+/// and stay cached in per-cell `OnceLock`s.
 #[derive(Clone, Debug)]
 pub struct SliceData {
     /// Owning partition.
@@ -87,20 +83,6 @@ pub struct SliceData {
     lookup: Vec<(SubgraphId, u32)>,
     /// Per-timestep-offset wall-clock timestamps.
     timestamps: Vec<i64>,
-    repr: Repr,
-}
-
-#[derive(Clone, Debug)]
-enum Repr {
-    /// Version-1: everything decoded up front,
-    /// `instances[sg_index * n_timesteps + toff]`.
-    Eager(Vec<Arc<SubgraphInstance>>),
-    /// Version-2: lazy columnar blocks.
-    Lazy(LazyBlocks),
-}
-
-#[derive(Clone, Debug)]
-struct LazyBlocks {
     n_vertex_cols: usize,
     n_edge_cols: usize,
     /// `n_sg · n_timesteps + 1` monotone offsets into `blocks`.
@@ -112,33 +94,6 @@ struct LazyBlocks {
 }
 
 impl SliceData {
-    fn from_parts(
-        partition: u16,
-        key: SliceKey,
-        sg_ids: Vec<SubgraphId>,
-        t_start: usize,
-        n_timesteps: usize,
-        timestamps: Vec<i64>,
-        repr: Repr,
-    ) -> SliceData {
-        let mut lookup: Vec<(SubgraphId, u32)> = sg_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &sg)| (sg, i as u32))
-            .collect();
-        lookup.sort_unstable();
-        SliceData {
-            partition,
-            key,
-            sg_ids,
-            t_start,
-            n_timesteps,
-            lookup,
-            timestamps,
-            repr,
-        }
-    }
-
     /// Stored index of `sg`, by binary search over the sorted lookup.
     fn sg_index(&self, sg: SubgraphId) -> Option<usize> {
         self.lookup
@@ -165,52 +120,43 @@ impl SliceData {
                 self.t_start + self.n_timesteps
             )));
         }
-        let toff = t - self.t_start;
-        match &self.repr {
-            Repr::Eager(instances) => Ok(instances[sg_index * self.n_timesteps + toff].clone()),
-            Repr::Lazy(lazy) => self.cell(lazy, sg_index, toff),
-        }
+        self.cell(sg_index, t - self.t_start)
     }
 
-    /// Materialize (or fetch the cached) instance for one lazy cell.
-    fn cell(
-        &self,
-        lazy: &LazyBlocks,
-        sg_index: usize,
-        toff: usize,
-    ) -> Result<Arc<SubgraphInstance>> {
+    /// Materialize (or fetch the cached) instance for one cell.
+    fn cell(&self, sg_index: usize, toff: usize) -> Result<Arc<SubgraphInstance>> {
         let idx = sg_index * self.n_timesteps + toff;
-        if let Some(inst) = lazy.cells[idx].get() {
+        if let Some(inst) = self.cells[idx].get() {
             return Ok(inst.clone());
         }
         let inst = if toff == 0 {
-            Arc::new(self.decode_base(lazy, sg_index)?)
+            Arc::new(self.decode_base(sg_index)?)
         } else {
             // Delta blocks patch the pack's base snapshot (never chained),
             // so one extra block decode suffices even mid-pack.
-            let base = self.cell(lazy, sg_index, 0)?;
-            Arc::new(self.decode_delta(lazy, sg_index, toff, &base)?)
+            let base = self.cell(sg_index, 0)?;
+            Arc::new(self.decode_delta(sg_index, toff, &base)?)
         };
-        Ok(lazy.cells[idx].get_or_init(|| inst).clone())
+        Ok(self.cells[idx].get_or_init(|| inst).clone())
     }
 
     /// Zero-copy view of block `(sg_index, toff)`.
-    fn block(&self, lazy: &LazyBlocks, sg_index: usize, toff: usize) -> Bytes {
+    fn block(&self, sg_index: usize, toff: usize) -> Bytes {
         let idx = sg_index * self.n_timesteps + toff;
         // Offsets were bounds-checked monotone at decode time.
-        let a = lazy.offsets[idx] as usize;
-        let b = lazy.offsets[idx + 1] as usize;
-        lazy.blocks.slice(a..b)
+        let a = self.offsets[idx] as usize;
+        let b = self.offsets[idx + 1] as usize;
+        self.blocks.slice(a..b)
     }
 
-    fn decode_base(&self, lazy: &LazyBlocks, sg_index: usize) -> Result<SubgraphInstance> {
-        let mut buf = self.block(lazy, sg_index, 0);
-        let mut vertex_cols = Vec::with_capacity(lazy.n_vertex_cols);
-        for _ in 0..lazy.n_vertex_cols {
+    fn decode_base(&self, sg_index: usize) -> Result<SubgraphInstance> {
+        let mut buf = self.block(sg_index, 0);
+        let mut vertex_cols = Vec::with_capacity(codec::check_count(&buf, self.n_vertex_cols, 1)?);
+        for _ in 0..self.n_vertex_cols {
             vertex_cols.push(codec::get_column(&mut buf)?);
         }
-        let mut edge_cols = Vec::with_capacity(lazy.n_edge_cols);
-        for _ in 0..lazy.n_edge_cols {
+        let mut edge_cols = Vec::with_capacity(codec::check_count(&buf, self.n_edge_cols, 1)?);
+        for _ in 0..self.n_edge_cols {
             edge_cols.push(codec::get_column(&mut buf)?);
         }
         self.finish_block(buf, sg_index, 0, vertex_cols, edge_cols)
@@ -218,18 +164,17 @@ impl SliceData {
 
     fn decode_delta(
         &self,
-        lazy: &LazyBlocks,
         sg_index: usize,
         toff: usize,
         base: &SubgraphInstance,
     ) -> Result<SubgraphInstance> {
-        let mut buf = self.block(lazy, sg_index, toff);
-        let mut vertex_cols = Vec::with_capacity(lazy.n_vertex_cols);
-        for c in 0..lazy.n_vertex_cols {
+        let mut buf = self.block(sg_index, toff);
+        let mut vertex_cols = Vec::with_capacity(codec::check_count(&buf, self.n_vertex_cols, 1)?);
+        for c in 0..self.n_vertex_cols {
             vertex_cols.push(codec::get_delta_column(&mut buf, &base.vertex_cols[c])?);
         }
-        let mut edge_cols = Vec::with_capacity(lazy.n_edge_cols);
-        for c in 0..lazy.n_edge_cols {
+        let mut edge_cols = Vec::with_capacity(codec::check_count(&buf, self.n_edge_cols, 1)?);
+        for c in 0..self.n_edge_cols {
             edge_cols.push(codec::get_delta_column(&mut buf, &base.edge_cols[c])?);
         }
         self.finish_block(buf, sg_index, toff, vertex_cols, edge_cols)
@@ -263,15 +208,16 @@ impl SliceData {
         &self.timestamps
     }
 
-    /// The column directory of a lazy (v2) slice: `(offsets, blocks_len,
-    /// n_vertex_cols, n_edge_cols)`. `None` for eagerly-decoded v1 slices.
-    /// [`crate::validate::validate_dataset`] walks this to vet layout
-    /// invariants without forcing materialization order.
-    pub fn directory(&self) -> Option<(&[u64], usize, usize, usize)> {
-        match &self.repr {
-            Repr::Eager(_) => None,
-            Repr::Lazy(l) => Some((&l.offsets, l.blocks.len(), l.n_vertex_cols, l.n_edge_cols)),
-        }
+    /// The column directory: `(offsets, blocks_len, n_vertex_cols,
+    /// n_edge_cols)`. [`crate::validate::validate_dataset`] walks this to
+    /// vet layout invariants without forcing materialization order.
+    pub fn directory(&self) -> (&[u64], usize, usize, usize) {
+        (
+            &self.offsets,
+            self.blocks.len(),
+            self.n_vertex_cols,
+            self.n_edge_cols,
+        )
     }
 
     /// Approximate heap bytes held: the encoded block region (shared,
@@ -279,25 +225,18 @@ impl SliceData {
     /// materialize — the loader's cache accounting reflects what is
     /// actually resident, not the fully-decoded worst case.
     pub fn approx_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Eager(instances) => instances.iter().map(|i| i.approx_bytes()).sum(),
-            Repr::Lazy(l) => {
-                l.blocks.len()
-                    + l.cells
-                        .iter()
-                        .filter_map(|c| c.get())
-                        .map(|i| i.approx_bytes())
-                        .sum::<usize>()
-            }
-        }
+        self.blocks.len()
+            + self
+                .cells
+                .iter()
+                .filter_map(|c| c.get())
+                .map(|i| i.approx_bytes())
+                .sum::<usize>()
     }
 
-    /// Instances materialized so far (always the full grid for v1 slices).
+    /// Instances materialized so far.
     pub fn materialized_cells(&self) -> usize {
-        match &self.repr {
-            Repr::Eager(instances) => instances.len(),
-            Repr::Lazy(l) => l.cells.iter().filter(|c| c.get().is_some()).count(),
-        }
+        self.cells.iter().filter(|c| c.get().is_some()).count()
     }
 
     /// Element-wise temporal fold of one `Double` column over absolute
@@ -493,137 +432,36 @@ pub fn encode_slice(
     frame(SLICE_MAGIC, &buf)
 }
 
-/// Encode a slice file in the legacy version-1 layout (row-major,
-/// per-instance timestamps, byte-FNV frame). This is what pre-v2 writers
-/// produced; kept for compatibility tests and interop tooling.
-pub fn encode_slice_v1(
-    partition: u16,
-    key: SliceKey,
-    sg_ids: &[SubgraphId],
-    t_start: usize,
-    rows: &[Vec<SubgraphInstance>],
-) -> Bytes {
-    let (n_timesteps, _) = writer_shape(sg_ids, rows);
-    let mut buf = BytesMut::new();
-    buf.put_u16_le(partition);
-    buf.put_u32_le(key.bin);
-    buf.put_u32_le(key.pack);
-    buf.put_u32_le(t_start as u32);
-    buf.put_u32_le(n_timesteps as u32);
-    buf.put_u32_le(sg_ids.len() as u32);
-    for sg in sg_ids {
-        buf.put_u32_le(sg.0);
-    }
-    for row in rows {
-        for si in row {
-            buf.put_i64_le(si.timestamp);
-            buf.put_u32_le(si.vertex_cols.len() as u32);
-            for c in &si.vertex_cols {
-                codec::put_column(&mut buf, c);
-            }
-            buf.put_u32_le(si.edge_cols.len() as u32);
-            for c in &si.edge_cols {
-                codec::put_column(&mut buf, c);
-            }
-        }
-    }
-    frame_v1(SLICE_MAGIC, &buf)
-}
-
-/// Decode a slice file of either format version.
+/// Decode a slice file: header and column directory only — instances
+/// materialize lazily on [`SliceData::get`].
 pub fn decode_slice(data: &[u8]) -> Result<SliceData> {
-    let (version, buf) = unframe_versioned(SLICE_MAGIC, data)?;
-    match version {
-        codec::FORMAT_V1 => decode_slice_v1(buf),
-        codec::FORMAT_VERSION => decode_slice_v2(buf),
-        other => Err(GofsError::UnsupportedVersion(other)),
-    }
-}
-
-/// Shared v1/v2 header prefix: partition, key, t_start, n_timesteps, sg ids.
-fn decode_header(buf: &mut Bytes) -> Result<(u16, SliceKey, usize, usize, Vec<SubgraphId>)> {
+    let mut buf = unframe(SLICE_MAGIC, data)?;
     if buf.len() < 22 {
         return Err(GofsError::Corrupt("slice header truncated".into()));
     }
     let partition = buf.get_u16_le();
-    let bin = codec::get_u32(buf)?;
-    let pack = codec::get_u32(buf)?;
-    let t_start = codec::get_u32(buf)? as usize;
-    let n_timesteps = codec::get_u32(buf)? as usize;
-    let n_sg = codec::get_u32(buf)? as usize;
+    let bin = codec::get_u32(&mut buf)?;
+    let pack = codec::get_u32(&mut buf)?;
+    let t_start = codec::get_u32(&mut buf)? as usize;
+    let n_timesteps = codec::get_u32(&mut buf)? as usize;
+    let n_sg = codec::get_u32(&mut buf)? as usize;
     if n_sg.saturating_mul(n_timesteps) > u32::MAX as usize {
         return Err(GofsError::Corrupt(format!(
             "implausible slice grid {n_sg}×{n_timesteps}"
         )));
     }
-    let mut sg_ids = Vec::with_capacity(n_sg);
+    let mut sg_ids = Vec::with_capacity(codec::check_count(&buf, n_sg, 4)?);
     for _ in 0..n_sg {
-        sg_ids.push(SubgraphId(codec::get_u32(buf)?));
+        sg_ids.push(SubgraphId(codec::get_u32(&mut buf)?));
     }
-    Ok((
-        partition,
-        SliceKey { bin, pack },
-        t_start,
-        n_timesteps,
-        sg_ids,
-    ))
-}
-
-fn decode_slice_v1(mut buf: Bytes) -> Result<SliceData> {
-    let (partition, key, t_start, n_timesteps, sg_ids) = decode_header(&mut buf)?;
-    let n_sg = sg_ids.len();
-    let mut timestamps = vec![0i64; n_timesteps];
-    let mut instances = Vec::with_capacity(n_sg * n_timesteps);
-    for _sg in 0..n_sg {
-        for (toff, ts_slot) in timestamps.iter_mut().enumerate() {
-            let timestamp = codec::get_i64(&mut buf)?;
-            *ts_slot = timestamp;
-            let nvc = codec::get_u32(&mut buf)? as usize;
-            let mut vertex_cols = Vec::with_capacity(nvc);
-            for _ in 0..nvc {
-                vertex_cols.push(codec::get_column(&mut buf)?);
-            }
-            let nec = codec::get_u32(&mut buf)? as usize;
-            let mut edge_cols = Vec::with_capacity(nec);
-            for _ in 0..nec {
-                edge_cols.push(codec::get_column(&mut buf)?);
-            }
-            instances.push(Arc::new(SubgraphInstance {
-                timestep: t_start + toff,
-                timestamp,
-                vertex_cols,
-                edge_cols,
-            }));
-        }
-    }
-    if buf.remaining() != 0 {
-        return Err(GofsError::Corrupt(format!(
-            "{} trailing bytes after slice payload",
-            buf.remaining()
-        )));
-    }
-    Ok(SliceData::from_parts(
-        partition,
-        key,
-        sg_ids,
-        t_start,
-        n_timesteps,
-        timestamps,
-        Repr::Eager(instances),
-    ))
-}
-
-fn decode_slice_v2(mut buf: Bytes) -> Result<SliceData> {
-    let (partition, key, t_start, n_timesteps, sg_ids) = decode_header(&mut buf)?;
-    let n_sg = sg_ids.len();
-    let mut timestamps = Vec::with_capacity(n_timesteps);
+    let mut timestamps = Vec::with_capacity(codec::check_count(&buf, n_timesteps, 8)?);
     for _ in 0..n_timesteps {
         timestamps.push(codec::get_i64(&mut buf)?);
     }
     let n_vertex_cols = codec::get_u32(&mut buf)? as usize;
     let n_edge_cols = codec::get_u32(&mut buf)? as usize;
     let n_cells = n_sg * n_timesteps;
-    let mut offsets = Vec::with_capacity(n_cells + 1);
+    let mut offsets = Vec::with_capacity(codec::check_count(&buf, n_cells + 1, 8)?);
     for _ in 0..=n_cells {
         offsets.push(codec::get_u64(&mut buf)?);
     }
@@ -647,24 +485,28 @@ fn decode_slice_v2(mut buf: Bytes) -> Result<SliceData> {
             blocks.len()
         )));
     }
-    let cells = std::iter::repeat_with(OnceLock::new)
-        .take(n_cells)
+    let mut lookup: Vec<(SubgraphId, u32)> = sg_ids
+        .iter()
+        .enumerate()
+        .map(|(i, &sg)| (sg, i as u32))
         .collect();
-    Ok(SliceData::from_parts(
+    lookup.sort_unstable();
+    Ok(SliceData {
         partition,
-        key,
+        key: SliceKey { bin, pack },
         sg_ids,
         t_start,
         n_timesteps,
+        lookup,
         timestamps,
-        Repr::Lazy(LazyBlocks {
-            n_vertex_cols,
-            n_edge_cols,
-            offsets,
-            blocks,
-            cells,
-        }),
-    ))
+        n_vertex_cols,
+        n_edge_cols,
+        offsets,
+        blocks,
+        cells: std::iter::repeat_with(OnceLock::new)
+            .take(n_cells)
+            .collect(),
+    })
 }
 
 #[cfg(test)]
@@ -708,17 +550,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_decode_identically() {
+    fn version_1_slice_is_unsupported() {
         let (sg_ids, rows, key) = sample();
-        let v2 = encode_slice(3, key, &sg_ids, 20, &rows);
-        let v1 = encode_slice_v1(3, key, &sg_ids, 20, &rows);
-        let d2 = decode_slice(&v2).unwrap();
-        let d1 = decode_slice(&v1).unwrap();
-        for &sg in &sg_ids {
-            for t in 20..22 {
-                assert_eq!(*d1.get(sg, t).unwrap(), *d2.get(sg, t).unwrap(), "{sg}@{t}");
-            }
-        }
+        let mut data = encode_slice(3, key, &sg_ids, 20, &rows).to_vec();
+        data[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            decode_slice(&data),
+            Err(GofsError::UnsupportedVersion(1))
+        ));
     }
 
     #[test]
@@ -885,7 +724,7 @@ mod tests {
     #[test]
     fn delta_encoding_shrinks_redundant_packs() {
         // 10 timesteps, large column, one row changing per step — the
-        // time-series-graph shape v2 exists for.
+        // time-series-graph shape the delta layout exists for.
         let n = 500;
         let mut rows_v: Vec<SubgraphInstance> = Vec::new();
         let base: Vec<f64> = (0..n).map(|i| i as f64).collect();
@@ -901,18 +740,22 @@ mod tests {
         }
         let sg_ids = vec![SubgraphId(0)];
         let rows = vec![rows_v];
-        let v2 = encode_slice(0, SliceKey { bin: 0, pack: 0 }, &sg_ids, 0, &rows);
-        let v1 = encode_slice_v1(0, SliceKey { bin: 0, pack: 0 }, &sg_ids, 0, &rows);
+        let data = encode_slice(0, SliceKey { bin: 0, pack: 0 }, &sg_ids, 0, &rows);
+        // What storing every timestep's column in full would take.
+        let mut full = BytesMut::new();
+        for si in &rows[0] {
+            codec::put_column(&mut full, &si.vertex_cols[0]);
+        }
         assert!(
-            (v2.len() as f64) < (v1.len() as f64) * 0.2,
-            "v2 ({}) should be ≪ v1 ({}) on slowly-changing data",
-            v2.len(),
-            v1.len()
+            (data.len() as f64) < (full.len() as f64) * 0.2,
+            "delta slice ({}) should be ≪ full columns ({}) on slowly-changing data",
+            data.len(),
+            full.len()
         );
         // And it still decodes to the same instances.
-        let d2 = decode_slice(&v2).unwrap();
+        let back = decode_slice(&data).unwrap();
         for (t, row) in rows[0].iter().enumerate() {
-            assert_eq!(*d2.get(SubgraphId(0), t).unwrap(), *row);
+            assert_eq!(*back.get(SubgraphId(0), t).unwrap(), *row);
         }
     }
 

@@ -69,42 +69,41 @@ pub fn validate_dataset(store: &GofsStore, pg: &PartitionedGraph) -> Result<Data
                         bin
                     )));
                 }
-                // v2 slices carry a column directory; walk it before
-                // forcing materialization so layout problems are reported
-                // as directory faults, not as whichever cell tripped first.
-                if let Some((offsets, blocks_len, nvc, nec)) = slice.directory() {
-                    let cells = slice.sg_ids.len() * slice.n_timesteps;
-                    if offsets.len() != cells + 1 {
+                // Walk the column directory before forcing materialization so
+                // layout problems are reported as directory faults, not as
+                // whichever cell tripped first.
+                let (offsets, blocks_len, nvc, nec) = slice.directory();
+                let cells = slice.sg_ids.len() * slice.n_timesteps;
+                if offsets.len() != cells + 1 {
+                    return Err(GofsError::Corrupt(format!(
+                        "slice {} directory has {} offsets for {} cells",
+                        path.display(),
+                        offsets.len(),
+                        cells
+                    )));
+                }
+                for (si, &sg_id) in bin.iter().enumerate() {
+                    let sg = pg.subgraph(sg_id);
+                    let base = si * slice.n_timesteps;
+                    // A base snapshot stores every column in full; it
+                    // cannot be empty unless the subgraph has no
+                    // attributes at all.
+                    let base_len = offsets[base + 1] - offsets[base];
+                    let has_cols = (nvc > 0 && sg.num_vertices() > 0)
+                        || (nec > 0 && sg.num_edges() > 0)
+                        || nvc + nec > 0;
+                    if has_cols && base_len == 0 {
                         return Err(GofsError::Corrupt(format!(
-                            "slice {} directory has {} offsets for {} cells",
-                            path.display(),
-                            offsets.len(),
-                            cells
-                        )));
-                    }
-                    for (si, &sg_id) in bin.iter().enumerate() {
-                        let sg = pg.subgraph(sg_id);
-                        let base = si * slice.n_timesteps;
-                        // A base snapshot stores every column in full; it
-                        // cannot be empty unless the subgraph has no
-                        // attributes at all.
-                        let base_len = offsets[base + 1] - offsets[base];
-                        let has_cols = (nvc > 0 && sg.num_vertices() > 0)
-                            || (nec > 0 && sg.num_edges() > 0)
-                            || nvc + nec > 0;
-                        if has_cols && base_len == 0 {
-                            return Err(GofsError::Corrupt(format!(
-                                "slice {} has an empty base snapshot for {sg_id}",
-                                path.display()
-                            )));
-                        }
-                    }
-                    if offsets.last().copied() != Some(blocks_len as u64) {
-                        return Err(GofsError::Corrupt(format!(
-                            "slice {} directory does not span its block region",
+                            "slice {} has an empty base snapshot for {sg_id}",
                             path.display()
                         )));
                     }
+                }
+                if offsets.last().copied() != Some(blocks_len as u64) {
+                    return Err(GofsError::Corrupt(format!(
+                        "slice {} directory does not span its block region",
+                        path.display()
+                    )));
                 }
                 for (si, &sg_id) in bin.iter().enumerate() {
                     let sg = pg.subgraph(sg_id);

@@ -4,10 +4,10 @@ use bytes::BytesMut;
 use proptest::prelude::*;
 use tempograph_core::{AttrType, Column, Schema, TemplateBuilder};
 use tempograph_gofs::codec::{
-    decode_template, encode_template, frame, frame_v1, get_column, get_delta_column, get_schema,
-    put_column, put_delta_column, put_schema, unframe,
+    decode_template, encode_template, frame, get_column, get_delta_column, get_schema, put_column,
+    put_delta_column, put_schema, unframe,
 };
-use tempograph_gofs::slice::{decode_slice, encode_slice, encode_slice_v1, SliceKey};
+use tempograph_gofs::slice::{decode_slice, encode_slice, SliceKey};
 use tempograph_gofs::SubgraphInstance;
 use tempograph_partition::SubgraphId;
 
@@ -129,46 +129,13 @@ proptest! {
         }
     }
 
-    /// Slice files round-trip arbitrary projected instances.
+    /// Slice files round-trip arbitrary projected instances — the input
+    /// rows are the oracle.
     #[test]
     fn slice_roundtrip(
         n_sg in 1usize..4,
         n_ts in 1usize..6,
         t_start in 0usize..40,
-        cols in proptest::collection::vec(arb_column(), 1..3),
-    ) {
-        let sg_ids: Vec<SubgraphId> = (0..n_sg as u32).map(SubgraphId).collect();
-        let rows: Vec<Vec<SubgraphInstance>> = (0..n_sg)
-            .map(|_| {
-                (0..n_ts)
-                    .map(|toff| SubgraphInstance {
-                        timestep: t_start + toff,
-                        timestamp: (t_start + toff) as i64 * 10,
-                        vertex_cols: cols.clone(),
-                        edge_cols: vec![],
-                    })
-                    .collect()
-            })
-            .collect();
-        let data = encode_slice(2, SliceKey { bin: 1, pack: 3 }, &sg_ids, t_start, &rows);
-        let back = decode_slice(&data).unwrap();
-        prop_assert_eq!(back.partition, 2);
-        prop_assert_eq!(back.n_timesteps, n_ts);
-        for (i, sg) in sg_ids.iter().enumerate() {
-            for (toff, row) in rows[i].iter().enumerate() {
-                let got = back.get(*sg, t_start + toff).unwrap();
-                prop_assert_eq!(&*got, row);
-            }
-        }
-    }
-
-    /// The v2 (columnar, delta) and v1 (row-major) encodings of the same
-    /// rows decode to identical instances — and legacy v1 files keep
-    /// loading after the format-version bump.
-    #[test]
-    fn v2_decodes_identically_to_v1(
-        n_sg in 1usize..4,
-        n_ts in 1usize..6,
         cols in proptest::collection::vec(arb_column(), 1..3),
         churn in proptest::collection::vec((0usize..50, any::<i64>()), 0..8),
     ) {
@@ -189,8 +156,8 @@ proptest! {
                             }
                         }
                         SubgraphInstance {
-                            timestep: toff,
-                            timestamp: toff as i64,
+                            timestep: t_start + toff,
+                            timestamp: (t_start + toff) as i64 * 10,
                             vertex_cols: my,
                             edge_cols: vec![],
                         }
@@ -198,13 +165,14 @@ proptest! {
                     .collect()
             })
             .collect();
-        let key = SliceKey { bin: 0, pack: 0 };
-        let v2 = decode_slice(&encode_slice(1, key, &sg_ids, 0, &rows)).unwrap();
-        let v1 = decode_slice(&encode_slice_v1(1, key, &sg_ids, 0, &rows)).unwrap();
+        let data = encode_slice(2, SliceKey { bin: 1, pack: 3 }, &sg_ids, t_start, &rows);
+        let back = decode_slice(&data).unwrap();
+        prop_assert_eq!(back.partition, 2);
+        prop_assert_eq!(back.n_timesteps, n_ts);
         for (i, sg) in sg_ids.iter().enumerate() {
             for (toff, row) in rows[i].iter().enumerate() {
-                prop_assert_eq!(&*v1.get(*sg, toff).unwrap(), row);
-                prop_assert_eq!(&*v2.get(*sg, toff).unwrap(), row);
+                let got = back.get(*sg, t_start + toff).unwrap();
+                prop_assert_eq!(&*got, row);
             }
         }
     }
@@ -258,12 +226,12 @@ proptest! {
         prop_assert_eq!(bytes.len(), 0);
     }
 
-    /// Corrupting a v2 slice *behind the checksum* (flip a payload byte,
+    /// Corrupting a slice *behind the checksum* (flip a payload byte,
     /// re-frame so the checksum matches) never panics: decoding and
     /// materializing every cell either succeeds or yields a typed error.
     /// Truncating the payload always fails outright at decode.
     #[test]
-    fn corrupted_v2_payload_never_panics(
+    fn corrupted_payload_never_panics(
         n_ts in 2usize..5,
         pos_frac in 0.0f64..1.0,
         flip in 1u8..=255,
@@ -303,11 +271,5 @@ proptest! {
         // Truncation of the payload (any amount) is always rejected.
         let keep = payload.len().saturating_sub(cut).max(1);
         prop_assert!(decode_slice(&frame(MAGIC, &payload[..keep])).is_err());
-
-        // Same story for a v1 frame around a truncated v1 payload.
-        let framed1 = encode_slice_v1(0, SliceKey { bin: 0, pack: 0 }, &sg_ids, 0, &rows);
-        let payload1 = unframe(MAGIC, &framed1).unwrap();
-        let keep1 = payload1.len().saturating_sub(cut).max(1);
-        prop_assert!(decode_slice(&frame_v1(MAGIC, &payload1[..keep1])).is_err());
     }
 }

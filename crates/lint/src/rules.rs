@@ -90,7 +90,7 @@ const CODEC_FILES: &[&str] = &[
     "crates/engine/src/batch.rs",
     "crates/engine/src/checkpoint.rs",
     "crates/engine/src/net.rs",
-    "crates/engine/src/transport.rs",
+    "crates/engine/src/cluster.rs",
     "crates/gofs/src/codec.rs",
     "crates/gofs/src/slice.rs",
     "crates/gofs/src/store.rs",
@@ -281,12 +281,7 @@ fn run(path: &str, src: &str, scope: Scope) -> Vec<Finding> {
 /// drivers. Everything they transitively call runs once per superstep per
 /// subgraph and must be panic-free, clock-free, and (for instrumentation)
 /// allocation-free when disabled.
-pub const HOT_ROOTS_EXECUTOR: &[&str] = &[
-    "run_timestep_loop",
-    "run_bsp",
-    "run_merge",
-    "run_temporally_parallel",
-];
+pub const HOT_ROOTS_EXECUTOR: &[&str] = &["run_timestep_loop", "run_bsp", "run_merge"];
 
 /// `Transport` entry points — every impl (and the trait's default
 /// `barrier`) roots its own closure. `telemetry` is the per-round
@@ -316,6 +311,7 @@ const INDEX_CHECK_FILES: &[&str] = &[
     "crates/engine/src/batch.rs",
     "crates/engine/src/net.rs",
     "crates/engine/src/transport.rs",
+    "crates/engine/src/cluster.rs",
     "crates/engine/src/checkpoint.rs",
     "crates/engine/src/sync.rs",
     "crates/ledger/src/record.rs",

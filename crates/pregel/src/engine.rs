@@ -386,10 +386,13 @@ fn worker<P: VertexProgram>(
         sink.span_since("send", send_span);
 
         let wait0 = sink.now();
-        let agg = sync.arrive(Contribution {
-            msgs_sent: n_sent,
-            all_halted: halted.iter().all(|&h| h),
-        });
+        // Nothing poisons this sync point, so the rendezvous cannot fail.
+        let agg = sync
+            .arrive(Contribution {
+                msgs_sent: n_sent,
+                all_halted: halted.iter().all(|&h| h),
+            })
+            .expect("pregel sync point is never poisoned");
         let wait1 = sink.now();
         out.sync_ns += wait1 - wait0;
         sink.span_at("barrier.arrive", wait0, wait1);
@@ -412,7 +415,7 @@ fn worker<P: VertexProgram>(
         // Post-drain rendezvous: see tempograph-engine — a fast worker must
         // not send superstep s+1 batches into a slow worker's s drain.
         let wait2 = sink.now();
-        sync.barrier();
+        sync.barrier().expect("pregel sync point is never poisoned");
         let wait3 = sink.now();
         out.sync_ns += wait3 - wait2;
         sink.span_at("barrier.post", wait2, wait3);

@@ -651,8 +651,8 @@ impl JobTuning {
     }
 }
 
-/// How to execute one (factory, config) pair: locally, over a TCP
-/// cluster, or as one TCP worker. Lets [`dispatch_algo`] own the
+/// How to execute one (factory, config) pair: as a whole cluster, or as
+/// one TCP worker. Lets [`dispatch_algo`] own the
 /// algo-name → (program, pattern) table once, while each caller supplies
 /// the execution mode — the table is the single point that guarantees a
 /// worker process builds the same job as its coordinator.
@@ -664,31 +664,15 @@ trait AlgoRunner {
         F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync + 'static;
 }
 
-/// The in-process simulated cluster (`run_job`).
-struct LocalRunner<'a> {
-    pg: &'a Arc<PartitionedGraph>,
-    src: &'a InstanceSource,
-}
-
-impl AlgoRunner for LocalRunner<'_> {
-    type Out = JobResult;
-    fn run<P, F>(self, factory: F, config: JobConfig<P::Msg>) -> JobResult
-    where
-        P: SubgraphProgram,
-        F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync + 'static,
-    {
-        run_job(self.pg, self.src, factory, config)
-    }
-}
-
-/// A TCP cluster (`run_job_tcp`), threads or spawned worker processes.
-struct TcpRunner<'a> {
+/// A whole cluster (`run_job_tcp`): in-process, TCP threads, or spawned
+/// worker processes.
+struct ClusterRunner<'a> {
     pg: &'a Arc<PartitionedGraph>,
     src: &'a InstanceSource,
     cluster: Cluster,
 }
 
-impl AlgoRunner for TcpRunner<'_> {
+impl AlgoRunner for ClusterRunner<'_> {
     type Out = Result<JobResult, EngineError>;
     fn run<P, F>(self, factory: F, config: JobConfig<P::Msg>) -> Self::Out
     where
@@ -892,31 +876,9 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), String> {
         "running {algo} over {timesteps} timesteps on {} partitions ({transport})…",
         pg.num_partitions()
     );
-    let started = Clock::start();
-    let result = match transport {
-        "inprocess" => dispatch_algo(
-            algo,
-            &t,
-            timesteps,
-            source,
-            meme,
-            &tuning,
-            LocalRunner { pg: &pg, src: &src },
-        )?,
-        "tcp" => dispatch_algo(
-            algo,
-            &t,
-            timesteps,
-            source,
-            meme,
-            &tuning,
-            TcpRunner {
-                pg: &pg,
-                src: &src,
-                cluster: Cluster::Threads,
-            },
-        )?
-        .map_err(|e| format!("tcp job failed: {e}"))?,
+    let cluster = match transport {
+        "inprocess" => Cluster::InProcess,
+        "tcp" => Cluster::Threads,
         "tcp-process" => {
             let worker_bin = std::env::current_exe().map_err(|e| e.to_string())?;
             // Mirror every job-shaping flag so workers rebuild the
@@ -952,23 +914,10 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), String> {
             if let Some(spec) = &tuning.fault_spec {
                 worker_args.extend(["--faults".into(), spec.clone()]);
             }
-            dispatch_algo(
-                algo,
-                &t,
-                timesteps,
-                source,
-                meme,
-                &tuning,
-                TcpRunner {
-                    pg: &pg,
-                    src: &src,
-                    cluster: Cluster::Processes {
-                        worker_bin,
-                        worker_args,
-                    },
-                },
-            )?
-            .map_err(|e| format!("tcp-process job failed: {e}"))?
+            Cluster::Processes {
+                worker_bin,
+                worker_args,
+            }
         }
         other => {
             return Err(format!(
@@ -976,6 +925,14 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), String> {
             ))
         }
     };
+    let started = Clock::start();
+    let runner = ClusterRunner {
+        pg: &pg,
+        src: &src,
+        cluster,
+    };
+    let result = dispatch_algo(algo, &t, timesteps, source, meme, &tuning, runner)?
+        .map_err(|e| format!("{transport} job failed: {e}"))?;
     let elapsed = started.elapsed();
 
     println!(

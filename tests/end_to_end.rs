@@ -168,7 +168,7 @@ fn meme_and_hash_agree_on_timestep_zero_counts() {
 }
 
 #[test]
-fn independent_topn_runs_in_both_execution_modes() {
+fn independent_topn_matches_under_intra_partition_parallelism() {
     let t = Arc::new(wiki_like(0.05));
     let coll = Arc::new(generate_sir_tweets(
         t.clone(),
@@ -191,17 +191,17 @@ fn independent_topn_runs_in_both_execution_modes() {
         TopNActivity::factory(3, tweets_col),
         JobConfig::independent(10),
     );
-    let fast = run_job(
+    let pooled = run_job(
         &pg,
         &src,
         TopNActivity::factory(3, tweets_col),
-        JobConfig::independent(10).with_temporal_parallelism(),
+        JobConfig::independent(10).with_intra_partition_parallelism(),
     );
-    assert_eq!(barriered.emitted, fast.emitted);
+    assert_eq!(barriered.emitted, pooled.emitted);
     for t in 0..10 {
         assert_eq!(
             barriered.counter_at(TopNActivity::TWEETS, t),
-            fast.counter_at(TopNActivity::TWEETS, t)
+            pooled.counter_at(TopNActivity::TWEETS, t)
         );
     }
 }
