@@ -276,6 +276,10 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release --workspace
 cargo test -q --workspace
 
+echo "==> algos: TDSP frontier vs sequential reference (PROPTEST_CASES=${PROPTEST_CASES:-64})"
+PROPTEST_CASES="${PROPTEST_CASES:-64}" \
+    cargo test -q -p tempograph-algos --test tdsp_frontier
+
 echo "==> trace crate under --all-features (deep-validate)"
 cargo test -q -p tempograph-trace --all-features
 

@@ -163,7 +163,8 @@ impl TimestepMetrics {
 /// TDSP label or a newly coloured meme vertex).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Emit {
-    /// Timestep at which the value was produced (`usize::MAX` ⇒ merge phase).
+    /// Timestep at which the value was produced; a merge-phase emit carries
+    /// the configured timestep count (one past the last timestep).
     pub timestep: usize,
     /// Subject vertex.
     pub vertex: VertexIdx,
@@ -176,8 +177,8 @@ pub struct Emit {
 pub struct AttributionRow {
     /// The subgraph whose program hooks this row accounts.
     pub subgraph: SubgraphId,
-    /// Timestep index (`u32::MAX` ⇒ merge phase, mirroring
-    /// [`Emit::timestep`]'s `usize::MAX` convention).
+    /// Timestep index (`u32::MAX` ⇒ merge phase; [`Emit::timestep`] marks
+    /// it with the configured timestep count instead).
     pub timestep: u32,
     /// Measured nanoseconds spent inside this subgraph's program hooks at
     /// this timestep (compute supersteps + end-of-timestep). Differences
