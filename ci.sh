@@ -61,7 +61,9 @@ faults_stage() {
 # Transport gate: every algorithm must produce byte-identical results over
 # in-process channels, a localhost TCP thread mesh, and real spawned worker
 # processes (the equivalence suite covers all three plus delivery-order
-# probes, telemetry equivalence, and frame-codec fuzzing), and the
+# probes, telemetry equivalence, and frame-codec fuzzing), no batch may be
+# delivered outside the phase it was sent in (the sentinel/generation fence
+# that replaced the second per-superstep barrier), and the
 # `tempograph` binary must drive a 2-process localhost cluster end-to-end —
 # plain and with observability armed (worker telemetry shards merged into
 # the coordinator registry). Skips loudly when loopback
@@ -70,6 +72,9 @@ faults_stage() {
 transport_stage() {
     echo "==> transport: cross-transport equivalence suite (5 algorithms, 3 and 6 partitions)"
     cargo test -q --test transport_equivalence
+
+    echo "==> transport: phase isolation (every delivery sent in exactly the previous phase; in-process + TCP)"
+    cargo test -q -p tempograph-engine --test phase_isolation
 
     echo "==> transport: frame codec property tests (PROPTEST_CASES=${PROPTEST_CASES:-64})"
     PROPTEST_CASES="${PROPTEST_CASES:-64}" \
@@ -287,7 +292,8 @@ echo "==> trace overhead smoke test (tracing disabled must be ~free)"
 cargo test -q --release --test trace_integration -- --ignored
 
 echo "==> metrics overhead smoke test (disabled instruments must not allocate)"
-cargo test -q --release --test metrics_overhead -- --ignored
+# One at a time: both tests read the same process-wide allocation counter.
+cargo test -q --release --test metrics_overhead -- --ignored --test-threads=1
 
 faults_stage
 

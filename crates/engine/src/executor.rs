@@ -15,7 +15,7 @@
 //! "partition overhead" metric measures real marshalling work and remote
 //! byte counts are true wire sizes.
 //!
-//! **Synchronisation.** Each superstep ends at a [`Transport::arrive`]
+//! **Synchronisation.** Each superstep ends at one [`Transport::close_phase`]
 //! rendezvous that also folds the halting votes and message counts; BSP
 //! terminates when all subgraphs voted to halt and no messages are in
 //! flight (§II.C), and in `WhileActive` mode the timestep loop terminates
@@ -27,8 +27,7 @@
 //! don't leak scheduling nondeterminism into algorithm output.
 
 use crate::batch::{
-    combine_envelopes, merge_sorted_runs, merge_sorted_runs_traced, BufferPool, Combiner,
-    MessageBatch,
+    combine_envelopes, merge_sorted_runs_traced, BufferPool, Combiner, MessageBatch,
 };
 use crate::checkpoint::{
     self, checkpoint_path, commit_manifest, CheckpointConfig, SubgraphCheckpoint, WorkerCheckpoint,
@@ -38,8 +37,8 @@ use crate::faults::{injected_panic_message, FaultPlan};
 use crate::metrics::{Emit, MetricsShard, TimestepMetrics};
 use crate::program::{Context, Outbox, Phase, SubgraphProgram};
 use crate::provider::{InstanceProvider, InstanceSource};
-use crate::sync::{join_partition, Contribution};
-use crate::transport::{BatchKind, TelemetryFlush, Transport};
+use crate::sync::{join_partition, Aggregate, Contribution};
+use crate::transport::{BatchKind, PhaseMail, TelemetryFlush, Transport};
 use crate::wire::{sort_envelopes, Envelope};
 use bytes::{Buf, Bytes, BytesMut};
 use std::collections::{BTreeMap, HashMap};
@@ -424,12 +423,50 @@ where
     worker.run(start_t, timesteps, config)
 }
 
+/// Per-subgraph staged sorted runs plus the list of slots holding any, so
+/// delivery walks the mail, not every subgraph. The list is only ever
+/// written by [`Staged::push`]: nothing can stage without being listed.
+struct Staged<M> {
+    runs: Vec<Vec<Vec<Envelope<M>>>>,
+    listed: Vec<u32>,
+}
+
+impl<M> Staged<M> {
+    fn new(n: usize) -> Self {
+        Staged {
+            runs: (0..n).map(|_| Vec::new()).collect(),
+            listed: Vec::new(),
+        }
+    }
+
+    /// Stage one `(from, seq)`-sorted run for local subgraph `idx`.
+    fn push(&mut self, idx: usize, run: Vec<Envelope<M>>) {
+        if run.is_empty() {
+            return;
+        }
+        if self.runs[idx].is_empty() {
+            self.listed.push(idx as u32);
+        }
+        self.runs[idx].push(run);
+    }
+
+    /// Take every listed slot's runs, in first-staged order.
+    fn drain(&mut self) -> impl Iterator<Item = (usize, Vec<Vec<Envelope<M>>>)> + '_ {
+        let runs = &mut self.runs;
+        self.listed
+            .drain(..)
+            .map(move |i| (i as usize, std::mem::take(&mut runs[i as usize])))
+    }
+}
+
 /// Per-partition execution state.
 struct Worker<'a, P: SubgraphProgram> {
     partition: u16,
     pg: &'a PartitionedGraph,
     sg_ids: Vec<SubgraphId>,
-    index_of: HashMap<SubgraphId, usize>,
+    /// Local index by [`SubgraphId::idx`] (ids are dense); `u32::MAX` for
+    /// subgraphs of other partitions.
+    index_of: Vec<u32>,
     programs: Vec<Option<P>>,
     provider: Box<dyn InstanceProvider>,
     /// Inter-partition batch exchange and barrier sync — the only surface
@@ -438,14 +475,16 @@ struct Worker<'a, P: SubgraphProgram> {
 
     /// Delivered inboxes, sorted by `(from, seq)`.
     inbox: Vec<Vec<Envelope<P::Msg>>>,
-    /// Per-subgraph staged sorted runs for the *next superstep* (locals
-    /// routed this superstep + decoded remote runs). Merged into `inbox`
-    /// once per superstep by [`Worker::deliver_staged`].
-    inbox_runs: Vec<Vec<Vec<Envelope<P::Msg>>>>,
-    /// Per-subgraph staged sorted runs for the *next timestep*.
-    next_runs: Vec<Vec<Vec<Envelope<P::Msg>>>>,
+    /// Staged runs for the *next superstep* (locals routed this superstep
+    /// and decoded remote runs). Merged into `inbox` when the superstep
+    /// closes, by [`Worker::deliver_staged`].
+    inbox_runs: Staged<P::Msg>,
+    /// Staged runs for the *next timestep*, merged when the timestep closes.
+    next_runs: Staged<P::Msg>,
     merge_inbox: Vec<Vec<Envelope<P::Msg>>>,
-    halted: Vec<bool>,
+    /// Who runs at the next superstep > 0, ascending: subgraphs that ran
+    /// without voting to halt, then (at delivery) those that got mail.
+    active: Vec<u32>,
     voted_halt_ts: Vec<bool>,
     merge_seq: Vec<u32>,
     /// Persistent per-subgraph send-sequence counters (never reset for the
@@ -504,11 +543,10 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         timesteps: usize,
     ) -> Self {
         let sg_ids: Vec<SubgraphId> = pg.subgraphs_of_partition(partition).to_vec();
-        let index_of = sg_ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i))
-            .collect::<HashMap<_, _>>();
+        let mut index_of = vec![u32::MAX; pg.subgraphs().len()];
+        for (i, id) in sg_ids.iter().enumerate() {
+            index_of[id.idx()] = i as u32;
+        }
         let n = sg_ids.len();
         let sg_ids_for_attr = sg_ids.clone();
         Worker {
@@ -520,10 +558,10 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             provider,
             transport,
             inbox: vec![Vec::new(); n],
-            inbox_runs: vec![Vec::new(); n],
-            next_runs: vec![Vec::new(); n],
+            inbox_runs: Staged::new(n),
+            next_runs: Staged::new(n),
             merge_inbox: vec![Vec::new(); n],
-            halted: vec![false; n],
+            active: Vec::new(),
             voted_halt_ts: vec![false; n],
             merge_seq: vec![0; n],
             next_seq: vec![0; n],
@@ -616,25 +654,16 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             let mut m = TimestepMetrics::default();
             self.cur_counters = BTreeMap::new();
             self.memo.clear();
-            self.halted.iter_mut().for_each(|h| *h = false);
             self.voted_halt_ts.iter_mut().for_each(|h| *h = false);
 
-            // Messages from the previous timestep become this timestep's
-            // superstep-0 inbox. Each staged run is (from, seq)-sorted, so
-            // the k-way merge reproduces the canonical delivery order.
-            for i in 0..self.inbox.len() {
-                debug_assert!(
-                    self.inbox[i].is_empty(),
-                    "prior timestep consumed its inbox"
-                );
-                let runs = std::mem::take(&mut self.next_runs[i]);
-                self.inbox[i] = merge_sorted_runs_traced(runs, &mut self.tracer);
-            }
+            // The superstep-0 inbox — the previous timestep's
+            // `SendToNextTimestep` traffic — was delivered when that
+            // timestep closed (or restored from its checkpoint).
             if t == 0 {
                 // Initial messages self-address (from == to) with ascending
                 // seq, so each inbox stays sorted without a sort.
                 for (i, (to, msg)) in config.initial_messages.iter().enumerate() {
-                    if let Some(&idx) = self.index_of.get(to) {
+                    if let Some(idx) = self.local_index(*to) {
                         self.inbox[idx].push(Envelope {
                             from: *to,
                             to: *to,
@@ -684,12 +713,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
                     let a1 = self.tracer.now();
                     at.record(i, t, a1 - a0);
                 }
-                self.merge_seq[i] = outbox.merge_seq;
-                self.next_seq[i] = outbox.seq;
                 self.absorb_outbox(i, t, &mut outbox, &mut next_out, None);
-                if outbox.voted_halt_timestep {
-                    self.voted_halt_ts[i] = true;
-                }
             }
             let eot1 = self.tracer.now();
             let eot_elapsed = eot1 - eot0;
@@ -702,43 +726,15 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             m.superstep_compute_ns.push(eot_elapsed);
             self.tracer.span_at("end_of_timestep", eot0, eot1);
 
-            // Route cross-timestep messages.
-            let send0 = self.tracer.now();
-            next_msgs_total += next_out.len() as u64;
-            self.route(next_out, BatchKind::NextTimestep, &mut m)?;
-            let send1 = self.tracer.now();
-            if let Some(sh) = self.shard.as_deref_mut() {
-                sh.send_ns.record(send1 - send0);
-            }
-            m.msg_ns += send1 - send0;
-            self.tracer.span_at("send", send0, send1);
-
-            // Timestep barrier + global while-loop decision.
-            let wait0 = self.tracer.now();
-            let agg = self.transport.arrive(Contribution {
-                msgs_sent: next_msgs_total,
+            // Timestep barrier + global while-loop decision; the staged
+            // cross-timestep runs become the next timestep's superstep-0
+            // inbox (each is (from, seq)-sorted, so the k-way merge
+            // reproduces the canonical delivery order).
+            let vote = Contribution {
+                msgs_sent: next_msgs_total + next_out.len() as u64,
                 all_halted: self.voted_halt_ts.iter().all(|&v| v),
-            })?;
-            let wait1 = self.tracer.now();
-            if let Some(sh) = self.shard.as_deref_mut() {
-                sh.barrier_wait_ns.record(wait1 - wait0);
-            }
-            m.sync_ns += wait1 - wait0;
-            self.tracer.span_at("barrier.arrive", wait0, wait1);
-            self.tracer.straggler_check(wait1 - wait0);
-            let drain_span = self.tracer.start();
-            self.drain()?;
-            self.tracer.span_since("drain", drain_span);
-            // Late-arrival barrier: nobody starts the next timestep until
-            // every worker has drained this one's traffic.
-            let wait2 = self.tracer.now();
-            self.transport.barrier()?;
-            let wait3 = self.tracer.now();
-            if let Some(sh) = self.shard.as_deref_mut() {
-                sh.barrier_wait_ns.record(wait3 - wait2);
-            }
-            m.sync_ns += wait3 - wait2;
-            self.tracer.span_at("barrier.post", wait2, wait3);
+            };
+            let agg = self.close_phase(BatchKind::NextTimestep, vec![], next_out, vote, &mut m)?;
 
             let io = self.provider.take_io_stats();
             if let Some(sh) = self.shard.as_deref_mut() {
@@ -817,11 +813,16 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             let compute0 = self.tracer.now();
             let mut superstep_out: Vec<Envelope<P::Msg>> = Vec::new();
             let mut next_out: Vec<Envelope<P::Msg>> = Vec::new();
-            let active: Vec<bool> = (0..self.sg_ids.len())
-                .map(|i| ss == 0 || !self.halted[i] || !self.inbox[i].is_empty())
-                .collect();
-            if config.intra_partition_parallelism && active.iter().filter(|&&a| a).count() > 1 {
-                let outboxes = self.compute_phase_parallel(t, ss, timesteps, phase, &active);
+            // This superstep's subgraphs, ascending (`route` relies on
+            // senders draining in subgraph order): everyone at superstep 0
+            // (§II.D), then only mail and carry-overs. `self.active` starts
+            // over, collecting this superstep's carry-overs.
+            if ss == 0 {
+                self.active = (0..self.sg_ids.len() as u32).collect();
+            }
+            let running = std::mem::take(&mut self.active);
+            if config.intra_partition_parallelism && running.len() > 1 {
+                let outboxes = self.compute_phase_parallel(t, ss, timesteps, phase, &running);
                 for (i, mut outbox, attr_ns) in outboxes {
                     if let Some(at) = self.attr.as_deref_mut() {
                         let slot = if phase == Phase::Merge {
@@ -831,21 +832,12 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
                         };
                         at.record(i, slot, attr_ns);
                     }
-                    self.merge_seq[i] = outbox.merge_seq;
-                    self.next_seq[i] = outbox.seq;
-                    self.halted[i] = outbox.voted_halt;
-                    if outbox.voted_halt_timestep {
-                        self.voted_halt_ts[i] = true;
-                    }
                     self.absorb_outbox(i, t, &mut outbox, &mut next_out, Some(&mut superstep_out));
                 }
             } else {
-                for (i, &is_active) in active.iter().enumerate() {
+                for &i in &running {
+                    let i = i as usize;
                     let msgs = std::mem::take(&mut self.inbox[i]);
-                    if !is_active {
-                        continue;
-                    }
-                    self.halted[i] = false;
                     let mut outbox = Outbox::new(
                         true,
                         self.allow_next_timestep && phase == Phase::Compute,
@@ -870,14 +862,6 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
                         };
                         at.record(i, slot, a1 - a0);
                     }
-                    self.merge_seq[i] = outbox.merge_seq;
-                    self.next_seq[i] = outbox.seq;
-                    if outbox.voted_halt {
-                        self.halted[i] = true;
-                    }
-                    if outbox.voted_halt_timestep {
-                        self.voted_halt_ts[i] = true;
-                    }
                     self.absorb_outbox(i, t, &mut outbox, &mut next_out, Some(&mut superstep_out));
                 }
             }
@@ -891,51 +875,21 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             self.tracer
                 .span_arg_at("compute", compute0, compute1, "superstep", ss as u64);
 
-            let send0 = self.tracer.now();
-            let sent = superstep_out.len() as u64;
             *next_msgs_total += next_out.len() as u64;
-            self.route(superstep_out, BatchKind::Superstep, m)?;
-            self.route(next_out, BatchKind::NextTimestep, m)?;
-            let send1 = self.tracer.now();
-            if let Some(sh) = self.shard.as_deref_mut() {
-                sh.send_ns.record(send1 - send0);
-            }
-            m.msg_ns += send1 - send0;
-            self.tracer.span_at("send", send0, send1);
-
-            let wait0 = self.tracer.now();
-            let agg = self.transport.arrive(Contribution {
-                msgs_sent: sent,
-                all_halted: self.halted.iter().all(|&h| h),
-            })?;
-            let wait1 = self.tracer.now();
-            if let Some(sh) = self.shard.as_deref_mut() {
-                sh.barrier_wait_ns.record(wait1 - wait0);
-            }
-            m.sync_ns += wait1 - wait0;
-            self.tracer.span_at("barrier.arrive", wait0, wait1);
-            self.tracer.straggler_check(wait1 - wait0);
-
-            let drain_span = self.tracer.start();
-            self.drain()?;
-            self.deliver_staged();
-            self.tracer.span_since("drain", drain_span);
-            // Second rendezvous: a fast worker must not start the next
-            // superstep (and send new batches) before every worker finished
-            // draining this one — otherwise a batch from superstep s+1
-            // could sneak into a slow worker's superstep-s drain.
-            let wait2 = self.tracer.now();
-            self.transport.barrier()?;
-            let wait3 = self.tracer.now();
-            if let Some(sh) = self.shard.as_deref_mut() {
-                sh.barrier_wait_ns.record(wait3 - wait2);
-            }
-            m.sync_ns += wait3 - wait2;
-            self.tracer.span_at("barrier.post", wait2, wait3);
+            let vote = Contribution {
+                msgs_sent: superstep_out.len() as u64,
+                all_halted: self.active.is_empty(),
+            };
+            let agg = self.close_phase(BatchKind::Superstep, superstep_out, next_out, vote, m)?;
+            let end = self.tracer.now();
             self.tracer
-                .span_arg_at("superstep", compute0, wait3, "superstep", ss as u64);
+                .span_arg_at("superstep", compute0, end, "superstep", ss as u64);
             ss += 1;
             if agg.should_stop() || ss >= config.max_supersteps {
+                // Only a capped BSP still holds mail: it goes with the phase.
+                for &i in &self.active {
+                    self.inbox[i as usize].clear();
+                }
                 return Ok(ss as u32);
             }
         }
@@ -954,23 +908,20 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         ss: usize,
         timesteps: usize,
         phase: Phase,
-        active: &[bool],
+        running: &[u32],
     ) -> Vec<(usize, Outbox<P::Msg>, u64)> {
         let k = self.transport.num_partitions();
         // Eager prefetch (sequential: the provider owns the disk handle).
         if phase != Phase::Merge {
-            for (i, &is_active) in active.iter().enumerate() {
-                if is_active {
-                    let sg = self.pg.subgraph(self.sg_ids[i]);
-                    let provider = &mut self.provider;
-                    self.memo
-                        .entry(sg.id())
-                        .or_insert_with(|| provider.fetch(sg, t));
-                }
+            for &i in running {
+                let sg = self.pg.subgraph(self.sg_ids[i as usize]);
+                let provider = &mut self.provider;
+                self.memo
+                    .entry(sg.id())
+                    .or_insert_with(|| provider.fetch(sg, t));
             }
         }
 
-        let taken: Vec<Vec<Envelope<P::Msg>>> = self.inbox.iter_mut().map(std::mem::take).collect();
         let partition = self.partition as usize;
         let pg = self.pg;
         let sg_ids = &self.sg_ids;
@@ -1023,15 +974,20 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             (i, outbox, attr_ns)
         };
 
-        // One work item per active subgraph, served lowest-index first.
-        let mut work: Vec<WorkItem<'_, P>> = self
-            .programs
-            .iter_mut()
-            .zip(taken)
-            .enumerate()
-            .filter(|(i, _)| active[*i])
-            .map(|(i, (slot, msgs))| (i, slot, msgs))
-            .collect();
+        // One work item per running subgraph, served lowest-index first.
+        // `running` ascends, so each program slot splits off the remainder.
+        let mut work: Vec<WorkItem<'_, P>> = Vec::with_capacity(running.len());
+        let mut rest = self.programs.as_mut_slice();
+        let mut base = 0;
+        for &i in running {
+            let i = i as usize;
+            let (slot, tail) = std::mem::take(&mut rest)[i - base..]
+                .split_first_mut()
+                .expect("program present");
+            work.push((i, slot, std::mem::take(&mut self.inbox[i])));
+            rest = tail;
+            base = i + 1;
+        }
         work.reverse();
 
         // Each of the k partition workers runs its own compute pool; divide
@@ -1084,7 +1040,6 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         // traffic, already per-subgraph and chronologically ordered by seq.
         let n = self.sg_ids.len();
         self.inbox = std::mem::replace(&mut self.merge_inbox, vec![Vec::new(); n]);
-        self.halted.iter_mut().for_each(|h| *h = false);
         for list in &mut self.inbox {
             sort_envelopes(list);
         }
@@ -1158,8 +1113,10 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         self.programs[i] = Some(program);
     }
 
-    /// Pull counters/emits/merge messages out of an outbox; superstep and
-    /// next-timestep messages are handed back for routing.
+    /// Pull sequence counters, votes, counters/emits/merge messages out of
+    /// an outbox; superstep and next-timestep messages are handed back for
+    /// routing. A superstep's subgraph that did not vote to halt is listed
+    /// to run the next one.
     fn absorb_outbox(
         &mut self,
         i: usize,
@@ -1168,13 +1125,17 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         next_out: &mut Vec<Envelope<P::Msg>>,
         superstep_out: Option<&mut Vec<Envelope<P::Msg>>>,
     ) {
+        self.merge_seq[i] = outbox.merge_seq;
+        self.next_seq[i] = outbox.seq;
+        if outbox.voted_halt_timestep {
+            self.voted_halt_ts[i] = true;
+        }
         for (name, v) in outbox.counters.drain(..) {
             *self.cur_counters.entry(name).or_insert(0) += v;
         }
-        let phase_timestep = timestep;
         for (vertex, value) in outbox.emits.drain(..) {
             self.out.emits.push(Emit {
-                timestep: phase_timestep,
+                timestep,
                 vertex,
                 value,
             });
@@ -1183,6 +1144,9 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         next_out.append(&mut outbox.next_timestep_msgs);
         if let Some(out) = superstep_out {
             out.append(&mut outbox.superstep_msgs);
+            if !outbox.voted_halt {
+                self.active.push(i as u32);
+            }
         } else {
             debug_assert!(outbox.superstep_msgs.is_empty());
         }
@@ -1225,11 +1189,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             }
         }
         for (to, run) in local.into_runs() {
-            let idx = self.index_of[&to];
-            match kind {
-                BatchKind::Superstep => self.inbox_runs[idx].push(run),
-                BatchKind::NextTimestep => self.next_runs[idx].push(run),
-            }
+            self.stage(kind, to, run)?;
         }
         for (part, batch) in remote.into_iter().enumerate() {
             let Some(batch) = batch else { continue };
@@ -1262,19 +1222,76 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         Ok(())
     }
 
-    /// Drain every queued frame into per-subgraph staged runs, recycling
+    /// Close the current phase — every superstep and every timestep's
+    /// tail ends here: route what the phase produced, rendezvous once (the
+    /// wait is `sync_ns`), decode the collected frames and merge the staged
+    /// `kind` runs into the inboxes. Marshalling and un-marshalling are
+    /// both `msg_ns`, the paper's "partition overhead".
+    fn close_phase(
+        &mut self,
+        kind: BatchKind,
+        superstep_out: Vec<Envelope<P::Msg>>,
+        next_out: Vec<Envelope<P::Msg>>,
+        vote: Contribution,
+        m: &mut TimestepMetrics,
+    ) -> Result<Aggregate, EngineError> {
+        let send0 = self.tracer.now();
+        self.route(superstep_out, BatchKind::Superstep, m)?;
+        self.route(next_out, BatchKind::NextTimestep, m)?;
+        let wait0 = self.tracer.now();
+        if let Some(sh) = self.shard.as_deref_mut() {
+            sh.send_ns.record(wait0 - send0);
+        }
+        self.tracer.span_at("send", send0, wait0);
+        let (agg, frames) = self.transport.close_phase(vote)?;
+        let wait1 = self.tracer.now();
+        if let Some(sh) = self.shard.as_deref_mut() {
+            sh.barrier_wait_ns.record(wait1 - wait0);
+        }
+        m.sync_ns += wait1 - wait0;
+        self.tracer.span_at("barrier.arrive", wait0, wait1);
+        self.tracer.straggler_check(wait1 - wait0);
+        self.drain(frames)?;
+        self.deliver_staged(kind);
+        let drain1 = self.tracer.now();
+        m.msg_ns += (wait0 - send0) + (drain1 - wait1);
+        self.tracer.span_at("drain", wait1, drain1);
+        Ok(agg)
+    }
+
+    /// This partition's index for subgraph `id`; `None` when `id` is out
+    /// of range or lives elsewhere.
+    fn local_index(&self, id: SubgraphId) -> Option<usize> {
+        let idx = *self.index_of.get(id.idx())?;
+        (idx != u32::MAX).then_some(idx as usize)
+    }
+
+    /// Stage one sorted run for local subgraph `to`. The id may come off a
+    /// socket, so a subgraph that is not ours is a typed error.
+    fn stage(
+        &mut self,
+        kind: BatchKind,
+        to: SubgraphId,
+        run: Vec<Envelope<P::Msg>>,
+    ) -> Result<(), EngineError> {
+        let idx = self.local_index(to).ok_or_else(|| EngineError::Protocol {
+            detail: format!("batch for {to}, which is not a local subgraph"),
+        })?;
+        match kind {
+            BatchKind::Superstep => self.inbox_runs.push(idx, run),
+            BatchKind::NextTimestep => self.next_runs.push(idx, run),
+        }
+        Ok(())
+    }
+
+    /// Decode the collected frames into per-subgraph staged runs, recycling
     /// the frame allocations into this worker's pool. A frame that fails to
-    /// decode surfaces as a typed error; the caller poisons the barrier and
-    /// the driver names the failing partition.
-    fn drain(&mut self) -> Result<(), EngineError> {
-        for (kind, bytes) in self.transport.exchange()? {
-            let mut bytes = bytes;
+    /// decode surfaces as a typed error the driver attributes to this
+    /// partition.
+    fn drain(&mut self, frames: PhaseMail) -> Result<(), EngineError> {
+        for (kind, mut bytes) in frames {
             for (to, run) in MessageBatch::<P::Msg>::decode(&mut bytes)? {
-                let idx = self.index_of[&to];
-                match kind {
-                    BatchKind::Superstep => self.inbox_runs[idx].push(run),
-                    BatchKind::NextTimestep => self.next_runs[idx].push(run),
-                }
+                self.stage(kind, to, run)?;
             }
             debug_assert_eq!(bytes.remaining(), 0);
             self.pool.reclaim(bytes);
@@ -1282,15 +1299,22 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         Ok(())
     }
 
-    /// Merge each subgraph's staged superstep runs into its inbox — the
-    /// O(n) replacement for the old concatenate-and-stable-sort delivery,
-    /// yielding the identical (from, seq) order.
-    fn deliver_staged(&mut self) {
-        for i in 0..self.inbox.len() {
+    /// Merge the staged `kind` runs of every subgraph that has any into
+    /// its inbox — a k-way merge yielding the canonical (from, seq) order —
+    /// and list it to run next superstep. Subgraphs without mail cost
+    /// nothing.
+    fn deliver_staged(&mut self, kind: BatchKind) {
+        let staged = match kind {
+            BatchKind::Superstep => &mut self.inbox_runs,
+            BatchKind::NextTimestep => &mut self.next_runs,
+        };
+        for (i, runs) in staged.drain() {
             debug_assert!(self.inbox[i].is_empty(), "compute consumed the inbox");
-            let runs = std::mem::take(&mut self.inbox_runs[i]);
             self.inbox[i] = merge_sorted_runs_traced(runs, &mut self.tracer);
+            self.active.push(i as u32);
         }
+        self.active.sort_unstable();
+        self.active.dedup();
     }
 
     // ---- checkpoint / recovery -----------------------------------------
@@ -1349,14 +1373,9 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
     }
 
     /// Snapshot everything this worker needs to resume after timestep `t`.
-    fn build_checkpoint(&mut self, t: u64, loop_done: bool) -> WorkerCheckpoint<P::Msg> {
+    fn build_checkpoint(&self, t: u64, loop_done: bool) -> WorkerCheckpoint<P::Msg> {
         let mut subgraphs = Vec::with_capacity(self.sg_ids.len());
         for i in 0..self.sg_ids.len() {
-            // Collapse the staged next-timestep runs into the canonical
-            // sorted order, then put the merged run back as the sole run —
-            // the k-way merge is associative, so delivery is unchanged.
-            let runs = std::mem::take(&mut self.next_runs[i]);
-            let merged = merge_sorted_runs(runs);
             let mut state = BytesMut::new();
             self.programs[i]
                 .as_ref()
@@ -1368,13 +1387,12 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
                     state: state.to_vec(),
                     next_seq: self.next_seq[i],
                     merge_seq: self.merge_seq[i],
-                    next_inbox: merged.clone(),
+                    // Closing timestep `t` already delivered the next
+                    // timestep's superstep-0 inbox.
+                    next_inbox: self.inbox[i].clone(),
                     merge_inbox: self.merge_inbox[i].clone(),
                 },
             ));
-            if !merged.is_empty() {
-                self.next_runs[i].push(merged);
-            }
         }
         WorkerCheckpoint {
             partition: self.partition,
@@ -1423,11 +1441,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
                 .restore_state(&mut state);
             self.next_seq[i] = sub.next_seq;
             self.merge_seq[i] = sub.merge_seq;
-            self.next_runs[i] = if sub.next_inbox.is_empty() {
-                Vec::new()
-            } else {
-                vec![sub.next_inbox]
-            };
+            self.inbox[i] = sub.next_inbox;
             self.merge_inbox[i] = sub.merge_inbox;
         }
         self.loop_finished = snapshot.loop_done;

@@ -72,5 +72,5 @@ pub use provider::{GofsProvider, InstanceProvider, InstanceSource, IoStats, Memo
 pub use sync::{join_partition, Aggregate, Contribution, PoisonOnPanic, SyncPoint};
 pub use telemetry::query_status;
 pub use tempograph_trace::{Trace, TraceConfig, TraceMode, TraceSink};
-pub use transport::{BatchKind, InProcess, Tcp, Transport};
+pub use transport::{BatchKind, InProcess, PhaseItem, PhaseMail, Tcp, Transport};
 pub use wire::{Envelope, WireMsg};

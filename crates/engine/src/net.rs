@@ -80,8 +80,9 @@ pub enum FrameKind {
     /// Worker → worker: encoded `MessageBatch` for the next timestep.
     DataNextTimestep = 7,
     /// Worker → worker: end-of-phase watermark — "I have sent you `seq`
-    /// data frames in total this epoch". Payload: empty (watermark rides in
-    /// the header's `seq` field).
+    /// data frames in total this epoch" — written *before* the phase's
+    /// Contribution, so it is in flight by the time any Aggregate returns.
+    /// Payload: empty (the watermark rides in the header's `seq` field).
     Sentinel = 8,
     /// Worker → worker: mesh handshake naming the dialing partition.
     PeerHello = 9,

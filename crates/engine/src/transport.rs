@@ -2,10 +2,9 @@
 //!
 //! The executor's worker loop is written against one small surface — the
 //! [`Transport`] trait: ship encoded `MessageBatch` frames to peers
-//! ([`Transport::send`]), collect the frames peers shipped here
-//! ([`Transport::exchange`]), and rendezvous at barriers that fold the
-//! halting votes ([`Transport::arrive`] / [`Transport::barrier`]). Two
-//! implementations exist:
+//! ([`Transport::send`]) and close the phase ([`Transport::close_phase`]:
+//! one rendezvous that folds the halting votes and hands back every frame
+//! peers shipped here during the phase). Two implementations exist:
 //!
 //! * [`InProcess`] — the simulated cluster: crossbeam channels between
 //!   worker threads and a shared [`SyncPoint`] barrier, no socket.
@@ -19,6 +18,16 @@
 //! the one driver in [`crate::cluster`]; this module holds only the
 //! worker-side seam.
 //!
+//! **The sentinel, not a second barrier, fences phases.** A worker that
+//! has closed phase g may send for g+1 while a slower peer still collects
+//! g. The sender's own mark keeps that traffic out of the peer's phase-g
+//! mail: over TCP the [`crate::net::FrameKind::Sentinel`] — written
+//! *before* the Contribution, so it is in flight when any Aggregate comes
+//! back — with per-connection FIFO putting g+1 frames behind it; in
+//! process a generation tag on every channel item. Workers drift by at
+//! most one phase (rendezvous g+1 needs every worker's contribution, sent
+//! only after collecting g); further off is [`EngineError::Protocol`].
+//!
 //! **Why both transports produce byte-identical results.** Delivery order
 //! is canonicalised *after* transport: staged runs are merged by the
 //! globally unique `(from, seq)` key, so TCP arrival nondeterminism cannot
@@ -29,13 +38,12 @@
 //!
 //! **Exactly-once delivery under injected frame faults.** Each data frame
 //! carries a per-(sender → receiver) sequence number counted from 1; every
-//! exchange ends with a [`crate::net::FrameKind::Sentinel`] watermark
-//! declaring the cumulative count. The receiver sorts by sequence, drops
-//! duplicates, skips checksum-damaged frames (the sender always follows
-//! them with a clean retransmission), and fails with
-//! [`EngineError::FrameLoss`] if the surviving sequence numbers do not
-//! contiguously cover the watermark. See [`crate::FrameFault`] for the
-//! injectable fault kinds.
+//! phase ends with a Sentinel watermark declaring the cumulative count.
+//! The receiver sorts by sequence, drops duplicates, skips
+//! checksum-damaged frames (the sender always follows them with a clean
+//! retransmission), and fails with [`EngineError::FrameLoss`] if the
+//! surviving sequence numbers do not contiguously cover the watermark.
+//! See [`crate::FrameFault`] for the injectable fault kinds.
 //!
 //! **Failure attribution.** Both transports tell a worker about a dead
 //! peer the same way: the failing call returns
@@ -77,6 +85,9 @@ pub enum BatchKind {
     NextTimestep,
 }
 
+/// The frames peers shipped to one worker during one phase.
+pub type PhaseMail = Vec<(BatchKind, Bytes)>;
+
 /// Inter-partition batch exchange and barrier synchronisation, as seen by
 /// one worker. See the module docs for the contract both implementations
 /// honour; the executor is written against this trait only.
@@ -90,21 +101,16 @@ pub trait Transport: Send {
     /// accounts them as `send_retries`.
     fn send(&mut self, dst: u16, kind: BatchKind, bytes: Bytes) -> Result<u64, EngineError>;
 
-    /// Collect every frame peers shipped to this worker during the phase
-    /// that the preceding [`Transport::arrive`] closed. Must only be called
-    /// between an `arrive` and the matching [`Transport::barrier`] — the
-    /// rendezvous is what guarantees all peer sends are complete/in flight.
-    fn exchange(&mut self) -> Result<Vec<(BatchKind, Bytes)>, EngineError>;
+    /// Close the current phase (a superstep, or a timestep's tail): mark
+    /// the end of this worker's sends, rendezvous folding every worker's
+    /// [`Contribution`] into the global [`Aggregate`], and collect every
+    /// frame peers shipped here during the phase — exactly those, even if
+    /// a faster peer is already sending the next phase's (module docs).
+    fn close_phase(&mut self, c: Contribution) -> Result<(Aggregate, PhaseMail), EngineError>;
 
-    /// Barrier rendezvous folding each worker's [`Contribution`] into the
-    /// global [`Aggregate`] every worker receives.
-    fn arrive(&mut self, c: Contribution) -> Result<Aggregate, EngineError>;
-
-    /// Pure rendezvous: arrive with an empty contribution, discard the
-    /// aggregate.
-    fn barrier(&mut self) -> Result<(), EngineError> {
-        self.arrive(Contribution::default()).map(|_| ())
-    }
+    /// Pure rendezvous that closes no phase: the two checkpoint-commit
+    /// barriers. Emits no phase mark, so it cannot be mistaken for one.
+    fn barrier(&mut self) -> Result<(), EngineError>;
 
     /// Whether the worker should hand this transport per-round telemetry
     /// flushes. The default (`false`, used by [`InProcess`] and by a TCP
@@ -146,13 +152,22 @@ pub struct TelemetryFlush {
 
 // ---- in-process transport ----------------------------------------------
 
+/// One in-process channel item: a batch tagged with its sender's phase
+/// generation (the count of phases that sender had closed when it sent).
+pub type PhaseItem = (u64, BatchKind, Bytes);
+
 /// The simulated cluster's transport: unbounded crossbeam channels between
 /// worker threads, barriers on a shared [`SyncPoint`].
 pub struct InProcess<'a> {
     partition: u16,
-    rx: Receiver<(BatchKind, Bytes)>,
-    txs: Vec<Sender<(BatchKind, Bytes)>>,
+    rx: Receiver<PhaseItem>,
+    txs: Vec<Sender<PhaseItem>>,
     sync: &'a SyncPoint,
+    /// Phases this worker has closed — worker-local, stamped on its sends.
+    generation: u64,
+    /// The next generation's first batch, from a peer already past its
+    /// collect: where this worker's collect stopped; it opens the next.
+    early: Option<(BatchKind, Bytes)>,
 }
 
 impl<'a> InProcess<'a> {
@@ -160,8 +175,8 @@ impl<'a> InProcess<'a> {
     /// partition, and the shared barrier.
     pub fn new(
         partition: u16,
-        rx: Receiver<(BatchKind, Bytes)>,
-        txs: Vec<Sender<(BatchKind, Bytes)>>,
+        rx: Receiver<PhaseItem>,
+        txs: Vec<Sender<PhaseItem>>,
         sync: &'a SyncPoint,
     ) -> Self {
         InProcess {
@@ -169,6 +184,8 @@ impl<'a> InProcess<'a> {
             rx,
             txs,
             sync,
+            generation: 0,
+            early: None,
         }
     }
 }
@@ -188,7 +205,7 @@ impl Transport for InProcess<'_> {
             })?;
         // A receiver only disappears when its worker died: name it, so
         // the driver blames the primary failure and not this cascade.
-        tx.send((kind, bytes))
+        tx.send((self.generation, kind, bytes))
             .map_err(|_| EngineError::RemoteWorkerDied {
                 partition: dst,
                 detail: "in-process channel closed".into(),
@@ -196,16 +213,31 @@ impl Transport for InProcess<'_> {
         Ok(0)
     }
 
-    fn exchange(&mut self) -> Result<Vec<(BatchKind, Bytes)>, EngineError> {
-        let mut out = Vec::new();
-        while let Ok(item) = self.rx.try_recv() {
-            out.push(item);
+    fn close_phase(&mut self, c: Contribution) -> Result<(Aggregate, PhaseMail), EngineError> {
+        // Every worker sends before it arrives, and nobody sends for the
+        // next generation before the rendezvous returns: the channel (one
+        // FIFO) holds all of this generation, then possibly the next's.
+        let agg = self.sync.arrive(c)?;
+        let mut out: PhaseMail = self.early.take().into_iter().collect();
+        while let Ok((generation, kind, bytes)) = self.rx.try_recv() {
+            match generation.checked_sub(self.generation) {
+                Some(0) => out.push((kind, bytes)),
+                Some(1) => {
+                    self.early = Some((kind, bytes));
+                    break;
+                }
+                _ => {
+                    let detail = format!("batch of phase {generation} in {}", self.generation);
+                    return Err(EngineError::Protocol { detail });
+                }
+            }
         }
-        Ok(out)
+        self.generation += 1;
+        Ok((agg, out))
     }
 
-    fn arrive(&mut self, c: Contribution) -> Result<Aggregate, EngineError> {
-        self.sync.arrive(c)
+    fn barrier(&mut self) -> Result<(), EngineError> {
+        self.sync.barrier()
     }
 }
 
@@ -241,7 +273,7 @@ impl PeerWriter {
 /// Read half of one peer connection: a detached thread that drains the
 /// socket into an unbounded channel. Decoupling reads from the worker's
 /// phase structure is what makes the mesh deadlock-free — a peer's send
-/// never blocks on this worker reaching its own exchange, because the
+/// never blocks on this worker reaching its own collect, because the
 /// kernel buffer is always being emptied. A checksum failure is pushed and
 /// reading continues (the stream stays frame-aligned, the clean
 /// retransmission follows); any other error is pushed and the thread exits.
@@ -485,72 +517,16 @@ impl Tcp {
         }
         Ok(retransmits)
     }
-}
 
-impl Transport for Tcp {
-    fn num_partitions(&self) -> usize {
-        self.peers_tx.len()
-    }
-
-    fn send(&mut self, dst: u16, kind: BatchKind, bytes: Bytes) -> Result<u64, EngineError> {
-        let t0 = self.tracer.now();
-        let d = dst as usize;
-        let fkind = match kind {
-            BatchKind::Superstep => FrameKind::DataSuperstep,
-            BatchKind::NextTimestep => FrameKind::DataNextTimestep,
-        };
-        self.frames_sent += 1;
-        let seq = {
-            let s = self.send_seq.get_mut(d).ok_or_else(|| bad_peer(d))?;
-            *s += 1;
-            *s
-        };
-        let frame = Frame {
-            kind: fkind,
-            sender: self.partition,
-            epoch: self.epoch,
-            seq,
-            payload: bytes,
-        };
-        let fault = self
-            .faults
-            .as_ref()
-            .and_then(|f| f.frame_fault(self.partition, self.frames_sent));
-        let retransmits = self.deliver(d, frame, fault)?;
-        let t1 = self.tracer.now();
-        self.tracer
-            .span_arg_at("net.send", t0, t1, "peer", dst as u64);
-        self.tracer.counter("net.bytes_sent", self.peer_bytes_sent);
-        Ok(retransmits)
-    }
-
-    fn exchange(&mut self) -> Result<Vec<(BatchKind, Bytes)>, EngineError> {
+    /// Collect each peer's frames up to its sentinel, ascending. Blocking
+    /// is safe: the rendezvous that precedes every collect proves all
+    /// peers sent their sentinel, and per-connection FIFO puts this
+    /// phase's data before it and the next phase's behind it.
+    fn collect(&mut self) -> Result<PhaseMail, EngineError> {
         let t0 = self.tracer.now();
         let k = self.peers_tx.len();
         let me = self.partition as usize;
-        // Flush Reorder holds and declare this phase's watermark to every
-        // peer, ascending.
-        for d in 0..k {
-            if d == me {
-                continue;
-            }
-            if let Some(prev) = self.held.get_mut(d).and_then(Option::take) {
-                self.send_to_peer(d, &prev)?;
-            }
-            let sentinel = Frame {
-                kind: FrameKind::Sentinel,
-                sender: self.partition,
-                epoch: self.epoch,
-                seq: self.send_seq.get(d).copied().ok_or_else(|| bad_peer(d))?,
-                payload: Bytes::new(),
-            };
-            self.send_to_peer(d, &sentinel)?;
-        }
-        // Collect each peer's frames up to its sentinel, ascending. Blocking
-        // is safe: the arrive() rendezvous that precedes every exchange
-        // proves all peers finished sending, and per-connection FIFO puts
-        // their data before their sentinel.
-        let mut out: Vec<(BatchKind, Bytes)> = Vec::new();
+        let mut out = PhaseMail::new();
         for j in 0..k {
             if j == me {
                 continue;
@@ -605,7 +581,7 @@ impl Transport for Tcp {
                     other => {
                         return Err(EngineError::Protocol {
                             detail: format!(
-                                "unexpected {other:?} frame from partition {j} during exchange"
+                                "unexpected {other:?} frame from partition {j} during collect"
                             ),
                         })
                     }
@@ -644,7 +620,8 @@ impl Transport for Tcp {
         Ok(out)
     }
 
-    fn arrive(&mut self, c: Contribution) -> Result<Aggregate, EngineError> {
+    /// One coordinator round: contribute, receive the folded aggregate.
+    fn coord_round(&mut self, c: Contribution) -> Result<Aggregate, EngineError> {
         let t0 = self.tracer.now();
         self.coord.send(&Frame::control(
             FrameKind::Contribution,
@@ -679,6 +656,72 @@ impl Transport for Tcp {
         let t1 = self.tracer.now();
         self.tracer.span_at("net.barrier", t0, t1);
         result
+    }
+}
+
+impl Transport for Tcp {
+    fn num_partitions(&self) -> usize {
+        self.peers_tx.len()
+    }
+
+    fn send(&mut self, dst: u16, kind: BatchKind, bytes: Bytes) -> Result<u64, EngineError> {
+        let t0 = self.tracer.now();
+        let d = dst as usize;
+        let fkind = match kind {
+            BatchKind::Superstep => FrameKind::DataSuperstep,
+            BatchKind::NextTimestep => FrameKind::DataNextTimestep,
+        };
+        self.frames_sent += 1;
+        let seq = {
+            let s = self.send_seq.get_mut(d).ok_or_else(|| bad_peer(d))?;
+            *s += 1;
+            *s
+        };
+        let frame = Frame {
+            kind: fkind,
+            sender: self.partition,
+            epoch: self.epoch,
+            seq,
+            payload: bytes,
+        };
+        let fault = self
+            .faults
+            .as_ref()
+            .and_then(|f| f.frame_fault(self.partition, self.frames_sent));
+        let retransmits = self.deliver(d, frame, fault)?;
+        let t1 = self.tracer.now();
+        self.tracer
+            .span_arg_at("net.send", t0, t1, "peer", dst as u64);
+        self.tracer.counter("net.bytes_sent", self.peer_bytes_sent);
+        Ok(retransmits)
+    }
+
+    fn close_phase(&mut self, c: Contribution) -> Result<(Aggregate, PhaseMail), EngineError> {
+        // Flush Reorder holds and declare this phase's watermark to every
+        // peer, ascending — before contributing (module docs).
+        let me = self.partition as usize;
+        for d in 0..self.peers_tx.len() {
+            if d == me {
+                continue;
+            }
+            if let Some(prev) = self.held.get_mut(d).and_then(Option::take) {
+                self.send_to_peer(d, &prev)?;
+            }
+            let sentinel = Frame {
+                kind: FrameKind::Sentinel,
+                sender: self.partition,
+                epoch: self.epoch,
+                seq: self.send_seq.get(d).copied().ok_or_else(|| bad_peer(d))?,
+                payload: Bytes::new(),
+            };
+            self.send_to_peer(d, &sentinel)?;
+        }
+        let agg = self.coord_round(c)?;
+        Ok((agg, self.collect()?))
+    }
+
+    fn barrier(&mut self) -> Result<(), EngineError> {
+        self.coord_round(Contribution::default()).map(|_| ())
     }
 
     fn wants_telemetry(&self) -> bool {
@@ -718,6 +761,10 @@ impl Transport for Tcp {
 mod tests {
     use super::*;
 
+    fn bytes(b: &[u8]) -> Bytes {
+        Bytes::copy_from_slice(b)
+    }
+
     #[test]
     fn in_process_transport_round_trips_and_synchronises() {
         let sync = SyncPoint::new(1);
@@ -726,26 +773,58 @@ mod tests {
         // the sends count as remote — one thread exercises the whole loop.
         let mut t = InProcess::new(1, rx, vec![tx], &sync);
         assert_eq!(t.num_partitions(), 1);
-        t.send(0, BatchKind::Superstep, Bytes::copy_from_slice(b"abc"))
-            .unwrap();
-        t.send(0, BatchKind::NextTimestep, Bytes::copy_from_slice(b"xyz"))
-            .unwrap();
-        let got = t.exchange().unwrap();
-        assert_eq!(
-            got,
-            vec![
-                (BatchKind::Superstep, Bytes::copy_from_slice(b"abc")),
-                (BatchKind::NextTimestep, Bytes::copy_from_slice(b"xyz")),
-            ]
-        );
-        let agg = t
-            .arrive(Contribution {
+        t.send(0, BatchKind::Superstep, bytes(b"abc")).unwrap();
+        t.send(0, BatchKind::NextTimestep, bytes(b"xyz")).unwrap();
+        let (agg, got) = t
+            .close_phase(Contribution {
                 msgs_sent: 3,
                 all_halted: true,
             })
             .unwrap();
+        assert_eq!(
+            got,
+            vec![
+                (BatchKind::Superstep, bytes(b"abc")),
+                (BatchKind::NextTimestep, bytes(b"xyz")),
+            ]
+        );
         assert_eq!(agg.total_msgs, 3);
         assert!(agg.all_halted);
         t.barrier().unwrap();
+    }
+
+    /// The phase fence: a peer one phase ahead gets its batch delivered by
+    /// the *next* collect, a barrier in between closes nothing, and a peer
+    /// two phases ahead is a protocol error.
+    #[test]
+    fn in_process_holds_the_next_generation_and_rejects_the_one_after() {
+        let sync = SyncPoint::new(1);
+        let (tx, rx) = unbounded();
+        let peer = tx.clone();
+        let mut t = InProcess::new(0, rx, vec![tx], &sync);
+        let c = Contribution::default();
+        // The peer already closed phase 0 and sends for phase 1 before this
+        // worker collects phase 0.
+        peer.send((0, BatchKind::Superstep, bytes(b"g0"))).unwrap();
+        peer.send((1, BatchKind::Superstep, bytes(b"g1"))).unwrap();
+        let (_, got) = t.close_phase(c).unwrap();
+        assert_eq!(got, vec![(BatchKind::Superstep, bytes(b"g0"))]);
+        t.barrier().unwrap();
+        peer.send((1, BatchKind::NextTimestep, bytes(b"g1b")))
+            .unwrap();
+        let (_, got) = t.close_phase(c).unwrap();
+        assert_eq!(
+            got,
+            vec![
+                (BatchKind::Superstep, bytes(b"g1")),
+                (BatchKind::NextTimestep, bytes(b"g1b")),
+            ]
+        );
+        // Now collecting generation 2: generation 4 is two ahead.
+        peer.send((4, BatchKind::Superstep, bytes(b"g4"))).unwrap();
+        assert!(matches!(
+            t.close_phase(c),
+            Err(EngineError::Protocol { .. })
+        ));
     }
 }

@@ -9,14 +9,16 @@
 //! When loopback sockets are unavailable the TCP column prints a NOTICE
 //! and is skipped.
 
+mod common;
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::sync::Arc;
-use tempograph_core::{TemplateBuilder, TimeSeriesCollection, VertexIdx};
+use common::emitted_bits;
+use tempograph_core::VertexIdx;
 use tempograph_engine::{
-    run_job_tcp, Cluster, Context, EngineError, Envelope, FaultPlan, InstanceSource, JobConfig,
-    JobResult, SubgraphProgram, WireError, WireMsg,
+    run_job_tcp, Cluster, Context, EngineError, Envelope, FaultPlan, JobConfig, SubgraphProgram,
+    WireError, WireMsg,
 };
-use tempograph_partition::{discover_subgraphs, PartitionedGraph, Partitioning, Subgraph};
+use tempograph_partition::{PartitionedGraph, Subgraph};
 
 const PARTITIONS: usize = 3;
 const TIMESTEPS: usize = 5;
@@ -102,40 +104,6 @@ impl SubgraphProgram for RingGossip {
     }
 }
 
-/// A 12-vertex ring, round-robin partitioned so every vertex is its own
-/// subgraph and every edge crosses partitions.
-fn fixture() -> (Arc<PartitionedGraph>, InstanceSource) {
-    let mut b = TemplateBuilder::new("ring", false);
-    const N: u64 = 12;
-    for v in 0..N {
-        b.add_vertex(v);
-    }
-    for v in 0..N {
-        b.add_edge(v, v, (v + 1) % N).unwrap();
-    }
-    let t = Arc::new(b.finalize().unwrap());
-    let assignment: Vec<u16> = (0..N).map(|v| (v % PARTITIONS as u64) as u16).collect();
-    let pg = Arc::new(discover_subgraphs(
-        t.clone(),
-        Partitioning {
-            assignment,
-            k: PARTITIONS,
-        },
-    ));
-    let mut coll = TimeSeriesCollection::new(t, 0, 60);
-    for _ in 0..TIMESTEPS {
-        coll.push(coll.new_instance()).unwrap();
-    }
-    (pg, InstanceSource::Memory(Arc::new(coll)))
-}
-
-fn emitted_bits(r: &JobResult) -> Vec<(usize, u32, u64)> {
-    r.emitted
-        .iter()
-        .map(|e| (e.timestep, e.vertex.0, e.value.to_bits()))
-        .collect()
-}
-
 #[derive(Clone, Copy, Debug)]
 enum Expect {
     /// The job succeeds after this many recoveries, output equal to the
@@ -188,7 +156,8 @@ const SCENARIOS: [Scenario; 4] = [
 
 #[test]
 fn every_cluster_ends_every_scenario_the_same_way() {
-    let (pg, src) = fixture();
+    // A 12-vertex ring: every vertex its own subgraph, every edge remote.
+    let (pg, src) = common::ring(12, PARTITIONS, TIMESTEPS);
     let mut clusters = vec!["in-process"];
     match std::net::TcpListener::bind("127.0.0.1:0") {
         Ok(_) => clusters.push("tcp threads"),

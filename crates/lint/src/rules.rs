@@ -79,7 +79,9 @@ const HOT_FNS: &[&str] = &[
     "run_bsp",
     "compute_phase_parallel",
     "run_merge",
+    "close_phase",
     "route",
+    "stage",
     "drain",
     "deliver_staged",
 ];
@@ -283,11 +285,11 @@ fn run(path: &str, src: &str, scope: Scope) -> Vec<Finding> {
 /// allocation-free when disabled.
 pub const HOT_ROOTS_EXECUTOR: &[&str] = &["run_timestep_loop", "run_bsp", "run_merge"];
 
-/// `Transport` entry points — every impl (and the trait's default
-/// `barrier`) roots its own closure. `telemetry` is the per-round
-/// observability flush: it runs on the barrier path whenever any
-/// instrumentation is armed, so its closure obeys the same rules.
-pub const HOT_ROOTS_TRANSPORT: &[&str] = &["send", "exchange", "arrive", "barrier", "telemetry"];
+/// `Transport` entry points — every impl roots its own closure.
+/// `telemetry` is the per-round observability flush: it runs on the
+/// barrier path whenever any instrumentation is armed, so its closure
+/// obeys the same rules.
+pub const HOT_ROOTS_TRANSPORT: &[&str] = &["send", "close_phase", "barrier", "telemetry"];
 
 /// Codec entry-point names: any fn with one of these names in a
 /// [`CODEC_FILES`] file roots the wire/frame/checkpoint/ledger closure.

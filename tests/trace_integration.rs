@@ -117,12 +117,20 @@ fn traced_run_validates_and_exactly_derives_metrics() {
         trace.sum_spans("compute") + trace.sum_spans("end_of_timestep"),
         "compute_ns must be re-derivable from compute + end_of_timestep spans"
     );
-    assert_eq!(msg, trace.sum_spans("send"), "msg_ns from send spans");
+    // Marshalling and un-marshalling: routing/encoding on the way out,
+    // decoding and merging the phase's mail on the way in.
+    assert_eq!(
+        msg,
+        trace.sum_spans("send") + trace.sum_spans("drain"),
+        "msg_ns from send + drain spans"
+    );
+    // One rendezvous per phase; the engine records no `barrier.post`.
     assert_eq!(
         sync,
-        trace.sum_spans("barrier.arrive") + trace.sum_spans("barrier.post"),
+        trace.sum_spans("barrier.arrive"),
         "sync_ns from barrier spans"
     );
+    assert_eq!(trace.span_count("barrier.post"), 0);
 
     // Per-partition timestep wall clocks are the timestep spans themselves;
     // the merge phase has its own span.
@@ -190,16 +198,14 @@ fn metrics_histograms_exactly_agree_with_trace_spans() {
     assert_eq!(send.sum(), trace.sum_spans("send"));
     assert_eq!(send.count() as usize, trace.span_count("send"));
 
-    // Barrier wait: one observation per arrive span and one per
-    // post-drain rendezvous span.
+    // Barrier wait: one observation per arrive span — one rendezvous per
+    // superstep and one per timestep, nothing else.
     let wait = hist("tempograph_barrier_wait_ns");
+    assert_eq!(wait.sum(), trace.sum_spans("barrier.arrive"));
+    assert_eq!(wait.count() as usize, trace.span_count("barrier.arrive"));
     assert_eq!(
-        wait.sum(),
-        trace.sum_spans("barrier.arrive") + trace.sum_spans("barrier.post")
-    );
-    assert_eq!(
-        wait.count() as usize,
-        trace.span_count("barrier.arrive") + trace.span_count("barrier.post")
+        trace.span_count("barrier.arrive"),
+        trace.span_count("compute") + trace.span_count("timestep")
     );
 
     // And both re-derive the engine's own aggregates (trace side already
@@ -208,7 +214,10 @@ fn metrics_histograms_exactly_agree_with_trace_spans() {
         snap.counter_total("tempograph_compute_ns_total"),
         compute.sum()
     );
-    assert_eq!(snap.counter_total("tempograph_msg_ns_total"), send.sum());
+    assert_eq!(
+        snap.counter_total("tempograph_msg_ns_total"),
+        send.sum() + trace.sum_spans("drain")
+    );
     assert_eq!(snap.counter_total("tempograph_sync_ns_total"), wait.sum());
 }
 
