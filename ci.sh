@@ -132,11 +132,12 @@ transport_stage() {
     fi
 }
 
-# Best-effort: run the wire-codec and GoFS slice-codec round-trip tests
-# under miri to catch UB in the decode paths. The container may lack the
-# nightly miri component; skip loudly rather than fail.
+# Best-effort: run the wire-codec and GoFS round-trip tests (slice format,
+# column walkers, flat text decoder and splice) under miri to catch UB in
+# the decode paths. The container may lack the nightly miri component;
+# skip loudly rather than fail.
 miri_stage() {
-    echo "==> miri (best effort): wire + slice codec round-trips"
+    echo "==> miri (best effort): wire + slice codec round-trips, column walkers, text decoder"
     if ! command -v rustup >/dev/null 2>&1; then
         echo "    rustup not installed; skipping miri"
         return 0
@@ -152,6 +153,8 @@ miri_stage() {
     fi
     cargo +nightly miri test -q -p tempograph-engine wire::tests
     cargo +nightly miri test -q -p tempograph-gofs slice::tests
+    cargo +nightly miri test -q -p tempograph-gofs codec::tests
+    cargo +nightly miri test -q -p tempograph-core text::tests
 }
 
 # Run-ledger gate: the ledger integration tests (stripped-record
@@ -280,6 +283,10 @@ fi
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release --workspace
 cargo test -q --workspace
+
+echo "==> gofs: column-lazy reads vs written projections, corrupt records (PROPTEST_CASES=${PROPTEST_CASES:-64})"
+PROPTEST_CASES="${PROPTEST_CASES:-64}" \
+    cargo test -q -p tempograph-gofs --test proptest_lazy
 
 echo "==> algos: TDSP frontier vs sequential reference (PROPTEST_CASES=${PROPTEST_CASES:-64})"
 PROPTEST_CASES="${PROPTEST_CASES:-64}" \

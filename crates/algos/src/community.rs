@@ -100,7 +100,7 @@ impl CommunityEvolution {
         let tweets = instance
             .vertex_text_list(self.tweets_col)
             .expect("tweets must be a TextList vertex column");
-        let active: Vec<bool> = tweets.iter().map(|r| !r.is_empty()).collect();
+        let active: Vec<bool> = tweets.iter().map(|r| r.len() != 0).collect();
 
         let n = sg.num_vertices();
         let mut parent: Vec<u32> = (0..n as u32).collect();

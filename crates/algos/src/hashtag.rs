@@ -72,11 +72,7 @@ impl SubgraphProgram for HashtagAggregation {
             let tweets = instance
                 .vertex_text_list(self.tweets_col)
                 .expect("tweets attribute must be a TextList vertex column");
-            let count: u64 = tweets
-                .iter()
-                .map(|row| row.iter().filter(|t| *t == &self.hashtag).count() as u64)
-                .sum();
-            ctx.send_to_merge(vec![count]);
+            ctx.send_to_merge(vec![tweets.count_eq(&self.hashtag)]);
         }
         ctx.vote_to_halt();
     }

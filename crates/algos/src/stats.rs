@@ -76,7 +76,7 @@ impl SubgraphProgram for InstanceStats {
                 let tweets = instance
                     .vertex_text_list(col)
                     .expect("tweets must be TextList");
-                let active = tweets.iter().filter(|r| !r.is_empty()).count() as u64;
+                let active = tweets.iter().filter(|r| r.len() != 0).count() as u64;
                 let volume: u64 = tweets.iter().map(|r| r.len() as u64).sum();
                 if active > 0 {
                     ctx.add_counter(Self::ACTIVE_VERTICES, active);

@@ -71,6 +71,21 @@ impl Column {
         self.len() == 0
     }
 
+    /// Approximate heap footprint in bytes.
+    pub fn approx_bytes(&self) -> usize {
+        match self {
+            Column::Long(v) => v.len() * 8,
+            Column::Double(v) => v.len() * 8,
+            Column::Bool(v) => v.len(),
+            Column::Text(v) => v.iter().map(|s| s.len() + 24).sum(),
+            Column::LongList(v) => v.iter().map(|l| l.len() * 8 + 24).sum(),
+            Column::TextList(v) => v
+                .iter()
+                .map(|l| l.iter().map(|s| s.len() + 24).sum::<usize>() + 24)
+                .sum(),
+        }
+    }
+
     /// Dynamically-typed read of row `i`.
     pub fn get(&self, i: usize) -> AttrValue {
         match self {
@@ -393,21 +408,8 @@ impl GraphInstance {
 
     /// Approximate heap footprint in bytes (used by the GoFS slice cache).
     pub fn approx_bytes(&self) -> usize {
-        fn col_bytes(c: &Column) -> usize {
-            match c {
-                Column::Long(v) => v.len() * 8,
-                Column::Double(v) => v.len() * 8,
-                Column::Bool(v) => v.len(),
-                Column::Text(v) => v.iter().map(|s| s.len() + 24).sum(),
-                Column::LongList(v) => v.iter().map(|l| l.len() * 8 + 24).sum(),
-                Column::TextList(v) => v
-                    .iter()
-                    .map(|l| l.iter().map(|s| s.len() + 24).sum::<usize>() + 24)
-                    .sum(),
-            }
-        }
-        self.vertex_cols.iter().map(col_bytes).sum::<usize>()
-            + self.edge_cols.iter().map(col_bytes).sum::<usize>()
+        let cols = self.vertex_cols.iter().chain(&self.edge_cols);
+        cols.map(Column::approx_bytes).sum()
     }
 }
 

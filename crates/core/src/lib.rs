@@ -48,6 +48,7 @@ pub mod ids;
 pub mod instance;
 pub mod kernels;
 pub mod template;
+pub mod text;
 
 pub use attr::{AttrDef, AttrType, AttrValue, Schema};
 pub use collection::TimeSeriesCollection;
@@ -55,3 +56,4 @@ pub use error::{CoreError, Result};
 pub use ids::{EdgeIdx, VertexIdx};
 pub use instance::{Column, GraphInstance};
 pub use template::{GraphTemplate, Neighbor, TemplateBuilder};
+pub use text::TextRows;

@@ -7,8 +7,11 @@
 //! checksum over the payload; see [`frame`] / [`unframe`].
 
 use crate::error::{GofsError, Result};
+use crate::view::DecodedColumn;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use tempograph_core::{AttrType, Column, GraphTemplate, Schema, TemplateBuilder, VertexIdx};
+use tempograph_core::{
+    AttrType, Column, GraphTemplate, Schema, TemplateBuilder, TextRows, VertexIdx,
+};
 
 /// Format version stamped into every framed file this build writes, and
 /// the only one it reads: columnar delta slice payloads, [`fnv1a64_words`]
@@ -299,13 +302,24 @@ fn put_str_mut(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-/// Read a typed [`Column`].
-pub fn get_column(buf: &mut Bytes) -> Result<Column> {
+/// Read a column record's tag and row count.
+fn column_header(buf: &mut Bytes) -> Result<(AttrType, usize)> {
     let tag = get_u8(buf)?;
     let ty = AttrType::from_tag(tag)
         .ok_or_else(|| GofsError::Corrupt(format!("unknown column tag {tag}")))?;
-    let len = get_u32(buf)? as usize;
-    Ok(match ty {
+    Ok((ty, get_u32(buf)? as usize))
+}
+
+/// Checked `advance`.
+fn skip(buf: &mut Bytes, n: usize) -> Result<()> {
+    buf.advance(check_count(buf, n, 1)?);
+    Ok(())
+}
+
+/// Read a typed column into the reader's form (see [`DecodedColumn`]).
+pub fn get_column(buf: &mut Bytes) -> Result<DecodedColumn> {
+    let (ty, len) = column_header(buf)?;
+    Ok(DecodedColumn::Plain(match ty {
         AttrType::Long => {
             let mut v = Vec::with_capacity(check_count(buf, len, 8)?);
             for _ in 0..len {
@@ -321,20 +335,9 @@ pub fn get_column(buf: &mut Bytes) -> Result<Column> {
             Column::Double(v)
         }
         AttrType::Bool => {
-            let nbytes = len.div_ceil(8);
-            if buf.remaining() < nbytes {
-                return Err(GofsError::Corrupt("bool column overruns buffer".into()));
-            }
-            let raw = buf.split_to(nbytes);
+            let raw = buf.split_to(check_count(buf, len.div_ceil(8), 1)?);
             let v = (0..len).map(|i| raw[i / 8] & (1 << (i % 8)) != 0).collect();
             Column::Bool(v)
-        }
-        AttrType::Text => {
-            let mut v = Vec::with_capacity(check_count(buf, len, 4)?);
-            for _ in 0..len {
-                v.push(get_str(buf)?);
-            }
-            Column::Text(v)
         }
         AttrType::LongList => {
             let mut v = Vec::with_capacity(check_count(buf, len, 4)?);
@@ -348,19 +351,83 @@ pub fn get_column(buf: &mut Bytes) -> Result<Column> {
             }
             Column::LongList(v)
         }
-        AttrType::TextList => {
-            let mut v = Vec::with_capacity(check_count(buf, len, 4)?);
-            for _ in 0..len {
-                let m = get_u32(buf)? as usize;
-                let mut list = Vec::with_capacity(check_count(buf, m, 4)?);
-                for _ in 0..m {
-                    list.push(get_str(buf)?);
-                }
-                v.push(list);
-            }
-            Column::TextList(v)
+        AttrType::Text => return Ok(DecodedColumn::Text(get_text_rows(buf, len, false)?)),
+        AttrType::TextList => return Ok(DecodedColumn::TextList(get_text_rows(buf, len, true)?)),
+    }))
+}
+
+/// Step over one [`put_column`] record without allocating: fixed-width
+/// columns are O(1), list and text columns walk their length prefixes.
+pub fn skip_column(buf: &mut Bytes) -> Result<()> {
+    let (ty, len) = column_header(buf)?;
+    match ty {
+        AttrType::Long | AttrType::Double => skip(buf, len.saturating_mul(8)),
+        AttrType::Bool => skip(buf, len.div_ceil(8)),
+        AttrType::LongList => (0..len).try_for_each(|_| {
+            let m = get_u32(buf)? as usize;
+            skip(buf, m.saturating_mul(8))
+        }),
+        AttrType::Text | AttrType::TextList => {
+            let (_, _, used) = walk_text(buf, len, ty == AttrType::TextList)?;
+            skip(buf, used)
         }
-    })
+    }
+}
+
+fn overrun() -> GofsError {
+    GofsError::Corrupt("text column overruns buffer".into())
+}
+
+/// Little-endian `u32` at `*at`, stepping over it.
+fn read_u32(data: &[u8], at: &mut usize) -> Result<usize> {
+    let b = data.get(*at..).and_then(|d| d.first_chunk::<4>());
+    *at += 4;
+    b.map(|b| u32::from_le_bytes(*b) as usize)
+        .ok_or_else(overrun)
+}
+
+/// Measure the body of a `Text` (`lists == false`) or `TextList` column of
+/// `rows` rows at the head of `data`: `(strings, string bytes, encoded
+/// bytes)`. Every length is vetted against `data`, which bounds all three.
+fn walk_text(data: &[u8], rows: usize, lists: bool) -> Result<(usize, usize, usize)> {
+    let (mut at, mut strings, mut bytes) = (0, 0, 0);
+    for _ in 0..rows {
+        let m = if lists { read_u32(data, &mut at)? } else { 1 };
+        for _ in 0..m {
+            let len = read_u32(data, &mut at)?;
+            let end = at.checked_add(len).filter(|&end| end <= data.len());
+            at = end.ok_or_else(overrun)?;
+            bytes += len;
+        }
+        strings += m;
+    }
+    Ok((strings, bytes, at))
+}
+
+/// Decode a text column body into one flat [`TextRows`]: a sizing walk,
+/// then exactly three allocations however many rows and strings it has.
+fn get_text_rows(buf: &mut Bytes, rows: usize, lists: bool) -> Result<Box<TextRows>> {
+    let (strings, nbytes, used) = walk_text(buf, rows, lists)?;
+    let mut bytes = Vec::with_capacity(nbytes);
+    let mut str_ends = Vec::with_capacity(strings);
+    let mut row_ends = Vec::with_capacity(rows);
+    let mut at = 0;
+    for _ in 0..rows {
+        let m = if lists { read_u32(buf, &mut at)? } else { 1 };
+        for _ in 0..m {
+            let len = read_u32(buf, &mut at)?;
+            bytes.extend_from_slice(buf.get(at..at + len).ok_or_else(overrun)?);
+            at += len;
+            str_ends.push(bytes.len() as u32);
+        }
+        row_ends.push(str_ends.len() as u32);
+    }
+    skip(buf, used)?;
+    // Validated once as a whole, then at each string boundary: a
+    // multi-byte character split across two strings is corrupt.
+    TextRows::from_parts(bytes, str_ends, row_ends)
+        .map(Box::new)
+        .ok_or_else(|| GofsError::Corrupt("text column is not UTF-8, string by string".into()))
 }
 
 // ---- delta columns (v2 slices) ------------------------------------------
@@ -396,77 +463,93 @@ pub fn put_delta_column(buf: &mut BytesMut, base: &Column, cur: &Column) {
     let rows = cur
         .changed_rows(base)
         .expect("delta-encoded columns must be same-typed and same-length");
-    // Sparse record body: varint count, delta-coded indices, gathered values.
-    let mut sparse = BytesMut::new();
-    put_varu64(&mut sparse, rows.len() as u64);
-    let mut prev = 0u64;
-    for &r in &rows {
-        put_varu64(&mut sparse, r as u64 - prev);
-        prev = r as u64;
-    }
-    put_column(&mut sparse, &cur.gather_rows(&rows));
-    if sparse.len() < encoded_column_size(cur) {
+    // With every row changed (i.i.d. data) a sparse record is the dense
+    // one plus its indices. Otherwise encode it in place — varint count,
+    // delta-coded indices, gathered values — and keep it if smaller.
+    if rows.len() < cur.len() {
+        let at = buf.len();
         buf.put_u8(DELTA_SPARSE);
-        buf.put_slice(&sparse);
-    } else {
-        buf.put_u8(DELTA_DENSE);
-        put_column(buf, cur);
+        put_varu64(buf, rows.len() as u64);
+        let mut prev = 0u64;
+        for &r in &rows {
+            put_varu64(buf, r as u64 - prev);
+            prev = r as u64;
+        }
+        put_column(buf, &cur.gather_rows(&rows));
+        if buf.len() - at - 1 < encoded_column_size(cur) {
+            return;
+        }
+        buf.truncate(at);
     }
+    buf.put_u8(DELTA_DENSE);
+    put_column(buf, cur);
 }
 
 /// Read a delta record written by [`put_delta_column`] and rebuild the
-/// full column by patching a clone of `base`. All structural failures
-/// (unknown tag, out-of-range rows, type/length disagreements) surface as
-/// typed [`GofsError`]s.
-pub fn get_delta_column(buf: &mut Bytes, base: &Column) -> Result<Column> {
-    let tag = get_u8(buf)?;
-    match tag {
+/// full column from `base`, the same column of the pack's base snapshot:
+/// a fixed-width column patches a clone of it (a `memcpy`), a text column
+/// is spliced from base and patch. All structural failures (unknown tag,
+/// out-of-range rows, type/length disagreements) surface as typed
+/// [`GofsError`]s.
+pub fn get_delta_column(buf: &mut Bytes, base: &DecodedColumn) -> Result<DecodedColumn> {
+    match get_u8(buf)? {
         DELTA_DENSE => {
             let col = get_column(buf)?;
-            if col.ty() != base.ty() || col.len() != base.len() {
+            let shape = |c: &DecodedColumn| (c.ty(), c.num_rows());
+            if shape(&col) != shape(base) {
+                let (col, base) = (shape(&col), shape(base));
                 return Err(GofsError::Corrupt(format!(
-                    "dense delta column {:?}×{} does not match base {:?}×{}",
-                    col.ty(),
-                    col.len(),
-                    base.ty(),
-                    base.len()
+                    "dense delta {col:?} over a {base:?} base"
                 )));
             }
             Ok(col)
         }
         DELTA_SPARSE => {
+            // Row indices, each a byte at least and in range; that they
+            // strictly ascend is vetted where they are applied.
             let n = get_varu64(buf)? as usize;
-            if n > base.len() {
-                return Err(GofsError::Corrupt(format!(
-                    "sparse delta claims {n} changed rows in a {}-row column",
-                    base.len()
-                )));
-            }
-            let mut rows = Vec::with_capacity(n);
+            let mut rows = Vec::with_capacity(check_count(buf, n, 1)?);
             let mut at = 0u64;
-            for i in 0..n {
-                let gap = get_varu64(buf)?;
-                if i > 0 && gap == 0 {
-                    return Err(GofsError::Corrupt(
-                        "sparse delta rows must be strictly ascending".into(),
-                    ));
-                }
+            for _ in 0..n {
                 at = at
-                    .checked_add(gap)
-                    .ok_or_else(|| GofsError::Corrupt("sparse delta row index overflows".into()))?;
-                if at >= base.len() as u64 {
-                    return Err(GofsError::Corrupt(format!(
-                        "sparse delta row {at} out of range (column has {} rows)",
-                        base.len()
-                    )));
-                }
+                    .checked_add(get_varu64(buf)?)
+                    .filter(|&row| row < base.num_rows() as u64)
+                    .ok_or_else(|| GofsError::Corrupt("sparse delta row out of range".into()))?;
                 rows.push(at as u32);
             }
-            let values = get_column(buf)?;
-            let mut col = base.clone();
-            col.scatter_rows(&rows, &values)
-                .map_err(|e| GofsError::Corrupt(format!("sparse delta does not apply: {e}")))?;
-            Ok(col)
+            let patched = match (base, get_column(buf)?) {
+                (DecodedColumn::Plain(b), DecodedColumn::Plain(v)) => {
+                    let mut col = b.clone();
+                    col.scatter_rows(&rows, &v)
+                        .ok()
+                        .map(|()| DecodedColumn::Plain(col))
+                }
+                (DecodedColumn::Text(b), DecodedColumn::Text(v)) => b
+                    .splice(&rows, &v)
+                    .map(|t| DecodedColumn::Text(Box::new(t))),
+                (DecodedColumn::TextList(b), DecodedColumn::TextList(v)) => b
+                    .splice(&rows, &v)
+                    .map(|t| DecodedColumn::TextList(Box::new(t))),
+                (_, _) => None,
+            };
+            let base = base.ty();
+            patched.ok_or_else(|| {
+                GofsError::Corrupt(format!("sparse delta does not apply to {base:?}"))
+            })
+        }
+        other => Err(GofsError::Corrupt(format!("unknown delta tag {other}"))),
+    }
+}
+
+/// Step over one [`put_delta_column`] record without allocating.
+pub fn skip_delta_column(buf: &mut Bytes) -> Result<()> {
+    match get_u8(buf)? {
+        DELTA_DENSE => skip_column(buf),
+        DELTA_SPARSE => {
+            for _ in 0..get_varu64(buf)? {
+                get_varu64(buf)?;
+            }
+            skip_column(buf)
         }
         other => Err(GofsError::Corrupt(format!("unknown delta tag {other}"))),
     }
@@ -529,6 +612,11 @@ pub fn decode_template(data: &[u8]) -> Result<GraphTemplate> {
 mod tests {
     use super::*;
     use tempograph_core::AttrValue;
+
+    /// What a reader must get back for a written column.
+    fn read(col: &Column) -> DecodedColumn {
+        DecodedColumn::from(col.clone())
+    }
 
     #[test]
     fn fnv_known_values() {
@@ -652,8 +740,8 @@ mod tests {
             encoded_column_size(&cur)
         );
         let mut bytes = buf.freeze();
-        let back = get_delta_column(&mut bytes, &base).unwrap();
-        assert_eq!(back, cur);
+        let back = get_delta_column(&mut bytes, &read(&base)).unwrap();
+        assert_eq!(back, read(&cur));
         assert_eq!(bytes.remaining(), 0, "delta must consume exactly");
     }
 
@@ -666,8 +754,8 @@ mod tests {
         // Tag byte + dense encoding: never larger than dense + 1.
         assert_eq!(buf.len(), 1 + encoded_column_size(&cur));
         assert_eq!(buf[0], DELTA_DENSE);
-        let back = get_delta_column(&mut buf.freeze(), &base).unwrap();
-        assert_eq!(back, cur);
+        let back = get_delta_column(&mut buf.freeze(), &read(&base)).unwrap();
+        assert_eq!(back, read(&cur));
     }
 
     #[test]
@@ -699,25 +787,32 @@ mod tests {
             let mut buf = BytesMut::new();
             put_delta_column(&mut buf, &base, &cur);
             let mut bytes = buf.freeze();
-            let back = get_delta_column(&mut bytes, &base).unwrap();
+            let mut skipped = bytes.clone();
+            let back = get_delta_column(&mut bytes, &read(&base)).unwrap();
             // Compare Doubles by bit pattern (NaN != NaN under PartialEq,
             // but the codec's contract is exact bit preservation).
             match (&back, &cur) {
-                (Column::Double(a), Column::Double(b)) => {
+                (DecodedColumn::Plain(Column::Double(a)), Column::Double(b)) => {
                     assert_eq!(a.len(), b.len());
                     for (x, y) in a.iter().zip(b) {
                         assert_eq!(x.to_bits(), y.to_bits());
                     }
                 }
-                _ => assert_eq!(back, cur),
+                _ => assert_eq!(back, read(&cur)),
             }
             assert_eq!(bytes.remaining(), 0);
+            skip_delta_column(&mut skipped).unwrap();
+            assert_eq!(
+                skipped.remaining(),
+                0,
+                "the walker stops where the decoder does"
+            );
         }
     }
 
     #[test]
     fn corrupt_delta_records_are_typed_errors() {
-        let base = Column::Long(vec![1, 2, 3]);
+        let base = read(&Column::Long(vec![1, 2, 3]));
         // Unknown tag.
         let mut bad = Bytes::copy_from_slice(&[7]);
         assert!(matches!(
@@ -781,9 +876,16 @@ mod tests {
             let mut buf = BytesMut::new();
             put_column(&mut buf, &col);
             let mut bytes = buf.freeze();
+            let mut skipped = bytes.clone();
             let back = get_column(&mut bytes).unwrap();
-            assert_eq!(back, col);
+            assert_eq!(back, read(&col));
             assert_eq!(bytes.remaining(), 0, "column must consume exactly");
+            skip_column(&mut skipped).unwrap();
+            assert_eq!(
+                skipped.remaining(),
+                0,
+                "the walker stops where the decoder does"
+            );
         }
     }
 
@@ -803,7 +905,7 @@ mod tests {
         put_column(&mut buf, &col);
         let back = get_column(&mut buf.freeze()).unwrap();
         match back {
-            Column::Double(v) => assert!(v[0].is_nan()),
+            DecodedColumn::Plain(Column::Double(v)) => assert!(v[0].is_nan()),
             _ => panic!("wrong type"),
         }
     }

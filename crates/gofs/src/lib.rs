@@ -38,4 +38,4 @@ pub use loader::{InstanceLoader, LoaderStats};
 pub use slice::{SliceData, SliceKey};
 pub use store::{DatasetMeta, GofsStore, GofsWriter};
 pub use validate::{validate_dataset, DatasetStats};
-pub use view::SubgraphInstance;
+pub use view::{DecodedColumn, Projection, SubgraphInstance};

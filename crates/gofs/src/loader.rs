@@ -3,13 +3,14 @@
 //! GoFFish "only loads an instance if it is accessed. So inactive instances
 //! are not loaded from disk, and fetched only when they perform a
 //! computation or receive a message" (§IV.D). [`InstanceLoader`] reproduces
-//! this: the first access to any (subgraph, timestep) inside a slice reads
-//! the slice file and decodes its *header and column directory*; the
-//! per-(subgraph, timestep) instances inside materialize lazily on access
-//! (see [`crate::slice`]), so a job touching 2 of 10 timesteps in a pack
-//! never decodes the other 8. Subsequent accesses hit the cache. The cache
-//! holds a bounded number of slices, evicting least-recently-used packs,
-//! so long runs stream through disk just like GoFS.
+//! this at two grains: the first access to any (subgraph, timestep) inside
+//! a slice reads the slice file, checks its frame and decodes its *header
+//! and column directory*; each column of an instance then decodes on the
+//! first accessor call that touches it (see [`crate::view`]), so a job
+//! pays for the attributes and timesteps it reads, not for the pack.
+//! Subsequent accesses hit the cache. The cache holds a bounded number of
+//! slices, evicting least-recently-used packs, so long runs stream through
+//! disk just like GoFS.
 
 use crate::error::{GofsError, Result};
 use crate::slice::{decode_slice, SliceData, SliceKey};
@@ -37,7 +38,9 @@ pub struct LoaderStats {
     pub cache_misses: u64,
     /// Slices evicted to respect the cache budget.
     pub evictions: u64,
-    /// Nanoseconds spent reading + decoding slices.
+    /// Nanoseconds spent on misses: file read, frame checksum, header and
+    /// column directory. Column decode happens later, in whoever first
+    /// touches the column, and is not in here.
     pub load_ns: u64,
 }
 
@@ -77,10 +80,9 @@ pub struct InstanceLoader {
 
 impl InstanceLoader {
     /// Create a loader for `partition`. `capacity` bounds the number of
-    /// cached slices (≥ 1); the number of bins is the natural choice so one
-    /// full pack per bin stays resident.
+    /// cached slices (at least one is kept whatever it says); the number of
+    /// bins is the natural choice so one full pack per bin stays resident.
     pub fn new(store: GofsStore, pg: &PartitionedGraph, partition: u16, capacity: usize) -> Self {
-        assert!(capacity >= 1, "cache capacity must be ≥ 1");
         let bins = bins_for_partition(pg, partition, store.meta().binning);
         let mut bin_of_sg = BTreeMap::new();
         for (bi, bin) in bins.iter().enumerate() {
@@ -94,7 +96,7 @@ impl InstanceLoader {
             bin_of_sg,
             cache: BTreeMap::new(),
             tick: 0,
-            capacity,
+            capacity: capacity.max(1),
             stats: LoaderStats::default(),
             total: LoaderStats::default(),
             trace: None,
@@ -170,14 +172,11 @@ impl InstanceLoader {
             *last_used = tick;
             self.stats.cache_hits += 1;
             self.total.cache_hits += 1;
-            let slice = slice.clone();
-            // Materialization on a hit is not charged to `load_ns`: the
-            // cost being windowed is the disk + decode spike, and a hit
-            // touches neither disk nor the framing layer.
             return slice.get(sg, timestep);
         }
 
-        // Miss: read + decode the slice file.
+        // Miss: read the slice file, check its frame, decode header and
+        // directory. The instance handed back has decoded no column yet.
         self.stats.cache_misses += 1;
         self.total.cache_misses += 1;
         let started = Clock::start();
@@ -185,9 +184,6 @@ impl InstanceLoader {
         let path = self.store.slice_path(self.partition, key);
         let data = std::fs::read(&path)?;
         let slice = Arc::new(decode_slice(&data)?);
-        // Charge the requested cell's materialization to the load window
-        // too, so v1 (eager) and v2 (lazy) loaders are compared on the
-        // same work: read + decode-to-usable-instance.
         let inst = slice.get(sg, timestep)?;
         let elapsed = started.elapsed_ns();
         self.stats.slice_loads += 1;
@@ -232,9 +228,9 @@ impl InstanceLoader {
     }
 
     /// Approximate heap bytes held by cached slices right now: each
-    /// slice's encoded block region plus whatever instances have actually
-    /// materialized. Lazily-decoded slices start near their on-disk size
-    /// and grow only as cells are touched.
+    /// slice's encoded block region plus the columns decoded so far. A
+    /// slice starts at its on-disk size and grows only as columns are
+    /// touched.
     pub fn cached_bytes(&self) -> usize {
         self.cache.values().map(|(s, _)| s.approx_bytes()).sum()
     }
@@ -348,6 +344,13 @@ mod tests {
         // Going back to an evicted pack re-loads it.
         loader.load(sg, 0).unwrap();
         assert_eq!(loader.stats().slice_loads, 7);
+        // A capacity of zero keeps one slice instead of panicking.
+        let store = GofsStore::open(&dir).unwrap();
+        let mut one = InstanceLoader::new(store, &pg, partition, 0);
+        one.load(sg, 0).unwrap();
+        one.load(sg, 1).unwrap();
+        one.load(sg, 5).unwrap();
+        assert_eq!((one.stats().slice_loads, one.stats().evictions), (2, 1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -432,16 +435,24 @@ mod tests {
         let sg = pg.subgraphs_of_partition(0)[0];
         let mut loader = InstanceLoader::with_default_capacity(store, &pg, 0);
         assert_eq!(loader.cached_bytes(), 0, "nothing cached yet");
-        loader.load(sg, 0).unwrap();
-        let after_one = loader.cached_bytes();
-        assert!(after_one > 0);
-        // Another timestep in the same (cached) slice: no new slice load,
-        // but the freshly materialized cell grows the accounting.
-        loader.load(sg, 5).unwrap();
+        let first = loader.load(sg, 0).unwrap();
+        let loaded = loader.cached_bytes();
+        assert!(loaded > 0, "the slice's encoded blocks are resident");
+        // Another cell of the same (cached) slice: no column decoded yet,
+        // so nothing grew.
+        let later = loader.load(sg, 5).unwrap();
         assert_eq!(loader.stats().slice_loads, 1);
-        assert!(
-            loader.cached_bytes() > after_one,
-            "materializing another cell must grow cached_bytes"
+        assert_eq!(loader.cached_bytes(), loaded);
+        // Growth comes with the first *touch* of a column — here the
+        // column at timestep 5 and the pack base's it patches.
+        later.vertex_i64(0).unwrap();
+        let rows = pg.subgraph(sg).num_vertices();
+        assert_eq!(loader.cached_bytes(), loaded + 2 * rows * 8);
+        first.vertex_i64(0).unwrap();
+        assert_eq!(
+            loader.cached_bytes(),
+            loaded + 2 * rows * 8,
+            "already decoded"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -3,11 +3,11 @@
 //! One slice file holds the projected instance data for one **bin** of up to
 //! `binning` subgraphs across one **pack** of up to `packing` consecutive
 //! timesteps — the paper's "temporal packing of 10 and subgraph binning of
-//! 5" (§IV.A). Reading a slice file is cheap (header + column directory);
-//! the per-(subgraph, timestep) instances **materialize lazily** on first
-//! access, so a job touching 2 of 10 timesteps in a pack never decodes the
-//! other 8. What remains of the paper's Fig. 6 every-`packing`-timesteps
-//! spike is the file read itself plus the base-snapshot decode.
+//! 5" (§IV.A). Reading a slice file is cheap (frame check, header, column
+//! directory) and [`SliceData::get`] decodes nothing: each *column* of an
+//! instance decodes on first touch (see [`crate::view`]), so a job pays
+//! for the attributes and timesteps it reads. What remains of the paper's
+//! Fig. 6 every-`packing`-timesteps spike is the file read itself.
 //!
 //! # Payload layout (columnar, delta-encoded)
 //!
@@ -22,19 +22,18 @@
 //! Block `(sg, 0)` is the subgraph's **base snapshot**: every vertex
 //! column then every edge column, full `put_column` encoding. Block
 //! `(sg, toff > 0)` stores one *delta record per column* against the base
-//! (not chained!), so materializing any timestep needs only the base plus
-//! one block. Each delta is sparse (varint change count, delta-coded row
+//! (not chained!), so a column at any timestep needs only its own record
+//! and the same column of the base. Each delta is sparse (varint change count, delta-coded row
 //! indices, gathered values) unless re-encoding the whole column is
 //! smaller, in which case it falls back to dense — see
 //! [`codec::put_delta_column`].
 
 use crate::codec::{self, frame, unframe};
 use crate::error::{GofsError, Result};
-use crate::view::SubgraphInstance;
+use crate::view::{DecodedColumn, Projection, SubgraphInstance};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::sync::{Arc, OnceLock};
 use tempograph_core::kernels::{self, TemporalAgg};
-use tempograph_core::Column;
 use tempograph_partition::SubgraphId;
 
 const SLICE_MAGIC: [u8; 4] = *b"GFSL";
@@ -65,8 +64,8 @@ pub enum ColSide {
 }
 
 /// A decoded slice: the raw payload as a zero-copy [`Bytes`] view plus a
-/// column directory; instances materialize on first [`SliceData::get`]
-/// and stay cached in per-cell `OnceLock`s.
+/// column directory; [`SliceData::get`] hands out column-lazy instances,
+/// cached in per-cell `OnceLock`s.
 #[derive(Clone, Debug)]
 pub struct SliceData {
     /// Owning partition.
@@ -104,10 +103,9 @@ impl SliceData {
 
     /// The projected instance for `sg` at absolute timestep `t`.
     ///
-    /// Out-of-coverage requests are [`GofsError::OutOfRange`]; structural
-    /// corruption discovered while materializing a lazy cell surfaces as
-    /// the decode error of that cell (and only that cell — other
-    /// timesteps remain loadable).
+    /// Out-of-coverage requests are [`GofsError::OutOfRange`]; a corrupt
+    /// record surfaces later, from the accessor of the column it belongs
+    /// to (and only that column — the rest remain readable).
     pub fn get(&self, sg: SubgraphId, t: usize) -> Result<Arc<SubgraphInstance>> {
         let sg_index = self.sg_index(sg).ok_or_else(|| {
             GofsError::OutOfRange(format!("slice {:?} does not cover {sg}", self.key))
@@ -123,84 +121,36 @@ impl SliceData {
         self.cell(sg_index, t - self.t_start)
     }
 
-    /// Materialize (or fetch the cached) instance for one cell.
+    /// The (cached) instance for one cell. Decodes no column: the instance
+    /// gets its block of the file and, past the pack's first timestep, the
+    /// base instance its delta records patch (never chained).
     fn cell(&self, sg_index: usize, toff: usize) -> Result<Arc<SubgraphInstance>> {
         let idx = sg_index * self.n_timesteps + toff;
         if let Some(inst) = self.cells[idx].get() {
             return Ok(inst.clone());
         }
-        let inst = if toff == 0 {
-            Arc::new(self.decode_base(sg_index)?)
-        } else {
-            // Delta blocks patch the pack's base snapshot (never chained),
-            // so one extra block decode suffices even mid-pack.
-            let base = self.cell(sg_index, 0)?;
-            Arc::new(self.decode_delta(sg_index, toff, &base)?)
-        };
-        Ok(self.cells[idx].get_or_init(|| inst).clone())
-    }
-
-    /// Zero-copy view of block `(sg_index, toff)`.
-    fn block(&self, sg_index: usize, toff: usize) -> Bytes {
-        let idx = sg_index * self.n_timesteps + toff;
         // Offsets were bounds-checked monotone at decode time.
-        let a = self.offsets[idx] as usize;
-        let b = self.offsets[idx + 1] as usize;
-        self.blocks.slice(a..b)
-    }
-
-    fn decode_base(&self, sg_index: usize) -> Result<SubgraphInstance> {
-        let mut buf = self.block(sg_index, 0);
-        let mut vertex_cols = Vec::with_capacity(codec::check_count(&buf, self.n_vertex_cols, 1)?);
-        for _ in 0..self.n_vertex_cols {
-            vertex_cols.push(codec::get_column(&mut buf)?);
-        }
-        let mut edge_cols = Vec::with_capacity(codec::check_count(&buf, self.n_edge_cols, 1)?);
-        for _ in 0..self.n_edge_cols {
-            edge_cols.push(codec::get_column(&mut buf)?);
-        }
-        self.finish_block(buf, sg_index, 0, vertex_cols, edge_cols)
-    }
-
-    fn decode_delta(
-        &self,
-        sg_index: usize,
-        toff: usize,
-        base: &SubgraphInstance,
-    ) -> Result<SubgraphInstance> {
-        let mut buf = self.block(sg_index, toff);
-        let mut vertex_cols = Vec::with_capacity(codec::check_count(&buf, self.n_vertex_cols, 1)?);
-        for c in 0..self.n_vertex_cols {
-            vertex_cols.push(codec::get_delta_column(&mut buf, &base.vertex_cols[c])?);
-        }
-        let mut edge_cols = Vec::with_capacity(codec::check_count(&buf, self.n_edge_cols, 1)?);
-        for c in 0..self.n_edge_cols {
-            edge_cols.push(codec::get_delta_column(&mut buf, &base.edge_cols[c])?);
-        }
-        self.finish_block(buf, sg_index, toff, vertex_cols, edge_cols)
-    }
-
-    fn finish_block(
-        &self,
-        buf: Bytes,
-        sg_index: usize,
-        toff: usize,
-        vertex_cols: Vec<Column>,
-        edge_cols: Vec<Column>,
-    ) -> Result<SubgraphInstance> {
-        if buf.remaining() != 0 {
+        let block = (self.blocks).slice(self.offsets[idx] as usize..self.offsets[idx + 1] as usize);
+        // A record is a tag and a row count at least: the block bounds the
+        // column count before it sizes anything, and is empty for none.
+        let n_cols = codec::check_count(&block, self.n_vertex_cols + self.n_edge_cols, 5)?;
+        if n_cols == 0 && !block.is_empty() {
+            let sg = self.sg_ids[sg_index];
             return Err(GofsError::Corrupt(format!(
-                "{} trailing bytes in block ({}, toff {toff})",
-                buf.remaining(),
-                self.sg_ids[sg_index]
+                "block ({sg}, toff {toff}) has no columns but bytes"
             )));
         }
-        Ok(SubgraphInstance {
+        let base = (toff > 0).then(|| self.cell(sg_index, 0)).transpose()?;
+        let inst = Arc::new(SubgraphInstance {
             timestep: self.t_start + toff,
             timestamp: self.timestamps[toff],
-            vertex_cols,
-            edge_cols,
-        })
+            n_vertex_cols: self.n_vertex_cols,
+            cols: std::iter::repeat_with(OnceLock::new).take(n_cols).collect(),
+            sg: self.sg_ids[sg_index],
+            block,
+            base,
+        });
+        Ok(self.cells[idx].get_or_init(|| inst).clone())
     }
 
     /// Wall-clock timestamps per covered timestep offset.
@@ -210,7 +160,7 @@ impl SliceData {
 
     /// The column directory: `(offsets, blocks_len, n_vertex_cols,
     /// n_edge_cols)`. [`crate::validate::validate_dataset`] walks this to
-    /// vet layout invariants without forcing materialization order.
+    /// vet layout invariants before it forces any column.
     pub fn directory(&self) -> (&[u64], usize, usize, usize) {
         (
             &self.offsets,
@@ -221,27 +171,27 @@ impl SliceData {
     }
 
     /// Approximate heap bytes held: the encoded block region (shared,
-    /// zero-copy) plus every instance materialized so far. Grows as cells
-    /// materialize — the loader's cache accounting reflects what is
-    /// actually resident, not the fully-decoded worst case.
+    /// zero-copy) plus every column decoded so far. Grows as columns are
+    /// touched — the loader's cache accounting reflects what is actually
+    /// resident, not the fully-decoded worst case.
     pub fn approx_bytes(&self) -> usize {
-        self.blocks.len()
-            + self
-                .cells
-                .iter()
-                .filter_map(|c| c.get())
-                .map(|i| i.approx_bytes())
-                .sum::<usize>()
+        let decoded = self.decoded().map(|c| c.approx_bytes());
+        self.blocks.len() + decoded.sum::<usize>()
     }
 
-    /// Instances materialized so far.
-    pub fn materialized_cells(&self) -> usize {
-        self.cells.iter().filter(|c| c.get().is_some()).count()
+    /// Columns decoded so far, over all cells.
+    pub fn decoded_columns(&self) -> usize {
+        self.decoded().count()
+    }
+
+    fn decoded(&self) -> impl Iterator<Item = &DecodedColumn> {
+        let cells = self.cells.iter().filter_map(|c| c.get());
+        cells.flat_map(|i| i.decoded())
     }
 
     /// Element-wise temporal fold of one `Double` column over absolute
-    /// timesteps `[t_from, t_to)`, one output per row. Materializes each
-    /// needed instance once, then reduces over borrowed column slices —
+    /// timesteps `[t_from, t_to)`, one output per row. Decodes that column
+    /// of each needed instance once, then reduces over borrowed slices —
     /// no per-instance `Arc` clone round-trips through the loader.
     pub fn window_agg_f64(
         &self,
@@ -290,7 +240,7 @@ impl SliceData {
         Ok(kernels::rows_count_gt_f64(&series, len, threshold))
     }
 
-    /// Materialize the instances covering `[t_from, t_to)` for `sg`.
+    /// The instances covering `[t_from, t_to)` for `sg`.
     fn window(
         &self,
         sg: SubgraphId,
@@ -311,12 +261,9 @@ impl SliceData {
 fn columns_f64(insts: &[Arc<SubgraphInstance>], side: ColSide, col: usize) -> Result<Vec<&[f64]>> {
     insts
         .iter()
-        .map(|i| {
-            let r = match side {
-                ColSide::Vertex => i.vertex_f64(col),
-                ColSide::Edge => i.edge_f64(col),
-            };
-            r.map_err(GofsError::Core)
+        .map(|i| match side {
+            ColSide::Vertex => i.vertex_f64(col),
+            ColSide::Edge => i.edge_f64(col),
         })
         .collect()
 }
@@ -324,12 +271,9 @@ fn columns_f64(insts: &[Arc<SubgraphInstance>], side: ColSide, col: usize) -> Re
 fn columns_i64(insts: &[Arc<SubgraphInstance>], side: ColSide, col: usize) -> Result<Vec<&[i64]>> {
     insts
         .iter()
-        .map(|i| {
-            let r = match side {
-                ColSide::Vertex => i.vertex_i64(col),
-                ColSide::Edge => i.edge_i64(col),
-            };
-            r.map_err(GofsError::Core)
+        .map(|i| match side {
+            ColSide::Vertex => i.vertex_i64(col),
+            ColSide::Edge => i.edge_i64(col),
         })
         .collect()
 }
@@ -338,7 +282,7 @@ fn columns_i64(insts: &[Arc<SubgraphInstance>], side: ColSide, col: usize) -> Re
 /// `(n_timesteps, timestamps)` and asserts every subgraph's instance at a
 /// given offset carries the same timestamp (they are projections of the
 /// same [`tempograph_core::GraphInstance`]).
-fn writer_shape(sg_ids: &[SubgraphId], rows: &[Vec<SubgraphInstance>]) -> (usize, Vec<i64>) {
+fn writer_shape(sg_ids: &[SubgraphId], rows: &[Vec<Projection>]) -> (usize, Vec<i64>) {
     assert_eq!(rows.len(), sg_ids.len(), "one row per subgraph");
     let n_timesteps = rows.first().map_or(0, |r| r.len());
     assert!(
@@ -367,7 +311,7 @@ pub fn encode_slice(
     key: SliceKey,
     sg_ids: &[SubgraphId],
     t_start: usize,
-    rows: &[Vec<SubgraphInstance>],
+    rows: &[Vec<Projection>],
 ) -> Bytes {
     let (n_timesteps, timestamps) = writer_shape(sg_ids, rows);
     let n_vertex_cols = rows
@@ -432,8 +376,7 @@ pub fn encode_slice(
     frame(SLICE_MAGIC, &buf)
 }
 
-/// Decode a slice file: header and column directory only — instances
-/// materialize lazily on [`SliceData::get`].
+/// Decode a slice file: header and column directory only — no column.
 pub fn decode_slice(data: &[u8]) -> Result<SliceData> {
     let mut buf = unframe(SLICE_MAGIC, data)?;
     if buf.len() < 22 {
@@ -512,9 +455,10 @@ pub fn decode_slice(data: &[u8]) -> Result<SliceData> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempograph_core::Column;
 
-    fn si(timestep: usize, val: f64) -> SubgraphInstance {
-        SubgraphInstance {
+    fn si(timestep: usize, val: f64) -> Projection {
+        Projection {
             timestep,
             timestamp: timestep as i64 * 10,
             vertex_cols: vec![Column::Double(vec![val, val + 1.0])],
@@ -522,7 +466,7 @@ mod tests {
         }
     }
 
-    fn sample() -> (Vec<SubgraphId>, Vec<Vec<SubgraphInstance>>, SliceKey) {
+    fn sample() -> (Vec<SubgraphId>, Vec<Vec<Projection>>, SliceKey) {
         let sg_ids = vec![SubgraphId(4), SubgraphId(9)];
         let rows = vec![
             vec![si(20, 1.0), si(21, 2.0)],
@@ -544,7 +488,7 @@ mod tests {
         assert_eq!(back.timestamps(), &[200, 210]);
 
         let got = back.get(SubgraphId(9), 21).unwrap();
-        assert_eq!(got.vertex_cols[0], Column::Double(vec![6.0, 7.0]));
+        assert_eq!(got.vertex_f64(0).unwrap(), &[6.0, 7.0]);
         assert_eq!(got.timestep, 21);
         assert_eq!(got.timestamp, 210);
     }
@@ -560,20 +504,60 @@ mod tests {
         ));
     }
 
+    /// A vertex `tweets` TextList and an edge `latency` Double, every
+    /// latency row changing each timestep (dense deltas) and one tweets row
+    /// (sparse deltas).
+    fn two_column_pack(n_timesteps: usize) -> Vec<Projection> {
+        (0..n_timesteps)
+            .map(|t| {
+                let mut tweets = vec![vec!["#a".to_string()], vec![], vec!["#b".into(), "".into()]];
+                tweets[t % 3].push(format!("#t{t}"));
+                Projection {
+                    timestep: t,
+                    timestamp: t as i64,
+                    vertex_cols: vec![Column::TextList(tweets)],
+                    edge_cols: vec![Column::Double(vec![t as f64, t as f64 + 0.5])],
+                }
+            })
+            .collect()
+    }
+
     #[test]
-    fn materialization_is_lazy_and_cached() {
-        let (sg_ids, rows, key) = sample();
-        let back = decode_slice(&encode_slice(3, key, &sg_ids, 20, &rows)).unwrap();
-        assert_eq!(back.materialized_cells(), 0);
+    fn decode_cost_is_the_columns_touched() {
+        let rows = vec![two_column_pack(4)];
+        let key = SliceKey { bin: 0, pack: 0 };
+        let back = decode_slice(&encode_slice(0, key, &[SubgraphId(7)], 0, &rows)).unwrap();
         let before = back.approx_bytes();
-        back.get(SubgraphId(4), 21).unwrap(); // forces base (toff 0) + delta
-        assert_eq!(back.materialized_cells(), 2);
-        assert!(back.approx_bytes() > before, "accounting grows with cells");
-        // Second read hits the cell cache and returns the same Arc.
-        let a = back.get(SubgraphId(4), 21).unwrap();
-        let b = back.get(SubgraphId(4), 21).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(back.materialized_cells(), 2);
+        // Loading every cell decodes nothing.
+        let cells: Vec<_> = (0..4)
+            .map(|t| back.get(SubgraphId(7), t).unwrap())
+            .collect();
+        assert_eq!(back.decoded_columns(), 0);
+        assert_eq!(back.approx_bytes(), before);
+        // One column at timestep 2: that column there and at the pack base.
+        assert_eq!(cells[2].edge_f64(0).unwrap(), &[2.0, 2.5]);
+        assert_eq!(back.decoded_columns(), 2);
+        assert!(
+            back.approx_bytes() > before,
+            "accounting grows with columns"
+        );
+        // One more per further timestep; a second read is free.
+        cells[3].edge_f64(0).unwrap();
+        cells[3].edge_f64(0).unwrap();
+        assert_eq!(back.decoded_columns(), 3);
+        assert!(cells.iter().all(|c| c
+            .decoded()
+            .all(|d| d.ty() == tempograph_core::AttrType::Double)));
+        // The other column is as cheap, and equals what was written.
+        let tweets = cells[1].vertex_text_list(0).unwrap();
+        assert_eq!(back.decoded_columns(), 5);
+        let got: Vec<Vec<&str>> = tweets.iter().map(|r| r.collect()).collect();
+        assert_eq!(got, vec![vec!["#a"], vec!["#t1"], vec!["#b", ""]]);
+        // `get` hands back the same cached instance.
+        assert!(Arc::ptr_eq(&cells[2], &back.get(SubgraphId(7), 2).unwrap()));
+        for (t, row) in rows[0].iter().enumerate() {
+            assert_eq!(*cells[t], SubgraphInstance::from(row.clone()));
+        }
     }
 
     #[test]
@@ -613,11 +597,8 @@ mod tests {
         for (i, &sg) in sg_ids.iter().enumerate() {
             let got = back.get(sg, 0).unwrap();
             assert_eq!(
-                got.vertex_cols[0],
-                Column::Double(vec![
-                    (i as f64 + 1.0) * 100.0,
-                    (i as f64 + 1.0) * 100.0 + 1.0
-                ])
+                got.vertex_f64(0).unwrap(),
+                &[(i as f64 + 1.0) * 100.0, (i as f64 + 1.0) * 100.0 + 1.0]
             );
         }
         assert!(back.get(SubgraphId(3), 0).is_err());
@@ -657,27 +638,60 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_delta_block_fails_only_that_cell() {
-        let sg_ids = vec![SubgraphId(0)];
-        let rows = vec![vec![si(0, 1.0), si(1, 2.0), si(2, 3.0)]];
+    fn corrupt_delta_record_fails_only_that_column() {
+        let sg_ids = vec![SubgraphId(3)];
+        let rows = vec![two_column_pack(3)];
         let framed = encode_slice(0, SliceKey { bin: 0, pack: 0 }, &sg_ids, 0, &rows);
         let payload = crate::codec::unframe(SLICE_MAGIC, &framed).unwrap();
-        // Flip the *last* byte of the block region: it lands in the final
-        // delta block, leaving the base and earlier deltas intact.
+        // The last block ends in the dense latency record: tag, column
+        // tag, u32 row count, 2 × f64. Claim a third row that is not there.
         let mut warped = payload.to_vec();
-        let last = warped.len() - 1;
-        warped[last] ^= 0xFF;
-        let reframed = crate::codec::frame(SLICE_MAGIC, &warped);
-        let back = decode_slice(&reframed).unwrap();
-        assert!(back.get(SubgraphId(0), 0).is_ok());
-        assert!(back.get(SubgraphId(0), 1).is_ok());
-        let err = back.get(SubgraphId(0), 2);
-        // The flip either breaks the record structure (typed error) or —
-        // if it lands in a raw value byte — silently changes a value; both
-        // are within the checksum's contract once it is bypassed. Here the
-        // last byte is part of a packed f64, so decode still succeeds:
-        // assert it does NOT panic and the other cells stay intact.
-        let _ = err;
+        let count_at = warped.len() - 16 - 4;
+        warped[count_at] = 3;
+        let back = decode_slice(&crate::codec::frame(SLICE_MAGIC, &warped)).unwrap();
+        // Every cell still loads; the error is the accessor's, it names the
+        // place, and it is raised again on the next touch.
+        let last = back.get(SubgraphId(3), 2).unwrap();
+        for _ in 0..2 {
+            let err = last.edge_f64(0).unwrap_err();
+            assert!(matches!(err, GofsError::Corrupt(_)), "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("sg3") && msg.contains("timestep 2") && msg.contains("column 1"),
+                "{msg}"
+            );
+        }
+        // The other column of that cell, and every other cell, are intact.
+        assert_eq!(last.vertex_text_list(0).unwrap().row(2).len(), 3);
+        for (t, row) in rows[0].iter().enumerate().take(2) {
+            let cell = back.get(SubgraphId(3), t).unwrap();
+            assert_eq!(*cell, SubgraphInstance::from(row.clone()));
+        }
+        assert_ne!(*last, SubgraphInstance::from(rows[0][2].clone()));
+    }
+
+    #[test]
+    fn trailing_bytes_are_found_by_whoever_reads_the_last_column() {
+        // Hand-build a one-cell slice whose block has a byte too many.
+        let sg_ids = vec![SubgraphId(0)];
+        let rows = vec![vec![si(0, 1.0)]];
+        let framed = encode_slice(0, SliceKey { bin: 0, pack: 0 }, &sg_ids, 0, &rows);
+        let mut payload = crate::codec::unframe(SLICE_MAGIC, &framed)
+            .unwrap()
+            .to_vec();
+        let blocks_len = (payload.len() - (2 + 20 + 4 + 8 + 8 + 16)) as u64;
+        payload.push(0xAB);
+        let dir_end = 2 + 20 + 4 + 8 + 8 + 8;
+        payload[dir_end..dir_end + 8].copy_from_slice(&(blocks_len + 1).to_le_bytes());
+        let back = decode_slice(&crate::codec::frame(SLICE_MAGIC, &payload)).unwrap();
+        let cell = back.get(SubgraphId(0), 0).unwrap();
+        assert_eq!(
+            cell.vertex_f64(0).unwrap(),
+            &[1.0, 2.0],
+            "not the last column"
+        );
+        let err = cell.edge_f64(0).unwrap_err().to_string();
+        assert!(err.contains("trailing"), "{err}");
     }
 
     #[test]
@@ -726,12 +740,12 @@ mod tests {
         // 10 timesteps, large column, one row changing per step — the
         // time-series-graph shape the delta layout exists for.
         let n = 500;
-        let mut rows_v: Vec<SubgraphInstance> = Vec::new();
+        let mut rows_v: Vec<Projection> = Vec::new();
         let base: Vec<f64> = (0..n).map(|i| i as f64).collect();
         for t in 0..10 {
             let mut v = base.clone();
             v[t * 7 % n] = -1.0;
-            rows_v.push(SubgraphInstance {
+            rows_v.push(Projection {
                 timestep: t,
                 timestamp: t as i64,
                 vertex_cols: vec![Column::Double(v)],
@@ -755,7 +769,7 @@ mod tests {
         // And it still decodes to the same instances.
         let back = decode_slice(&data).unwrap();
         for (t, row) in rows[0].iter().enumerate() {
-            assert_eq!(*back.get(SubgraphId(0), t).unwrap(), *row);
+            assert_eq!(*back.get(SubgraphId(0), t).unwrap(), row.clone().into());
         }
     }
 

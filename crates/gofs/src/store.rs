@@ -13,7 +13,7 @@
 use crate::codec::{self, frame, unframe};
 use crate::error::{GofsError, Result};
 use crate::slice::{encode_slice, SliceKey};
-use crate::view::SubgraphInstance;
+use crate::view::Projection;
 use bytes::{Buf, BufMut, BytesMut};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -145,8 +145,9 @@ pub struct GofsWriter {
     period: i64,
     packing: usize,
     binning: usize,
-    /// Buffered projections: `pending[partition][bin][sg_in_bin][t_offset]`.
-    pending: Vec<Vec<Vec<Vec<SubgraphInstance>>>>,
+    /// Buffered projections, `packing × subgraphs` of them alive at once:
+    /// `pending[partition][bin][sg_in_bin][t_offset]`.
+    pending: Vec<Vec<Vec<Vec<Projection>>>>,
     bins: Vec<Vec<Vec<SubgraphId>>>,
     next_timestep: usize,
     pack_index: u32,
@@ -206,7 +207,7 @@ impl GofsWriter {
             for (bi, bin) in self.bins[p].iter().enumerate() {
                 for (si, &sg_id) in bin.iter().enumerate() {
                     let sg = self.pg.subgraph(sg_id);
-                    self.pending[p][bi][si].push(SubgraphInstance::project(instance, sg, t));
+                    self.pending[p][bi][si].push(Projection::project(instance, sg, t));
                 }
             }
         }
@@ -221,7 +222,7 @@ impl GofsWriter {
         let t_start = self.pack_index as usize * self.packing;
         for p in 0..self.pg.num_partitions() {
             for (bi, bin) in self.bins[p].iter().enumerate() {
-                let rows: Vec<Vec<SubgraphInstance>> =
+                let rows: Vec<Vec<Projection>> =
                     self.pending[p][bi].iter_mut().map(std::mem::take).collect();
                 if rows.first().is_none_or(|r| r.is_empty()) {
                     continue;
@@ -449,7 +450,7 @@ mod tests {
         )
         .unwrap();
         let from_disk = slice.get(sg.id(), 4).expect("covered");
-        let direct = SubgraphInstance::project(coll.get(4).unwrap(), sg, 4);
+        let direct = crate::SubgraphInstance::project(coll.get(4).unwrap(), sg, 4);
         assert_eq!(*from_disk, direct);
         std::fs::remove_dir_all(&dir).unwrap();
     }

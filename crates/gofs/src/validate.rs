@@ -69,7 +69,7 @@ pub fn validate_dataset(store: &GofsStore, pg: &PartitionedGraph) -> Result<Data
                         bin
                     )));
                 }
-                // Walk the column directory before forcing materialization so
+                // Walk the column directory before forcing any column so
                 // layout problems are reported as directory faults, not as
                 // whichever cell tripped first.
                 let (offsets, blocks_len, nvc, nec) = slice.directory();
@@ -118,21 +118,15 @@ pub fn validate_dataset(store: &GofsStore, pg: &PartitionedGraph) -> Result<Data
                         let inst = slice.get(sg_id, t).map_err(|e| {
                             GofsError::Corrupt(format!("incomplete slice: {sg_id}@{t}: {e}"))
                         })?;
-                        for c in &inst.vertex_cols {
-                            if c.len() != sg.num_vertices() {
+                        // Force every column: laziness must not hide a
+                        // corrupt record from validation.
+                        let vertex = (0..nvc).map(|c| (inst.vertex_col(c), sg.num_vertices()));
+                        let edge = (0..nec).map(|c| (inst.edge_col(c), sg.num_edges()));
+                        for (col, rows) in vertex.chain(edge) {
+                            let got = col?.num_rows();
+                            if got != rows {
                                 return Err(GofsError::Corrupt(format!(
-                                    "{sg_id}@{t}: vertex column of {} rows, expected {}",
-                                    c.len(),
-                                    sg.num_vertices()
-                                )));
-                            }
-                        }
-                        for c in &inst.edge_cols {
-                            if c.len() != sg.num_edges() {
-                                return Err(GofsError::Corrupt(format!(
-                                    "{sg_id}@{t}: edge column of {} rows, expected {}",
-                                    c.len(),
-                                    sg.num_edges()
+                                    "{sg_id}@{t}: column of {got} rows, expected {rows}"
                                 )));
                             }
                         }

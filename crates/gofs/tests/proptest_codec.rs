@@ -8,7 +8,7 @@ use tempograph_gofs::codec::{
     put_delta_column, put_schema, unframe,
 };
 use tempograph_gofs::slice::{decode_slice, encode_slice, SliceKey};
-use tempograph_gofs::SubgraphInstance;
+use tempograph_gofs::{DecodedColumn, Projection, SubgraphInstance};
 use tempograph_partition::SubgraphId;
 
 fn arb_column() -> impl Strategy<Value = Column> {
@@ -40,7 +40,7 @@ proptest! {
         put_column(&mut buf, &col);
         let mut bytes = buf.freeze();
         let back = get_column(&mut bytes).unwrap();
-        prop_assert_eq!(back, col);
+        prop_assert_eq!(back, DecodedColumn::from(col));
         prop_assert_eq!(bytes.len(), 0);
     }
 
@@ -53,7 +53,7 @@ proptest! {
         }
         let mut bytes = buf.freeze();
         for c in &cols {
-            prop_assert_eq!(&get_column(&mut bytes).unwrap(), c);
+            prop_assert_eq!(get_column(&mut bytes).unwrap(), DecodedColumn::from(c.clone()));
         }
         prop_assert_eq!(bytes.len(), 0);
     }
@@ -140,7 +140,7 @@ proptest! {
         churn in proptest::collection::vec((0usize..50, any::<i64>()), 0..8),
     ) {
         let sg_ids: Vec<SubgraphId> = (0..n_sg as u32).map(SubgraphId).collect();
-        let rows: Vec<Vec<SubgraphInstance>> = (0..n_sg)
+        let rows: Vec<Vec<Projection>> = (0..n_sg)
             .map(|sgi| {
                 (0..n_ts)
                     .map(|toff| {
@@ -155,7 +155,7 @@ proptest! {
                                 }
                             }
                         }
-                        SubgraphInstance {
+                        Projection {
                             timestep: t_start + toff,
                             timestamp: (t_start + toff) as i64 * 10,
                             vertex_cols: my,
@@ -172,7 +172,7 @@ proptest! {
         for (i, sg) in sg_ids.iter().enumerate() {
             for (toff, row) in rows[i].iter().enumerate() {
                 let got = back.get(*sg, t_start + toff).unwrap();
-                prop_assert_eq!(&*got, row);
+                prop_assert_eq!(&*got, &SubgraphInstance::from(row.clone()));
             }
         }
     }
@@ -221,14 +221,15 @@ proptest! {
         let mut buf = BytesMut::new();
         put_delta_column(&mut buf, &base, &cur);
         let mut bytes = buf.freeze();
-        let back = get_delta_column(&mut bytes, &base).unwrap();
-        prop_assert_eq!(back, cur);
+        let back = get_delta_column(&mut bytes, &base.into()).unwrap();
+        prop_assert_eq!(back, DecodedColumn::from(cur));
         prop_assert_eq!(bytes.len(), 0);
     }
 
     /// Corrupting a slice *behind the checksum* (flip a payload byte,
-    /// re-frame so the checksum matches) never panics: decoding and
-    /// materializing every cell either succeeds or yields a typed error.
+    /// re-frame so the checksum matches) never panics: decoding the slice
+    /// and forcing every column of every cell either succeeds or yields a
+    /// typed error.
     /// Truncating the payload always fails outright at decode.
     #[test]
     fn corrupted_payload_never_panics(
@@ -238,10 +239,10 @@ proptest! {
         cut in 1usize..40,
     ) {
         let sg_ids = vec![SubgraphId(0), SubgraphId(1)];
-        let rows: Vec<Vec<SubgraphInstance>> = (0..2)
+        let rows: Vec<Vec<Projection>> = (0..2)
             .map(|sgi| {
                 (0..n_ts)
-                    .map(|toff| SubgraphInstance {
+                    .map(|toff| Projection {
                         timestep: toff,
                         timestamp: toff as i64,
                         vertex_cols: vec![Column::Long(
@@ -263,7 +264,9 @@ proptest! {
         if let Ok(slice) = decode_slice(&frame(MAGIC, &warped)) {
             for &sg in &slice.sg_ids.clone() {
                 for t in slice.t_start..slice.t_start + slice.n_timesteps {
-                    let _ = slice.get(sg, t); // must not panic
+                    if let Ok(cell) = slice.get(sg, t) {
+                        let _ = (cell.vertex_col(0), cell.edge_col(0)); // must not panic
+                    }
                 }
             }
         }

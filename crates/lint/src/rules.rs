@@ -96,6 +96,7 @@ const CODEC_FILES: &[&str] = &[
     "crates/gofs/src/codec.rs",
     "crates/gofs/src/slice.rs",
     "crates/gofs/src/store.rs",
+    "crates/gofs/src/view.rs",
     "crates/ledger/src/record.rs",
     "crates/algos/src/community.rs",
     "crates/algos/src/tdsp.rs",

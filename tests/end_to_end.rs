@@ -228,3 +228,108 @@ fn wcc_and_pagerank_run_through_the_facade() {
         "ranks must sum to 1, got {total}"
     );
 }
+
+/// Runs `P` unchanged and notes, after every compute, the type of each
+/// column its instance has decoded so far. A delta column decodes the same
+/// column of the pack's base, so a column type never seen here was never
+/// decoded anywhere.
+struct Watched<P> {
+    inner: P,
+    decoded: Arc<std::sync::Mutex<Vec<AttrType>>>,
+}
+
+impl<P: SubgraphProgram> SubgraphProgram for Watched<P> {
+    type Msg = P::Msg;
+
+    fn compute(&mut self, ctx: &mut Context<'_, P::Msg>, msgs: &[Envelope<P::Msg>]) {
+        self.inner.compute(ctx, msgs);
+        let instance = ctx.instance();
+        let mut decoded = self.decoded.lock().unwrap();
+        decoded.extend(instance.decoded().map(|c| c.ty()));
+    }
+
+    fn end_of_timestep(&mut self, ctx: &mut Context<'_, P::Msg>) {
+        self.inner.end_of_timestep(ctx);
+    }
+
+    fn merge(&mut self, ctx: &mut Context<'_, P::Msg>, msgs: &[Envelope<P::Msg>]) {
+        self.inner.merge(ctx, msgs);
+    }
+}
+
+/// Run `factory`'s program from a GoFS store of `coll` and from memory:
+/// the emits must agree; returns the column types the GoFS run decoded.
+fn decoded_types_on_gofs<P, F>(
+    tag: &str,
+    pg: &Arc<PartitionedGraph>,
+    coll: Arc<TimeSeriesCollection>,
+    factory: impl Fn() -> F,
+    config: JobConfig<P::Msg>,
+) -> Vec<AttrType>
+where
+    P: SubgraphProgram,
+    F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync,
+{
+    let dir = std::env::temp_dir().join(format!("e2e-lazy-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    tempograph::gofs::store::write_dataset(&dir, pg.clone(), &coll, 10, 5).unwrap();
+    let decoded = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let (watch, inner) = (decoded.clone(), factory());
+    let from_disk = run_job(
+        pg,
+        &InstanceSource::Gofs(dir.clone()),
+        move |sg: &Subgraph, pg: &PartitionedGraph| Watched {
+            inner: inner(sg, pg),
+            decoded: watch.clone(),
+        },
+        config.clone(),
+    );
+    let from_memory = run_job(pg, &InstanceSource::Memory(coll), factory(), config);
+    assert_eq!(from_disk.emitted, from_memory.emitted);
+    assert!(from_disk.emitted.iter().any(|e| e.value > 0.0));
+    std::fs::remove_dir_all(&dir).unwrap();
+    let decoded = decoded.lock().unwrap().clone();
+    assert!(!decoded.is_empty(), "the program read no column at all");
+    decoded
+}
+
+#[test]
+fn programs_decode_only_the_columns_they_read() {
+    // Both presets carry a `tweets: TextList` vertex column *and* a
+    // `latency: Double` edge column, as both benchmark templates do.
+    let (t, coll) = carn_fixture();
+    let lat_col = t.edge_schema().index_of(LATENCY_ATTR).unwrap();
+    assert!(t.vertex_schema().index_of(TWEETS_ATTR).is_some());
+    let parts = MultilevelPartitioner::default().partition(&t, 3);
+    let pg = Arc::new(discover_subgraphs(t.clone(), parts));
+    let tdsp = decoded_types_on_gofs(
+        "tdsp",
+        &pg,
+        coll,
+        || Tdsp::factory(VertexIdx(0), lat_col),
+        JobConfig::sequentially_dependent(25).while_active(25),
+    );
+    assert!(tdsp.iter().all(|&ty| ty == AttrType::Double), "{tdsp:?}");
+
+    let t = Arc::new(wiki_like(0.05));
+    let coll = Arc::new(generate_sir_tweets(
+        t.clone(),
+        &SirConfig {
+            timesteps: 12,
+            background_rate: 0.3,
+            ..Default::default()
+        },
+    ));
+    let tweets_col = t.vertex_schema().index_of(TWEETS_ATTR).unwrap();
+    assert!(t.edge_schema().index_of(LATENCY_ATTR).is_some());
+    let parts = MultilevelPartitioner::default().partition(&t, 3);
+    let pg = Arc::new(discover_subgraphs(t.clone(), parts));
+    let hash = decoded_types_on_gofs(
+        "hash",
+        &pg,
+        coll,
+        || HashtagAggregation::factory("#cats", tweets_col),
+        JobConfig::eventually_dependent(12),
+    );
+    assert!(hash.iter().all(|&ty| ty == AttrType::TextList), "{hash:?}");
+}
