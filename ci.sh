@@ -255,6 +255,13 @@ else
     echo "    clippy not installed; skipping"
 fi
 
+# Rustdoc over the first-party crates only (the default members: the root
+# package and crates/*): a link to a private item, an ambiguous one, or a
+# paper reference like [11] that parses as a link fails the gate. The
+# vendored shims stay out — proptest's docs carry an unresolved link.
+echo "==> cargo doc -D warnings (first-party crates)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps
+
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release --workspace
 cargo test -q --workspace
@@ -263,7 +270,7 @@ echo "==> pregel: engine-hosted vertex programs vs sequential reference (PROPTES
 PROPTEST_CASES="${PROPTEST_CASES:-64}" \
     cargo test -q -p tempograph-pregel --test reference
 
-echo "==> gofs: column-lazy reads vs written projections, corrupt records (PROPTEST_CASES=${PROPTEST_CASES:-64})"
+echo "==> gofs: column-lazy reads and in-place Double cells vs written projections, corrupt records (PROPTEST_CASES=${PROPTEST_CASES:-64})"
 PROPTEST_CASES="${PROPTEST_CASES:-64}" \
     cargo test -q -p tempograph-gofs --test proptest_lazy
 

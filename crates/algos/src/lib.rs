@@ -10,7 +10,7 @@
 //! | [`Tdsp`] (time-dependent shortest path) | sequentially dependent | §III.C |
 //! | [`Sssp`] (single-instance SSSP/BFS) | single BSP | §IV.C baseline |
 //! | [`Wcc`] (connected components) | single BSP | extension |
-//! | [`PageRank`] (subgraph-centric) | single BSP | extension, ref [12] |
+//! | [`PageRank`] (subgraph-centric) | single BSP | extension, ref \[12\] |
 //! | [`TopNActivity`] | independent | §II.B's "daily Top-N" example |
 //!
 //! One deliberate deviation from the paper's listings: where Algorithms 1–2

@@ -1,4 +1,4 @@
-//! Subgraph-centric PageRank (extension; cf. the paper's reference [12],
+//! Subgraph-centric PageRank (extension; cf. the paper's reference \[12\],
 //! "SubGraph Rank: PageRank for subgraph-centric distributed graph
 //! processing").
 //!

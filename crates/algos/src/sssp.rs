@@ -3,7 +3,7 @@
 //! Runs on one graph instance (pattern: independent, one timestep): each
 //! subgraph runs an internal Dijkstra from its current root set and sends
 //! relaxations over remote edges; the BSP converges when no relaxation
-//! improves any label — the classic subgraph-centric SSSP of GoFFish [11].
+//! improves any label — the classic subgraph-centric SSSP of GoFFish \[11\].
 //!
 //! With `latency_col = None` all edges weigh 1, degenerating to BFS — the
 //! exact configuration the paper uses for its Giraph comparison ("running
@@ -96,10 +96,10 @@ impl SubgraphProgram for Sssp {
             let sg = ctx.subgraph();
             let latencies = self
                 .latency_col
-                .map(|c| instance.edge_f64(c).expect("latency must be Double"));
+                .map(|c| instance.edge_f64_cells(c).expect("latency must be Double"));
             let weight = |sg: &Subgraph, e: tempograph_core::EdgeIdx| -> f64 {
                 match latencies {
-                    Some(l) => l[sg.edge_pos(e).expect("member edge") as usize],
+                    Some(l) => l.get(sg.edge_pos(e).expect("member edge") as usize),
                     None => 1.0,
                 }
             };

@@ -5,8 +5,7 @@
 //! instance." This program computes, per timestep: the number of active
 //! vertices (non-empty tweet lists), total tweet volume, and — when a
 //! latency column is given — the count of congested edges (latency above a
-//! threshold). Results land in counters; no messaging at all, so it is also
-//! the cleanest workload for the temporal-parallelism ablation.
+//! threshold). Results land in counters; no messaging at all.
 
 use tempograph_core::kernels;
 use tempograph_engine::{Context, Envelope, SubgraphProgram};

@@ -200,8 +200,9 @@ impl Tdsp {
     fn modified_sssp(&mut self, ctx: &mut Context<'_, TdspMsg>, horizon: f64) {
         let instance = ctx.instance();
         let sg = ctx.subgraph();
+        // Read in place: a timestep pays for the latencies it relaxes.
         let latencies = instance
-            .edge_f64(self.latency_col)
+            .edge_f64_cells(self.latency_col)
             .expect("latency attribute must be a Double edge column");
 
         while let Some(Reverse((ordered_f64::F64(d), u))) = self.heap.pop() {
@@ -213,7 +214,7 @@ impl Tdsp {
                     continue; // finalized: its label is ≤ departure ≤ d
                 }
                 let q = sg.edge_pos(e).expect("local edge belongs to subgraph");
-                let arrival = d + latencies[q as usize];
+                let arrival = d + latencies.get(q as usize);
                 if arrival <= horizon {
                     self.relax(v, arrival);
                 }
@@ -230,7 +231,7 @@ impl Tdsp {
                 let q = sg
                     .edge_pos(rn.edge)
                     .expect("crossing edge belongs to subgraph");
-                let arrival = d + latencies[q as usize];
+                let arrival = d + latencies.get(q as usize);
                 if arrival <= horizon {
                     self.closed[i] = true;
                     self.relaxations.push((rn.subgraph, rn.vertex, arrival));

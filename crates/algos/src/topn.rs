@@ -4,8 +4,7 @@
 //! Top-N central vertices in a year … in a pleasingly temporally parallel
 //! manner". This program finds, per timestep, the N vertices with the most
 //! tweets in each subgraph and emits them — every instance is processed in
-//! isolation, so it also serves as the workload for the temporal-parallelism
-//! ablation (A1).
+//! isolation.
 
 use tempograph_core::kernels;
 use tempograph_engine::{Context, Envelope, SubgraphProgram};

@@ -5,7 +5,7 @@
 //! members. Supersteps exchange labels over remote edges and keep the
 //! minimum (hash-min over the *subgraph* graph), converging in
 //! `O(subgraph-graph diameter)` supersteps — the canonical demonstration of
-//! why subgraph-centric beats vertex-centric on high-diameter graphs [11].
+//! why subgraph-centric beats vertex-centric on high-diameter graphs \[11\].
 
 use tempograph_engine::{Context, Envelope, SubgraphProgram};
 use tempograph_partition::{Subgraph, SubgraphId};

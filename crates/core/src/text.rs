@@ -101,9 +101,11 @@ impl TextRows {
     }
 
     /// `self` with row `rows[k]` replaced by `patch.row(k)` — a sparse
-    /// delta applied without cloning the base: the unchanged runs between
-    /// patched rows are bulk copies. `None` unless `rows` is strictly
-    /// ascending, in range and as long as `patch`.
+    /// delta applied without cloning the base, in one pass that copies
+    /// maximal runs of rows from the base or the patch: consecutive patched
+    /// rows are consecutive patch rows, so a delta that patches most rows
+    /// costs a bulk copy per run, not per row. `None` unless `rows` is
+    /// strictly ascending, in range and as long as `patch`.
     pub fn splice(&self, rows: &[u32], patch: &TextRows) -> Option<TextRows> {
         u32::try_from(self.buf.len() + patch.buf.len()).ok()?;
         if rows.len() != patch.len() {
@@ -114,15 +116,19 @@ impl TextRows {
             str_ends: Vec::with_capacity(self.str_ends.len() + patch.str_ends.len()),
             row_ends: Vec::with_capacity(self.len()),
         };
-        let mut next = 0; // first base row not yet copied
-        for (k, &r) in rows.iter().enumerate() {
+        // First base row and first patch row not yet copied.
+        let (mut next, mut k) = (0, 0);
+        while let Some(&r) = rows.get(k) {
             let r = r as usize;
-            if r < next || r >= self.len() {
+            let run = (rows[k..].iter().zip(r..))
+                .take_while(|&(&row, at)| row as usize == at)
+                .count();
+            if r < next || r + run > self.len() {
                 return None;
             }
             out.append_rows(self, next, r);
-            out.append_rows(patch, k, k + 1);
-            next = r + 1;
+            out.append_rows(patch, k, k + run);
+            (next, k) = (r + run, k + run);
         }
         out.append_rows(self, next, self.len());
         Some(out)

@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tempograph_core::{
-    AttrType, AttrValue, Column, GraphInstance, TemplateBuilder, TimeSeriesCollection, VertexIdx,
+    AttrType, AttrValue, Column, GraphInstance, TemplateBuilder, TextRows, TimeSeriesCollection,
+    VertexIdx,
 };
 
 fn arb_attr_type() -> impl Strategy<Value = AttrType> {
@@ -35,7 +36,56 @@ fn arb_value_of(ty: AttrType) -> BoxedStrategy<AttrValue> {
     }
 }
 
+/// Empty strings, ASCII, and two-, three- and four-byte characters.
+const WORDS: [&str; 7] = ["", "a", "#tag", "é", "日本", "𝄞x", "naïve #é"];
+
+fn text_rows(rows: &[Vec<usize>]) -> Vec<Vec<&'static str>> {
+    rows.iter()
+        .map(|r| r.iter().map(|&w| WORDS[w]).collect())
+        .collect()
+}
+
+fn flat(rows: &[Vec<&str>]) -> TextRows {
+    TextRows::from_rows(rows.iter().map(|r| r.iter().copied()))
+}
+
 proptest! {
+    /// Splicing patch rows into a flat column equals flattening the rows
+    /// patched one by one — with none, some or all rows patched, empty
+    /// rows and empty strings — and a malformed patch is `None`.
+    #[test]
+    fn splice_equals_flattening_the_patched_rows(
+        base in proptest::collection::vec(proptest::collection::vec(0usize..7, 0..4), 0..12),
+        fresh in proptest::collection::vec(proptest::collection::vec(0usize..7, 0..4), 0..12),
+        chosen in proptest::collection::vec(any::<bool>(), 12),
+        mode in 0u8..3,
+    ) {
+        let (base, fresh) = (text_rows(&base), text_rows(&fresh));
+        let rows: Vec<u32> = (0..base.len())
+            .filter(|&r| mode == 1 || (mode == 2 && chosen[r]))
+            .map(|r| r as u32)
+            .collect();
+        let patch: Vec<Vec<&str>> = (0..rows.len())
+            .map(|k| fresh.get(k).cloned().unwrap_or_default())
+            .collect();
+        let mut want = base.clone();
+        for (&r, row) in rows.iter().zip(&patch) {
+            want[r as usize] = row.clone();
+        }
+        let (base, patch_rows) = (flat(&base), flat(&patch));
+        prop_assert_eq!(base.splice(&rows, &patch_rows), Some(flat(&want)));
+
+        if let Some((&last, init)) = rows.split_last() {
+            prop_assert!(base.splice(init, &patch_rows).is_none(), "length mismatch");
+            let past = [init, &[base.len() as u32]].concat();
+            prop_assert!(base.splice(&past, &patch_rows).is_none(), "row out of range");
+            if let Some(&first) = init.first() {
+                let swapped = [&[last], &init[1..], &[first]].concat();
+                prop_assert!(base.splice(&swapped, &patch_rows).is_none(), "not ascending");
+            }
+        }
+    }
+
     /// Dynamic set-then-get returns exactly what was stored, for every
     /// attribute type.
     #[test]

@@ -306,7 +306,7 @@ where
 }
 
 /// Worker-process entry point (the `tempograph worker` subcommand). Runs
-/// [`tcp_worker`] on a joinable thread so an injected panic can be mapped
+/// `tcp_worker` on a joinable thread so an injected panic can be mapped
 /// to [`INJECTED_EXIT_CODE`] — the cross-process substitute for the panic
 /// payload a thread-hosted epoch inspects. Returns the process exit code.
 pub fn run_tcp_worker<P, F>(

@@ -331,21 +331,9 @@ fn skip(buf: &mut Bytes, n: usize) -> Result<()> {
 /// Read a typed column into the reader's form (see [`DecodedColumn`]).
 pub fn get_column(buf: &mut Bytes) -> Result<DecodedColumn> {
     let (ty, len) = column_header(buf)?;
-    Ok(DecodedColumn::Plain(match ty {
-        AttrType::Long => {
-            let mut v = Vec::with_capacity(check_count(buf, len, 8)?);
-            for _ in 0..len {
-                v.push(get_i64(buf)?);
-            }
-            Column::Long(v)
-        }
-        AttrType::Double => {
-            let mut v = Vec::with_capacity(check_count(buf, len, 8)?);
-            for _ in 0..len {
-                v.push(get_f64(buf)?);
-            }
-            Column::Double(v)
-        }
+    Ok(DecodedColumn::Plain(Box::new(match ty {
+        AttrType::Long => Column::Long(get_words(buf, len, i64::from_le_bytes)?),
+        AttrType::Double => Column::Double(get_words(buf, len, f64::from_le_bytes)?),
         AttrType::Bool => {
             let raw = buf.split_to(check_count(buf, len.div_ceil(8), 1)?);
             let v = (0..len).map(|i| raw[i / 8] & (1 << (i % 8)) != 0).collect();
@@ -365,7 +353,21 @@ pub fn get_column(buf: &mut Bytes) -> Result<DecodedColumn> {
         }
         AttrType::Text => return Ok(DecodedColumn::Text(get_text_rows(buf, len, false)?)),
         AttrType::TextList => return Ok(DecodedColumn::TextList(get_text_rows(buf, len, true)?)),
-    }))
+    })))
+}
+
+/// `len` 8-byte little-endian values off the front of `buf`: one bounds
+/// check for the whole run, not one per value.
+fn get_words<T>(buf: &mut Bytes, len: usize, from_le: fn([u8; 8]) -> T) -> Result<Vec<T>> {
+    let n = check_count(buf, len, 8)? * 8;
+    let v = buf[..n]
+        .as_chunks::<8>()
+        .0
+        .iter()
+        .map(|&w| from_le(w))
+        .collect();
+    buf.advance(n);
+    Ok(v)
 }
 
 /// Step over one [`put_column`] record without allocating: fixed-width
@@ -567,6 +569,32 @@ pub fn skip_delta_column(buf: &mut Bytes) -> Result<()> {
     }
 }
 
+/// The cells of a `Double` record, as little-endian words where they lie
+/// in `record`: a [`put_column`] record (`base` is `None`), or a dense
+/// [`put_delta_column`] record over a `Double` `base` record of as many
+/// rows, whose count is read from its header alone. `None` for any other
+/// record — a sparse delta, another type, a count its bytes do not back —
+/// which the caller decodes instead, so the errors stay the decoder's.
+pub(crate) fn f64_cells<'a>(record: &'a [u8], base: Option<&[u8]>) -> Option<&'a [[u8; 8]]> {
+    let Some(base) = base else {
+        return plain_f64_cells(record);
+    };
+    let (&DELTA_DENSE, plain) = record.split_first()? else {
+        return None;
+    };
+    let cells = plain_f64_cells(plain)?;
+    (cells.len() == plain_f64_cells(base)?.len()).then_some(cells)
+}
+
+/// [`f64_cells`] of a [`put_column`] record.
+fn plain_f64_cells(record: &[u8]) -> Option<&[[u8; 8]]> {
+    let (&tag, rest) = record.split_first()?;
+    let (count, body) = rest.split_first_chunk::<4>()?;
+    let (cells, tail) = body.as_chunks::<8>();
+    let whole = tag == AttrType::Double.tag() && tail.is_empty();
+    (whole && cells.len() == u32::from_le_bytes(*count) as usize).then_some(cells)
+}
+
 // ---- template -----------------------------------------------------------
 
 const TEMPLATE_MAGIC: [u8; 4] = *b"GFTP";
@@ -738,6 +766,57 @@ mod tests {
     }
 
     #[test]
+    fn truncated_fixed_width_records_are_corrupt() {
+        for col in [
+            Column::Long(vec![1, -2, 3]),
+            Column::Double(vec![0.5, 1.5, 2.5]),
+        ] {
+            let mut buf = BytesMut::new();
+            put_column(&mut buf, &col);
+            for cut in 0..buf.len() {
+                let err = get_column(&mut Bytes::copy_from_slice(&buf[..cut])).unwrap_err();
+                assert!(matches!(err, GofsError::Corrupt(_)), "{err}");
+            }
+            assert_eq!(get_column(&mut buf.freeze()).unwrap(), read(&col));
+        }
+    }
+
+    #[test]
+    fn f64_cells_read_plain_and_dense_records_only() {
+        let values = |cells: &[[u8; 8]]| -> Vec<f64> {
+            cells.iter().map(|&w| f64::from_le_bytes(w)).collect()
+        };
+        let base = Column::Double(vec![0.5, 1.5, 2.5]);
+        let (mut plain, mut dense, mut sparse) =
+            (BytesMut::new(), BytesMut::new(), BytesMut::new());
+        put_column(&mut plain, &base);
+        put_delta_column(&mut dense, &base, &Column::Double(vec![3.0, 4.0, 5.0]));
+        put_delta_column(&mut sparse, &base, &Column::Double(vec![0.5, 9.0, 2.5]));
+        assert_eq!((dense[0], sparse[0]), (DELTA_DENSE, DELTA_SPARSE));
+        assert_eq!(values(f64_cells(&plain, None).unwrap()), [0.5, 1.5, 2.5]);
+        assert_eq!(
+            values(f64_cells(&dense, Some(&plain)).unwrap()),
+            [3.0, 4.0, 5.0]
+        );
+        // A delta read as a plain record and the other way round, a
+        // sparse delta, and another type: the decoder's business.
+        assert!(f64_cells(&dense, None).is_none());
+        assert!(f64_cells(&plain, Some(&plain)).is_none());
+        assert!(f64_cells(&sparse, Some(&plain)).is_none());
+        let mut long = BytesMut::new();
+        put_column(&mut long, &Column::Long(vec![1, 2, 3]));
+        assert!(f64_cells(&long, None).is_none());
+        assert!(f64_cells(&dense, Some(&long)).is_none());
+        // Row counts that disagree with the bytes or with the base.
+        for cut in 0..plain.len() {
+            assert!(f64_cells(&plain[..cut], None).is_none());
+        }
+        let mut short = BytesMut::new();
+        put_column(&mut short, &Column::Double(vec![0.5]));
+        assert!(f64_cells(&dense, Some(&short)).is_none());
+    }
+
+    #[test]
     fn varint_roundtrip() {
         let cases = [
             0u64,
@@ -837,7 +916,10 @@ mod tests {
             // Compare Doubles by bit pattern (NaN != NaN under PartialEq,
             // but the codec's contract is exact bit preservation).
             match (&back, &cur) {
-                (DecodedColumn::Plain(Column::Double(a)), Column::Double(b)) => {
+                (DecodedColumn::Plain(a), Column::Double(b)) => {
+                    let Column::Double(a) = &**a else {
+                        panic!("{a:?} read back for a Double column")
+                    };
                     assert_eq!(a.len(), b.len());
                     for (x, y) in a.iter().zip(b) {
                         assert_eq!(x.to_bits(), y.to_bits());
@@ -950,7 +1032,9 @@ mod tests {
         put_column(&mut buf, &col);
         let back = get_column(&mut buf.freeze()).unwrap();
         match back {
-            DecodedColumn::Plain(Column::Double(v)) => assert!(v[0].is_nan()),
+            DecodedColumn::Plain(c) => {
+                assert!(matches!(*c, Column::Double(ref v) if v[0].is_nan()))
+            }
             _ => panic!("wrong type"),
         }
     }

@@ -1,7 +1,7 @@
 //! # tempograph-gofs — GoFS-style slice storage for time-series graphs
 //!
 //! GoFFish stores time-series graphs in **GoFS**, a distributed graph file
-//! system (paper §IV.A, [18]): each host holds its partition's data as
+//! system (paper §IV.A, \[18\]): each host holds its partition's data as
 //! *slice files* on local disk, grouped by a **temporal packing** factor
 //! (10 instances per slice in the paper) and a **subgraph binning** factor
 //! (up to 5 subgraphs per slice), "to leverage data locality when
@@ -15,7 +15,7 @@
 //! * [`view::SubgraphInstance`] — an instance *projected* onto one subgraph:
 //!   vertex attribute rows in local-position order, edge rows in
 //!   [`Subgraph::edge_pos`](tempograph_partition::Subgraph::edge_pos) order;
-//! * [`slice`] — the slice-file format: `(partition, bin, pack)` →
+//! * [`slice`](mod@slice) — the slice-file format: `(partition, bin, pack)` →
 //!   projected instances for ≤ `binning` subgraphs × ≤ `packing` timesteps;
 //! * [`store`] — dataset directory layout, template/partitioning
 //!   persistence, [`store::GofsWriter`] / [`store::GofsStore`];
@@ -38,4 +38,4 @@ pub use loader::{InstanceLoader, LoaderStats};
 pub use slice::{SliceData, SliceKey};
 pub use store::{DatasetMeta, GofsStore, GofsWriter};
 pub use validate::{validate_dataset, DatasetStats};
-pub use view::{DecodedColumn, Projection, SubgraphInstance};
+pub use view::{DecodedColumn, F64Cells, Projection, SubgraphInstance};

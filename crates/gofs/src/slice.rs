@@ -145,7 +145,9 @@ impl SliceData {
             timestep: self.t_start + toff,
             timestamp: self.timestamps[toff],
             n_vertex_cols: self.n_vertex_cols,
-            cols: std::iter::repeat_with(OnceLock::new).take(n_cols).collect(),
+            cols: std::iter::repeat_with(Default::default)
+                .take(n_cols)
+                .collect(),
             sg: self.sg_ids[sg_index],
             block,
             base,
@@ -457,7 +459,8 @@ pub fn decode_slice(data: Bytes) -> Result<SliceData> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempograph_core::Column;
+    use crate::view::F64Cells;
+    use tempograph_core::{Column, CoreError};
 
     fn si(timestep: usize, val: f64) -> Projection {
         Projection {
@@ -563,6 +566,52 @@ mod tests {
     }
 
     #[test]
+    fn dense_double_cells_are_read_in_place() {
+        let rows = vec![two_column_pack(4)];
+        let key = SliceKey { bin: 0, pack: 0 };
+        let back = decode_slice(encode_slice(0, key, &[SubgraphId(7)], 0, &rows)).unwrap();
+        let before = back.approx_bytes();
+        let cells: Vec<_> = (0..4)
+            .map(|t| back.get(SubgraphId(7), t).unwrap())
+            .collect();
+        // The base's plain record and every dense delta: in place, twice.
+        for (t, cell) in cells.iter().enumerate() {
+            for _ in 0..2 {
+                let got = cell.edge_f64_cells(0).unwrap();
+                assert!(matches!(got, F64Cells::Raw(_)));
+                assert_eq!(
+                    (got.len(), got.get(0), got.get(1)),
+                    (2, t as f64, t as f64 + 0.5)
+                );
+            }
+        }
+        assert_eq!((back.decoded_columns(), back.approx_bytes()), (0, before));
+        // A column decoded already is handed out decoded.
+        cells[1].edge_f64(0).unwrap();
+        let got = cells[1].edge_f64_cells(0).unwrap();
+        assert!(matches!(got, F64Cells::Decoded(&[1.0, 1.5])));
+        // Past the schema, and the wrong type: the decoder's errors.
+        let err = cells[2].edge_f64_cells(1).unwrap_err();
+        assert!(matches!(err, GofsError::OutOfRange(_)), "{err}");
+        let long = Projection {
+            timestep: 0,
+            timestamp: 0,
+            vertex_cols: vec![],
+            edge_cols: vec![Column::Long(vec![1])],
+        };
+        let back = decode_slice(encode_slice(0, key, &[SubgraphId(1)], 0, &[vec![long]])).unwrap();
+        let inst = back.get(SubgraphId(1), 0).unwrap();
+        let err = inst.edge_f64_cells(0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                GofsError::Core(CoreError::AttributeTypeMismatch { .. })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn get_out_of_range_is_typed_error() {
         let sg_ids = vec![SubgraphId(0)];
         let rows = vec![vec![si(5, 1.0)]];
@@ -655,13 +704,14 @@ mod tests {
         // place, and it is raised again on the next touch.
         let last = back.get(SubgraphId(3), 2).unwrap();
         for _ in 0..2 {
-            let err = last.edge_f64(0).unwrap_err();
+            let err = last.edge_f64_cells(0).unwrap_err();
             assert!(matches!(err, GofsError::Corrupt(_)), "{err}");
             let msg = err.to_string();
             assert!(
                 msg.contains("sg3") && msg.contains("timestep 2") && msg.contains("column 1"),
                 "{msg}"
             );
+            assert_eq!(last.edge_f64(0).unwrap_err().to_string(), msg);
         }
         // The other column of that cell, and every other cell, are intact.
         assert_eq!(last.vertex_text_list(0).unwrap().row(2).len(), 3);
@@ -692,8 +742,9 @@ mod tests {
             &[1.0, 2.0],
             "not the last column"
         );
-        let err = cell.edge_f64(0).unwrap_err().to_string();
+        let err = cell.edge_f64_cells(0).unwrap_err().to_string();
         assert!(err.contains("trailing"), "{err}");
+        assert_eq!(cell.edge_f64(0).unwrap_err().to_string(), err);
     }
 
     #[test]

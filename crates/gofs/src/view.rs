@@ -4,11 +4,13 @@
 //! [`SubgraphInstance`], the reader's **column-lazy** form — it keeps its
 //! block of the slice file as zero-copy [`Bytes`] and decodes a column the
 //! first time an accessor asks for it, so a program that reads `latency`
-//! never pays for `tweets`.
+//! never pays for `tweets`. A dense `Double` column need not be decoded at
+//! all: [`SubgraphInstance::edge_f64_cells`] reads its cells where they lie.
 
 use crate::codec;
 use crate::error::{GofsError, Result};
 use bytes::{Buf, Bytes};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use tempograph_core::{AttrType, Column, CoreError, GraphInstance, TextRows};
 use tempograph_partition::{Subgraph, SubgraphId};
@@ -51,11 +53,12 @@ impl Projection {
 }
 
 /// One column as a reader holds it — the single decoded form: text flat
-/// (see [`TextRows`]), everything else the plain [`Column`].
+/// (see [`TextRows`]), everything else the plain [`Column`]. Every form is
+/// boxed, so a column's slot in a [`SubgraphInstance`] stays 40 bytes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DecodedColumn {
     /// A `Long`, `Double`, `Bool` or `LongList` column (never a text one).
-    Plain(Column),
+    Plain(Box<Column>),
     /// A `Text` column: one string per row.
     Text(Box<TextRows>),
     /// A `TextList` column.
@@ -80,6 +83,14 @@ impl DecodedColumn {
         }
     }
 
+    /// The column, unless it is a text one.
+    fn plain(&self) -> Option<&Column> {
+        match self {
+            DecodedColumn::Plain(c) => Some(c),
+            DecodedColumn::Text(_) | DecodedColumn::TextList(_) => None,
+        }
+    }
+
     /// Approximate heap bytes held.
     pub fn approx_bytes(&self) -> usize {
         match self {
@@ -98,9 +109,55 @@ impl From<Column> for DecodedColumn {
             Column::TextList(v) => DecodedColumn::TextList(Box::new(TextRows::from_rows(
                 v.iter().map(|l| l.iter().map(String::as_str)),
             ))),
-            plain => DecodedColumn::Plain(plain),
+            plain => DecodedColumn::Plain(Box::new(plain)),
         }
     }
+}
+
+/// The cells of a `Double` column as [`SubgraphInstance::edge_f64_cells`]
+/// hands them out: row `q` is [`F64Cells::get`]`(q)` either way.
+#[derive(Clone, Copy, Debug)]
+pub enum F64Cells<'a> {
+    /// Little-endian words read in place from the slice file's bytes: a
+    /// plain record, or a dense delta record.
+    Raw(&'a [[u8; 8]]),
+    /// The decoded column: a sparse delta record, or an in-memory
+    /// projection.
+    Decoded(&'a [f64]),
+}
+
+impl F64Cells<'_> {
+    /// Row `q`; panics when `q` is out of range, like slice indexing.
+    #[inline]
+    pub fn get(&self, q: usize) -> f64 {
+        match self {
+            F64Cells::Raw(words) => f64::from_le_bytes(words[q]),
+            F64Cells::Decoded(v) => v[q],
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            F64Cells::Raw(words) => words.len(),
+            F64Cells::Decoded(v) => v.len(),
+        }
+    }
+
+    /// True when the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// One column of a [`SubgraphInstance`]: where its record ends in the
+/// block, found once (it starts where the previous one ends), and its
+/// decoded form, made once. 40 bytes, as a lone decoded cell was.
+#[derive(Debug, Default)]
+pub(crate) struct Col {
+    end: OnceLock<usize>,
+    /// What [`codec::get_column`] / [`codec::get_delta_column`] made of it.
+    decoded: OnceLock<DecodedColumn>,
 }
 
 /// A [`Projection`] as a reader sees it — what the engine hands to the
@@ -116,13 +173,13 @@ pub struct SubgraphInstance {
     pub timestamp: i64,
     pub(crate) n_vertex_cols: usize,
     /// Vertex then edge columns, schema order.
-    pub(crate) cols: Box<[OnceLock<DecodedColumn>]>,
+    pub(crate) cols: Box<[Col]>,
     /// Named in decode errors.
     pub(crate) sg: SubgraphId,
     /// The stored block the columns decode from: one record per column,
     /// found by walking ([`codec::skip_column`]) — the slice directory has
     /// no per-column offsets. Empty for an in-memory projection, whose
-    /// columns are all set already.
+    /// columns are all decoded already.
     pub(crate) block: Bytes,
     /// The pack's first instance, whose same column a delta record patches
     /// (`None`: the records are full ones).
@@ -152,53 +209,79 @@ impl SubgraphInstance {
     fn column(&self, i: usize, end: usize) -> Result<&DecodedColumn> {
         let cell = (self.cols.get(..end).and_then(|cols| cols.get(i)))
             .ok_or_else(|| GofsError::OutOfRange(format!("column {i} of {end}")))?;
-        if let Some(col) = cell.get() {
+        if let Some(col) = cell.decoded.get() {
             return Ok(col);
         }
         let col = self.decode(i).map_err(|e| {
             let at = format!("{} timestep {} column {i}", self.sg, self.timestep);
             GofsError::Corrupt(format!("{at}: {e}"))
         })?;
-        Ok(cell.get_or_init(|| col))
+        Ok(cell.decoded.get_or_init(|| col))
     }
 
-    /// Walk the block to record `i` and decode it; whoever decodes the
-    /// last record also vets that the block ends there.
+    /// Decode record `i`, noting where it ends.
     fn decode(&self, i: usize) -> Result<DecodedColumn> {
-        let mut buf = self.block.clone();
-        let base = self.base.as_deref();
-        for _ in 0..i {
-            match base {
-                None => codec::skip_column(&mut buf)?,
-                Some(_) => codec::skip_delta_column(&mut buf)?,
-            }
-        }
-        let col = match base {
+        let mut buf = self.block.slice(self.start_of(i)?..);
+        let col = match self.base.as_deref() {
             None => codec::get_column(&mut buf)?,
             Some(base) => codec::get_delta_column(&mut buf, base.column(i, base.cols.len())?)?,
         };
-        let left = buf.remaining();
-        if left > 0 && i + 1 == self.cols.len() {
+        self.ended(i, self.block.len() - buf.remaining())?;
+        Ok(col)
+    }
+
+    /// Where record `i` lies in the block.
+    fn record(&self, i: usize) -> Result<Range<usize>> {
+        let start = self.start_of(i)?;
+        Ok(start..self.end_of(i, start)?)
+    }
+
+    /// Where record `i` starts: where the one before it ends.
+    fn start_of(&self, i: usize) -> Result<usize> {
+        (0..i).try_fold(0, |start, j| self.end_of(j, start))
+    }
+
+    /// Where record `j` (in range), which starts at `start`, ends:
+    /// stepped over once ([`codec::skip_column`]) and kept.
+    fn end_of(&self, j: usize, start: usize) -> Result<usize> {
+        if let Some(&end) = self.cols[j].end.get() {
+            return Ok(end);
+        }
+        let mut rest = self.block.slice(start..);
+        match self.base {
+            None => codec::skip_column(&mut rest)?,
+            Some(_) => codec::skip_delta_column(&mut rest)?,
+        }
+        self.ended(j, self.block.len() - rest.remaining())
+    }
+
+    /// Keep `end` as where record `j` (in range) ends, once the last
+    /// record is vetted to end the block.
+    fn ended(&self, j: usize, end: usize) -> Result<usize> {
+        let left = self.block.len() - end;
+        if left > 0 && j + 1 == self.cols.len() {
             return Err(GofsError::Corrupt(format!(
                 "{left} trailing bytes in block"
             )));
         }
-        Ok(col)
+        Ok(*self.cols[j].end.get_or_init(|| end))
     }
 
     /// Borrow a `Double` vertex column by schema position.
     pub fn vertex_f64(&self, col: usize) -> Result<&[f64]> {
-        match self.vertex_col(col)? {
-            DecodedColumn::Plain(Column::Double(v)) => Ok(v),
-            c => Err(mismatch(c.ty(), AttrType::Double)),
+        let c = self.vertex_col(col)?;
+        match c.plain() {
+            Some(Column::Double(v)) => Ok(v),
+            _ => Err(mismatch(c.ty(), AttrType::Double)),
         }
     }
 
     /// Borrow a `Long` vertex column by schema position.
     pub fn vertex_i64(&self, col: usize) -> Result<&[i64]> {
-        match self.vertex_col(col)? {
-            DecodedColumn::Plain(Column::Long(v)) => Ok(v),
-            c => Err(mismatch(c.ty(), AttrType::Long)),
+        let c = self.vertex_col(col)?;
+        match c.plain() {
+            Some(Column::Long(v)) => Ok(v),
+            _ => Err(mismatch(c.ty(), AttrType::Long)),
         }
     }
 
@@ -212,31 +295,61 @@ impl SubgraphInstance {
 
     /// Borrow a `Bool` vertex column by schema position.
     pub fn vertex_bool(&self, col: usize) -> Result<&[bool]> {
-        match self.vertex_col(col)? {
-            DecodedColumn::Plain(Column::Bool(v)) => Ok(v),
-            c => Err(mismatch(c.ty(), AttrType::Bool)),
+        let c = self.vertex_col(col)?;
+        match c.plain() {
+            Some(Column::Bool(v)) => Ok(v),
+            _ => Err(mismatch(c.ty(), AttrType::Bool)),
         }
     }
 
     /// Borrow a `Double` edge column by schema position.
     pub fn edge_f64(&self, col: usize) -> Result<&[f64]> {
-        match self.edge_col(col)? {
-            DecodedColumn::Plain(Column::Double(v)) => Ok(v),
-            c => Err(mismatch(c.ty(), AttrType::Double)),
+        let c = self.edge_col(col)?;
+        match c.plain() {
+            Some(Column::Double(v)) => Ok(v),
+            _ => Err(mismatch(c.ty(), AttrType::Double)),
         }
+    }
+
+    /// A `Double` edge column's cells, read where they lie in the slice
+    /// file when its record is a plain or a dense delta one: nothing is
+    /// decoded or kept but the record's place in the block, so a program
+    /// pays per cell it reads, not per row. Any other record — a sparse
+    /// delta, another type, a corrupt one — and an in-memory projection
+    /// hand out [`Self::edge_f64`] instead, with its errors.
+    pub fn edge_f64_cells(&self, col: usize) -> Result<F64Cells<'_>> {
+        match self.raw_f64(self.n_vertex_cols + col) {
+            Some(words) => Ok(F64Cells::Raw(words)),
+            None => self.edge_f64(col).map(F64Cells::Decoded),
+        }
+    }
+
+    /// Column `i`'s cells in place, unless it is decoded already or
+    /// [`codec::f64_cells`] does not vouch for its record (and, for a
+    /// delta, the base's record).
+    fn raw_f64(&self, i: usize) -> Option<&[[u8; 8]]> {
+        if self.cols.get(i)?.decoded.get().is_some() {
+            return None;
+        }
+        let base = match self.base.as_deref() {
+            None => None,
+            Some(base) => Some(&base.block[base.record(i).ok()?]),
+        };
+        codec::f64_cells(&self.block[self.record(i).ok()?], base)
     }
 
     /// Borrow a `Long` edge column by schema position.
     pub fn edge_i64(&self, col: usize) -> Result<&[i64]> {
-        match self.edge_col(col)? {
-            DecodedColumn::Plain(Column::Long(v)) => Ok(v),
-            c => Err(mismatch(c.ty(), AttrType::Long)),
+        let c = self.edge_col(col)?;
+        match c.plain() {
+            Some(Column::Long(v)) => Ok(v),
+            _ => Err(mismatch(c.ty(), AttrType::Long)),
         }
     }
 
     /// The columns decoded so far.
     pub fn decoded(&self) -> impl Iterator<Item = &DecodedColumn> {
-        self.cols.iter().filter_map(|c| c.get())
+        self.cols.iter().filter_map(|c| c.decoded.get())
     }
 }
 
@@ -247,7 +360,10 @@ impl From<Projection> for SubgraphInstance {
             timestamp: p.timestamp,
             n_vertex_cols: p.vertex_cols.len(),
             cols: (p.vertex_cols.into_iter().chain(p.edge_cols))
-                .map(|c| OnceLock::from(DecodedColumn::from(c)))
+                .map(|c| Col {
+                    end: OnceLock::new(),
+                    decoded: OnceLock::from(DecodedColumn::from(c)),
+                })
                 .collect(),
             sg: SubgraphId(0),
             block: Bytes::new(),
@@ -343,6 +459,16 @@ mod tests {
         assert_eq!(si.timestep, 3);
         assert!(si.vertex_i64(0).is_err());
         assert!(si.vertex_text_list(0).is_err());
+    }
+
+    /// Boxed decoded forms keep a column slot, record end included, as
+    /// large as the decoded cell alone was: a larger per-instance
+    /// `Box<[Col]>` falls in another allocator size class, and at 48 or 56
+    /// bytes moved `hash_tweets`' peak memory by +12 or +6 MB.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_column_slot_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<Col>(), 40);
     }
 
     #[test]

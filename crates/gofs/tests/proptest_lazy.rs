@@ -1,6 +1,7 @@
 //! Differential property tests of the column-lazy read path: whatever
 //! order columns and timesteps are touched in, every accessor hands back
-//! exactly the projection that was written; and corrupt bytes — behind a
+//! exactly the projection that was written; a `Double` column read in
+//! place is its decoded form bit for bit; and corrupt bytes — behind a
 //! valid checksum — end in a typed error or a value, never in a panic or
 //! in an allocation sized by a corrupt count.
 
@@ -14,7 +15,7 @@ use tempograph_gofs::codec::{
     skip_delta_column, unframe,
 };
 use tempograph_gofs::slice::{decode_slice, encode_slice, SliceData, SliceKey};
-use tempograph_gofs::{DecodedColumn, GofsError, Projection};
+use tempograph_gofs::{DecodedColumn, F64Cells, GofsError, Projection};
 use tempograph_partition::SubgraphId;
 
 const MAGIC: [u8; 4] = *b"GFSL";
@@ -207,7 +208,105 @@ fn touches(
     all
 }
 
+/// A `Double` edge column read in place: `(read in place?, bits)`, or the
+/// error as text.
+fn cells(
+    slice: &SliceData,
+    sg: SubgraphId,
+    t: usize,
+    col: usize,
+) -> Result<(bool, Vec<u64>), String> {
+    let inst = slice.get(sg, t).map_err(|e| e.to_string())?;
+    let cells = inst.edge_f64_cells(col).map_err(|e| e.to_string())?;
+    let bits = (0..cells.len()).map(|q| cells.get(q).to_bits()).collect();
+    Ok((matches!(cells, F64Cells::Raw(_)), bits))
+}
+
+/// The same column decoded: its bits, or the error as text.
+fn decoded(slice: &SliceData, sg: SubgraphId, t: usize, col: usize) -> Result<Vec<u64>, String> {
+    let inst = slice.get(sg, t).map_err(|e| e.to_string())?;
+    let col = inst.edge_f64(col).map_err(|e| e.to_string())?;
+    Ok(col.iter().map(|x| x.to_bits()).collect())
+}
+
+/// `payload` with its last block `cut` bytes shorter: the blocks end the
+/// payload, and the directory's final offset sits just before them.
+fn cut_last_block(payload: &[u8], blocks_len: usize, cut: usize) -> Vec<u8> {
+    let end_at = payload.len() - blocks_len - 8;
+    let mut out = payload[..payload.len() - cut].to_vec();
+    out[end_at..end_at + 8].copy_from_slice(&((blocks_len - cut) as u64).to_le_bytes());
+    out
+}
+
 proptest! {
+    /// `Double` edge columns behind a `TextList` vertex column and other
+    /// columns, in packs of 1 to 5 with dense and sparse deltas: a read in
+    /// place equals the decoded column bit for bit, decodes nothing, and is
+    /// taken for every plain and dense record. Flipped or truncated, it
+    /// answers exactly as the decoder does, and never panics.
+    #[test]
+    fn double_cells_in_place_equal_the_decoded_column(
+        vertex in proptest::collection::vec(0u8..6, 0..=2),
+        edge in proptest::collection::vec(0u8..6, 0..=2),
+        rows in 0usize..9,
+        n_ts in 1usize..=5,
+        seed in any::<u64>(),
+        (pos_frac, flip, cut) in (0.0f64..1.0, 1u8..=255, 1usize..24),
+    ) {
+        let mut rng = Rng(seed | 1);
+        let vertex = [&[5u8][..], &vertex].concat();
+        let edge = [&edge[..], &[1, 1]].concat();
+        let doubles: Vec<usize> = (0..edge.len()).filter(|&c| edge[c] == 1).collect();
+        let sg_ids = [SubgraphId(4), SubgraphId(2)];
+        let packs: Vec<Vec<Projection>> =
+            (0..2).map(|_| pack(&mut rng, &vertex, &edge, (3, rows), n_ts)).collect();
+        let framed = encode_slice(1, KEY, &sg_ids, 5, &packs);
+        let (slice, other) = (decode_slice(framed.clone()).unwrap(), decode_slice(framed.clone()).unwrap());
+        for (sg, pack) in sg_ids.iter().zip(&packs) {
+            for (t, written) in pack.iter().enumerate() {
+                for &c in &doubles {
+                    let before = slice.decoded_columns();
+                    let (raw, bits) = cells(&slice, *sg, 5 + t, c).unwrap();
+                    prop_assert_eq!(&bits, &decoded(&other, *sg, 5 + t, c).unwrap());
+                    let Column::Double(want) = &written.edge_cols[c] else { unreachable!() };
+                    prop_assert_eq!(bits, want.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+                    // Plain and dense records: every row changed, or none.
+                    let base = &pack[0].edge_cols[c];
+                    let changed = written.edge_cols[c].changed_rows(base).unwrap().len();
+                    prop_assert!(raw || (t > 0 && changed < rows), "decoded a dense record");
+                    if raw {
+                        prop_assert_eq!(slice.decoded_columns(), before);
+                    }
+                }
+            }
+        }
+
+        let payload = unframe(MAGIC, &framed).unwrap();
+        let blocks_len = slice.directory().1;
+        let mut flipped = payload.to_vec();
+        let pos = ((flipped.len() - 1) as f64 * pos_frac) as usize;
+        flipped[pos] ^= flip;
+        let truncated = cut_last_block(&payload, blocks_len, cut.min(blocks_len));
+        for warped in [flipped, truncated] {
+            let reframed = frame(MAGIC, &warped);
+            let (Ok(slice), Ok(other)) = (decode_slice(reframed.clone()), decode_slice(reframed)) else {
+                continue;
+            };
+            for (&sg, t) in slice.sg_ids.iter().flat_map(|sg| (0..n_ts).map(move |t| (sg, t))) {
+                for &c in &doubles {
+                    let t = slice.t_start + t;
+                    let view = cells(&slice, sg, t, c).map(|(_, bits)| bits);
+                    prop_assert_eq!(view, decoded(&other, sg, t, c));
+                }
+            }
+        }
+        // The last block short of its last bytes: its last column fails.
+        let truncated = frame(MAGIC, &cut_last_block(&payload, blocks_len, 1));
+        let slice = decode_slice(truncated).unwrap();
+        let last = doubles[doubles.len() - 1];
+        prop_assert!(cells(&slice, sg_ids[1], 5 + n_ts - 1, last).is_err());
+    }
+
     /// Written projections come back through the lazy accessors, column
     /// by column in any order, text row by row.
     #[test]
@@ -243,7 +342,7 @@ proptest! {
                     let flat: Vec<&str> = got.iter().flatten().collect();
                     prop_assert_eq!(&flat, rows);
                 }
-                (DecodedColumn::Plain(got), written) => prop_assert_eq!(got, written),
+                (DecodedColumn::Plain(got), written) => prop_assert_eq!(&**got, written),
                 (got, written) => panic!("{:?} read back as {:?}", written.ty(), got.ty()),
             }
         }

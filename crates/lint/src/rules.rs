@@ -292,7 +292,7 @@ pub const HOT_ROOTS_EXECUTOR: &[&str] = &["run_timestep_loop", "run_bsp", "run_m
 pub const HOT_ROOTS_TRANSPORT: &[&str] = &["send", "close_phase", "barrier", "telemetry"];
 
 /// Codec entry-point names: any fn with one of these names in a
-/// [`CODEC_FILES`] file roots the wire/frame/checkpoint/ledger closure.
+/// `CODEC_FILES` file roots the wire/frame/checkpoint/ledger closure.
 pub const HOT_ROOTS_CODEC: &[&str] = &[
     "encode",
     "decode",

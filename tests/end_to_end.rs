@@ -4,6 +4,7 @@
 //! vertex-centric implementations.
 
 use std::sync::Arc;
+use tempograph::gofs::SubgraphInstance;
 use tempograph::prelude::*;
 
 fn carn_fixture() -> (Arc<GraphTemplate>, Arc<TimeSeriesCollection>) {
@@ -190,13 +191,13 @@ fn wcc_and_pagerank_run_through_the_facade() {
     );
 }
 
-/// Runs `P` unchanged and notes, after every compute, the type of each
-/// column its instance has decoded so far. A delta column decodes the same
-/// column of the pack's base, so a column type never seen here was never
-/// decoded anywhere.
+/// Runs `P` unchanged and keeps every instance it computed over, so what
+/// they decoded can be counted once the job is over. A delta column
+/// decodes the same column of the pack's base, so a column never decoded
+/// in any of them was never decoded anywhere.
 struct Watched<P> {
     inner: P,
-    decoded: Arc<std::sync::Mutex<Vec<AttrType>>>,
+    seen: Arc<std::sync::Mutex<Vec<Arc<SubgraphInstance>>>>,
 }
 
 impl<P: SubgraphProgram> SubgraphProgram for Watched<P> {
@@ -205,8 +206,7 @@ impl<P: SubgraphProgram> SubgraphProgram for Watched<P> {
     fn compute(&mut self, ctx: &mut Context<'_, P::Msg>, msgs: &[Envelope<P::Msg>]) {
         self.inner.compute(ctx, msgs);
         let instance = ctx.instance();
-        let mut decoded = self.decoded.lock().unwrap();
-        decoded.extend(instance.decoded().map(|c| c.ty()));
+        self.seen.lock().unwrap().push(instance);
     }
 
     fn end_of_timestep(&mut self, ctx: &mut Context<'_, P::Msg>) {
@@ -219,14 +219,15 @@ impl<P: SubgraphProgram> SubgraphProgram for Watched<P> {
 }
 
 /// Run `factory`'s program from a GoFS store of `coll` and from memory:
-/// the emits must agree; returns the column types the GoFS run decoded.
-fn decoded_types_on_gofs<P, F>(
+/// the emits must agree. Returns how many distinct instances the GoFS run
+/// computed over and the type of every column they decoded.
+fn decoded_on_gofs<P, F>(
     tag: &str,
     pg: &Arc<PartitionedGraph>,
     coll: Arc<TimeSeriesCollection>,
     factory: impl Fn() -> F,
     config: JobConfig<P::Msg>,
-) -> Vec<AttrType>
+) -> (usize, Vec<AttrType>)
 where
     P: SubgraphProgram,
     F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync,
@@ -234,14 +235,14 @@ where
     let dir = std::env::temp_dir().join(format!("e2e-lazy-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     tempograph::gofs::store::write_dataset(&dir, pg.clone(), &coll, 10, 5).unwrap();
-    let decoded = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let (watch, inner) = (decoded.clone(), factory());
+    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let (watch, inner) = (seen.clone(), factory());
     let from_disk = run_job(
         pg,
         &InstanceSource::Gofs(dir.clone()),
         move |sg: &Subgraph, pg: &PartitionedGraph| Watched {
             inner: inner(sg, pg),
-            decoded: watch.clone(),
+            seen: watch.clone(),
         },
         config.clone(),
     );
@@ -249,9 +250,67 @@ where
     assert_eq!(from_disk.emitted, from_memory.emitted);
     assert!(from_disk.emitted.iter().any(|e| e.value > 0.0));
     std::fs::remove_dir_all(&dir).unwrap();
-    let decoded = decoded.lock().unwrap().clone();
-    assert!(!decoded.is_empty(), "the program read no column at all");
-    decoded
+    let mut seen = std::mem::take(&mut *seen.lock().unwrap());
+    seen.sort_by_key(Arc::as_ptr);
+    seen.dedup_by(|a, b| Arc::ptr_eq(a, b));
+    let decoded = seen.iter().flat_map(|i| i.decoded().map(|c| c.ty()));
+    (seen.len(), decoded.collect())
+}
+
+/// A program that reads every instance's `latency` column decoded, after
+/// `P` is done with it.
+struct DecodesLatency<P> {
+    inner: P,
+    col: usize,
+}
+
+impl<P: SubgraphProgram> SubgraphProgram for DecodesLatency<P> {
+    type Msg = P::Msg;
+
+    fn compute(&mut self, ctx: &mut Context<'_, P::Msg>, msgs: &[Envelope<P::Msg>]) {
+        self.inner.compute(ctx, msgs);
+        ctx.instance().edge_f64(self.col).unwrap();
+    }
+
+    fn end_of_timestep(&mut self, ctx: &mut Context<'_, P::Msg>) {
+        self.inner.end_of_timestep(ctx);
+    }
+}
+
+#[test]
+fn gofs_tdsp_job_over_dense_latencies_decodes_zero_columns() {
+    // Every road latency changes every timestep: each record is the base's
+    // plain one or a dense delta, and TDSP reads them all in place.
+    let (t, coll) = carn_fixture();
+    let lat_col = t.edge_schema().index_of(LATENCY_ATTR).unwrap();
+    let parts = MultilevelPartitioner::default().partition(&t, 3);
+    let pg = Arc::new(discover_subgraphs(t.clone(), parts));
+    let config = || JobConfig::sequentially_dependent(25).while_active(25);
+    let (instances, decoded) = decoded_on_gofs(
+        "tdsp-count",
+        &pg,
+        coll.clone(),
+        || Tdsp::factory(VertexIdx(0), lat_col),
+        config(),
+    );
+    assert!(instances > 0);
+    assert_eq!(decoded.len(), 0, "{decoded:?}");
+    // The count sees a decode: the same job reading each latency column
+    // decoded decodes exactly one column per instance.
+    let (instances, decoded) = decoded_on_gofs(
+        "tdsp-decoding",
+        &pg,
+        coll,
+        || {
+            let tdsp = Tdsp::factory(VertexIdx(0), lat_col);
+            move |sg: &Subgraph, pg: &PartitionedGraph| DecodesLatency {
+                inner: tdsp(sg, pg),
+                col: lat_col,
+            }
+        },
+        config(),
+    );
+    assert_eq!(decoded, vec![AttrType::Double; instances]);
 }
 
 #[test]
@@ -263,14 +322,15 @@ fn programs_decode_only_the_columns_they_read() {
     assert!(t.vertex_schema().index_of(TWEETS_ATTR).is_some());
     let parts = MultilevelPartitioner::default().partition(&t, 3);
     let pg = Arc::new(discover_subgraphs(t.clone(), parts));
-    let tdsp = decoded_types_on_gofs(
+    let (_, tdsp) = decoded_on_gofs(
         "tdsp",
         &pg,
         coll,
         || Tdsp::factory(VertexIdx(0), lat_col),
         JobConfig::sequentially_dependent(25).while_active(25),
     );
-    assert!(tdsp.iter().all(|&ty| ty == AttrType::Double), "{tdsp:?}");
+    // Dense latencies are read in place: TDSP decodes nothing at all.
+    assert!(tdsp.is_empty(), "{tdsp:?}");
 
     let t = Arc::new(wiki_like(0.05));
     let coll = Arc::new(generate_sir_tweets(
@@ -285,12 +345,13 @@ fn programs_decode_only_the_columns_they_read() {
     assert!(t.edge_schema().index_of(LATENCY_ATTR).is_some());
     let parts = MultilevelPartitioner::default().partition(&t, 3);
     let pg = Arc::new(discover_subgraphs(t.clone(), parts));
-    let hash = decoded_types_on_gofs(
+    let (_, hash) = decoded_on_gofs(
         "hash",
         &pg,
         coll,
         || HashtagAggregation::factory("#cats", tweets_col),
         JobConfig::eventually_dependent(12),
     );
+    assert!(!hash.is_empty(), "the program read no column at all");
     assert!(hash.iter().all(|&ty| ty == AttrType::TextList), "{hash:?}");
 }
