@@ -282,7 +282,7 @@ echo "==> partition: subgraph discovery vs its definition (PROPTEST_CASES=${PROP
 PROPTEST_CASES="${PROPTEST_CASES:-64}" \
     cargo test -q -p tempograph-partition --test proptest_discover
 
-echo "==> algos: TDSP frontier vs sequential reference (PROPTEST_CASES=${PROPTEST_CASES:-64})"
+echo "==> algos: TDSP frontier vs sequential reference, fixed and WhileActive arms (WhileActive: no local messages, stops after the last finalization) (PROPTEST_CASES=${PROPTEST_CASES:-64})"
 PROPTEST_CASES="${PROPTEST_CASES:-64}" \
     cargo test -q -p tempograph-algos --test tdsp_frontier
 

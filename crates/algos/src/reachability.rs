@@ -10,6 +10,13 @@
 //!
 //! Emits `(vertex, first_reached_timestep)`; the counter
 //! [`TemporalReachability::REACHED`] tracks per-timestep progress.
+//!
+//! **Termination.** Under `WhileActive`, a subgraph casts
+//! `VoteToHaltTimestep` only once all its vertices are reached; while one
+//! is not, its withheld vote keeps the loop running, and it sends nothing
+//! across timesteps. It never sleeps: superstep 0 resumes from every
+//! reached vertex, and an `isExists` flip can reopen a path without any
+//! message arriving.
 
 use tempograph_core::VertexIdx;
 use tempograph_engine::{Context, Envelope, SubgraphProgram};
@@ -140,11 +147,8 @@ impl SubgraphProgram for TemporalReachability {
                 ctx.emit(ctx.subgraph().vertex_at(pos), ctx.timestep() as f64);
             }
         }
-        ctx.vote_to_halt_timestep();
-        let all = self.reached.iter().all(|&r| r);
-        if !all && ctx.timestep() + 1 < ctx.num_timesteps() {
-            // Keep the While loop alive until the whole subgraph is reached.
-            ctx.send_to_next_timestep(self.source);
+        if self.reached.iter().all(|&r| r) {
+            ctx.vote_to_halt_timestep();
         }
     }
 }

@@ -32,7 +32,20 @@
 //!    send is dropped by receivers that are finalized already.
 //!
 //! A subgraph with an empty frontier and an empty inbox never asks for its
-//! instance, so a finished region costs no GoFS read (§IV.D).
+//! instance, so a finished region costs no GoFS read (§IV.D). It costs no
+//! call either: once `end_of_timestep` leaves the frontier empty, the
+//! subgraph votes to halt there and sleeps. Its next superstep-0 `compute`
+//! would seed nothing (no frontier vertex, and the source only seeds
+//! timestep 0) and its next `end_of_timestep` would finalize nothing, so
+//! both are no-ops: no label can drop without a frontier vertex or an
+//! incoming `Relax`. A `Relax` wakes it at a superstep > 0, and it then
+//! stays awake while its frontier is open.
+//!
+//! **Termination.** Under `WhileActive`, a subgraph casts
+//! `VoteToHaltTimestep` only once all its vertices are finalized; while one
+//! is not, its withheld vote keeps the loop running, and a sleeper's last
+//! vote stands for it. The loop thus stops after the timestep of the last
+//! finalization, or runs to the cap when some vertex is never reached.
 //!
 //! Labels are measured as elapsed time since departure at `t0`.
 
@@ -42,34 +55,26 @@ use tempograph_core::VertexIdx;
 use tempograph_engine::{wire, Combiner, Context, Envelope, SubgraphProgram, WireError, WireMsg};
 use tempograph_partition::{Subgraph, SubgraphId};
 
-/// TDSP message: either a remote relaxation or a liveness token for the
-/// `WhileActive` termination mode.
+/// TDSP message: a remote relaxation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TdspMsg {
     /// "Vertex `v` (in your subgraph) is reachable with arrival `label`."
     Relax(VertexIdx, f64),
-    /// "My subgraph still has unfinalized vertices — keep iterating."
-    Continue,
 }
 
 impl WireMsg for TdspMsg {
     fn encode(&self, buf: &mut bytes::BytesMut) {
-        match self {
-            TdspMsg::Relax(v, label) => {
-                bytes::BufMut::put_u8(buf, 0);
-                v.encode(buf);
-                label.encode(buf);
-            }
-            TdspMsg::Continue => bytes::BufMut::put_u8(buf, 1),
-        }
+        let TdspMsg::Relax(v, label) = self;
+        bytes::BufMut::put_u8(buf, 0);
+        v.encode(buf);
+        label.encode(buf);
     }
 
     fn decode(buf: &mut bytes::Bytes) -> Result<Self, WireError> {
         // Explicit tags (lint rule W01): adding a variant must extend this
-        // match, and an unknown tag is corruption, not a silent `Continue`.
+        // match, and an unknown tag is corruption.
         match wire::get_u8(buf, "TdspMsg tag")? {
             0 => Ok(TdspMsg::Relax(VertexIdx::decode(buf)?, f64::decode(buf)?)),
-            1 => Ok(TdspMsg::Continue),
             tag => Err(WireError::BadTag {
                 context: "TdspMsg",
                 tag,
@@ -81,23 +86,19 @@ impl WireMsg for TdspMsg {
 /// Sender-side min-combiner for TDSP traffic: relaxations of the same
 /// vertex collapse to the smallest arrival before serialisation. Min is
 /// associative and commutative and the receiver keeps the minimum anyway,
-/// so results are byte-identical with or without it. `Continue` liveness
-/// tokens are never combined.
+/// so results are byte-identical with or without it.
 pub struct TdspCombiner;
 
 impl Combiner<TdspMsg> for TdspCombiner {
     fn key(&self, msg: &TdspMsg) -> Option<u64> {
-        match msg {
-            TdspMsg::Relax(v, _) => Some(v.0 as u64),
-            TdspMsg::Continue => None,
-        }
+        let TdspMsg::Relax(v, _) = msg;
+        Some(v.0 as u64)
     }
 
     fn combine(&self, acc: &mut TdspMsg, incoming: TdspMsg) {
-        if let (TdspMsg::Relax(_, a), TdspMsg::Relax(_, b)) = (acc, incoming) {
-            if b < *a {
-                *a = b;
-            }
+        let (TdspMsg::Relax(_, a), TdspMsg::Relax(_, b)) = (acc, incoming);
+        if b < *a {
+            *a = b;
         }
     }
 }
@@ -278,14 +279,13 @@ impl SubgraphProgram for Tdsp {
         } else {
             // Remote relaxations (Algorithm 2 lines 13–18).
             for e in msgs {
-                if let TdspMsg::Relax(v, label) = &e.payload {
-                    let pos = ctx
-                        .subgraph()
-                        .local_pos(*v)
-                        .expect("relaxation targets a member vertex");
-                    if self.tdsp[pos as usize].is_infinite() {
-                        self.relax(pos, *label);
-                    }
+                let TdspMsg::Relax(v, label) = e.payload;
+                let pos = ctx
+                    .subgraph()
+                    .local_pos(v)
+                    .expect("relaxation targets a member vertex");
+                if self.tdsp[pos as usize].is_infinite() {
+                    self.relax(pos, label);
                 }
             }
         }
@@ -298,8 +298,8 @@ impl SubgraphProgram for Tdsp {
 
     fn end_of_timestep(&mut self, ctx: &mut Context<'_, TdspMsg>) {
         // Finalize vertices reached within this horizon (F_t), emit their
-        // TDSP in position order, and keep the loop alive while any vertex
-        // is unreached.
+        // TDSP in position order, keep the loop alive while any vertex is
+        // unreached, and sleep while nothing can change (module header).
         self.reached.sort_unstable();
         for &pos in &self.reached {
             let label = self.label[pos as usize];
@@ -311,9 +311,11 @@ impl SubgraphProgram for Tdsp {
         }
         self.remaining -= self.reached.len();
         self.frontier.append(&mut self.reached);
-        ctx.vote_to_halt_timestep();
-        if self.remaining > 0 && ctx.timestep() + 1 < ctx.num_timesteps() {
-            ctx.send_to_next_timestep(TdspMsg::Continue);
+        if self.remaining == 0 {
+            ctx.vote_to_halt_timestep();
+        }
+        if self.frontier.is_empty() {
+            ctx.vote_to_halt();
         }
     }
 
@@ -382,11 +384,10 @@ mod tests {
 
     #[test]
     fn msg_roundtrip() {
-        for msg in [TdspMsg::Relax(VertexIdx(7), 3.5), TdspMsg::Continue] {
-            let mut buf = BytesMut::new();
-            msg.encode(&mut buf);
-            assert_eq!(TdspMsg::decode(&mut buf.freeze()).unwrap(), msg);
-        }
+        let msg = TdspMsg::Relax(VertexIdx(7), 3.5);
+        let mut buf = BytesMut::new();
+        msg.encode(&mut buf);
+        assert_eq!(TdspMsg::decode(&mut buf.freeze()).unwrap(), msg);
     }
 
     #[test]

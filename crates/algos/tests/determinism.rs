@@ -225,16 +225,14 @@ fn tdsp_combiner_sends_fewer_wire_bytes_and_identical_results() {
     assert!(frames <= remote_msgs, "one frame carries ≥1 message");
 }
 
-/// Combiners must also leave the *never-combine* traffic intact: `Continue`
-/// liveness tokens have `key() == None` and must all survive, or WhileActive
-/// termination would mis-fire. (Covered implicitly by the byte-identical
-/// tests; this asserts the key contract directly.)
+/// The combiner keys a relaxation by its target vertex and keeps the
+/// smallest arrival. (Covered implicitly by the byte-identical tests; this
+/// asserts the key contract directly.)
 #[test]
 fn tdsp_combiner_key_contract() {
     use tempograph_algos::tdsp::TdspMsg;
     let c = TdspCombiner;
     assert_eq!(c.key(&TdspMsg::Relax(VertexIdx(7), 1.0)), Some(7));
-    assert_eq!(c.key(&TdspMsg::Continue), None);
     let mut acc = TdspMsg::Relax(VertexIdx(7), 5.0);
     c.combine(&mut acc, TdspMsg::Relax(VertexIdx(7), 3.0));
     assert_eq!(acc, TdspMsg::Relax(VertexIdx(7), 3.0));

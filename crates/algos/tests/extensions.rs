@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tempograph_algos::{CommunityEvolution, InstanceStats, TemporalReachability};
 use tempograph_core::{GraphTemplate, TimeSeriesCollection, VertexIdx};
-use tempograph_engine::{run_job, InstanceSource, JobConfig};
+use tempograph_engine::{run_job, InstanceSource, JobConfig, JobResult};
 use tempograph_gen::{
     generate_sir_tweets, generate_topology_churn, road_network, ChurnConfig, RoadNetConfig,
     SirConfig, TWEETS_ATTR,
@@ -108,6 +108,35 @@ fn temporal_reachability_matches_reference() {
         for (v, &step) in &expect {
             assert_eq!(got.get(v), Some(&step), "k={k} vertex {v:?}");
         }
+
+        // Withheld votes, not messages, keep the loop alive: the same
+        // emits and the same length as the fixed-length run, and nothing
+        // crosses a timestep boundary.
+        let fixed = run_job(
+            &pg,
+            &InstanceSource::Memory(coll.clone()),
+            TemporalReachability::factory(source, exists_col),
+            JobConfig::sequentially_dependent(20),
+        );
+        let bits = |r: &JobResult| -> Vec<(usize, u32, u64)> {
+            r.emitted
+                .iter()
+                .map(|e| (e.timestep, e.vertex.0, e.value.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&result), bits(&fixed), "k={k}");
+        let last = result.emitted.iter().map(|e| e.timestep).max().unwrap();
+        let timesteps_run = if got.len() == t.num_vertices() {
+            last + 1
+        } else {
+            20
+        };
+        assert_eq!(result.timesteps_run, timesteps_run, "k={k}");
+        // A notification goes to a neighbour in another subgraph, which
+        // lives in another partition: every local message would be a
+        // next-timestep one.
+        let msgs_local: u64 = result.metrics.iter().flatten().map(|m| m.msgs_local).sum();
+        assert_eq!(msgs_local, 0, "k={k}");
     }
 }
 

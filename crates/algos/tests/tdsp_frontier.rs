@@ -2,18 +2,23 @@
 //! finalized vertex. These tests pin what that rests on: the answer is the
 //! sequential reference's bit for bit on adversarial cuts, a vertex lowered
 //! late in a timestep still re-sends, and the traffic is proportional to
-//! the wavefront — a finished region sends nothing and loads nothing.
+//! the wavefront — a finished region sends nothing, loads nothing and is
+//! not even called. Under `WhileActive` the loop is kept alive by withheld
+//! votes, not by messages, and stops right after the last finalization.
 
 mod common;
 
 use common::{ref_tdsp, road};
 use proptest::prelude::*;
 use std::sync::Arc;
+use tempograph_algos::tdsp::TdspMsg;
 use tempograph_algos::{Tdsp, TdspCombiner};
 use tempograph_core::{AttrType, GraphTemplate, TemplateBuilder, TimeSeriesCollection, VertexIdx};
-use tempograph_engine::{run_job, InstanceSource, JobConfig, JobResult};
+use tempograph_engine::{
+    run_job, Context, Envelope, InstanceSource, JobConfig, JobResult, SubgraphProgram,
+};
 use tempograph_gen::{generate_road_latencies, RoadLatencyConfig, LATENCY_ATTR};
-use tempograph_partition::{discover_subgraphs, PartitionedGraph, Partitioning};
+use tempograph_partition::{discover_subgraphs, PartitionedGraph, Partitioning, Subgraph};
 
 /// Grid-parity assignment: every lattice neighbour is in the other
 /// partition, so every vertex is its own subgraph.
@@ -27,26 +32,52 @@ fn checkerboard(t: &Arc<GraphTemplate>, width: usize) -> Arc<PartitionedGraph> {
     ))
 }
 
+/// Counter of the calls the engine makes into a [`Counted`] program.
+const CALLS: &str = "calls";
+
+/// `Tdsp`, counting every `compute` and `end_of_timestep` call it gets.
+struct Counted(Tdsp);
+
+impl SubgraphProgram for Counted {
+    type Msg = TdspMsg;
+
+    fn compute(&mut self, ctx: &mut Context<'_, TdspMsg>, msgs: &[Envelope<TdspMsg>]) {
+        ctx.add_counter(CALLS, 1);
+        self.0.compute(ctx, msgs);
+    }
+
+    fn end_of_timestep(&mut self, ctx: &mut Context<'_, TdspMsg>) {
+        ctx.add_counter(CALLS, 1);
+        self.0.end_of_timestep(ctx);
+    }
+}
+
+/// Run TDSP over every instance; `while_active` lets the votes end the
+/// loop early, otherwise it goes on after the last finalization.
 fn run_tdsp(
     pg: &Arc<PartitionedGraph>,
     coll: &Arc<TimeSeriesCollection>,
     source: VertexIdx,
     combiner: bool,
+    while_active: bool,
 ) -> JobResult {
     let lat_col = coll
         .template()
         .edge_schema()
         .index_of(LATENCY_ATTR)
         .unwrap();
-    // No `while_active`: the run goes on after the last finalization.
     let mut job = JobConfig::sequentially_dependent(coll.len());
+    if while_active {
+        job = job.while_active(coll.len());
+    }
     if combiner {
         job = job.with_combiner(Arc::new(TdspCombiner));
     }
+    let tdsp = Tdsp::factory(source, lat_col);
     run_job(
         pg,
         &InstanceSource::Memory(coll.clone()),
-        Tdsp::factory(source, lat_col),
+        move |sg: &Subgraph, pg: &PartitionedGraph| Counted(tdsp(sg, pg)),
         job,
     )
 }
@@ -95,8 +126,23 @@ proptest! {
             Arc::new(discover_subgraphs(t.clone(), Partitioning { assignment, k }))
         };
         let source = VertexIdx(source);
-        let result = run_tdsp(&pg, &coll, source, combiner);
-        prop_assert_eq!(emitted_bits(&result, n), reference_bits(&coll, source));
+        let expect = reference_bits(&coll, source);
+        let result = run_tdsp(&pg, &coll, source, combiner, false);
+        prop_assert_eq!(emitted_bits(&result, n), expect.clone());
+
+        // `WhileActive`: same answer, no message keeps the loop alive, and
+        // the loop ends right after the last finalization — or runs to the
+        // cap while some vertex is unreached.
+        let result = run_tdsp(&pg, &coll, source, combiner, true);
+        prop_assert_eq!(emitted_bits(&result, n), expect);
+        let msgs_local: u64 = result.metrics.iter().flatten().map(|m| m.msgs_local).sum();
+        prop_assert_eq!(msgs_local, 0);
+        let last = result.emitted.iter().map(|e| e.timestep).max();
+        let timesteps_run = match last {
+            Some(last) if result.emitted.len() == n => last + 1,
+            _ => coll.len(),
+        };
+        prop_assert_eq!(result.timesteps_run, timesteps_run);
     }
 }
 
@@ -140,7 +186,7 @@ fn vertex_lowered_later_in_the_timestep_resends_over_a_used_entry() {
     ));
     assert_eq!(pg.subgraphs().len(), 3);
 
-    let result = run_tdsp(&pg, &coll, VertexIdx(0), false);
+    let result = run_tdsp(&pg, &coll, VertexIdx(0), false, false);
     let expect = [0.0f64, 2.0, 1.0, 3.0].map(f64::to_bits).to_vec();
     assert_eq!(emitted_bits(&result, 4), expect);
     assert_eq!(reference_bits(&coll, VertexIdx(0)), expect);
@@ -172,21 +218,23 @@ fn a_finished_region_is_silent() {
         t.clone(),
         Partitioning { assignment, k: 2 },
     ));
-    let result = run_tdsp(&pg, &coll, VertexIdx(0), false);
+    let result = run_tdsp(&pg, &coll, VertexIdx(0), false, false);
 
     assert_eq!(result.emitted.len(), t.num_vertices());
     assert_eq!(result.timesteps_run, 40, "the job runs on after finishing");
     let last = result.emitted.iter().map(|e| e.timestep).max().unwrap();
     assert!(last + 2 < 20, "finished at {last}: the tail is too short");
     // The timestep after the last finalization may still use entries that
-    // were out of horizon before; from then on nothing is open.
+    // were out of horizon before; from then on nothing is open, and every
+    // subgraph sleeps.
+    let calls = &result.counters[CALLS];
     for (step, per_partition) in result.metrics.iter().enumerate().skip(last + 2) {
-        for m in per_partition {
+        for (p, m) in per_partition.iter().enumerate() {
             // The in-memory source counts every instance request as a load.
             assert_eq!(
-                (m.msgs_remote, m.msgs_local, m.slice_loads),
-                (0, 0, 0),
-                "timestep {step} (last finalization at {last})"
+                (m.msgs_remote, m.msgs_local, m.slice_loads, calls[step][p]),
+                (0, 0, 0, 0),
+                "timestep {step}, partition {p} (last finalization at {last})"
             );
         }
     }
@@ -198,7 +246,7 @@ fn relax_traffic_is_bounded_by_the_cut_not_by_the_timesteps() {
     let pg = checkerboard(&t, 8);
     let entries: usize = pg.subgraphs().iter().map(|s| s.num_remote_edges()).sum();
     let sent = |timesteps| -> u64 {
-        run_tdsp(&pg, &quick_roads(&t, timesteps), VertexIdx(0), false)
+        run_tdsp(&pg, &quick_roads(&t, timesteps), VertexIdx(0), false, false)
             .metrics
             .iter()
             .flatten()

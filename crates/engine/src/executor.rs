@@ -22,6 +22,15 @@
 //! when all subgraphs voted `VoteToHaltTimestep` and no cross-timestep
 //! messages were emitted (§II.D).
 //!
+//! **Activity.** Work follows the active subgraphs. A superstep > 0 runs
+//! only the subgraphs with mail and those that did not vote to halt. A
+//! subgraph whose `EndOfTimestep` votes to halt falls asleep: the next
+//! timesteps skip it at superstep 0 and in `EndOfTimestep`, and its last
+//! `VoteToHaltTimestep` stands, until a superstep or next-timestep message
+//! wakes it (see [`Context::vote_to_halt`] for the program's side of that
+//! contract). The merge phase runs every subgraph, and a restored worker
+//! starts with everyone awake.
+//!
 //! **Determinism.** Message delivery is sorted by (sender, sequence), so a
 //! job's emitted results are identical across runs and partition layouts
 //! don't leak scheduling nondeterminism into algorithm output.
@@ -457,6 +466,12 @@ struct Worker<'a, P: SubgraphProgram> {
     /// Who runs at the next superstep > 0, ascending: subgraphs that ran
     /// without voting to halt, then (at delivery) those that got mail.
     active: Vec<u32>,
+    /// Subgraphs whose last `EndOfTimestep` voted to halt: skipped at
+    /// superstep 0 and in `EndOfTimestep` until mail wakes them. A hint,
+    /// not state: a fresh or restored worker starts with everyone awake.
+    asleep: Vec<bool>,
+    /// `VoteToHaltTimestep` per subgraph this timestep; a sleeper's vote
+    /// stands from the timestep it fell asleep in.
     voted_halt_ts: Vec<bool>,
     merge_seq: Vec<u32>,
     /// Persistent per-subgraph send-sequence counters (never reset for the
@@ -534,6 +549,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             next_runs: Staged::new(n),
             merge_inbox: vec![Vec::new(); n],
             active: Vec::new(),
+            asleep: vec![false; n],
             voted_halt_ts: vec![false; n],
             merge_seq: vec![0; n],
             next_seq: vec![0; n],
@@ -626,7 +642,10 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             let mut m = TimestepMetrics::default();
             self.cur_counters = BTreeMap::new();
             self.memo.clear();
-            self.voted_halt_ts.iter_mut().for_each(|h| *h = false);
+            // A sleeper's vote stands; everyone else votes afresh.
+            for (h, &asleep) in self.voted_halt_ts.iter_mut().zip(&self.asleep) {
+                *h &= asleep;
+            }
 
             // The superstep-0 inbox — the previous timestep's
             // `SendToNextTimestep` traffic — was delivered when that
@@ -657,10 +676,13 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             )?;
             m.supersteps = supersteps;
 
-            // EndOfTimestep on every subgraph.
+            // EndOfTimestep on every awake subgraph.
             let eot0 = self.tracer.now();
             let mut next_out: Vec<Envelope<P::Msg>> = Vec::new();
             for i in 0..self.sg_ids.len() {
+                if self.asleep[i] {
+                    continue;
+                }
                 let mut outbox = Outbox::new(
                     false,
                     self.allow_next_timestep,
@@ -786,15 +808,28 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             let mut superstep_out: Vec<Envelope<P::Msg>> = Vec::new();
             let mut next_out: Vec<Envelope<P::Msg>> = Vec::new();
             // This superstep's subgraphs, ascending (`route` relies on
-            // senders draining in subgraph order): everyone at superstep 0
-            // (§II.D), then only mail and carry-overs. `self.active` starts
-            // over, collecting this superstep's carry-overs.
+            // senders draining in subgraph order): the awake ones and the
+            // sleepers with mail at superstep 0, then only mail and
+            // carry-overs. `self.active` starts over, collecting this
+            // superstep's carry-overs.
             if ss == 0 {
-                self.active = (0..self.sg_ids.len() as u32).collect();
+                let asleep = &self.asleep;
+                let inbox = &self.inbox;
+                self.active.clear();
+                self.active.extend(
+                    (0..self.sg_ids.len())
+                        .filter(|&i| !asleep[i] || !inbox[i].is_empty())
+                        .map(|i| i as u32),
+                );
             }
             let running = std::mem::take(&mut self.active);
             for &i in &running {
                 let i = i as usize;
+                if self.asleep[i] {
+                    // Mail wakes a sleeper; its standing vote lapses.
+                    self.asleep[i] = false;
+                    self.voted_halt_ts[i] = false;
+                }
                 let msgs = std::mem::take(&mut self.inbox[i]);
                 let mut outbox = Outbox::new(
                     true,
@@ -863,6 +898,8 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         for list in &mut self.inbox {
             sort_envelopes(list);
         }
+        // Merge runs on every subgraph template, sleepers included.
+        self.asleep.fill(false);
         let mut m = TimestepMetrics::default();
         self.cur_counters = BTreeMap::new();
         let wall0 = self.tracer.now();
@@ -936,7 +973,8 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
     /// Pull sequence counters, votes, counters/emits/merge messages out of
     /// an outbox; superstep and next-timestep messages are handed back for
     /// routing. A superstep's subgraph that did not vote to halt is listed
-    /// to run the next one.
+    /// to run the next one; an `EndOfTimestep` that voted to halt puts its
+    /// subgraph to sleep.
     fn absorb_outbox(
         &mut self,
         i: usize,
@@ -969,6 +1007,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             }
         } else {
             debug_assert!(outbox.superstep_msgs.is_empty());
+            self.asleep[i] = outbox.voted_halt;
         }
     }
 
@@ -1234,7 +1273,9 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
 
     /// Load the (driver-validated) checkpoint of timestep `ct` and rebuild
     /// all resume state: program state, inboxes, sequence counters, and the
-    /// metrics/counters/emits accumulated before the crash.
+    /// metrics/counters/emits accumulated before the crash. Sleep flags are
+    /// not restored: everyone resumes awake, which a sleeper's contract
+    /// makes equivalent.
     fn restore_from(&mut self, ct: u64) {
         let ck = self
             .checkpoint

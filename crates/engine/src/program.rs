@@ -9,7 +9,8 @@
 //!   subgraph is active, mirroring `Compute(Subgraph, timestep, superstep,
 //!   Message[])`;
 //! * [`SubgraphProgram::end_of_timestep`] — once per timestep after the BSP
-//!   converges, mirroring `EndOfTimestep(Subgraph, timestep)`;
+//!   converges, mirroring `EndOfTimestep(Subgraph, timestep)`, unless the
+//!   subgraph sleeps (see [`Context::vote_to_halt`]);
 //! * [`SubgraphProgram::merge`] — the eventually-dependent pattern's
 //!   post-timesteps Merge BSP, mirroring `Merge(SubgraphTemplate, superstep,
 //!   Message[])`.
@@ -219,8 +220,21 @@ impl<'a, M: WireMsg> Context<'a, M> {
         });
     }
 
-    /// Vote to end this BSP (`VoteToHalt`). The subgraph is reactivated by
-    /// an incoming message or by the start of the next timestep.
+    /// Vote to end this BSP (`VoteToHalt`). Inside `compute`, the subgraph
+    /// is reactivated by an incoming message or by the start of the next
+    /// timestep.
+    ///
+    /// Inside `end_of_timestep` the vote means "nothing to do until mail
+    /// arrives": the subgraph sleeps, and the engine skips it at superstep
+    /// 0 and in `end_of_timestep` of the following timesteps until a
+    /// superstep or next-timestep message reaches it; running it wakes it.
+    /// The program promises that, while no message reaches it, those
+    /// skipped calls would change no state, send, emit and count nothing,
+    /// and vote as its last `end_of_timestep` did. A sleeper's last
+    /// [`Context::vote_to_halt_timestep`] therefore stands for it: a
+    /// withheld vote keeps a `WhileActive` loop running, a cast one lets it
+    /// stop. The merge phase still runs every subgraph, and recovery wakes
+    /// everyone, which the promise makes equivalent.
     pub fn vote_to_halt(&mut self) {
         self.out.voted_halt = true;
     }

@@ -246,6 +246,61 @@ fn tdsp_recovers_byte_identical_at_3_and_6_partitions() {
     }
 }
 
+/// TDSP on a checkerboard cut — every vertex its own subgraph — where most
+/// subgraphs sleep (unreached, or finished with an empty frontier) at the
+/// timesteps the workers die: the restored workers wake everyone, and the
+/// run must still be byte-identical.
+#[test]
+fn tdsp_recovers_byte_identical_while_most_subgraphs_sleep() {
+    const WIDTH: usize = 10;
+    let (t, src) = road_fixture();
+    let lat_col = t.edge_schema().index_of(LATENCY_ATTR).unwrap();
+    let assignment = (0..t.num_vertices())
+        .map(|v| ((v % WIDTH + v / WIDTH) % 2) as u16)
+        .collect();
+    let pg = Arc::new(discover_subgraphs(
+        t.clone(),
+        Partitioning { assignment, k: 2 },
+    ));
+    let n = pg.subgraphs().len();
+    assert_eq!(n, t.num_vertices(), "every vertex is its own subgraph");
+    let mk_cfg = || JobConfig::sequentially_dependent(TIMESTEPS).while_active(TIMESTEPS);
+    let clean = run_job(
+        &pg,
+        &src,
+        Tdsp::factory(VertexIdx(0), lat_col),
+        mk_cfg().with_attribution(),
+    );
+    // Die at superstep 0 after every boundary, and mid-BSP once.
+    let mut crashes: Vec<(u16, usize, usize)> = (EVERY..clean.timesteps_run)
+        .step_by(EVERY)
+        .enumerate()
+        .map(|(i, t)| ((i % 2) as u16, t, 0))
+        .collect();
+    assert!(
+        crashes.len() >= 2,
+        "the fixture must survive two checkpoint boundaries (ran {} timesteps)",
+        clean.timesteps_run
+    );
+    crashes.push((1, crashes[0].1 + 1, 1));
+    let rows = &clean.attribution.as_ref().unwrap().rows;
+    for &(_, step, _) in &crashes {
+        let called = rows.iter().filter(|r| r.timestep as usize == step).count();
+        assert!(
+            2 * called < n,
+            "timestep {step}: {called} of {n} subgraphs were called, most must sleep"
+        );
+    }
+    assert_crash_equivalent(
+        "tdsp-checkerboard",
+        &pg,
+        &src,
+        Tdsp::factory(VertexIdx(0), lat_col),
+        mk_cfg,
+        &crashes,
+    );
+}
+
 /// Hashtag aggregation (eventually dependent): crashes inside the timestep
 /// loop *and* inside the Merge BSP (timestep index == TIMESTEPS), whose
 /// pending merge inbox must survive via the checkpoint.
