@@ -53,6 +53,10 @@ faults_stage() {
 
     echo "==> faults: checkpoint overhead smoke test (disabled hooks must not allocate)"
     cargo test -q --release --test checkpoint_overhead -- --ignored
+
+    echo "==> faults: payload byte goldens (checkpoint file, manifest)"
+    cargo test -q -p tempograph-engine --lib -- --exact \
+        checkpoint::tests::golden_checkpoint_file checkpoint::tests::golden_manifest_file
 }
 
 # Transport gate: every algorithm must produce byte-identical results over
@@ -76,6 +80,10 @@ transport_stage() {
     echo "==> transport: frame codec property tests (PROPTEST_CASES=${PROPTEST_CASES:-64})"
     PROPTEST_CASES="${PROPTEST_CASES:-64}" \
         cargo test -q --test frame_codec_prop
+
+    echo "==> transport: payload byte goldens (Telemetry and Output frames)"
+    cargo test -q -p tempograph-engine --lib -- --exact \
+        net::tests::golden_telemetry_payload cluster::tests::golden_output_payload
 
     echo "==> transport: 2-process localhost smoke via the CLI"
     local work

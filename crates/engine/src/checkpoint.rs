@@ -440,6 +440,77 @@ mod tests {
         }
     }
 
+    /// Byte golden for a checkpoint file (frame included): two subgraphs,
+    /// one with state and both inboxes, two metrics rows, counter rows
+    /// and emits.
+    #[test]
+    fn golden_checkpoint_file() {
+        use crate::metrics::sample_metrics;
+        let env = |from: u32, seq: u32, payload: u64| Envelope {
+            from: SubgraphId(from),
+            to: SubgraphId(from + 1),
+            seq,
+            payload,
+        };
+        let ck: WorkerCheckpoint<u64> = WorkerCheckpoint {
+            partition: 2,
+            timestep: 7,
+            loop_done: true,
+            subgraphs: vec![
+                (
+                    SubgraphId(4),
+                    SubgraphCheckpoint {
+                        state: vec![0xde, 0xad, 0xbe, 0xef, 0x01],
+                        next_seq: 17,
+                        merge_seq: 3,
+                        next_inbox: vec![env(1, 0, 0xaabb), env(2, 5, u64::MAX)],
+                        merge_inbox: vec![env(6, 1, 42)],
+                    },
+                ),
+                (
+                    SubgraphId(11),
+                    SubgraphCheckpoint {
+                        state: Vec::new(),
+                        next_seq: 0,
+                        merge_seq: 0,
+                        next_inbox: Vec::new(),
+                        merge_inbox: Vec::new(),
+                    },
+                ),
+            ],
+            metrics: vec![sample_metrics(0), sample_metrics(100)],
+            counters: vec![
+                vec![("settled".into(), 4), ("visited".into(), 11)],
+                Vec::new(),
+            ],
+            emits: vec![
+                Emit {
+                    timestep: 1,
+                    vertex: VertexIdx(5),
+                    value: 2.5,
+                },
+                Emit {
+                    timestep: 8,
+                    vertex: VertexIdx(0),
+                    value: -1.0,
+                },
+            ],
+        };
+        let enc = ck.encode();
+        crate::wire::assert_hex_golden(&enc, include_str!("../testdata/worker_checkpoint.hex"));
+        assert_eq!(WorkerCheckpoint::<u64>::decode(&enc).unwrap(), ck);
+    }
+
+    #[test]
+    fn golden_manifest_file() {
+        let m = Manifest {
+            timesteps: vec![7, 15, 23],
+        };
+        let enc = m.encode();
+        crate::wire::assert_hex_golden(&enc, include_str!("../testdata/manifest.hex"));
+        assert_eq!(Manifest::decode(&enc).unwrap(), m);
+    }
+
     #[test]
     fn checkpoint_roundtrip() {
         let ck = sample(1, 4);

@@ -1140,6 +1140,48 @@ mod tests {
         assert!(agg.should_stop());
     }
 
+    /// Byte golden for the Output payload: two timesteps of metrics (with
+    /// per-superstep compute), merge metrics, counter rows, emits including
+    /// a merge-phase one (timestep = the timestep count), final states.
+    #[test]
+    fn golden_output_payload() {
+        use crate::metrics::sample_metrics;
+        let output = WorkerOutput {
+            metrics: vec![sample_metrics(0), sample_metrics(100)],
+            merge_metrics: sample_metrics(200),
+            counters: vec![
+                BTreeMap::from([("edges", 10), ("visited", 4)]),
+                BTreeMap::from([("visited", 3)]),
+            ],
+            merge_counters: BTreeMap::from([("merged", 1)]),
+            emits: vec![
+                Emit {
+                    timestep: 0,
+                    vertex: VertexIdx(9),
+                    value: 2.5,
+                },
+                Emit {
+                    timestep: 2,
+                    vertex: VertexIdx(4),
+                    value: -0.75,
+                },
+            ],
+            timesteps_run: 2,
+            final_states: vec![(SubgraphId(3), vec![1, 2, 3]), (SubgraphId(5), vec![])],
+            ..WorkerOutput::default()
+        };
+        let enc = output.encode();
+        crate::wire::assert_hex_golden(&enc, include_str!("../testdata/worker_output.hex"));
+        let back = WorkerOutput::decode(enc).unwrap();
+        assert_eq!(back.metrics, output.metrics);
+        assert_eq!(back.merge_metrics, output.merge_metrics);
+        assert_eq!(back.counters, output.counters);
+        assert_eq!(back.merge_counters, output.merge_counters);
+        assert_eq!(back.emits, output.emits);
+        assert_eq!(back.timesteps_run, 2);
+        assert_eq!(back.final_states, output.final_states);
+    }
+
     #[test]
     fn worker_output_roundtrip() {
         let m = TimestepMetrics {

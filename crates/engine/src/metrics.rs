@@ -500,6 +500,27 @@ impl JobResult {
     }
 }
 
+/// A metrics record with every field distinct (byte-golden samples).
+#[cfg(test)]
+pub(crate) fn sample_metrics(seed: u64) -> TimestepMetrics {
+    TimestepMetrics {
+        compute_ns: seed + 1,
+        msg_ns: seed + 2,
+        sync_ns: seed + 3,
+        io_ns: seed + 4,
+        wall_ns: seed + 5,
+        supersteps: seed as u32 + 6,
+        msgs_local: seed + 7,
+        msgs_remote: seed + 8,
+        bytes_remote: seed + 9,
+        msgs_combined: seed + 10,
+        batches_remote: seed + 11,
+        slice_loads: seed + 12,
+        send_retries: seed + 13,
+        superstep_compute_ns: vec![seed + 14, seed + 15],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

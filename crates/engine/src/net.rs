@@ -1425,6 +1425,86 @@ mod tests {
         );
     }
 
+    /// Byte golden for the Telemetry payload: a span with an argument, an
+    /// instant with and one without, a counter, a shard whose histograms
+    /// are non-empty, and two attribution rows (one merge-phase).
+    #[test]
+    fn golden_telemetry_payload() {
+        let mut busy = tempograph_metrics::Histogram::new();
+        for v in [0u64, 3, 900, 1 << 33] {
+            busy.record(v);
+        }
+        let mut one = tempograph_metrics::Histogram::new();
+        one.record(70);
+        let msg = TelemetryMsg {
+            timestep: 6,
+            supersteps: 4,
+            barrier_wait_ns: 0x1122,
+            clock_ns: 0x3344_5566,
+            bytes_sent: 777,
+            bytes_received: 888,
+            final_flush: true,
+            events: vec![
+                TraceEventWire {
+                    kind: 1,
+                    name: "compute".into(),
+                    a: 100,
+                    b: 50,
+                    arg: Some(("superstep".into(), 2)),
+                },
+                TraceEventWire {
+                    kind: 2,
+                    name: "straggler.detected".into(),
+                    a: 180,
+                    b: 0,
+                    arg: Some(("wait_ns".into(), 9000)),
+                },
+                TraceEventWire {
+                    kind: 2,
+                    name: "marker".into(),
+                    a: 190,
+                    b: 0,
+                    arg: None,
+                },
+                TraceEventWire {
+                    kind: 3,
+                    name: "net.bytes_sent".into(),
+                    a: 200,
+                    b: 4096,
+                    arg: None,
+                },
+            ],
+            shard: Some(MetricsShardWire {
+                compute_ns: HistogramWire::from_histogram(&busy),
+                barrier_wait_ns: HistogramWire::from_histogram(&one),
+                send_ns: HistogramWire::from_histogram(&busy),
+                checkpoint_write_ns: HistogramWire::from_histogram(&one),
+                recovery_restore_ns: HistogramWire::from_histogram(&busy),
+                cache_hits: 7,
+                cache_misses: 2,
+                cache_evictions: 1,
+                bytes_read: 4096,
+            }),
+            attr: vec![
+                AttrRowWire {
+                    subgraph: 5,
+                    timestep: 6,
+                    compute_ns: 777,
+                    invocations: 4,
+                },
+                AttrRowWire {
+                    subgraph: 9,
+                    timestep: u32::MAX,
+                    compute_ns: 11,
+                    invocations: 1,
+                },
+            ],
+        };
+        let enc = encode_payload(&msg);
+        crate::wire::assert_hex_golden(&enc, include_str!("../testdata/telemetry_msg.hex"));
+        assert_eq!(decode_payload::<TelemetryMsg>(enc).unwrap(), msg);
+    }
+
     #[test]
     fn telemetry_event_and_histogram_malformations_are_typed() {
         // Unknown trace-event kind tag.

@@ -297,6 +297,28 @@ pub fn sort_envelopes<M>(envelopes: &mut [Envelope<M>]) {
     envelopes.sort_unstable_by_key(|e| (e.from, e.seq));
 }
 
+/// Assert that `bytes` equal a committed hex golden (whitespace in the
+/// golden is ignored). On mismatch the panic prints the actual bytes in
+/// the golden's layout, 32 bytes per line.
+#[cfg(test)]
+pub(crate) fn assert_hex_golden(bytes: &[u8], golden: &str) {
+    let want: String = golden.split_whitespace().collect();
+    let got: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    if got != want {
+        let lines: Vec<&str> = got
+            .as_bytes()
+            .chunks(64)
+            .map(|c| std::str::from_utf8(c).unwrap_or_default())
+            .collect();
+        panic!(
+            "payload bytes drifted from the golden ({} bytes now, {} in the golden):\n{}",
+            bytes.len(),
+            want.len() / 2,
+            lines.join("\n")
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
