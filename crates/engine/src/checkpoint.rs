@@ -29,14 +29,14 @@
 //! a checkpoint of `t` therefore reproduces the clean run bit-for-bit —
 //! the property `tests/recovery_equivalence.rs` asserts.
 
+use crate::error::WireError;
 use crate::metrics::{Emit, TimestepMetrics};
 use crate::wire::{Envelope, WireMsg};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use tempograph_core::VertexIdx;
-use tempograph_gofs::codec::{self, frame, unframe};
+use tempograph_gofs::codec::{frame, unframe};
 use tempograph_gofs::error::{GofsError, Result};
 use tempograph_gofs::store::write_atomic;
 use tempograph_partition::SubgraphId;
@@ -111,172 +111,75 @@ pub struct WorkerCheckpoint<M> {
     pub emits: Vec<Emit>,
 }
 
-pub(crate) fn put_metrics(buf: &mut BytesMut, m: &TimestepMetrics) {
-    buf.put_u64_le(m.compute_ns);
-    buf.put_u64_le(m.msg_ns);
-    buf.put_u64_le(m.sync_ns);
-    buf.put_u64_le(m.io_ns);
-    buf.put_u64_le(m.wall_ns);
-    buf.put_u32_le(m.supersteps);
-    buf.put_u64_le(m.msgs_local);
-    buf.put_u64_le(m.msgs_remote);
-    buf.put_u64_le(m.bytes_remote);
-    buf.put_u64_le(m.msgs_combined);
-    buf.put_u64_le(m.batches_remote);
-    buf.put_u64_le(m.slice_loads);
-    buf.put_u64_le(m.send_retries);
-    buf.put_u32_le(m.superstep_compute_ns.len() as u32);
-    for &ns in &m.superstep_compute_ns {
-        buf.put_u64_le(ns);
+/// `next_seq`, `merge_seq`, then the state blob and both inboxes — the
+/// byte order predates the field order, which the checkpoint schema locks.
+impl<M: WireMsg> WireMsg for SubgraphCheckpoint<M> {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.next_seq.encode(buf);
+        self.merge_seq.encode(buf);
+        self.state.encode(buf);
+        self.next_inbox.encode(buf);
+        self.merge_inbox.encode(buf);
+    }
+    fn decode(buf: &mut Bytes) -> std::result::Result<Self, WireError> {
+        Ok(SubgraphCheckpoint {
+            next_seq: u32::decode(buf)?,
+            merge_seq: u32::decode(buf)?,
+            state: Vec::decode(buf)?,
+            next_inbox: Vec::decode(buf)?,
+            merge_inbox: Vec::decode(buf)?,
+        })
     }
 }
 
-pub(crate) fn get_metrics(buf: &mut Bytes) -> Result<TimestepMetrics> {
-    let mut m = TimestepMetrics {
-        compute_ns: codec::get_u64(buf)?,
-        msg_ns: codec::get_u64(buf)?,
-        sync_ns: codec::get_u64(buf)?,
-        io_ns: codec::get_u64(buf)?,
-        wall_ns: codec::get_u64(buf)?,
-        supersteps: codec::get_u32(buf)?,
-        msgs_local: codec::get_u64(buf)?,
-        msgs_remote: codec::get_u64(buf)?,
-        bytes_remote: codec::get_u64(buf)?,
-        msgs_combined: codec::get_u64(buf)?,
-        batches_remote: codec::get_u64(buf)?,
-        slice_loads: codec::get_u64(buf)?,
-        send_retries: codec::get_u64(buf)?,
-        superstep_compute_ns: Vec::new(),
-    };
-    let n = codec::get_u32(buf)? as usize;
-    m.superstep_compute_ns.reserve(n);
-    for _ in 0..n {
-        m.superstep_compute_ns.push(codec::get_u64(buf)?);
+/// Unframe `data` and decode its payload with `decode`, which must consume
+/// it exactly. The one place a checkpoint codec failure becomes
+/// [`GofsError::Corrupt`] — the error [`latest_valid`] falls back past.
+fn decode_framed<T>(
+    magic: [u8; 4],
+    data: &[u8],
+    decode: impl FnOnce(&mut Bytes) -> std::result::Result<T, WireError>,
+) -> Result<T> {
+    let mut buf = unframe(magic, data)?;
+    let corrupt = |detail: String| GofsError::Corrupt(format!("checkpoint record: {detail}"));
+    let value = decode(&mut buf).map_err(|e| corrupt(e.to_string()))?;
+    if buf.remaining() != 0 {
+        return Err(corrupt(format!("{} trailing bytes", buf.remaining())));
     }
-    Ok(m)
-}
-
-fn put_envelopes<M: WireMsg>(buf: &mut BytesMut, envelopes: &[Envelope<M>]) {
-    buf.put_u32_le(envelopes.len() as u32);
-    for e in envelopes {
-        e.encode(buf);
-    }
-}
-
-fn get_envelopes<M: WireMsg>(buf: &mut Bytes) -> Result<Vec<Envelope<M>>> {
-    let n = codec::get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let e = Envelope::decode(buf)
-            .map_err(|e| GofsError::Corrupt(format!("checkpoint envelope: {e}")))?;
-        out.push(e);
-    }
-    Ok(out)
+    Ok(value)
 }
 
 impl<M: WireMsg> WorkerCheckpoint<M> {
     /// Serialise into a framed (magic/version/checksum) byte buffer.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        buf.put_u32_le(self.partition as u32);
-        buf.put_u64_le(self.timestep);
-        buf.put_u8(self.loop_done as u8);
-        buf.put_u32_le(self.subgraphs.len() as u32);
-        for (sg, s) in &self.subgraphs {
-            buf.put_u32_le(sg.0);
-            buf.put_u32_le(s.next_seq);
-            buf.put_u32_le(s.merge_seq);
-            buf.put_u32_le(s.state.len() as u32);
-            buf.put_slice(&s.state);
-            put_envelopes(&mut buf, &s.next_inbox);
-            put_envelopes(&mut buf, &s.merge_inbox);
-        }
-        buf.put_u32_le(self.metrics.len() as u32);
-        for m in &self.metrics {
-            put_metrics(&mut buf, m);
-        }
-        buf.put_u32_le(self.counters.len() as u32);
-        for row in &self.counters {
-            buf.put_u32_le(row.len() as u32);
-            for (name, value) in row {
-                codec::put_str(&mut buf, name);
-                buf.put_u64_le(*value);
-            }
-        }
-        buf.put_u32_le(self.emits.len() as u32);
-        for e in &self.emits {
-            buf.put_u64_le(e.timestep as u64);
-            buf.put_u32_le(e.vertex.0);
-            buf.put_f64_le(e.value);
-        }
+        u32::from(self.partition).encode(&mut buf);
+        self.timestep.encode(&mut buf);
+        self.loop_done.encode(&mut buf);
+        self.subgraphs.encode(&mut buf);
+        self.metrics.encode(&mut buf);
+        self.counters.encode(&mut buf);
+        self.emits.encode(&mut buf);
         frame(CHECKPOINT_MAGIC, &buf)
     }
 
     /// Decode a framed checkpoint file, validating magic, version and
     /// checksum first (typed [`GofsError`] on any corruption).
     pub fn decode(data: &[u8]) -> Result<Self> {
-        let mut buf = unframe(CHECKPOINT_MAGIC, data)?;
-        let partition = codec::get_u32(&mut buf)? as u16;
-        let timestep = codec::get_u64(&mut buf)?;
-        let loop_done = codec::get_u8(&mut buf)? != 0;
-        let n_sg = codec::get_u32(&mut buf)? as usize;
-        let mut subgraphs = Vec::with_capacity(n_sg.min(1 << 16));
-        for _ in 0..n_sg {
-            let sg = SubgraphId(codec::get_u32(&mut buf)?);
-            let next_seq = codec::get_u32(&mut buf)?;
-            let merge_seq = codec::get_u32(&mut buf)?;
-            let state_len = codec::get_u32(&mut buf)? as usize;
-            if buf.remaining() < state_len {
-                return Err(GofsError::Corrupt("program state overruns file".into()));
-            }
-            let state = buf.split_to(state_len).to_vec();
-            let next_inbox = get_envelopes(&mut buf)?;
-            let merge_inbox = get_envelopes(&mut buf)?;
-            subgraphs.push((
-                sg,
-                SubgraphCheckpoint {
-                    state,
-                    next_seq,
-                    merge_seq,
-                    next_inbox,
-                    merge_inbox,
-                },
-            ));
-        }
-        let n_metrics = codec::get_u32(&mut buf)? as usize;
-        let mut metrics = Vec::with_capacity(n_metrics.min(1 << 16));
-        for _ in 0..n_metrics {
-            metrics.push(get_metrics(&mut buf)?);
-        }
-        let n_rows = codec::get_u32(&mut buf)? as usize;
-        let mut counters = Vec::with_capacity(n_rows.min(1 << 16));
-        for _ in 0..n_rows {
-            let n = codec::get_u32(&mut buf)? as usize;
-            let mut row = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let name = codec::get_str(&mut buf)?;
-                let value = codec::get_u64(&mut buf)?;
-                row.push((name, value));
-            }
-            counters.push(row);
-        }
-        let n_emits = codec::get_u32(&mut buf)? as usize;
-        let mut emits = Vec::with_capacity(n_emits.min(1 << 16));
-        for _ in 0..n_emits {
-            emits.push(Emit {
-                timestep: codec::get_u64(&mut buf)? as usize,
-                vertex: VertexIdx(codec::get_u32(&mut buf)?),
-                value: codec::get_f64(&mut buf)?,
-            });
-        }
-        Ok(WorkerCheckpoint {
-            partition,
-            timestep,
-            loop_done,
-            subgraphs,
-            metrics,
-            counters,
-            emits,
+        decode_framed(CHECKPOINT_MAGIC, data, |buf| {
+            let partition = u32::decode(buf)?;
+            Ok(WorkerCheckpoint {
+                partition: u16::try_from(partition).map_err(|_| WireError::OutOfRange {
+                    context: "checkpoint partition",
+                    value: partition.into(),
+                })?,
+                timestep: u64::decode(buf)?,
+                loop_done: bool::decode(buf)?,
+                subgraphs: Vec::decode(buf)?,
+                metrics: Vec::decode(buf)?,
+                counters: Vec::decode(buf)?,
+                emits: Vec::decode(buf)?,
+            })
         })
     }
 
@@ -300,21 +203,16 @@ pub struct Manifest {
 impl Manifest {
     fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        buf.put_u32_le(self.timesteps.len() as u32);
-        for &t in &self.timesteps {
-            buf.put_u64_le(t);
-        }
+        self.timesteps.encode(&mut buf);
         frame(MANIFEST_MAGIC, &buf)
     }
 
     fn decode(data: &[u8]) -> Result<Self> {
-        let mut buf = unframe(MANIFEST_MAGIC, data)?;
-        let n = codec::get_u32(&mut buf)? as usize;
-        let mut timesteps = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            timesteps.push(codec::get_u64(&mut buf)?);
-        }
-        Ok(Manifest { timesteps })
+        decode_framed(MANIFEST_MAGIC, data, |buf| {
+            Ok(Manifest {
+                timesteps: Vec::decode(buf)?,
+            })
+        })
     }
 }
 
@@ -378,6 +276,8 @@ pub(crate) fn intern(name: &str) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
+    use tempograph_core::VertexIdx;
 
     fn tmp() -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -545,6 +445,48 @@ mod tests {
             Ck::decode(&alien),
             Err(GofsError::BadMagic { .. })
         ));
+    }
+
+    /// `sample`'s payload with `edit` applied, re-framed so magic, version
+    /// and checksum are all valid again.
+    fn reframed(
+        ck: &WorkerCheckpoint<(VertexIdx, f64)>,
+        edit: impl FnOnce(&mut BytesMut),
+    ) -> Bytes {
+        let mut payload = BytesMut::from(unframe(CHECKPOINT_MAGIC, &ck.encode()).unwrap().to_vec());
+        edit(&mut payload);
+        frame(CHECKPOINT_MAGIC, &payload)
+    }
+
+    #[test]
+    fn checkpoint_decode_rejects_trailing_bytes() {
+        type Ck = WorkerCheckpoint<(VertexIdx, f64)>;
+        let ck = sample(0, 3);
+        assert_eq!(Ck::decode(&reframed(&ck, |_| {})).unwrap(), ck);
+        let longer = reframed(&ck, |p| p.put_u8(0));
+        assert!(
+            matches!(Ck::decode(&longer), Err(GofsError::Corrupt(ref d)) if d.contains("trailing")),
+            "{:?}",
+            Ck::decode(&longer)
+        );
+    }
+
+    #[test]
+    fn checkpoint_decode_rejects_a_partition_past_u16() {
+        type M = (VertexIdx, f64);
+        let ck = sample(0, 0);
+        // Partition 65 536 would read back as 0 if narrowed unchecked.
+        let alias = reframed(&ck, |p| p[..4].copy_from_slice(&65_536u32.to_le_bytes()));
+        assert!(matches!(
+            WorkerCheckpoint::<M>::decode(&alias),
+            Err(GofsError::Corrupt(_))
+        ));
+        // So `latest_valid` cannot take it for partition 0's file.
+        let dir = tmp();
+        write_atomic(checkpoint_path(&dir, 0, 0), &alias).unwrap();
+        commit_manifest(&dir, 0).unwrap();
+        assert_eq!(latest_valid::<M>(&dir, 1), None);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -34,21 +34,22 @@
 //! `RemoteWorkerDied` naming the partition.
 
 use crate::checkpoint;
-use crate::error::{EngineError, WireError};
+use crate::error::EngineError;
 use crate::executor::{run_worker_body, JobConfig, TimestepMode, WorkerOutput};
 use crate::faults::{payload_is_injected, FaultPlan};
 use crate::metrics::{AttributionRow, CostAttribution, Emit, JobResult, TimestepMetrics};
 use crate::net::{
     accept_with_deadline, bind_loopback, connect_with_retry, decode_payload, encode_payload,
-    AbortMsg, Frame, FrameConn, FrameKind, HelloMsg, StartMsg, COORDINATOR, RESUME_NONE,
+    AbortMsg, Frame, FrameConn, FrameKind, HelloMsg, StartMsg, TelemetryMsg, COORDINATOR,
+    RESUME_NONE,
 };
 use crate::program::SubgraphProgram;
 use crate::provider::{InstanceSource, JobSource};
 use crate::sync::{panic_message, Aggregate, Contribution, PoisonOnPanic, SyncPoint};
 use crate::telemetry::CoordTelemetry;
-use crate::transport::{InProcess, Tcp, TelemetryFlush, Transport, HANDSHAKE_TIMEOUT_MS};
+use crate::transport::{InProcess, Tcp, Transport, HANDSHAKE_TIMEOUT_MS};
 use crate::wire::WireMsg;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use crossbeam::channel::unbounded;
 use std::collections::BTreeMap;
 use std::net::TcpListener;
@@ -65,32 +66,6 @@ pub const INJECTED_EXIT_CODE: i32 = 42;
 
 // ---- worker results on the wire -----------------------------------------
 
-fn put_counter_row(buf: &mut BytesMut, row: &BTreeMap<&'static str, u64>) {
-    (row.len() as u32).encode(buf);
-    for (name, v) in row {
-        // Same bytes as `String::encode`, without materialising one.
-        (name.len() as u32).encode(buf);
-        buf.put_slice(name.as_bytes());
-        v.encode(buf);
-    }
-}
-
-fn get_counter_row(buf: &mut Bytes) -> Result<BTreeMap<&'static str, u64>, EngineError> {
-    let n = u32::decode(buf)? as usize;
-    let mut row = BTreeMap::new();
-    for _ in 0..n {
-        let name = checkpoint::intern(&String::decode(buf)?);
-        row.insert(name, u64::decode(buf)?);
-    }
-    Ok(row)
-}
-
-fn get_metrics(buf: &mut Bytes) -> Result<TimestepMetrics, EngineError> {
-    checkpoint::get_metrics(buf).map_err(|e| EngineError::Protocol {
-        detail: format!("worker results metrics: {e}"),
-    })
-}
-
 impl WorkerOutput {
     /// The Output-frame payload: the transportable subset of a worker's
     /// results. Observability state (`sinks`, `shard`, `attr_rows`)
@@ -100,86 +75,35 @@ impl WorkerOutput {
     /// [`JobResult`].
     pub(crate) fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        (self.metrics.len() as u32).encode(&mut buf);
-        for m in &self.metrics {
-            checkpoint::put_metrics(&mut buf, m);
-        }
-        checkpoint::put_metrics(&mut buf, &self.merge_metrics);
-        (self.counters.len() as u32).encode(&mut buf);
-        for row in &self.counters {
-            put_counter_row(&mut buf, row);
-        }
-        put_counter_row(&mut buf, &self.merge_counters);
-        (self.emits.len() as u32).encode(&mut buf);
-        for e in &self.emits {
-            (e.timestep as u64).encode(&mut buf);
-            e.vertex.encode(&mut buf);
-            e.value.encode(&mut buf);
-        }
+        self.metrics.encode(&mut buf);
+        self.merge_metrics.encode(&mut buf);
+        self.counters.encode(&mut buf);
+        self.merge_counters.encode(&mut buf);
+        self.emits.encode(&mut buf);
         (self.timesteps_run as u64).encode(&mut buf);
-        (self.final_states.len() as u32).encode(&mut buf);
-        for (sg, state) in &self.final_states {
-            sg.encode(&mut buf);
-            (state.len() as u32).encode(&mut buf);
-            buf.put_slice(state);
-        }
+        self.final_states.encode(&mut buf);
         buf.freeze()
     }
 
     /// Decode an Output-frame payload; the observability fields come back
     /// empty (see [`WorkerOutput::encode`]).
     pub(crate) fn decode(mut buf: Bytes) -> Result<WorkerOutput, EngineError> {
-        let n_metrics = u32::decode(&mut buf)? as usize;
-        let mut metrics = Vec::new();
-        for _ in 0..n_metrics {
-            metrics.push(get_metrics(&mut buf)?);
-        }
-        let merge_metrics = get_metrics(&mut buf)?;
-        let n_rows = u32::decode(&mut buf)? as usize;
-        let mut counters = Vec::new();
-        for _ in 0..n_rows {
-            counters.push(get_counter_row(&mut buf)?);
-        }
-        let merge_counters = get_counter_row(&mut buf)?;
-        let n_emits = u32::decode(&mut buf)? as usize;
-        let mut emits = Vec::new();
-        for _ in 0..n_emits {
-            emits.push(Emit {
-                timestep: u64::decode(&mut buf)? as usize,
-                vertex: tempograph_core::VertexIdx::decode(&mut buf)?,
-                value: f64::decode(&mut buf)?,
-            });
-        }
-        let timesteps_run = u64::decode(&mut buf)? as usize;
-        let n_states = u32::decode(&mut buf)? as usize;
-        let mut final_states = Vec::new();
-        for _ in 0..n_states {
-            let sg = SubgraphId::decode(&mut buf)?;
-            let len = u32::decode(&mut buf)? as usize;
-            if buf.remaining() < len {
-                return Err(EngineError::Wire(WireError::Eof {
-                    context: "final program state",
-                    needed: len,
-                    remaining: buf.remaining(),
-                }));
-            }
-            final_states.push((sg, buf.split_to(len).to_vec()));
-        }
+        let output = WorkerOutput {
+            metrics: Vec::decode(&mut buf)?,
+            merge_metrics: TimestepMetrics::decode(&mut buf)?,
+            counters: Vec::decode(&mut buf)?,
+            merge_counters: BTreeMap::decode(&mut buf)?,
+            emits: Vec::decode(&mut buf)?,
+            timesteps_run: u64::decode(&mut buf)? as usize,
+            final_states: Vec::decode(&mut buf)?,
+            ..WorkerOutput::default()
+        };
         if buf.remaining() != 0 {
             return Err(EngineError::Protocol {
                 detail: format!("{} trailing bytes after worker results", buf.remaining()),
             });
         }
-        Ok(WorkerOutput {
-            metrics,
-            merge_metrics,
-            counters,
-            merge_counters,
-            emits,
-            timesteps_run,
-            final_states,
-            ..WorkerOutput::default()
-        })
+        Ok(output)
     }
 }
 
@@ -266,14 +190,13 @@ where
                 for (_, sink) in &mut output.sinks {
                     events.extend(sink.take_events());
                 }
-                tcp.telemetry(TelemetryFlush {
+                tcp.telemetry(TelemetryMsg {
                     timestep: output.timesteps_run.saturating_sub(1) as u32,
-                    supersteps: 0,
-                    barrier_wait_ns: 0,
                     final_flush: true,
                     events,
                     shard: output.shard.take().map(|b| *b),
-                    attr_rows: std::mem::take(&mut output.attr_rows),
+                    attr: std::mem::take(&mut output.attr_rows),
+                    ..TelemetryMsg::default()
                 })?;
             }
             tcp.coord_send(&Frame::control(
@@ -1117,6 +1040,7 @@ fn assemble_job_result(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BufMut;
     use tempograph_core::VertexIdx;
 
     #[test]

@@ -29,6 +29,15 @@ pub enum WireError {
         /// The offending tag value.
         tag: u8,
     },
+    /// A decoded count or id lies outside what the record allows (a
+    /// histogram whose bucket count is not `BUCKETS`, a partition id past
+    /// `u16::MAX`).
+    OutOfRange {
+        /// The field that was read.
+        context: &'static str,
+        /// The value found on the wire.
+        value: u64,
+    },
     /// A length-prefixed string was not valid UTF-8.
     Utf8 {
         /// What was being decoded.
@@ -55,6 +64,9 @@ impl fmt::Display for WireError {
             ),
             WireError::BadTag { context, tag } => {
                 write!(f, "unknown {context} tag {tag:#04x}")
+            }
+            WireError::OutOfRange { context, value } => {
+                write!(f, "{context} {value} out of range")
             }
             WireError::Utf8 { context } => write!(f, "invalid UTF-8 decoding {context}"),
             WireError::Checksum { context } => {

@@ -44,10 +44,11 @@ use crate::checkpoint::{
 use crate::error::EngineError;
 use crate::faults::{injected_panic_message, FaultPlan};
 use crate::metrics::{Emit, MetricsShard, TimestepMetrics};
+use crate::net::TelemetryMsg;
 use crate::program::{Context, Outbox, Phase, SubgraphProgram};
 use crate::provider::{InstanceProvider, JobSource};
 use crate::sync::{Aggregate, Contribution};
-use crate::transport::{BatchKind, PhaseMail, TelemetryFlush, Transport};
+use crate::transport::{BatchKind, PhaseMail, Transport};
 use crate::wire::{sort_envelopes, Envelope};
 use bytes::{Buf, Bytes, BytesMut};
 use std::collections::{BTreeMap, HashMap};
@@ -755,18 +756,18 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             // a TCP run with observability disabled) pays one virtual call
             // and a branch — no allocation, no frame.
             if self.transport.wants_telemetry() {
-                self.transport.telemetry(TelemetryFlush {
+                self.transport.telemetry(TelemetryMsg {
                     timestep: t as u32,
                     supersteps,
                     barrier_wait_ns: round_sync_ns,
-                    final_flush: false,
                     events: self.tracer.take_events(),
                     shard: self.shard.as_deref().cloned(),
-                    attr_rows: self
+                    attr: self
                         .attr
                         .as_deref()
                         .map(AttributionShard::rows)
                         .unwrap_or_default(),
+                    ..TelemetryMsg::default()
                 })?;
             }
 

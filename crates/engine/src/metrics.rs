@@ -1,5 +1,8 @@
 //! Execution metrics: the raw material for the paper's Figures 6 and 7.
 
+use crate::error::WireError;
+use crate::wire::WireMsg;
+use bytes::{Bytes, BytesMut};
 use std::collections::BTreeMap;
 use tempograph_core::VertexIdx;
 use tempograph_metrics::{ratio_or_zero, Histogram, Registry};
@@ -14,9 +17,10 @@ use tempograph_trace::Trace;
 /// are inline bucket arrays), and every duration recorded here is the
 /// difference of the *same* `TraceSink::now` readings the trace spans
 /// consume, so trace and metrics agree exactly (asserted in
-/// `tests/trace_integration.rs`).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct MetricsShard {
+/// `tests/trace_integration.rs`). Over TCP it travels to the coordinator
+/// inside [`crate::TelemetryMsg`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MetricsShard {
     /// Barriered compute durations: one observation per superstep plus one
     /// per `EndOfTimestep` phase.
     pub compute_ns: Histogram,
@@ -66,6 +70,33 @@ impl MetricsShard {
             self.cache_evictions,
         );
         reg.counter_add("tempograph_gofs_bytes_read_total", &[], self.bytes_read);
+    }
+}
+
+impl WireMsg for MetricsShard {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.compute_ns.encode(buf);
+        self.barrier_wait_ns.encode(buf);
+        self.send_ns.encode(buf);
+        self.checkpoint_write_ns.encode(buf);
+        self.recovery_restore_ns.encode(buf);
+        self.cache_hits.encode(buf);
+        self.cache_misses.encode(buf);
+        self.cache_evictions.encode(buf);
+        self.bytes_read.encode(buf);
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(MetricsShard {
+            compute_ns: Histogram::decode(buf)?,
+            barrier_wait_ns: Histogram::decode(buf)?,
+            send_ns: Histogram::decode(buf)?,
+            checkpoint_write_ns: Histogram::decode(buf)?,
+            recovery_restore_ns: Histogram::decode(buf)?,
+            cache_hits: u64::decode(buf)?,
+            cache_misses: u64::decode(buf)?,
+            cache_evictions: u64::decode(buf)?,
+            bytes_read: u64::decode(buf)?,
+        })
     }
 }
 
@@ -159,6 +190,44 @@ impl TimestepMetrics {
     }
 }
 
+/// Field order: the Output frame and checkpoint files carry these bytes.
+impl WireMsg for TimestepMetrics {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.compute_ns.encode(buf);
+        self.msg_ns.encode(buf);
+        self.sync_ns.encode(buf);
+        self.io_ns.encode(buf);
+        self.wall_ns.encode(buf);
+        self.supersteps.encode(buf);
+        self.msgs_local.encode(buf);
+        self.msgs_remote.encode(buf);
+        self.bytes_remote.encode(buf);
+        self.msgs_combined.encode(buf);
+        self.batches_remote.encode(buf);
+        self.slice_loads.encode(buf);
+        self.send_retries.encode(buf);
+        self.superstep_compute_ns.encode(buf);
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(TimestepMetrics {
+            compute_ns: u64::decode(buf)?,
+            msg_ns: u64::decode(buf)?,
+            sync_ns: u64::decode(buf)?,
+            io_ns: u64::decode(buf)?,
+            wall_ns: u64::decode(buf)?,
+            supersteps: u32::decode(buf)?,
+            msgs_local: u64::decode(buf)?,
+            msgs_remote: u64::decode(buf)?,
+            bytes_remote: u64::decode(buf)?,
+            msgs_combined: u64::decode(buf)?,
+            batches_remote: u64::decode(buf)?,
+            slice_loads: u64::decode(buf)?,
+            send_retries: u64::decode(buf)?,
+            superstep_compute_ns: Vec::<u64>::decode(buf)?,
+        })
+    }
+}
+
 /// One value emitted by an algorithm via `Context::emit` (e.g. a finalized
 /// TDSP label or a newly coloured meme vertex).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -170,6 +239,22 @@ pub struct Emit {
     pub vertex: VertexIdx,
     /// Emitted value (algorithm-defined meaning).
     pub value: f64,
+}
+
+/// The timestep travels as a `u64`.
+impl WireMsg for Emit {
+    fn encode(&self, buf: &mut BytesMut) {
+        (self.timestep as u64).encode(buf);
+        self.vertex.encode(buf);
+        self.value.encode(buf);
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(Emit {
+            timestep: u64::decode(buf)? as usize,
+            vertex: VertexIdx::decode(buf)?,
+            value: f64::decode(buf)?,
+        })
+    }
 }
 
 /// One row of the per-(subgraph, timestep) compute attribution table.
@@ -190,6 +275,23 @@ pub struct AttributionRow {
     /// unlike the measured nanoseconds — so it doubles as a
     /// machine-independent cost proxy.
     pub invocations: u32,
+}
+
+impl WireMsg for AttributionRow {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.subgraph.encode(buf);
+        self.timestep.encode(buf);
+        self.compute_ns.encode(buf);
+        self.invocations.encode(buf);
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(AttributionRow {
+            subgraph: SubgraphId::decode(buf)?,
+            timestep: u32::decode(buf)?,
+            compute_ns: u64::decode(buf)?,
+            invocations: u32::decode(buf)?,
+        })
+    }
 }
 
 /// The assembled per-(subgraph, timestep) compute attribution table (see

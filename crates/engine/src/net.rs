@@ -9,7 +9,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic          b"TGFR"
-//!      4     2  version        u16 le (currently 1)
+//!      4     2  version        u16 le, FRAME_VERSION
 //!      6     1  kind           FrameKind tag
 //!      7     2  sender         partition id (u16::MAX = coordinator)
 //!      9     4  epoch          recovery attempt this frame belongs to
@@ -33,13 +33,15 @@
 //! `TcpStream` in production.
 
 use crate::error::{EngineError, WireError};
+use crate::metrics::{AttributionRow, MetricsShard};
 use crate::sync::{Aggregate, Contribution};
 use crate::wire::{get_u16, get_u32, get_u64, get_u8, WireMsg};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use tempograph_gofs::codec::fnv1a64_words;
-use tempograph_trace::Clock;
+use tempograph_metrics::{Histogram, BUCKETS};
+use tempograph_trace::{Clock, TraceEvent};
 
 /// Frame magic: "TempoGraph FRame".
 pub const FRAME_MAGIC: [u8; 4] = *b"TGFR";
@@ -47,8 +49,11 @@ pub const FRAME_MAGIC: [u8; 4] = *b"TGFR";
 /// Current frame format version. Bump on any header/payload layout change;
 /// a version mismatch at decode is corruption (mixed-build clusters are not
 /// supported). v2 added the telemetry plane ([`FrameKind::Telemetry`],
-/// [`FrameKind::StatusRequest`], [`FrameKind::StatusReply`]).
-pub const FRAME_VERSION: u16 = 2;
+/// [`FrameKind::StatusRequest`], [`FrameKind::StatusReply`]). v3 encodes
+/// telemetry from the engine's own records ([`TraceEvent`], [`Histogram`],
+/// [`MetricsShard`], [`AttributionRow`]) instead of field-for-field wire
+/// copies; the payload bytes did not change.
+pub const FRAME_VERSION: u16 = 3;
 
 /// Fixed header size in bytes (see the module-level layout table).
 pub const HEADER_LEN: usize = 33;
@@ -86,8 +91,8 @@ pub enum FrameKind {
     Sentinel = 8,
     /// Worker → worker: mesh handshake naming the dialing partition.
     PeerHello = 9,
-    /// Worker → coordinator: final results. Payload: encoded
-    /// `WorkerEssentials`.
+    /// Worker → coordinator: final results (metrics, counters, emits,
+    /// final program states). Payload: an encoded `WorkerOutput`.
     Output = 10,
     /// Worker → coordinator: cumulative observability snapshot (trace
     /// events, metrics shard, attribution rows). Sent once per barrier
@@ -630,319 +635,99 @@ impl WireMsg for Aggregate {
 
 // ---- telemetry payloads -------------------------------------------------
 
-/// One recorded trace event in wire form. A plain tagged struct rather than
-/// an enum so the field layout is locked by the W02 schema goldens: `kind`
-/// is 1 = span, 2 = instant, 3 = counter (explicit tags, validated at
-/// decode). `a` carries the span start / event timestamp, `b` the span
-/// duration / counter value (0 for instants).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEventWire {
-    /// Event discriminant: 1 = span, 2 = instant, 3 = counter.
-    pub kind: u8,
-    /// Event name (interned back to `&'static str` on the receiver).
-    pub name: String,
-    /// Span `start_ns`; instant/counter `ts_ns`.
-    pub a: u64,
-    /// Span `dur_ns`; counter `value`; 0 for instants.
-    pub b: u64,
-    /// Optional `(key, value)` argument (spans and instants only).
-    pub arg: Option<(String, u64)>,
-}
-
-impl TraceEventWire {
-    /// Wire form of a recorded event (worker side, before shipping).
-    pub(crate) fn from_event(ev: &tempograph_trace::TraceEvent) -> TraceEventWire {
-        use tempograph_trace::TraceEvent;
-        match *ev {
+/// One tag byte (1 = span, 2 = instant, 3 = counter), then the name, `a`
+/// (span start / event timestamp), `b` (span duration / counter value, 0
+/// for instants) and the optional argument (always `None` for counters).
+/// Names are written straight from their `&'static str` and interned back
+/// on decode.
+impl WireMsg for TraceEvent {
+    fn encode(&self, buf: &mut BytesMut) {
+        let (tag, name, a, b, arg) = match *self {
             TraceEvent::Span {
                 name,
                 start_ns,
                 dur_ns,
                 arg,
-            } => TraceEventWire {
-                kind: 1,
-                name: name.to_string(),
-                a: start_ns,
-                b: dur_ns,
-                arg: arg.map(|(k, v)| (k.to_string(), v)),
-            },
-            TraceEvent::Instant { name, ts_ns, arg } => TraceEventWire {
-                kind: 2,
-                name: name.to_string(),
-                a: ts_ns,
-                b: 0,
-                arg: arg.map(|(k, v)| (k.to_string(), v)),
-            },
-            TraceEvent::Counter { name, ts_ns, value } => TraceEventWire {
-                kind: 3,
-                name: name.to_string(),
-                a: ts_ns,
-                b: value,
-                arg: None,
-            },
-        }
-    }
-
-    /// Rebuild the in-memory event (coordinator side). Names are interned
-    /// to `&'static str` through the same pool checkpoint restore uses, so
-    /// repeated names across frames share one allocation. `kind` was
-    /// validated at decode; 3 (counter) is the residual arm.
-    pub(crate) fn into_event(self) -> tempograph_trace::TraceEvent {
-        use tempograph_trace::TraceEvent;
-        let name = crate::checkpoint::intern(&self.name);
-        let arg = self.arg.map(|(k, v)| (crate::checkpoint::intern(&k), v));
-        match self.kind {
-            1 => TraceEvent::Span {
-                name,
-                start_ns: self.a,
-                dur_ns: self.b,
-                arg,
-            },
-            2 => TraceEvent::Instant {
-                name,
-                ts_ns: self.a,
-                arg,
-            },
-            _ => TraceEvent::Counter {
-                name,
-                ts_ns: self.a,
-                value: self.b,
-            },
-        }
-    }
-}
-
-impl WireMsg for TraceEventWire {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(self.kind);
-        self.name.encode(buf);
-        self.a.encode(buf);
-        self.b.encode(buf);
-        self.arg.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let kind = match get_u8(buf, "trace event kind")? {
-            1 => 1,
-            2 => 2,
-            3 => 3,
-            tag => {
-                return Err(WireError::BadTag {
-                    context: "trace event kind",
-                    tag,
-                })
-            }
+            } => (1u8, name, start_ns, dur_ns, arg),
+            TraceEvent::Instant { name, ts_ns, arg } => (2, name, ts_ns, 0, arg),
+            TraceEvent::Counter { name, ts_ns, value } => (3, name, ts_ns, value, None),
         };
-        Ok(TraceEventWire {
-            kind,
-            name: String::decode(buf)?,
-            a: u64::decode(buf)?,
-            b: u64::decode(buf)?,
-            arg: Option::<(String, u64)>::decode(buf)?,
-        })
-    }
-}
-
-/// A log2-bucket histogram in wire form. `buckets` must hold exactly
-/// [`tempograph_metrics::BUCKETS`] counts (validated at decode).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramWire {
-    /// Per-bucket observation counts (length = `BUCKETS`).
-    pub buckets: Vec<u64>,
-    /// Number of observations.
-    pub count: u64,
-    /// Saturating sum of observations.
-    pub sum: u64,
-    /// Smallest observation (0 when empty).
-    pub min: u64,
-    /// Largest observation.
-    pub max: u64,
-}
-
-impl HistogramWire {
-    pub(crate) fn from_histogram(h: &tempograph_metrics::Histogram) -> HistogramWire {
-        HistogramWire {
-            buckets: h.buckets().to_vec(),
-            count: h.count(),
-            sum: h.sum(),
-            min: h.min(),
-            max: h.max(),
-        }
-    }
-
-    /// Rebuild the histogram. The bucket count was validated at decode;
-    /// `zip` makes a short vector (impossible off the wire) harmless.
-    pub(crate) fn into_histogram(self) -> tempograph_metrics::Histogram {
-        let mut buckets = [0u64; tempograph_metrics::BUCKETS];
-        for (slot, &count) in buckets.iter_mut().zip(&self.buckets) {
-            *slot = count;
-        }
-        tempograph_metrics::Histogram::from_parts(buckets, self.count, self.sum, self.min, self.max)
-    }
-}
-
-impl WireMsg for HistogramWire {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.buckets.encode(buf);
-        self.count.encode(buf);
-        self.sum.encode(buf);
-        self.min.encode(buf);
-        self.max.encode(buf);
+        buf.put_u8(tag);
+        name.encode(buf);
+        a.encode(buf);
+        b.encode(buf);
+        arg.encode(buf);
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let buckets = Vec::<u64>::decode(buf)?;
-        if buckets.len() != tempograph_metrics::BUCKETS {
-            return Err(WireError::BadTag {
+        type Arg = Option<(&'static str, u64)>;
+        let build: fn(&'static str, u64, u64, Arg) -> TraceEvent =
+            match get_u8(buf, "trace event kind")? {
+                1 => |name, start_ns, dur_ns, arg| TraceEvent::Span {
+                    name,
+                    start_ns,
+                    dur_ns,
+                    arg,
+                },
+                2 => |name, ts_ns, _, arg| TraceEvent::Instant { name, ts_ns, arg },
+                3 => |name, ts_ns, value, _| TraceEvent::Counter { name, ts_ns, value },
+                tag => {
+                    return Err(WireError::BadTag {
+                        context: "trace event kind",
+                        tag,
+                    })
+                }
+            };
+        Ok(build(
+            <&'static str>::decode(buf)?,
+            u64::decode(buf)?,
+            u64::decode(buf)?,
+            Arg::decode(buf)?,
+        ))
+    }
+}
+
+/// A `u32` bucket count (always [`BUCKETS`]), the buckets, then count,
+/// sum, min and max.
+impl WireMsg for Histogram {
+    fn encode(&self, buf: &mut BytesMut) {
+        (BUCKETS as u32).encode(buf);
+        for bucket in self.buckets() {
+            bucket.encode(buf);
+        }
+        self.count().encode(buf);
+        self.sum().encode(buf);
+        self.min().encode(buf);
+        self.max().encode(buf);
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        let n = get_u32(buf, "histogram bucket count")?;
+        if n as usize != BUCKETS {
+            return Err(WireError::OutOfRange {
                 context: "histogram bucket count",
-                tag: buckets.len() as u8,
+                value: n.into(),
             });
         }
-        Ok(HistogramWire {
+        let mut buckets = [0u64; BUCKETS];
+        for slot in &mut buckets {
+            *slot = u64::decode(buf)?;
+        }
+        Ok(Histogram::from_parts(
             buckets,
-            count: u64::decode(buf)?,
-            sum: u64::decode(buf)?,
-            min: u64::decode(buf)?,
-            max: u64::decode(buf)?,
-        })
-    }
-}
-
-/// A worker's cumulative metrics shard in wire form (mirrors
-/// `crate::metrics::MetricsShard` field-for-field).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MetricsShardWire {
-    /// Barriered compute durations.
-    pub compute_ns: HistogramWire,
-    /// Barrier wait durations.
-    pub barrier_wait_ns: HistogramWire,
-    /// Message marshalling/hand-off durations.
-    pub send_ns: HistogramWire,
-    /// Checkpoint snapshot+write durations.
-    pub checkpoint_write_ns: HistogramWire,
-    /// Checkpoint restore durations.
-    pub recovery_restore_ns: HistogramWire,
-    /// GoFS instance-cache hits.
-    pub cache_hits: u64,
-    /// GoFS instance-cache misses.
-    pub cache_misses: u64,
-    /// GoFS instance-cache evictions.
-    pub cache_evictions: u64,
-    /// Bytes read and decoded from slice files.
-    pub bytes_read: u64,
-}
-
-impl MetricsShardWire {
-    pub(crate) fn from_shard(s: &crate::metrics::MetricsShard) -> MetricsShardWire {
-        MetricsShardWire {
-            compute_ns: HistogramWire::from_histogram(&s.compute_ns),
-            barrier_wait_ns: HistogramWire::from_histogram(&s.barrier_wait_ns),
-            send_ns: HistogramWire::from_histogram(&s.send_ns),
-            checkpoint_write_ns: HistogramWire::from_histogram(&s.checkpoint_write_ns),
-            recovery_restore_ns: HistogramWire::from_histogram(&s.recovery_restore_ns),
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            cache_evictions: s.cache_evictions,
-            bytes_read: s.bytes_read,
-        }
-    }
-
-    pub(crate) fn into_shard(self) -> crate::metrics::MetricsShard {
-        crate::metrics::MetricsShard {
-            compute_ns: self.compute_ns.into_histogram(),
-            barrier_wait_ns: self.barrier_wait_ns.into_histogram(),
-            send_ns: self.send_ns.into_histogram(),
-            checkpoint_write_ns: self.checkpoint_write_ns.into_histogram(),
-            recovery_restore_ns: self.recovery_restore_ns.into_histogram(),
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            cache_evictions: self.cache_evictions,
-            bytes_read: self.bytes_read,
-        }
-    }
-}
-
-impl WireMsg for MetricsShardWire {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.compute_ns.encode(buf);
-        self.barrier_wait_ns.encode(buf);
-        self.send_ns.encode(buf);
-        self.checkpoint_write_ns.encode(buf);
-        self.recovery_restore_ns.encode(buf);
-        self.cache_hits.encode(buf);
-        self.cache_misses.encode(buf);
-        self.cache_evictions.encode(buf);
-        self.bytes_read.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(MetricsShardWire {
-            compute_ns: HistogramWire::decode(buf)?,
-            barrier_wait_ns: HistogramWire::decode(buf)?,
-            send_ns: HistogramWire::decode(buf)?,
-            checkpoint_write_ns: HistogramWire::decode(buf)?,
-            recovery_restore_ns: HistogramWire::decode(buf)?,
-            cache_hits: u64::decode(buf)?,
-            cache_misses: u64::decode(buf)?,
-            cache_evictions: u64::decode(buf)?,
-            bytes_read: u64::decode(buf)?,
-        })
-    }
-}
-
-/// One per-(subgraph, timestep) attribution row in wire form (mirrors
-/// `crate::metrics::AttributionRow`; `timestep == u32::MAX` ⇒ merge phase).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AttrRowWire {
-    /// Subgraph id.
-    pub subgraph: u32,
-    /// Timestep index (`u32::MAX` ⇒ merge phase).
-    pub timestep: u32,
-    /// Measured nanoseconds inside this subgraph's program hooks.
-    pub compute_ns: u64,
-    /// Program-hook invocations folded into this row.
-    pub invocations: u32,
-}
-
-impl AttrRowWire {
-    pub(crate) fn from_row(r: &crate::metrics::AttributionRow) -> AttrRowWire {
-        AttrRowWire {
-            subgraph: r.subgraph.0,
-            timestep: r.timestep,
-            compute_ns: r.compute_ns,
-            invocations: r.invocations,
-        }
-    }
-
-    pub(crate) fn into_row(self) -> crate::metrics::AttributionRow {
-        crate::metrics::AttributionRow {
-            subgraph: tempograph_partition::SubgraphId(self.subgraph),
-            timestep: self.timestep,
-            compute_ns: self.compute_ns,
-            invocations: self.invocations,
-        }
-    }
-}
-
-impl WireMsg for AttrRowWire {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.subgraph.encode(buf);
-        self.timestep.encode(buf);
-        self.compute_ns.encode(buf);
-        self.invocations.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(AttrRowWire {
-            subgraph: u32::decode(buf)?,
-            timestep: u32::decode(buf)?,
-            compute_ns: u64::decode(buf)?,
-            invocations: u32::decode(buf)?,
-        })
+            u64::decode(buf)?,
+            u64::decode(buf)?,
+            u64::decode(buf)?,
+            u64::decode(buf)?,
+        ))
     }
 }
 
 /// Worker → coordinator observability snapshot, one per barrier round plus
 /// one final flush. `shard` and `attr` are **cumulative** snapshots (the
 /// coordinator replaces, never adds, so a re-sent snapshot cannot double
-/// count); `events` are **drained** increments (sent exactly once).
-#[derive(Clone, Debug, PartialEq)]
+/// count); `events` are **drained** increments (sent exactly once). The
+/// worker fills the round's fields; [`crate::Tcp`] adds its own events and
+/// fills `clock_ns` and the byte counters as it ships the snapshot.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TelemetryMsg {
     /// Timestep this flush closes (worker-local progress marker).
     pub timestep: u32,
@@ -961,11 +746,11 @@ pub struct TelemetryMsg {
     /// True for the end-of-job flush (sent just before the Output frame).
     pub final_flush: bool,
     /// Trace events recorded since the previous flush (drained increments).
-    pub events: Vec<TraceEventWire>,
+    pub events: Vec<TraceEvent>,
     /// Cumulative metrics shard snapshot (when metrics are armed).
-    pub shard: Option<MetricsShardWire>,
+    pub shard: Option<MetricsShard>,
     /// Cumulative attribution snapshot (when attribution is armed).
-    pub attr: Vec<AttrRowWire>,
+    pub attr: Vec<AttributionRow>,
 }
 
 impl WireMsg for TelemetryMsg {
@@ -990,9 +775,9 @@ impl WireMsg for TelemetryMsg {
             bytes_sent: u64::decode(buf)?,
             bytes_received: u64::decode(buf)?,
             final_flush: bool::decode(buf)?,
-            events: Vec::<TraceEventWire>::decode(buf)?,
-            shard: Option::<MetricsShardWire>::decode(buf)?,
-            attr: Vec::<AttrRowWire>::decode(buf)?,
+            events: Vec::decode(buf)?,
+            shard: Option::decode(buf)?,
+            attr: Vec::decode(buf)?,
         })
     }
 }
@@ -1088,6 +873,7 @@ pub fn decode_payload<M: WireMsg>(mut payload: Bytes) -> Result<M, EngineError> 
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use tempograph_partition::SubgraphId;
 
     /// Loopback socket pair, or `None` (with a notice) where the sandbox
     /// forbids sockets — the documented skip path for TCP tests.
@@ -1352,12 +1138,16 @@ mod tests {
         assert!(decode_payload::<HelloMsg>(buf.freeze()).is_err());
     }
 
-    fn sample_histogram_wire() -> HistogramWire {
-        let mut h = tempograph_metrics::Histogram::new();
+    fn sample_histogram() -> Histogram {
+        let mut h = Histogram::new();
         h.record(0);
         h.record(17);
         h.record(1 << 40);
-        HistogramWire::from_histogram(&h)
+        h
+    }
+
+    fn roundtrip<M: WireMsg + PartialEq + std::fmt::Debug>(m: &M) {
+        assert_eq!(decode_payload::<M>(encode_payload(m)).unwrap(), *m);
     }
 
     #[test]
@@ -1371,58 +1161,51 @@ mod tests {
             bytes_received: 8192,
             final_flush: false,
             events: vec![
-                TraceEventWire {
-                    kind: 1,
-                    name: "compute".into(),
-                    a: 100,
-                    b: 50,
-                    arg: Some(("superstep".into(), 2)),
+                TraceEvent::Span {
+                    name: "compute",
+                    start_ns: 100,
+                    dur_ns: 50,
+                    arg: Some(("superstep", 2)),
                 },
-                TraceEventWire {
-                    kind: 2,
-                    name: "marker".into(),
-                    a: 180,
-                    b: 0,
+                TraceEvent::Instant {
+                    name: "marker",
+                    ts_ns: 180,
                     arg: None,
                 },
-                TraceEventWire {
-                    kind: 3,
-                    name: "msgs".into(),
-                    a: 200,
-                    b: 42,
-                    arg: None,
+                TraceEvent::Counter {
+                    name: "msgs",
+                    ts_ns: 200,
+                    value: 42,
                 },
             ],
-            shard: Some(MetricsShardWire {
-                compute_ns: sample_histogram_wire(),
-                barrier_wait_ns: sample_histogram_wire(),
-                send_ns: HistogramWire::from_histogram(&tempograph_metrics::Histogram::new()),
-                checkpoint_write_ns: sample_histogram_wire(),
-                recovery_restore_ns: sample_histogram_wire(),
+            shard: Some(MetricsShard {
+                compute_ns: sample_histogram(),
+                barrier_wait_ns: sample_histogram(),
+                send_ns: Histogram::new(),
+                checkpoint_write_ns: sample_histogram(),
+                recovery_restore_ns: sample_histogram(),
                 cache_hits: 7,
                 cache_misses: 2,
                 cache_evictions: 1,
                 bytes_read: 4096,
             }),
             attr: vec![
-                AttrRowWire {
-                    subgraph: 0,
+                AttributionRow {
+                    subgraph: SubgraphId(0),
                     timestep: 3,
                     compute_ns: 777,
                     invocations: 4,
                 },
-                AttrRowWire {
-                    subgraph: 1,
+                AttributionRow {
+                    subgraph: SubgraphId(1),
                     timestep: u32::MAX,
                     compute_ns: 11,
                     invocations: 1,
                 },
             ],
         };
-        assert_eq!(
-            decode_payload::<TelemetryMsg>(encode_payload(&msg)).unwrap(),
-            msg
-        );
+        roundtrip(&msg);
+        roundtrip(&TelemetryMsg::default());
     }
 
     /// Byte golden for the Telemetry payload: a span with an argument, an
@@ -1430,11 +1213,11 @@ mod tests {
     /// are non-empty, and two attribution rows (one merge-phase).
     #[test]
     fn golden_telemetry_payload() {
-        let mut busy = tempograph_metrics::Histogram::new();
+        let mut busy = Histogram::new();
         for v in [0u64, 3, 900, 1 << 33] {
             busy.record(v);
         }
-        let mut one = tempograph_metrics::Histogram::new();
+        let mut one = Histogram::new();
         one.record(70);
         let msg = TelemetryMsg {
             timestep: 6,
@@ -1445,55 +1228,48 @@ mod tests {
             bytes_received: 888,
             final_flush: true,
             events: vec![
-                TraceEventWire {
-                    kind: 1,
-                    name: "compute".into(),
-                    a: 100,
-                    b: 50,
-                    arg: Some(("superstep".into(), 2)),
+                TraceEvent::Span {
+                    name: "compute",
+                    start_ns: 100,
+                    dur_ns: 50,
+                    arg: Some(("superstep", 2)),
                 },
-                TraceEventWire {
-                    kind: 2,
-                    name: "straggler.detected".into(),
-                    a: 180,
-                    b: 0,
-                    arg: Some(("wait_ns".into(), 9000)),
+                TraceEvent::Instant {
+                    name: "straggler.detected",
+                    ts_ns: 180,
+                    arg: Some(("wait_ns", 9000)),
                 },
-                TraceEventWire {
-                    kind: 2,
-                    name: "marker".into(),
-                    a: 190,
-                    b: 0,
+                TraceEvent::Instant {
+                    name: "marker",
+                    ts_ns: 190,
                     arg: None,
                 },
-                TraceEventWire {
-                    kind: 3,
-                    name: "net.bytes_sent".into(),
-                    a: 200,
-                    b: 4096,
-                    arg: None,
+                TraceEvent::Counter {
+                    name: "net.bytes_sent",
+                    ts_ns: 200,
+                    value: 4096,
                 },
             ],
-            shard: Some(MetricsShardWire {
-                compute_ns: HistogramWire::from_histogram(&busy),
-                barrier_wait_ns: HistogramWire::from_histogram(&one),
-                send_ns: HistogramWire::from_histogram(&busy),
-                checkpoint_write_ns: HistogramWire::from_histogram(&one),
-                recovery_restore_ns: HistogramWire::from_histogram(&busy),
+            shard: Some(MetricsShard {
+                compute_ns: busy.clone(),
+                barrier_wait_ns: one.clone(),
+                send_ns: busy.clone(),
+                checkpoint_write_ns: one,
+                recovery_restore_ns: busy,
                 cache_hits: 7,
                 cache_misses: 2,
                 cache_evictions: 1,
                 bytes_read: 4096,
             }),
             attr: vec![
-                AttrRowWire {
-                    subgraph: 5,
+                AttributionRow {
+                    subgraph: SubgraphId(5),
                     timestep: 6,
                     compute_ns: 777,
                     invocations: 4,
                 },
-                AttrRowWire {
-                    subgraph: 9,
+                AttributionRow {
+                    subgraph: SubgraphId(9),
                     timestep: u32::MAX,
                     compute_ns: 11,
                     invocations: 1,
@@ -1508,52 +1284,49 @@ mod tests {
     #[test]
     fn telemetry_event_and_histogram_malformations_are_typed() {
         // Unknown trace-event kind tag.
-        let ev = TraceEventWire {
-            kind: 1,
-            name: "x".into(),
-            a: 0,
-            b: 0,
+        let ev = TraceEvent::Instant {
+            name: "x",
+            ts_ns: 0,
             arg: None,
         };
-        let mut buf = BytesMut::new();
-        ev.encode(&mut buf);
-        let mut bad = buf.freeze().to_vec();
+        let mut bad = encode_payload(&ev).to_vec();
         bad[0] = 9;
         assert!(matches!(
-            TraceEventWire::decode(&mut Bytes::from(bad)),
+            TraceEvent::decode(&mut Bytes::from(bad)),
             Err(WireError::BadTag {
                 context: "trace event kind",
                 tag: 9
             })
         ));
-        // Wrong histogram bucket count.
-        let hw = HistogramWire {
-            buckets: vec![0; 3],
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-        };
-        let mut buf = BytesMut::new();
-        hw.encode(&mut buf);
-        assert!(matches!(
-            HistogramWire::decode(&mut buf.freeze()),
-            Err(WireError::BadTag {
-                context: "histogram bucket count",
-                tag: 3
-            })
-        ));
+        // Wrong histogram bucket count: the error carries the count found,
+        // also past 255.
+        for count in [3u32, 256] {
+            let mut bad = encode_payload(&Histogram::new()).to_vec();
+            bad[..4].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(
+                Histogram::decode(&mut Bytes::from(bad)),
+                Err(WireError::OutOfRange {
+                    context: "histogram bucket count",
+                    value: count.into()
+                })
+            );
+        }
     }
 
     #[test]
     fn trace_event_wire_conversions_roundtrip() {
-        use tempograph_trace::TraceEvent;
         let events = [
             TraceEvent::Span {
                 name: "compute",
                 start_ns: 10,
                 dur_ns: 5,
                 arg: Some(("superstep", 3)),
+            },
+            TraceEvent::Span {
+                name: "barrier.arrive",
+                start_ns: 16,
+                dur_ns: 2,
+                arg: None,
             },
             TraceEvent::Instant {
                 name: "straggler.detected",
@@ -1567,24 +1340,28 @@ mod tests {
             },
         ];
         for ev in &events {
-            assert_eq!(TraceEventWire::from_event(ev).into_event(), *ev);
+            roundtrip(ev);
+        }
+        // Decoded names are interned: one allocation per distinct name.
+        let a = decode_payload::<TraceEvent>(encode_payload(&events[0])).unwrap();
+        let b = decode_payload::<TraceEvent>(encode_payload(&events[0])).unwrap();
+        match (a, b) {
+            (TraceEvent::Span { name: x, .. }, TraceEvent::Span { name: y, .. }) => {
+                assert!(std::ptr::eq(x, y))
+            }
+            other => panic!("expected spans, got {other:?}"),
         }
     }
 
     #[test]
     fn histogram_wire_conversions_roundtrip() {
-        let mut h = tempograph_metrics::Histogram::new();
+        let mut h = Histogram::new();
         for v in [0u64, 1, 17, 1 << 20, u64::MAX] {
             h.record(v);
         }
-        let w = HistogramWire::from_histogram(&h);
-        assert_eq!(w.into_histogram(), h);
+        roundtrip(&h);
         // Empty histograms roundtrip too (min sentinel restored).
-        let empty = tempograph_metrics::Histogram::new();
-        assert_eq!(
-            HistogramWire::from_histogram(&empty).into_histogram(),
-            empty
-        );
+        roundtrip(&Histogram::new());
     }
 
     #[test]

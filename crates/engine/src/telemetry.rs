@@ -3,7 +3,7 @@
 //! Workers of a TCP cluster ship their observability (trace events,
 //! metrics shards, attribution rows) to the coordinator in
 //! [`FrameKind::Telemetry`] frames — one per closed timestep plus a final
-//! flush (see [`crate::transport::TelemetryFlush`]). `CoordTelemetry`
+//! flush (see [`TelemetryMsg`]). `CoordTelemetry`
 //! accumulates them during [`crate::cluster`]'s epochs, judges stragglers
 //! over complete barrier rounds, and grafts the result back onto the
 //! epoch's worker outputs so the assembled [`crate::JobResult`] carries
@@ -15,8 +15,8 @@ use crate::error::EngineError;
 use crate::executor::WorkerOutput;
 use crate::metrics::{AttributionRow, MetricsShard};
 use crate::net::{
-    connect_with_retry, decode_payload, encode_payload, net_err, AttrRowWire, Frame, FrameConn,
-    FrameKind, StatusReplyMsg, TelemetryMsg, TraceEventWire, WorkerStatusWire, COORDINATOR,
+    connect_with_retry, decode_payload, encode_payload, net_err, Frame, FrameConn, FrameKind,
+    StatusReplyMsg, TelemetryMsg, WorkerStatusWire, COORDINATOR,
 };
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -104,12 +104,11 @@ impl CoordTelemetry {
             }
         }
         if let Some(part) = self.parts.get_mut(p) {
-            part.events
-                .extend(msg.events.into_iter().map(TraceEventWire::into_event));
-            if let Some(shard) = msg.shard {
-                part.shard = Some(shard.into_shard());
+            part.events.extend(msg.events);
+            if msg.shard.is_some() {
+                part.shard = msg.shard;
             }
-            part.attr_rows = msg.attr.into_iter().map(AttrRowWire::into_row).collect();
+            part.attr_rows = msg.attr;
         }
         Ok(())
     }

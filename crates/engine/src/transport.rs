@@ -54,11 +54,9 @@
 
 use crate::error::{EngineError, WireError};
 use crate::faults::{FaultPlan, FrameFault};
-use crate::metrics::{AttributionRow, MetricsShard};
 use crate::net::{
     accept_with_deadline, connect_with_retry, decode_payload, encode_payload, net_err, read_frame,
-    AbortMsg, AttrRowWire, Frame, FrameConn, FrameKind, MetricsShardWire, TelemetryMsg,
-    TraceEventWire,
+    AbortMsg, Frame, FrameConn, FrameKind, TelemetryMsg,
 };
 use crate::sync::{Aggregate, Contribution, SyncPoint};
 use bytes::Bytes;
@@ -66,7 +64,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use tempograph_trace::{TraceEvent, TraceSink};
+use tempograph_trace::TraceSink;
 
 /// Handshake patience: how long the coordinator waits for worker hellos and
 /// a worker waits for higher-numbered peers to dial its mesh listener.
@@ -122,32 +120,11 @@ pub trait Transport: Send {
 
     /// Ship one observability snapshot to the coordinator. Called only
     /// when [`Transport::wants_telemetry`] returned `true` — once per
-    /// closed timestep, plus one `final_flush` at job end.
-    fn telemetry(&mut self, _flush: TelemetryFlush) -> Result<(), EngineError> {
+    /// closed timestep, plus one `final_flush` at job end. The worker fills
+    /// the round's fields; the transport adds its clock and byte counters.
+    fn telemetry(&mut self, _msg: TelemetryMsg) -> Result<(), EngineError> {
         Ok(())
     }
-}
-
-/// One observability snapshot handed to [`Transport::telemetry`] when a
-/// worker closes a timestep (or finishes the job). `events` are drained
-/// increments — each trace event crosses the wire exactly once; `shard`
-/// and `attr_rows` are cumulative snapshots the coordinator replaces, so
-/// re-sending after recovery cannot double count.
-pub struct TelemetryFlush {
-    /// Timestep this flush closes.
-    pub(crate) timestep: u32,
-    /// Supersteps the closed timestep ran.
-    pub(crate) supersteps: u32,
-    /// Barrier wait accumulated in the closed timestep, nanoseconds.
-    pub(crate) barrier_wait_ns: u64,
-    /// True for the end-of-job flush (carries merge-phase observability).
-    pub(crate) final_flush: bool,
-    /// Trace events recorded since the previous flush.
-    pub(crate) events: Vec<TraceEvent>,
-    /// Cumulative metrics-shard snapshot (when metrics are armed).
-    pub(crate) shard: Option<MetricsShard>,
-    /// Cumulative attribution snapshot (when attribution is armed).
-    pub(crate) attr_rows: Vec<AttributionRow>,
 }
 
 // ---- in-process transport ----------------------------------------------
@@ -728,26 +705,13 @@ impl Transport for Tcp {
         self.telemetry_armed
     }
 
-    fn telemetry(&mut self, mut flush: TelemetryFlush) -> Result<(), EngineError> {
+    fn telemetry(&mut self, mut msg: TelemetryMsg) -> Result<(), EngineError> {
         // The transport's own net.* spans and byte counters ride along
         // with the worker's events — same track, merged at assembly.
-        flush.events.extend(self.tracer.take_events());
-        let msg = TelemetryMsg {
-            timestep: flush.timestep,
-            supersteps: flush.supersteps,
-            barrier_wait_ns: flush.barrier_wait_ns,
-            clock_ns: self.tracer.now(),
-            bytes_sent: self.coord.bytes_sent() + self.peer_bytes_sent,
-            bytes_received: self.coord.bytes_received() + self.peer_bytes_received,
-            final_flush: flush.final_flush,
-            events: flush
-                .events
-                .iter()
-                .map(TraceEventWire::from_event)
-                .collect(),
-            shard: flush.shard.as_ref().map(MetricsShardWire::from_shard),
-            attr: flush.attr_rows.iter().map(AttrRowWire::from_row).collect(),
-        };
+        msg.events.extend(self.tracer.take_events());
+        msg.clock_ns = self.tracer.now();
+        msg.bytes_sent = self.coord.bytes_sent() + self.peer_bytes_sent;
+        msg.bytes_received = self.coord.bytes_received() + self.peer_bytes_received;
         self.coord_send(&Frame::control(
             FrameKind::Telemetry,
             self.partition,

@@ -9,6 +9,7 @@
 
 use crate::error::WireError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::collections::BTreeMap;
 use tempograph_core::VertexIdx;
 use tempograph_partition::SubgraphId;
 
@@ -70,6 +71,13 @@ pub fn get_i64(buf: &mut Bytes, context: &'static str) -> Result<i64, WireError>
 pub fn get_f64(buf: &mut Bytes, context: &'static str) -> Result<f64, WireError> {
     need(buf, 8, context)?;
     Ok(buf.get_f64_le())
+}
+
+/// Split off a `u32`-length-prefixed byte run, bounds-checked.
+fn get_prefixed(buf: &mut Bytes, context: &'static str) -> Result<Bytes, WireError> {
+    let len = get_u32(buf, context)? as usize;
+    need(buf, len, context)?;
+    Ok(buf.split_to(len))
 }
 
 /// A message payload that can cross partition boundaries.
@@ -171,15 +179,62 @@ impl WireMsg for String {
         buf.put_slice(self.as_bytes());
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let len = get_u32(buf, "String length")? as usize;
-        need(buf, len, "String bytes")?;
-        let raw = buf.split_to(len);
+        let raw = get_prefixed(buf, "String")?;
         // Validate in place, then copy once — `String::from_utf8(to_vec())`
         // would copy before validating.
         match std::str::from_utf8(&raw) {
             Ok(s) => Ok(s.to_owned()),
             Err(_) => Err(WireError::Utf8 { context: "String" }),
         }
+    }
+}
+
+/// A name from the engine's fixed vocabulary (trace event and counter
+/// names): the bytes of `String`, decoded by interning through
+/// [`crate::checkpoint::intern`]. Interning leaks once per distinct name,
+/// so this is for small closed sets of names, not for payload data.
+impl WireMsg for &'static str {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(self.len() as u32);
+        buf.put_slice(self.as_bytes());
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        let raw = get_prefixed(buf, "name")?;
+        match std::str::from_utf8(&raw) {
+            Ok(s) => Ok(crate::checkpoint::intern(s)),
+            Err(_) => Err(WireError::Utf8 { context: "name" }),
+        }
+    }
+}
+
+/// Opaque byte blobs (program state): one length prefix and one bulk copy
+/// each way, never an element-wise walk.
+impl WireMsg for Vec<u8> {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(self.len() as u32);
+        buf.put_slice(self);
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(get_prefixed(buf, "byte blob")?.to_vec())
+    }
+}
+
+impl<K: WireMsg + Ord, V: WireMsg> WireMsg for BTreeMap<K, V> {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(self.len() as u32);
+        for (k, v) in self {
+            k.encode(buf);
+            v.encode(buf);
+        }
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        let len = get_u32(buf, "map length")?;
+        let mut map = BTreeMap::new();
+        for _ in 0..len {
+            let k = K::decode(buf)?;
+            map.insert(k, V::decode(buf)?);
+        }
+        Ok(map)
     }
 }
 
@@ -262,24 +317,18 @@ pub struct Envelope<M> {
     pub payload: M,
 }
 
-impl<M: WireMsg> Envelope<M> {
-    /// Append the envelope (header + payload) to `buf`.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.from.0);
-        buf.put_u32_le(self.to.0);
-        buf.put_u32_le(self.seq);
+impl<M: WireMsg> WireMsg for Envelope<M> {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.from.encode(buf);
+        self.to.encode(buf);
+        self.seq.encode(buf);
         self.payload.encode(buf);
     }
-
-    /// Read one envelope back.
-    pub fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let from = SubgraphId(get_u32(buf, "Envelope.from")?);
-        let to = SubgraphId(get_u32(buf, "Envelope.to")?);
-        let seq = get_u32(buf, "Envelope.seq")?;
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         Ok(Envelope {
-            from,
-            to,
-            seq,
+            from: SubgraphId::decode(buf)?,
+            to: SubgraphId::decode(buf)?,
+            seq: u32::decode(buf)?,
             payload: M::decode(buf)?,
         })
     }
@@ -352,6 +401,34 @@ mod tests {
         roundtrip(None::<u32>);
         roundtrip((VertexIdx(5), 1.25f64, 99u64));
         roundtrip(vec![vec![VertexIdx(0)], vec![]]);
+    }
+
+    #[test]
+    fn names_blobs_and_maps_reuse_the_string_and_vec_layouts() {
+        let bytes_of = |m: &dyn Fn(&mut BytesMut)| {
+            let mut buf = BytesMut::new();
+            m(&mut buf);
+            buf.freeze()
+        };
+        // A name is laid out like a String and decodes interned.
+        let name: &'static str = "wire-test-name";
+        assert_eq!(
+            bytes_of(&|b| name.encode(b)),
+            bytes_of(&|b| name.to_string().encode(b))
+        );
+        let back = <&'static str>::decode(&mut bytes_of(&|b| name.encode(b))).unwrap();
+        assert_eq!(back, name);
+        assert!(std::ptr::eq(back, crate::checkpoint::intern(name)));
+        // A blob is a length and its bytes, like a Vec of one-byte items.
+        let blob = vec![1u8, 2, 255];
+        assert_eq!(&bytes_of(&|b| blob.encode(b))[..], &[3, 0, 0, 0, 1, 2, 255]);
+        roundtrip(blob);
+        roundtrip(Vec::<u8>::new());
+        // A map is laid out like the Vec of its sorted pairs.
+        let map = BTreeMap::from([("b", 2u64), ("a", 1)]);
+        let pairs = vec![("a".to_string(), 1u64), ("b".to_string(), 2)];
+        assert_eq!(bytes_of(&|b| map.encode(b)), bytes_of(&|b| pairs.encode(b)));
+        roundtrip(map);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Fixture wire structs for the W02 schema-lock tests. Mirrors the real
 //! frame family's shape: a versioned enum with explicit discriminants and
-//! the structs the golden under `schemas/` locks.
+//! the structs the golden under `schemas/` locks, some of them declared in
+//! other crates' files.
 
 pub const FRAME_VERSION: u32 = 1;
 
@@ -27,30 +28,11 @@ pub struct AbortMsg {
     pub detail: String,
 }
 
-pub struct TraceEventWire {
-    pub kind: u8,
-    pub name: String,
-}
-
-pub struct HistogramWire {
-    pub buckets: Vec<u64>,
-    pub count: u64,
-}
-
-pub struct MetricsShardWire {
-    pub cache_hits: u64,
-    pub bytes_read: u64,
-}
-
-pub struct AttrRowWire {
-    pub subgraph: u32,
-    pub compute_ns: u64,
-}
-
 pub struct TelemetryMsg {
     pub timestep: u32,
     pub final_flush: bool,
-    pub events: Vec<TraceEventWire>,
+    pub events: Vec<TraceEvent>,
+    pub shard: Option<MetricsShard>,
 }
 
 pub struct WorkerStatusWire {

@@ -7,7 +7,10 @@
 //! extracts field names/types/order (and enum variants with their explicit
 //! discriminants) for every wire-format type into a canonical textual
 //! fingerprint, compared byte-for-byte against committed golden files
-//! under `schemas/`.
+//! under `schemas/`. A group may lock types declared outside the file
+//! that owns its version constant: records that travel inside a frame are
+//! locked where they are declared. The fingerprints cover declarations,
+//! not bytes; the engine's payload bytes are pinned by its hex goldens.
 //!
 //! Workflow: an *intentional* layout change bumps the governing version
 //! constant (`FRAME_VERSION` for the frame family, gofs `FORMAT_VERSION`
@@ -50,20 +53,29 @@ pub const GROUPS: &[SchemaGroup] = &[
     },
     SchemaGroup {
         name: "net",
-        files: &["crates/engine/src/net.rs"],
+        // Telemetry and the Output frame encode the engine's own records,
+        // so their declarations are locked where they live.
+        files: &[
+            "crates/engine/src/net.rs",
+            "crates/engine/src/metrics.rs",
+            "crates/trace/src/sink.rs",
+            "crates/metrics/src/histogram.rs",
+        ],
         types: &[
             "FrameKind",
             "Frame",
             "HelloMsg",
             "StartMsg",
             "AbortMsg",
-            "TraceEventWire",
-            "HistogramWire",
-            "MetricsShardWire",
-            "AttrRowWire",
             "TelemetryMsg",
+            "TraceEvent",
+            "Histogram",
+            "MetricsShard",
+            "AttributionRow",
             "WorkerStatusWire",
             "StatusReplyMsg",
+            "TimestepMetrics",
+            "Emit",
         ],
         version: ("crates/engine/src/net.rs", "FRAME_VERSION"),
     },

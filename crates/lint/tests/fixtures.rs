@@ -248,6 +248,26 @@ fn schema_fixture_is_locked_and_field_reorder_is_drift() {
 }
 
 #[test]
+fn drift_in_a_record_declared_in_another_crate_is_caught() {
+    // The net group locks `Histogram` where it is declared, in the metrics
+    // crate: reordering its fields drifts the net golden.
+    let tmp = temp_copy("ws_schema", "foreign");
+    let hist = tmp.join("crates/metrics/src/histogram.rs");
+    let src = std::fs::read_to_string(&hist).expect("fixture histogram.rs");
+    let swapped = "count: u64,\n    buckets: [u64; BUCKETS],";
+    let mutated = src.replace("buckets: [u64; BUCKETS],\n    count: u64,", swapped);
+    assert!(mutated.contains(swapped));
+    std::fs::write(&hist, mutated).expect("write mutated histogram.rs");
+    let report = lint_workspace(&tmp).expect("lint runs");
+    assert!(
+        report.drift.iter().any(|d| d.contains("net.schema")),
+        "{:#?}",
+        report.drift
+    );
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+#[test]
 fn schema_regeneration_requires_a_version_bump() {
     let tmp = temp_copy("ws_schema", "bump");
     reorder_frame_fields(&tmp);

@@ -10,11 +10,15 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::io::Cursor;
+use tempograph::engine::metrics::MetricsShard;
 use tempograph::engine::net::{
-    decode_payload, encode_payload, read_frame, write_frame, write_frame_corrupted, AttrRowWire,
-    Frame, FrameKind, HistogramWire, MetricsShardWire, TelemetryMsg, TraceEventWire, HEADER_LEN,
+    decode_payload, encode_payload, read_frame, write_frame, write_frame_corrupted, Frame,
+    FrameKind, TelemetryMsg, HEADER_LEN,
 };
-use tempograph::engine::{EngineError, WireError};
+use tempograph::engine::{AttributionRow, EngineError, WireError};
+use tempograph::metrics::{Histogram, BUCKETS};
+use tempograph::partition::SubgraphId;
+use tempograph::trace::TraceEvent;
 
 fn kind_strategy() -> impl Strategy<Value = FrameKind> {
     prop_oneof![
@@ -174,52 +178,73 @@ proptest! {
 
 // ---- Telemetry payloads --------------------------------------------------
 
-fn event_wire_strategy() -> impl Strategy<Value = TraceEventWire> {
+/// Event and argument names come from a fixed set: on the wire they are
+/// `&'static str`s, interned back on decode.
+const NAMES: [&str; 7] = [
+    "compute",
+    "barrier.arrive",
+    "straggler.detected",
+    "net.bytes_sent",
+    "superstep",
+    "wait_ns",
+    "",
+];
+
+fn name_strategy() -> impl Strategy<Value = &'static str> {
+    (0..NAMES.len()).prop_map(|i| NAMES[i])
+}
+
+fn event_strategy() -> impl Strategy<Value = TraceEvent> {
     (
-        1u8..=3,
-        "[a-z.]{1,12}",
+        0u8..3,
+        name_strategy(),
         any::<u64>(),
         any::<u64>(),
-        proptest::option::of(("[a-z_]{1,8}", any::<u64>())),
+        proptest::option::of((name_strategy(), any::<u64>())),
     )
-        .prop_map(|(kind, name, a, b, arg)| TraceEventWire {
-            kind,
-            name,
-            a,
-            b,
-            // Counters (kind 3) never carry an argument on the wire.
-            arg: if kind == 3 { None } else { arg },
+        .prop_map(|(kind, name, a, b, arg)| match kind {
+            0 => TraceEvent::Span {
+                name,
+                start_ns: a,
+                dur_ns: b,
+                arg,
+            },
+            1 => TraceEvent::Instant {
+                name,
+                ts_ns: a,
+                arg,
+            },
+            _ => TraceEvent::Counter {
+                name,
+                ts_ns: a,
+                value: b,
+            },
         })
 }
 
-fn histogram_wire_strategy() -> impl Strategy<Value = HistogramWire> {
+fn histogram_strategy() -> impl Strategy<Value = Histogram> {
     (
-        proptest::collection::vec(
-            any::<u64>(),
-            tempograph::metrics::BUCKETS..=tempograph::metrics::BUCKETS,
-        ),
+        proptest::collection::vec(any::<u64>(), BUCKETS..=BUCKETS),
         any::<u64>(),
         any::<u64>(),
         any::<u64>(),
         any::<u64>(),
     )
-        .prop_map(|(buckets, count, sum, min, max)| HistogramWire {
-            buckets,
-            count,
-            sum,
-            min,
-            max,
+        .prop_map(|(buckets, count, sum, min, max)| {
+            let mut parts = [0u64; BUCKETS];
+            parts.copy_from_slice(&buckets);
+            Histogram::from_parts(parts, count, sum, min, max)
         })
 }
 
-fn shard_wire_strategy() -> impl Strategy<Value = MetricsShardWire> {
+fn shard_strategy() -> impl Strategy<Value = MetricsShard> {
     (
         (
-            histogram_wire_strategy(),
-            histogram_wire_strategy(),
-            histogram_wire_strategy(),
-            histogram_wire_strategy(),
-            histogram_wire_strategy(),
+            histogram_strategy(),
+            histogram_strategy(),
+            histogram_strategy(),
+            histogram_strategy(),
+            histogram_strategy(),
         ),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
     )
@@ -227,7 +252,7 @@ fn shard_wire_strategy() -> impl Strategy<Value = MetricsShardWire> {
             |(
                 (compute_ns, barrier_wait_ns, send_ns, checkpoint_write_ns, recovery_restore_ns),
                 (cache_hits, cache_misses, cache_evictions, bytes_read),
-            )| MetricsShardWire {
+            )| MetricsShard {
                 compute_ns,
                 barrier_wait_ns,
                 send_ns,
@@ -241,10 +266,10 @@ fn shard_wire_strategy() -> impl Strategy<Value = MetricsShardWire> {
         )
 }
 
-fn attr_row_strategy() -> impl Strategy<Value = AttrRowWire> {
+fn attr_row_strategy() -> impl Strategy<Value = AttributionRow> {
     (any::<u32>(), any::<u32>(), any::<u64>(), any::<u32>()).prop_map(
-        |(subgraph, timestep, compute_ns, invocations)| AttrRowWire {
-            subgraph,
+        |(subgraph, timestep, compute_ns, invocations)| AttributionRow {
+            subgraph: SubgraphId(subgraph),
             timestep,
             compute_ns,
             invocations,
@@ -256,8 +281,8 @@ fn telemetry_strategy() -> impl Strategy<Value = TelemetryMsg> {
     (
         (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<bool>()),
-        proptest::collection::vec(event_wire_strategy(), 0..5),
-        proptest::option::of(shard_wire_strategy()),
+        proptest::collection::vec(event_strategy(), 0..5),
+        proptest::option::of(shard_strategy()),
         proptest::collection::vec(attr_row_strategy(), 0..5),
     )
         .prop_map(

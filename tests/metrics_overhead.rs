@@ -133,8 +133,8 @@ fn disabled_metrics_add_zero_hot_path_allocations() {
 }
 
 /// With observability disabled, a TCP worker's per-round telemetry flush
-/// site is one `wants_telemetry()` branch — no `TelemetryFlush` is
-/// built, no `TelemetryMsg` encoded, no frame sent (the coordinator
+/// site is one `wants_telemetry()` branch — no `TelemetryMsg` is built
+/// or encoded, no frame sent (the coordinator
 /// treats a Telemetry frame on a disabled run as a protocol error, so a
 /// completing job doubly proves none were emitted). Two identical
 /// disabled TCP runs must therefore allocate near-identically: an
