@@ -190,9 +190,9 @@ impl WireMsg for String {
 }
 
 /// A name from the engine's fixed vocabulary (trace event and counter
-/// names): the bytes of `String`, decoded by interning through
-/// [`crate::checkpoint::intern`]. Interning leaks once per distinct name,
-/// so this is for small closed sets of names, not for payload data.
+/// names): the bytes of `String`, decoded by interning into the process's
+/// `&'static str` name pool. Interning leaks once per distinct name, so
+/// this is for small closed sets of names, not for payload data.
 impl WireMsg for &'static str {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u32_le(self.len() as u32);
