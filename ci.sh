@@ -66,10 +66,10 @@ faults_stage() {
 # delivered outside the phase it was sent in (the sentinel/generation fence
 # that replaced the second per-superstep barrier), and the
 # `tempograph` binary must drive a 2-process localhost cluster end-to-end —
-# plain and with observability armed (worker telemetry shards merged into
-# the coordinator registry). Skips loudly when loopback
-# sockets are unavailable in the sandbox (the tests print a NOTICE and
-# pass; the CLI smoke is guarded the same way).
+# plain and with observability armed (worker shards carried home in the
+# Output frames and folded into the coordinator registry). Skips loudly
+# when loopback sockets are unavailable in the sandbox (the tests print a
+# NOTICE and pass; the CLI smoke is guarded the same way).
 transport_stage() {
     echo "==> transport: cross-transport equivalence suite (5 algorithms, 3 and 6 partitions)"
     cargo test -q --test transport_equivalence
@@ -81,7 +81,7 @@ transport_stage() {
     PROPTEST_CASES="${PROPTEST_CASES:-64}" \
         cargo test -q --test frame_codec_prop
 
-    echo "==> transport: payload byte goldens (Telemetry and Output frames)"
+    echo "==> transport: payload byte goldens (Telemetry round report, Output frame with observability)"
     cargo test -q -p tempograph-engine --lib -- --exact \
         net::tests::golden_telemetry_payload cluster::tests::golden_output_payload
 
@@ -109,7 +109,7 @@ transport_stage() {
              "unavailable in this sandbox?); skipping smoke"
     fi
 
-    echo "==> transport: 2-process telemetry smoke (worker shards merged at the coordinator)"
+    echo "==> transport: 2-process observability smoke (worker shards carried home in Output frames)"
     "$tg" run --algo hash --data "$work/ds" --observe true \
         --transport inprocess > "$work/inproc-obs.txt"
     if "$tg" run --algo hash --data "$work/ds" --observe true \
@@ -117,7 +117,7 @@ transport_stage() {
         sed -e '/^running /d' -e '/^finished in /d' "$work/inproc-obs.txt" > "$work/a-obs.txt"
         sed -e '/^running /d' -e '/^finished in /d' "$work/tcp-obs.txt" > "$work/b-obs.txt"
         diff -u "$work/a-obs.txt" "$work/b-obs.txt" \
-            || { echo "FAIL: telemetry-merged registry differs from in-process" >&2; exit 1; }
+            || { echo "FAIL: tcp-process registry differs from in-process" >&2; exit 1; }
         # Coordinator snapshot totals must equal the worker-local sums
         # printed beside them (both lines come out of the same run).
         local loc_loads reg_loads spans
@@ -125,15 +125,16 @@ transport_stage() {
         reg_loads="$(sed -n 's/^registry.*slice loads \([0-9]*\),.*/\1/p' "$work/tcp-obs.txt")"
         [[ -n "$reg_loads" && "$loc_loads" == "$reg_loads" ]] \
             || { echo "FAIL: registry slice-load total ($reg_loads) != worker-local sum ($loc_loads)" >&2; exit 1; }
-        # Histogram content only reaches a tcp-process coordinator via
-        # telemetry frames — zero observations would mean no shard arrived.
+        # Histogram content only reaches a tcp-process coordinator in the
+        # workers' Output frames — zero observations would mean no shard
+        # arrived.
         spans="$(sed -n 's/^registry.*compute spans \([0-9]*\),.*/\1/p' "$work/tcp-obs.txt")"
         [[ -n "$spans" && "$spans" -gt 0 ]] \
             || { echo "FAIL: no compute-span observations in merged registry" >&2; exit 1; }
-        echo "    telemetry smoke OK (slice loads $reg_loads, compute spans $spans)"
+        echo "    observability smoke OK (slice loads $reg_loads, compute spans $spans)"
     else
-        echo "    NOTICE: tcp-process telemetry run failed (loopback sockets" \
-             "unavailable in this sandbox?); skipping telemetry smoke"
+        echo "    NOTICE: tcp-process observability run failed (loopback sockets" \
+             "unavailable in this sandbox?); skipping observability smoke"
     fi
 }
 

@@ -40,14 +40,13 @@ use crate::faults::{payload_is_injected, FaultPlan};
 use crate::metrics::{AttributionRow, CostAttribution, Emit, JobResult, TimestepMetrics};
 use crate::net::{
     accept_with_deadline, bind_loopback, connect_with_retry, decode_payload, encode_payload,
-    AbortMsg, Frame, FrameConn, FrameKind, HelloMsg, StartMsg, TelemetryMsg, COORDINATOR,
-    RESUME_NONE,
+    AbortMsg, Frame, FrameConn, FrameKind, HelloMsg, StartMsg, COORDINATOR, RESUME_NONE,
 };
 use crate::program::SubgraphProgram;
 use crate::provider::{InstanceSource, JobSource};
 use crate::sync::{panic_message, Aggregate, Contribution, PoisonOnPanic, SyncPoint};
 use crate::telemetry::CoordTelemetry;
-use crate::transport::{InProcess, Tcp, Transport, HANDSHAKE_TIMEOUT_MS};
+use crate::transport::{InProcess, Tcp, HANDSHAKE_TIMEOUT_MS};
 use crate::wire::WireMsg;
 use bytes::{Buf, Bytes, BytesMut};
 use crossbeam::channel::unbounded;
@@ -57,7 +56,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::Arc;
 use tempograph_partition::{PartitionedGraph, Subgraph, SubgraphId};
-use tempograph_trace::{Clock, Trace, TraceSink};
+use tempograph_trace::{Clock, Trace, TraceEvent, TraceSink};
 
 /// Exit code a worker process uses for an *injected* death (fault-plan
 /// panic), so the coordinator can tell "recoverable drill" from "real bug"
@@ -67,12 +66,11 @@ pub const INJECTED_EXIT_CODE: i32 = 42;
 // ---- worker results on the wire -----------------------------------------
 
 impl WorkerOutput {
-    /// The Output-frame payload: the transportable subset of a worker's
-    /// results. Observability state (`sinks`, `shard`, `attr_rows`)
-    /// travels separately, in the Telemetry frames each barrier round and
-    /// the final flush emit — the coordinator grafts it back on
-    /// ([`CoordTelemetry::merge_into`]) before assembling the
-    /// [`JobResult`].
+    /// The Output-frame payload: everything an in-process worker hands
+    /// back directly, observability included — trace sinks as `(track
+    /// name, track, events)`, the metrics shard and the attribution rows —
+    /// so the coordinator assembles the [`JobResult`] from exactly what
+    /// [`WorkerOutput::decode`] returns.
     pub(crate) fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
         self.metrics.encode(&mut buf);
@@ -82,11 +80,18 @@ impl WorkerOutput {
         self.emits.encode(&mut buf);
         (self.timesteps_run as u64).encode(&mut buf);
         self.final_states.encode(&mut buf);
+        let sinks: Vec<(String, u32, Vec<TraceEvent>)> = self
+            .sinks
+            .iter()
+            .map(|(name, sink)| (name.clone(), sink.track(), sink.events()))
+            .collect();
+        sinks.encode(&mut buf);
+        self.shard.encode(&mut buf);
+        self.attr_rows.encode(&mut buf);
         buf.freeze()
     }
 
-    /// Decode an Output-frame payload; the observability fields come back
-    /// empty (see [`WorkerOutput::encode`]).
+    /// Decode an Output-frame payload (see [`WorkerOutput::encode`]).
     pub(crate) fn decode(mut buf: Bytes) -> Result<WorkerOutput, EngineError> {
         let output = WorkerOutput {
             metrics: Vec::decode(&mut buf)?,
@@ -96,7 +101,12 @@ impl WorkerOutput {
             emits: Vec::decode(&mut buf)?,
             timesteps_run: u64::decode(&mut buf)? as usize,
             final_states: Vec::decode(&mut buf)?,
-            ..WorkerOutput::default()
+            sinks: Vec::<(String, u32, Vec<TraceEvent>)>::decode(&mut buf)?
+                .into_iter()
+                .map(|(name, track, events)| (name, TraceSink::from_recorded(track, events)))
+                .collect(),
+            shard: Option::decode(&mut buf)?,
+            attr_rows: Vec::decode(&mut buf)?,
         };
         if buf.remaining() != 0 {
             return Err(EngineError::Protocol {
@@ -180,25 +190,9 @@ where
     );
     match out {
         Ok(mut output) => {
-            if tcp.wants_telemetry() {
-                // Final flush: drain whatever the per-round flushes did not
-                // cover (merge-phase events, the provider's GoFS sink, the
-                // last cumulative shard/attribution snapshots). Sent before
-                // the Output frame so the coordinator has the complete
-                // picture by the time it assembles the JobResult.
-                let mut events = Vec::new();
-                for (_, sink) in &mut output.sinks {
-                    events.extend(sink.take_events());
-                }
-                tcp.telemetry(TelemetryMsg {
-                    timestep: output.timesteps_run.saturating_sub(1) as u32,
-                    final_flush: true,
-                    events,
-                    shard: output.shard.take().map(|b| *b),
-                    attr: std::mem::take(&mut output.attr_rows),
-                    ..TelemetryMsg::default()
-                })?;
-            }
+            output
+                .sinks
+                .push((format!("partition {partition} net"), tcp.take_tracer()));
             tcp.coord_send(&Frame::control(
                 FrameKind::Output,
                 partition,
@@ -441,13 +435,13 @@ fn abort_cluster(conns: &mut [FrameConn], primary: u16, detail: String) -> Death
 
 /// Serve one epoch over the coordinator listener: accept `k` hellos, send
 /// Start, then serve barrier rounds (fold k Contributions, broadcast the
-/// Aggregate) until all k workers deliver Output frames. Telemetry frames
-/// interleave with the barrier protocol and are drained into `telem` as
-/// they arrive (a protocol error when telemetry is disabled — the zero-cost
-/// contract says no such frame may exist). Returns `Ok(Err(death))` when a
-/// worker died mid-epoch (remaining workers have been told to abort), and
-/// `Err` only for unrecoverable coordinator-side failures (handshake
-/// timeout, protocol violations).
+/// Aggregate) until all k workers deliver Output frames. Round reports
+/// (Telemetry frames) interleave with the barrier protocol and are fed to
+/// `telem` as they arrive (a protocol error when telemetry is disabled —
+/// the zero-cost contract says no such frame may exist). Returns
+/// `Ok(Err(death))` when a worker died mid-epoch (remaining workers have
+/// been told to abort), and `Err` only for unrecoverable coordinator-side
+/// failures (handshake timeout, protocol violations).
 fn serve_epoch(
     listener: &TcpListener,
     k: usize,
@@ -493,8 +487,8 @@ fn serve_epoch(
         let mut contribs: Vec<Contribution> = Vec::with_capacity(k);
         let mut outputs: Vec<WorkerOutput> = Vec::new();
         for p in 0..k {
-            // Telemetry frames interleave with the barrier protocol on the
-            // same connection; drain them until a protocol frame arrives.
+            // Round reports interleave with the barrier protocol on the
+            // same connection; feed them on until a protocol frame arrives.
             let frame = loop {
                 let frame = match conns[p].recv() {
                     Ok(f) => f,
@@ -766,14 +760,15 @@ where
 ///
 /// The result is the same for every [`Cluster`]: delivery order is
 /// canonicalised after transport and barrier decisions are pure functions
-/// of the folded [`Aggregate`] (see [`crate::transport`]). With any of
-/// trace/metrics/attribution armed, TCP workers ship their observability
-/// over the telemetry plane (see [`crate::telemetry`]) so the returned
+/// of the folded [`Aggregate`] (see [`crate::transport`]). TCP workers
+/// ship their observability home in the Output frame, so the returned
 /// [`JobResult`] carries the same trace, registry, and attribution an
-/// in-process run folds directly — `tests/transport_equivalence.rs`. With
-/// [`JobConfig::status_addr`] set, a TCP coordinator additionally serves
-/// the live status board (the `tempograph status` view) for the life of
-/// the job.
+/// in-process run folds directly — `tests/transport_equivalence.rs`.
+/// With any of trace/metrics/attribution armed they also report each
+/// closed timestep over the telemetry plane (see [`crate::telemetry`]);
+/// with [`JobConfig::status_addr`] set, a TCP coordinator serves those
+/// reports as the live status board (the `tempograph status` view) for
+/// the life of the job.
 pub fn run_cluster<P, F>(
     pg: &Arc<PartitionedGraph>,
     source: &InstanceSource,
@@ -802,10 +797,9 @@ where
     let mut recoveries = 0usize;
     let mut resume_from: Option<u64> = None;
     let mut epoch = 0u32;
-    // Coordinator-side telemetry accumulation — armed by exactly the same
-    // predicate TCP workers use, so a Telemetry frame arriving while this
-    // is `None` is a protocol violation, not a silent drop. In-process
-    // workers hand their sinks and shards back directly.
+    // Coordinator-side round reports — armed by exactly the same predicate
+    // TCP workers use, so a Telemetry frame arriving while this is `None`
+    // is a protocol violation, not a silent drop.
     let over_tcp = !matches!(cluster, Cluster::InProcess);
     let mut telem = (over_tcp && config.telemetry_armed())
         .then(|| CoordTelemetry::new(k, config.straggler_factor));
@@ -1040,6 +1034,7 @@ fn assemble_job_result(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsShard;
     use bytes::BufMut;
     use tempograph_core::VertexIdx;
 
@@ -1064,13 +1059,90 @@ mod tests {
         assert!(agg.should_stop());
     }
 
+    /// Observability as a TCP worker ships it: a worker sink with a span
+    /// with an argument, an instant with and one without, a counter; an
+    /// empty transport sink; a shard whose histograms are non-empty; two
+    /// attribution rows (one merge-phase).
+    fn observed(output: &mut WorkerOutput) {
+        use tempograph_metrics::Histogram;
+        let mut busy = Histogram::new();
+        for v in [0u64, 3, 900, 1 << 33] {
+            busy.record(v);
+        }
+        let mut one = Histogram::new();
+        one.record(70);
+        let events = vec![
+            TraceEvent::Span {
+                name: "compute",
+                start_ns: 100,
+                dur_ns: 50,
+                arg: Some(("superstep", 2)),
+            },
+            TraceEvent::Instant {
+                name: "straggler.detected",
+                ts_ns: 180,
+                arg: Some(("wait_ns", 9000)),
+            },
+            TraceEvent::Instant {
+                name: "marker",
+                ts_ns: 190,
+                arg: None,
+            },
+            TraceEvent::Counter {
+                name: "net.bytes_sent",
+                ts_ns: 200,
+                value: 4096,
+            },
+        ];
+        output.sinks = vec![
+            ("partition 1".into(), TraceSink::from_recorded(1, events)),
+            (
+                "partition 1 net".into(),
+                TraceSink::from_recorded(1, vec![]),
+            ),
+        ];
+        output.shard = Some(MetricsShard {
+            compute_ns: busy.clone(),
+            barrier_wait_ns: one.clone(),
+            send_ns: busy.clone(),
+            checkpoint_write_ns: one,
+            recovery_restore_ns: busy,
+            cache_hits: 7,
+            cache_misses: 2,
+            cache_evictions: 1,
+            bytes_read: 4096,
+        });
+        output.attr_rows = vec![
+            AttributionRow {
+                subgraph: SubgraphId(5),
+                timestep: 6,
+                compute_ns: 777,
+                invocations: 4,
+            },
+            AttributionRow {
+                subgraph: SubgraphId(9),
+                timestep: u32::MAX,
+                compute_ns: 11,
+                invocations: 1,
+            },
+        ];
+    }
+
+    fn sink_parts(output: &WorkerOutput) -> Vec<(String, u32, Vec<TraceEvent>)> {
+        let parts = output.sinks.iter();
+        parts
+            .map(|(name, sink)| (name.clone(), sink.track(), sink.events()))
+            .collect()
+    }
+
     /// Byte golden for the Output payload: two timesteps of metrics (with
     /// per-superstep compute), merge metrics, counter rows, emits including
-    /// a merge-phase one (timestep = the timestep count), final states.
+    /// a merge-phase one (timestep = the timestep count), final states,
+    /// and the observability of [`observed`].
     #[test]
     fn golden_output_payload() {
         use crate::metrics::sample_metrics;
-        let output = WorkerOutput {
+        let mut output = WorkerOutput {
             metrics: vec![sample_metrics(0), sample_metrics(100)],
             merge_metrics: sample_metrics(200),
             counters: vec![
@@ -1094,6 +1166,7 @@ mod tests {
             final_states: vec![(SubgraphId(3), vec![1, 2, 3]), (SubgraphId(5), vec![])],
             ..WorkerOutput::default()
         };
+        observed(&mut output);
         let enc = output.encode();
         crate::wire::assert_hex_golden(&enc, include_str!("../testdata/worker_output.hex"));
         let back = WorkerOutput::decode(enc).unwrap();
@@ -1104,6 +1177,43 @@ mod tests {
         assert_eq!(back.emits, output.emits);
         assert_eq!(back.timesteps_run, 2);
         assert_eq!(back.final_states, output.final_states);
+        assert_eq!(sink_parts(&back), sink_parts(&output));
+        assert_eq!(back.shard, output.shard);
+        assert_eq!(back.attr_rows, output.attr_rows);
+    }
+
+    /// Sinks, shard and attribution rows round-trip through the Output
+    /// payload; a trailing byte and every truncation are typed errors.
+    #[test]
+    fn output_payload_carries_observability() {
+        let mut output = WorkerOutput {
+            timesteps_run: 1,
+            ..WorkerOutput::default()
+        };
+        observed(&mut output);
+        let enc = output.encode();
+        let back = WorkerOutput::decode(enc.clone()).unwrap();
+        assert_eq!(sink_parts(&back), sink_parts(&output));
+        assert!(back.sinks.iter().all(|(_, sink)| sink.on()));
+        assert_eq!(back.shard, output.shard);
+        assert_eq!(back.attr_rows, output.attr_rows);
+
+        let mut longer = BytesMut::from(enc.to_vec());
+        longer.put_u8(0);
+        assert!(matches!(
+            WorkerOutput::decode(longer.freeze()),
+            Err(EngineError::Protocol { .. })
+        ));
+        for cut in 0..enc.len() {
+            assert!(
+                matches!(
+                    WorkerOutput::decode(enc.slice(..cut)),
+                    Err(EngineError::Wire(_))
+                ),
+                "truncation at {cut} of {} must be a wire error",
+                enc.len()
+            );
+        }
     }
 
     #[test]
@@ -1133,11 +1243,12 @@ mod tests {
             ..WorkerOutput::default()
         };
         let enc = output.encode();
-        // The Output-frame bytes are a wire format: this is the encoding of
-        // the same sample before counters were keyed by interned names.
+        // The Output-frame bytes are a wire format: the frame-v3 encoding
+        // of this sample (473 bytes), plus empty sinks, no shard and no
+        // attribution rows.
         assert_eq!(
             (enc.len(), tempograph_gofs::codec::fnv1a64(&enc)),
-            (473, 0xd1cd_c342_67bb_0033)
+            (482, 0x49ef_d1bd_ffc0_05c9)
         );
         let decoded = WorkerOutput::decode(enc.clone()).unwrap();
         assert_eq!(decoded.metrics, output.metrics);

@@ -122,6 +122,19 @@ pub enum EngineError {
         /// Human description of the violation.
         detail: String,
     },
+    /// A frame was refused before any byte of it was written: its payload
+    /// exceeds [`crate::net::MAX_PAYLOAD_LEN`], so every receiver would
+    /// reject it (and the header's `u32` length would wrap past 4 GiB).
+    FrameTooLarge {
+        /// The connection the frame was meant for (e.g. "coordinator").
+        peer: String,
+        /// What the frame carried.
+        kind: crate::net::FrameKind,
+        /// The payload length, bytes.
+        len: usize,
+        /// The cap it exceeds, bytes.
+        cap: u32,
+    },
     /// The job's instance source could not be opened (a GoFS dataset
     /// directory that is missing, unreadable, corrupt or not the graph the
     /// job was handed). `detail` carries the stringified `GofsError`.
@@ -161,6 +174,16 @@ impl fmt::Display for EngineError {
                  data frames, only {got} accounted for"
             ),
             EngineError::Protocol { detail } => write!(f, "transport protocol violation: {detail}"),
+            EngineError::FrameTooLarge {
+                peer,
+                kind,
+                len,
+                cap,
+            } => write!(
+                f,
+                "refused to send a {kind:?} frame to {peer}: its {len}-byte payload \
+                 exceeds the {cap}-byte cap"
+            ),
             EngineError::Checkpoint { context, detail } => {
                 write!(f, "checkpoint failure {context}: {detail}")
             }
@@ -179,6 +202,7 @@ impl std::error::Error for EngineError {
             | EngineError::RemoteWorkerDied { .. }
             | EngineError::FrameLoss { .. }
             | EngineError::Protocol { .. }
+            | EngineError::FrameTooLarge { .. }
             | EngineError::Checkpoint { .. }
             | EngineError::Dataset { .. } => None,
         }

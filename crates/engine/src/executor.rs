@@ -340,8 +340,8 @@ impl AttributionShard {
 }
 
 /// Per-worker result handed back to the driver — directly by an
-/// in-process worker, as an Output frame (`encode`/`decode`, in
-/// [`crate::cluster`]) plus telemetry by a TCP one.
+/// in-process worker, as one Output frame (`encode`/`decode`, in
+/// [`crate::cluster`]) by a TCP one.
 ///
 /// Counter maps are `BTreeMap`s: they are iterated when assembling the
 /// global [`crate::JobResult`] and when encoding checkpoints, and `HashMap`
@@ -357,14 +357,14 @@ pub(crate) struct WorkerOutput {
     pub(crate) timesteps_run: usize,
     /// Final per-subgraph program state (see [`crate::JobResult::final_states`]).
     pub(crate) final_states: Vec<(SubgraphId, Vec<u8>)>,
-    /// Drained trace sinks (worker + provider), named for track metadata.
+    /// Trace sinks (worker + provider, plus the transport's over TCP),
+    /// named for track metadata.
     pub(crate) sinks: Vec<(String, TraceSink)>,
     /// This worker's metrics shard, when the job ran with metrics enabled.
-    pub(crate) shard: Option<Box<MetricsShard>>,
+    pub(crate) shard: Option<MetricsShard>,
     /// This worker's attribution rows, when the job ran with attribution
-    /// enabled. Already row-form (not the dense grid) so the TCP
-    /// coordinator can substitute shipped snapshots without rebuilding a
-    /// worker-shaped [`AttributionShard`].
+    /// enabled: the row form (not the dense grid) is what the Output frame
+    /// carries.
     pub(crate) attr_rows: Vec<crate::metrics::AttributionRow>,
 }
 
@@ -620,7 +620,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         self.out
             .sinks
             .push((format!("partition {}", self.partition), tracer));
-        self.out.shard = self.shard.take();
+        self.out.shard = self.shard.take().map(|b| *b);
         self.out.attr_rows = self.attr.take().map(|a| a.rows()).unwrap_or_default();
         if let Some(sink) = self.provider.take_trace() {
             self.out
@@ -751,7 +751,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
                 .push(std::mem::take(&mut self.cur_counters));
             self.out.timesteps_run = t + 1;
 
-            // Ship this round's observability snapshot to the coordinator.
+            // Report the closed round to the coordinator's status board.
             // Only the TCP transport wants these; the in-process path (and
             // a TCP run with observability disabled) pays one virtual call
             // and a branch — no allocation, no frame.
@@ -760,13 +760,6 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
                     timestep: t as u32,
                     supersteps,
                     barrier_wait_ns: round_sync_ns,
-                    events: self.tracer.take_events(),
-                    shard: self.shard.as_deref().cloned(),
-                    attr: self
-                        .attr
-                        .as_deref()
-                        .map(AttributionShard::rows)
-                        .unwrap_or_default(),
                     ..TelemetryMsg::default()
                 })?;
             }

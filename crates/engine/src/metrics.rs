@@ -18,7 +18,8 @@ use tempograph_trace::Trace;
 /// difference of the *same* `TraceSink::now` readings the trace spans
 /// consume, so trace and metrics agree exactly (asserted in
 /// `tests/trace_integration.rs`). Over TCP it travels to the coordinator
-/// inside [`crate::TelemetryMsg`].
+/// once, in the worker's Output frame, with its trace sinks and
+/// attribution rows.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsShard {
     /// Barriered compute durations: one observation per superstep plus one

@@ -33,7 +33,6 @@
 //! `TcpStream` in production.
 
 use crate::error::{EngineError, WireError};
-use crate::metrics::{AttributionRow, MetricsShard};
 use crate::sync::{Aggregate, Contribution};
 use crate::wire::{get_u16, get_u32, get_u64, get_u8, WireMsg};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -51,15 +50,21 @@ pub const FRAME_MAGIC: [u8; 4] = *b"TGFR";
 /// supported). v2 added the telemetry plane ([`FrameKind::Telemetry`],
 /// [`FrameKind::StatusRequest`], [`FrameKind::StatusReply`]). v3 encodes
 /// telemetry from the engine's own records ([`TraceEvent`], [`Histogram`],
-/// [`MetricsShard`], [`AttributionRow`]) instead of field-for-field wire
-/// copies; the payload bytes did not change.
-pub const FRAME_VERSION: u16 = 3;
+/// [`MetricsShard`](crate::metrics::MetricsShard),
+/// [`AttributionRow`](crate::metrics::AttributionRow)) instead of
+/// field-for-field wire copies; the payload bytes did not change. v4 moves
+/// observability into the Output frame (trace sinks, metrics shard,
+/// attribution rows, once at job end) and slims [`TelemetryMsg`] to the
+/// per-timestep round report.
+pub const FRAME_VERSION: u16 = 4;
 
 /// Fixed header size in bytes (see the module-level layout table).
 pub const HEADER_LEN: usize = 33;
 
-/// Upper bound on a declared payload length. A corrupt `len` field must not
-/// make a stream reader allocate gigabytes before the payload read fails.
+/// Upper bound on a payload length. A corrupt `len` field must not make a
+/// stream reader allocate gigabytes before the payload read fails, and a
+/// sender refuses a larger frame ([`EngineError::FrameTooLarge`]) rather
+/// than write one every receiver rejects.
 pub const MAX_PAYLOAD_LEN: u32 = 256 << 20;
 
 /// `sender` value identifying the coordinator (never a valid partition:
@@ -92,12 +97,11 @@ pub enum FrameKind {
     /// Worker → worker: mesh handshake naming the dialing partition.
     PeerHello = 9,
     /// Worker → coordinator: final results (metrics, counters, emits,
-    /// final program states). Payload: an encoded `WorkerOutput`.
+    /// final program states, trace sinks, metrics shard, attribution
+    /// rows). Payload: an encoded `WorkerOutput`.
     Output = 10,
-    /// Worker → coordinator: cumulative observability snapshot (trace
-    /// events, metrics shard, attribution rows). Sent once per barrier
-    /// round and once at job end, only when observability is armed.
-    /// Payload: [`TelemetryMsg`].
+    /// Worker → coordinator: round report for one closed timestep, only
+    /// when observability is armed. Payload: [`TelemetryMsg`].
     Telemetry = 11,
     /// Introspection client → coordinator: status probe. Payload: empty.
     StatusRequest = 12,
@@ -344,8 +348,23 @@ pub fn read_frame(r: &mut impl Read, peer: &str) -> Result<(Frame, usize), Engin
     ))
 }
 
+/// Refuse a frame whose payload exceeds [`MAX_PAYLOAD_LEN`], before any
+/// byte of it is encoded or written.
+fn check_len(frame: &Frame, peer: &str) -> Result<(), EngineError> {
+    if frame.payload.len() > MAX_PAYLOAD_LEN as usize {
+        return Err(EngineError::FrameTooLarge {
+            peer: peer.to_string(),
+            kind: frame.kind,
+            len: frame.payload.len(),
+            cap: MAX_PAYLOAD_LEN,
+        });
+    }
+    Ok(())
+}
+
 /// Write one frame to any byte stream; returns bytes written.
 pub fn write_frame(w: &mut impl Write, frame: &Frame, peer: &str) -> Result<usize, EngineError> {
+    check_len(frame, peer)?;
     let enc = frame.encode();
     w.write_all(&enc)
         .and_then(|()| w.flush())
@@ -363,6 +382,7 @@ pub fn write_frame_corrupted(
     frame: &Frame,
     peer: &str,
 ) -> Result<usize, EngineError> {
+    check_len(frame, peer)?;
     let mut enc = frame.encode().to_vec();
     if let Some(last) = enc.last_mut() {
         *last ^= 0xff;
@@ -633,7 +653,7 @@ impl WireMsg for Aggregate {
     }
 }
 
-// ---- telemetry payloads -------------------------------------------------
+// ---- observability records and telemetry payloads ----------------------
 
 /// One tag byte (1 = span, 2 = instant, 3 = counter), then the name, `a`
 /// (span start / event timestamp), `b` (span duration / counter value, 0
@@ -721,21 +741,20 @@ impl WireMsg for Histogram {
     }
 }
 
-/// Worker → coordinator observability snapshot, one per barrier round plus
-/// one final flush. `shard` and `attr` are **cumulative** snapshots (the
-/// coordinator replaces, never adds, so a re-sent snapshot cannot double
-/// count); `events` are **drained** increments (sent exactly once). The
-/// worker fills the round's fields; [`crate::Tcp`] adds its own events and
-/// fills `clock_ns` and the byte counters as it ships the snapshot.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// Worker → coordinator round report, one per closed timestep: what the
+/// status board shows and the straggler judge reads. The worker fills the
+/// round's fields; [`crate::Tcp`] fills `clock_ns` and the byte counters
+/// as it sends the report. Trace events, the metrics shard and attribution
+/// rows travel once, in the Output frame.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryMsg {
-    /// Timestep this flush closes (worker-local progress marker).
+    /// Timestep this report closes (worker-local progress marker).
     pub timestep: u32,
     /// Supersteps the closed timestep ran.
     pub supersteps: u32,
     /// Barrier wait accumulated in the closed timestep, nanoseconds.
     pub barrier_wait_ns: u64,
-    /// Worker clock reading at flush time, nanoseconds since the worker's
+    /// Worker clock reading at send time, nanoseconds since the worker's
     /// session epoch. Worker clock domain: comparable within one worker's
     /// frames, not across workers or with the coordinator clock.
     pub clock_ns: u64,
@@ -743,14 +762,6 @@ pub struct TelemetryMsg {
     pub bytes_sent: u64,
     /// Cumulative bytes this worker has read from sockets.
     pub bytes_received: u64,
-    /// True for the end-of-job flush (sent just before the Output frame).
-    pub final_flush: bool,
-    /// Trace events recorded since the previous flush (drained increments).
-    pub events: Vec<TraceEvent>,
-    /// Cumulative metrics shard snapshot (when metrics are armed).
-    pub shard: Option<MetricsShard>,
-    /// Cumulative attribution snapshot (when attribution is armed).
-    pub attr: Vec<AttributionRow>,
 }
 
 impl WireMsg for TelemetryMsg {
@@ -761,10 +772,6 @@ impl WireMsg for TelemetryMsg {
         self.clock_ns.encode(buf);
         self.bytes_sent.encode(buf);
         self.bytes_received.encode(buf);
-        self.final_flush.encode(buf);
-        self.events.encode(buf);
-        self.shard.encode(buf);
-        self.attr.encode(buf);
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         Ok(TelemetryMsg {
@@ -774,10 +781,6 @@ impl WireMsg for TelemetryMsg {
             clock_ns: u64::decode(buf)?,
             bytes_sent: u64::decode(buf)?,
             bytes_received: u64::decode(buf)?,
-            final_flush: bool::decode(buf)?,
-            events: Vec::decode(buf)?,
-            shard: Option::decode(buf)?,
-            attr: Vec::decode(buf)?,
         })
     }
 }
@@ -873,7 +876,6 @@ pub fn decode_payload<M: WireMsg>(mut payload: Bytes) -> Result<M, EngineError> 
 mod tests {
     use super::*;
     use std::io::Cursor;
-    use tempograph_partition::SubgraphId;
 
     /// Loopback socket pair, or `None` (with a notice) where the sandbox
     /// forbids sockets — the documented skip path for TCP tests.
@@ -1138,87 +1140,26 @@ mod tests {
         assert!(decode_payload::<HelloMsg>(buf.freeze()).is_err());
     }
 
-    fn sample_histogram() -> Histogram {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(17);
-        h.record(1 << 40);
-        h
-    }
-
     fn roundtrip<M: WireMsg + PartialEq + std::fmt::Debug>(m: &M) {
         assert_eq!(decode_payload::<M>(encode_payload(m)).unwrap(), *m);
     }
 
     #[test]
     fn telemetry_payload_roundtrips() {
-        let msg = TelemetryMsg {
+        roundtrip(&TelemetryMsg {
             timestep: 3,
             supersteps: 5,
             barrier_wait_ns: 12_345,
             clock_ns: 999_999,
             bytes_sent: 4096,
             bytes_received: 8192,
-            final_flush: false,
-            events: vec![
-                TraceEvent::Span {
-                    name: "compute",
-                    start_ns: 100,
-                    dur_ns: 50,
-                    arg: Some(("superstep", 2)),
-                },
-                TraceEvent::Instant {
-                    name: "marker",
-                    ts_ns: 180,
-                    arg: None,
-                },
-                TraceEvent::Counter {
-                    name: "msgs",
-                    ts_ns: 200,
-                    value: 42,
-                },
-            ],
-            shard: Some(MetricsShard {
-                compute_ns: sample_histogram(),
-                barrier_wait_ns: sample_histogram(),
-                send_ns: Histogram::new(),
-                checkpoint_write_ns: sample_histogram(),
-                recovery_restore_ns: sample_histogram(),
-                cache_hits: 7,
-                cache_misses: 2,
-                cache_evictions: 1,
-                bytes_read: 4096,
-            }),
-            attr: vec![
-                AttributionRow {
-                    subgraph: SubgraphId(0),
-                    timestep: 3,
-                    compute_ns: 777,
-                    invocations: 4,
-                },
-                AttributionRow {
-                    subgraph: SubgraphId(1),
-                    timestep: u32::MAX,
-                    compute_ns: 11,
-                    invocations: 1,
-                },
-            ],
-        };
-        roundtrip(&msg);
+        });
         roundtrip(&TelemetryMsg::default());
     }
 
-    /// Byte golden for the Telemetry payload: a span with an argument, an
-    /// instant with and one without, a counter, a shard whose histograms
-    /// are non-empty, and two attribution rows (one merge-phase).
+    /// Byte golden for the Telemetry payload: the round report alone.
     #[test]
     fn golden_telemetry_payload() {
-        let mut busy = Histogram::new();
-        for v in [0u64, 3, 900, 1 << 33] {
-            busy.record(v);
-        }
-        let mut one = Histogram::new();
-        one.record(70);
         let msg = TelemetryMsg {
             timestep: 6,
             supersteps: 4,
@@ -1226,59 +1167,52 @@ mod tests {
             clock_ns: 0x3344_5566,
             bytes_sent: 777,
             bytes_received: 888,
-            final_flush: true,
-            events: vec![
-                TraceEvent::Span {
-                    name: "compute",
-                    start_ns: 100,
-                    dur_ns: 50,
-                    arg: Some(("superstep", 2)),
-                },
-                TraceEvent::Instant {
-                    name: "straggler.detected",
-                    ts_ns: 180,
-                    arg: Some(("wait_ns", 9000)),
-                },
-                TraceEvent::Instant {
-                    name: "marker",
-                    ts_ns: 190,
-                    arg: None,
-                },
-                TraceEvent::Counter {
-                    name: "net.bytes_sent",
-                    ts_ns: 200,
-                    value: 4096,
-                },
-            ],
-            shard: Some(MetricsShard {
-                compute_ns: busy.clone(),
-                barrier_wait_ns: one.clone(),
-                send_ns: busy.clone(),
-                checkpoint_write_ns: one,
-                recovery_restore_ns: busy,
-                cache_hits: 7,
-                cache_misses: 2,
-                cache_evictions: 1,
-                bytes_read: 4096,
-            }),
-            attr: vec![
-                AttributionRow {
-                    subgraph: SubgraphId(5),
-                    timestep: 6,
-                    compute_ns: 777,
-                    invocations: 4,
-                },
-                AttributionRow {
-                    subgraph: SubgraphId(9),
-                    timestep: u32::MAX,
-                    compute_ns: 11,
-                    invocations: 1,
-                },
-            ],
         };
         let enc = encode_payload(&msg);
         crate::wire::assert_hex_golden(&enc, include_str!("../testdata/telemetry_msg.hex"));
         assert_eq!(decode_payload::<TelemetryMsg>(enc).unwrap(), msg);
+    }
+
+    /// A payload past the cap is refused before anything is written, with
+    /// an error naming the peer, the frame kind, the length and the cap.
+    #[test]
+    fn oversize_frame_is_refused_before_writing() {
+        struct Counting(usize);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0 += buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let len = MAX_PAYLOAD_LEN as usize + 1;
+        // Zeroed allocations are mapped lazily: this touches no pages.
+        let frame = Frame::control(FrameKind::Output, 2, 0, Bytes::from(vec![0u8; len]));
+        let mut w = Counting(0);
+        for write in [write_frame, write_frame_corrupted] {
+            let err = write(&mut w, &frame, "coordinator").unwrap_err();
+            assert_eq!(
+                err,
+                EngineError::FrameTooLarge {
+                    peer: "coordinator".into(),
+                    kind: FrameKind::Output,
+                    len,
+                    cap: MAX_PAYLOAD_LEN,
+                }
+            );
+            let text = err.to_string();
+            for part in [
+                "coordinator",
+                "Output",
+                &len.to_string(),
+                &MAX_PAYLOAD_LEN.to_string(),
+            ] {
+                assert!(text.contains(part), "{text}");
+            }
+        }
+        assert_eq!(w.0, 0, "nothing may be written");
     }
 
     #[test]

@@ -1,19 +1,15 @@
 //! Coordinator-side telemetry plane and live status board.
 //!
-//! Workers of a TCP cluster ship their observability (trace events,
-//! metrics shards, attribution rows) to the coordinator in
-//! [`FrameKind::Telemetry`] frames — one per closed timestep plus a final
-//! flush (see [`TelemetryMsg`]). `CoordTelemetry`
-//! accumulates them during [`crate::cluster`]'s epochs, judges stragglers
-//! over complete barrier rounds, and grafts the result back onto the
-//! epoch's worker outputs so the assembled [`crate::JobResult`] carries
-//! what an in-process run folds directly. The same frames feed the
-//! status board that `tempograph status` queries over
-//! [`query_status`].
+//! Workers of a TCP cluster with observability armed send the coordinator
+//! one round report per closed timestep in a [`FrameKind::Telemetry`]
+//! frame (see [`TelemetryMsg`]). `CoordTelemetry` feeds them to the status
+//! board that `tempograph status` queries over [`query_status`], and
+//! judges stragglers over complete barrier rounds. Trace sinks, metrics
+//! shards and attribution rows do not pass through here: they go home
+//! once, in the worker's Output frame.
 
 use crate::error::EngineError;
 use crate::executor::WorkerOutput;
-use crate::metrics::{AttributionRow, MetricsShard};
 use crate::net::{
     connect_with_retry, decode_payload, encode_payload, net_err, Frame, FrameConn, FrameKind,
     StatusReplyMsg, TelemetryMsg, WorkerStatusWire, COORDINATOR,
@@ -25,24 +21,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use tempograph_trace::{Clock, TraceEvent, TraceSink};
 
-/// Per-partition observability accumulated at the coordinator from
-/// Telemetry frames.
-struct PartTelemetry {
-    /// Decoded trace events, in arrival order (worker clock domain).
-    events: Vec<TraceEvent>,
-    /// Latest cumulative metrics-shard snapshot.
-    shard: Option<MetricsShard>,
-    /// Latest cumulative attribution snapshot.
-    attr_rows: Vec<AttributionRow>,
-}
-
-/// The coordinator's half of the telemetry plane: ingests Telemetry frames
-/// while an epoch is served, keeps the live status board, judges
-/// stragglers over complete barrier rounds, and grafts the accumulated
-/// observability back onto the epoch's outputs so result assembly sees
-/// exactly what an in-process epoch hands it directly.
+/// The coordinator's half of the telemetry plane: ingests round reports
+/// while an epoch is served, keeps the live status board, and judges
+/// stragglers over complete barrier rounds.
 pub(crate) struct CoordTelemetry {
-    parts: Vec<PartTelemetry>,
+    /// Rounds judged slow, per partition: `(clock_ns, wait_ns)` in the
+    /// worker's clock domain.
+    stragglers: Vec<Vec<(u64, u64)>>,
     /// Straggler threshold (multiple of the round's median barrier wait).
     straggler_factor: f64,
     /// Barrier-wait reports per timestep — `(partition, wait_ns,
@@ -55,69 +40,44 @@ pub(crate) struct CoordTelemetry {
 impl CoordTelemetry {
     pub(crate) fn new(k: usize, straggler_factor: f64) -> CoordTelemetry {
         CoordTelemetry {
-            parts: (0..k)
-                .map(|_| PartTelemetry {
-                    events: Vec::new(),
-                    shard: None,
-                    attr_rows: Vec::new(),
-                })
-                .collect(),
+            stragglers: vec![Vec::new(); k],
             straggler_factor,
             rounds: BTreeMap::new(),
             board: Arc::new(Mutex::new(StatusBoard::new(k))),
         }
     }
 
-    /// Discard a failed epoch's accumulation. The relaunched workers
-    /// re-record events from the restore point and re-send cumulative
-    /// snapshots, so keeping the dead epoch's state would double count —
-    /// this mirrors an in-process cluster, whose result only carries the
-    /// final successful epoch's sinks and shards.
+    /// Discard a failed epoch's straggler judgements and rounds: the
+    /// relaunched workers replay from the restore point, as an in-process
+    /// cluster's result only carries the final successful epoch.
     pub(crate) fn reset(&mut self, epoch: u32) {
-        for part in &mut self.parts {
-            part.events.clear();
-            part.shard = None;
-            part.attr_rows.clear();
-        }
+        self.stragglers.iter_mut().for_each(Vec::clear);
         self.rounds.clear();
         lock_board(&self.board).reset(epoch);
     }
 
-    /// Ingest one Telemetry frame from partition `p`: append drained
-    /// events, replace cumulative snapshots, update the status board, and
-    /// judge the barrier round once all `k` workers reported it.
+    /// Ingest one round report from partition `p`: update the status
+    /// board, and judge the barrier round once all `k` workers reported it.
     pub(crate) fn ingest(&mut self, p: usize, payload: Bytes) -> Result<(), EngineError> {
         let msg: TelemetryMsg = decode_payload(payload)?;
-        if p >= self.parts.len() {
+        let k = self.stragglers.len();
+        if p >= k {
             return Err(EngineError::Protocol {
                 detail: format!("telemetry from unknown partition {p}"),
             });
         }
         lock_board(&self.board).note(p as u16, &msg);
-        if !msg.final_flush {
-            let k = self.parts.len();
-            let round = self.rounds.entry(msg.timestep).or_default();
-            round.push((p as u16, msg.barrier_wait_ns, msg.clock_ns));
-            if round.len() == k {
-                let round = self.rounds.remove(&msg.timestep).unwrap_or_default();
-                self.judge_round(round);
-            }
-        }
-        if let Some(part) = self.parts.get_mut(p) {
-            part.events.extend(msg.events);
-            if msg.shard.is_some() {
-                part.shard = msg.shard;
-            }
-            part.attr_rows = msg.attr;
+        let round = self.rounds.entry(msg.timestep).or_default();
+        round.push((p as u16, msg.barrier_wait_ns, msg.clock_ns));
+        if round.len() == k {
+            let round = self.rounds.remove(&msg.timestep).unwrap_or_default();
+            self.judge_round(round);
         }
         Ok(())
     }
 
-    /// A complete barrier round: any worker whose wait exceeded
-    /// `straggler_factor` × the round's median earns a
-    /// `straggler.detected` instant on its own track — timestamped in the
-    /// worker's clock domain, with the wait riding the `wait_ns` arg (the
-    /// partition is the track identity).
+    /// A complete barrier round: note every worker whose wait exceeded
+    /// `straggler_factor` × the round's median.
     fn judge_round(&mut self, round: Vec<(u16, u64, u64)>) {
         let mut waits: Vec<u64> = round.iter().map(|&(_, w, _)| w).collect();
         waits.sort_unstable();
@@ -128,12 +88,8 @@ impl CoordTelemetry {
         let threshold = median as f64 * self.straggler_factor;
         for (p, wait, clock_ns) in round {
             if (wait as f64) > threshold {
-                if let Some(part) = self.parts.get_mut(p as usize) {
-                    part.events.push(TraceEvent::Instant {
-                        name: "straggler.detected",
-                        ts_ns: clock_ns,
-                        arg: Some(("wait_ns", wait)),
-                    });
+                if let Some(slow) = self.stragglers.get_mut(p as usize) {
+                    slow.push((clock_ns, wait));
                 }
             }
         }
@@ -145,25 +101,34 @@ impl CoordTelemetry {
         StatusServer::spawn(addr, self.board.clone())
     }
 
-    /// Graft the accumulated observability onto the epoch's outputs:
-    /// per-partition recorded sinks, the latest shard snapshots, and the
-    /// latest attribution rows.
+    /// Add each partition's slow rounds to its worker output as one more
+    /// recorded sink on the worker's own track: a `straggler.detected`
+    /// instant per round, timestamped in the worker's clock domain, with
+    /// the wait riding the `wait_ns` arg (the partition is the track
+    /// identity).
     pub(crate) fn merge_into(self, outputs: &mut [WorkerOutput]) {
-        for (p, (out, part)) in outputs.iter_mut().zip(self.parts).enumerate() {
-            if !part.events.is_empty() {
-                out.sinks.push((
-                    format!("partition {p}"),
-                    TraceSink::from_recorded(p as u32, part.events),
-                ));
+        for (p, (out, slow)) in outputs.iter_mut().zip(self.stragglers).enumerate() {
+            if slow.is_empty() {
+                continue;
             }
-            out.shard = part.shard.map(Box::new);
-            out.attr_rows = part.attr_rows;
+            let instants = slow
+                .into_iter()
+                .map(|(ts_ns, wait)| TraceEvent::Instant {
+                    name: "straggler.detected",
+                    ts_ns,
+                    arg: Some(("wait_ns", wait)),
+                })
+                .collect();
+            out.sinks.push((
+                format!("partition {p}"),
+                TraceSink::from_recorded(p as u32, instants),
+            ));
         }
     }
 }
 
 /// The coordinator's live status board: one row per partition, updated on
-/// every Telemetry frame, served to `tempograph status` clients.
+/// every round report, served to `tempograph status` clients.
 struct StatusBoard {
     /// Recovery epoch currently being served.
     epoch: u32,
@@ -214,11 +179,7 @@ impl StatusBoard {
         ) {
             row.epoch = epoch;
             row.timestep = msg.timestep;
-            if !msg.final_flush {
-                // The final flush closes no new round; keep the last
-                // round's superstep count on the board.
-                row.supersteps = msg.supersteps;
-            }
+            row.supersteps = msg.supersteps;
             row.barrier_wait_ns = row.barrier_wait_ns.max(msg.barrier_wait_ns);
             row.bytes_sent = msg.bytes_sent;
             row.bytes_received = msg.bytes_received;

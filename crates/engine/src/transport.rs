@@ -110,18 +110,21 @@ pub trait Transport: Send {
     /// barriers. Emits no phase mark, so it cannot be mistaken for one.
     fn barrier(&mut self) -> Result<(), EngineError>;
 
-    /// Whether the worker should hand this transport per-round telemetry
-    /// flushes. The default (`false`, used by [`InProcess`] and by a TCP
-    /// run with observability disabled) keeps the disabled path to one
-    /// virtual call and a branch: no snapshot is built, nothing allocates.
+    /// Whether the worker should hand this transport a round report per
+    /// closed timestep. The default (`false`, used by [`InProcess`] and by
+    /// a TCP run with observability disabled) keeps the disabled path to
+    /// one virtual call and a branch: no report is built, nothing
+    /// allocates.
     fn wants_telemetry(&self) -> bool {
         false
     }
 
-    /// Ship one observability snapshot to the coordinator. Called only
-    /// when [`Transport::wants_telemetry`] returned `true` — once per
-    /// closed timestep, plus one `final_flush` at job end. The worker fills
-    /// the round's fields; the transport adds its clock and byte counters.
+    /// Send one round report to the coordinator's status board and
+    /// straggler judge. Called only when [`Transport::wants_telemetry`]
+    /// returned `true`, once per closed timestep. The worker fills the
+    /// round's fields; the transport adds its clock and byte counters.
+    /// Trace sinks, metrics and attribution go home with the worker's
+    /// results instead.
     fn telemetry(&mut self, _msg: TelemetryMsg) -> Result<(), EngineError> {
         Ok(())
     }
@@ -297,8 +300,8 @@ pub struct Tcp {
     tracer: TraceSink,
     peer_bytes_sent: u64,
     peer_bytes_received: u64,
-    /// Whether the worker loop should hand this transport per-round
-    /// telemetry flushes (any of trace/metrics/attribution armed). When
+    /// Whether the worker loop should hand this transport a round report
+    /// per closed timestep (any of trace/metrics/attribution armed). When
     /// false, no Telemetry frame is ever built or sent.
     telemetry_armed: bool,
 }
@@ -400,6 +403,12 @@ impl Tcp {
         })
     }
 
+    /// Hand over the transport's own `net.*` sink at the end of the job;
+    /// the worker ships it home with its results, on the partition's track.
+    pub(crate) fn take_tracer(&mut self) -> TraceSink {
+        std::mem::replace(&mut self.tracer, TraceSink::inert())
+    }
+
     /// Send one control frame to the coordinator (also used by the worker
     /// wrapper after the run, for Output/Abort frames).
     pub(crate) fn coord_send(&mut self, frame: &Frame) -> Result<(), EngineError> {
@@ -423,6 +432,8 @@ impl Tcp {
                 self.peer_bytes_sent += n as u64;
                 Ok(())
             }
+            // Refused before writing: this worker's fault, not the peer's.
+            Err(e @ EngineError::FrameTooLarge { .. }) => Err(e),
             Err(e) => Err(EngineError::RemoteWorkerDied {
                 partition: d as u16,
                 detail: e.to_string(),
@@ -706,9 +717,6 @@ impl Transport for Tcp {
     }
 
     fn telemetry(&mut self, mut msg: TelemetryMsg) -> Result<(), EngineError> {
-        // The transport's own net.* spans and byte counters ride along
-        // with the worker's events — same track, merged at assembly.
-        msg.events.extend(self.tracer.take_events());
         msg.clock_ns = self.tracer.now();
         msg.bytes_sent = self.coord.bytes_sent() + self.peer_bytes_sent;
         msg.bytes_received = self.coord.bytes_received() + self.peer_bytes_received;

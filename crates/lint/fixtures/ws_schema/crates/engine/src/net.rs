@@ -30,9 +30,7 @@ pub struct AbortMsg {
 
 pub struct TelemetryMsg {
     pub timestep: u32,
-    pub final_flush: bool,
-    pub events: Vec<TraceEvent>,
-    pub shard: Option<MetricsShard>,
+    pub clock_ns: u64,
 }
 
 pub struct WorkerStatusWire {

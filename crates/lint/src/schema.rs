@@ -53,8 +53,8 @@ pub const GROUPS: &[SchemaGroup] = &[
     },
     SchemaGroup {
         name: "net",
-        // Telemetry and the Output frame encode the engine's own records,
-        // so their declarations are locked where they live.
+        // The Output frame encodes the engine's own records, so their
+        // declarations are locked where they live.
         files: &[
             "crates/engine/src/net.rs",
             "crates/engine/src/metrics.rs",

@@ -180,7 +180,7 @@ impl TraceSink {
     }
 
     /// Rebuild a sink from events recorded elsewhere — e.g. shipped across
-    /// a process boundary by a telemetry frame. The sink is active and
+    /// a process boundary in a worker's Output frame. The sink is active and
     /// unbounded, so `Trace::from_sinks` treats it exactly like a locally
     /// recorded one. Its epoch is fresh: the recorded timestamps keep the
     /// clock domain of the worker that produced them.

@@ -92,8 +92,8 @@ USAGE:
       cluster over loopback TCP (worker threads); tcp-process spawns one
       real `tempograph worker` process per partition. Results —
       including ledger records — are byte-identical across transports:
-      TCP workers ship telemetry frames at every barrier so the
-      coordinator merges the same metrics/attribution an in-process run
+      TCP workers ship their metrics/attribution home with their
+      results, so the coordinator folds the same data an in-process run
       folds directly. --observe arms metrics + attribution without
       recording; --status-addr serves live cluster introspection for
       `tempograph status` (implies --observe); --straggler-factor (or
@@ -899,7 +899,7 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), String> {
             if tuning.observability_on() {
                 // Workers must arm metrics + attribution whenever the
                 // coordinator does (--ledger / --observe / --status-addr)
-                // so they ship telemetry frames the coordinator merges;
+                // so their results carry what the coordinator folds;
                 // otherwise a tcp-process ledger record would be empty.
                 worker_args.extend(["--observe".into(), "true".into()]);
             }
@@ -960,8 +960,8 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), String> {
 
     // With observability armed, print the coordinator-side registry totals
     // next to the worker-local sums above. Over TCP the histogram content
-    // arrives only via telemetry frames, so nonzero observation counts here
-    // prove the worker shards were shipped and merged; everything printed
+    // arrives only in the workers' Output frames, so nonzero observation
+    // counts here prove the worker shards were shipped and folded; everything printed
     // is deterministic, so the line must match across transports.
     if let Some(reg) = &result.registry {
         let snap = reg.snapshot();

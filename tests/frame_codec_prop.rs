@@ -279,32 +279,81 @@ fn attr_row_strategy() -> impl Strategy<Value = AttributionRow> {
 
 fn telemetry_strategy() -> impl Strategy<Value = TelemetryMsg> {
     (
-        (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), any::<bool>()),
+        (any::<u32>(), any::<u32>(), any::<u64>()),
+        (any::<u64>(), any::<u64>(), any::<u64>()),
+    )
+        .prop_map(
+            |((timestep, supersteps, barrier_wait_ns), (clock_ns, bytes_sent, bytes_received))| {
+                TelemetryMsg {
+                    timestep,
+                    supersteps,
+                    barrier_wait_ns,
+                    clock_ns,
+                    bytes_sent,
+                    bytes_received,
+                }
+            },
+        )
+}
+
+/// The observability records a worker's Output frame carries home.
+type Observability = (Vec<TraceEvent>, Option<MetricsShard>, Vec<AttributionRow>);
+
+fn observability_strategy() -> impl Strategy<Value = Observability> {
+    (
         proptest::collection::vec(event_strategy(), 0..5),
         proptest::option::of(shard_strategy()),
         proptest::collection::vec(attr_row_strategy(), 0..5),
     )
-        .prop_map(
-            |(
-                (timestep, supersteps, barrier_wait_ns, clock_ns),
-                (bytes_sent, bytes_received, final_flush),
-                events,
-                shard,
-                attr,
-            )| TelemetryMsg {
-                timestep,
-                supersteps,
-                barrier_wait_ns,
-                clock_ns,
-                bytes_sent,
-                bytes_received,
-                final_flush,
-                events,
-                shard,
-                attr,
-            },
-        )
+}
+
+proptest! {
+    /// Trace events, a metrics shard and attribution rows round-trip
+    /// bit-exactly through their codecs.
+    #[test]
+    fn observability_records_roundtrip(obs in observability_strategy()) {
+        let decoded: Observability =
+            decode_payload(encode_payload(&obs)).expect("records decode");
+        prop_assert_eq!(decoded, obs);
+    }
+
+    /// A bit-flip anywhere in encoded observability records either still
+    /// decodes (the flip hit a value field) or fails with a typed error — never a panic, never unbounded preallocation (vector length
+    /// prefixes are capped by the remaining bytes).
+    #[test]
+    fn bit_flipped_observability_records_yield_typed_errors(
+        obs in observability_strategy(),
+        bit in any::<u32>(),
+    ) {
+        let enc = encode_payload(&obs);
+        let mut bytes = enc.to_vec();
+        let pos = (bit as usize / 8) % bytes.len();
+        bytes[pos] ^= 1 << (bit % 8);
+        match decode_payload::<Observability>(Bytes::from(bytes)) {
+            Ok(_) => {}
+            Err(EngineError::Wire(_)) => {}
+            // A flip that shrinks the last vector's length prefix leaves
+            // its tail unread: a typed trailing-bytes error.
+            Err(EngineError::Protocol { detail }) if detail.contains("trailing bytes") => {}
+            Err(e) => panic!("unexpected error class: {e}"),
+        }
+    }
+
+    /// Truncating encoded observability records at any interior point is a
+    /// typed wire error, never a panic or a silent partial decode.
+    #[test]
+    fn truncated_observability_records_yield_typed_errors(
+        obs in observability_strategy(),
+        cut in any::<u32>(),
+    ) {
+        let enc = encode_payload(&obs);
+        let cut = cut as usize % enc.len();
+        match decode_payload::<Observability>(enc.slice(0..cut)) {
+            Err(EngineError::Wire(WireError::Eof { .. })) => {}
+            Err(e) => panic!("truncation must be Eof, got: {e}"),
+            Ok(_) => panic!("truncated observability records must not decode"),
+        }
+    }
 }
 
 proptest! {

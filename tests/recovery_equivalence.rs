@@ -795,15 +795,17 @@ fn registry_fingerprint(label: &str, r: &JobResult) -> Vec<String> {
         .collect()
 }
 
-/// A TCP worker dies *between* shipping its telemetry flush for a
-/// completed timestep and the next barrier. The coordinator has already
-/// ingested that flush — but the epoch fails, so `CoordTelemetry` resets
-/// and the respawned epoch re-ships **cumulative** shard/attribution
-/// snapshots (replace-not-add merge): the committed observations are not
-/// lost, and re-shipping cannot double count. Both a recovered in-process
-/// run and a recovered TCP run cover the final successful attempt, so
-/// their merged registries and attribution tables must be identical —
-/// and the deterministic output must still match a clean run.
+/// A TCP worker dies *between* sending its round report for a completed
+/// timestep and the next barrier. The coordinator has already fed that
+/// report to its status board — but the epoch fails, so `CoordTelemetry`
+/// resets, and the dead epoch's observability never reaches the
+/// coordinator: workers ship their sinks, shards and attribution rows only
+/// once, in the Output frame of the epoch that completes. Nothing is lost
+/// (the respawned workers rebuild their shards from the restore point)
+/// and nothing is counted twice. Both a recovered in-process run and a
+/// recovered TCP run cover the final successful attempt, so their merged
+/// registries and attribution tables must be identical — and the
+/// deterministic output must still match a clean run.
 #[test]
 fn tcp_death_between_telemetry_flush_and_barrier_neither_loses_nor_double_counts() {
     if !sockets_available() {

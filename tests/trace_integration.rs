@@ -316,6 +316,53 @@ fn flight_recorder_stays_bounded() {
     assert!(trace.num_events() > 0);
 }
 
+/// The same bound over TCP: a worker's sinks go home once, at the end of
+/// the job, so each ring — the worker's and its transport's `net.*` one —
+/// holds at most `CAP` events however many timesteps filled it.
+#[test]
+fn flight_recorder_stays_bounded_over_tcp() {
+    let _guard = serial();
+    if std::net::TcpListener::bind("127.0.0.1:0").is_err() {
+        eprintln!("NOTICE: loopback sockets unavailable; skipping TCP flight-recorder test");
+        return;
+    }
+    let (t, coll) = tweet_fixture();
+    let pg = partitioned(&t);
+    let tweets_col = t.vertex_schema().index_of(TWEETS_ATTR).unwrap();
+    // Small enough that one timestep fills each ring.
+    const CAP: usize = 16;
+    let result = run_job_tcp(
+        &pg,
+        &InstanceSource::Memory(coll),
+        HashtagAggregation::factory("#meme", tweets_col),
+        JobConfig::eventually_dependent(TIMESTEPS)
+            .with_trace(TraceConfig::new().flight_recorder(CAP)),
+        Cluster::Threads,
+    )
+    .expect("tcp job runs");
+    let trace = result.trace.as_ref().unwrap();
+    trace
+        .validate()
+        .expect("bounded rings still yield a valid trace");
+    assert_eq!(trace.tracks.len(), PARTITIONS);
+    for track in &trace.tracks {
+        // Straggler instants are the coordinator's, not a ring's.
+        let (net, worker): (Vec<&tempograph::trace::TraceEvent>, Vec<_>) = track
+            .events
+            .iter()
+            .filter(|e| e.name() != "straggler.detected")
+            .partition(|e| e.name().starts_with("net."));
+        for (sink, events) in [("worker", &worker), ("transport", &net)] {
+            assert!(
+                !events.is_empty() && events.len() <= CAP,
+                "{}: {} {sink} events, ring of {CAP}",
+                track.name,
+                events.len()
+            );
+        }
+    }
+}
+
 /// Overhead smoke test (run explicitly: `cargo test --release --test
 /// trace_integration -- --ignored`): with tracing *globally disabled*, a
 /// job configured for tracing must not run measurably slower than an
