@@ -287,6 +287,10 @@ echo "==> gofs: template codec vs raw-column oracle, corrupt templates (PROPTEST
 PROPTEST_CASES="${PROPTEST_CASES:-64}" \
     cargo test -q -p tempograph-gofs --test proptest_template
 
+echo "==> gofs: slot-per-bin slice cache vs written projections, held instances, one load per (bin, pack) in order (PROPTEST_CASES=${PROPTEST_CASES:-64})"
+PROPTEST_CASES="${PROPTEST_CASES:-64}" \
+    cargo test -q -p tempograph-gofs --test proptest_cache
+
 echo "==> partition: subgraph discovery vs its definition (PROPTEST_CASES=${PROPTEST_CASES:-64})"
 PROPTEST_CASES="${PROPTEST_CASES:-64}" \
     cargo test -q -p tempograph-partition --test proptest_discover

@@ -8,15 +8,18 @@
 //! and column directory*; each column of an instance then decodes on the
 //! first accessor call that touches it (see [`crate::view`]), so a job
 //! pays for the attributes and timesteps it reads, not for the pack.
-//! Subsequent accesses hit the cache. The cache holds a bounded number of
-//! slices, evicting least-recently-used packs, so long runs stream through
-//! disk just like GoFS.
+//! Subsequent accesses hit the cache. The cache holds one slice per bin —
+//! the pack a worker is computing on, since a worker asks for timesteps
+//! in non-decreasing order — and a miss reads the next pack into the
+//! buffer of the one it replaces, so long runs stream through disk just
+//! like GoFS with one file per bin resident.
 
 use crate::error::{GofsError, Result};
 use crate::slice::{decode_slice, SliceData, SliceKey};
 use crate::store::{bins_for_partition, GofsStore};
 use crate::view::SubgraphInstance;
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::sync::Arc;
 use tempograph_partition::{PartitionedGraph, SubgraphId};
 use tempograph_trace::{Clock, TraceSink};
@@ -36,7 +39,8 @@ pub struct LoaderStats {
     /// well-defined even if future load paths (prefetch, warm-up) read
     /// slices without a triggering request.
     pub cache_misses: u64,
-    /// Slices evicted to respect the cache budget.
+    /// Slot replacements: misses on a bin whose slot already held another
+    /// pack, which the new one replaced.
     pub evictions: u64,
     /// Nanoseconds spent on misses: file read, frame checksum, header and
     /// column directory. Column decode happens later, in whoever first
@@ -60,15 +64,8 @@ pub struct InstanceLoader {
     partition: u16,
     /// `bin_of_sg[sg] = bin index` for this partition's subgraphs.
     bin_of_sg: BTreeMap<SubgraphId, u32>,
-    /// Slice cache with LRU ticks. A `BTreeMap` (lint rule D01): eviction
-    /// scans this map, and `HashMap` iteration order would let hasher
-    /// randomness pick the victim among equally-old slices — making cache
-    /// contents, and thus the I/O metrics, differ between identical runs.
-    cache: BTreeMap<SliceKey, (Arc<SliceData>, u64)>,
-    /// Monotonic counter for LRU ordering.
-    tick: u64,
-    /// Max slices kept in cache.
-    capacity: usize,
+    /// `slots[bin]`: the one pack of that bin held, if any.
+    slots: Vec<Option<Arc<SliceData>>>,
     stats: LoaderStats,
     /// Lifetime totals (never reset): the engine resets [`Self::stats`]
     /// every timestep to window its I/O metrics, but trace counters must
@@ -76,13 +73,23 @@ pub struct InstanceLoader {
     total: LoaderStats,
     /// Optional trace sink (shares the owning worker's partition track).
     trace: Option<TraceSink>,
+    /// Misses that read into the replaced slice's buffer.
+    #[cfg(test)]
+    recycled: u64,
+}
+
+/// Whether a recycled buffer of `capacity` bytes should hold a `len`-byte
+/// file: large enough, and not so much larger that every slot ratchets up
+/// to its bin's largest pack (hash-cut bins vary several-fold).
+fn fits(capacity: usize, len: usize) -> bool {
+    capacity >= len && capacity - len <= len / 8
 }
 
 impl InstanceLoader {
-    /// Create a loader for `partition`. `capacity` bounds the number of
-    /// cached slices (at least one is kept whatever it says); the number of
-    /// bins is the natural choice so one full pack per bin stays resident.
-    pub fn new(store: GofsStore, pg: &PartitionedGraph, partition: u16, capacity: usize) -> Self {
+    /// Create a loader for `partition`, with one cache slot per bin of
+    /// the partition: a miss replaces the bin's pack, so at most one
+    /// slice per bin is held.
+    pub fn new(store: GofsStore, pg: &PartitionedGraph, partition: u16) -> Self {
         let bins = bins_for_partition(pg, partition, store.meta().binning);
         let mut bin_of_sg = BTreeMap::new();
         for (bi, bin) in bins.iter().enumerate() {
@@ -94,19 +101,19 @@ impl InstanceLoader {
             store,
             partition,
             bin_of_sg,
-            cache: BTreeMap::new(),
-            tick: 0,
-            capacity: capacity.max(1),
+            slots: vec![None; bins.len()],
             stats: LoaderStats::default(),
             total: LoaderStats::default(),
             trace: None,
+            #[cfg(test)]
+            recycled: 0,
         }
     }
 
-    /// A loader whose capacity holds one pack per bin (the sensible default).
+    /// The same loader as [`Self::new`]: one slot per bin is the only
+    /// capacity there is.
     pub fn with_default_capacity(store: GofsStore, pg: &PartitionedGraph, partition: u16) -> Self {
-        let bins = bins_for_partition(pg, partition, store.meta().binning).len();
-        Self::new(store, pg, partition, bins.max(1) * 2)
+        Self::new(store, pg, partition)
     }
 
     /// I/O counters since the last [`Self::reset_stats`].
@@ -148,7 +155,9 @@ impl InstanceLoader {
     }
 
     /// Fetch the projected instance for `sg` at `timestep`, reading the
-    /// covering slice from disk if it is not cached.
+    /// covering slice from disk if its bin's slot holds another pack (or
+    /// none). Any order of requests is answered correctly; one out of
+    /// timestep order only costs a reload.
     pub fn load(&mut self, sg: SubgraphId, timestep: usize) -> Result<Arc<SubgraphInstance>> {
         let meta = self.store.meta();
         if timestep >= meta.num_timesteps {
@@ -166,49 +175,66 @@ impl InstanceLoader {
         let pack = (timestep / meta.packing) as u32;
         let key = SliceKey { bin, pack };
 
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((slice, last_used)) = self.cache.get_mut(&key) {
-            *last_used = tick;
+        let slot = &mut self.slots[bin as usize];
+        if let Some(slice) = slot.as_ref().filter(|s| s.key == key) {
             self.stats.cache_hits += 1;
             self.total.cache_hits += 1;
             return slice.get(sg, timestep);
         }
 
-        // Miss. Evict first, so the victim's memory is free before the new
-        // file is read: the peak holds `capacity` slices, not one more, and
-        // the read reuses what the victim held instead of growing the heap
-        // by however much fragmentation left unusable.
+        // Miss. Empty the slot before the read, so the replaced pack's
+        // buffer can take the new file: the peak holds one slice per bin,
+        // not one more. The buffer comes back only when no instance of the
+        // old pack is still held (its columns are views of it), and is
+        // used only when its size fits the new file.
         self.stats.cache_misses += 1;
         self.total.cache_misses += 1;
-        if self.cache.len() >= self.capacity {
-            // Evict the least-recently-used slice; ties (possible only if a
-            // future path inserts without bumping `tick`) break on the
-            // smaller key, so the victim is a pure function of the access
-            // sequence.
-            if let Some(&victim) = self
-                .cache
-                .iter()
-                .min_by_key(|(k, (_, used))| (*used, **k))
-                .map(|(k, _)| k)
-            {
-                self.cache.remove(&victim);
-                self.stats.evictions += 1;
-                self.total.evictions += 1;
-                if let Some(sink) = self.trace.as_mut() {
-                    sink.instant("gofs.evict", None);
-                }
+        let recovered = slot.take().and_then(|old| {
+            self.stats.evictions += 1;
+            self.total.evictions += 1;
+            if let Some(sink) = self.trace.as_mut() {
+                sink.instant("gofs.evict", None);
             }
-        }
+            Arc::try_unwrap(old).ok()?.into_buffer()
+        });
         // Read the slice file, check its frame, decode header and
         // directory. The slice keeps the buffer read, and the instance
         // handed back has decoded no column yet.
         let started = Clock::start();
         let span = self.trace.as_ref().map(|s| s.start());
         let path = self.store.slice_path(self.partition, key);
-        let data = std::fs::read(&path)?;
+        let mut file = std::fs::File::open(&path)?;
+        // A length past `usize` (32-bit hosts) fits no recycled buffer.
+        let len = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
+        let mut data = match recovered {
+            Some(mut buf) if fits(buf.capacity(), len) => {
+                buf.clear();
+                #[cfg(test)]
+                {
+                    self.recycled += 1;
+                }
+                buf
+            }
+            // Free a misfit before allocating its replacement.
+            misfit => {
+                drop(misfit);
+                Vec::new()
+            }
+        };
+        file.read_to_end(&mut data)?;
         let bytes_read = data.len() as u64;
-        let slice = Arc::new(decode_slice(data.into())?);
+        let slice = decode_slice(data.into())?;
+        if (slice.partition, slice.key) != (self.partition, key) {
+            return Err(GofsError::Corrupt(format!(
+                "{} holds partition {} bin {} pack {}, not partition {} bin {bin} pack {pack}",
+                path.display(),
+                slice.partition,
+                slice.key.bin,
+                slice.key.pack,
+                self.partition
+            )));
+        }
+        let slice = Arc::new(slice);
         let inst = slice.get(sg, timestep)?;
         let elapsed = started.elapsed_ns();
         self.stats.slice_loads += 1;
@@ -228,16 +254,21 @@ impl InstanceLoader {
             sink.counter("gofs.cache_misses", misses);
             sink.counter("gofs.bytes_read", bytes);
         }
-        self.cache.insert(key, (slice, tick));
+        self.slots[bin as usize] = Some(slice);
         Ok(inst)
     }
 
     /// Approximate heap bytes held by cached slices right now: each
-    /// slice's encoded block region plus the columns decoded so far. A
-    /// slice starts at its on-disk size and grows only as columns are
-    /// touched.
+    /// slice's file buffer plus the columns decoded so far. A slice starts
+    /// at its buffer's size and grows only as columns are touched.
     pub fn cached_bytes(&self) -> usize {
-        self.cache.values().map(|(s, _)| s.approx_bytes()).sum()
+        self.slots.iter().flatten().map(|s| s.approx_bytes()).sum()
+    }
+
+    /// The packs held, one entry per occupied slot.
+    #[cfg(test)]
+    fn resident(&self) -> Vec<SliceKey> {
+        self.slots.iter().flatten().map(|s| s.key).collect()
     }
 }
 
@@ -245,9 +276,12 @@ impl InstanceLoader {
 mod tests {
     use super::*;
     use crate::store::write_dataset;
+    use crate::view::F64Cells;
     use std::path::PathBuf;
     use tempograph_core::{AttrType, TemplateBuilder, TimeSeriesCollection};
-    use tempograph_partition::{discover_subgraphs, MultilevelPartitioner, Partitioner};
+    use tempograph_partition::{
+        discover_subgraphs, MultilevelPartitioner, Partitioner, Partitioning,
+    };
 
     fn tmp(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -259,14 +293,29 @@ mod tests {
         d
     }
 
+    /// A 30-vertex path with a `Long` vertex column `v = ts·1000 + i` and
+    /// a `Double` edge column `w = ts·1000 + e + 0.5`, cut in two by the
+    /// multilevel partitioner (one subgraph a partition).
     fn dataset(
         dir: &PathBuf,
         timesteps: usize,
         packing: usize,
         binning: usize,
     ) -> (Arc<PartitionedGraph>, GofsStore) {
+        dataset_cut(dir, timesteps, packing, binning, None)
+    }
+
+    /// [`dataset`], cut by `cut(i)` when given instead.
+    fn dataset_cut(
+        dir: &PathBuf,
+        timesteps: usize,
+        packing: usize,
+        binning: usize,
+        cut: Option<fn(usize) -> u16>,
+    ) -> (Arc<PartitionedGraph>, GofsStore) {
         let mut b = TemplateBuilder::new("loader-test", false);
         b.vertex_schema().add("v", AttrType::Long);
+        b.edge_schema().add("w", AttrType::Double);
         for i in 0..30 {
             b.add_vertex(i);
         }
@@ -274,7 +323,13 @@ mod tests {
             b.add_edge(i, i, i + 1).unwrap();
         }
         let t = Arc::new(b.finalize().unwrap());
-        let part = MultilevelPartitioner::default().partition(&t, 2);
+        let part = match cut {
+            Some(cut) => Partitioning {
+                assignment: (0..30).map(cut).collect(),
+                k: 2,
+            },
+            None => MultilevelPartitioner::default().partition(&t, 2),
+        };
         let pg = Arc::new(discover_subgraphs(t.clone(), part));
         let mut coll = TimeSeriesCollection::new(t, 0, 1);
         for ts in 0..timesteps {
@@ -282,10 +337,18 @@ mod tests {
             for (i, x) in g.vertex_i64_mut("v").unwrap().iter_mut().enumerate() {
                 *x = (ts * 1000 + i) as i64;
             }
+            for (e, x) in g.edge_f64_mut("w").unwrap().iter_mut().enumerate() {
+                *x = (ts * 1000 + e) as f64 + 0.5;
+            }
             coll.push(g).unwrap();
         }
         write_dataset(dir, pg.clone(), &coll, packing, binning).unwrap();
         (pg, GofsStore::open(dir).unwrap())
+    }
+
+    /// The address of the block region `bin`'s slot holds.
+    fn slot_addr(loader: &InstanceLoader, bin: usize) -> usize {
+        loader.slots[bin].as_ref().unwrap().blocks_addr()
     }
 
     #[test]
@@ -337,34 +400,32 @@ mod tests {
     #[test]
     fn eviction_respects_capacity() {
         let dir = tmp("evict");
-        let (pg, store) = dataset(&dir, 30, 5, 5); // 6 packs
+        let (pg, store) = dataset(&dir, 30, 5, 5); // 6 packs, one bin
         let partition = 0u16;
         let sg = pg.subgraphs_of_partition(partition)[0];
-        let mut loader = InstanceLoader::new(store, &pg, partition, 2);
+        // The capacity is one slot per bin: here, one slice.
+        let mut loader = InstanceLoader::new(store, &pg, partition);
         for t in 0..30 {
             loader.load(sg, t).unwrap();
+            let pack = t as u32 / 5;
+            assert_eq!(loader.resident(), vec![SliceKey { bin: 0, pack }]);
         }
+        // The first pack filled an empty slot; each later one replaced one.
         assert_eq!(loader.stats().slice_loads, 6);
-        assert_eq!(loader.stats().evictions, 4);
+        assert_eq!(loader.stats().evictions, 5);
         // Going back to an evicted pack re-loads it.
         loader.load(sg, 0).unwrap();
         assert_eq!(loader.stats().slice_loads, 7);
-        // A capacity of zero keeps one slice instead of panicking.
-        let store = GofsStore::open(&dir).unwrap();
-        let mut one = InstanceLoader::new(store, &pg, partition, 0);
-        one.load(sg, 0).unwrap();
-        one.load(sg, 1).unwrap();
-        one.load(sg, 5).unwrap();
-        assert_eq!((one.stats().slice_loads, one.stats().evictions), (2, 1));
+        assert_eq!(loader.resident(), vec![SliceKey { bin: 0, pack: 0 }]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn a_miss_evicts_before_it_reads() {
         let dir = tmp("evict-first");
-        let (pg, store) = dataset(&dir, 20, 10, 5); // 2 packs
+        let (pg, store) = dataset(&dir, 20, 10, 5); // 2 packs, one bin
         let sg = pg.subgraphs_of_partition(0)[0];
-        let mut loader = InstanceLoader::new(store, &pg, 0, 1);
+        let mut loader = InstanceLoader::new(store, &pg, 0);
         loader.set_trace_sink(tempograph_trace::TraceConfig::new().sink(0));
         loader.load(sg, 0).unwrap();
         loader.load(sg, 10).unwrap();
@@ -389,9 +450,149 @@ mod tests {
             })
             .nth(1)
             .unwrap();
-        // The victim's memory is free before the next file is read, so
-        // a load never holds `capacity + 1` slices.
+        // The slot is empty before the next file is read, so a load never
+        // holds two slices of one bin — and the read can take the old
+        // slice's buffer.
         assert!(evicted_at <= second_read_at);
+        assert_eq!(loader.recycled, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_held_view_keeps_its_pack_and_its_buffer() {
+        let dir = tmp("held");
+        let (pg, store) = dataset(&dir, 20, 10, 5);
+        let sg = pg.subgraphs_of_partition(0)[0];
+        let edges = pg.subgraph(sg).edges().to_vec();
+        assert!(!edges.is_empty());
+        let mut loader = InstanceLoader::new(store, &pg, 0);
+        let held = loader.load(sg, 3).unwrap();
+        let cells = held.edge_f64_cells(0).unwrap();
+        assert!(matches!(cells, F64Cells::Raw(_)), "a view of the buffer");
+        let pack0 = slot_addr(&loader, 0);
+        let next = loader.load(sg, 13).unwrap();
+        // Pack 1 went into a buffer of its own: the held view still reads
+        // pack 0, bit for bit.
+        assert_eq!(loader.recycled, 0);
+        assert_ne!(slot_addr(&loader, 0), pack0);
+        for (q, e) in edges.iter().enumerate() {
+            let want = (3000 + e.idx()) as f64 + 0.5;
+            assert_eq!(cells.get(q).to_bits(), want.to_bits());
+            assert_eq!(next.edge_f64_cells(0).unwrap().get(q), want + 10_000.0);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_dropped_view_lets_the_next_pack_reuse_its_buffer() {
+        let dir = tmp("reuse");
+        let (pg, store) = dataset(&dir, 20, 10, 5);
+        let sg = pg.subgraphs_of_partition(0)[0];
+        let mut loader = InstanceLoader::new(store, &pg, 0);
+        let first = loader.load(sg, 3).unwrap();
+        first.edge_f64(0).unwrap();
+        let pack0 = slot_addr(&loader, 0);
+        drop(first);
+        let next = loader.load(sg, 13).unwrap();
+        // Both packs have the same header, so one buffer puts the block
+        // region at one address.
+        assert_eq!(loader.recycled, 1);
+        assert_eq!(slot_addr(&loader, 0), pack0);
+        let rows = pg.subgraph(sg).vertices().to_vec();
+        let vals = next.vertex_i64(0).unwrap();
+        for (pos, v) in rows.iter().enumerate() {
+            assert_eq!(vals[pos], (13_000 + v.idx()) as i64);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_file_read_into_a_recycled_buffer_is_an_error() {
+        type Damage = fn(&mut Vec<u8>);
+        let truncate: Damage = |f| f.truncate(f.len() - 16);
+        let flip: Damage = |f| {
+            let mid = f.len() / 2;
+            f[mid] ^= 0x10;
+        };
+        for (tag, damage) in [("truncated", truncate), ("flipped", flip)] {
+            let dir = tmp(tag);
+            let (pg, store) = dataset(&dir, 20, 10, 5);
+            let sg = pg.subgraphs_of_partition(0)[0];
+            let path = store.slice_path(0, SliceKey { bin: 0, pack: 1 });
+            let mut file = std::fs::read(&path).unwrap();
+            damage(&mut file);
+            std::fs::write(&path, file).unwrap();
+            let mut loader = InstanceLoader::new(store, &pg, 0);
+            loader.load(sg, 0).unwrap().edge_f64(0).unwrap();
+            let err = loader.load(sg, 10).unwrap_err();
+            assert_eq!(loader.recycled, 1, "{tag}: read into pack 0's buffer");
+            match (tag, &err) {
+                ("truncated", GofsError::Corrupt(_)) => {}
+                ("flipped", GofsError::ChecksumMismatch { .. }) => {}
+                _ => panic!("{tag}: {err}"),
+            }
+            // Asking again fails the same way; it never serves pack 0.
+            assert!(loader.load(sg, 10).is_err());
+            assert_eq!(loader.resident(), vec![]);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_misplaced_slice_is_corrupt() {
+        let dir = tmp("misplaced");
+        let (pg, store) = dataset(&dir, 20, 10, 5);
+        let sg = pg.subgraphs_of_partition(0)[0];
+        std::fs::copy(
+            store.slice_path(0, SliceKey { bin: 0, pack: 0 }),
+            store.slice_path(0, SliceKey { bin: 0, pack: 1 }),
+        )
+        .unwrap();
+        let mut loader = InstanceLoader::new(store, &pg, 0);
+        let err = loader.load(sg, 15).unwrap_err();
+        assert!(matches!(err, GofsError::Corrupt(_)), "{err}");
+        assert!(err.to_string().contains("slice-b0000-p0001"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_recycled_buffer_fits_within_an_eighth() {
+        assert!(fits(800, 800));
+        assert!(fits(900, 800));
+        assert!(!fits(901, 800), "too roomy: slots would ratchet up");
+        assert!(!fits(799, 800), "too small: the read would reallocate");
+    }
+
+    #[test]
+    fn a_monotone_sweep_loads_each_pack_once_and_holds_one_per_bin() {
+        let dir = tmp("sweep");
+        // Blocks of three vertices alternate between the partitions: five
+        // subgraphs a partition, three bins of up to two, four packs.
+        let (pg, _) = dataset_cut(&dir, 14, 4, 2, Some(|i| (i / 3 % 2) as u16));
+        for partition in 0..2u16 {
+            let sgs = pg.subgraphs_of_partition(partition).to_vec();
+            assert_eq!(sgs.len(), 5);
+            let store = GofsStore::open(&dir).unwrap();
+            let mut loader = InstanceLoader::new(store, &pg, partition);
+            let mut touched = std::collections::BTreeSet::new();
+            for t in 0..14 {
+                for &sg in &sgs {
+                    loader.load(sg, t).unwrap();
+                    touched.insert(SliceKey {
+                        bin: loader.bin_of_sg[&sg],
+                        pack: (t / 4) as u32,
+                    });
+                    let resident = loader.resident();
+                    let bins: std::collections::BTreeSet<u32> =
+                        resident.iter().map(|k| k.bin).collect();
+                    assert_eq!(bins.len(), resident.len(), "one slice per bin");
+                    assert!(resident.len() <= 3);
+                }
+            }
+            assert_eq!(touched.len(), 3 * 4);
+            assert_eq!(loader.stats().slice_loads, touched.len() as u64);
+            assert_eq!(loader.stats().evictions, 3 * 3);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -172,13 +172,30 @@ impl SliceData {
         )
     }
 
-    /// Approximate heap bytes held: the encoded block region (shared,
-    /// zero-copy) plus every column decoded so far. Grows as columns are
-    /// touched — the loader's cache accounting reflects what is actually
-    /// resident, not the fully-decoded worst case.
+    /// Approximate heap bytes held: the whole buffer the file was read
+    /// into (its capacity, which a recycled buffer may hold beyond the
+    /// file's length) plus every column decoded so far. Grows as columns
+    /// are touched — the loader's cache accounting reflects what is
+    /// actually resident, not the fully-decoded worst case.
     pub fn approx_bytes(&self) -> usize {
         let decoded = self.decoded().map(|c| c.approx_bytes());
-        self.blocks.len() + decoded.sum::<usize>()
+        self.blocks.buffer_capacity() + decoded.sum::<usize>()
+    }
+
+    /// The buffer the file was read into, for the next read to reuse.
+    /// Drops the cached instances first; `None` while any instance handed
+    /// out still lives (its columns are views of the buffer).
+    pub(crate) fn into_buffer(self) -> Option<Vec<u8>> {
+        let SliceData { blocks, cells, .. } = self;
+        drop(cells);
+        blocks.try_reclaim().ok()
+    }
+
+    /// Where the block region lies in memory: two slices with the same
+    /// header size and the same address share one buffer.
+    #[cfg(test)]
+    pub(crate) fn blocks_addr(&self) -> usize {
+        self.blocks.as_ptr() as usize
     }
 
     /// Columns decoded so far, over all cells.
@@ -563,6 +580,29 @@ mod tests {
         for (t, row) in rows[0].iter().enumerate() {
             assert_eq!(*cells[t], SubgraphInstance::from(row.clone()));
         }
+    }
+
+    #[test]
+    fn approx_bytes_counts_the_buffer_and_into_buffer_waits_for_views() {
+        let (sg_ids, rows, key) = sample();
+        let file = encode_slice(3, key, &sg_ids, 20, &rows);
+        let roomy = |spare: usize| {
+            let mut buf = Vec::with_capacity(file.len() + spare);
+            buf.extend_from_slice(&file);
+            decode_slice(buf.into()).unwrap()
+        };
+        // A buffer with room past the file counts whole.
+        let back = roomy(100);
+        assert_eq!(back.approx_bytes(), file.len() + 100);
+        // A held instance keeps the buffer, and still reads its values.
+        let inst = back.get(sg_ids[1], 21).unwrap();
+        assert!(back.into_buffer().is_none());
+        assert_eq!(inst.vertex_f64(0).unwrap(), &[6.0, 7.0]);
+        // Once every view is gone, the whole file comes back, room too.
+        let back = roomy(100);
+        back.get(sg_ids[0], 21).unwrap().edge_f64(0).unwrap();
+        let buf = back.into_buffer().expect("no view outlives the slice");
+        assert_eq!((&buf[..], buf.capacity()), (&file[..], file.len() + 100));
     }
 
     #[test]
