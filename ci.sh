@@ -279,7 +279,7 @@ echo "==> pregel: engine-hosted vertex programs vs sequential reference (PROPTES
 PROPTEST_CASES="${PROPTEST_CASES:-64}" \
     cargo test -q -p tempograph-pregel --test reference
 
-echo "==> gofs: column-lazy reads and in-place Double cells vs written projections, corrupt records (PROPTEST_CASES=${PROPTEST_CASES:-64})"
+echo "==> gofs: column-lazy reads, in-place Double cells and text counts on delta records vs written projections and the decoder, corrupt records (PROPTEST_CASES=${PROPTEST_CASES:-64})"
 PROPTEST_CASES="${PROPTEST_CASES:-64}" \
     cargo test -q -p tempograph-gofs --test proptest_lazy
 

@@ -10,6 +10,11 @@
 //! The master emits one value per timestep: `emit(VertexIdx(t), count_t)`
 //! (the vertex field carries the timestep index; this is the algorithm's
 //! tabular output, not a per-vertex result).
+//!
+//! The count is `SubgraphInstance::vertex_text_count_eq`. On a GoFS delta
+//! instance it walks the stored record in place — a sparse one as the
+//! base's count, less the base's matches in the patched rows, plus the
+//! patch's — so only each pack base decodes the `tweets` column.
 
 use tempograph_core::{kernels, VertexIdx};
 use tempograph_engine::{Combiner, Context, Envelope, SubgraphProgram};
@@ -68,11 +73,10 @@ impl SubgraphProgram for HashtagAggregation {
 
     fn compute(&mut self, ctx: &mut Context<'_, Vec<u64>>, _msgs: &[Envelope<Vec<u64>>]) {
         if ctx.superstep() == 0 {
-            let instance = ctx.instance();
-            let tweets = instance
-                .vertex_text_list(self.tweets_col)
+            let count = (ctx.instance())
+                .vertex_text_count_eq(self.tweets_col, &self.hashtag)
                 .expect("tweets attribute must be a TextList vertex column");
-            ctx.send_to_merge(vec![tweets.count_eq(&self.hashtag)]);
+            ctx.send_to_merge(vec![count]);
         }
         ctx.vote_to_halt();
     }

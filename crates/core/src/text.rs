@@ -6,6 +6,8 @@
 //! validated buffer plus two offset arrays — three allocations per column
 //! instead of one per row and one per string.
 
+use std::ops::Range;
+
 /// A whole `Text` / `TextList` column, flat. Row `i` is a run of strings;
 /// a `Text` column has exactly one string per row.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -36,6 +38,10 @@ impl TextRows {
             out.row_ends.push(out.str_ends.len() as u32);
         }
         assert!(out.buf.len() <= u32::MAX as usize, "text column over 4 GiB");
+        // The in-memory source keeps the column for the whole job.
+        out.buf.shrink_to_fit();
+        out.str_ends.shrink_to_fit();
+        out.row_ends.shrink_to_fit();
         out
     }
 
@@ -81,72 +87,127 @@ impl TextRows {
         (0..self.len()).map(|i| self.row(i))
     }
 
-    /// How many strings of the column, over all rows, equal `needle`: one
-    /// linear pass over the offsets that touches a string's bytes only
-    /// when its length matches.
+    /// How many strings of the column, over all rows, equal `needle`.
     pub fn count_eq(&self, needle: &str) -> u64 {
-        let (bytes, needle) = (self.buf.as_bytes(), needle.as_bytes());
-        let (mut start, mut count) = (0, 0);
-        for &end in &self.str_ends {
-            let end = end as usize;
-            count += u64::from(end - start == needle.len() && bytes[start..end] == *needle);
-            start = end;
-        }
-        count
+        self.matches(needle).count() as u64
     }
 
-    /// Heap bytes held.
+    /// The rows holding a string equal to `needle`, ascending, each with
+    /// how many it holds (their sum is [`Self::count_eq`]): the scan of
+    /// `count_eq`, then a binary search of the row ends per match, so no
+    /// row is visited that holds no match.
+    pub fn rows_eq(&self, needle: &str) -> Vec<(u32, u32)> {
+        let mut out: Vec<(u32, u32)> = Vec::new();
+        for j in self.matches(needle) {
+            let row = self.row_ends.partition_point(|&e| e as usize <= j) as u32;
+            match out.last_mut() {
+                Some((r, n)) if *r == row => *n += 1,
+                _ => out.push((row, 1)),
+            }
+        }
+        out
+    }
+
+    /// Indices of the strings equal to `needle`: one linear pass over the
+    /// offsets that touches a string's bytes only when its length matches.
+    fn matches<'a>(&'a self, needle: &'a str) -> impl Iterator<Item = usize> + 'a {
+        let (bytes, needle) = (self.buf.as_bytes(), needle.as_bytes());
+        let mut start = 0;
+        (self.str_ends.iter().enumerate()).filter_map(move |(j, &end)| {
+            let (from, to) = (start, end as usize);
+            start = to;
+            (to - from == needle.len() && bytes[from..to] == *needle).then_some(j)
+        })
+    }
+
+    /// Bytes of text over all strings.
+    pub fn text_len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Heap bytes held: what is reserved, not just what is used.
     pub fn heap_bytes(&self) -> usize {
-        self.buf.len() + 4 * (self.str_ends.len() + self.row_ends.len())
+        self.buf.capacity() + 4 * (self.str_ends.capacity() + self.row_ends.capacity())
     }
 
     /// `self` with row `rows[k]` replaced by `patch.row(k)` — a sparse
-    /// delta applied without cloning the base, in one pass that copies
-    /// maximal runs of rows from the base or the patch: consecutive patched
-    /// rows are consecutive patch rows, so a delta that patches most rows
-    /// costs a bulk copy per run, not per row. `None` unless `rows` is
-    /// strictly ascending, in range and as long as `patch`.
+    /// delta applied without cloning the base, copying maximal runs of
+    /// rows from the base or the patch: consecutive patched rows are
+    /// consecutive patch rows, so a delta that patches most rows costs a
+    /// bulk copy per run, not per row. A first pass over the runs vets
+    /// them and sizes the output exactly, at O(1) a run. `None` unless
+    /// `rows` is strictly ascending, in range and as long as `patch`, and
+    /// base and patch together fit the `u32` offsets.
     pub fn splice(&self, rows: &[u32], patch: &TextRows) -> Option<TextRows> {
         u32::try_from(self.buf.len() + patch.buf.len()).ok()?;
         if rows.len() != patch.len() {
             return None;
         }
-        let mut out = TextRows {
-            buf: String::with_capacity(self.buf.len() + patch.buf.len()),
-            str_ends: Vec::with_capacity(self.str_ends.len() + patch.str_ends.len()),
-            row_ends: Vec::with_capacity(self.len()),
+        // Base rows `next..r`, then patch rows `k..k + run`, per run.
+        let (mut next, mut strings, mut bytes) = (0, 0, 0);
+        let mut add = |(s, b): (Range<usize>, Range<usize>)| {
+            strings += s.len();
+            bytes += b.len();
         };
-        // First base row and first patch row not yet copied.
-        let (mut next, mut k) = (0, 0);
-        while let Some(&r) = rows.get(k) {
-            let r = r as usize;
-            let run = (rows[k..].iter().zip(r..))
-                .take_while(|&(&row, at)| row as usize == at)
-                .count();
+        for (r, k, run) in runs(rows) {
             if r < next || r + run > self.len() {
                 return None;
             }
+            add(self.lie(next, r));
+            add(patch.lie(k, k + run));
+            next = r + run;
+        }
+        add(self.lie(next, self.len()));
+        let mut out = TextRows {
+            buf: String::with_capacity(bytes),
+            str_ends: Vec::with_capacity(strings),
+            row_ends: Vec::with_capacity(self.len()),
+        };
+        next = 0;
+        for (r, k, run) in runs(rows) {
             out.append_rows(self, next, r);
             out.append_rows(patch, k, k + run);
-            (next, k) = (r + run, k + run);
+            next = r + run;
         }
         out.append_rows(self, next, self.len());
         Some(out)
     }
 
+    /// Where rows `from..to` lie: their strings' index range and their
+    /// bytes' range in `buf`.
+    fn lie(&self, from: usize, to: usize) -> (Range<usize>, Range<usize>) {
+        let (s0, s1) = (start_of(&self.row_ends, from), start_of(&self.row_ends, to));
+        let (b0, b1) = (start_of(&self.str_ends, s0), start_of(&self.str_ends, s1));
+        (s0..s1, b0..b1)
+    }
+
     /// Append rows `from..to` of `src`, re-basing their offsets.
     fn append_rows(&mut self, src: &TextRows, from: usize, to: usize) {
-        let (s0, s1) = (start_of(&src.row_ends, from), start_of(&src.row_ends, to));
-        let (b0, b1) = (start_of(&src.str_ends, s0), start_of(&src.str_ends, s1));
-        let (bytes, strings) = (self.buf.len(), self.str_ends.len());
-        self.buf.push_str(&src.buf[b0..b1]);
-        let str_ends = src.str_ends[s0..s1].iter();
+        let (strings, bytes) = src.lie(from, to);
+        let (b0, s0) = (bytes.start, strings.start);
+        let (at_byte, at_string) = (self.buf.len(), self.str_ends.len());
+        self.buf.push_str(&src.buf[bytes]);
+        let str_ends = src.str_ends[strings].iter();
         self.str_ends
-            .extend(str_ends.map(|&e| (e as usize - b0 + bytes) as u32));
+            .extend(str_ends.map(|&e| (e as usize - b0 + at_byte) as u32));
         let row_ends = src.row_ends[from..to].iter();
         self.row_ends
-            .extend(row_ends.map(|&e| (e as usize - s0 + strings) as u32));
+            .extend(row_ends.map(|&e| (e as usize - s0 + at_string) as u32));
     }
+}
+
+/// The maximal runs of consecutive rows in `rows`, in order: `(first row,
+/// its index in rows, length)`.
+fn runs(rows: &[u32]) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    let mut k = 0;
+    std::iter::from_fn(move || {
+        let r = *rows.get(k)? as usize;
+        let run = (rows[k..].iter().zip(r..))
+            .take_while(|&(&row, at)| row as usize == at)
+            .count();
+        k += run;
+        Some((r, k - run, run))
+    })
 }
 
 #[cfg(test)]
@@ -210,5 +271,40 @@ mod tests {
         assert!(base.splice(&[1], &patch).is_none(), "length mismatch");
         assert!(base.splice(&[2, 2, 3], &patch).is_none(), "not ascending");
         assert!(base.splice(&[1, 2, 5], &patch).is_none(), "out of range");
+    }
+
+    /// The output is sized from its runs, not from base plus patch: a
+    /// patch over long rows reserves nothing for the rows it replaces.
+    #[test]
+    fn splice_reserves_exactly_what_it_holds() {
+        let base = lists(&[&["long base row"], &["b", "c"], &[], &["dddddddd"], &["e"]]);
+        let patch = lists(&[&[], &["X", "YY"], &["Z"]]);
+        for (rows, patch) in [
+            (&[1, 2, 4][..], &patch),
+            (&[0, 3, 4], &patch),
+            (&[], &TextRows::default()),
+        ] {
+            let got = base.splice(rows, patch).unwrap();
+            assert_eq!(got.buf.capacity(), got.buf.len());
+            assert_eq!(got.str_ends.capacity(), got.str_ends.len());
+            assert_eq!(got.row_ends.capacity(), got.row_ends.len());
+            let used = got.buf.len() + 4 * (got.str_ends.len() + got.row_ends.len());
+            assert_eq!(got.heap_bytes(), used);
+        }
+        // What is reserved counts, not what is used.
+        let mut roomy = base.clone();
+        roomy.buf.reserve(100);
+        assert!(roomy.heap_bytes() >= base.heap_bytes() + 100);
+    }
+
+    #[test]
+    fn rows_eq_finds_each_matching_row_once_with_its_count() {
+        let t = lists(&[&["#a", "x", "#a"], &[], &["#a"], &["y"], &["", "#a"]]);
+        assert_eq!(t.rows_eq("#a"), [(0, 2), (2, 1), (4, 1)]);
+        assert_eq!(t.rows_eq(""), [(4, 1)]);
+        assert!(t.rows_eq("#b").is_empty());
+        let total: u32 = t.rows_eq("#a").iter().map(|&(_, n)| n).sum();
+        assert_eq!(u64::from(total), t.count_eq("#a"));
+        assert_eq!(t.text_len(), "#ax#a#ay#a".len());
     }
 }

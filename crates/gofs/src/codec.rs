@@ -158,9 +158,23 @@ pub fn put_varu64(buf: &mut BytesMut, mut x: u64) {
 
 /// Read an LEB128 varint (at most 10 bytes for a `u64`).
 pub fn get_varu64(buf: &mut Bytes) -> Result<u64> {
+    let mut at = 0;
+    let x = read_varu64(buf, &mut at)?;
+    buf.advance(at);
+    Ok(x)
+}
+
+/// [`get_varu64`] at `*at` in `data`, stepping over it. A one-byte varint
+/// — every row step of a patch that touches most rows — takes one branch.
+fn read_varu64(data: &[u8], at: &mut usize) -> Result<u64> {
+    if let Some(&b) = data.get(*at).filter(|&&b| b < 0x80) {
+        *at += 1;
+        return Ok(u64::from(b));
+    }
     let mut x = 0u64;
     for shift in (0..64).step_by(7) {
-        let b = get_u8(buf)?;
+        let b = *data.get(*at).ok_or_else(|| eof("u8"))?;
+        *at += 1;
         let low = (b & 0x7f) as u64;
         if shift == 63 && low > 1 {
             return Err(GofsError::Corrupt("varint overflows u64".into()));
@@ -173,10 +187,14 @@ pub fn get_varu64(buf: &mut Bytes) -> Result<u64> {
     Err(GofsError::Corrupt("varint longer than 10 bytes".into()))
 }
 
+fn eof(what: &str) -> GofsError {
+    GofsError::Corrupt(format!("unexpected EOF reading {what}"))
+}
+
 /// Checked `u32` read.
 pub fn get_u32(buf: &mut Bytes) -> Result<u32> {
     if buf.remaining() < 4 {
-        return Err(GofsError::Corrupt("unexpected EOF reading u32".into()));
+        return Err(eof("u32"));
     }
     Ok(buf.get_u32_le())
 }
@@ -184,7 +202,7 @@ pub fn get_u32(buf: &mut Bytes) -> Result<u32> {
 /// Checked `u64` read.
 pub fn get_u64(buf: &mut Bytes) -> Result<u64> {
     if buf.remaining() < 8 {
-        return Err(GofsError::Corrupt("unexpected EOF reading u64".into()));
+        return Err(eof("u64"));
     }
     Ok(buf.get_u64_le())
 }
@@ -192,7 +210,7 @@ pub fn get_u64(buf: &mut Bytes) -> Result<u64> {
 /// Checked `i64` read.
 pub fn get_i64(buf: &mut Bytes) -> Result<i64> {
     if buf.remaining() < 8 {
-        return Err(GofsError::Corrupt("unexpected EOF reading i64".into()));
+        return Err(eof("i64"));
     }
     Ok(buf.get_i64_le())
 }
@@ -200,7 +218,7 @@ pub fn get_i64(buf: &mut Bytes) -> Result<i64> {
 /// Checked `f64` read.
 pub fn get_f64(buf: &mut Bytes) -> Result<f64> {
     if buf.remaining() < 8 {
-        return Err(GofsError::Corrupt("unexpected EOF reading f64".into()));
+        return Err(eof("f64"));
     }
     Ok(buf.get_f64_le())
 }
@@ -208,7 +226,7 @@ pub fn get_f64(buf: &mut Bytes) -> Result<f64> {
 /// Checked `u8` read.
 pub fn get_u8(buf: &mut Bytes) -> Result<u8> {
     if buf.remaining() < 1 {
-        return Err(GofsError::Corrupt("unexpected EOF reading u8".into()));
+        return Err(eof("u8"));
     }
     Ok(buf.get_u8())
 }
@@ -216,11 +234,11 @@ pub fn get_u8(buf: &mut Bytes) -> Result<u8> {
 /// Reject an element count the rest of `buf` cannot back (each element
 /// encodes to at least `min_size` bytes), so a corrupt count can never
 /// size an allocation.
-pub(crate) fn check_count(buf: &Bytes, n: usize, min_size: usize) -> Result<usize> {
-    if n.saturating_mul(min_size) > buf.remaining() {
+pub(crate) fn check_count(buf: &[u8], n: usize, min_size: usize) -> Result<usize> {
+    if n.saturating_mul(min_size) > buf.len() {
         return Err(GofsError::Corrupt(format!(
             "count {n} overruns the {} bytes left",
-            buf.remaining()
+            buf.len()
         )));
     }
     Ok(n)
@@ -316,10 +334,22 @@ fn put_str_mut(buf: &mut BytesMut, s: &str) {
 
 /// Read a column record's tag and row count.
 fn column_header(buf: &mut Bytes) -> Result<(AttrType, usize)> {
-    let tag = get_u8(buf)?;
+    let mut at = 0;
+    let header = read_column_header(buf, &mut at)?;
+    buf.advance(at);
+    Ok(header)
+}
+
+/// [`column_header`] at `*at` in `data`, stepping over it.
+fn read_column_header(data: &[u8], at: &mut usize) -> Result<(AttrType, usize)> {
+    let tag = *data.get(*at).ok_or_else(|| eof("u8"))?;
     let ty = AttrType::from_tag(tag)
         .ok_or_else(|| GofsError::Corrupt(format!("unknown column tag {tag}")))?;
-    Ok((ty, get_u32(buf)? as usize))
+    *at += 1;
+    let rows = data.get(*at..).and_then(|d| d.first_chunk::<4>());
+    let rows = rows.ok_or_else(|| eof("u32"))?;
+    *at += 4;
+    Ok((ty, u32::from_le_bytes(*rows) as usize))
 }
 
 /// Checked `advance`.
@@ -382,7 +412,7 @@ pub fn skip_column(buf: &mut Bytes) -> Result<()> {
             skip(buf, m.saturating_mul(8))
         }),
         AttrType::Text | AttrType::TextList => {
-            let (_, _, used) = walk_text(buf, len, ty == AttrType::TextList)?;
+            let (_, _, used) = walk_text(buf, len, ty == AttrType::TextList, |_| Ok(()))?;
             skip(buf, used)
         }
     }
@@ -401,17 +431,25 @@ fn read_u32(data: &[u8], at: &mut usize) -> Result<usize> {
 }
 
 /// Measure the body of a `Text` (`lists == false`) or `TextList` column of
-/// `rows` rows at the head of `data`: `(strings, string bytes, encoded
-/// bytes)`. Every length is vetted against `data`, which bounds all three.
-fn walk_text(data: &[u8], rows: usize, lists: bool) -> Result<(usize, usize, usize)> {
+/// `rows` rows at the head of `data`, handing `each` every string's bytes
+/// in order: `(strings, string bytes, encoded bytes)`. Every length is
+/// vetted against `data`, which bounds all three.
+fn walk_text(
+    data: &[u8],
+    rows: usize,
+    lists: bool,
+    mut each: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<(usize, usize, usize)> {
     let (mut at, mut strings, mut bytes) = (0, 0, 0);
     for _ in 0..rows {
         let m = if lists { read_u32(data, &mut at)? } else { 1 };
         for _ in 0..m {
             let len = read_u32(data, &mut at)?;
-            let end = at.checked_add(len).filter(|&end| end <= data.len());
-            at = end.ok_or_else(overrun)?;
-            bytes += len;
+            let s = (at.checked_add(len))
+                .and_then(|end| data.get(at..end))
+                .ok_or_else(overrun)?;
+            each(s)?;
+            (at, bytes) = (at + len, bytes + len);
         }
         strings += m;
     }
@@ -421,7 +459,7 @@ fn walk_text(data: &[u8], rows: usize, lists: bool) -> Result<(usize, usize, usi
 /// Decode a text column body into one flat [`TextRows`]: a sizing walk,
 /// then exactly three allocations however many rows and strings it has.
 fn get_text_rows(buf: &mut Bytes, rows: usize, lists: bool) -> Result<Box<TextRows>> {
-    let (strings, nbytes, used) = walk_text(buf, rows, lists)?;
+    let (strings, nbytes, used) = walk_text(buf, rows, lists, |_| Ok(()))?;
     let mut bytes = Vec::with_capacity(nbytes);
     let mut str_ends = Vec::with_capacity(strings);
     let mut row_ends = Vec::with_capacity(rows);
@@ -441,7 +479,11 @@ fn get_text_rows(buf: &mut Bytes, rows: usize, lists: bool) -> Result<Box<TextRo
     // multi-byte character split across two strings is corrupt.
     TextRows::from_parts(bytes, str_ends, row_ends)
         .map(Box::new)
-        .ok_or_else(|| GofsError::Corrupt("text column is not UTF-8, string by string".into()))
+        .ok_or_else(not_utf8)
+}
+
+fn not_utf8() -> GofsError {
+    GofsError::Corrupt("text column is not UTF-8, string by string".into())
 }
 
 // ---- delta columns (v2 slices) ------------------------------------------
@@ -567,6 +609,98 @@ pub fn skip_delta_column(buf: &mut Bytes) -> Result<()> {
         }
         other => Err(GofsError::Corrupt(format!("unknown delta tag {other}"))),
     }
+}
+
+/// How many strings equal `needle` in the `TextList` column a
+/// [`put_delta_column`] record over `base` stands for — what
+/// [`get_delta_column`] and [`TextRows::count_eq`] give, or an error
+/// wherever the decoder errs — and how long the record is. Nothing is
+/// built. A dense record is walked in place. A sparse one counts
+/// `count(base) − Σ_{r ∈ P ∩ M} c_base(r) + count(patch)`: `P` are the
+/// patched rows, read off their varints one at a time, and `M` the base
+/// rows holding `needle` with their counts ([`TextRows::rows_eq`]). The
+/// two sorted lists merge, so no base row is read but its matches.
+///
+/// Every check the decoder makes is made here: the tag, each length
+/// against the record, each string's UTF-8, rows in range and strictly
+/// ascending, the patch a `TextList` of one row per index (a dense record
+/// one of the base's rows), and the `u32` bound [`TextRows::splice`]
+/// keeps.
+pub fn delta_text_count_eq(record: &[u8], base: &TextRows, needle: &str) -> Result<(u64, usize)> {
+    let mut at = 1;
+    match record.first() {
+        Some(&DELTA_DENSE) => {
+            let (count, rows, _, len) = text_list_count_eq(&record[at..], needle.as_bytes())?;
+            if rows != base.len() {
+                let base = base.len();
+                return Err(GofsError::Corrupt(format!(
+                    "dense delta of {rows} rows over a {base}-row base"
+                )));
+            }
+            Ok((count, at + len))
+        }
+        Some(&DELTA_SPARSE) => {
+            // Row indices, each a byte at least.
+            let n = read_varu64(record, &mut at)? as usize;
+            let n = check_count(&record[at..], n, 1)?;
+            let matched = base.rows_eq(needle);
+            let mut count: u64 = matched.iter().map(|&(_, c)| u64::from(c)).sum();
+            let mut matched = matched.iter().peekable();
+            let mut row = 0u64;
+            for k in 0..n {
+                let step = read_varu64(record, &mut at)?;
+                row = (row.checked_add(step))
+                    .filter(|&row| row < base.len() as u64 && (k == 0 || step > 0))
+                    .ok_or_else(|| {
+                        GofsError::Corrupt("sparse delta row out of range or repeated".into())
+                    })?;
+                while let Some(&(r, c)) = matched.next_if(|&&(r, _)| u64::from(r) <= row) {
+                    if u64::from(r) == row {
+                        count -= u64::from(c);
+                    }
+                }
+            }
+            let (patched, rows, bytes, len) = text_list_count_eq(&record[at..], needle.as_bytes())?;
+            if rows != n || u32::try_from(base.text_len() + bytes).is_err() {
+                return Err(GofsError::Corrupt(
+                    "sparse delta does not apply to TextList".into(),
+                ));
+            }
+            Ok((count + patched, at + len))
+        }
+        Some(&other) => Err(GofsError::Corrupt(format!("unknown delta tag {other}"))),
+        None => Err(eof("u8")),
+    }
+}
+
+/// Count the strings equal to `needle` in a `TextList` [`put_column`]
+/// record at the head of `record`, where they lie, with every check
+/// [`get_text_rows`] makes: each length vetted against the record, each
+/// string UTF-8 — string by string is the decoder's rule, a valid buffer
+/// that every string end cuts at a character boundary — and their bytes
+/// within the `u32` bound. `(count, rows, string bytes, record length)`.
+fn text_list_count_eq(record: &[u8], needle: &[u8]) -> Result<(u64, usize, usize, usize)> {
+    let mut at = 0;
+    let (ty, rows) = read_column_header(record, &mut at)?;
+    if ty != AttrType::TextList {
+        return Err(GofsError::Corrupt(format!("{ty:?} record, not TextList")));
+    }
+    let body = &record[at..];
+    let mut count = 0;
+    let (_, bytes, used) = walk_text(body, rows, true, |s| {
+        count += u64::from(s == needle);
+        Ok(())
+    })?;
+    // A body that is ASCII throughout, length prefixes included, holds
+    // ASCII strings only: one vectorised pass vets them all. Any other
+    // body is vetted string by string.
+    if !body[..used].is_ascii() {
+        walk_text(body, rows, true, |s| {
+            std::str::from_utf8(s).map(drop).map_err(|_| not_utf8())
+        })?;
+    }
+    u32::try_from(bytes).map_err(|_| not_utf8())?;
+    Ok((count, rows, bytes, at + used))
 }
 
 /// The cells of a `Double` record, as little-endian words where they lie
@@ -934,6 +1068,81 @@ mod tests {
                 0,
                 "the walker stops where the decoder does"
             );
+        }
+    }
+
+    /// Hand-made `TextList` delta records, each breaking one rule the
+    /// decoder keeps: the count on the record fails exactly where decoding
+    /// does, and otherwise agrees with it on the count and the length.
+    #[test]
+    fn text_counts_on_the_record_fail_where_the_decoder_does() {
+        let list = |rows: &[&[&str]]| {
+            let rows = rows
+                .iter()
+                .map(|r| r.iter().map(|s| s.to_string()).collect());
+            Column::TextList(rows.collect())
+        };
+        let sparse = |steps: &[u64], patch: &Column| {
+            let mut buf = BytesMut::new();
+            buf.put_u8(DELTA_SPARSE);
+            put_varu64(&mut buf, steps.len() as u64);
+            steps.iter().for_each(|&s| put_varu64(&mut buf, s));
+            put_column(&mut buf, patch);
+            buf.to_vec()
+        };
+        let dense = |cur: &Column| {
+            let mut buf = BytesMut::new();
+            buf.put_u8(DELTA_DENSE);
+            put_column(&mut buf, cur);
+            buf.to_vec()
+        };
+        let base = read(&list(&[&["#a"], &["#a", "#a"], &[], &["#b"]]));
+        let DecodedColumn::TextList(rows) = &base else {
+            unreachable!()
+        };
+        let two = list(&[&["#a"], &[]]);
+        let cases = [
+            ("rows 0 and 2", sparse(&[0, 2], &two), Some(3)),
+            ("row 1 replaced", sparse(&[1], &list(&[&["#b"]])), Some(1)),
+            ("row 1 twice", sparse(&[1, 0], &two), None),
+            ("row 4 of 4", sparse(&[4], &list(&[&[]])), None),
+            (
+                "two rows, one patched",
+                sparse(&[0, 1], &list(&[&[]])),
+                None,
+            ),
+            ("one row, two patched", sparse(&[3], &two), None),
+            (
+                "a Text patch",
+                sparse(&[0], &Column::Text(vec!["#a".into()])),
+                None,
+            ),
+            ("a patch of no rows", sparse(&[], &list(&[])), Some(3)),
+            (
+                "every row",
+                dense(&list(&[&["#a"], &[], &["#a"], &[]])),
+                Some(2),
+            ),
+            ("dense, one row short", dense(&two), None),
+            (
+                "dense Text",
+                dense(&Column::Text(vec!["#a".into(); 4])),
+                None,
+            ),
+        ];
+        for (what, record, want) in cases {
+            let counted = delta_text_count_eq(&record, rows, "#a");
+            let mut buf = Bytes::from(record.clone());
+            let decoded = get_delta_column(&mut buf, &base)
+                .ok()
+                .and_then(|c| match c {
+                    DecodedColumn::TextList(t) => {
+                        Some((t.count_eq("#a"), record.len() - buf.len()))
+                    }
+                    _ => None,
+                });
+            assert_eq!(counted.as_ref().ok().copied(), decoded, "{what}");
+            assert_eq!(counted.ok(), want.map(|n| (n, record.len())), "{what}");
         }
     }
 

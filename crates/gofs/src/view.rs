@@ -212,11 +212,14 @@ impl SubgraphInstance {
         if let Some(col) = cell.decoded.get() {
             return Ok(col);
         }
-        let col = self.decode(i).map_err(|e| {
-            let at = format!("{} timestep {} column {i}", self.sg, self.timestep);
-            GofsError::Corrupt(format!("{at}: {e}"))
-        })?;
+        let col = self.decode(i).map_err(|e| self.corrupt(i, e))?;
         Ok(cell.decoded.get_or_init(|| col))
+    }
+
+    /// `e`, met reading column `i`, as the error that names where.
+    fn corrupt(&self, i: usize, e: GofsError) -> GofsError {
+        let at = format!("{} timestep {} column {i}", self.sg, self.timestep);
+        GofsError::Corrupt(format!("{at}: {e}"))
     }
 
     /// Decode record `i`, noting where it ends.
@@ -291,6 +294,32 @@ impl SubgraphInstance {
             DecodedColumn::TextList(t) => Ok(t),
             c => Err(mismatch(c.ty(), AttrType::TextList)),
         }
+    }
+
+    /// How many strings of `TextList` vertex column `col` equal `needle`:
+    /// `vertex_text_list(col)?.count_eq(needle)`, with its verdict on every
+    /// input. A delta instance counts on its record
+    /// ([`codec::delta_text_count_eq`]) and keeps nothing of it but where
+    /// it ends; a pack base, whose column its deltas patch, decodes and
+    /// keeps it as [`Self::vertex_text_list`] does, and a column decoded
+    /// already — an in-memory projection's — is counted as it is.
+    pub fn vertex_text_count_eq(&self, col: usize, needle: &str) -> Result<u64> {
+        let cell = self.cols.get(..self.n_vertex_cols).and_then(|c| c.get(col));
+        let on_record = cell.is_some_and(|c| c.decoded.get().is_none());
+        let Some(base) = self.base.as_deref().filter(|_| on_record) else {
+            return Ok(self.vertex_text_list(col)?.count_eq(needle));
+        };
+        let base = match base.column(col, base.cols.len()) {
+            Ok(DecodedColumn::TextList(t)) => t,
+            Ok(c) => return Err(mismatch(c.ty(), AttrType::TextList)),
+            Err(e) => return Err(self.corrupt(col, e)),
+        };
+        let counted = self.start_of(col).and_then(|start| {
+            let (count, len) = codec::delta_text_count_eq(&self.block[start..], base, needle)?;
+            self.ended(col, start + len)?;
+            Ok(count)
+        });
+        counted.map_err(|e| self.corrupt(col, e))
     }
 
     /// Borrow a `Bool` vertex column by schema position.

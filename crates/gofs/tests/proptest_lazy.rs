@@ -1,9 +1,11 @@
 //! Differential property tests of the column-lazy read path: whatever
 //! order columns and timesteps are touched in, every accessor hands back
 //! exactly the projection that was written; a `Double` column read in
-//! place is its decoded form bit for bit; and corrupt bytes — behind a
-//! valid checksum — end in a typed error or a value, never in a panic or
-//! in an allocation sized by a corrupt count.
+//! place is its decoded form bit for bit; a `TextList` count taken on a
+//! delta record is the decoded column's count; and corrupt bytes — behind
+//! a valid checksum — end in a typed error or a value (the same one from
+//! the record kernels as from the decoder), never in a panic or in an
+//! allocation sized by a corrupt count.
 
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
@@ -11,8 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tempograph_core::{AttrType, Column};
 use tempograph_gofs::codec::{
-    frame, get_column, get_delta_column, put_column, put_delta_column, skip_column,
-    skip_delta_column, unframe,
+    delta_text_count_eq, frame, get_column, get_delta_column, put_column, put_delta_column,
+    skip_column, skip_delta_column, unframe,
 };
 use tempograph_gofs::slice::{decode_slice, encode_slice, SliceData, SliceKey};
 use tempograph_gofs::{DecodedColumn, F64Cells, GofsError, Projection};
@@ -28,6 +30,28 @@ const TYPES: [AttrType; 6] = [
     AttrType::LongList,
     AttrType::TextList,
 ];
+
+/// Every string the generator writes.
+const WORDS: [&str; 8] = [
+    "",
+    "a",
+    "#tag",
+    "é",
+    "日本",
+    "𝄞x",
+    "naïve #é",
+    "0123456789abcdef",
+];
+
+/// What a text count looks for: each written string — present (when
+/// drawn), empty and multi-byte among them — and an absent one.
+const NEEDLES: [&str; 9] = [
+    WORDS[0], WORDS[1], WORDS[2], WORDS[3], WORDS[4], WORDS[5], WORDS[6], WORDS[7], "#absent",
+];
+
+/// The delta record tags (`codec.rs`).
+const DELTA_DENSE: u8 = 0;
+const DELTA_SPARSE: u8 = 1;
 
 // ---- the largest single allocation a thread asks for ---------------------
 
@@ -89,16 +113,6 @@ impl Rng {
     }
     /// Empty, ASCII, and two-, three- and four-byte characters.
     fn text(&mut self) -> String {
-        const WORDS: [&str; 8] = [
-            "",
-            "a",
-            "#tag",
-            "é",
-            "日本",
-            "𝄞x",
-            "naïve #é",
-            "0123456789abcdef",
-        ];
         WORDS[self.below(WORDS.len())].to_string()
     }
     fn column(&mut self, ty: AttrType, rows: usize) -> Column {
@@ -227,6 +241,54 @@ fn decoded(slice: &SliceData, sg: SubgraphId, t: usize, col: usize) -> Result<Ve
     let inst = slice.get(sg, t).map_err(|e| e.to_string())?;
     let col = inst.edge_f64(col).map_err(|e| e.to_string())?;
     Ok(col.iter().map(|x| x.to_bits()).collect())
+}
+
+/// `TextList` vertex column `col` counted on the record, or the error as
+/// text; and how many columns the instance has decoded since.
+fn counted(
+    slice: &SliceData,
+    sg: SubgraphId,
+    t: usize,
+    col: usize,
+    needle: &str,
+) -> Result<(u64, usize), String> {
+    let inst = slice.get(sg, t).map_err(|e| e.to_string())?;
+    let count = inst.vertex_text_count_eq(col, needle);
+    count
+        .map(|n| (n, inst.decoded().count()))
+        .map_err(|e| e.to_string())
+}
+
+/// The same column decoded and counted, or whether that failed.
+fn decoded_count(
+    slice: &SliceData,
+    sg: SubgraphId,
+    t: usize,
+    col: usize,
+    needle: &str,
+) -> Option<u64> {
+    let inst = slice.get(sg, t).ok()?;
+    let rows = inst.vertex_text_list(col).ok()?;
+    Some(rows.count_eq(needle))
+}
+
+/// What the record kernel and the decoder say of one record.
+type Verdicts = (Option<(u64, usize)>, Option<(u64, usize)>);
+
+/// `TextList` record `record` over `base`, counted by the record kernel
+/// and by decoding it: both `(count, record length)`, or `None` where
+/// each fails.
+fn both_counts(record: &[u8], base: &DecodedColumn, needle: &str) -> Verdicts {
+    let DecodedColumn::TextList(rows) = base else {
+        panic!("a {:?} base", base.ty())
+    };
+    let kernel = delta_text_count_eq(record, rows, needle).ok();
+    let mut buf = Bytes::copy_from_slice(record);
+    let decoder = match get_delta_column(&mut buf, base) {
+        Ok(DecodedColumn::TextList(t)) => Some((t.count_eq(needle), record.len() - buf.len())),
+        _ => None,
+    };
+    (kernel, decoder)
 }
 
 /// `payload` with its last block `cut` bytes shorter: the blocks end the
@@ -450,6 +512,114 @@ proptest! {
         let keep = payload.len().saturating_sub(cut).max(1);
         prop_assert!(decode_slice(frame(MAGIC, &payload[..keep])).is_err());
     }
+
+    /// `TextList` vertex columns among other columns, in packs of 1 to 5
+    /// whose records come out plain, sparse (low churn) and dense (high
+    /// churn): a count taken on the record equals the decoded column's
+    /// and the written one's, for every needle, touched in any order, and
+    /// a delta instance decodes nothing for it.
+    #[test]
+    fn text_counts_on_the_record_equal_the_decoded_count(
+        before in proptest::collection::vec(0u8..6, 0..=2),
+        after in proptest::collection::vec(0u8..6, 0..=1),
+        rows in 0usize..9,
+        n_ts in 1usize..=5,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Rng(seed | 1);
+        let vertex = [&before[..], &[5], &after].concat();
+        let sg_ids = [SubgraphId(4), SubgraphId(2)];
+        let packs: Vec<Vec<Projection>> =
+            (0..2).map(|_| pack(&mut rng, &vertex, &[1], (rows, 2), n_ts)).collect();
+        let framed = encode_slice(1, KEY, &sg_ids, 5, &packs);
+        let (slice, other) = (decode_slice(framed.clone()).unwrap(), decode_slice(framed).unwrap());
+        for (sg, t, _, c) in touches(&mut rng, 2, n_ts, vertex.len(), 0) {
+            if vertex[c] != 5 {
+                continue;
+            }
+            let Column::TextList(written) = &packs[sg][t].vertex_cols[c] else { unreachable!() };
+            for needle in NEEDLES {
+                let (count, decoded) = counted(&slice, sg_ids[sg], 5 + t, c, needle).unwrap();
+                prop_assert_eq!(Some(count), decoded_count(&other, sg_ids[sg], 5 + t, c, needle));
+                let want = written.iter().flatten().filter(|s| *s == needle).count();
+                prop_assert_eq!(count, want as u64);
+                // A pack base keeps its column for its deltas; a delta
+                // keeps nothing.
+                prop_assert_eq!(decoded == 0, t > 0);
+            }
+        }
+    }
+
+    /// A slice bit-flipped behind a re-framed checksum: the count on the
+    /// record and the decoded count fail together or agree, whatever the
+    /// flip hit — a base record, a delta record, the record before the
+    /// text column, the directory.
+    #[test]
+    fn text_counts_on_corrupt_slices_answer_as_the_decoder(
+        before in proptest::collection::vec(0u8..6, 0..=1),
+        rows in 0usize..9,
+        n_ts in 1usize..=4,
+        seed in any::<u64>(),
+        (pos_frac, flip, needle) in (0.0f64..1.0, 1u8..=255, 0usize..NEEDLES.len()),
+    ) {
+        let mut rng = Rng(seed | 1);
+        let vertex = [&before[..], &[5]].concat();
+        let c = vertex.len() - 1;
+        let sg_ids = [SubgraphId(0), SubgraphId(1)];
+        let packs: Vec<Vec<Projection>> =
+            (0..2).map(|_| pack(&mut rng, &vertex, &[], (rows, 0), n_ts)).collect();
+        let payload = unframe(MAGIC, &encode_slice(0, KEY, &sg_ids, 5, &packs)).unwrap();
+        let mut warped = payload.to_vec();
+        let pos = ((warped.len() - 1) as f64 * pos_frac) as usize;
+        warped[pos] ^= flip;
+        let reframed = frame(MAGIC, &warped);
+        bounded_by(warped.len(), || {
+            let (Ok(slice), Ok(other)) = (decode_slice(reframed.clone()), decode_slice(reframed)) else {
+                return;
+            };
+            for (&sg, t) in slice.sg_ids.iter().flat_map(|sg| (0..n_ts).map(move |t| (sg, t))) {
+                let t = slice.t_start + t;
+                let kernel = counted(&slice, sg, t, c, NEEDLES[needle]).ok().map(|(n, _)| n);
+                assert_eq!(kernel, decoded_count(&other, sg, t, c, NEEDLES[needle]));
+            }
+        });
+    }
+
+    /// One `TextList` record, bit-flipped or truncated as in
+    /// `corrupt_records_never_panic_or_overallocate` — a full record read
+    /// as a dense delta, and the delta record itself: the record kernel
+    /// and the decoder fail together or agree on the count and where the
+    /// record ends, and size nothing by a corrupt count.
+    #[test]
+    fn text_counts_on_corrupt_records_answer_as_the_decoder(
+        rows in 0usize..9,
+        seed in any::<u64>(),
+        pos_frac in 0.0f64..1.0,
+        flip in 1u8..=255,
+        truncate in any::<bool>(),
+        needle in 0usize..NEEDLES.len(),
+    ) {
+        let mut rng = Rng(seed | 1);
+        let base = rng.column(AttrType::TextList, rows);
+        let cur = rng.perturbed(&base);
+        let (mut full, mut delta) = (BytesMut::new(), BytesMut::new());
+        put_column(&mut full, &cur);
+        put_delta_column(&mut delta, &base, &cur);
+        let base = DecodedColumn::from(base);
+        let dense = [&[DELTA_DENSE][..], &full].concat();
+        for record in [dense, delta.to_vec()] {
+            let whole = both_counts(&record, &base, NEEDLES[needle]);
+            prop_assert_eq!(whole.0, whole.1);
+            prop_assert_eq!(whole.0.map(|(_, len)| len), Some(record.len()));
+            let pos = ((record.len() - 1) as f64 * pos_frac) as usize;
+            let mut bad = record.clone();
+            if truncate { bad.truncate(pos) } else { bad[pos] ^= flip }
+            bounded_by(record.len(), || {
+                let (kernel, decoder) = both_counts(&bad, &base, NEEDLES[needle]);
+                assert_eq!(kernel, decoder);
+            });
+        }
+    }
 }
 
 /// Hazard: validating only the concatenated buffer would accept a
@@ -489,4 +659,136 @@ fn a_character_split_across_two_strings_is_corrupt() {
         .unwrap_err();
     assert!(matches!(err, GofsError::Corrupt(_)), "{err}");
     assert!(err.to_string().contains("sg9 timestep 0 column 0"), "{err}");
+
+    // The count on the record: the split in a pack base, which both of
+    // its timesteps read, and in a dense and a sparse patch.
+    let long = "0123456789abcdef0123456789";
+    let col = |rows: &[&[&str]]| {
+        Column::TextList(
+            rows.iter()
+                .map(|r| r.iter().map(|s| s.to_string()).collect())
+                .collect(),
+        )
+    };
+    let cases = [
+        ("base", [col(&[&["é", ""]]), col(&[&["é", ""]])], 0),
+        ("dense patch", [col(&[&["a"]]), col(&[&["é", ""]])], 1),
+        (
+            "sparse patch",
+            [col(&[&["a"], &[long]]), col(&[&["é", ""], &[long]])],
+            1,
+        ),
+    ];
+    for (what, pack, first_bad) in cases {
+        let rows: Vec<Projection> = (pack.into_iter().enumerate())
+            .map(|(t, c)| Projection {
+                timestep: t,
+                timestamp: t as i64,
+                vertex_cols: vec![c],
+                edge_cols: vec![],
+            })
+            .collect();
+        let kinds = record_tags(&rows);
+        let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, &[rows]);
+        let mut payload = unframe(MAGIC, &framed).unwrap().to_vec();
+        let at = (payload.windows(10))
+            .position(|w| w == [2, 0, 0, 0, 0xC3, 0xA9, 0, 0, 0, 0])
+            .unwrap();
+        payload[at..at + 10].copy_from_slice(&split);
+        let bad = frame(MAGIC, &payload);
+        let (slice, other) = (
+            decode_slice(bad.clone()).unwrap(),
+            decode_slice(bad).unwrap(),
+        );
+        for t in 0..2 {
+            let kernel = slice
+                .get(SubgraphId(9), t)
+                .unwrap()
+                .vertex_text_count_eq(0, "é");
+            let decoder = decoded_count(&other, SubgraphId(9), t, 0, "é");
+            assert_eq!(
+                kernel.is_err(),
+                t >= first_bad,
+                "{what} ({kinds:?}), t {t}: {kernel:?}"
+            );
+            assert_eq!(kernel.ok(), decoder, "{what}, t {t}");
+        }
+        let want = match what {
+            "dense patch" => DELTA_DENSE,
+            _ => DELTA_SPARSE,
+        };
+        assert_eq!(kinds, want, "{what}");
+    }
+}
+
+/// A byte past a delta block's last record: the count on the record, as
+/// the decoder, calls the block corrupt.
+#[test]
+fn a_trailing_byte_after_a_delta_record_is_corrupt() {
+    let col = |tags: &[&str]| Column::TextList(tags.iter().map(|t| vec![t.to_string()]).collect());
+    let rows: Vec<Projection> = [col(&["#a", "#b", "#a"]), col(&["#a", "#a", "#a"])]
+        .into_iter()
+        .enumerate()
+        .map(|(t, c)| Projection {
+            timestep: t,
+            timestamp: t as i64,
+            vertex_cols: vec![c],
+            edge_cols: vec![],
+        })
+        .collect();
+    let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, &[rows]);
+    let blocks_len = decode_slice(framed.clone()).unwrap().directory().1;
+    let mut payload = unframe(MAGIC, &framed).unwrap().to_vec();
+    let end_at = payload.len() - blocks_len - 8;
+    payload[end_at..end_at + 8].copy_from_slice(&(blocks_len as u64 + 1).to_le_bytes());
+    payload.push(0);
+    let bad = frame(MAGIC, &payload);
+    let (slice, other) = (
+        decode_slice(bad.clone()).unwrap(),
+        decode_slice(bad).unwrap(),
+    );
+    assert_eq!(counted(&slice, SubgraphId(9), 0, 0, "#a"), Ok((2, 1)));
+    let err = counted(&slice, SubgraphId(9), 1, 0, "#a").unwrap_err();
+    assert!(err.contains("1 trailing bytes in block"), "{err}");
+    assert_eq!(decoded_count(&other, SubgraphId(9), 1, 0, "#a"), None);
+}
+
+/// The delta tag of each pack's one delta record.
+fn record_tags(rows: &[Projection]) -> u8 {
+    let mut record = BytesMut::new();
+    put_delta_column(
+        &mut record,
+        &rows[0].vertex_cols[0],
+        &rows[1].vertex_cols[0],
+    );
+    record[0]
+}
+
+/// A string that is not UTF-8 is corrupt however it compares with the
+/// needle, in a dense delta and in a sparse one, and in the record's
+/// last string as in its first.
+#[test]
+fn a_string_that_is_not_utf8_is_corrupt_whatever_the_needle() {
+    let long = "0123456789abcdef0123456789".to_string();
+    let base = Column::TextList(vec![vec!["a".into()], vec![long.clone()]]);
+    let base_rows = DecodedColumn::from(base.clone());
+    let DecodedColumn::TextList(rows) = &base_rows else {
+        unreachable!()
+    };
+    for cur in [
+        Column::TextList(vec![vec!["~".into(), "#a".into()], vec![long.clone()]]),
+        Column::TextList(vec![vec!["#a".into(), "~".into()], vec!["b".into()]]),
+    ] {
+        let mut record = BytesMut::new();
+        put_delta_column(&mut record, &base, &cur);
+        let at = record.iter().position(|&b| b == b'~').unwrap();
+        for needle in ["#a", "~", "", "b"] {
+            assert!(delta_text_count_eq(&record, rows, needle).is_ok());
+            let mut bad = record.to_vec();
+            bad[at] = 0xFF;
+            let err = delta_text_count_eq(&bad, rows, needle).unwrap_err();
+            assert!(matches!(err, GofsError::Corrupt(_)), "{err}");
+            assert_eq!(both_counts(&bad, &base_rows, needle), (None, None));
+        }
+    }
 }
