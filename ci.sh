@@ -24,20 +24,25 @@ done
 
 # Workspace analyzer: the v2 call-graph passes must come back clean —
 # transitive panic-freedom / clock / allocation rules over the hot-path
-# closure (P01, D02, H01 with root→violation chains), the per-file rules
-# (D01-D03, A01, W01, F01), and the wire-schema lock against the
-# committed schemas/ goldens (W02; drift without a version bump exits 2)
-# — modulo the committed, justified lint-allow.toml. Fast: runs before
-# the main build. The self-test stage exercises the analyzer itself: the
-# per-rule fixture pairs, the ws_* fixture workspaces (indirect panics,
-# trait dispatch, aliases, cfg(test) masking, schema drift), and the
-# binary's 0/1/2 exit-code matrix.
+# closure (P01, D02, H01 with root→violation chains) and the per-file
+# rules (D01-D03, A01, W01, F01) — modulo the committed, justified
+# lint-allow.toml. Fast: runs before the main build. The self-test stage
+# exercises the analyzer itself: the per-rule fixture pairs, the ws_*
+# fixture workspaces (indirect panics, trait dispatch, aliases, cfg(test)
+# masking, stale allowlist entries), and the binary's 0/1/2 exit-code
+# matrix. Then every byte golden runs once: each `golden_*` test pins the
+# bytes of a frame, payload, checkpoint, ledger record or GoFS metadata
+# file under its version constant, and fails on a byte change that came
+# without a bump.
 lint_stage() {
     echo "==> tempograph-lint: self-test suite (fixtures + exit-code matrix)"
     cargo test -q -p tempograph-lint
 
-    echo "==> tempograph-lint: workspace invariants (transitive P01/D02/H01, D01-D03, A01, W01, F01, W02 schema lock)"
+    echo "==> tempograph-lint: workspace invariants (transitive P01/D02/H01, D01-D03, A01, W01, F01)"
     cargo run -q -p tempograph-lint
+
+    echo "==> byte goldens: frames, payloads, checkpoints, run records, GoFS metadata (golden_*)"
+    cargo test -q --workspace golden_
 }
 
 # Fault-tolerance gate: the recovery-equivalence suite (fixed seeds baked
@@ -53,10 +58,6 @@ faults_stage() {
 
     echo "==> faults: checkpoint overhead smoke test (disabled hooks must not allocate)"
     cargo test -q --release --test checkpoint_overhead -- --ignored
-
-    echo "==> faults: payload byte goldens (checkpoint file, manifest)"
-    cargo test -q -p tempograph-engine --lib -- --exact \
-        checkpoint::tests::golden_checkpoint_file checkpoint::tests::golden_manifest_file
 }
 
 # Transport gate: every algorithm must produce byte-identical results over
@@ -80,10 +81,6 @@ transport_stage() {
     echo "==> transport: frame codec property tests (PROPTEST_CASES=${PROPTEST_CASES:-64})"
     PROPTEST_CASES="${PROPTEST_CASES:-64}" \
         cargo test -q --test frame_codec_prop
-
-    echo "==> transport: payload byte goldens (Telemetry round report, Output frame with observability)"
-    cargo test -q -p tempograph-engine --lib -- --exact \
-        net::tests::golden_telemetry_payload cluster::tests::golden_output_payload
 
     echo "==> transport: 2-process localhost smoke via the CLI"
     local work

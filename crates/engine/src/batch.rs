@@ -478,6 +478,32 @@ mod tests {
         assert_eq!(got, expect);
     }
 
+    /// Byte golden for a batch frame: two destination runs, the first
+    /// holding two envelopes.
+    #[test]
+    fn golden_message_batch() {
+        let mut b = MessageBatch::new();
+        for e in [
+            env(1, 5, 2, 0x1111),
+            env(3, 7, 4, 0x2222),
+            env(6, 5, 8, u64::MAX),
+        ] {
+            b.push(e);
+        }
+        let mut buf = BytesMut::new();
+        b.encode(&mut buf);
+        tempograph_gofs::codec::assert_hex_golden(
+            &buf,
+            include_str!("../testdata/message_batch.hex"),
+            "FRAME_VERSION",
+            crate::net::FRAME_VERSION,
+        );
+        assert_eq!(
+            MessageBatch::<u64>::decode(&mut buf.freeze()).unwrap(),
+            b.into_runs()
+        );
+    }
+
     #[test]
     fn empty_and_single_message_frames() {
         let b = MessageBatch::<u64>::new();

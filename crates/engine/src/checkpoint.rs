@@ -112,7 +112,7 @@ pub struct WorkerCheckpoint<M> {
 }
 
 /// `next_seq`, `merge_seq`, then the state blob and both inboxes — the
-/// byte order predates the field order, which the checkpoint schema locks.
+/// byte order predates the field order; `golden_checkpoint_file` pins it.
 impl<M: WireMsg> WireMsg for SubgraphCheckpoint<M> {
     fn encode(&self, buf: &mut BytesMut) {
         self.next_seq.encode(buf);
@@ -133,15 +133,17 @@ impl<M: WireMsg> WireMsg for SubgraphCheckpoint<M> {
 }
 
 /// Unframe `data` and decode its payload with `decode`, which must consume
-/// it exactly. The one place a checkpoint codec failure becomes
-/// [`GofsError::Corrupt`] — the error [`latest_valid`] falls back past.
-fn decode_framed<T>(
+/// it exactly. The one place a codec failure in a framed file (checkpoint,
+/// manifest, ledger run record) becomes [`GofsError::Corrupt`], prefixed
+/// with `what` — the error [`latest_valid`] falls back past.
+pub fn decode_framed<T>(
     magic: [u8; 4],
     data: &[u8],
+    what: &str,
     decode: impl FnOnce(&mut Bytes) -> std::result::Result<T, WireError>,
 ) -> Result<T> {
     let mut buf = unframe(magic, data)?;
-    let corrupt = |detail: String| GofsError::Corrupt(format!("checkpoint record: {detail}"));
+    let corrupt = |detail: String| GofsError::Corrupt(format!("{what}: {detail}"));
     let value = decode(&mut buf).map_err(|e| corrupt(e.to_string()))?;
     if buf.remaining() != 0 {
         return Err(corrupt(format!("{} trailing bytes", buf.remaining())));
@@ -166,7 +168,7 @@ impl<M: WireMsg> WorkerCheckpoint<M> {
     /// Decode a framed checkpoint file, validating magic, version and
     /// checksum first (typed [`GofsError`] on any corruption).
     pub fn decode(data: &[u8]) -> Result<Self> {
-        decode_framed(CHECKPOINT_MAGIC, data, |buf| {
+        decode_framed(CHECKPOINT_MAGIC, data, "checkpoint record", |buf| {
             let partition = u32::decode(buf)?;
             Ok(WorkerCheckpoint {
                 partition: u16::try_from(partition).map_err(|_| WireError::OutOfRange {
@@ -208,7 +210,7 @@ impl Manifest {
     }
 
     fn decode(data: &[u8]) -> Result<Self> {
-        decode_framed(MANIFEST_MAGIC, data, |buf| {
+        decode_framed(MANIFEST_MAGIC, data, "checkpoint manifest", |buf| {
             Ok(Manifest {
                 timesteps: Vec::decode(buf)?,
             })
@@ -278,6 +280,7 @@ mod tests {
     use super::*;
     use bytes::BufMut;
     use tempograph_core::VertexIdx;
+    use tempograph_gofs::codec::{assert_hex_golden, FORMAT_VERSION};
 
     fn tmp() -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -397,7 +400,12 @@ mod tests {
             ],
         };
         let enc = ck.encode();
-        crate::wire::assert_hex_golden(&enc, include_str!("../testdata/worker_checkpoint.hex"));
+        assert_hex_golden(
+            &enc,
+            include_str!("../testdata/worker_checkpoint.hex"),
+            "FORMAT_VERSION",
+            FORMAT_VERSION,
+        );
         assert_eq!(WorkerCheckpoint::<u64>::decode(&enc).unwrap(), ck);
     }
 
@@ -407,7 +415,12 @@ mod tests {
             timesteps: vec![7, 15, 23],
         };
         let enc = m.encode();
-        crate::wire::assert_hex_golden(&enc, include_str!("../testdata/manifest.hex"));
+        assert_hex_golden(
+            &enc,
+            include_str!("../testdata/manifest.hex"),
+            "FORMAT_VERSION",
+            FORMAT_VERSION,
+        );
         assert_eq!(Manifest::decode(&enc).unwrap(), m);
     }
 

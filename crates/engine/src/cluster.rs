@@ -1037,6 +1037,7 @@ mod tests {
     use crate::metrics::MetricsShard;
     use bytes::BufMut;
     use tempograph_core::VertexIdx;
+    use tempograph_gofs::codec::assert_hex_golden;
 
     #[test]
     fn contributions_fold_like_the_sync_point() {
@@ -1168,7 +1169,12 @@ mod tests {
         };
         observed(&mut output);
         let enc = output.encode();
-        crate::wire::assert_hex_golden(&enc, include_str!("../testdata/worker_output.hex"));
+        assert_hex_golden(
+            &enc,
+            include_str!("../testdata/worker_output.hex"),
+            "FRAME_VERSION",
+            crate::net::FRAME_VERSION,
+        );
         let back = WorkerOutput::decode(enc).unwrap();
         assert_eq!(back.metrics, output.metrics);
         assert_eq!(back.merge_metrics, output.merge_metrics);

@@ -876,6 +876,7 @@ pub fn decode_payload<M: WireMsg>(mut payload: Bytes) -> Result<M, EngineError> 
 mod tests {
     use super::*;
     use std::io::Cursor;
+    use tempograph_gofs::codec::assert_hex_golden;
 
     /// Loopback socket pair, or `None` (with a notice) where the sandbox
     /// forbids sockets — the documented skip path for TCP tests.
@@ -1169,8 +1170,143 @@ mod tests {
             bytes_received: 888,
         };
         let enc = encode_payload(&msg);
-        crate::wire::assert_hex_golden(&enc, include_str!("../testdata/telemetry_msg.hex"));
+        assert_hex_golden(
+            &enc,
+            include_str!("../testdata/telemetry_msg.hex"),
+            "FRAME_VERSION",
+            FRAME_VERSION,
+        );
         assert_eq!(decode_payload::<TelemetryMsg>(enc).unwrap(), msg);
+    }
+
+    /// Byte golden for one frame of every kind: the header layout and all
+    /// 13 explicit `FrameKind` discriminants.
+    #[test]
+    fn golden_frame_headers() {
+        use FrameKind::*;
+        let kinds = [
+            Hello,
+            Start,
+            Contribution,
+            Aggregate,
+            Abort,
+            DataSuperstep,
+            DataNextTimestep,
+            Sentinel,
+            PeerHello,
+            Output,
+            Telemetry,
+            StatusRequest,
+            StatusReply,
+        ];
+        let frames: Vec<Frame> = (0u8..)
+            .zip(kinds)
+            .map(|(i, kind)| Frame {
+                kind,
+                sender: u16::from(i),
+                epoch: 0x100 + u32::from(i),
+                seq: 0x1_0000_0000 + u64::from(i),
+                payload: Bytes::from(vec![i; usize::from(i % 3)]),
+            })
+            .collect();
+        let mut enc = BytesMut::new();
+        for f in &frames {
+            enc.extend_from_slice(&f.encode());
+        }
+        assert_hex_golden(
+            &enc,
+            include_str!("../testdata/frame_headers.hex"),
+            "FRAME_VERSION",
+            FRAME_VERSION,
+        );
+        let mut bytes = enc.freeze();
+        for f in &frames {
+            assert_eq!(&Frame::decode(&mut bytes).unwrap(), f);
+        }
+    }
+
+    /// Byte golden for the control payloads: Hello, Start and Abort.
+    #[test]
+    fn golden_control_payloads() {
+        let hello = HelloMsg {
+            partition: 3,
+            listen_addr: "127.0.0.1:4242".into(),
+        };
+        let start = StartMsg {
+            epoch: 2,
+            resume_from: 15,
+            peer_addrs: vec!["a:1".into(), "b:2".into()],
+            fired: vec![0, 7],
+        };
+        let abort = AbortMsg {
+            dead_partition: 1,
+            detail: "exit 9".into(),
+        };
+        let mut enc = BytesMut::new();
+        hello.encode(&mut enc);
+        start.encode(&mut enc);
+        abort.encode(&mut enc);
+        assert_hex_golden(
+            &enc,
+            include_str!("../testdata/control_payloads.hex"),
+            "FRAME_VERSION",
+            FRAME_VERSION,
+        );
+        let mut bytes = enc.freeze();
+        assert_eq!(HelloMsg::decode(&mut bytes).unwrap(), hello);
+        assert_eq!(StartMsg::decode(&mut bytes).unwrap(), start);
+        assert_eq!(AbortMsg::decode(&mut bytes).unwrap(), abort);
+    }
+
+    /// Byte golden for the barrier payloads: Contribution and Aggregate.
+    #[test]
+    fn golden_barrier_payloads() {
+        let contribution = Contribution {
+            msgs_sent: 0x0102_0304,
+            all_halted: true,
+        };
+        let aggregate = Aggregate {
+            total_msgs: 0x0a0b_0c0d,
+            all_halted: false,
+        };
+        let mut enc = BytesMut::new();
+        contribution.encode(&mut enc);
+        aggregate.encode(&mut enc);
+        assert_hex_golden(
+            &enc,
+            include_str!("../testdata/barrier_payloads.hex"),
+            "FRAME_VERSION",
+            FRAME_VERSION,
+        );
+        let mut bytes = enc.freeze();
+        assert_eq!(Contribution::decode(&mut bytes).unwrap(), contribution);
+        assert_eq!(Aggregate::decode(&mut bytes).unwrap(), aggregate);
+    }
+
+    /// Byte golden for the StatusReply payload and its worker rows.
+    #[test]
+    fn golden_status_reply_payload() {
+        let row = |p: u16| WorkerStatusWire {
+            partition: p,
+            epoch: 1,
+            timestep: 10 + u32::from(p),
+            supersteps: 3,
+            barrier_wait_ns: 0x1111,
+            bytes_sent: 0x2222,
+            bytes_received: 0x3333,
+            last_telemetry_ms: 0x44,
+        };
+        let msg = StatusReplyMsg {
+            workers: vec![row(0), row(1)],
+        };
+        let enc = encode_payload(&msg);
+        assert_hex_golden(
+            &enc,
+            include_str!("../testdata/status_reply.hex"),
+            "FRAME_VERSION",
+            FRAME_VERSION,
+        );
+        assert_eq!(decode_payload::<StatusReplyMsg>(enc).unwrap(), msg);
     }
 
     /// A payload past the cap is refused before anything is written, with

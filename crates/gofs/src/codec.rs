@@ -118,6 +118,47 @@ fn framed_payload(magic: [u8; 4], data: &[u8]) -> Result<std::ops::Range<usize>>
     Ok(start..start + len)
 }
 
+/// Test helper: assert that `bytes` equal a committed hex golden.
+///
+/// The golden's first line names the version constant that governs the
+/// bytes and the value they were taken at (`# FRAME_VERSION 4`); the rest
+/// is hex, whitespace ignored. Panics when the header disagrees with
+/// `constant` = `version`, or when the bytes changed while the version
+/// did not — a layout change must come with a version bump, and a bump
+/// with regenerated goldens. Either message prints the whole replacement
+/// file, 32 bytes per line.
+pub fn assert_hex_golden(bytes: &[u8], golden: &str, constant: &str, version: u16) {
+    let (pinned, hex) = golden.split_once('\n').unwrap_or((golden, ""));
+    let want: String = hex.split_whitespace().collect();
+    let got: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+    let file = |version: u16| {
+        let lines: Vec<&str> = got
+            .as_bytes()
+            .chunks(64)
+            .map(|c| std::str::from_utf8(c).unwrap_or_default())
+            .collect();
+        format!("# {constant} {version}\n{}\n", lines.join("\n"))
+    };
+    let header = format!("# {constant} {version}");
+    if pinned.trim() != header {
+        panic!(
+            "golden is pinned at `{}` but the code is at `{header}`; if the new layout is \
+             deliberate, replace the golden with:\n{}",
+            pinned.trim(),
+            file(version)
+        );
+    }
+    if got != want {
+        panic!(
+            "payload bytes changed ({} bytes now, {} in the golden) while {constant} stayed \
+             {version}: bump {constant}, then replace the golden with:\n{}",
+            bytes.len(),
+            want.len() / 2,
+            file(version + 1)
+        );
+    }
+}
+
 // ---- primitives ---------------------------------------------------------
 
 /// Append a length-prefixed UTF-8 string.
@@ -1314,6 +1355,33 @@ mod tests {
             decode_template(&frame(TEMPLATE_MAGIC, &evil)),
             Err(GofsError::Corrupt(_))
         ));
+    }
+
+    const GOLDEN: &str = "# FORMAT_VERSION 2\n0102 ff\n";
+
+    #[test]
+    fn golden_helper_passes_matching_bytes() {
+        assert_hex_golden(&[1, 2, 0xff], GOLDEN, "FORMAT_VERSION", 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "bump FORMAT_VERSION, then replace the golden with:\n\
+                               # FORMAT_VERSION 3\n0103ff\n")]
+    fn golden_helper_demands_a_bump_for_changed_bytes() {
+        assert_hex_golden(&[1, 3, 0xff], GOLDEN, "FORMAT_VERSION", 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "pinned at `# FORMAT_VERSION 2` but the code is at \
+                               `# FORMAT_VERSION 3`")]
+    fn golden_helper_rejects_a_header_behind_the_constant() {
+        assert_hex_golden(&[1, 2, 0xff], GOLDEN, "FORMAT_VERSION", 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "but the code is at `# FRAME_VERSION 2`")]
+    fn golden_helper_rejects_a_header_naming_another_constant() {
+        assert_hex_golden(&[1, 2, 0xff], GOLDEN, "FRAME_VERSION", 2);
     }
 
     #[test]

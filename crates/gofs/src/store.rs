@@ -431,6 +431,51 @@ mod tests {
         (pg, coll)
     }
 
+    /// Byte goldens for the three metadata files: `meta.bin`,
+    /// `template.bin` (two schemas, three vertices, two edges) and
+    /// `partitioning.bin`.
+    #[test]
+    fn golden_store_metadata() {
+        use codec::{assert_hex_golden, decode_template, encode_template, FORMAT_VERSION};
+        let meta = DatasetMeta {
+            name: "golden".into(),
+            start_time: 1_400_000_000,
+            period: 3600,
+            num_timesteps: 7,
+            num_partitions: 2,
+            packing: 3,
+            binning: 5,
+        };
+        let mut b = TemplateBuilder::new("golden", true);
+        b.vertex_schema().add("v", AttrType::Long);
+        b.edge_schema().add("w", AttrType::Double);
+        b.edge_schema().add("tags", AttrType::Text);
+        for id in [0xA1, 0xA2, 0xA3] {
+            b.add_vertex(id);
+        }
+        b.add_edge(0xE1, 0xA1, 0xA2).unwrap();
+        b.add_edge(0xE2, 0xA3, 0xA1).unwrap();
+        let template = b.finalize().unwrap();
+        let partitioning = Partitioning {
+            assignment: vec![0, 1, 1],
+            k: 2,
+        };
+        let (m, t, p) = (
+            meta.encode(),
+            encode_template(&template),
+            encode_partitioning(&partitioning),
+        );
+        let golden = |bytes: &[u8], file: &str| {
+            assert_hex_golden(bytes, file, "FORMAT_VERSION", FORMAT_VERSION)
+        };
+        golden(&m, include_str!("../testdata/meta.hex"));
+        golden(&t, include_str!("../testdata/template.hex"));
+        golden(&p, include_str!("../testdata/partitioning.hex"));
+        assert_eq!(DatasetMeta::decode(&m).unwrap(), meta);
+        assert_eq!(decode_template(&t).unwrap().num_edges(), 2);
+        assert_eq!(decode_partitioning(&p).unwrap(), partitioning);
+    }
+
     #[test]
     fn write_and_reopen_dataset() {
         let dir = tmp();

@@ -39,7 +39,6 @@ pub use diff::{
     diff_records, DeltaKind, FieldDelta, RecordDiff, DEFAULT_THRESHOLD, NOISE_FLOOR_NS,
 };
 pub use record::{
-    AttributionEntry, ConfigFingerprint, RunAggregates, RunRecord, WorkerTiming, RECORD_MAGIC,
-    RECORD_SCHEMA,
+    ConfigFingerprint, RunAggregates, RunRecord, WorkerTiming, RECORD_MAGIC, RECORD_SCHEMA,
 };
 pub use store::{Ledger, RECORD_EXT};

@@ -5,24 +5,31 @@
 //!
 //! One record per file, in the GoFS on-disk idiom (`GFRN` magic / u16
 //! version / u64 length / FNV-1a checksum frame via
-//! [`tempograph_gofs::codec::frame`]). The payload is fixed-width
-//! little-endian scalars plus length-prefixed lists — no floats, no maps,
-//! no ambient clock or randomness anywhere in the encode path, so the
-//! encoding of a given [`RunRecord`] value is canonical: equal records
-//! produce byte-identical files.
+//! [`tempograph_gofs::codec::frame`]). The payload is the record's
+//! [`WireMsg`] encoding — the engine's codec vocabulary, with the engine's
+//! own [`AttributionRow`] embedded: fixed-width little-endian scalars plus
+//! length-prefixed lists, no floats, no maps, no ambient clock or
+//! randomness anywhere in the encode path, so the encoding of a given
+//! [`RunRecord`] value is canonical: equal records produce byte-identical
+//! files.
 //!
 //! # Compatibility
 //!
 //! The frame's version field is the GoFS-wide `FORMAT_VERSION`; unknown
 //! versions are rejected at `unframe` time with
-//! [`GofsError::UnsupportedVersion`], corrupt payloads with typed
-//! [`GofsError`] variants. Fields are only ever *appended* to the payload
-//! within a version; any removal or reordering bumps the format version.
+//! [`GofsError::UnsupportedVersion`], corrupt payloads (and trailing
+//! bytes) with typed [`GofsError`] variants. The bytes are pinned by a
+//! hex golden under that constant: any layout change bumps the format
+//! version.
+//!
+//! [`GofsError`]: tempograph_gofs::error::GofsError
+//! [`GofsError::UnsupportedVersion`]: tempograph_gofs::error::GofsError::UnsupportedVersion
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use tempograph_engine::JobResult;
-use tempograph_gofs::codec::{self, fnv1a64, frame, unframe};
-use tempograph_gofs::error::{GofsError, Result};
+use bytes::{Bytes, BytesMut};
+use tempograph_engine::checkpoint::decode_framed;
+use tempograph_engine::{AttributionRow, JobResult, WireError, WireMsg};
+use tempograph_gofs::codec::{fnv1a64, frame};
+use tempograph_gofs::error::Result;
 use tempograph_metrics::json::Value;
 use tempograph_partition::SubgraphId;
 
@@ -77,65 +84,46 @@ impl ConfigFingerprint {
         ]
     }
 
-    fn encode_into(&self, buf: &mut BytesMut) {
-        codec::put_str(buf, &self.algorithm);
-        codec::put_str(buf, &self.pattern);
-        buf.put_u32_le(self.partitions);
-        buf.put_u32_le(self.subgraphs);
-        buf.put_u32_le(self.timesteps);
-        buf.put_i64_le(self.start_time);
-        buf.put_i64_le(self.period);
-        buf.put_u64_le(self.seed);
-        codec::put_str(buf, &self.dataset);
-        buf.put_u32_le(self.env.len() as u32);
-        for (k, v) in &self.env {
-            codec::put_str(buf, k);
-            codec::put_str(buf, v);
-        }
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        let algorithm = codec::get_str(buf)?;
-        let pattern = codec::get_str(buf)?;
-        let partitions = codec::get_u32(buf)?;
-        let subgraphs = codec::get_u32(buf)?;
-        let timesteps = codec::get_u32(buf)?;
-        let start_time = codec::get_i64(buf)?;
-        let period = codec::get_i64(buf)?;
-        let seed = codec::get_u64(buf)?;
-        let dataset = codec::get_str(buf)?;
-        let n_env = codec::get_u32(buf)? as usize;
-        let mut env = Vec::with_capacity(n_env.min(1 << 10));
-        for _ in 0..n_env {
-            let k = codec::get_str(buf)?;
-            let v = codec::get_str(buf)?;
-            env.push((k, v));
-        }
-        Ok(ConfigFingerprint {
-            algorithm,
-            pattern,
-            partitions,
-            subgraphs,
-            timesteps,
-            start_time,
-            period,
-            seed,
-            dataset,
-            env,
-        })
-    }
-
     /// Deterministic run id: `<algorithm>-<fnv1a64 of the canonical
     /// fingerprint encoding>`. Same config + same host class ⇒ same id.
     pub fn run_id(&self) -> String {
         let mut buf = BytesMut::new();
-        self.encode_into(&mut buf);
+        self.encode(&mut buf);
         let slug: String = self
             .algorithm
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
             .collect();
         format!("{}-{:016x}", slug, fnv1a64(&buf))
+    }
+}
+
+impl WireMsg for ConfigFingerprint {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.algorithm.encode(buf);
+        self.pattern.encode(buf);
+        self.partitions.encode(buf);
+        self.subgraphs.encode(buf);
+        self.timesteps.encode(buf);
+        self.start_time.encode(buf);
+        self.period.encode(buf);
+        self.seed.encode(buf);
+        self.dataset.encode(buf);
+        self.env.encode(buf);
+    }
+    fn decode(buf: &mut Bytes) -> std::result::Result<Self, WireError> {
+        Ok(ConfigFingerprint {
+            algorithm: String::decode(buf)?,
+            pattern: String::decode(buf)?,
+            partitions: u32::decode(buf)?,
+            subgraphs: u32::decode(buf)?,
+            timesteps: u32::decode(buf)?,
+            start_time: i64::decode(buf)?,
+            period: i64::decode(buf)?,
+            seed: u64::decode(buf)?,
+            dataset: String::decode(buf)?,
+            env: Vec::decode(buf)?,
+        })
     }
 }
 
@@ -189,32 +177,34 @@ impl RunAggregates {
             ("emitted_values", self.emitted_values),
         ]
     }
+}
 
-    fn encode_into(&self, buf: &mut BytesMut) {
+/// Every field as a `u64`, in [`RunAggregates::fields`] order.
+impl WireMsg for RunAggregates {
+    fn encode(&self, buf: &mut BytesMut) {
         for (_, v) in self.fields() {
-            buf.put_u64_le(v);
+            v.encode(buf);
         }
     }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut Bytes) -> std::result::Result<Self, WireError> {
         Ok(RunAggregates {
-            wall_ns: codec::get_u64(buf)?,
-            virtual_ns: codec::get_u64(buf)?,
-            compute_ns: codec::get_u64(buf)?,
-            msg_ns: codec::get_u64(buf)?,
-            sync_ns: codec::get_u64(buf)?,
-            io_ns: codec::get_u64(buf)?,
-            timesteps_run: codec::get_u64(buf)?,
-            supersteps: codec::get_u64(buf)?,
-            msgs_local: codec::get_u64(buf)?,
-            msgs_remote: codec::get_u64(buf)?,
-            bytes_remote: codec::get_u64(buf)?,
-            msgs_combined: codec::get_u64(buf)?,
-            batches_remote: codec::get_u64(buf)?,
-            slice_loads: codec::get_u64(buf)?,
-            send_retries: codec::get_u64(buf)?,
-            recoveries: codec::get_u64(buf)?,
-            emitted_values: codec::get_u64(buf)?,
+            wall_ns: u64::decode(buf)?,
+            virtual_ns: u64::decode(buf)?,
+            compute_ns: u64::decode(buf)?,
+            msg_ns: u64::decode(buf)?,
+            sync_ns: u64::decode(buf)?,
+            io_ns: u64::decode(buf)?,
+            timesteps_run: u64::decode(buf)?,
+            supersteps: u64::decode(buf)?,
+            msgs_local: u64::decode(buf)?,
+            msgs_remote: u64::decode(buf)?,
+            bytes_remote: u64::decode(buf)?,
+            msgs_combined: u64::decode(buf)?,
+            batches_remote: u64::decode(buf)?,
+            slice_loads: u64::decode(buf)?,
+            send_retries: u64::decode(buf)?,
+            recoveries: u64::decode(buf)?,
+            emitted_values: u64::decode(buf)?,
         })
     }
 }
@@ -239,58 +229,25 @@ pub struct WorkerTiming {
     pub supersteps: u64,
 }
 
-impl WorkerTiming {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.partition);
-        buf.put_u64_le(self.compute_ns);
-        buf.put_u64_le(self.msg_ns);
-        buf.put_u64_le(self.sync_ns);
-        buf.put_u64_le(self.io_ns);
-        buf.put_u64_le(self.wall_ns);
-        buf.put_u64_le(self.supersteps);
+impl WireMsg for WorkerTiming {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.partition.encode(buf);
+        self.compute_ns.encode(buf);
+        self.msg_ns.encode(buf);
+        self.sync_ns.encode(buf);
+        self.io_ns.encode(buf);
+        self.wall_ns.encode(buf);
+        self.supersteps.encode(buf);
     }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
+    fn decode(buf: &mut Bytes) -> std::result::Result<Self, WireError> {
         Ok(WorkerTiming {
-            partition: codec::get_u32(buf)?,
-            compute_ns: codec::get_u64(buf)?,
-            msg_ns: codec::get_u64(buf)?,
-            sync_ns: codec::get_u64(buf)?,
-            io_ns: codec::get_u64(buf)?,
-            wall_ns: codec::get_u64(buf)?,
-            supersteps: codec::get_u64(buf)?,
-        })
-    }
-}
-
-/// One persisted attribution row (see
-/// [`tempograph_engine::AttributionRow`] — same semantics, fixed-width).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AttributionEntry {
-    /// Subgraph id.
-    pub subgraph: u32,
-    /// Timestep (`u32::MAX` ⇒ merge phase).
-    pub timestep: u32,
-    /// Measured nanoseconds inside this subgraph's hooks at this timestep.
-    pub compute_ns: u64,
-    /// Program-hook invocations (deterministic for a seeded run).
-    pub invocations: u32,
-}
-
-impl AttributionEntry {
-    fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.subgraph);
-        buf.put_u32_le(self.timestep);
-        buf.put_u64_le(self.compute_ns);
-        buf.put_u32_le(self.invocations);
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self> {
-        Ok(AttributionEntry {
-            subgraph: codec::get_u32(buf)?,
-            timestep: codec::get_u32(buf)?,
-            compute_ns: codec::get_u64(buf)?,
-            invocations: codec::get_u32(buf)?,
+            partition: u32::decode(buf)?,
+            compute_ns: u64::decode(buf)?,
+            msg_ns: u64::decode(buf)?,
+            sync_ns: u64::decode(buf)?,
+            io_ns: u64::decode(buf)?,
+            wall_ns: u64::decode(buf)?,
+            supersteps: u64::decode(buf)?,
         })
     }
 }
@@ -311,7 +268,7 @@ pub struct RunRecord {
     /// The per-(subgraph, timestep) compute attribution table, sorted by
     /// `(subgraph, timestep)`; empty when the job ran without
     /// `JobConfig::with_attribution`.
-    pub attribution: Vec<AttributionEntry>,
+    pub attribution: Vec<AttributionRow>,
     /// User counter totals (summed over timesteps, partitions, and merge),
     /// sorted by name.
     pub counters: Vec<(String, u64)>,
@@ -388,17 +345,7 @@ impl RunRecord {
         let attribution = result
             .attribution
             .as_ref()
-            .map(|a| {
-                a.rows
-                    .iter()
-                    .map(|r| AttributionEntry {
-                        subgraph: r.subgraph.0,
-                        timestep: r.timestep,
-                        compute_ns: r.compute_ns,
-                        invocations: r.invocations,
-                    })
-                    .collect()
-            })
+            .map(|a| a.rows.clone())
             .unwrap_or_default();
 
         // Counter totals: timestep rows + merge rows, name-sorted (both
@@ -454,8 +401,8 @@ impl RunRecord {
                 u64::from(e.invocations)
             };
             match out.last_mut() {
-                Some((sg, total)) if sg.0 == e.subgraph => *total += v,
-                _ => out.push((SubgraphId(e.subgraph), v)),
+                Some((sg, total)) if *sg == e.subgraph => *total += v,
+                _ => out.push((e.subgraph, v)),
             }
         }
         out
@@ -493,84 +440,19 @@ impl RunRecord {
     /// Encode to the framed on-disk representation.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        self.config.encode_into(&mut buf);
-        self.aggregates.encode_into(&mut buf);
-        buf.put_u32_le(self.virtual_timestep_ns.len() as u32);
-        for &v in &self.virtual_timestep_ns {
-            buf.put_u64_le(v);
-        }
-        buf.put_u32_le(self.workers.len() as u32);
-        for w in &self.workers {
-            w.encode_into(&mut buf);
-        }
-        buf.put_u32_le(self.attribution.len() as u32);
-        for e in &self.attribution {
-            e.encode_into(&mut buf);
-        }
-        buf.put_u32_le(self.counters.len() as u32);
-        for (name, v) in &self.counters {
-            codec::put_str(&mut buf, name);
-            buf.put_u64_le(*v);
-        }
-        codec::put_str(&mut buf, &self.metrics_json);
+        WireMsg::encode(self, &mut buf);
         frame(RECORD_MAGIC, &buf)
     }
 
-    /// Decode a framed record, verifying magic, version, and checksum.
+    /// Decode a framed record, verifying magic, version, and checksum, and
+    /// that the payload holds exactly one record.
     pub fn decode(data: &[u8]) -> Result<RunRecord> {
-        let mut buf = unframe(RECORD_MAGIC, data)?;
-        let config = ConfigFingerprint::decode_from(&mut buf)?;
-        let aggregates = RunAggregates::decode_from(&mut buf)?;
-        let n_virtual = codec::get_u32(&mut buf)? as usize;
-        if buf.remaining() < n_virtual * 8 {
-            return Err(GofsError::Corrupt(format!(
-                "virtual series claims {n_virtual} entries but only {} bytes remain",
-                buf.remaining()
-            )));
-        }
-        let mut virtual_timestep_ns = Vec::with_capacity(n_virtual.min(1 << 16));
-        for _ in 0..n_virtual {
-            virtual_timestep_ns.push(codec::get_u64(&mut buf)?);
-        }
-        let n_workers = codec::get_u32(&mut buf)? as usize;
-        let mut workers = Vec::with_capacity(n_workers.min(1 << 16));
-        for _ in 0..n_workers {
-            workers.push(WorkerTiming::decode_from(&mut buf)?);
-        }
-        let n_attr = codec::get_u32(&mut buf)? as usize;
-        if buf.remaining() < n_attr * 20 {
-            return Err(GofsError::Corrupt(format!(
-                "attribution table claims {n_attr} rows but only {} bytes remain",
-                buf.remaining()
-            )));
-        }
-        let mut attribution = Vec::with_capacity(n_attr.min(1 << 16));
-        for _ in 0..n_attr {
-            attribution.push(AttributionEntry::decode_from(&mut buf)?);
-        }
-        let n_counters = codec::get_u32(&mut buf)? as usize;
-        let mut counters = Vec::with_capacity(n_counters.min(1 << 16));
-        for _ in 0..n_counters {
-            let name = codec::get_str(&mut buf)?;
-            let v = codec::get_u64(&mut buf)?;
-            counters.push((name, v));
-        }
-        let metrics_json = codec::get_str(&mut buf)?;
-        if buf.remaining() > 0 {
-            return Err(GofsError::Corrupt(format!(
-                "{} trailing bytes after run record",
-                buf.remaining()
-            )));
-        }
-        Ok(RunRecord {
-            config,
-            aggregates,
-            virtual_timestep_ns,
-            workers,
-            attribution,
-            counters,
-            metrics_json,
-        })
+        decode_framed(
+            RECORD_MAGIC,
+            data,
+            "run record",
+            <RunRecord as WireMsg>::decode,
+        )
     }
 
     /// Canonical JSON projection (`inspect show --json`). Deterministic
@@ -625,7 +507,7 @@ impl RunRecord {
                 .iter()
                 .map(|e| {
                     Value::Arr(vec![
-                        Value::u64(u64::from(e.subgraph)),
+                        Value::u64(u64::from(e.subgraph.0)),
                         Value::u64(u64::from(e.timestep)),
                         Value::u64(e.compute_ns),
                         Value::u64(u64::from(e.invocations)),
@@ -672,6 +554,29 @@ impl RunRecord {
     }
 }
 
+impl WireMsg for RunRecord {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.config.encode(buf);
+        self.aggregates.encode(buf);
+        self.virtual_timestep_ns.encode(buf);
+        self.workers.encode(buf);
+        self.attribution.encode(buf);
+        self.counters.encode(buf);
+        self.metrics_json.encode(buf);
+    }
+    fn decode(buf: &mut Bytes) -> std::result::Result<Self, WireError> {
+        Ok(RunRecord {
+            config: ConfigFingerprint::decode(buf)?,
+            aggregates: RunAggregates::decode(buf)?,
+            virtual_timestep_ns: Vec::decode(buf)?,
+            workers: Vec::decode(buf)?,
+            attribution: Vec::decode(buf)?,
+            counters: Vec::decode(buf)?,
+            metrics_json: String::decode(buf)?,
+        })
+    }
+}
+
 /// Parallelism of the host.
 fn num_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -680,6 +585,7 @@ fn num_cpus() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tempograph_gofs::error::GofsError;
 
     pub(crate) fn sample() -> RunRecord {
         RunRecord {
@@ -727,20 +633,20 @@ mod tests {
                 })
                 .collect(),
             attribution: vec![
-                AttributionEntry {
-                    subgraph: 0,
+                AttributionRow {
+                    subgraph: SubgraphId(0),
                     timestep: 0,
                     compute_ns: 500,
                     invocations: 4,
                 },
-                AttributionEntry {
-                    subgraph: 0,
+                AttributionRow {
+                    subgraph: SubgraphId(0),
                     timestep: 1,
                     compute_ns: 300,
                     invocations: 2,
                 },
-                AttributionEntry {
-                    subgraph: 2,
+                AttributionRow {
+                    subgraph: SubgraphId(2),
                     timestep: u32::MAX,
                     compute_ns: 90,
                     invocations: 1,
@@ -749,6 +655,86 @@ mod tests {
             counters: vec![("colored".into(), 17), ("seen".into(), 40)],
             metrics_json: String::from(r#"{"schema":"tempograph-metrics/v1","metrics":[]}"#),
         }
+    }
+
+    /// A record with every field distinct and a fixed host env, so its
+    /// bytes and run id are the same on every machine.
+    fn golden_record() -> RunRecord {
+        let attr = |subgraph, timestep, compute_ns, invocations| AttributionRow {
+            subgraph: SubgraphId(subgraph),
+            timestep,
+            compute_ns,
+            invocations,
+        };
+        let env = [("arch", "x86_64"), ("cpus", "2"), ("debug_build", "false")];
+        RunRecord {
+            config: ConfigFingerprint {
+                env: env
+                    .iter()
+                    .chain(&[("os", "linux")])
+                    .map(|&(k, v)| (k.to_string(), v.to_string()))
+                    .collect(),
+                ..sample().config
+            },
+            aggregates: RunAggregates {
+                wall_ns: 1,
+                virtual_ns: 2,
+                compute_ns: 3,
+                msg_ns: 4,
+                sync_ns: 5,
+                io_ns: 6,
+                timesteps_run: 7,
+                supersteps: 8,
+                msgs_local: 9,
+                msgs_remote: 10,
+                bytes_remote: 11,
+                msgs_combined: 12,
+                batches_remote: 13,
+                slice_loads: 14,
+                send_retries: 15,
+                recoveries: 16,
+                emitted_values: 17,
+            },
+            virtual_timestep_ns: vec![0x101, 0x102],
+            workers: (0..2)
+                .map(|p| WorkerTiming {
+                    partition: p,
+                    compute_ns: 0x201 + u64::from(p),
+                    msg_ns: 0x203,
+                    sync_ns: 0x204,
+                    io_ns: 0x205,
+                    wall_ns: 0x206,
+                    supersteps: 0x207,
+                })
+                .collect(),
+            attribution: vec![
+                attr(0x301, 0x302, 0x303, 0x304),
+                attr(0x305, u32::MAX, 0x306, 0x307),
+            ],
+            counters: vec![("colored".into(), 0x401), ("seen".into(), 0x402)],
+            metrics_json: "{}".into(),
+        }
+    }
+
+    /// Byte golden for a run-record file (frame included).
+    #[test]
+    fn golden_run_record_file() {
+        let rec = golden_record();
+        let enc = rec.encode();
+        tempograph_gofs::codec::assert_hex_golden(
+            &enc,
+            include_str!("../testdata/run_record.hex"),
+            "FORMAT_VERSION",
+            tempograph_gofs::codec::FORMAT_VERSION,
+        );
+        assert_eq!(RunRecord::decode(&enc).unwrap(), rec);
+    }
+
+    /// Ledger file names are run ids: an id that moved would cut every
+    /// recorded run off from `inspect show`/`diff`.
+    #[test]
+    fn golden_run_id() {
+        assert_eq!(golden_record().run_id(), "hash-4ecb83b95a943dfc");
     }
 
     #[test]

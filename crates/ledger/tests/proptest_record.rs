@@ -2,9 +2,9 @@
 //! round trip for arbitrary records, and the encoding is canonical.
 
 use proptest::prelude::*;
-use tempograph_ledger::{
-    AttributionEntry, ConfigFingerprint, RunAggregates, RunRecord, WorkerTiming,
-};
+use tempograph_engine::AttributionRow;
+use tempograph_ledger::{ConfigFingerprint, RunAggregates, RunRecord, WorkerTiming};
+use tempograph_partition::SubgraphId;
 
 fn arb_string() -> impl Strategy<Value = String> {
     "[a-zA-Z0-9_./ -]{0,24}"
@@ -90,10 +90,10 @@ fn arb_worker() -> impl Strategy<Value = WorkerTiming> {
         )
 }
 
-fn arb_attr() -> impl Strategy<Value = AttributionEntry> {
+fn arb_attr() -> impl Strategy<Value = AttributionRow> {
     (any::<u32>(), any::<u32>(), any::<u64>(), any::<u32>()).prop_map(
-        |(subgraph, timestep, compute_ns, invocations)| AttributionEntry {
-            subgraph,
+        |(subgraph, timestep, compute_ns, invocations)| AttributionRow {
+            subgraph: SubgraphId(subgraph),
             timestep,
             compute_ns,
             invocations,

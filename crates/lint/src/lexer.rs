@@ -104,8 +104,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
 }
 
 /// [`lex`], but numeric literals are kept as tokens (their source text,
-/// suffix and all). The item parser and the schema extractor need them —
-/// enum discriminants and version constants are part of a wire format.
+/// suffix and all). The item parser and the indexing check read them.
 pub fn lex_full(src: &str) -> Vec<Tok> {
     lex_impl(src, true)
 }
@@ -185,8 +184,8 @@ fn lex_impl(src: &str, emit_numbers: bool) -> Vec<Tok> {
             });
         } else if c.is_ascii_digit() {
             // Numeric literal (decimal, hex, float, suffixed). Emitted only
-            // in full mode: no *rule* matches on numbers, but the parser and
-            // schema extractor need them. Consume `.` only when followed by
+            // in full mode: no per-file *rule* matches on numbers, but the
+            // parser keeps them. Consume `.` only when followed by
             // a digit, so ranges (`0..n`) and method calls (`1.max(x)`)
             // survive as separate tokens.
             let start = i;

@@ -20,10 +20,12 @@
 //! allocation in instrumentation code on the disabled path) — hold over
 //! the entire call closure rooted at the executor superstep loop, the
 //! `Transport` entry points, and the codec entry points, with findings
-//! reported as root→violation call chains. A second pass, **W02**
-//! ([`schema`]), locks the field names/types/order of every wire-format
-//! type against golden fingerprints in `schemas/` — layout drift without
-//! a version bump exits 2.
+//! reported as root→violation call chains.
+//!
+//! Wire and storage layouts are checked outside this crate: their bytes
+//! are pinned by hex goldens in the owning crates' tests
+//! (`tempograph_gofs::codec::assert_hex_golden`), which refuse a byte
+//! change that comes without a version bump.
 //!
 //! Justified exceptions live in the committed `lint-allow.toml`; stale
 //! entries are an error, so suppressions cannot outlive the code they
@@ -36,7 +38,6 @@ pub mod callgraph;
 pub mod lexer;
 pub mod parser;
 pub mod rules;
-pub mod schema;
 pub mod walk;
 
 pub use allowlist::{apply, parse, AllowEntry};
@@ -48,19 +49,16 @@ use std::path::Path;
 pub struct Report {
     /// Findings that survived the allowlist, sorted by (path, line, rule).
     pub findings: Vec<Finding>,
-    /// Allowlist entries that suppressed nothing (stale).
+    /// Allowlist entries that suppressed nothing (stale); non-empty ⇒
+    /// exit 2.
     pub stale: Vec<AllowEntry>,
-    /// Wire-schema drift diagnostics (W02); non-empty ⇒ exit 2.
-    pub drift: Vec<String>,
     /// Number of files scanned.
     pub files: usize,
-    /// Number of schema groups checked.
-    pub schemas: usize,
 }
 
-/// Parse every workspace file into the item-level AST the call-graph and
-/// schema passes consume.
-pub fn parse_workspace(root: &Path) -> Result<Vec<parser::FileAst>, String> {
+/// Parse every workspace file into the item-level AST the call-graph pass
+/// consumes.
+fn parse_workspace(root: &Path) -> Result<Vec<parser::FileAst>, String> {
     let files = walk::workspace_files(root)?;
     let mut asts = Vec::with_capacity(files.len());
     for file in &files {
@@ -73,18 +71,14 @@ pub fn parse_workspace(root: &Path) -> Result<Vec<parser::FileAst>, String> {
 /// Lint the workspace rooted at `root`, applying `root/lint-allow.toml`
 /// when present. Errors on I/O or allowlist syntax problems.
 ///
-/// Runs three layers: the transitive call-graph pass (P01/D02/H01 over
-/// the hot-path closure, findings with root→violation chains), the
-/// per-file token pass (D01/D02/D03/P01/A01/W01/F01), and the W02
-/// wire-schema lock against `schemas/*.schema`. Where the transitive and
-/// per-file passes flag the same (rule, path, line), the transitive
-/// finding wins — it carries the call chain.
+/// Runs two layers: the transitive call-graph pass (P01/D02/H01 over the
+/// hot-path closure, findings with root→violation chains) and the
+/// per-file token pass (D01/D02/D03/P01/A01/W01/F01). Where the two flag
+/// the same (rule, path, line), the transitive finding wins — it carries
+/// the call chain.
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     let asts = parse_workspace(root)?;
     let file_count = asts.len();
-
-    // Schema lock first — it borrows the ASTs before the graph takes them.
-    let schema_report = schema::check(root, &asts);
 
     // Transitive pass.
     let graph = callgraph::CallGraph::build(asts);
@@ -122,8 +116,6 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     Ok(Report {
         findings: kept,
         stale,
-        drift: schema_report.drift,
         files: file_count,
-        schemas: schema_report.checked,
     })
 }

@@ -3,26 +3,22 @@
 //! ```text
 //! tempograph-lint                 # lint the whole workspace
 //! tempograph-lint --root DIR      # lint a different workspace root
-//! tempograph-lint --write-schemas # regenerate schemas/*.schema goldens
-//!                                 # (refuses without a version bump)
 //! tempograph-lint path/to/file.rs # lint specific files (fixtures get
 //!                                 # every rule applied)
 //! ```
 //!
 //! Exit codes: `0` clean, `1` findings, `2` configuration error (bad
-//! allowlist syntax, stale allowlist entry, wire-schema drift, I/O
-//! failure).
+//! allowlist syntax, stale allowlist entry, I/O failure).
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use tempograph_lint::{lint_workspace, parse_workspace, rules, schema, Finding};
+use tempograph_lint::{lint_workspace, rules, Finding};
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut files: Vec<PathBuf> = Vec::new();
-    let mut write_schemas = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -30,9 +26,8 @@ fn main() -> ExitCode {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return config_error("--root needs a directory"),
             },
-            "--write-schemas" => write_schemas = true,
             "--help" | "-h" => {
-                println!("usage: tempograph-lint [--root DIR] [--write-schemas] [FILES…]");
+                println!("usage: tempograph-lint [--root DIR] [FILES…]");
                 return ExitCode::SUCCESS;
             }
             other if other.starts_with('-') => {
@@ -54,26 +49,6 @@ fn main() -> ExitCode {
             .unwrap_or_else(|_| PathBuf::from("."))
     });
 
-    if write_schemas {
-        let asts = match parse_workspace(&root) {
-            Ok(a) => a,
-            Err(e) => return config_error(&e),
-        };
-        return match schema::write(&root, &asts) {
-            Ok(written) if written.is_empty() => {
-                println!("tempograph-lint: schema goldens already up to date");
-                ExitCode::SUCCESS
-            }
-            Ok(written) => {
-                for w in &written {
-                    println!("wrote {w}");
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => config_error(&e),
-        };
-    }
-
     let report = match lint_workspace(&root) {
         Ok(r) => r,
         Err(e) => return config_error(&e),
@@ -88,17 +63,11 @@ fn main() -> ExitCode {
             e.line, e.rule, e.path
         );
     }
-    for d in &report.drift {
-        eprintln!("error: [W02] {d}");
-    }
-    if !report.stale.is_empty() || !report.drift.is_empty() {
+    if !report.stale.is_empty() {
         return ExitCode::from(2);
     }
     if report.findings.is_empty() {
-        println!(
-            "tempograph-lint: {} files clean, {} wire schemas locked",
-            report.files, report.schemas
-        );
+        println!("tempograph-lint: {} files clean", report.files);
         ExitCode::SUCCESS
     } else {
         eprintln!(

@@ -1,7 +1,7 @@
 //! Item/extent parsing on top of [`crate::lexer`].
 //!
 //! Turns a file's token stream into the item-level facts the call-graph
-//! and schema passes need: every function with its body extent and owner
+//! pass needs: every function with its body extent and owner
 //! (enclosing `impl`/`trait` type), `use … as …` renames, inline-module
 //! nesting, `#[cfg(test)]` masking, and whether a body opens with the
 //! repo's disabled-guard idiom (`if <cond> { return … }` as the first
