@@ -299,9 +299,6 @@ PROPTEST_CASES="${PROPTEST_CASES:-64}" \
 echo "==> trace crate under --all-features (deep-validate)"
 cargo test -q -p tempograph-trace --all-features
 
-echo "==> trace overhead smoke test (tracing disabled must be ~free)"
-cargo test -q --release --test trace_integration -- --ignored
-
 echo "==> metrics overhead smoke test (disabled instruments must not allocate)"
 # One at a time: both tests read the same process-wide allocation counter.
 cargo test -q --release --test metrics_overhead -- --ignored --test-threads=1

@@ -1,19 +1,14 @@
 //! Vectorized aggregation kernels over dense column slices.
 //!
-//! The engine and algorithms repeatedly reduce whole columns — count edges
-//! above a latency threshold, sum per-timestep hashtag vectors, fold a
-//! window of instances element-wise. Doing this through per-row dynamic
-//! accessors (or per-instance `Arc` round-trips) wastes the columnar
-//! layout. These kernels take plain slices and are written so rustc's
-//! auto-vectorizer can use SIMD: independent accumulator lanes for the
-//! horizontal reductions, simple element-wise loops for the vertical
-//! (across-time) folds. No `unsafe`, no intrinsics — the whole workspace
+//! The algorithms reduce whole columns and vectors — count a subgraph's
+//! edges above a latency threshold, sum hashtag vectors, pick the top-N
+//! of a length vector. Doing this through per-row dynamic accessors
+//! wastes the columnar layout. These kernels take plain slices and are
+//! written so rustc's auto-vectorizer can use SIMD: independent
+//! accumulator lanes for the horizontal reduction, simple element-wise
+//! loops for the rest. No `unsafe`, no intrinsics — the whole workspace
 //! is `#![forbid(unsafe_code)]`, so portable auto-vectorizable shapes are
 //! the tool available.
-//!
-//! Reduction identities: `min` over an empty slice is `+∞` / `i64::MAX`,
-//! `max` is `-∞` / `i64::MIN`, sums are `0` — callers folding across
-//! windows can combine partial results without special-casing emptiness.
 
 /// Number of independent accumulator lanes for horizontal reductions.
 /// Four 64-bit lanes fill a 256-bit vector register.
@@ -36,34 +31,6 @@ macro_rules! lanes_reduce {
     }};
 }
 
-/// Sum of an `f64` slice (0.0 when empty). Lane order changes float
-/// rounding versus a naive left fold, but is itself deterministic: the
-/// same slice always reduces in the same shape.
-pub fn sum_f64(xs: &[f64]) -> f64 {
-    lanes_reduce!(xs, 0.0f64, |a: f64, x: f64| a + x, |a: f64, b: f64| a + b)
-}
-
-/// Minimum of an `f64` slice (`+∞` when empty; NaNs are ignored,
-/// matching `f64::min`).
-pub fn min_f64(xs: &[f64]) -> f64 {
-    lanes_reduce!(xs, f64::INFINITY, f64::min, f64::min)
-}
-
-/// Maximum of an `f64` slice (`-∞` when empty; NaNs are ignored).
-pub fn max_f64(xs: &[f64]) -> f64 {
-    lanes_reduce!(xs, f64::NEG_INFINITY, f64::max, f64::max)
-}
-
-/// Sum of an `i64` slice, wrapping on overflow (0 when empty).
-pub fn sum_i64(xs: &[i64]) -> i64 {
-    lanes_reduce!(
-        xs,
-        0i64,
-        |a: i64, x: i64| a.wrapping_add(x),
-        |a: i64, b: i64| a.wrapping_add(b)
-    )
-}
-
 /// Sum of a `u64` slice, wrapping on overflow (0 when empty).
 pub fn sum_u64(xs: &[u64]) -> u64 {
     lanes_reduce!(
@@ -71,29 +38,6 @@ pub fn sum_u64(xs: &[u64]) -> u64 {
         0u64,
         |a: u64, x: u64| a.wrapping_add(x),
         |a: u64, b: u64| a.wrapping_add(b)
-    )
-}
-
-/// Minimum of an `i64` slice (`i64::MAX` when empty).
-pub fn min_i64(xs: &[i64]) -> i64 {
-    lanes_reduce!(xs, i64::MAX, |a: i64, x: i64| a.min(x), |a: i64, b: i64| a
-        .min(b))
-}
-
-/// Maximum of an `i64` slice (`i64::MIN` when empty).
-pub fn max_i64(xs: &[i64]) -> i64 {
-    lanes_reduce!(xs, i64::MIN, |a: i64, x: i64| a.max(x), |a: i64, b: i64| a
-        .max(b))
-}
-
-/// Count of values strictly greater than `threshold`. Branch-free body
-/// (comparison → 0/1 → add) so the loop vectorizes.
-pub fn count_gt_f64(xs: &[f64], threshold: f64) -> u64 {
-    lanes_reduce!(
-        xs,
-        0u64,
-        |a: u64, x: f64| a + (x > threshold) as u64,
-        |a: u64, b: u64| a + b
     )
 }
 
@@ -141,142 +85,6 @@ pub fn top_n_desc(values: &[u64], n: usize) -> Vec<(usize, u64)> {
     top
 }
 
-/// Temporal fold applied element-wise across a window of column slices.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum TemporalAgg {
-    /// Element-wise sum over the window.
-    Sum,
-    /// Element-wise minimum over the window.
-    Min,
-    /// Element-wise maximum over the window.
-    Max,
-}
-
-/// Fold `series` (one `f64` slice per timestep, all the same length)
-/// element-wise into one row vector. Empty windows produce the reduction
-/// identity per row of `len` — callers pass the column length explicitly
-/// so a zero-timestep window still has a well-defined shape.
-pub fn rows_agg_f64(series: &[&[f64]], len: usize, agg: TemporalAgg) -> Vec<f64> {
-    let mut out = vec![
-        match agg {
-            TemporalAgg::Sum => 0.0,
-            TemporalAgg::Min => f64::INFINITY,
-            TemporalAgg::Max => f64::NEG_INFINITY,
-        };
-        len
-    ];
-    for xs in series {
-        debug_assert_eq!(xs.len(), len, "window slices must be same-shaped");
-        match agg {
-            TemporalAgg::Sum => {
-                for (o, &x) in out.iter_mut().zip(*xs) {
-                    *o += x;
-                }
-            }
-            TemporalAgg::Min => {
-                for (o, &x) in out.iter_mut().zip(*xs) {
-                    *o = o.min(x);
-                }
-            }
-            TemporalAgg::Max => {
-                for (o, &x) in out.iter_mut().zip(*xs) {
-                    *o = o.max(x);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// [`rows_agg_f64`] for `i64` columns (wrapping sums).
-pub fn rows_agg_i64(series: &[&[i64]], len: usize, agg: TemporalAgg) -> Vec<i64> {
-    let mut out = vec![
-        match agg {
-            TemporalAgg::Sum => 0,
-            TemporalAgg::Min => i64::MAX,
-            TemporalAgg::Max => i64::MIN,
-        };
-        len
-    ];
-    for xs in series {
-        debug_assert_eq!(xs.len(), len, "window slices must be same-shaped");
-        match agg {
-            TemporalAgg::Sum => {
-                for (o, &x) in out.iter_mut().zip(*xs) {
-                    *o = o.wrapping_add(x);
-                }
-            }
-            TemporalAgg::Min => {
-                for (o, &x) in out.iter_mut().zip(*xs) {
-                    *o = (*o).min(x);
-                }
-            }
-            TemporalAgg::Max => {
-                for (o, &x) in out.iter_mut().zip(*xs) {
-                    *o = (*o).max(x);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Per-row count of `x > threshold` across the window — the temporal
-/// form of [`count_gt_f64`].
-pub fn rows_count_gt_f64(series: &[&[f64]], len: usize, threshold: f64) -> Vec<u32> {
-    let mut out = vec![0u32; len];
-    for xs in series {
-        debug_assert_eq!(xs.len(), len, "window slices must be same-shaped");
-        for (o, &x) in out.iter_mut().zip(*xs) {
-            *o += (x > threshold) as u32;
-        }
-    }
-    out
-}
-
-/// Combine two partial [`rows_agg_f64`] results in place (window
-/// stitching across slice boundaries).
-pub fn combine_rows_f64(acc: &mut [f64], other: &[f64], agg: TemporalAgg) {
-    match agg {
-        TemporalAgg::Sum => {
-            for (a, &b) in acc.iter_mut().zip(other) {
-                *a += b;
-            }
-        }
-        TemporalAgg::Min => {
-            for (a, &b) in acc.iter_mut().zip(other) {
-                *a = a.min(b);
-            }
-        }
-        TemporalAgg::Max => {
-            for (a, &b) in acc.iter_mut().zip(other) {
-                *a = a.max(b);
-            }
-        }
-    }
-}
-
-/// Combine two partial [`rows_agg_i64`] results in place.
-pub fn combine_rows_i64(acc: &mut [i64], other: &[i64], agg: TemporalAgg) {
-    match agg {
-        TemporalAgg::Sum => {
-            for (a, &b) in acc.iter_mut().zip(other) {
-                *a = a.wrapping_add(b);
-            }
-        }
-        TemporalAgg::Min => {
-            for (a, &b) in acc.iter_mut().zip(other) {
-                *a = (*a).min(b);
-            }
-        }
-        TemporalAgg::Max => {
-            for (a, &b) in acc.iter_mut().zip(other) {
-                *a = (*a).max(b);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,37 +92,23 @@ mod tests {
     #[test]
     fn scalar_reductions_match_naive() {
         // 13 elements: exercises both the lane loop and the remainder.
-        let xs: Vec<f64> = (0..13).map(|i| (i as f64) * 1.5 - 4.0).collect();
-        assert_eq!(sum_f64(&xs), xs.iter().sum::<f64>());
-        assert_eq!(
-            min_f64(&xs),
-            xs.iter().cloned().fold(f64::INFINITY, f64::min)
-        );
-        assert_eq!(
-            max_f64(&xs),
-            xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-        );
-        let ys: Vec<i64> = (0..13).map(|i| 7 - 3 * i as i64).collect();
-        assert_eq!(sum_i64(&ys), ys.iter().sum::<i64>());
-        assert_eq!(min_i64(&ys), *ys.iter().min().unwrap());
-        assert_eq!(max_i64(&ys), *ys.iter().max().unwrap());
+        let xs: Vec<u64> = (0..13).map(|i| i * 7 + 3).collect();
+        assert_eq!(sum_u64(&xs), xs.iter().sum::<u64>());
         assert_eq!(sum_u64(&[1, 2, 3, 4, 5]), 15);
+        assert_eq!(sum_u64(&[u64::MAX, 2]), 1, "wraps on overflow");
     }
 
     #[test]
     fn empty_identities() {
-        assert_eq!(sum_f64(&[]), 0.0);
-        assert_eq!(min_f64(&[]), f64::INFINITY);
-        assert_eq!(max_f64(&[]), f64::NEG_INFINITY);
-        assert_eq!(min_i64(&[]), i64::MAX);
-        assert_eq!(max_i64(&[]), i64::MIN);
-        assert_eq!(count_gt_f64(&[], 0.0), 0);
+        assert_eq!(sum_u64(&[]), 0);
+        assert_eq!(count_gt_f64_at(&[], &[0, 1], 0.0), 0);
     }
 
     #[test]
     fn count_gt_variants() {
         let xs = [0.5, 2.0, 2.0, 3.5, 0.1, 9.0, 1.0, 2.1, 0.0];
-        assert_eq!(count_gt_f64(&xs, 1.9), 5);
+        let all: Vec<u32> = (0..xs.len() as u32).collect();
+        assert_eq!(count_gt_f64_at(&xs, &all, 1.9), 5);
         // Gathered: only positions 0, 3, 5 considered; position 99 ignored.
         assert_eq!(count_gt_f64_at(&xs, &[0, 3, 5, 99], 1.9), 2);
     }
@@ -333,48 +127,5 @@ mod tests {
         assert_eq!(top_n_desc(&v, 0), vec![]);
         // n larger than the input returns everything sorted.
         assert_eq!(top_n_desc(&[5, 9], 10), vec![(1, 9), (0, 5)]);
-    }
-
-    #[test]
-    fn temporal_folds() {
-        let t0 = [1.0, 5.0, 2.0];
-        let t1 = [4.0, 1.0, 2.0];
-        let series: Vec<&[f64]> = vec![&t0, &t1];
-        assert_eq!(
-            rows_agg_f64(&series, 3, TemporalAgg::Sum),
-            vec![5.0, 6.0, 4.0]
-        );
-        assert_eq!(
-            rows_agg_f64(&series, 3, TemporalAgg::Min),
-            vec![1.0, 1.0, 2.0]
-        );
-        assert_eq!(
-            rows_agg_f64(&series, 3, TemporalAgg::Max),
-            vec![4.0, 5.0, 2.0]
-        );
-        assert_eq!(rows_count_gt_f64(&series, 3, 1.5), vec![1, 1, 2]);
-
-        let a = [1i64, -2];
-        let b = [10i64, 2];
-        let si: Vec<&[i64]> = vec![&a, &b];
-        assert_eq!(rows_agg_i64(&si, 2, TemporalAgg::Sum), vec![11, 0]);
-        assert_eq!(rows_agg_i64(&si, 2, TemporalAgg::Min), vec![1, -2]);
-        assert_eq!(rows_agg_i64(&si, 2, TemporalAgg::Max), vec![10, 2]);
-
-        // Empty window: identities at the requested shape.
-        assert_eq!(rows_agg_f64(&[], 2, TemporalAgg::Sum), vec![0.0, 0.0]);
-        assert_eq!(rows_agg_i64(&[], 1, TemporalAgg::Min), vec![i64::MAX]);
-    }
-
-    #[test]
-    fn window_stitching_combines_partials() {
-        let mut acc = rows_agg_f64(&[&[1.0, 9.0]], 2, TemporalAgg::Min);
-        let next = rows_agg_f64(&[&[3.0, 2.0]], 2, TemporalAgg::Min);
-        combine_rows_f64(&mut acc, &next, TemporalAgg::Min);
-        assert_eq!(acc, vec![1.0, 2.0]);
-
-        let mut sum = rows_agg_i64(&[&[1, 2]], 2, TemporalAgg::Sum);
-        combine_rows_i64(&mut sum, &[10, 10], TemporalAgg::Sum);
-        assert_eq!(sum, vec![11, 12]);
     }
 }

@@ -735,11 +735,11 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             if let Some(sh) = self.shard.as_deref_mut() {
                 sh.cache_hits += io.cache_hits;
                 sh.cache_misses += io.cache_misses;
-                sh.cache_evictions += io.cache_evictions;
-                sh.bytes_read += io.bytes;
+                sh.cache_evictions += io.evictions;
+                sh.bytes_read += io.bytes_read;
             }
-            m.io_ns += io.ns;
-            m.slice_loads += io.loads;
+            m.io_ns += io.load_ns;
+            m.slice_loads += io.slice_loads;
             self.sample_traffic_counters(&m);
             let ts1 = self.tracer.now();
             m.wall_ns = ts1 - ts0;
@@ -1103,7 +1103,6 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         }
         m.sync_ns += wait1 - wait0;
         self.tracer.span_at("barrier.arrive", wait0, wait1);
-        self.tracer.straggler_check(wait1 - wait0);
         self.drain(frames)?;
         self.deliver_staged(kind);
         let drain1 = self.tracer.now();

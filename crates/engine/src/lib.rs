@@ -68,7 +68,7 @@ pub use faults::{FaultPlan, FrameFault, INJECTED_FAULT_MARKER};
 pub use metrics::{AttributionRow, CostAttribution, Emit, JobResult, TimestepMetrics};
 pub use net::{Frame, FrameConn, FrameKind, StatusReplyMsg, TelemetryMsg, WorkerStatusWire};
 pub use program::{Context, Phase, SubgraphProgram};
-pub use provider::{GofsProvider, InstanceProvider, InstanceSource, IoStats, MemoryProvider};
+pub use provider::{GofsProvider, InstanceProvider, InstanceSource, MemoryProvider};
 pub use sync::{Aggregate, Contribution, PoisonOnPanic, SyncPoint};
 pub use telemetry::query_status;
 pub use tempograph_trace::{Trace, TraceConfig, TraceMode, TraceSink};

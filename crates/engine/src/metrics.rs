@@ -180,15 +180,6 @@ impl TimestepMetrics {
             *mine = (*mine).max(theirs);
         }
     }
-
-    /// Fraction of accounted time spent in compute (Fig. 7b/7d's "Compute").
-    pub fn compute_fraction(&self) -> f64 {
-        let total = self.compute_ns + self.msg_ns + self.sync_ns;
-        if total == 0 {
-            return 0.0;
-        }
-        self.compute_ns as f64 / total as f64
-    }
 }
 
 /// Field order: the Output frame and checkpoint files carry these bytes.
@@ -330,11 +321,6 @@ impl CostAttribution {
         }
         out
     }
-
-    /// Total measured compute nanoseconds across the whole table.
-    pub fn total_ns(&self) -> u64 {
-        self.rows.iter().map(|r| r.compute_ns).sum()
-    }
 }
 
 /// Everything a TI-BSP run reports back.
@@ -369,7 +355,8 @@ pub struct JobResult {
     /// The assembled structured trace, when the job ran with
     /// `JobConfig::with_trace`. Export via `Trace::to_chrome_json` /
     /// `Trace::summary`; every `TimestepMetrics` aggregate is derivable
-    /// from it (asserted in `tests/trace_integration.rs`).
+    /// from it, `io_ns` from the `gofs.load` spans of a GoFS source
+    /// (asserted in `tests/trace_integration.rs`).
     pub trace: Option<Trace>,
     /// The per-(subgraph, timestep) compute attribution table, when the
     /// job ran with `JobConfig::with_attribution`. Feeds the run ledger's
@@ -476,21 +463,6 @@ impl JobResult {
             .and_then(|per_t| per_t.get(t))
             .map(|per_p| per_p.iter().sum())
             .unwrap_or(0)
-    }
-
-    /// Per-partition totals of a counter across all timesteps.
-    pub fn counter_by_partition(&self, name: &str) -> Vec<u64> {
-        let Some(per_t) = self.counters.get(name) else {
-            return Vec::new();
-        };
-        let parts = per_t.first().map_or(0, |p| p.len());
-        let mut out = vec![0u64; parts];
-        for per_p in per_t {
-            for (i, &v) in per_p.iter().enumerate() {
-                out[i] += v;
-            }
-        }
-        out
     }
 
     /// Aggregate per-partition time breakdown across all timesteps —
@@ -638,13 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn compute_fraction_basic() {
-        assert_eq!(m(50, 25, 25).compute_fraction(), 0.5);
-        assert_eq!(m(0, 0, 0).compute_fraction(), 0.0);
-        assert_eq!(m(10, 0, 0).compute_fraction(), 1.0);
-    }
-
-    #[test]
     fn absorb_sums_and_maxes() {
         let mut a = m(10, 5, 1);
         a.wall_ns = 100;
@@ -749,7 +714,6 @@ mod tests {
         assert_eq!(r.counter_at("colored", 0), 7);
         assert_eq!(r.counter_at("colored", 1), 1);
         assert_eq!(r.counter_at("missing", 0), 0);
-        assert_eq!(r.counter_by_partition("colored"), vec![4, 4]);
 
         let breakdown = r.partition_breakdown();
         assert_eq!(breakdown[0].compute_ns, 11);

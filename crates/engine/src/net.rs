@@ -465,12 +465,6 @@ impl FrameConn {
     pub fn bytes_received(&self) -> u64 {
         self.bytes_received
     }
-
-    /// Half-close the write side (lets the peer observe a clean EOF while
-    /// this side keeps reading). Best-effort.
-    pub fn shutdown_write(&mut self) {
-        let _ = self.writer.shutdown(std::net::Shutdown::Write);
-    }
 }
 
 /// Bind an ephemeral loopback listener for `what`; returns it with its

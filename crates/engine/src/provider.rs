@@ -8,26 +8,9 @@
 use crate::error::EngineError;
 use std::sync::Arc;
 use tempograph_core::TimeSeriesCollection;
-use tempograph_gofs::{GofsStore, InstanceLoader, SubgraphInstance};
+use tempograph_gofs::{GofsStore, InstanceLoader, LoaderStats, SubgraphInstance};
 use tempograph_partition::{PartitionedGraph, Subgraph};
 use tempograph_trace::{Clock, TraceSink};
-
-/// Cumulative I/O counters a provider reports to the engine's metrics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IoStats {
-    /// Slice files (or projections) materialised.
-    pub loads: u64,
-    /// Bytes read from disk (0 for in-memory).
-    pub bytes: u64,
-    /// Nanoseconds spent fetching/decoding.
-    pub ns: u64,
-    /// Instance-cache hits (GoFS loader only; 0 for in-memory).
-    pub cache_hits: u64,
-    /// Instance-cache misses (GoFS loader only; 0 for in-memory).
-    pub cache_misses: u64,
-    /// Instance-cache evictions (GoFS loader only; 0 for in-memory).
-    pub cache_evictions: u64,
-}
 
 /// A per-worker source of projected instance data.
 pub trait InstanceProvider: Send {
@@ -35,7 +18,9 @@ pub trait InstanceProvider: Send {
     fn fetch(&mut self, sg: &Subgraph, timestep: usize) -> Arc<SubgraphInstance>;
 
     /// Drain cumulative I/O counters (returns stats since the last call).
-    fn take_io_stats(&mut self) -> IoStats;
+    /// An in-memory provider counts each projection as one
+    /// `slice_loads` and its time as `load_ns`; the cache fields stay 0.
+    fn take_io_stats(&mut self) -> LoaderStats;
 
     /// Number of instances available.
     fn num_timesteps(&self) -> usize;
@@ -62,7 +47,7 @@ pub trait InstanceProvider: Send {
 /// Projects instances from a shared in-memory collection on demand.
 pub struct MemoryProvider {
     collection: Arc<TimeSeriesCollection>,
-    stats: IoStats,
+    stats: LoaderStats,
 }
 
 impl MemoryProvider {
@@ -70,7 +55,7 @@ impl MemoryProvider {
     pub fn new(collection: Arc<TimeSeriesCollection>) -> Self {
         MemoryProvider {
             collection,
-            stats: IoStats::default(),
+            stats: LoaderStats::default(),
         }
     }
 }
@@ -83,12 +68,12 @@ impl InstanceProvider for MemoryProvider {
             .get(timestep)
             .expect("timestep within collection");
         let si = Arc::new(SubgraphInstance::project(g, sg, timestep));
-        self.stats.loads += 1;
-        self.stats.ns += started.elapsed_ns();
+        self.stats.slice_loads += 1;
+        self.stats.load_ns += started.elapsed_ns();
         si
     }
 
-    fn take_io_stats(&mut self) -> IoStats {
+    fn take_io_stats(&mut self) -> LoaderStats {
         std::mem::take(&mut self.stats)
     }
 
@@ -136,17 +121,8 @@ impl InstanceProvider for GofsProvider {
             .expect("stored dataset must cover requested timestep")
     }
 
-    fn take_io_stats(&mut self) -> IoStats {
-        let s = self.loader.stats().clone();
-        self.loader.reset_stats();
-        IoStats {
-            loads: s.slice_loads,
-            bytes: s.bytes_read,
-            ns: s.load_ns,
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            cache_evictions: s.evictions,
-        }
+    fn take_io_stats(&mut self) -> LoaderStats {
+        self.loader.take_stats()
     }
 
     fn num_timesteps(&self) -> usize {
@@ -274,8 +250,8 @@ mod tests {
         assert_eq!(p.num_timesteps(), 4);
         assert_eq!(p.period(), 10);
         let io = p.take_io_stats();
-        assert_eq!(io.loads, 1);
-        assert_eq!(p.take_io_stats().loads, 0, "take drains");
+        assert_eq!(io.slice_loads, 1);
+        assert_eq!(p.take_io_stats().slice_loads, 0, "take drains");
     }
 
     #[test]
@@ -297,7 +273,7 @@ mod tests {
         for t in 0..4 {
             assert_eq!(*gp.fetch(sg, t), *mp.fetch(sg, t), "timestep {t}");
         }
-        assert!(gp.take_io_stats().bytes > 0);
+        assert!(gp.take_io_stats().bytes_read > 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

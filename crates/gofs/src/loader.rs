@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::io::Read;
 use std::sync::Arc;
 use tempograph_partition::{PartitionedGraph, SubgraphId};
-use tempograph_trace::{Clock, TraceSink};
+use tempograph_trace::TraceSink;
 
 /// Counters describing a loader's I/O behaviour — the raw material for the
 /// Fig. 6 spike analysis and ablation A2.
@@ -44,16 +44,9 @@ pub struct LoaderStats {
     pub evictions: u64,
     /// Nanoseconds spent on misses: file read, frame checksum, header and
     /// column directory. Column decode happens later, in whoever first
-    /// touches the column, and is not in here.
+    /// touches the column, and is not in here. Each miss adds the
+    /// duration of its `gofs.load` span, from the same two clock readings.
     pub load_ns: u64,
-}
-
-impl LoaderStats {
-    /// Fraction of requests served from cache (`0.0` when no requests yet —
-    /// guarded via [`tempograph_metrics::ratio_or_zero`], never NaN).
-    pub fn hit_rate(&self) -> f64 {
-        tempograph_metrics::ratio_or_zero(self.cache_hits, self.cache_hits + self.cache_misses)
-    }
 }
 
 /// Lazy reader for one partition of a GoFS dataset. Single-threaded by
@@ -67,12 +60,13 @@ pub struct InstanceLoader {
     /// `slots[bin]`: the one pack of that bin held, if any.
     slots: Vec<Option<Arc<SliceData>>>,
     stats: LoaderStats,
-    /// Lifetime totals (never reset): the engine resets [`Self::stats`]
+    /// Lifetime totals (never reset): the engine takes [`Self::stats`]
     /// every timestep to window its I/O metrics, but trace counters must
     /// be monotone.
     total: LoaderStats,
-    /// Optional trace sink (shares the owning worker's partition track).
-    trace: Option<TraceSink>,
+    /// Trace sink, sharing the owning worker's partition track once
+    /// installed; inert until then, its clock still times every miss.
+    trace: TraceSink,
     /// Misses that read into the replaced slice's buffer.
     #[cfg(test)]
     recycled: u64,
@@ -104,7 +98,7 @@ impl InstanceLoader {
             slots: vec![None; bins.len()],
             stats: LoaderStats::default(),
             total: LoaderStats::default(),
-            trace: None,
+            trace: TraceSink::inert(),
             #[cfg(test)]
             recycled: 0,
         }
@@ -116,42 +110,46 @@ impl InstanceLoader {
         Self::new(store, pg, partition)
     }
 
-    /// I/O counters since the last [`Self::reset_stats`].
+    /// I/O counters since the last [`Self::take_stats`].
     pub fn stats(&self) -> &LoaderStats {
         &self.stats
     }
 
-    /// Lifetime I/O counters (unaffected by [`Self::reset_stats`]).
+    /// Lifetime I/O counters (unaffected by [`Self::take_stats`]).
     pub fn total_stats(&self) -> &LoaderStats {
         &self.total
     }
 
-    /// Reset the counters (e.g. between timesteps when sampling per-step I/O).
-    pub fn reset_stats(&mut self) {
-        self.stats = LoaderStats::default();
+    /// Drain the counters since the last call (e.g. once per timestep when
+    /// sampling per-step I/O), leaving them zeroed.
+    pub fn take_stats(&mut self) -> LoaderStats {
+        std::mem::take(&mut self.stats)
     }
 
     /// Install a trace sink; slice loads become `"gofs.load"` spans and the
     /// cache counters (`gofs.cache_hits` / `gofs.cache_misses` /
     /// `gofs.bytes_read`) are sampled on every miss.
     pub fn set_trace_sink(&mut self, sink: TraceSink) {
-        self.trace = Some(sink);
+        self.trace = sink;
     }
 
-    /// Hand the trace sink back (with a final counter sample) so the
-    /// session can drain it.
+    /// Hand the installed trace sink back (with a final counter sample) so
+    /// the session can drain it; `None` when none records.
     pub fn take_trace_sink(&mut self) -> Option<TraceSink> {
-        let mut sink = self.trace.take()?;
-        self.sample_counters_into(&mut sink);
-        Some(sink)
+        if !self.trace.on() {
+            return None;
+        }
+        self.sample_counters();
+        Some(std::mem::replace(&mut self.trace, TraceSink::inert()))
     }
 
-    fn sample_counters_into(&self, sink: &mut TraceSink) {
-        // Sample the lifetime totals, not the resettable window, so the
-        // counter tracks stay monotone across per-timestep stat resets.
-        sink.counter("gofs.cache_hits", self.total.cache_hits);
-        sink.counter("gofs.cache_misses", self.total.cache_misses);
-        sink.counter("gofs.bytes_read", self.total.bytes_read);
+    fn sample_counters(&mut self) {
+        // Sample the lifetime totals, not the per-timestep window, so the
+        // counter tracks stay monotone across `take_stats` calls.
+        self.trace.counter("gofs.cache_hits", self.total.cache_hits);
+        self.trace
+            .counter("gofs.cache_misses", self.total.cache_misses);
+        self.trace.counter("gofs.bytes_read", self.total.bytes_read);
     }
 
     /// Fetch the projected instance for `sg` at `timestep`, reading the
@@ -192,16 +190,13 @@ impl InstanceLoader {
         let recovered = slot.take().and_then(|old| {
             self.stats.evictions += 1;
             self.total.evictions += 1;
-            if let Some(sink) = self.trace.as_mut() {
-                sink.instant("gofs.evict", None);
-            }
+            self.trace.instant("gofs.evict", None);
             Arc::try_unwrap(old).ok()?.into_buffer()
         });
         // Read the slice file, check its frame, decode header and
         // directory. The slice keeps the buffer read, and the instance
         // handed back has decoded no column yet.
-        let started = Clock::start();
-        let span = self.trace.as_ref().map(|s| s.start());
+        let t0 = self.trace.now();
         let path = self.store.slice_path(self.partition, key);
         let mut file = std::fs::File::open(&path)?;
         // A length past `usize` (32-bit hosts) fits no recycled buffer.
@@ -236,24 +231,17 @@ impl InstanceLoader {
         }
         let slice = Arc::new(slice);
         let inst = slice.get(sg, timestep)?;
-        let elapsed = started.elapsed_ns();
+        let t1 = self.trace.now();
+        let elapsed = t1 - t0;
         self.stats.slice_loads += 1;
         self.stats.bytes_read += bytes_read;
         self.stats.load_ns += elapsed;
         self.total.slice_loads += 1;
         self.total.bytes_read += bytes_read;
         self.total.load_ns += elapsed;
-        if let (Some(sink), Some(span)) = (self.trace.as_mut(), span) {
-            sink.span_arg_since("gofs.load", span, "bytes", bytes_read);
-        }
-        if let Some(sink) = self.trace.as_mut() {
-            let hits = self.total.cache_hits;
-            let misses = self.total.cache_misses;
-            let bytes = self.total.bytes_read;
-            sink.counter("gofs.cache_hits", hits);
-            sink.counter("gofs.cache_misses", misses);
-            sink.counter("gofs.bytes_read", bytes);
-        }
+        self.trace
+            .span_arg_at("gofs.load", t0, t1, "bytes", bytes_read);
+        self.sample_counters();
         self.slots[bin as usize] = Some(slice);
         Ok(inst)
     }
@@ -616,16 +604,15 @@ mod tests {
         let (pg, store) = dataset(&dir, 20, 10, 5);
         let sg = pg.subgraphs_of_partition(0)[0];
         let mut loader = InstanceLoader::with_default_capacity(store, &pg, 0);
-        assert_eq!(loader.stats().hit_rate(), 0.0, "no requests yet");
+        assert_eq!(loader.stats(), &LoaderStats::default(), "no requests yet");
         for t in 0..10 {
             loader.load(sg, t).unwrap();
         }
         // 1 miss (pack 0 load) + 9 hits.
         assert_eq!(loader.stats().cache_misses, 1);
         assert_eq!(loader.stats().cache_hits, 9);
-        assert!((loader.stats().hit_rate() - 0.9).abs() < 1e-9);
-        // The lifetime totals survive a window reset.
-        loader.reset_stats();
+        // The lifetime totals survive draining the window.
+        loader.take_stats();
         assert_eq!(loader.stats().cache_misses, 0);
         assert_eq!(loader.total_stats().cache_misses, 1);
         assert_eq!(loader.total_stats().cache_hits, 9);
@@ -639,17 +626,23 @@ mod tests {
         let (pg, store) = dataset(&dir, 20, 10, 5);
         let sg = pg.subgraphs_of_partition(0)[0];
         let mut loader = InstanceLoader::with_default_capacity(store, &pg, 0);
+        assert!(loader.take_trace_sink().is_none(), "none installed");
         loader.set_trace_sink(tempograph_trace::TraceConfig::new().sink(0));
         loader.load(sg, 0).unwrap(); // miss
         loader.load(sg, 1).unwrap(); // hit
         loader.load(sg, 10).unwrap(); // miss (next pack)
         let sink = loader.take_trace_sink().unwrap();
+        assert!(loader.take_trace_sink().is_none(), "taken once");
         let events = sink.events();
-        let spans = events
+        let spans: Vec<u64> = events
             .iter()
-            .filter(|e| matches!(e, tempograph_trace::TraceEvent::Span { .. }))
-            .count();
-        assert_eq!(spans, 2, "one gofs.load span per miss");
+            .filter_map(|e| match *e {
+                tempograph_trace::TraceEvent::Span { dur_ns, .. } => Some(dur_ns),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(spans.len(), 2, "one gofs.load span per miss");
+        assert_eq!(spans.iter().sum::<u64>(), loader.stats().load_ns);
         assert!(events.iter().all(|e| {
             !matches!(e, tempograph_trace::TraceEvent::Span { name, .. } if *name != "gofs.load")
         }));
@@ -706,8 +699,8 @@ mod tests {
         let sg = pg.subgraphs_of_partition(0)[0];
         let mut loader = InstanceLoader::with_default_capacity(store, &pg, 0);
         loader.load(sg, 0).unwrap();
-        assert_ne!(loader.stats(), &LoaderStats::default());
-        loader.reset_stats();
+        let taken = loader.take_stats();
+        assert_eq!(taken.slice_loads, 1);
         assert_eq!(loader.stats(), &LoaderStats::default());
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -33,7 +33,6 @@ use crate::error::{GofsError, Result};
 use crate::view::{DecodedColumn, Projection, SubgraphInstance};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::sync::{Arc, OnceLock};
-use tempograph_core::kernels::{self, TemporalAgg};
 use tempograph_partition::SubgraphId;
 
 const SLICE_MAGIC: [u8; 4] = *b"GFSL";
@@ -52,15 +51,6 @@ impl SliceKey {
     pub fn file_name(&self) -> String {
         format!("slice-b{:04}-p{:04}.slice", self.bin, self.pack)
     }
-}
-
-/// Which column family of a [`SubgraphInstance`] a kernel reads.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ColSide {
-    /// Vertex columns (rows by local position).
-    Vertex,
-    /// Edge columns (rows by subgraph edge position).
-    Edge,
 }
 
 /// A decoded slice: the raw payload as a zero-copy [`Bytes`] view plus a
@@ -207,94 +197,6 @@ impl SliceData {
         let cells = self.cells.iter().filter_map(|c| c.get());
         cells.flat_map(|i| i.decoded())
     }
-
-    /// Element-wise temporal fold of one `Double` column over absolute
-    /// timesteps `[t_from, t_to)`, one output per row. Decodes that column
-    /// of each needed instance once, then reduces over borrowed slices —
-    /// no per-instance `Arc` clone round-trips through the loader.
-    pub fn window_agg_f64(
-        &self,
-        sg: SubgraphId,
-        side: ColSide,
-        col: usize,
-        t_from: usize,
-        t_to: usize,
-        agg: TemporalAgg,
-    ) -> Result<Vec<f64>> {
-        let insts = self.window(sg, t_from, t_to)?;
-        let series = columns_f64(&insts, side, col)?;
-        let len = series.first().map_or(0, |s| s.len());
-        Ok(kernels::rows_agg_f64(&series, len, agg))
-    }
-
-    /// [`Self::window_agg_f64`] for `Long` columns.
-    pub fn window_agg_i64(
-        &self,
-        sg: SubgraphId,
-        side: ColSide,
-        col: usize,
-        t_from: usize,
-        t_to: usize,
-        agg: TemporalAgg,
-    ) -> Result<Vec<i64>> {
-        let insts = self.window(sg, t_from, t_to)?;
-        let series = columns_i64(&insts, side, col)?;
-        let len = series.first().map_or(0, |s| s.len());
-        Ok(kernels::rows_agg_i64(&series, len, agg))
-    }
-
-    /// Per-row count of values above `threshold` over the window.
-    pub fn window_count_gt_f64(
-        &self,
-        sg: SubgraphId,
-        side: ColSide,
-        col: usize,
-        t_from: usize,
-        t_to: usize,
-        threshold: f64,
-    ) -> Result<Vec<u32>> {
-        let insts = self.window(sg, t_from, t_to)?;
-        let series = columns_f64(&insts, side, col)?;
-        let len = series.first().map_or(0, |s| s.len());
-        Ok(kernels::rows_count_gt_f64(&series, len, threshold))
-    }
-
-    /// The instances covering `[t_from, t_to)` for `sg`.
-    fn window(
-        &self,
-        sg: SubgraphId,
-        t_from: usize,
-        t_to: usize,
-    ) -> Result<Vec<Arc<SubgraphInstance>>> {
-        if t_from < self.t_start || t_to > self.t_start + self.n_timesteps || t_from > t_to {
-            return Err(GofsError::OutOfRange(format!(
-                "window {t_from}..{t_to} outside slice coverage {}..{}",
-                self.t_start,
-                self.t_start + self.n_timesteps
-            )));
-        }
-        (t_from..t_to).map(|t| self.get(sg, t)).collect()
-    }
-}
-
-fn columns_f64(insts: &[Arc<SubgraphInstance>], side: ColSide, col: usize) -> Result<Vec<&[f64]>> {
-    insts
-        .iter()
-        .map(|i| match side {
-            ColSide::Vertex => i.vertex_f64(col),
-            ColSide::Edge => i.edge_f64(col),
-        })
-        .collect()
-}
-
-fn columns_i64(insts: &[Arc<SubgraphInstance>], side: ColSide, col: usize) -> Result<Vec<&[i64]>> {
-    insts
-        .iter()
-        .map(|i| match side {
-            ColSide::Vertex => i.vertex_i64(col),
-            ColSide::Edge => i.edge_i64(col),
-        })
-        .collect()
 }
 
 /// Check `rows` is rectangular with one row per subgraph; returns
@@ -785,47 +687,6 @@ mod tests {
         let err = cell.edge_f64_cells(0).unwrap_err().to_string();
         assert!(err.contains("trailing"), "{err}");
         assert_eq!(cell.edge_f64(0).unwrap_err().to_string(), err);
-    }
-
-    #[test]
-    fn window_kernels_match_scalar_path() {
-        let sg_ids = vec![SubgraphId(1)];
-        let rows = vec![vec![si(0, 1.0), si(1, 5.0), si(2, -2.0)]];
-        let back = decode_slice(encode_slice(
-            0,
-            SliceKey { bin: 0, pack: 0 },
-            &sg_ids,
-            0,
-            &rows,
-        ))
-        .unwrap();
-        // vertex col: [v, v+1] per timestep → rows over time:
-        //   row0: 1, 5, -2   row1: 2, 6, -1
-        assert_eq!(
-            back.window_agg_f64(SubgraphId(1), ColSide::Vertex, 0, 0, 3, TemporalAgg::Sum)
-                .unwrap(),
-            vec![4.0, 7.0]
-        );
-        assert_eq!(
-            back.window_agg_f64(SubgraphId(1), ColSide::Vertex, 0, 0, 3, TemporalAgg::Min)
-                .unwrap(),
-            vec![-2.0, -1.0]
-        );
-        assert_eq!(
-            back.window_agg_f64(SubgraphId(1), ColSide::Vertex, 0, 1, 2, TemporalAgg::Max)
-                .unwrap(),
-            vec![5.0, 6.0]
-        );
-        // edge col: [2v] → 2, 10, -4; count > 1.5 per row.
-        assert_eq!(
-            back.window_count_gt_f64(SubgraphId(1), ColSide::Edge, 0, 0, 3, 1.5)
-                .unwrap(),
-            vec![2]
-        );
-        // Out-of-coverage window is a typed error.
-        assert!(back
-            .window_agg_f64(SubgraphId(1), ColSide::Vertex, 0, 0, 9, TemporalAgg::Sum)
-            .is_err());
     }
 
     #[test]

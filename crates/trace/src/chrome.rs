@@ -136,7 +136,7 @@ mod tests {
                         arg: Some(("superstep", 4)),
                     },
                     TraceEvent::Instant {
-                        name: "straggler",
+                        name: "straggler.detected",
                         ts_ns: 4_000,
                         arg: Some(("wait_ns", 123_456)),
                     },

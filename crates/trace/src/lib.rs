@@ -12,11 +12,10 @@
 //!   thread; recording an event is one monotonic clock read plus one `Vec`
 //!   push — no locks, no allocation once the buffer is warm. Sinks are
 //!   drained into a [`Trace`] only after the job finishes.
-//! * **Cheap when off.** A global [`AtomicBool`] kill-switch
-//!   ([`set_tracing_enabled`]) plus a per-sink `active` flag make the
-//!   disabled path a branch on two booleans — a few nanoseconds. Jobs that
-//!   never configure tracing get an *inert* sink whose record methods
-//!   short-circuit immediately.
+//! * **Cheap when off.** Jobs that never configure tracing get an
+//!   *inert* sink: every record method is one branch on the sink's
+//!   `active` flag, and its [`TraceSink::now`] clock still feeds the
+//!   engine's metrics.
 //! * **Dependency-free.** Only `std`.
 //!
 //! Three exports:
@@ -29,8 +28,7 @@
 //!    worst barrier waits, GoFS cache hit rate);
 //! 3. the **flight recorder**: every sink keeps a bounded tail of recent
 //!    events ([`TraceMode::FlightRecorder`] bounds the whole buffer) that
-//!    is dumped to stderr when its worker thread panics or a barrier wait
-//!    exceeds the configured straggler threshold.
+//!    is dumped to stderr when its worker thread panics.
 
 #![forbid(unsafe_code)]
 
@@ -43,28 +41,3 @@ mod trace;
 pub use clock::Clock;
 pub use sink::{SpanStart, TraceConfig, TraceEvent, TraceMode, TraceSink};
 pub use trace::{SpanView, Trace, TraceTrack};
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Global tracing kill-switch. Default: enabled (recording still requires a
-/// sink created from a [`TraceConfig`], so untraced jobs pay nothing).
-static TRACING_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Flip the global tracing kill-switch at runtime.
-pub fn set_tracing_enabled(on: bool) {
-    TRACING_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the global kill-switch currently allows recording.
-#[inline]
-pub fn tracing_enabled() -> bool {
-    TRACING_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Serialises unit tests that record events or toggle the global
-/// kill-switch (tests run concurrently within one binary).
-#[cfg(test)]
-pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}

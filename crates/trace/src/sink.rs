@@ -1,6 +1,5 @@
 //! Per-worker event recording: the hot path.
 
-use crate::tracing_enabled;
 use std::io::Write;
 use std::time::Instant;
 
@@ -22,7 +21,7 @@ pub enum TraceEvent {
     },
     /// A point event (Chrome `ph: "i"`).
     Instant {
-        /// Event name (e.g. `"straggler"`).
+        /// Event name (e.g. `"straggler.detected"`).
         name: &'static str,
         /// Timestamp, nanoseconds since the session epoch.
         ts_ns: u64,
@@ -81,10 +80,6 @@ pub struct TraceConfig {
     /// Events kept per sink in [`TraceMode::FlightRecorder`], and the
     /// maximum tail length of a stderr flight-recorder dump.
     pub ring_capacity: usize,
-    /// Barrier waits longer than this dump the flight recorder tail to
-    /// stderr and record a `"straggler"` instant event. `0` disables the
-    /// check.
-    pub straggler_threshold_ns: u64,
 }
 
 impl Default for TraceConfig {
@@ -93,7 +88,6 @@ impl Default for TraceConfig {
             epoch: Instant::now(),
             mode: TraceMode::Full,
             ring_capacity: 4096,
-            straggler_threshold_ns: 0,
         }
     }
 }
@@ -111,20 +105,12 @@ impl TraceConfig {
         self
     }
 
-    /// Set the straggler threshold (barrier waits above it dump the flight
-    /// recorder).
-    pub fn with_straggler_threshold_ns(mut self, ns: u64) -> Self {
-        self.straggler_threshold_ns = ns;
-        self
-    }
-
     /// Build the recording sink for one track (one partition/worker).
     pub fn sink(&self, track: u32) -> TraceSink {
         TraceSink {
             active: true,
             epoch: self.epoch,
             track,
-            straggler_ns: self.straggler_threshold_ns,
             ring: match self.mode {
                 TraceMode::Full => 0,
                 TraceMode::FlightRecorder => self.ring_capacity.max(1),
@@ -136,13 +122,10 @@ impl TraceConfig {
     }
 }
 
-/// Opaque handle returned by [`TraceSink::start`]; feeds `*_since` span
-/// recording. Carries a sentinel when recording was off at start time so a
-/// mid-span flip of the kill-switch cannot fabricate a garbage span.
+/// Opaque handle returned by [`TraceSink::start`]; feeds
+/// [`TraceSink::span_arg_since`].
 #[derive(Clone, Copy, Debug)]
 pub struct SpanStart(u64);
-
-const START_DISABLED: u64 = u64::MAX;
 
 /// A per-worker event buffer. Owned by exactly one thread; every record
 /// method is one clock read + one `Vec` push (no locks, no allocation once
@@ -153,7 +136,6 @@ pub struct TraceSink {
     active: bool,
     epoch: Instant,
     track: u32,
-    straggler_ns: u64,
     /// Ring capacity; `0` means unbounded (full trace).
     ring: usize,
     /// Tail length for flight-recorder dumps.
@@ -171,7 +153,6 @@ impl TraceSink {
             active: false,
             epoch: Instant::now(),
             track: 0,
-            straggler_ns: 0,
             ring: 0,
             tail: 64,
             next_overwrite: 0,
@@ -189,7 +170,6 @@ impl TraceSink {
             active: true,
             epoch: Instant::now(),
             track,
-            straggler_ns: 0,
             ring: 0,
             tail: 64,
             next_overwrite: 0,
@@ -202,11 +182,11 @@ impl TraceSink {
         self.track
     }
 
-    /// Whether this sink is currently recording (sink active ∧ global
-    /// kill-switch on).
+    /// Whether this sink records: built from a [`TraceConfig`] or
+    /// [`Self::from_recorded`], not [`Self::inert`].
     #[inline]
     pub fn on(&self) -> bool {
-        self.active && tracing_enabled()
+        self.active
     }
 
     /// Nanoseconds since the session epoch. Works on inert sinks too, so
@@ -227,29 +207,10 @@ impl TraceSink {
     }
 
     /// Begin a trace-only span: reads the clock only when recording is on.
-    /// Pair with [`Self::span_since`] / [`Self::span_arg_since`].
+    /// Pair with [`Self::span_arg_since`].
     #[inline]
     pub fn start(&self) -> SpanStart {
-        if self.on() {
-            SpanStart(self.now())
-        } else {
-            SpanStart(START_DISABLED)
-        }
-    }
-
-    /// Record a span begun by [`Self::start`], ending now.
-    #[inline]
-    pub fn span_since(&mut self, name: &'static str, start: SpanStart) {
-        if start.0 == START_DISABLED || !self.on() {
-            return;
-        }
-        let end = self.now();
-        self.push(TraceEvent::Span {
-            name,
-            start_ns: start.0,
-            dur_ns: end.saturating_sub(start.0),
-            arg: None,
-        });
+        SpanStart(if self.on() { self.now() } else { 0 })
     }
 
     /// Record a span begun by [`Self::start`], ending now, with one
@@ -262,7 +223,7 @@ impl TraceSink {
         key: &'static str,
         value: u64,
     ) {
-        if start.0 == START_DISABLED || !self.on() {
+        if !self.on() {
             return;
         }
         let end = self.now();
@@ -329,22 +290,6 @@ impl TraceSink {
         }
         let ts_ns = self.now();
         self.push(TraceEvent::Counter { name, ts_ns, value });
-    }
-
-    /// Straggler check after a barrier wait: when `wait_ns` exceeds the
-    /// configured threshold, records a `"straggler"` instant event and
-    /// dumps the flight-recorder tail to stderr.
-    pub fn straggler_check(&mut self, wait_ns: u64) {
-        if self.straggler_ns == 0 || wait_ns <= self.straggler_ns || !self.on() {
-            return;
-        }
-        self.instant("straggler", Some(("wait_ns", wait_ns)));
-        let msg = format!(
-            "barrier wait {:.3} ms exceeded straggler threshold {:.3} ms",
-            wait_ns as f64 / 1e6,
-            self.straggler_ns as f64 / 1e6
-        );
-        let _ = self.dump_tail(&mut std::io::stderr().lock(), &msg);
     }
 
     /// Events recorded so far, oldest first (un-rotates a wrapped ring).
@@ -430,7 +375,6 @@ mod tests {
 
     #[test]
     fn records_spans_counters_instants() {
-        let _serial = crate::test_serial();
         let mut s = cfg().sink(3);
         let t0 = s.now();
         let t1 = s.now();
@@ -446,7 +390,6 @@ mod tests {
 
     #[test]
     fn from_recorded_replays_shipped_events() {
-        let _serial = crate::test_serial();
         let evs = vec![
             TraceEvent::Span {
                 name: "compute",
@@ -470,7 +413,7 @@ mod tests {
         let mut s = TraceSink::inert();
         let a = s.now();
         let start = s.start();
-        s.span_since("x", start);
+        s.span_arg_since("x", start, "k", 1);
         s.span_at("y", 0, 10);
         s.counter("c", 1);
         s.instant("i", None);
@@ -481,7 +424,6 @@ mod tests {
 
     #[test]
     fn flight_recorder_ring_keeps_most_recent_in_order() {
-        let _serial = crate::test_serial();
         let mut s = cfg().flight_recorder(4).sink(0);
         for i in 0..10u64 {
             s.counter("n", i);
@@ -499,7 +441,6 @@ mod tests {
 
     #[test]
     fn dump_tail_formats_events() {
-        let _serial = crate::test_serial();
         let mut s = cfg().sink(5);
         s.counter("gofs.bytes_read", 1024);
         let t0 = s.now();
@@ -511,38 +452,5 @@ mod tests {
         assert!(text.contains("unit test"));
         assert!(text.contains("gofs.bytes_read = 1024"));
         assert!(text.contains("span    compute"));
-    }
-
-    #[test]
-    fn straggler_check_records_instant_above_threshold() {
-        let _serial = crate::test_serial();
-        let mut s = cfg().with_straggler_threshold_ns(1_000).sink(1);
-        s.straggler_check(500); // below: nothing
-        assert!(s.events().is_empty());
-        // Above threshold: instant recorded (the stderr dump is best-effort
-        // noise we tolerate in tests).
-        s.straggler_check(5_000);
-        let evs = s.take_events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].name(), "straggler");
-        // The marker carries the measured wait as its args field.
-        match evs[0] {
-            TraceEvent::Instant { arg, .. } => assert_eq!(arg, Some(("wait_ns", 5_000))),
-            ref other => panic!("expected an instant, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn disabled_start_never_fabricates_spans() {
-        let _serial = crate::test_serial();
-        let mut s = cfg().sink(0);
-        crate::set_tracing_enabled(false);
-        let start = s.start();
-        crate::set_tracing_enabled(true);
-        s.span_since("x", start);
-        assert!(
-            s.events().is_empty(),
-            "a span started while disabled must not record"
-        );
     }
 }

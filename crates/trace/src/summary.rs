@@ -57,10 +57,10 @@ impl Trace {
             out.push('\n');
         }
 
-        let stragglers = self.instants("straggler");
+        let stragglers = self.instants("straggler.detected");
         if !stragglers.is_empty() {
             out.push_str(&format!(
-                "stragglers: {} barrier wait(s) exceeded the threshold\n",
+                "stragglers: {} barrier wait(s) above the straggler factor × the round median\n",
                 stragglers.len()
             ));
         }
@@ -134,6 +134,27 @@ mod tests {
         assert!(!text.contains("superstep=0"), "top-1 truncates");
         assert!(text.contains("90.0% hit rate"));
         assert!(text.contains("2.00 MiB read"));
+    }
+
+    /// The coordinator's judge is the one straggler detector; its
+    /// `straggler.detected` instants are what the digest counts.
+    #[test]
+    fn summary_counts_detected_stragglers() {
+        let instant = |ts_ns| TraceEvent::Instant {
+            name: "straggler.detected",
+            ts_ns,
+            arg: Some(("wait_ns", 7_000_000)),
+        };
+        let tr = Trace {
+            tracks: vec![TraceTrack {
+                track: 1,
+                name: "partition 1".into(),
+                events: vec![instant(10), instant(20)],
+            }],
+        };
+        let text = tr.summary(3);
+        assert!(text.contains("stragglers: 2 barrier wait(s)"), "{text}");
+        assert!(!Trace::default().summary(3).contains("stragglers"));
     }
 
     #[test]

@@ -112,14 +112,6 @@ impl Trace {
         self.spans(name).map(|s| s.dur_ns).sum()
     }
 
-    /// Sum of the durations of spans named `name` on one track.
-    pub fn sum_spans_on(&self, track: u32, name: &str) -> u64 {
-        self.spans(name)
-            .filter(|s| s.track == track)
-            .map(|s| s.dur_ns)
-            .sum()
-    }
-
     /// Number of spans named `name`.
     pub fn span_count(&self, name: &str) -> usize {
         self.spans(name).count()
@@ -289,7 +281,6 @@ mod tests {
 
     #[test]
     fn from_sinks_merges_same_track_and_sorts() {
-        let _serial = crate::test_serial();
         let cfg = TraceConfig::new();
         let mut a = cfg.sink(0);
         let mut b = cfg.sink(0); // same track: worker + loader
@@ -337,7 +328,6 @@ mod tests {
             ],
         };
         assert_eq!(tr.sum_spans("compute"), 22);
-        assert_eq!(tr.sum_spans_on(1, "compute"), 7);
         assert_eq!(tr.span_count("compute"), 3);
         assert_eq!(tr.counter_final("msgs"), 9, "last sample per track");
         assert_eq!(tr.counter_final("absent"), 0);

@@ -4,18 +4,11 @@
 //! design: metric accumulation and span recording consume the same
 //! `TraceSink::now` readings), and whose Chrome-JSON export is loadable by
 //! Perfetto. A GoFS-backed run must additionally report cache counters
-//! that agree with the loader's own accounting.
+//! that agree with the loader's own accounting, and `io_ns` that its
+//! `gofs.load` spans re-derive.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use tempograph::prelude::*;
-
-/// Serialises tests that depend on the global tracing kill-switch (the
-/// overhead smoke test toggles it; `--include-ignored` would otherwise
-/// race it against the derivation tests).
-fn serial() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 const TIMESTEPS: usize = 12;
 const PARTITIONS: usize = 3;
@@ -87,7 +80,6 @@ fn untraced_run_has_no_trace() {
 
 #[test]
 fn traced_run_validates_and_exactly_derives_metrics() {
-    let _guard = serial();
     let result = traced_hash_run();
     let trace = result.trace.as_ref().expect("trace attached");
     trace.validate().expect("structurally valid trace");
@@ -158,7 +150,6 @@ fn traced_run_validates_and_exactly_derives_metrics() {
 /// count — with no tolerance window.
 #[test]
 fn metrics_histograms_exactly_agree_with_trace_spans() {
-    let _guard = serial();
     let (t, coll) = tweet_fixture();
     let pg = partitioned(&t);
     let tweets_col = t.vertex_schema().index_of(TWEETS_ATTR).unwrap();
@@ -223,7 +214,6 @@ fn metrics_histograms_exactly_agree_with_trace_spans() {
 
 #[test]
 fn chrome_export_is_structurally_sound() {
-    let _guard = serial();
     let result = traced_hash_run();
     let json = result.trace.as_ref().unwrap().to_chrome_json();
 
@@ -255,7 +245,6 @@ fn chrome_export_is_structurally_sound() {
 
 #[test]
 fn gofs_run_reports_cache_counters_in_trace() {
-    let _guard = serial();
     let (t, coll) = road_fixture();
     let pg = partitioned(&t);
     let lat_col = t.edge_schema().index_of(LATENCY_ATTR).unwrap();
@@ -287,11 +276,15 @@ fn gofs_run_reports_cache_counters_in_trace() {
     // Temporal packing of 4 means later timesteps hit the slice cache.
     assert!(trace.counter_final("gofs.cache_hits") > 0);
     assert!(trace.counter_final("gofs.bytes_read") > 0);
+    // The loader times each slice read with the two readings that bound
+    // its `gofs.load` span, so I/O time re-derives exactly too.
+    let io_ns: u64 = result.metrics.iter().flatten().map(|m| m.io_ns).sum();
+    assert!(io_ns > 0);
+    assert_eq!(io_ns, trace.sum_spans("gofs.load"));
 }
 
 #[test]
 fn flight_recorder_stays_bounded() {
-    let _guard = serial();
     let (t, coll) = tweet_fixture();
     let pg = partitioned(&t);
     let tweets_col = t.vertex_schema().index_of(TWEETS_ATTR).unwrap();
@@ -321,7 +314,6 @@ fn flight_recorder_stays_bounded() {
 /// holds at most `CAP` events however many timesteps filled it.
 #[test]
 fn flight_recorder_stays_bounded_over_tcp() {
-    let _guard = serial();
     if std::net::TcpListener::bind("127.0.0.1:0").is_err() {
         eprintln!("NOTICE: loopback sockets unavailable; skipping TCP flight-recorder test");
         return;
@@ -361,48 +353,4 @@ fn flight_recorder_stays_bounded_over_tcp() {
             );
         }
     }
-}
-
-/// Overhead smoke test (run explicitly: `cargo test --release --test
-/// trace_integration -- --ignored`): with tracing *globally disabled*, a
-/// job configured for tracing must not run measurably slower than an
-/// untraced job — the record path is a branch on two booleans.
-#[test]
-#[ignore]
-fn trace_overhead_when_disabled_is_negligible() {
-    let _guard = serial();
-    let (t, coll) = tweet_fixture();
-    let pg = partitioned(&t);
-    let tweets_col = t.vertex_schema().index_of(TWEETS_ATTR).unwrap();
-    let src = InstanceSource::Memory(coll);
-
-    let run = |config: JobConfig<_>| {
-        let started = std::time::Instant::now();
-        let result = run_job(
-            &pg,
-            &src,
-            HashtagAggregation::factory("#meme", tweets_col),
-            config,
-        );
-        assert_eq!(result.timesteps_run, TIMESTEPS);
-        started.elapsed()
-    };
-    // Warm up caches and the allocator.
-    run(JobConfig::eventually_dependent(TIMESTEPS));
-
-    let best = |mk: &dyn Fn() -> JobConfig<<HashtagAggregation as SubgraphProgram>::Msg>| {
-        (0..3).map(|_| run(mk())).min().unwrap()
-    };
-    let baseline = best(&|| JobConfig::eventually_dependent(TIMESTEPS));
-    tempograph::trace::set_tracing_enabled(false);
-    let disabled =
-        best(&|| JobConfig::eventually_dependent(TIMESTEPS).with_trace(TraceConfig::new()));
-    tempograph::trace::set_tracing_enabled(true);
-
-    // Generous bound: timesharing noise dwarfs the two-boolean branch, so
-    // demand only "not catastrophically slower".
-    assert!(
-        disabled < baseline * 2,
-        "disabled-tracing run {disabled:?} vs baseline {baseline:?}"
-    );
 }
