@@ -38,7 +38,7 @@ lint_stage() {
     echo "==> tempograph-lint: self-test suite (fixtures + exit-code matrix)"
     cargo test -q -p tempograph-lint
 
-    echo "==> tempograph-lint: workspace invariants (transitive P01/D02/H01, D01-D03, A01, W01, F01)"
+    echo "==> tempograph-lint: workspace invariants (transitive P01/D02/H01, D01-D03, A01, W01, F01, U01)"
     cargo run -q -p tempograph-lint
 
     echo "==> byte goldens: frames, payloads, checkpoints, run records, GoFS metadata (golden_*)"

@@ -522,7 +522,7 @@ fn topn_reports_most_active_vertices() {
         assert_eq!(result.counter_at(TopNActivity::TWEETS, s), total);
         // Per subgraph at most 3 emits per timestep; emitted values are
         // actual tweet counts.
-        for e in result.emitted_at(s) {
+        for e in result.emitted.iter().filter(|e| e.timestep == s) {
             assert_eq!(e.value as usize, tweets[e.vertex.idx()].len());
         }
     }

@@ -83,18 +83,6 @@ impl AttrValue {
             AttrValue::TextList(_) => AttrType::TextList,
         }
     }
-
-    /// The zero/empty default for a type; instances are initialised with it.
-    pub fn default_for(ty: AttrType) -> AttrValue {
-        match ty {
-            AttrType::Long => AttrValue::Long(0),
-            AttrType::Double => AttrValue::Double(0.0),
-            AttrType::Bool => AttrValue::Bool(false),
-            AttrType::Text => AttrValue::Text(String::new()),
-            AttrType::LongList => AttrValue::LongList(Vec::new()),
-            AttrType::TextList => AttrValue::TextList(Vec::new()),
-        }
-    }
 }
 
 /// Definition of one attribute: a name and a type.
@@ -124,23 +112,13 @@ impl Schema {
     ///
     /// Duplicate names are rejected at [`Schema::validate`] /
     /// template-finalize time rather than here, so builders can stay
-    /// infallible in the common path; use [`Schema::try_add`] for an eager
-    /// check.
+    /// infallible.
     pub fn add(&mut self, name: impl Into<String>, ty: AttrType) -> usize {
         self.attrs.push(AttrDef {
             name: name.into(),
             ty,
         });
         self.attrs.len() - 1
-    }
-
-    /// Append an attribute, failing on duplicate names.
-    pub fn try_add(&mut self, name: impl Into<String>, ty: AttrType) -> Result<usize> {
-        let name = name.into();
-        if self.index_of(&name).is_some() {
-            return Err(CoreError::DuplicateAttribute(name));
-        }
-        Ok(self.add(name, ty))
     }
 
     /// Check schema invariants (unique names).
@@ -228,7 +206,8 @@ mod tests {
             AttrType::LongList,
             AttrType::TextList,
         ] {
-            assert_eq!(AttrValue::default_for(ty).ty(), ty);
+            // Instances are initialised with these defaults.
+            assert_eq!(crate::instance::Column::new(ty, 1).get(0).ty(), ty);
         }
     }
 
@@ -250,12 +229,8 @@ mod tests {
     fn schema_rejects_duplicates() {
         let mut s = Schema::new();
         s.add("x", AttrType::Long);
-        assert_eq!(
-            s.try_add("x", AttrType::Double),
-            Err(CoreError::DuplicateAttribute("x".into()))
-        );
-        s.add("x", AttrType::Double); // non-eager path
-        assert!(s.validate().is_err());
+        s.add("x", AttrType::Double);
+        assert_eq!(s.validate(), Err(CoreError::DuplicateAttribute("x".into())));
     }
 
     #[test]

@@ -101,31 +101,16 @@ impl TimeSeriesCollection {
         self.instances.get_mut(i)
     }
 
-    /// The instance covering wall-clock time `t`, i.e. position
-    /// `⌊(t − t0)/δ⌋`, when within range.
-    pub fn at_time(&self, t: i64) -> Option<&GraphInstance> {
-        if t < self.start_time {
-            return None;
-        }
-        let i = ((t - self.start_time) / self.period) as usize;
-        self.instances.get(i)
-    }
-
     /// Iterate instances in time order.
     pub fn iter(&self) -> impl Iterator<Item = &GraphInstance> {
         self.instances.iter()
-    }
-
-    /// Consume the collection into its ordered instances.
-    pub fn into_instances(self) -> Vec<GraphInstance> {
-        self.instances
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attr::AttrType;
+    use crate::attr::{AttrType, AttrValue};
     use crate::template::TemplateBuilder;
 
     fn template() -> Arc<GraphTemplate> {
@@ -173,21 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn at_time_maps_into_period_buckets() {
-        let t = template();
-        let mut c = TimeSeriesCollection::new(t, 100, 5);
-        for _ in 0..3 {
-            c.push(c.new_instance()).unwrap();
-        }
-        assert_eq!(c.at_time(100).unwrap().timestamp(), 100);
-        assert_eq!(c.at_time(104).unwrap().timestamp(), 100);
-        assert_eq!(c.at_time(105).unwrap().timestamp(), 105);
-        assert_eq!(c.at_time(114).unwrap().timestamp(), 110);
-        assert!(c.at_time(115).is_none());
-        assert!(c.at_time(99).is_none());
-    }
-
-    #[test]
     fn push_rejects_foreign_template() {
         let t = template();
         let mut other_b = TemplateBuilder::new("other", false);
@@ -201,7 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn iter_and_into_instances_preserve_order() {
+    fn iter_preserves_order() {
         let t = template();
         let mut c = TimeSeriesCollection::new(t, 0, 10);
         for _ in 0..4 {
@@ -209,8 +179,6 @@ mod tests {
         }
         let stamps: Vec<i64> = c.iter().map(|g| g.timestamp()).collect();
         assert_eq!(stamps, vec![0, 10, 20, 30]);
-        let owned = c.into_instances();
-        assert_eq!(owned.len(), 4);
     }
 
     #[test]
@@ -219,6 +187,6 @@ mod tests {
         let mut c = TimeSeriesCollection::new(t, 0, 1);
         c.push(c.new_instance()).unwrap();
         c.get_mut(0).unwrap().vertex_i64_mut("x").unwrap()[0] = 77;
-        assert_eq!(c.get(0).unwrap().vertex_i64("x").unwrap()[0], 77);
+        assert_eq!(c.get(0).unwrap().vertex_col(0).get(0), AttrValue::Long(77));
     }
 }

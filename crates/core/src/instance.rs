@@ -9,7 +9,6 @@
 
 use crate::attr::{AttrType, AttrValue, Schema};
 use crate::error::{CoreError, Result};
-use crate::ids::{EdgeIdx, VertexIdx};
 use crate::template::GraphTemplate;
 
 /// A dense, typed column of attribute values.
@@ -259,49 +258,12 @@ impl GraphInstance {
         &self.vertex_cols[i]
     }
 
-    /// Mutable vertex column at schema position `i`.
-    pub fn vertex_col_mut(&mut self, i: usize) -> &mut Column {
-        &mut self.vertex_cols[i]
-    }
-
     /// Edge column at schema position `i`.
     pub fn edge_col(&self, i: usize) -> &Column {
         &self.edge_cols[i]
     }
 
-    /// Mutable edge column at schema position `i`.
-    pub fn edge_col_mut(&mut self, i: usize) -> &mut Column {
-        &mut self.edge_cols[i]
-    }
-
     // ---- typed column access by name (convenience) --------------------
-
-    /// Borrow a named `Double` vertex column.
-    pub fn vertex_f64(&self, name: &str) -> Result<&[f64]> {
-        let i = self.vertex_schema.resolve_typed(name, AttrType::Double)?;
-        match &self.vertex_cols[i] {
-            Column::Double(v) => Ok(v),
-            c => Err(type_err(name, c.ty(), AttrType::Double)),
-        }
-    }
-
-    /// Mutably borrow a named `Double` vertex column.
-    pub fn vertex_f64_mut(&mut self, name: &str) -> Result<&mut [f64]> {
-        let i = self.vertex_schema.resolve_typed(name, AttrType::Double)?;
-        match &mut self.vertex_cols[i] {
-            Column::Double(v) => Ok(v),
-            c => Err(type_err(name, c.ty(), AttrType::Double)),
-        }
-    }
-
-    /// Borrow a named `Long` vertex column.
-    pub fn vertex_i64(&self, name: &str) -> Result<&[i64]> {
-        let i = self.vertex_schema.resolve_typed(name, AttrType::Long)?;
-        match &self.vertex_cols[i] {
-            Column::Long(v) => Ok(v),
-            c => Err(type_err(name, c.ty(), AttrType::Long)),
-        }
-    }
 
     /// Mutably borrow a named `Long` vertex column.
     pub fn vertex_i64_mut(&mut self, name: &str) -> Result<&mut [i64]> {
@@ -366,46 +328,6 @@ impl GraphInstance {
         }
     }
 
-    /// Borrow a named `Long` edge column.
-    pub fn edge_i64(&self, name: &str) -> Result<&[i64]> {
-        let i = self.edge_schema.resolve_typed(name, AttrType::Long)?;
-        match &self.edge_cols[i] {
-            Column::Long(v) => Ok(v),
-            c => Err(type_err(name, c.ty(), AttrType::Long)),
-        }
-    }
-
-    /// Mutably borrow a named `Long` edge column.
-    pub fn edge_i64_mut(&mut self, name: &str) -> Result<&mut [i64]> {
-        let i = self.edge_schema.resolve_typed(name, AttrType::Long)?;
-        match &mut self.edge_cols[i] {
-            Column::Long(v) => Ok(v),
-            c => Err(type_err(name, c.ty(), AttrType::Long)),
-        }
-    }
-
-    // ---- dynamically-typed access --------------------------------------
-
-    /// Read one vertex attribute cell by column position.
-    pub fn get_vertex(&self, col: usize, v: VertexIdx) -> AttrValue {
-        self.vertex_cols[col].get(v.idx())
-    }
-
-    /// Write one vertex attribute cell by column position.
-    pub fn set_vertex(&mut self, col: usize, v: VertexIdx, value: AttrValue) -> Result<()> {
-        self.vertex_cols[col].set(v.idx(), value)
-    }
-
-    /// Read one edge attribute cell by column position.
-    pub fn get_edge(&self, col: usize, e: EdgeIdx) -> AttrValue {
-        self.edge_cols[col].get(e.idx())
-    }
-
-    /// Write one edge attribute cell by column position.
-    pub fn set_edge(&mut self, col: usize, e: EdgeIdx, value: AttrValue) -> Result<()> {
-        self.edge_cols[col].set(e.idx(), value)
-    }
-
     /// Approximate heap footprint in bytes (used by the GoFS slice cache).
     pub fn approx_bytes(&self) -> usize {
         let cols = self.vertex_cols.iter().chain(&self.edge_cols);
@@ -447,7 +369,7 @@ mod tests {
         let t = template();
         let g = GraphInstance::new(&t, 42);
         assert_eq!(g.timestamp(), 42);
-        assert_eq!(g.vertex_f64("load").unwrap(), &[0.0, 0.0, 0.0]);
+        assert_eq!(g.vertex_col(0), &Column::Double(vec![0.0; 3]));
         assert_eq!(g.edge_f64("latency").unwrap(), &[0.0, 0.0]);
         assert!(g.vertex_text_list("tweets").unwrap()[0].is_empty());
         g.validate_against(&t).unwrap();
@@ -457,13 +379,11 @@ mod tests {
     fn typed_mutation_roundtrip() {
         let t = template();
         let mut g = GraphInstance::new(&t, 0);
-        g.vertex_f64_mut("load").unwrap()[1] = 3.5;
         g.vertex_i64_mut("count").unwrap()[2] = -7;
         g.vertex_bool_mut(GraphTemplate::IS_EXISTS).unwrap()[0] = true;
         g.edge_f64_mut("latency").unwrap()[0] = 9.0;
         g.vertex_text_list_mut("tweets").unwrap()[1].push("#rust".into());
-        assert_eq!(g.vertex_f64("load").unwrap()[1], 3.5);
-        assert_eq!(g.vertex_i64("count").unwrap()[2], -7);
+        assert_eq!(g.vertex_col(2).get(2), AttrValue::Long(-7));
         assert!(g.vertex_bool(GraphTemplate::IS_EXISTS).unwrap()[0]);
         assert_eq!(g.edge_f64("latency").unwrap()[0], 9.0);
         assert_eq!(g.vertex_text_list("tweets").unwrap()[1], vec!["#rust"]);
@@ -474,11 +394,11 @@ mod tests {
         let t = template();
         let mut g = GraphInstance::new(&t, 0);
         assert!(matches!(
-            g.vertex_f64("ghost"),
+            g.vertex_bool("ghost"),
             Err(CoreError::UnknownAttribute(_))
         ));
         assert!(matches!(
-            g.vertex_f64("count"),
+            g.vertex_bool("count"),
             Err(CoreError::AttributeTypeMismatch { .. })
         ));
         assert!(matches!(
@@ -489,16 +409,11 @@ mod tests {
 
     #[test]
     fn dynamic_access_roundtrip() {
-        let t = template();
-        let mut g = GraphInstance::new(&t, 0);
-        let load = t.vertex_schema().index_of("load").unwrap();
-        g.set_vertex(load, VertexIdx(0), AttrValue::Double(1.25))
-            .unwrap();
-        assert_eq!(g.get_vertex(load, VertexIdx(0)), AttrValue::Double(1.25));
+        let mut load = Column::new(AttrType::Double, 3);
+        load.set(0, AttrValue::Double(1.25)).unwrap();
+        assert_eq!(load.get(0), AttrValue::Double(1.25));
         // type mismatch rejected
-        assert!(g
-            .set_vertex(load, VertexIdx(0), AttrValue::Long(1))
-            .is_err());
+        assert!(load.set(0, AttrValue::Long(1)).is_err());
     }
 
     #[test]

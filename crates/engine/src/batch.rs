@@ -314,7 +314,8 @@ impl BufferPool {
     }
 
     /// Buffers currently held.
-    pub fn pooled(&self) -> usize {
+    #[cfg(test)]
+    fn pooled(&self) -> usize {
         self.free.len()
     }
 }

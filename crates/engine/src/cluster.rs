@@ -8,7 +8,7 @@
 //! how an epoch hosts its workers:
 //!
 //! * [`Cluster::InProcess`] — `k` scoped threads over
-//!   [`InProcess`] transports (crossbeam channels, a shared
+//!   [`InProcess`] transports (`std::sync::mpsc` channels, a shared
 //!   [`SyncPoint`]); no socket, no coordinator protocol.
 //! * [`Cluster::Threads`] — `k` scoped threads over [`Tcp`] transports,
 //!   dialing this process's coordinator listener over loopback.
@@ -49,12 +49,11 @@ use crate::telemetry::CoordTelemetry;
 use crate::transport::{InProcess, Tcp, HANDSHAKE_TIMEOUT_MS};
 use crate::wire::WireMsg;
 use bytes::{Buf, Bytes, BytesMut};
-use crossbeam::channel::unbounded;
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use tempograph_partition::{PartitionedGraph, Subgraph, SubgraphId};
 use tempograph_trace::{Clock, Trace, TraceEvent, TraceSink};
 
@@ -352,7 +351,7 @@ where
 {
     let k = pg.num_partitions();
     let sync = SyncPoint::new(k);
-    let (txs, rxs): (Vec<_>, Vec<_>) = (0..k).map(|_| unbounded()).unzip();
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..k).map(|_| mpsc::channel()).unzip();
     let results: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = rxs
             .into_iter()

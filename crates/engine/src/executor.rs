@@ -99,8 +99,6 @@ pub struct JobConfig<M> {
     pub mode: TimestepMode,
     /// Safety bound on supersteps per timestep.
     pub max_supersteps: usize,
-    /// Application input messages, delivered at timestep 0, superstep 0.
-    pub initial_messages: Vec<(SubgraphId, M)>,
     /// Optional sender-side message combiner (see [`Combiner`]). Sound only
     /// for order-insensitive (associative + commutative) reductions; with
     /// such a reduction, results are byte-identical with or without it.
@@ -152,7 +150,6 @@ impl<M> std::fmt::Debug for JobConfig<M> {
             .field("pattern", &self.pattern)
             .field("mode", &self.mode)
             .field("max_supersteps", &self.max_supersteps)
-            .field("initial_messages", &self.initial_messages.len())
             .field("combiner", &self.combiner.is_some())
             .field("trace", &self.trace)
             .field("metrics", &self.metrics)
@@ -186,7 +183,6 @@ impl<M> JobConfig<M> {
             pattern,
             mode: TimestepMode::Fixed(timesteps),
             max_supersteps: 100_000,
-            initial_messages: Vec::new(),
             combiner: None,
             trace: None,
             metrics: false,
@@ -201,12 +197,6 @@ impl<M> JobConfig<M> {
     /// Switch to `WhileActive` (vote-driven) timestep termination.
     pub fn while_active(mut self, max: usize) -> Self {
         self.mode = TimestepMode::WhileActive { max };
-        self
-    }
-
-    /// Provide application input messages.
-    pub fn with_initial_messages(mut self, msgs: Vec<(SubgraphId, M)>) -> Self {
-        self.initial_messages = msgs;
         self
     }
 
@@ -389,8 +379,8 @@ where
 {
     let mut provider = source.provider(pg, partition);
     if let Some(tc) = config.trace {
-        // The loader records onto the worker's track; its spans nest
-        // inside the compute spans that trigger the loads.
+        // The provider records onto the worker's track; its spans nest
+        // inside the compute spans that trigger the fetches.
         provider.install_trace(tc.sink(partition as u32));
     }
     let mut worker = Worker::<P>::new(partition, pg, provider, transport, config, timesteps);
@@ -625,7 +615,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         if let Some(sink) = self.provider.take_trace() {
             self.out
                 .sinks
-                .push((format!("partition {} gofs", self.partition), sink));
+                .push((format!("partition {} io", self.partition), sink));
         }
         Ok(self.out)
     }
@@ -651,21 +641,6 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             // The superstep-0 inbox — the previous timestep's
             // `SendToNextTimestep` traffic — was delivered when that
             // timestep closed (or restored from its checkpoint).
-            if t == 0 {
-                // Initial messages self-address (from == to) with ascending
-                // seq, so each inbox stays sorted without a sort.
-                for (i, (to, msg)) in config.initial_messages.iter().enumerate() {
-                    if let Some(idx) = self.local_index(*to) {
-                        self.inbox[idx].push(Envelope {
-                            from: *to,
-                            to: *to,
-                            seq: i as u32,
-                            payload: msg.clone(),
-                        });
-                    }
-                }
-            }
-
             let mut next_msgs_total = 0u64;
             let supersteps = self.run_bsp(
                 t,

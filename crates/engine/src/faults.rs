@@ -296,33 +296,6 @@ impl FaultPlan {
         })
     }
 
-    /// Append a seeded batch of transport-seam frame faults: 2–5 damaged
-    /// frames spread over `partitions` senders' first `max_frame` data
-    /// frames, cycling through all four [`FrameFault`] kinds. Deterministic
-    /// for a given seed (splitmix64, like [`FaultPlan::from_seed`]).
-    pub fn with_frame_faults_from_seed(
-        mut self,
-        seed: u64,
-        partitions: u16,
-        max_frame: u64,
-    ) -> Self {
-        assert!(partitions >= 1 && max_frame >= 1);
-        let mut s = SplitMix64(seed ^ 0x00f0_a1e5_u64);
-        let n = 2 + (s.next() % 4) as usize;
-        const KINDS: [FrameFault; 4] = [
-            FrameFault::Drop,
-            FrameFault::Duplicate,
-            FrameFault::Reorder,
-            FrameFault::Truncate,
-        ];
-        for i in 0..n {
-            let p = (s.next() % partitions as u64) as u16;
-            let frame = 1 + s.next() % max_frame;
-            self = self.frame_fault_at(p, frame, KINDS[i % KINDS.len()]);
-        }
-        self
-    }
-
     /// Indices (into this plan's event list) of panic-style events whose
     /// one-shot latch has fired. A multi-process coordinator ships this
     /// list to freshly spawned workers so their independently parsed copy
@@ -537,17 +510,6 @@ mod tests {
         copy.mark_fired(&plan.fired_indices());
         assert!(!copy.should_panic(1, 2, 0), "shipped latch holds");
         assert!(copy.should_panic(0, 1, 0), "unfired event still live");
-    }
-
-    #[test]
-    fn seeded_frame_faults_are_reproducible() {
-        let a = FaultPlan::new().with_frame_faults_from_seed(9, 3, 20);
-        let b = FaultPlan::new().with_frame_faults_from_seed(9, 3, 20);
-        assert_eq!(a.to_spec(), b.to_spec());
-        assert!((2..=5).contains(&a.events.len()));
-        for e in &a.events {
-            assert!(matches!(e.kind, FaultKind::Frame { frame, .. } if (1..=20).contains(&frame)));
-        }
     }
 
     #[test]

@@ -296,33 +296,6 @@ pub struct CostAttribution {
     pub rows: Vec<AttributionRow>,
 }
 
-impl CostAttribution {
-    /// Total measured compute nanoseconds per subgraph (merge included),
-    /// sorted by subgraph id — the *measured* cost vector
-    /// `partition::suggest_rebalance_from` consumes.
-    pub fn per_subgraph_ns(&self) -> Vec<(SubgraphId, u64)> {
-        self.fold_per_subgraph(|r| r.compute_ns)
-    }
-
-    /// Total program-hook invocations per subgraph, sorted by subgraph id
-    /// — a deterministic cost proxy for reproducible analyses.
-    pub fn per_subgraph_invocations(&self) -> Vec<(SubgraphId, u64)> {
-        self.fold_per_subgraph(|r| r.invocations as u64)
-    }
-
-    fn fold_per_subgraph(&self, value: impl Fn(&AttributionRow) -> u64) -> Vec<(SubgraphId, u64)> {
-        let mut out: Vec<(SubgraphId, u64)> = Vec::new();
-        // Rows arrive subgraph-sorted, so equal ids are adjacent.
-        for r in &self.rows {
-            match out.last_mut() {
-                Some((sg, total)) if *sg == r.subgraph => *total += value(r),
-                _ => out.push((r.subgraph, value(r))),
-            }
-        }
-        out
-    }
-}
-
 /// Everything a TI-BSP run reports back.
 #[derive(Clone, Debug, Default)]
 pub struct JobResult {
@@ -355,8 +328,9 @@ pub struct JobResult {
     /// The assembled structured trace, when the job ran with
     /// `JobConfig::with_trace`. Export via `Trace::to_chrome_json` /
     /// `Trace::summary`; every `TimestepMetrics` aggregate is derivable
-    /// from it, `io_ns` from the `gofs.load` spans of a GoFS source
-    /// (asserted in `tests/trace_integration.rs`).
+    /// from it, `io_ns` from the `gofs.load` spans of a GoFS source or the
+    /// `memory.project` spans of an in-memory one (asserted in
+    /// `tests/trace_integration.rs`).
     pub trace: Option<Trace>,
     /// The per-(subgraph, timestep) compute attribution table, when the
     /// job ran with `JobConfig::with_attribution`. Feeds the run ledger's
@@ -485,11 +459,6 @@ impl JobResult {
             }
         }
         out
-    }
-
-    /// Emitted values at one timestep.
-    pub fn emitted_at(&self, t: usize) -> impl Iterator<Item = &Emit> {
-        self.emitted.iter().filter(move |e| e.timestep == t)
     }
 
     // ---- virtual (simulated-cluster) time model -------------------------
@@ -757,26 +726,5 @@ mod tests {
             }
             other => panic!("expected gauge, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn emitted_at_filters() {
-        let r = JobResult {
-            emitted: vec![
-                Emit {
-                    timestep: 0,
-                    vertex: VertexIdx(1),
-                    value: 1.0,
-                },
-                Emit {
-                    timestep: 1,
-                    vertex: VertexIdx(2),
-                    value: 2.0,
-                },
-            ],
-            ..Default::default()
-        };
-        assert_eq!(r.emitted_at(1).count(), 1);
-        assert_eq!(r.emitted_at(9).count(), 0);
     }
 }

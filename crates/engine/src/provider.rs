@@ -10,7 +10,7 @@ use std::sync::Arc;
 use tempograph_core::TimeSeriesCollection;
 use tempograph_gofs::{GofsStore, InstanceLoader, LoaderStats, SubgraphInstance};
 use tempograph_partition::{PartitionedGraph, Subgraph};
-use tempograph_trace::{Clock, TraceSink};
+use tempograph_trace::TraceSink;
 
 /// A per-worker source of projected instance data.
 pub trait InstanceProvider: Send {
@@ -31,23 +31,24 @@ pub trait InstanceProvider: Send {
     /// `δ` of the series.
     fn period(&self) -> i64;
 
-    /// Install a trace sink so fetches record spans/counters (e.g.
-    /// `"gofs.load"`). Providers without interesting I/O may ignore it —
-    /// the default drops the sink.
-    fn install_trace(&mut self, _sink: TraceSink) {}
+    /// Install a trace sink so fetches record spans/counters
+    /// (`"gofs.load"`, `"memory.project"`).
+    fn install_trace(&mut self, sink: TraceSink);
 
     /// Hand back the sink given to [`Self::install_trace`] (with any final
-    /// counter samples) so the session can assemble the trace. Default:
-    /// `None`.
-    fn take_trace(&mut self) -> Option<TraceSink> {
-        None
-    }
+    /// counter samples) so the session can assemble the trace; `None` when
+    /// none was installed.
+    fn take_trace(&mut self) -> Option<TraceSink>;
 }
 
 /// Projects instances from a shared in-memory collection on demand.
 pub struct MemoryProvider {
     collection: Arc<TimeSeriesCollection>,
     stats: LoaderStats,
+    /// Inert until [`InstanceProvider::install_trace`]; its clock times
+    /// every projection either way, so `load_ns` and the `memory.project`
+    /// spans come from the same two readings.
+    trace: TraceSink,
 }
 
 impl MemoryProvider {
@@ -56,20 +57,23 @@ impl MemoryProvider {
         MemoryProvider {
             collection,
             stats: LoaderStats::default(),
+            trace: TraceSink::inert(),
         }
     }
 }
 
 impl InstanceProvider for MemoryProvider {
     fn fetch(&mut self, sg: &Subgraph, timestep: usize) -> Arc<SubgraphInstance> {
-        let started = Clock::start();
+        let t0 = self.trace.now();
         let g = self
             .collection
             .get(timestep)
             .expect("timestep within collection");
         let si = Arc::new(SubgraphInstance::project(g, sg, timestep));
+        let t1 = self.trace.now();
         self.stats.slice_loads += 1;
-        self.stats.load_ns += started.elapsed_ns();
+        self.stats.load_ns += t1 - t0;
+        self.trace.span_at("memory.project", t0, t1);
         si
     }
 
@@ -87,6 +91,16 @@ impl InstanceProvider for MemoryProvider {
 
     fn period(&self) -> i64 {
         self.collection.period()
+    }
+
+    fn install_trace(&mut self, sink: TraceSink) {
+        self.trace = sink;
+    }
+
+    fn take_trace(&mut self) -> Option<TraceSink> {
+        self.trace
+            .on()
+            .then(|| std::mem::replace(&mut self.trace, TraceSink::inert()))
     }
 }
 
@@ -106,7 +120,7 @@ impl GofsProvider {
     pub fn new(store: GofsStore, pg: &PartitionedGraph, partition: u16) -> Self {
         let meta = store.meta().clone();
         GofsProvider {
-            loader: InstanceLoader::with_default_capacity(store, pg, partition),
+            loader: InstanceLoader::new(store, pg, partition),
             num_timesteps: meta.num_timesteps,
             start_time: meta.start_time,
             period: meta.period,

@@ -8,7 +8,7 @@
 //! reports as "Sync Overhead" (Fig. 7b/7d).
 
 use crate::error::EngineError;
-use parking_lot::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Per-worker contribution folded at the barrier.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -60,6 +60,15 @@ impl State {
     }
 }
 
+/// What [`SyncPoint::arrive`] reports when a thread panicked while it held
+/// the state lock: the barrier's count can no longer be trusted, so the
+/// arrival fails instead of waiting on it.
+fn lock_poisoned<T>(_: PoisonError<T>) -> EngineError {
+    EngineError::Protocol {
+        detail: "sync point lock poisoned: a thread panicked inside the barrier".to_string(),
+    }
+}
+
 /// Reusable barrier-with-reduction for `n` workers. See module docs.
 pub struct SyncPoint {
     n: usize,
@@ -90,9 +99,10 @@ impl SyncPoint {
     /// Fails with [`EngineError::RemoteWorkerDied`] naming the dead
     /// partition if the sync point was [`SyncPoint::poison`]ed — a peer
     /// worker died, so the full complement can never arrive and waiting
-    /// would deadlock.
+    /// would deadlock — and with [`EngineError::Protocol`] if a thread
+    /// panicked while holding the state lock.
     pub fn arrive(&self, c: Contribution) -> Result<Aggregate, EngineError> {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().map_err(lock_poisoned)?;
         if let Some(e) = s.death() {
             return Err(e);
         }
@@ -112,7 +122,7 @@ impl SyncPoint {
         } else {
             let gen = s.generation;
             while s.generation == gen {
-                self.cv.wait(&mut s);
+                s = self.cv.wait(s).map_err(lock_poisoned)?;
                 if let Some(e) = s.death() {
                     return Err(e);
                 }
@@ -127,7 +137,7 @@ impl SyncPoint {
     /// wins, so a cascade re-reporting the death it was told about cannot
     /// displace the primary.
     pub fn poison(&self, partition: u16, detail: &str) {
-        let mut s = self.state.lock();
+        let mut s = self.state_even_if_poisoned();
         if s.poisoned.is_none() {
             s.poisoned = Some((partition, detail.to_string()));
         }
@@ -136,7 +146,14 @@ impl SyncPoint {
 
     /// The death this sync point was poisoned with, if any.
     pub fn poisoned_by(&self) -> Option<(u16, String)> {
-        self.state.lock().poisoned.clone()
+        self.state_even_if_poisoned().poisoned.clone()
+    }
+
+    /// The state lock, recovered from lock poison: a holder can unwind
+    /// only between whole field updates, so `State` is consistent at every
+    /// point a panic can leave it.
+    fn state_even_if_poisoned(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Pure barrier: arrive with an empty contribution.
@@ -280,6 +297,27 @@ mod tests {
         // blaming someone else) cannot displace the primary.
         sp.poison(0, "cascade");
         assert_eq!(sp.barrier(), Err(died));
+        assert_eq!(sp.poisoned_by(), Some((1, "killed".to_string())));
+    }
+
+    #[test]
+    fn a_poisoned_lock_fails_arrivals_instead_of_hanging() {
+        let sp = Arc::new(SyncPoint::new(2));
+        let holder = {
+            let sp = sp.clone();
+            std::thread::spawn(move || {
+                let _held = sp.state.lock().unwrap();
+                panic!("died holding the barrier lock");
+            })
+        };
+        assert!(holder.join().is_err());
+        assert!(sp.state.is_poisoned());
+        assert!(matches!(
+            sp.arrive(Contribution::default()),
+            Err(EngineError::Protocol { .. })
+        ));
+        // Reporting a death still works on the recovered state.
+        sp.poison(1, "killed");
         assert_eq!(sp.poisoned_by(), Some((1, "killed".to_string())));
     }
 

@@ -6,8 +6,8 @@
 //! one rendezvous that folds the halting votes and hands back every frame
 //! peers shipped here during the phase). Two implementations exist:
 //!
-//! * [`InProcess`] — the simulated cluster: crossbeam channels between
-//!   worker threads and a shared [`SyncPoint`] barrier, no socket.
+//! * [`InProcess`] — the simulated cluster: `std::sync::mpsc` channels
+//!   between worker threads and a shared [`SyncPoint`] barrier, no socket.
 //! * [`Tcp`] — a real cluster over loopback/LAN TCP: one full-duplex
 //!   framed connection per unordered worker pair (see [`crate::net`] for
 //!   the frame layout), plus one control connection per worker to a
@@ -60,9 +60,9 @@ use crate::net::{
 };
 use crate::sync::{Aggregate, Contribution, SyncPoint};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use tempograph_trace::TraceSink;
 
@@ -136,8 +136,8 @@ pub trait Transport: Send {
 /// generation (the count of phases that sender had closed when it sent).
 pub type PhaseItem = (u64, BatchKind, Bytes);
 
-/// The simulated cluster's transport: unbounded crossbeam channels between
-/// worker threads, barriers on a shared [`SyncPoint`].
+/// The simulated cluster's transport: unbounded `std::sync::mpsc` channels
+/// between worker threads, barriers on a shared [`SyncPoint`].
 pub struct InProcess<'a> {
     partition: u16,
     rx: Receiver<PhaseItem>,
@@ -258,7 +258,7 @@ impl PeerWriter {
 /// reading continues (the stream stays frame-aligned, the clean
 /// retransmission follows); any other error is pushed and the thread exits.
 fn spawn_reader(mut reader: BufReader<TcpStream>, label: String) -> Receiver<ReadResult> {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     std::thread::spawn(move || loop {
         let res = read_frame(&mut reader, &label);
         let fatal = !matches!(
@@ -740,7 +740,7 @@ mod tests {
     #[test]
     fn in_process_transport_round_trips_and_synchronises() {
         let sync = SyncPoint::new(1);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         // One channel, addressed as partition 0, with "self" labelled 1 so
         // the sends count as remote — one thread exercises the whole loop.
         let mut t = InProcess::new(1, rx, vec![tx], &sync);
@@ -771,7 +771,7 @@ mod tests {
     #[test]
     fn in_process_holds_the_next_generation_and_rejects_the_one_after() {
         let sync = SyncPoint::new(1);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let peer = tx.clone();
         let mut t = InProcess::new(0, rx, vec![tx], &sync);
         let c = Contribution::default();

@@ -142,7 +142,12 @@ fn sequentially_dependent_threads_state() {
     let expect: i64 = (0..4i64)
         .flat_map(|t| (0..12i64).map(move |v| 1000 * t + v))
         .sum();
-    let got: i64 = result.emitted_at(3).map(|e| e.value as i64).sum();
+    let got: i64 = result
+        .emitted
+        .iter()
+        .filter(|e| e.timestep == 3)
+        .map(|e| e.value as i64)
+        .sum();
     assert_eq!(got, expect);
     assert_eq!(result.timesteps_run, 4);
 }
@@ -233,37 +238,7 @@ fn while_active_stops_when_all_vote() {
     assert_eq!(result.timesteps_run, 3, "stops after timestep index 2");
 }
 
-// ---- 5. initial messages ---------------------------------------------------
-
-struct EchoInitial;
-
-impl SubgraphProgram for EchoInitial {
-    type Msg = u64;
-
-    fn compute(&mut self, ctx: &mut Context<'_, u64>, msgs: &[Envelope<u64>]) {
-        if ctx.timestep() == 0 && ctx.superstep() == 0 {
-            for e in msgs {
-                ctx.add_counter("initial_sum", e.payload);
-            }
-        }
-        ctx.vote_to_halt();
-    }
-}
-
-#[test]
-fn initial_messages_reach_target_subgraph() {
-    let (pg, coll) = fixture(10, 2, 1);
-    let target = pg.subgraph_of_vertex(VertexIdx(7));
-    let result = run_job(
-        &pg,
-        &InstanceSource::Memory(coll),
-        |_, _| EchoInitial,
-        JobConfig::independent(1).with_initial_messages(vec![(target, 41), (target, 1)]),
-    );
-    assert_eq!(result.counter_at("initial_sum", 0), 42);
-}
-
-// ---- 6. GoFS source matches memory source ----------------------------------
+// ---- 5. GoFS source matches memory source ----------------------------------
 
 #[test]
 fn gofs_and_memory_sources_agree() {
@@ -291,7 +266,7 @@ fn gofs_and_memory_sources_agree() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-// ---- 7. determinism ---------------------------------------------------------
+// ---- 6. determinism ---------------------------------------------------------
 
 #[test]
 fn runs_are_deterministic() {
@@ -313,7 +288,7 @@ fn runs_are_deterministic() {
     assert_eq!(a.timesteps_run, b.timesteps_run);
 }
 
-// ---- 8. lazy instance loading ------------------------------------------------
+// ---- 7. lazy instance loading ------------------------------------------------
 
 /// Touches instance data only in the subgraph containing vertex 0.
 struct TouchOne;
@@ -354,7 +329,7 @@ fn untouched_subgraphs_cause_no_io() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-// ---- 9. multilevel-partitioned end-to-end ----------------------------------
+// ---- 8. multilevel-partitioned end-to-end ----------------------------------
 
 #[test]
 fn works_with_multilevel_partitioning() {

@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use tempograph_core::{GraphTemplate, TimeSeriesCollection, VertexIdx};
+use tempograph_core::{GraphTemplate, TimeSeriesCollection};
 
 /// Name of the `Double` edge attribute carrying per-timestep travel time.
 pub const LATENCY_ATTR: &str = "latency";
@@ -210,28 +210,28 @@ pub fn generate_sir_tweets(template: Arc<GraphTemplate>, cfg: &SirConfig) -> Tim
     coll
 }
 
-/// Count vertices whose tweet list contains `meme` in instance `g` — a
-/// ground-truth helper shared by tests and benches.
-pub fn vertices_with_meme(
-    coll: &TimeSeriesCollection,
-    timestep: usize,
-    meme: &str,
-) -> Vec<VertexIdx> {
-    let g = coll.get(timestep).expect("timestep in range");
-    let tweets = g.vertex_text_list(TWEETS_ATTR).expect("tweets attr");
-    tweets
-        .iter()
-        .enumerate()
-        .filter(|(_, row)| row.iter().any(|t| t == meme))
-        .map(|(i, _)| VertexIdx(i as u32))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::road::{road_network, RoadNetConfig};
     use crate::smallworld::{small_world, SmallWorldConfig};
+    use tempograph_core::VertexIdx;
+
+    /// The vertices whose tweet list contains `meme` at `timestep`.
+    fn vertices_with_meme(
+        coll: &TimeSeriesCollection,
+        timestep: usize,
+        meme: &str,
+    ) -> Vec<VertexIdx> {
+        let g = coll.get(timestep).expect("timestep in range");
+        let tweets = g.vertex_text_list(TWEETS_ATTR).expect("tweets attr");
+        tweets
+            .iter()
+            .enumerate()
+            .filter(|(_, row)| row.iter().any(|t| t == meme))
+            .map(|(i, _)| VertexIdx(i as u32))
+            .collect()
+    }
 
     #[test]
     fn latencies_in_range_and_deterministic() {

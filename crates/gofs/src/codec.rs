@@ -1325,7 +1325,7 @@ mod tests {
         }
         // Instances built against the decoded template work identically.
         let g = tempograph_core::GraphInstance::new(&back, 0);
-        assert_eq!(g.get_vertex(0, VertexIdx(3)), AttrValue::Long(0));
+        assert_eq!(g.vertex_col(0).get(3), AttrValue::Long(0));
     }
 
     #[test]

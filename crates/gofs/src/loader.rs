@@ -105,7 +105,9 @@ impl InstanceLoader {
     }
 
     /// The same loader as [`Self::new`]: one slot per bin is the only
-    /// capacity there is.
+    /// capacity there is. Only the benchmark (`perfbench/src/sut.rs`) still
+    /// calls it, which keeps it alive under lint rule U01; the next change
+    /// to the benchmark folds it into `new` (ROADMAP item 1(f)).
     pub fn with_default_capacity(store: GofsStore, pg: &PartitionedGraph, partition: u16) -> Self {
         Self::new(store, pg, partition)
     }
@@ -113,11 +115,6 @@ impl InstanceLoader {
     /// I/O counters since the last [`Self::take_stats`].
     pub fn stats(&self) -> &LoaderStats {
         &self.stats
-    }
-
-    /// Lifetime I/O counters (unaffected by [`Self::take_stats`]).
-    pub fn total_stats(&self) -> &LoaderStats {
-        &self.total
     }
 
     /// Drain the counters since the last call (e.g. once per timestep when
@@ -345,7 +342,7 @@ mod tests {
         let (pg, store) = dataset(&dir, 20, 10, 5);
         let partition = 0u16;
         let sg = pg.subgraphs_of_partition(partition)[0];
-        let mut loader = InstanceLoader::with_default_capacity(store, &pg, partition);
+        let mut loader = InstanceLoader::new(store, &pg, partition);
 
         // First access: one slice load.
         let si = loader.load(sg, 0).unwrap();
@@ -371,7 +368,7 @@ mod tests {
         let dir = tmp("values");
         let (pg, store) = dataset(&dir, 12, 4, 2);
         let partition = 1u16;
-        let mut loader = InstanceLoader::with_default_capacity(store, &pg, partition);
+        let mut loader = InstanceLoader::new(store, &pg, partition);
         for &sg_id in pg.subgraphs_of_partition(partition) {
             let sg = pg.subgraph(sg_id);
             for t in [0usize, 5, 11] {
@@ -590,7 +587,7 @@ mod tests {
         let (pg, store) = dataset(&dir, 5, 10, 5);
         let partition = 0u16;
         let sg = pg.subgraphs_of_partition(partition)[0];
-        let mut loader = InstanceLoader::with_default_capacity(store, &pg, partition);
+        let mut loader = InstanceLoader::new(store, &pg, partition);
         assert!(loader.load(sg, 5).is_err());
         // A subgraph of the *other* partition is rejected.
         let foreign = pg.subgraphs_of_partition(1)[0];
@@ -603,7 +600,7 @@ mod tests {
         let dir = tmp("hitrate");
         let (pg, store) = dataset(&dir, 20, 10, 5);
         let sg = pg.subgraphs_of_partition(0)[0];
-        let mut loader = InstanceLoader::with_default_capacity(store, &pg, 0);
+        let mut loader = InstanceLoader::new(store, &pg, 0);
         assert_eq!(loader.stats(), &LoaderStats::default(), "no requests yet");
         for t in 0..10 {
             loader.load(sg, t).unwrap();
@@ -611,12 +608,8 @@ mod tests {
         // 1 miss (pack 0 load) + 9 hits.
         assert_eq!(loader.stats().cache_misses, 1);
         assert_eq!(loader.stats().cache_hits, 9);
-        // The lifetime totals survive draining the window.
         loader.take_stats();
         assert_eq!(loader.stats().cache_misses, 0);
-        assert_eq!(loader.total_stats().cache_misses, 1);
-        assert_eq!(loader.total_stats().cache_hits, 9);
-        assert!(loader.total_stats().bytes_read > 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -625,7 +618,7 @@ mod tests {
         let dir = tmp("trace");
         let (pg, store) = dataset(&dir, 20, 10, 5);
         let sg = pg.subgraphs_of_partition(0)[0];
-        let mut loader = InstanceLoader::with_default_capacity(store, &pg, 0);
+        let mut loader = InstanceLoader::new(store, &pg, 0);
         assert!(loader.take_trace_sink().is_none(), "none installed");
         loader.set_trace_sink(tempograph_trace::TraceConfig::new().sink(0));
         loader.load(sg, 0).unwrap(); // miss
@@ -668,7 +661,7 @@ mod tests {
         let dir = tmp("bytes");
         let (pg, store) = dataset(&dir, 10, 10, 5);
         let sg = pg.subgraphs_of_partition(0)[0];
-        let mut loader = InstanceLoader::with_default_capacity(store, &pg, 0);
+        let mut loader = InstanceLoader::new(store, &pg, 0);
         assert_eq!(loader.cached_bytes(), 0, "nothing cached yet");
         let first = loader.load(sg, 0).unwrap();
         let loaded = loader.cached_bytes();
@@ -697,7 +690,7 @@ mod tests {
         let dir = tmp("reset");
         let (pg, store) = dataset(&dir, 5, 5, 5);
         let sg = pg.subgraphs_of_partition(0)[0];
-        let mut loader = InstanceLoader::with_default_capacity(store, &pg, 0);
+        let mut loader = InstanceLoader::new(store, &pg, 0);
         loader.load(sg, 0).unwrap();
         let taken = loader.take_stats();
         assert_eq!(taken.slice_loads, 1);

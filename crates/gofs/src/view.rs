@@ -367,15 +367,6 @@ impl SubgraphInstance {
         codec::f64_cells(&self.block[self.record(i).ok()?], base)
     }
 
-    /// Borrow a `Long` edge column by schema position.
-    pub fn edge_i64(&self, col: usize) -> Result<&[i64]> {
-        let c = self.edge_col(col)?;
-        match c.plain() {
-            Some(Column::Long(v)) => Ok(v),
-            _ => Err(mismatch(c.ty(), AttrType::Long)),
-        }
-    }
-
     /// The columns decoded so far.
     pub fn decoded(&self) -> impl Iterator<Item = &DecodedColumn> {
         self.cols.iter().filter_map(|c| c.decoded.get())
@@ -422,7 +413,7 @@ fn mismatch(expected: AttrType, got: AttrType) -> GofsError {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use tempograph_core::{AttrType, TemplateBuilder, VertexIdx};
+    use tempograph_core::{AttrType, Column, TemplateBuilder, VertexIdx};
     use tempograph_partition::{discover_subgraphs, Partitioning};
 
     /// Path 0-1-2-3 split into partitions {0,1} and {2,3}.
@@ -448,13 +439,13 @@ mod tests {
                 k: 2,
             },
         );
-        let mut g = GraphInstance::new(&t, 0);
-        g.vertex_f64_mut("load")
-            .unwrap()
-            .copy_from_slice(&[10.0, 11.0, 12.0, 13.0]);
-        g.edge_f64_mut("lat")
-            .unwrap()
-            .copy_from_slice(&[0.5, 1.5, 2.5]);
+        let g = GraphInstance::from_parts(
+            0,
+            t.vertex_schema().clone(),
+            t.edge_schema().clone(),
+            vec![Column::Double(vec![10.0, 11.0, 12.0, 13.0])],
+            vec![Column::Double(vec![0.5, 1.5, 2.5])],
+        );
         (t, pg, g)
     }
 

@@ -123,7 +123,7 @@ proptest! {
             requests.sort_by_key(|r| r.2);
         }
         let mut loaders: Vec<InstanceLoader> = (0..2u16)
-            .map(|p| InstanceLoader::with_default_capacity(GofsStore::open(&dir).unwrap(), &pg, p))
+            .map(|p| InstanceLoader::new(GofsStore::open(&dir).unwrap(), &pg, p))
             .collect();
         let project = |sg, t| SubgraphInstance::project(coll.get(t).unwrap(), pg.subgraph(sg), t);
         let mut held = Vec::new();
@@ -147,7 +147,7 @@ proptest! {
             prop_assert!(**inst == project(*sg, *t), "held {sg} at {t}");
         }
         if monotone {
-            let loads: u64 = loaders.iter().map(|l| l.total_stats().slice_loads).sum();
+            let loads: u64 = loaders.iter().map(|l| l.stats().slice_loads).sum();
             prop_assert_eq!(loads, touched.len() as u64);
         }
         drop(loaders);

@@ -10,7 +10,7 @@ const PINNED: u64 = 0x2757_fa32_47a0_f324;
 
 fn small_store_fnv(dir: &std::path::Path) -> u64 {
     use tempograph_core::{
-        AttrType, AttrValue, EdgeIdx, TemplateBuilder, TimeSeriesCollection, VertexIdx,
+        AttrType, AttrValue, Column, GraphInstance, TemplateBuilder, TimeSeriesCollection,
     };
     use tempograph_partition::{discover_subgraphs, Partitioning};
     let mut b = TemplateBuilder::new("pin", false);
@@ -35,14 +35,22 @@ fn small_store_fnv(dir: &std::path::Path) -> u64 {
     ));
     let mut coll = TimeSeriesCollection::new(t.clone(), 1000, 60);
     for ts in 0..7usize {
-        let mut g = coll.new_instance();
+        let mut vcols: Vec<Column> = t
+            .vertex_schema()
+            .iter()
+            .map(|a| Column::new(a.ty, 12))
+            .collect();
+        let mut ecols: Vec<Column> = t
+            .edge_schema()
+            .iter()
+            .map(|a| Column::new(a.ty, 11))
+            .collect();
         for v in 0..12usize {
-            let vi = VertexIdx(v as u32);
             // n: one row changes per timestep (sparse); name: constant.
-            g.set_vertex(0, vi, AttrValue::Long(if v == ts { -1 } else { v as i64 }))
+            vcols[0]
+                .set(v, AttrValue::Long(if v == ts { -1 } else { v as i64 }))
                 .unwrap();
-            g.set_vertex(1, vi, AttrValue::Text(format!("v{v}é")))
-                .unwrap();
+            vcols[1].set(v, AttrValue::Text(format!("v{v}é"))).unwrap();
             // tweets: i.i.d.-looking (dense), with empty lists and strings.
             let tags = (0..(v * 7 + ts * 3) % 4)
                 .map(|j| {
@@ -53,21 +61,29 @@ fn small_store_fnv(dir: &std::path::Path) -> u64 {
                     }
                 })
                 .collect();
-            g.set_vertex(2, vi, AttrValue::TextList(tags)).unwrap();
-            g.set_vertex(3, vi, AttrValue::Bool((v + ts / 3) % 2 == 0))
+            vcols[2].set(v, AttrValue::TextList(tags)).unwrap();
+            vcols[3]
+                .set(v, AttrValue::Bool((v + ts / 3) % 2 == 0))
                 .unwrap();
         }
         for e in 0..11usize {
-            let ei = EdgeIdx(e as u32);
-            g.set_edge(0, ei, AttrValue::Double(ts as f64 * 1.5 + e as f64 / 8.0))
+            ecols[0]
+                .set(e, AttrValue::Double(ts as f64 * 1.5 + e as f64 / 8.0))
                 .unwrap();
             let plates = if e % 4 == ts % 4 {
                 vec![ts as i64, e as i64]
             } else {
                 vec![]
             };
-            g.set_edge(1, ei, AttrValue::LongList(plates)).unwrap();
+            ecols[1].set(e, AttrValue::LongList(plates)).unwrap();
         }
+        let g = GraphInstance::from_parts(
+            coll.next_timestamp(),
+            t.vertex_schema().clone(),
+            t.edge_schema().clone(),
+            vcols,
+            ecols,
+        );
         coll.push(g).unwrap();
     }
     tempograph_gofs::store::write_dataset(dir, pg, &coll, 3, 2).unwrap();

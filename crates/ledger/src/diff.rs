@@ -98,11 +98,6 @@ impl RecordDiff {
     pub fn fatal(&self) -> impl Iterator<Item = &FieldDelta> {
         self.deltas.iter().filter(|d| d.is_fatal())
     }
-
-    /// True when a gated comparison should fail.
-    pub fn has_fatal(&self) -> bool {
-        self.deltas.iter().any(FieldDelta::is_fatal)
-    }
 }
 
 /// Classify one timing field move under the noise-floor gate rule:
@@ -207,7 +202,7 @@ mod tests {
         let a = rec(1_000_000_000, 42);
         let d = diff_records(&a, &a.clone(), DEFAULT_THRESHOLD);
         assert!(d.deltas.is_empty());
-        assert!(!d.has_fatal());
+        assert_eq!(d.fatal().count(), 0);
         assert!(!d.config_differs);
     }
 
@@ -217,12 +212,12 @@ mod tests {
         let d = diff_records(&rec(10_000_000, 0), &rec(20_000_000, 0), 0.5);
         assert_eq!(d.deltas.len(), 1);
         assert_eq!(d.deltas[0].kind, DeltaKind::TimingDrift);
-        assert!(!d.has_fatal());
+        assert_eq!(d.fatal().count(), 0);
 
         // +100% and 1000ms absolute: past both ⇒ regression.
         let d = diff_records(&rec(1_000_000_000, 0), &rec(2_000_000_000, 0), 0.5);
         assert_eq!(d.deltas[0].kind, DeltaKind::TimingRegression);
-        assert!(d.has_fatal());
+        assert!(d.fatal().next().is_some());
         assert!(d.deltas[0].describe().contains("REGRESSION"));
 
         // Large absolute but under +50% ⇒ drift.
@@ -239,7 +234,7 @@ mod tests {
         let d = diff_records(&rec(0, 41), &rec(0, 42), DEFAULT_THRESHOLD);
         assert_eq!(d.deltas.len(), 1);
         assert_eq!(d.deltas[0].kind, DeltaKind::CountChanged);
-        assert!(d.has_fatal());
+        assert!(d.fatal().next().is_some());
         assert!(d.deltas[0].describe().contains("COUNT CHANGED"));
     }
 

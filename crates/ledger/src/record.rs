@@ -864,10 +864,8 @@ mod tests {
         );
         assert_eq!(v.write(), rec.to_value().write());
         assert_eq!(
-            v.get("aggregates")
-                .and_then(|a| a.get("wall_ns"))
-                .and_then(|x| x.as_u64()),
-            Some(123_456_789)
+            v.get("aggregates").and_then(|a| a.get("wall_ns")).cloned(),
+            Some(Value::u64(123_456_789))
         );
         // Embedded metrics snapshot is structural, not an escaped string.
         assert_eq!(

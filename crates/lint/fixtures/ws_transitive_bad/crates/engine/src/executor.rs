@@ -15,7 +15,7 @@ pub trait Provider {
 }
 
 impl<P: Provider> Worker<P> {
-    pub fn run_timestep_loop(&mut self) {
+    fn run_timestep_loop(&mut self) {
         // Use-alias case: `advance` is really `tempograph_util::step`,
         // which panics two hops down.
         advance(1);

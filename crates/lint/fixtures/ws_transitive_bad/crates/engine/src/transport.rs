@@ -6,7 +6,7 @@ pub struct Mesh {
 }
 
 impl Mesh {
-    pub fn send(&mut self, dst: usize) -> u64 {
+    fn send(&mut self, dst: usize) -> u64 {
         self.seqs[dst] += 1;
         self.seqs[dst]
     }

@@ -6,7 +6,7 @@ pub struct Worker {
 }
 
 impl Worker {
-    pub fn run_timestep_loop(&mut self) -> Result<(), String> {
+    fn run_timestep_loop(&mut self) -> Result<(), String> {
         let v = tempograph_util::step(1)?;
         self.sink.record(v);
         Ok(())

@@ -6,7 +6,7 @@ pub struct Mesh {
 }
 
 impl Mesh {
-    pub fn send(&mut self, dst: usize) -> Result<u64, String> {
+    fn send(&mut self, dst: usize) -> Result<u64, String> {
         let s = self
             .seqs
             .get_mut(dst)

@@ -33,7 +33,13 @@ fn skip_string(b: &[u8], mut i: usize, line: &mut u32) -> usize {
     i += 1;
     while i < b.len() {
         match b[i] {
-            b'\\' => i += 2,
+            b'\\' => {
+                // A `\` line continuation still ends a source line.
+                if b.get(i + 1) == Some(&b'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
             b'"' => return i + 1,
             b'\n' => {
                 *line += 1;
@@ -266,8 +272,6 @@ pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
                     j += 1;
                 }
             }
-            // The item extends to the first `;` at brace depth 0, or to the
-            // matching `}` of its first `{`.
             let end = item_end(&texts, j);
             for flag in mask.iter_mut().take(end).skip(i) {
                 *flag = true;
@@ -280,21 +284,58 @@ pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
     mask
 }
 
-/// Index one past the end of the item starting at `start`: the first `;`
-/// outside braces, or the matching close of the first `{`.
+/// Keywords that open an item or a `let` statement (after any
+/// `pub`/`pub(…)`): those end at their `;` or body, never at a `,`
+/// (generics and patterns carry commas).
+const ITEM_KWS: &[&str] = &[
+    "fn",
+    "impl",
+    "mod",
+    "struct",
+    "enum",
+    "union",
+    "trait",
+    "use",
+    "const",
+    "static",
+    "type",
+    "macro_rules",
+    "unsafe",
+    "async",
+    "extern",
+    "let",
+];
+
+/// Index one past the end of the attributed item or statement starting
+/// at `start`: the first `;` outside brackets, or the matching close of
+/// the first `{`. An attributed struct field, struct-literal field, match
+/// arm or argument (no item keyword) also ends at a `,` outside brackets,
+/// and anything ends before the closer of the bracket that encloses it.
 fn item_end(texts: &[&str], start: usize) -> usize {
+    let mut k = start;
+    if texts.get(k) == Some(&"pub") {
+        k += 1;
+    }
+    if texts.get(k) == Some(&"(") {
+        k += 3; // `pub(crate)`, `pub(super)`
+    }
+    let is_item = texts.get(k).is_some_and(|t| ITEM_KWS.contains(t));
     let mut depth = 0i32;
     let mut j = start;
     while j < texts.len() {
         match texts[j] {
-            "{" => depth += 1,
-            "}" => {
+            "{" | "(" | "[" => depth += 1,
+            "}" | ")" | "]" => {
                 depth -= 1;
-                if depth == 0 {
+                if depth < 0 {
+                    return j;
+                }
+                if depth == 0 && texts[j] == "}" {
                     return j + 1;
                 }
             }
             ";" if depth == 0 => return j + 1,
+            "," if depth == 0 && !is_item => return j + 1,
             _ => {}
         }
         j += 1;
@@ -380,6 +421,12 @@ mod tests {
     }
 
     #[test]
+    fn string_line_continuations_count_lines() {
+        let toks = lex("let s = \"a \\\n b\";\nfin");
+        assert_eq!(toks.last().unwrap().line, 3);
+    }
+
+    #[test]
     fn cfg_test_mod_is_masked() {
         let src = "fn live() { a.unwrap(); }\n#[cfg(test)]\nmod tests { fn t() { b.unwrap(); } }\nfn tail() {}";
         let toks = lex(src);
@@ -390,6 +437,21 @@ mod tests {
         assert!(!mask[live]);
         assert!(mask[dead]);
         assert!(!mask[tail]);
+    }
+
+    #[test]
+    fn cfg_test_field_masks_only_itself() {
+        let src = "struct S { #[cfg(test)]\nprobe: Vec<u8>, live: u8 }\n\
+                   fn new() -> S { S { #[cfg(test)]\nprobe: Vec::new(), live: a() } }\n\
+                   fn f() { #[cfg(test)]\n{ b(); } c(); }\nfn tail() {}";
+        let toks = lex(src);
+        let mask = test_mask(&toks);
+        let at = |name: &str| mask[toks.iter().position(|t| t.text == name).unwrap()];
+        assert!(
+            at("probe") && at("b"),
+            "the attributed field and block are masked"
+        );
+        assert!(!at("live") && !at("a") && !at("c") && !at("tail"));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!   (superstep loop, message decode) — typed errors only;
 //! * **A01** — no `Ordering::Relaxed` on sync-critical atomics;
 //! * **W01** — wire-format `decode` matches may not use `_` wildcard arms;
-//! * **F01** — every crate root carries `#![forbid(unsafe_code)]`.
+//! * **F01** — every crate root carries `#![forbid(unsafe_code)]`;
+//! * **U01** — every `pub`/`pub(crate)` fn of a library crate is named by
+//!   some non-test code (examples and the benchmark included).
 //!
 //! Since v2 the analyzer is workspace-transitive: an item/extent parser
 //! ([`parser`]) and a conservative name-resolution call graph
@@ -56,12 +58,10 @@ pub struct Report {
     pub files: usize,
 }
 
-/// Parse every workspace file into the item-level AST the call-graph pass
-/// consumes.
-fn parse_workspace(root: &Path) -> Result<Vec<parser::FileAst>, String> {
-    let files = walk::workspace_files(root)?;
+/// Parse files into the item-level AST the workspace passes consume.
+fn parse_files(root: &Path, files: &[std::path::PathBuf]) -> Result<Vec<parser::FileAst>, String> {
     let mut asts = Vec::with_capacity(files.len());
-    for file in &files {
+    for file in files {
         let src = std::fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
         asts.push(parser::parse(&walk::rel_path(root, file), &src));
     }
@@ -71,18 +71,21 @@ fn parse_workspace(root: &Path) -> Result<Vec<parser::FileAst>, String> {
 /// Lint the workspace rooted at `root`, applying `root/lint-allow.toml`
 /// when present. Errors on I/O or allowlist syntax problems.
 ///
-/// Runs two layers: the transitive call-graph pass (P01/D02/H01 over the
-/// hot-path closure, findings with root→violation chains) and the
-/// per-file token pass (D01/D02/D03/P01/A01/W01/F01). Where the two flag
-/// the same (rule, path, line), the transitive finding wins — it carries
-/// the call chain.
+/// Runs three layers: the transitive call-graph pass (P01/D02/H01 over
+/// the hot-path closure, findings with root→violation chains), the
+/// dead-surface pass (U01, which also reads [`walk::READ_ONLY_DIRS`] for
+/// uses) and the per-file token pass (D01/D02/D03/P01/A01/W01/F01).
+/// Where the first and last flag the same (rule, path, line), the
+/// transitive finding wins — it carries the call chain.
 pub fn lint_workspace(root: &Path) -> Result<Report, String> {
-    let asts = parse_workspace(root)?;
+    let asts = parse_files(root, &walk::workspace_files(root)?)?;
+    let readers = parse_files(root, &walk::read_only_files(root)?)?;
     let file_count = asts.len();
 
     // Transitive pass.
     let graph = callgraph::CallGraph::build(asts);
     let mut findings = rules::analyze_transitive(&graph);
+    findings.extend(rules::analyze_dead_surface(&graph.files, &readers));
     let seen: std::collections::BTreeSet<(&'static str, String, u32)> = findings
         .iter()
         .map(|f| (f.rule, f.path.clone(), f.line))

@@ -30,6 +30,8 @@ pub struct FnItem {
     /// Callable outside its own crate: written `pub`, or declared in a
     /// trait / a trait impl (trait methods are public via the trait).
     pub is_pub: bool,
+    /// Declared inside a `trait` block (a required or default method).
+    pub in_trait: bool,
     /// Inline-module path within the file (e.g. `["tests"]`).
     pub module: Vec<String>,
     /// Token range of the `{ … }` body (exclusive end); `None` for
@@ -233,6 +235,7 @@ fn parse_items(
                     owner: cx.owner.clone(),
                     trait_impl: cx.trait_impl.clone(),
                     is_pub: pending_pub || cx.in_trait || cx.trait_impl.is_some(),
+                    in_trait: cx.in_trait,
                     module: cx.module.clone(),
                     body,
                     line,

@@ -9,6 +9,7 @@
 //! | A01  | no `Ordering::Relaxed` on sync-critical atomics |
 //! | W01  | wire-format `decode` matches may not use `_` wildcard arms |
 //! | F01  | every crate root carries `#![forbid(unsafe_code)]` |
+//! | U01  | every `pub`/`pub(crate)` fn or inherent method of a library crate is named by non-test code |
 //!
 //! Rules run over the token stream from [`crate::lexer`], with
 //! `#[cfg(test)]` items masked out. Scoping is path-based (see
@@ -21,10 +22,14 @@
 //! graph, rooted at the executor superstep loop, the `Transport`
 //! entry points, and the wire/frame/checkpoint/ledger codecs. Transitive
 //! findings carry a root→violation call chain in their message.
+//!
+//! [`analyze_dead_surface`] (U01) is the third, workspace-wide pass: a
+//! public fn whose name no non-test token mentions is dead surface.
 
 use crate::callgraph::{CallGraph, FnId};
 use crate::lexer::{self, Tok};
-use crate::parser::FnItem;
+use crate::parser::{FileAst, FnItem};
+use std::collections::BTreeSet;
 
 /// One rule violation at a source location.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -435,12 +440,7 @@ pub fn analyze_transitive(graph: &CallGraph) -> Vec<Finding> {
     out
 }
 
-fn transitive_finding(
-    rule: &'static str,
-    file: &crate::parser::FileAst,
-    line: u32,
-    msg: String,
-) -> Finding {
+fn finding_at(rule: &'static str, file: &FileAst, line: u32, msg: String) -> Finding {
     Finding {
         rule,
         path: file.path.clone(),
@@ -481,7 +481,7 @@ fn scan_p01_body(
                 None
             };
         if let Some(what) = hit {
-            out.push(transitive_finding(
+            out.push(finding_at(
                 "P01",
                 file,
                 toks[i].line,
@@ -567,7 +567,7 @@ fn scan_d02_body(
             && toks.get(i + 2).is_some_and(|t| t.text == "now")
             && toks.get(i + 3).is_some_and(|t| t.text == "(")
         {
-            out.push(transitive_finding(
+            out.push(finding_at(
                 "D02",
                 file,
                 toks[i].line,
@@ -596,7 +596,7 @@ fn scan_h01_body(
                 .enumerate()
                 .all(|(k, want)| toks.get(i + k).is_some_and(|t| t.text == *want))
             {
-                out.push(transitive_finding(
+                out.push(finding_at(
                     "H01",
                     file,
                     toks[i].line,
@@ -614,6 +614,97 @@ fn scan_h01_body(
             }
         }
         i += 1;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Dead public surface (U01)
+// ---------------------------------------------------------------------------
+
+/// Rule U01 over the lint surface `files`, with `readers` (examples, the
+/// benchmark, bench targets) read for uses only.
+///
+/// A `pub`/`pub(crate)` free fn or inherent method of a library crate is
+/// dead when no non-test token names it. Name resolution is deliberately
+/// blind: any identifier equal to the name counts as a use (macro bodies
+/// included), and so does an identifier that a `use … as` rename maps to
+/// it. Tokens inside `#[cfg(test)]` items, `use` declarations (so a bare
+/// `pub use` re-export keeps nothing alive) and the `fn` name slot do not.
+/// Trait methods, trait-impl methods and `main` are exempt. The rule can
+/// therefore miss a dead item that shares a live name, but never flags a
+/// named one.
+pub fn analyze_dead_surface(files: &[FileAst], readers: &[FileAst]) -> Vec<Finding> {
+    let all = || files.iter().chain(readers);
+    let mut used: BTreeSet<&str> = BTreeSet::new();
+    for ast in all() {
+        collect_uses(ast, &mut used);
+    }
+    // A rename counts wherever it is declared: a `pub use a as b`
+    // re-export is used as `b` in other files, even other crates.
+    loop {
+        let before = used.len();
+        for (alias, orig) in all().flat_map(|ast| &ast.aliases) {
+            if used.contains(alias.as_str()) {
+                used.insert(orig.as_str());
+            }
+        }
+        if used.len() == before {
+            break;
+        }
+    }
+    let mut out = Vec::new();
+    for ast in files {
+        if ast.path.ends_with("src/main.rs") || ast.path.contains("/src/bin/") {
+            continue;
+        }
+        for f in &ast.fns {
+            let exempt = !f.is_pub
+                || f.test_only
+                || f.in_trait
+                || f.trait_impl.is_some()
+                || f.name == "main";
+            if exempt || used.contains(f.name.as_str()) {
+                continue;
+            }
+            out.push(finding_at(
+                "U01",
+                ast,
+                f.line,
+                format!(
+                    "`{}` is public but no non-test code names it — delete it, or allowlist \
+                     it with the reason it stays",
+                    f.display()
+                ),
+            ));
+        }
+    }
+    out
+}
+
+/// Add every identifier `ast` uses outside test code to `used`.
+fn collect_uses<'a>(ast: &'a FileAst, used: &mut BTreeSet<&'a str>) {
+    let toks = &ast.toks;
+    let mask = lexer::test_mask(toks);
+    let mut i = 0;
+    while i < toks.len() {
+        let t = toks[i].text.as_str();
+        if mask[i] {
+            i += 1;
+        } else if t == "use" && toks.get(i + 1).is_some_and(|n| n.text != "<") {
+            while i < toks.len() && toks[i].text != ";" {
+                i += 1;
+            }
+        } else {
+            let is_def = i > 0 && toks[i - 1].text == "fn";
+            if !is_def
+                && t.chars()
+                    .next()
+                    .is_some_and(|c| c.is_alphabetic() || c == '_')
+            {
+                used.insert(t);
+            }
+            i += 1;
+        }
     }
 }
 

@@ -5,6 +5,11 @@
 //! `tests/`, `benches/`, `examples/`, `vendor/`, and the lint fixture
 //! corpus are deliberately out of scope — they may panic, time, and
 //! allocate however they like.
+//!
+//! Rule U01 (dead public surface) also reads [`READ_ONLY_DIRS`] —
+//! `examples/`, `perfbench/src` (the benchmark) and
+//! `crates/bench/benches` — for uses only: a name they mention keeps an
+//! item alive, but nothing in them is linted.
 
 use std::path::{Path, PathBuf};
 
@@ -28,6 +33,23 @@ pub fn workspace_files(root: &Path) -> Result<Vec<PathBuf>, String> {
     }
     let mut files = Vec::new();
     for dir in dirs {
+        if dir.is_dir() {
+            collect_rs(&dir, &mut files)?;
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
+/// Non-test code outside the lint surface that still counts as a caller
+/// for U01.
+pub const READ_ONLY_DIRS: &[&str] = &["examples", "perfbench/src", "crates/bench/benches"];
+
+/// Every `.rs` file under [`READ_ONLY_DIRS`], sorted.
+pub fn read_only_files(root: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut files = Vec::new();
+    for dir in READ_ONLY_DIRS {
+        let dir = root.join(dir);
         if dir.is_dir() {
             collect_rs(&dir, &mut files)?;
         }

@@ -6,7 +6,7 @@
 //! `ws_transitive_{bad,good}` exercise the call-graph rules (indirect
 //! panics, trait dispatch, use-aliases, cfg(test) masking, H01 guards,
 //! indexing) end to end through [`lint_workspace`] and drive the binary's
-//! exit-code matrix.
+//! exit-code matrix; `ws_dead_surface` holds one public fn per U01 case.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -231,6 +231,56 @@ fn binary_exit_codes_cover_clean_findings_and_drift() {
     )
     .expect("write stale allowlist");
     assert_eq!(run(&tmp), Some(2), "stale allowlist entry → 2");
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+// ---- U01: dead public surface ---------------------------------------------
+
+#[test]
+fn dead_surface_workspace_flags_exactly_the_dead_items() {
+    let report = lint_workspace(&ws_root("ws_dead_surface")).expect("lint runs");
+    for f in &report.findings {
+        assert_eq!(f.rule, "U01", "only U01 fires here: {f:#?}");
+    }
+    let flagged: Vec<&str> = report
+        .findings
+        .iter()
+        .map(|f| f.line_text.as_str())
+        .collect();
+    // No use; a use only under `#[cfg(test)]` or in `tests/`; a use only
+    // through a `pub use` re-export. The other cases (perfbench, example,
+    // trait, macro body, a `use … as` alias in the same file or renamed on
+    // re-export, a call below a `#[cfg(test)]` field) are clean.
+    assert_eq!(
+        flagged,
+        [
+            "pub fn reexported() {}",
+            "pub fn never_called() {}",
+            "pub fn test_only_call() {}",
+        ],
+        "{:#?}",
+        report.findings
+    );
+}
+
+#[test]
+fn stale_u01_allowlist_entry_fails_the_run() {
+    let bin = env!("CARGO_BIN_EXE_tempograph-lint");
+    let tmp = temp_copy("ws_dead_surface", "stale-u01");
+    std::fs::write(
+        tmp.join("lint-allow.toml"),
+        "[[allow]]\nrule = \"U01\"\npath = \"crates/core/src/lib.rs\"\n\
+         contains = \"fn perf_only\"\nreason = \"perf_only is live\"\n",
+    )
+    .expect("write stale allowlist");
+    let code = Command::new(bin)
+        .arg("--root")
+        .arg(&tmp)
+        .output()
+        .expect("run tempograph-lint")
+        .status
+        .code();
+    assert_eq!(code, Some(2), "stale U01 entry → 2");
     let _ = std::fs::remove_dir_all(&tmp);
 }
 

@@ -10,8 +10,7 @@
 
 use std::fmt::Write as _;
 
-use crate::histogram::{Histogram, BUCKETS};
-use crate::registry::{Metric, MetricEntry, MetricKey, Snapshot};
+use crate::registry::{Metric, Snapshot};
 
 /// A parsed or under-construction JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -54,38 +53,11 @@ impl Value {
         Value::Str(v.to_string())
     }
 
-    /// Interpret this value as `u64` if possible.
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(tok) => tok.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// Interpret this value as `f64` if possible.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(tok) => tok.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// Borrow this value as a string if it is one.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Borrow this value as an array if it is one.
-    #[must_use]
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
             _ => None,
         }
     }
@@ -524,103 +496,6 @@ impl Snapshot {
     pub fn to_json(&self) -> String {
         self.to_value().write()
     }
-
-    /// Rebuild a snapshot from its JSON form (inverse of [`Snapshot::to_json`]).
-    pub fn from_json(text: &str) -> Result<Snapshot, JsonError> {
-        Self::from_value(&Value::parse(text)?)
-    }
-
-    /// Rebuild a snapshot from an already-parsed [`Value`].
-    pub fn from_value(value: &Value) -> Result<Snapshot, JsonError> {
-        let fail = |msg: &str| JsonError {
-            message: msg.to_string(),
-            offset: 0,
-        };
-        let metrics = value
-            .get("metrics")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| fail("missing 'metrics' array"))?;
-        let mut entries = Vec::with_capacity(metrics.len());
-        for m in metrics {
-            let name = m
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| fail("metric missing 'name'"))?;
-            let labels = match m.get("labels") {
-                Some(Value::Obj(pairs)) => pairs
-                    .iter()
-                    .map(|(k, v)| {
-                        Ok((
-                            k.clone(),
-                            v.as_str()
-                                .ok_or_else(|| fail("label not a string"))?
-                                .to_string(),
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, JsonError>>()?,
-                _ => Vec::new(),
-            };
-            let kind = m
-                .get("type")
-                .and_then(Value::as_str)
-                .ok_or_else(|| fail("metric missing 'type'"))?;
-            let metric = match kind {
-                "counter" => Metric::Counter(
-                    m.get("value")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| fail("counter missing 'value'"))?,
-                ),
-                "gauge" => Metric::Gauge(
-                    m.get("value")
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| fail("gauge missing 'value'"))?,
-                ),
-                "histogram" => {
-                    let count = m
-                        .get("count")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| fail("histogram missing 'count'"))?;
-                    let sum = m
-                        .get("sum")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| fail("histogram missing 'sum'"))?;
-                    let min = m.get("min").and_then(Value::as_u64).unwrap_or(0);
-                    let max = m.get("max").and_then(Value::as_u64).unwrap_or(0);
-                    let mut buckets = [0u64; BUCKETS];
-                    for pair in m.get("buckets").and_then(Value::as_arr).unwrap_or(&[]) {
-                        let items = pair.as_arr().ok_or_else(|| fail("bad bucket pair"))?;
-                        let idx = items
-                            .first()
-                            .and_then(Value::as_u64)
-                            .ok_or_else(|| fail("bad bucket index"))?
-                            as usize;
-                        let c = items
-                            .get(1)
-                            .and_then(Value::as_u64)
-                            .ok_or_else(|| fail("bad bucket count"))?;
-                        if idx >= BUCKETS {
-                            return Err(fail("bucket index out of range"));
-                        }
-                        buckets[idx] = c;
-                    }
-                    Metric::Histogram(Box::new(Histogram::from_parts(
-                        buckets, count, sum, min, max,
-                    )))
-                }
-                other => return Err(fail(&format!("unknown metric type '{other}'"))),
-            };
-            let mut sorted_labels = labels;
-            sorted_labels.sort();
-            entries.push(MetricEntry {
-                key: MetricKey {
-                    name: name.to_string(),
-                    labels: sorted_labels,
-                },
-                value: metric,
-            });
-        }
-        Ok(Snapshot { metrics: entries })
-    }
 }
 
 #[cfg(test)]
@@ -632,7 +507,7 @@ mod tests {
     fn value_round_trip() {
         let text = r#"{"a":[1,2.5,-3],"b":"x\ny","c":true,"d":null,"e":{}}"#;
         let v = Value::parse(text).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
+        assert!(matches!(v.get("a"), Some(Value::Arr(items)) if items.len() == 3));
         assert_eq!(Value::parse(&v.write()).unwrap(), v);
     }
 
@@ -640,7 +515,7 @@ mod tests {
     fn u64_max_survives() {
         let v = Value::u64(u64::MAX);
         let parsed = Value::parse(&v.write()).unwrap();
-        assert_eq!(parsed.as_u64(), Some(u64::MAX));
+        assert_eq!(parsed, Value::Num(u64::MAX.to_string()));
     }
 
     #[test]
@@ -663,8 +538,8 @@ mod tests {
         r.observe("h", &[], 0);
         r.observe("h", &[], 12345);
         let snap = r.snapshot();
-        let back = Snapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back, snap);
+        let back = Value::parse(&snap.to_json()).unwrap();
+        assert_eq!(back, snap.to_value());
     }
 
     #[test]

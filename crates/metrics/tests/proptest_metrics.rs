@@ -3,7 +3,8 @@
 //! snapshots must round-trip losslessly.
 
 use proptest::prelude::*;
-use tempograph_metrics::{Histogram, Registry, Snapshot};
+use tempograph_metrics::json::Value;
+use tempograph_metrics::{Histogram, Registry};
 
 /// Values spanning every bucket regime: zero, small, mid, and huge.
 fn arb_value() -> impl Strategy<Value = u64> {
@@ -98,7 +99,7 @@ proptest! {
             r.observe("h_latency", &[("shard", "0")], v);
         }
         let snap = r.snapshot();
-        let back = Snapshot::from_json(&snap.to_json()).unwrap();
-        prop_assert_eq!(back, snap);
+        let back = Value::parse(&snap.to_json()).unwrap();
+        prop_assert_eq!(back, snap.to_value());
     }
 }

@@ -35,34 +35,6 @@ pub fn balance(template: &GraphTemplate, p: &Partitioning) -> f64 {
     max / ideal
 }
 
-/// Export the quality metrics of a partitioning into a registry, labeled
-/// with the partition count `k`: `tempograph_partition_edge_cut` (counter),
-/// `tempograph_partition_cut_fraction` and `tempograph_partition_balance`
-/// (gauges).
-pub fn export_metrics(
-    template: &GraphTemplate,
-    p: &Partitioning,
-    reg: &mut tempograph_metrics::Registry,
-) {
-    let k = p.k.to_string();
-    let labels: [(&str, &str); 1] = [("k", k.as_str())];
-    reg.counter_add(
-        "tempograph_partition_edge_cut",
-        &labels,
-        edge_cut(template, p) as u64,
-    );
-    reg.gauge_set(
-        "tempograph_partition_cut_fraction",
-        &labels,
-        cut_fraction(template, p),
-    );
-    reg.gauge_set(
-        "tempograph_partition_balance",
-        &labels,
-        balance(template, p),
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,14 +63,6 @@ mod tests {
         assert_eq!(edge_cut(&t, &p), 2);
         assert!((cut_fraction(&t, &p) - 0.5).abs() < 1e-12);
         assert!((balance(&t, &p) - 1.0).abs() < 1e-12);
-
-        let mut reg = tempograph_metrics::Registry::new();
-        export_metrics(&t, &p, &mut reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter_total("tempograph_partition_edge_cut"), 2);
-        let text = snap.to_prometheus();
-        assert!(text.contains("tempograph_partition_cut_fraction{k=\"2\"} 0.5"));
-        assert!(text.contains("tempograph_partition_balance{k=\"2\"} 1.0"));
     }
 
     #[test]

@@ -136,7 +136,7 @@ pub enum CostSource<'a> {
     PartitionProportional(&'a [u64]),
     /// Measured per-subgraph totals as `(subgraph, cost)` pairs — e.g. the
     /// run ledger's compute attribution table
-    /// (`CostAttribution::per_subgraph_ns` in `tempograph-engine`).
+    /// (`RunRecord::per_subgraph_costs` in `tempograph-ledger`).
     /// Subgraphs absent from the list cost 0; duplicate ids are summed.
     MeasuredPerSubgraph(&'a [(SubgraphId, u64)]),
 }

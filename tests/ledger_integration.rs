@@ -221,13 +221,13 @@ fn rebalance_ablation_reduces_observed_makespan() {
     assert!(!plan.moves.is_empty());
 
     let observed_makespan = |pg: &PartitionedGraph, r: &JobResult| -> u64 {
-        let attr = r.attribution.as_ref().unwrap();
-        let per_sg = attr.per_subgraph_invocations();
+        let rows = &r.attribution.as_ref().unwrap().rows;
         (0..pg.num_partitions() as u16)
             .map(|p| {
-                pg.subgraphs_of_partition(p)
-                    .iter()
-                    .map(|&id| per_sg.iter().find(|(i, _)| *i == id).map_or(0, |&(_, n)| n))
+                let mine = pg.subgraphs_of_partition(p);
+                rows.iter()
+                    .filter(|row| mine.contains(&row.subgraph))
+                    .map(|row| row.invocations as u64)
                     .sum::<u64>()
             })
             .max()

@@ -616,6 +616,26 @@ fn tcp_frame_faults_are_repaired_and_output_neutral() {
     );
 }
 
+/// 2–5 damaged frames over 3 senders' first 12 data frames, cycling
+/// through all four kinds, drawn from `seed`.
+fn seeded_frame_faults(seed: u64) -> FaultPlan {
+    use rand::{Rng, SeedableRng};
+    use tempograph::engine::FrameFault;
+    const KINDS: [FrameFault; 4] = [
+        FrameFault::Drop,
+        FrameFault::Duplicate,
+        FrameFault::Reorder,
+        FrameFault::Truncate,
+    ];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let n = rng.gen_range(2..6usize);
+    (0..n).fold(FaultPlan::new(), |plan, i| {
+        let p = rng.gen_range(0..3u16);
+        let frame = rng.gen_range(1..13u64);
+        plan.frame_fault_at(p, frame, KINDS[i % KINDS.len()])
+    })
+}
+
 /// A seeded frame-fault schedule (the fuzz entry point) is equally
 /// invisible, and the same seed injects the same schedule twice.
 #[test]
@@ -635,7 +655,7 @@ fn tcp_seeded_frame_faults_match_the_fault_free_run() {
             &pg,
             &src,
             &factory,
-            mk_cfg().with_faults(FaultPlan::new().with_frame_faults_from_seed(0xF8A7, 3, 12)),
+            mk_cfg().with_faults(seeded_frame_faults(0xF8A7)),
             Cluster::Threads,
         )
         .expect("seeded frame faults must not kill the job")

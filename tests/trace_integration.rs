@@ -123,6 +123,15 @@ fn traced_run_validates_and_exactly_derives_metrics() {
         "sync_ns from barrier spans"
     );
     assert_eq!(trace.span_count("barrier.post"), 0);
+    // The in-memory source times each projection with the two readings
+    // that bound its `memory.project` span.
+    let io: u64 = all().map(|m| m.io_ns).sum();
+    assert!(io > 0);
+    assert_eq!(
+        io,
+        trace.sum_spans("memory.project"),
+        "io_ns from fetch spans"
+    );
 
     // Per-partition timestep wall clocks are the timestep spans themselves;
     // the merge phase has its own span.
@@ -300,18 +309,29 @@ fn flight_recorder_stays_bounded() {
     trace
         .validate()
         .expect("bounded ring still yields a valid trace");
-    assert!(
-        trace.num_events() <= CAP * PARTITIONS,
-        "{} events exceed {} rings of {CAP}",
-        trace.num_events(),
-        PARTITIONS
-    );
+    // Each partition fills two rings: its worker's and its instance
+    // provider's (`memory.project` spans).
+    for track in &trace.tracks {
+        let fetches = track
+            .events
+            .iter()
+            .filter(|e| e.name() == "memory.project")
+            .count();
+        let worker = track.events.len() - fetches;
+        assert!(
+            worker <= CAP && fetches <= CAP,
+            "{}: {worker} worker and {fetches} provider events, rings of {CAP}",
+            track.name
+        );
+    }
+    assert!(trace.span_count("memory.project") > 0);
     assert!(trace.num_events() > 0);
 }
 
 /// The same bound over TCP: a worker's sinks go home once, at the end of
-/// the job, so each ring — the worker's and its transport's `net.*` one —
-/// holds at most `CAP` events however many timesteps filled it.
+/// the job, so each ring — the worker's, its provider's `memory.project`
+/// one and its transport's `net.*` one — holds at most `CAP` events
+/// however many timesteps filled it.
 #[test]
 fn flight_recorder_stays_bounded_over_tcp() {
     if std::net::TcpListener::bind("127.0.0.1:0").is_err() {
@@ -339,12 +359,18 @@ fn flight_recorder_stays_bounded_over_tcp() {
     assert_eq!(trace.tracks.len(), PARTITIONS);
     for track in &trace.tracks {
         // Straggler instants are the coordinator's, not a ring's.
-        let (net, worker): (Vec<&tempograph::trace::TraceEvent>, Vec<_>) = track
+        let (net, rest): (Vec<&tempograph::trace::TraceEvent>, Vec<_>) = track
             .events
             .iter()
             .filter(|e| e.name() != "straggler.detected")
             .partition(|e| e.name().starts_with("net."));
-        for (sink, events) in [("worker", &worker), ("transport", &net)] {
+        let (fetches, worker): (Vec<_>, Vec<_>) =
+            rest.into_iter().partition(|e| e.name() == "memory.project");
+        for (sink, events) in [
+            ("worker", &worker),
+            ("provider", &fetches),
+            ("transport", &net),
+        ] {
             assert!(
                 !events.is_empty() && events.len() <= CAP,
                 "{}: {} {sink} events, ring of {CAP}",
