@@ -61,11 +61,11 @@ faults_stage() {
 }
 
 # Transport gate: every algorithm must produce byte-identical results over
-# in-process channels, a localhost TCP thread mesh, and real spawned worker
+# in-process links, a localhost TCP thread mesh, and real spawned worker
 # processes (the equivalence suite covers all three plus delivery-order
 # probes, telemetry equivalence, and frame-codec fuzzing), no batch may be
-# delivered outside the phase it was sent in (the sentinel/generation fence
-# that replaced the second per-superstep barrier), and the
+# delivered outside the phase it was sent in (the sentinel fence, the same
+# on every cluster, that replaced the second per-superstep barrier), and the
 # `tempograph` binary must drive a 2-process localhost cluster end-to-end —
 # plain and with observability armed (worker shards carried home in the
 # Output frames and folded into the coordinator registry). Skips loudly

@@ -5,33 +5,37 @@
 //! not change it. [`run_cluster`] is that manager. A job runs as a
 //! sequence of **epochs** — one launch of all `k` workers, from scratch or
 //! from the latest committed checkpoint — and the [`Cluster`] only decides
-//! how an epoch hosts its workers:
+//! how an epoch hosts its workers and makes their links:
 //!
-//! * [`Cluster::InProcess`] — `k` scoped threads over
-//!   [`InProcess`] transports (`std::sync::mpsc` channels, a shared
-//!   [`SyncPoint`]); no socket, no coordinator protocol.
-//! * [`Cluster::Threads`] — `k` scoped threads over [`Tcp`] transports,
-//!   dialing this process's coordinator listener over loopback.
+//! * [`Cluster::InProcess`] — `k` scoped threads whose coordinator
+//!   connections and peer mesh are in-memory links (`FrameConn::pair`,
+//!   `PeerLink::pair`); no socket is opened.
+//! * [`Cluster::Threads`] — `k` scoped threads dialing this process's
+//!   coordinator listener over loopback TCP and building a socket mesh.
 //! * [`Cluster::Processes`] — `k` spawned worker processes (the
 //!   `tempograph worker` subcommand, [`run_tcp_worker`]) doing the same.
 //!
-//! Everything else is shared: the recovery loop, the judgement of how an
-//! epoch ended, the `recoveries` accounting, the driver trace track and
-//! result assembly. [`crate::run_job`] is `run_cluster` over
-//! `Cluster::InProcess` with the error unwrapped; [`crate::run_job_tcp`]
-//! *is* `run_cluster`.
+//! Everything else is shared: the worker entry (Hello, Start, mesh, the
+//! TI-BSP run over a `WorkerLinks`, then an Output or Abort frame), the
+//! coordinator's round loop (`serve_epoch`: fold every worker's
+//! [`Contribution`] into the [`Aggregate`] it broadcasts), the recovery
+//! loop, the judgement of how an epoch ended, the `recoveries`
+//! accounting, the driver trace track and result assembly.
+//! [`crate::run_job`] is `run_cluster` over `Cluster::InProcess` with the
+//! error unwrapped; [`crate::run_job_tcp`] *is* `run_cluster`.
 //!
 //! **One failure vocabulary.** However a worker dies — a panicking thread,
 //! a typed worker error, a process exit, a reset connection — the epoch
-//! ends as a death naming the *primary* partition, never a cascade: TCP
-//! workers report a dead peer to the coordinator in an Abort frame before
-//! unwinding, in-process workers report it to the [`SyncPoint`], and both
-//! surface to peers as [`EngineError::RemoteWorkerDied`]. With
-//! checkpointing armed and an *injected* death (the fault plan's panic
-//! events, or a killed worker process) the driver relaunches the epoch
-//! from the latest committed checkpoint; anything else would recur
-//! deterministically after a restore, so it is returned as
-//! `RemoteWorkerDied` naming the partition.
+//! ends as a death naming the *primary* partition, never a cascade: a
+//! worker that sees a peer die reports it to the coordinator in an Abort
+//! frame before unwinding, a dropped coordinator link names its own
+//! worker, and the coordinator tells every survivor in an Abort frame, so
+//! peers fail with [`EngineError::RemoteWorkerDied`]. With checkpointing
+//! armed and an *injected* death (the fault plan's panic events, or a
+//! killed worker process) the driver relaunches the epoch from the latest
+//! committed checkpoint; anything else would recur deterministically
+//! after a restore, so it is returned as `RemoteWorkerDied` naming the
+//! partition.
 
 use crate::checkpoint;
 use crate::error::EngineError;
@@ -40,20 +44,19 @@ use crate::faults::{payload_is_injected, FaultPlan};
 use crate::metrics::{AttributionRow, CostAttribution, Emit, JobResult, TimestepMetrics};
 use crate::net::{
     accept_with_deadline, bind_loopback, connect_with_retry, decode_payload, encode_payload,
-    AbortMsg, Frame, FrameConn, FrameKind, HelloMsg, StartMsg, COORDINATOR, RESUME_NONE,
+    AbortMsg, Frame, FrameConn, FrameKind, HelloMsg, PeerLink, StartMsg, COORDINATOR, RESUME_NONE,
 };
 use crate::program::SubgraphProgram;
 use crate::provider::{InstanceSource, JobSource};
-use crate::sync::{panic_message, Aggregate, Contribution, PoisonOnPanic, SyncPoint};
 use crate::telemetry::CoordTelemetry;
-use crate::transport::{InProcess, Tcp, HANDSHAKE_TIMEOUT_MS};
+use crate::transport::{connect_mesh, WorkerLinks, HANDSHAKE_TIMEOUT_MS};
 use crate::wire::WireMsg;
 use bytes::{Buf, Bytes, BytesMut};
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use tempograph_partition::{PartitionedGraph, Subgraph, SubgraphId};
 use tempograph_trace::{Clock, Trace, TraceEvent, TraceSink};
 
@@ -118,14 +121,25 @@ impl WorkerOutput {
 
 // ---- worker side ---------------------------------------------------------
 
-/// One TCP worker, start to finish: handshake with the coordinator, build
-/// the peer mesh, run the TI-BSP loop over the [`Tcp`] transport, ship the
-/// results back. On a peer death observed first-hand, reports the dead
-/// partition to the coordinator (an Abort frame) before unwinding, so the
-/// coordinator can attribute the primary failure even when the dying
-/// worker's own connection reset is observed later.
-fn tcp_worker<P, F>(
-    coord_addr: &str,
+/// How a worker reaches its cluster.
+enum Links {
+    /// Dial the coordinator at this address; bind a mesh listener, then
+    /// dial and accept peers once Start names their addresses.
+    Sockets(String),
+    /// In-memory links its host made: the coordinator connection and the
+    /// peer mesh, indexed by partition (`None` for itself).
+    Memory(FrameConn, Vec<Option<PeerLink>>),
+}
+
+/// One worker, start to finish, on every [`Cluster`]: Hello to the
+/// coordinator, Start back, the peer mesh, the TI-BSP run over a
+/// [`WorkerLinks`], and the results home in an Output frame. On a peer
+/// death observed first-hand, reports the dead partition to the
+/// coordinator (an Abort frame) before unwinding, so the coordinator can
+/// attribute the primary failure even when the dying worker's own link
+/// drop is observed later.
+fn cluster_worker<P, F>(
+    links: Links,
     partition: u16,
     pg: &Arc<PartitionedGraph>,
     source: &JobSource,
@@ -137,9 +151,16 @@ where
     P: SubgraphProgram,
     F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync,
 {
-    let (listener, listen_addr) = bind_loopback("the peer-mesh listener")?;
-    let stream = connect_with_retry(coord_addr, "coordinator")?;
-    let mut coord = FrameConn::new(stream, "coordinator")?;
+    // A socket worker's mesh is made after Start, from its listener.
+    let (mut coord, listen_addr, listener, mesh) = match links {
+        Links::Sockets(coord_addr) => {
+            let (listener, listen_addr) = bind_loopback("the peer-mesh listener")?;
+            let stream = connect_with_retry(&coord_addr, "coordinator")?;
+            let coord = FrameConn::new(stream, "coordinator")?;
+            (coord, listen_addr, Some(listener), Vec::new())
+        }
+        Links::Memory(coord, mesh) => (coord, String::new(), None, mesh),
+    };
     coord.send(&Frame::control(
         FrameKind::Hello,
         partition,
@@ -162,21 +183,24 @@ where
         faults.mark_fired(&start.fired);
     }
     let resume_from = (start.resume_from != RESUME_NONE).then_some(start.resume_from);
+    let epoch = start.epoch;
+    let peers = match listener {
+        Some(listener) => connect_mesh(partition, epoch, &listener, &start.peer_addrs)?,
+        None => mesh,
+    };
     let tracer = config
         .trace
         .map(|tc| tc.sink(partition as u32))
         .unwrap_or_else(TraceSink::inert);
-    let mut tcp = Tcp::connect_mesh(
+    let mut links = WorkerLinks::new(
         partition,
-        start.epoch,
+        epoch,
         coord,
-        &listener,
-        &start.peer_addrs,
+        peers,
         config.faults.clone(),
         tracer,
         config.telemetry_armed(),
-    )?;
-    let epoch = start.epoch;
+    );
     let out = run_worker_body::<P, F>(
         partition,
         pg,
@@ -185,18 +209,22 @@ where
         config,
         timesteps,
         resume_from,
-        &mut tcp,
+        &mut links,
     );
     match out {
         Ok(mut output) => {
             output
                 .sinks
-                .push((format!("partition {partition} net"), tcp.take_tracer()));
-            tcp.coord_send(&Frame::control(
+                .push((format!("partition {partition} net"), links.take_tracer()));
+            let payload = output.encode();
+            // The encoded copy is all that goes home: free the original
+            // before the coordinator decodes its own.
+            drop(output);
+            links.coord_send(&Frame::control(
                 FrameKind::Output,
                 partition,
                 epoch,
-                output.encode(),
+                payload,
             ))
         }
         Err(e) => {
@@ -205,8 +233,11 @@ where
                 detail,
             } = &e
             {
-                // Best-effort: name the primary death for the coordinator.
-                let _ = tcp.coord_send(&Frame::control(
+                // Best-effort: name the primary death for the coordinator,
+                // then keep every link open until it rules. A link dropped
+                // now would look like one more death to the peers still
+                // running, and one of them might blame this worker.
+                let abort = Frame::control(
                     FrameKind::Abort,
                     partition,
                     epoch,
@@ -214,7 +245,10 @@ where
                         dead_partition: *dead,
                         detail: detail.clone(),
                     }),
-                ));
+                );
+                if links.coord_send(&abort).is_ok() {
+                    links.await_ruling();
+                }
             }
             Err(e)
         }
@@ -222,7 +256,7 @@ where
 }
 
 /// Worker-process entry point (the `tempograph worker` subcommand). Runs
-/// `tcp_worker` on a joinable thread so an injected panic can be mapped
+/// the worker on a joinable thread so an injected panic can be mapped
 /// to [`INJECTED_EXIT_CODE`] — the cross-process substitute for the panic
 /// payload a thread-hosted epoch inspects. Returns the process exit code.
 pub fn run_tcp_worker<P, F>(
@@ -240,8 +274,8 @@ where
     let handle = std::thread::spawn(move || {
         let source = source.open(&pg)?;
         let timesteps = effective_timesteps(&config, source.num_timesteps())?;
-        tcp_worker::<P, F>(
-            &coordinator,
+        cluster_worker::<P, F>(
+            Links::Sockets(coordinator),
             partition,
             &pg,
             &source,
@@ -274,9 +308,9 @@ where
 
 /// How [`run_cluster`] hosts a job's workers.
 pub enum Cluster {
-    /// Workers are threads in this process exchanging batches over
-    /// channels and meeting at a shared barrier — the simulated cluster
-    /// behind [`crate::run_job`]. No socket is opened.
+    /// Workers are threads in this process speaking the coordinator
+    /// protocol over in-memory links — the simulated cluster behind
+    /// [`crate::run_job`]. No socket is opened.
     InProcess,
     /// Workers are threads in this process dialing the coordinator over
     /// loopback TCP — every frame really crosses a socket, no process
@@ -332,82 +366,48 @@ fn judge_thread_death<T>(
     EpochEnd::Died { death, injected }
 }
 
-/// One in-process epoch: spawn `k` scoped threads over [`InProcess`]
-/// transports, join. Deaths are reported to the shared [`SyncPoint`] —
-/// by the unwind guard when a worker panics, by the error branch below
-/// when it returns a typed error — so peers fail fast as cascades and the
-/// sync point ends up naming the primary.
-fn run_epoch_in_process<P, F>(
-    resume_from: Option<u64>,
-    pg: &Arc<PartitionedGraph>,
-    source: &JobSource,
-    factory: &F,
-    config: &JobConfig<P::Msg>,
-    timesteps: usize,
-) -> EpochEnd
-where
-    P: SubgraphProgram,
-    F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync,
-{
-    let k = pg.num_partitions();
-    let sync = SyncPoint::new(k);
-    let (txs, rxs): (Vec<_>, Vec<_>) = (0..k).map(|_| mpsc::channel()).unzip();
-    let results: Vec<_> = std::thread::scope(|scope| {
-        let handles: Vec<_> = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(p, rx)| {
-                let p = p as u16;
-                let txs = txs.clone();
-                let sync = &sync;
-                // Per-thread clone: `Msg` is Send + Clone but not
-                // necessarily Sync.
-                let config = config.clone();
-                scope.spawn(move || {
-                    let mut transport = InProcess::new(p, rx, txs, sync);
-                    // Declared after the transport, so an unwinding worker
-                    // reports its death before its channel closes.
-                    let _poison = PoisonOnPanic(sync, p);
-                    let out = run_worker_body::<P, F>(
-                        p,
-                        pg,
-                        source,
-                        factory,
-                        &config,
-                        timesteps,
-                        resume_from,
-                        &mut transport,
-                    );
-                    match &out {
-                        Ok(_) => {}
-                        // A cascade passes on the death it was told about.
-                        Err(EngineError::RemoteWorkerDied { partition, detail }) => {
-                            sync.poison(*partition, detail)
-                        }
-                        Err(e) => sync.poison(p, &e.to_string()),
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join()).collect()
-    });
-    match sync.poisoned_by() {
-        // Every failure path above reports to the sync point, so an
-        // unpoisoned one means all k workers returned results.
-        None => EpochEnd::Done(results.into_iter().flatten().flatten().collect()),
-        Some((partition, detail)) => judge_thread_death(
-            Death { partition, detail },
-            results.into_iter().nth(partition as usize),
-        ),
+/// Per-worker contribution folded at a coordinator round.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Contribution {
+    /// Messages this worker emitted during the phase.
+    pub msgs_sent: u64,
+    /// True when every subgraph owned by this worker voted to halt.
+    pub all_halted: bool,
+}
+
+/// Global reduction of all workers' contributions: what the coordinator
+/// broadcasts to release a round.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Aggregate {
+    /// Total messages emitted across the cluster during the phase.
+    pub total_msgs: u64,
+    /// True when every subgraph in the cluster voted to halt.
+    pub all_halted: bool,
+}
+
+impl Aggregate {
+    /// BSP termination rule: stop when nobody sent anything and everyone
+    /// voted to halt.
+    pub fn should_stop(&self) -> bool {
+        self.total_msgs == 0 && self.all_halted
     }
 }
 
-fn fold_contributions(contribs: &[Contribution]) -> Aggregate {
+/// The coordinator's fold of one round's contributions.
+pub fn fold_contributions(contribs: &[Contribution]) -> Aggregate {
     Aggregate {
         total_msgs: contribs.iter().map(|c| c.msgs_sent).sum(),
         all_halted: contribs.iter().all(|c| c.all_halted),
     }
+}
+
+/// The message a panic payload carries, when it was a string.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&'static str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// Broadcast an Abort naming the primary death to every live worker
@@ -432,17 +432,17 @@ fn abort_cluster(conns: &mut [FrameConn], primary: u16, detail: String) -> Death
     }
 }
 
-/// Serve one epoch over the coordinator listener: accept `k` hellos, send
-/// Start, then serve barrier rounds (fold k Contributions, broadcast the
-/// Aggregate) until all k workers deliver Output frames. Round reports
-/// (Telemetry frames) interleave with the barrier protocol and are fed to
-/// `telem` as they arrive (a protocol error when telemetry is disabled —
-/// the zero-cost contract says no such frame may exist). Returns
+/// Serve one epoch: take `k` worker connections from `accept` and read
+/// each one's Hello, send Start, then serve rounds (fold k Contributions,
+/// broadcast the Aggregate) until all k workers deliver Output frames.
+/// Round reports (Telemetry frames) interleave with the rounds and are fed
+/// to `telem` as they arrive (a protocol error when telemetry is disabled
+/// — the zero-cost contract says no such frame may exist). Returns
 /// `Ok(Err(death))` when a worker died mid-epoch (remaining workers have
 /// been told to abort), and `Err` only for unrecoverable coordinator-side
 /// failures (handshake timeout, protocol violations).
 fn serve_epoch(
-    listener: &TcpListener,
+    mut accept: impl FnMut() -> Result<FrameConn, EngineError>,
     k: usize,
     epoch: u32,
     resume_from: Option<u64>,
@@ -452,8 +452,7 @@ fn serve_epoch(
     let mut conns: Vec<Option<FrameConn>> = (0..k).map(|_| None).collect();
     let mut peer_addrs = vec![String::new(); k];
     for _ in 0..k {
-        let stream = accept_with_deadline(listener, HANDSHAKE_TIMEOUT_MS, "a worker hello")?;
-        let mut conn = FrameConn::new(stream, "worker (handshaking)")?;
+        let mut conn = accept()?;
         let frame = conn.recv()?;
         if frame.kind != FrameKind::Hello {
             return Err(EngineError::Protocol {
@@ -572,9 +571,36 @@ fn broadcast(
     None
 }
 
-/// One epoch with workers as threads of this process over loopback TCP.
+/// The in-memory peer meshes of `k` workers: entry `[p][q]` is `p`'s end
+/// of its link to `q`; `[p][p]` is `None`.
+fn memory_meshes(k: usize) -> Vec<Vec<Option<PeerLink>>> {
+    let mut meshes: Vec<Vec<Option<PeerLink>>> =
+        (0..k).map(|_| (0..k).map(|_| None).collect()).collect();
+    for (p, q) in (0..k).flat_map(|p| (p + 1..k).map(move |q| (p, q))) {
+        let (p_end, q_end) = PeerLink::pair(&format!("partition {q}"), &format!("partition {p}"));
+        meshes[p][q] = Some(p_end);
+        meshes[q][p] = Some(q_end);
+    }
+    meshes
+}
+
+/// A source of unidentified worker connections for [`serve_epoch`].
+type Accept = Box<dyn FnMut() -> Result<FrameConn, EngineError>>;
+
+/// Worker connections accepted on the coordinator listener.
+fn accept_on(listener: TcpListener) -> impl FnMut() -> Result<FrameConn, EngineError> {
+    move || {
+        let stream = accept_with_deadline(&listener, HANDSHAKE_TIMEOUT_MS, "a worker hello")?;
+        FrameConn::new(stream, "worker (handshaking)")
+    }
+}
+
+/// One epoch with workers as threads of this process, over in-memory links
+/// (`in_memory`) or over loopback TCP. Only how the links are made
+/// differs; the workers, the coordinator and the judgement are the same.
 #[allow(clippy::too_many_arguments)]
 fn run_epoch_threads<P, F>(
+    in_memory: bool,
     epoch: u32,
     resume_from: Option<u64>,
     pg: &Arc<PartitionedGraph>,
@@ -589,22 +615,44 @@ where
     F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync,
 {
     let k = pg.num_partitions();
-    let (listener, coord_addr) = bind_loopback("the coordinator listener")?;
-    let coord_addr = coord_addr.as_str();
+    // Each accepted connection is dropped with `accept` when `serve_epoch`
+    // returns, so no worker is left waiting on a coordinator that is gone.
+    let (links, accept): (Vec<Links>, Accept) = if in_memory {
+        let (host_ends, worker_ends): (Vec<_>, Vec<_>) = (0..k)
+            .map(|_| FrameConn::pair("worker (handshaking)", "coordinator"))
+            .unzip();
+        let links = worker_ends
+            .into_iter()
+            .zip(memory_meshes(k))
+            .map(|(coord, mesh)| Links::Memory(coord, mesh))
+            .collect();
+        let mut host_ends = host_ends.into_iter();
+        let accept = move || {
+            host_ends.next().ok_or_else(|| EngineError::Protocol {
+                detail: format!("more than {k} worker hellos"),
+            })
+        };
+        (links, Box::new(accept))
+    } else {
+        let (listener, coord_addr) = bind_loopback("the coordinator listener")?;
+        let links = (0..k).map(|_| Links::Sockets(coord_addr.clone())).collect();
+        (links, Box::new(accept_on(listener)))
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..k)
-            .map(|p| {
-                // Per-thread clone, as in `run_epoch_in_process`.
+        let handles: Vec<_> = links
+            .into_iter()
+            .enumerate()
+            .map(|(p, links)| {
+                // Per-thread clone: `Msg` is Send + Clone but not
+                // necessarily Sync.
                 let config = config.clone();
                 scope.spawn(move || {
-                    tcp_worker::<P, F>(
-                        coord_addr, p as u16, pg, source, factory, &config, timesteps,
-                    )
+                    cluster_worker::<P, F>(links, p as u16, pg, source, factory, &config, timesteps)
                 })
             })
             .collect();
         let served = serve_epoch(
-            &listener,
+            accept,
             k,
             epoch,
             resume_from,
@@ -687,7 +735,7 @@ fn run_epoch_processes(
             }
         }
     }
-    match serve_epoch(&listener, k, epoch, resume_from, faults, telem) {
+    match serve_epoch(accept_on(listener), k, epoch, resume_from, faults, telem) {
         Ok(Ok(outputs)) => {
             for c in &mut children {
                 let _ = c.wait();
@@ -759,15 +807,14 @@ where
 ///
 /// The result is the same for every [`Cluster`]: delivery order is
 /// canonicalised after transport and barrier decisions are pure functions
-/// of the folded [`Aggregate`] (see [`crate::transport`]). TCP workers
-/// ship their observability home in the Output frame, so the returned
-/// [`JobResult`] carries the same trace, registry, and attribution an
-/// in-process run folds directly — `tests/transport_equivalence.rs`.
-/// With any of trace/metrics/attribution armed they also report each
-/// closed timestep over the telemetry plane (see [`crate::telemetry`]);
-/// with [`JobConfig::status_addr`] set, a TCP coordinator serves those
-/// reports as the live status board (the `tempograph status` view) for
-/// the life of the job.
+/// of the folded [`Aggregate`] (see [`crate::transport`]). Every worker
+/// ships its results and observability home in its Output frame —
+/// `tests/transport_equivalence.rs` checks the clusters agree. With any
+/// of trace/metrics/attribution armed, workers also report each closed
+/// timestep over the telemetry plane (see [`crate::telemetry`]); with
+/// [`JobConfig::status_addr`] set, the coordinator serves those reports as
+/// the live status board (the `tempograph status` view) for the life of
+/// the job.
 pub fn run_cluster<P, F>(
     pg: &Arc<PartitionedGraph>,
     source: &InstanceSource,
@@ -797,10 +844,10 @@ where
     let mut resume_from: Option<u64> = None;
     let mut epoch = 0u32;
     // Coordinator-side round reports — armed by exactly the same predicate
-    // TCP workers use, so a Telemetry frame arriving while this is `None`
-    // is a protocol violation, not a silent drop.
-    let over_tcp = !matches!(cluster, Cluster::InProcess);
-    let mut telem = (over_tcp && config.telemetry_armed())
+    // workers use, so a Telemetry frame arriving while this is `None` is a
+    // protocol violation, not a silent drop.
+    let mut telem = config
+        .telemetry_armed()
         .then(|| CoordTelemetry::new(k, config.straggler_factor));
     // Driver-side sink (its own track, after the k partition tracks) for
     // recovery markers.
@@ -811,10 +858,8 @@ where
     };
     loop {
         let end = match &cluster {
-            Cluster::InProcess => {
-                run_epoch_in_process::<P, F>(resume_from, pg, source, &factory, &config, timesteps)
-            }
-            Cluster::Threads => run_epoch_threads::<P, F>(
+            Cluster::InProcess | Cluster::Threads => run_epoch_threads::<P, F>(
+                matches!(cluster, Cluster::InProcess),
                 epoch,
                 resume_from,
                 pg,
@@ -1038,8 +1083,75 @@ mod tests {
     use tempograph_core::VertexIdx;
     use tempograph_gofs::codec::assert_hex_golden;
 
+    /// `k` workers' ends of in-memory coordinator connections, each having
+    /// said Hello, and the coordinator's source of the other ends.
+    fn hello_links(k: usize) -> (Vec<FrameConn>, Accept) {
+        let (host, mut workers): (Vec<_>, Vec<_>) = (0..k)
+            .map(|_| FrameConn::pair("worker (handshaking)", "coordinator"))
+            .unzip();
+        for (p, w) in workers.iter_mut().enumerate() {
+            let hello = HelloMsg {
+                partition: p as u16,
+                listen_addr: String::new(),
+            };
+            let frame = Frame::control(FrameKind::Hello, p as u16, 0, encode_payload(&hello));
+            w.send(&frame).unwrap();
+        }
+        let mut host = host.into_iter();
+        (workers, Box::new(move || Ok(host.next().unwrap())))
+    }
+
+    fn death_of(served: Result<Result<Vec<WorkerOutput>, Death>, EngineError>) -> u16 {
+        match served {
+            Ok(Err(death)) => death.partition,
+            Ok(Ok(_)) => panic!("the epoch must end in a death"),
+            Err(e) => panic!("the epoch must end in a death, not {e}"),
+        }
+    }
+
+    /// What a surviving worker reads, after Start if it got that far: the
+    /// Abort naming `dead`.
+    fn assert_told_of(worker: &mut FrameConn, dead: u16) {
+        let mut abort = worker.recv().unwrap();
+        if abort.kind == FrameKind::Start {
+            abort = worker.recv().unwrap();
+        }
+        assert_eq!(abort.kind, FrameKind::Abort);
+        let abort: AbortMsg = decode_payload(abort.payload).unwrap();
+        assert_eq!(abort.dead_partition, dead);
+    }
+
+    /// A worker whose link drops is the primary death, and every survivor
+    /// is told so in an Abort frame.
     #[test]
-    fn contributions_fold_like_the_sync_point() {
+    fn the_coordinator_blames_a_dropped_worker_link() {
+        let (mut workers, accept) = hello_links(3);
+        drop(workers.remove(1));
+        assert_eq!(death_of(serve_epoch(accept, 3, 0, None, None, None)), 1);
+        for w in &mut workers {
+            assert_told_of(w, 1);
+        }
+    }
+
+    /// A worker that saw a peer die first-hand names it, and the
+    /// coordinator passes that primary death on, not the reporter.
+    #[test]
+    fn the_coordinator_trusts_a_first_hand_abort() {
+        let (mut workers, accept) = hello_links(3);
+        let abort = AbortMsg {
+            dead_partition: 2,
+            detail: "mesh link lost".into(),
+        };
+        let frame = Frame::control(FrameKind::Abort, 0, 0, encode_payload(&abort));
+        workers[0].send(&frame).unwrap();
+        assert_eq!(death_of(serve_epoch(accept, 3, 0, None, None, None)), 2);
+        for w in &mut workers {
+            assert_told_of(w, 2);
+        }
+    }
+
+    #[test]
+    fn contributions_fold_into_the_aggregate() {
         let agg = fold_contributions(&[
             Contribution {
                 msgs_sent: 2,
@@ -1059,7 +1171,7 @@ mod tests {
         assert!(agg.should_stop());
     }
 
-    /// Observability as a TCP worker ships it: a worker sink with a span
+    /// Observability as a worker ships it: a worker sink with a span
     /// with an argument, an instant with and one without, a counter; an
     /// empty transport sink; a shard whose histograms are non-empty; two
     /// attribution rows (one merge-phase).

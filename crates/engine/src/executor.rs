@@ -4,10 +4,10 @@
 //! owns one partition's subgraphs. Within a timestep, workers run
 //! barrier-synchronised BSP supersteps over their subgraphs; across
 //! timesteps the configured [`Pattern`] decides how state flows (§II.B's
-//! three design patterns). The loop is written against the
-//! [`Transport`] trait only; hosting the `k` workers of a job — as
-//! threads, over sockets, as processes — and recovering their deaths is
-//! the driver's business ([`crate::cluster`]).
+//! three design patterns). The loop talks to its peers and the
+//! coordinator only through its `WorkerLinks`; hosting the `k` workers
+//! of a job — as threads, over sockets, as processes — and recovering
+//! their deaths is the driver's business ([`crate::cluster`]).
 //!
 //! **Messaging.** Intra-partition messages move as values; inter-partition
 //! messages are genuinely serialised through [`crate::wire`], shipped over
@@ -15,12 +15,12 @@
 //! "partition overhead" metric measures real marshalling work and remote
 //! byte counts are true wire sizes.
 //!
-//! **Synchronisation.** Each superstep ends at one [`Transport::close_phase`]
-//! rendezvous that also folds the halting votes and message counts; BSP
-//! terminates when all subgraphs voted to halt and no messages are in
-//! flight (§II.C), and in `WhileActive` mode the timestep loop terminates
-//! when all subgraphs voted `VoteToHaltTimestep` and no cross-timestep
-//! messages were emitted (§II.D).
+//! **Synchronisation.** Each superstep ends at one coordinator round
+//! (`WorkerLinks::close_phase`) that also folds the halting votes and
+//! message counts; BSP terminates when all subgraphs voted to halt and no
+//! messages are in flight (§II.C), and in `WhileActive` mode the timestep
+//! loop terminates when all subgraphs voted `VoteToHaltTimestep` and no
+//! cross-timestep messages were emitted (§II.D).
 //!
 //! **Activity.** Work follows the active subgraphs. A superstep > 0 runs
 //! only the subgraphs with mail and those that did not vote to halt. A
@@ -41,14 +41,14 @@ use crate::batch::{
 use crate::checkpoint::{
     self, checkpoint_path, commit_manifest, CheckpointConfig, SubgraphCheckpoint, WorkerCheckpoint,
 };
+use crate::cluster::{Aggregate, Contribution};
 use crate::error::EngineError;
 use crate::faults::{injected_panic_message, FaultPlan};
 use crate::metrics::{Emit, MetricsShard, TimestepMetrics};
 use crate::net::TelemetryMsg;
 use crate::program::{Context, Outbox, Phase, SubgraphProgram};
 use crate::provider::{InstanceProvider, JobSource};
-use crate::sync::{Aggregate, Contribution};
-use crate::transport::{BatchKind, PhaseMail, Transport};
+use crate::transport::{BatchKind, PhaseMail, WorkerLinks};
 use crate::wire::{sort_envelopes, Envelope};
 use bytes::{Buf, Bytes, BytesMut};
 use std::collections::{BTreeMap, HashMap};
@@ -133,14 +133,15 @@ pub struct JobConfig<M> {
     /// Deterministic fault injection (see [`crate::faults`]). Arc-shared so
     /// one-shot panic events stay latched across recovery attempts.
     pub faults: Option<Arc<FaultPlan>>,
-    /// TCP-mode live introspection: when set, a TCP cluster's coordinator
-    /// serves the status board (`tempograph status`) on this address for
-    /// the life of the job. Ignored by [`crate::Cluster::InProcess`].
+    /// Live introspection: when set, the coordinator serves the status
+    /// board (`tempograph status`) on this address for the life of the
+    /// job, on every [`crate::Cluster`]. The board is fed by round reports,
+    /// so it needs trace, metrics or attribution armed.
     pub status_addr: Option<String>,
     /// Straggler threshold: a worker whose per-timestep barrier wait
     /// exceeds this multiple of the round's median wait earns a
-    /// `straggler.detected` instant from the TCP coordinator. Only
-    /// meaningful when tracing is armed over TCP.
+    /// `straggler.detected` instant from the coordinator. Only meaningful
+    /// when tracing is armed.
     pub straggler_factor: f64,
 }
 
@@ -242,7 +243,7 @@ impl<M> JobConfig<M> {
         self
     }
 
-    /// Serve the live status board on `addr` (TCP mode; see field docs).
+    /// Serve the live status board on `addr` (see field docs).
     pub fn with_status_addr(mut self, addr: impl Into<String>) -> Self {
         self.status_addr = Some(addr.into());
         self
@@ -256,8 +257,9 @@ impl<M> JobConfig<M> {
     }
 
     /// True when any of trace/metrics/attribution is armed — the one
-    /// predicate that decides, on both sides of a TCP cluster, whether
-    /// workers ship Telemetry frames and the coordinator accepts them.
+    /// predicate that decides, on both sides of the coordinator protocol,
+    /// whether workers ship Telemetry frames and the coordinator accepts
+    /// them.
     pub(crate) fn telemetry_armed(&self) -> bool {
         self.trace.is_some() || self.metrics || self.attribution
     }
@@ -329,9 +331,8 @@ impl AttributionShard {
     }
 }
 
-/// Per-worker result handed back to the driver — directly by an
-/// in-process worker, as one Output frame (`encode`/`decode`, in
-/// [`crate::cluster`]) by a TCP one.
+/// Per-worker result handed back to the driver as one Output frame
+/// (`encode`/`decode`, in [`crate::cluster`]).
 ///
 /// Counter maps are `BTreeMap`s: they are iterated when assembling the
 /// global [`crate::JobResult`] and when encoding checkpoints, and `HashMap`
@@ -347,8 +348,8 @@ pub(crate) struct WorkerOutput {
     pub(crate) timesteps_run: usize,
     /// Final per-subgraph program state (see [`crate::JobResult::final_states`]).
     pub(crate) final_states: Vec<(SubgraphId, Vec<u8>)>,
-    /// Trace sinks (worker + provider, plus the transport's over TCP),
-    /// named for track metadata.
+    /// Trace sinks (worker, provider and transport), named for track
+    /// metadata.
     pub(crate) sinks: Vec<(String, TraceSink)>,
     /// This worker's metrics shard, when the job ran with metrics enabled.
     pub(crate) shard: Option<MetricsShard>,
@@ -371,7 +372,7 @@ pub(crate) fn run_worker_body<P, F>(
     config: &JobConfig<P::Msg>,
     timesteps: usize,
     resume_from: Option<u64>,
-    transport: &mut dyn Transport,
+    transport: &mut WorkerLinks,
 ) -> Result<WorkerOutput, EngineError>
 where
     P: SubgraphProgram,
@@ -442,8 +443,8 @@ struct Worker<'a, P: SubgraphProgram> {
     programs: Vec<Option<P>>,
     provider: Box<dyn InstanceProvider>,
     /// Inter-partition batch exchange and barrier sync — the only surface
-    /// the worker shares with its peers (see [`Transport`]).
-    transport: &'a mut dyn Transport,
+    /// the worker shares with its peers (see [`WorkerLinks`]).
+    transport: &'a mut WorkerLinks,
 
     /// Delivered inboxes, sorted by `(from, seq)`.
     inbox: Vec<Vec<Envelope<P::Msg>>>,
@@ -516,7 +517,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         partition: u16,
         pg: &'a PartitionedGraph,
         provider: Box<dyn InstanceProvider>,
-        transport: &'a mut dyn Transport,
+        transport: &'a mut WorkerLinks,
         config: &JobConfig<P::Msg>,
         timesteps: usize,
     ) -> Self {
@@ -726,10 +727,9 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
                 .push(std::mem::take(&mut self.cur_counters));
             self.out.timesteps_run = t + 1;
 
-            // Report the closed round to the coordinator's status board.
-            // Only the TCP transport wants these; the in-process path (and
-            // a TCP run with observability disabled) pays one virtual call
-            // and a branch — no allocation, no frame.
+            // Report the closed round to the coordinator's status board
+            // and straggler judge, on every cluster. With observability
+            // disabled this is one branch — no allocation, no frame.
             if self.transport.wants_telemetry() {
                 self.transport.telemetry(TelemetryMsg {
                     timestep: t as u32,

@@ -45,7 +45,7 @@ pub(crate) fn injected_panic_message(partition: u16, timestep: usize, superstep:
 
 /// True when a worker thread's panic payload came from an injected fault.
 pub(crate) fn payload_is_injected(payload: &(dyn std::any::Any + Send)) -> bool {
-    crate::sync::panic_message(payload).contains(INJECTED_FAULT_MARKER)
+    crate::cluster::panic_message(payload).contains(INJECTED_FAULT_MARKER)
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -8,15 +8,15 @@
 //! govern how state moves between timesteps (§II.B).
 //!
 //! One worker per partition plays one GoFFish host ([`executor`]), and one
-//! driver hosts a job's workers ([`cluster`]): as threads exchanging
-//! batches over channels ([`run_job`], the simulated cluster), as threads
-//! over loopback TCP, or as spawned worker processes ([`run_job_tcp`] with
-//! a [`Cluster`]). Remote messages are genuinely serialised on every
-//! transport, and instance data is loaded lazily (from GoFS slice files or
-//! an in-memory collection). Per-partition, per-timestep metrics record
-//! compute time, partition overhead (marshalling), sync overhead (barrier
-//! waits) and I/O — everything needed to regenerate the paper's Figures 6
-//! and 7.
+//! driver hosts a job's workers ([`cluster`]) and speaks one coordinator
+//! protocol to them: as threads over in-memory links ([`run_job`], the
+//! simulated cluster), as threads over loopback TCP, or as spawned worker
+//! processes ([`run_job_tcp`] with a [`Cluster`]). Remote messages are
+//! genuinely serialised on every cluster, and instance data is loaded
+//! lazily (from GoFS slice files or an in-memory collection).
+//! Per-partition, per-timestep metrics record compute time, partition
+//! overhead (marshalling), sync overhead (barrier waits) and I/O —
+//! everything needed to regenerate the paper's Figures 6 and 7.
 //!
 //! ```no_run
 //! use tempograph_engine::{run_job, JobConfig, InstanceSource, SubgraphProgram, Context, Envelope};
@@ -46,7 +46,6 @@ pub mod metrics;
 pub mod net;
 pub mod program;
 pub mod provider;
-pub mod sync;
 pub mod telemetry;
 pub mod transport;
 pub mod wire;
@@ -69,8 +68,7 @@ pub use metrics::{AttributionRow, CostAttribution, Emit, JobResult, TimestepMetr
 pub use net::{Frame, FrameConn, FrameKind, StatusReplyMsg, TelemetryMsg, WorkerStatusWire};
 pub use program::{Context, Phase, SubgraphProgram};
 pub use provider::{GofsProvider, InstanceProvider, InstanceSource, MemoryProvider};
-pub use sync::{Aggregate, Contribution, PoisonOnPanic, SyncPoint};
 pub use telemetry::query_status;
 pub use tempograph_trace::{Trace, TraceConfig, TraceMode, TraceSink};
-pub use transport::{BatchKind, InProcess, PhaseItem, PhaseMail, Tcp, Transport};
+pub use transport::{BatchKind, PhaseMail};
 pub use wire::{Envelope, WireMsg};

@@ -1,6 +1,6 @@
-//! TCP framing for the [`crate::transport::Tcp`] transport.
+//! Framing and links for the worker transport ([`crate::transport`]).
 //!
-//! Everything that crosses a socket is a **frame**: a fixed 33-byte header
+//! Everything that crosses a link is a **frame**: a fixed 33-byte header
 //! followed by a checksummed payload. One frame type carries both data
 //! (encoded `MessageBatch` bytes) and control traffic (handshakes, barrier
 //! contributions/aggregates, abort notices), so a connection needs exactly
@@ -31,13 +31,24 @@
 //! attack); [`read_frame`]/[`write_frame`] run the same codec over any
 //! `Read`/`Write` — an in-memory pipe in tests, a [`FrameConn`]-wrapped
 //! `TcpStream` in production.
+//!
+//! **Two kinds of link, one contract.** A link is a socket or an in-memory
+//! queue of `ReadResult`s — the items a socket reader yields. A queue
+//! carries `Frame` values, so a payload is shared, never copied, and it
+//! reports what a socket would: the wire size `HEADER_LEN` + payload
+//! length, the payload cap ([`MAX_PAYLOAD_LEN`]), a checksum error for a
+//! damaged send, and a closed connection once the other end is dropped.
+//! `FrameConn::pair` and `PeerLink::pair` make the in-memory links of
+//! an in-process cluster; everything above them cannot tell the two apart.
 
+use crate::cluster::{Aggregate, Contribution};
 use crate::error::{EngineError, WireError};
-use crate::sync::{Aggregate, Contribution};
 use crate::wire::{get_u16, get_u32, get_u64, get_u8, WireMsg};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use tempograph_gofs::codec::fnv1a64_words;
 use tempograph_metrics::{Histogram, BUCKETS};
 use tempograph_trace::{Clock, TraceEvent};
@@ -393,11 +404,183 @@ pub fn write_frame_corrupted(
     Ok(enc.len())
 }
 
-/// A framed, bidirectional TCP connection: buffered reads, Nagle disabled,
-/// cumulative byte accounting for the transport's counters.
+/// What the receive side of a link yields: a frame and the bytes it
+/// occupied on the wire, or the error reading it raised. A
+/// `WireError::Checksum` leaves the link usable (the stream stays
+/// frame-aligned); any other error ends it.
+type ReadResult = Result<(Frame, usize), EngineError>;
+
+/// The error a link reports, in `context`, once the other end is gone.
+fn closed(context: String) -> EngineError {
+    EngineError::Net {
+        context,
+        detail: "connection closed by peer".to_string(),
+    }
+}
+
+/// Room a queue starts with: a phase's frames from one peer (a batch per
+/// delivery kind and the sentinel), twice over for a peer one phase
+/// ahead, with slack — so a queue does not grow, and allocate, by how far
+/// apart its two ends happen to run.
+const QUEUE_SLOTS: usize = 16;
+
+/// An unbounded FIFO of link items between one sending and one receiving
+/// end; closed once either end is dropped. A mutex and a condvar rather
+/// than `std::sync::mpsc`, whose blocked receive allocates the first time
+/// a channel blocks: here equal runs allocate equally however their
+/// threads interleave (the counting-allocator smoke tests compare them).
+struct Queue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+struct QueueState {
+    items: VecDeque<ReadResult>,
+    open: bool,
+    /// The receiving end is blocked on `ready`: only then does a push pay
+    /// for a wake-up.
+    waiting: bool,
+}
+
+impl Queue {
+    fn state(&self) -> MutexGuard<'_, QueueState> {
+        // Every update leaves the state whole, so a holder's panic leaves
+        // nothing half-done behind the poison.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn close(&self) {
+        self.state().open = false;
+        self.ready.notify_all();
+    }
+}
+
+/// The sending end of a [`Queue`].
+struct QueueTx(Arc<Queue>);
+
+/// The receiving end of a [`Queue`].
+struct QueueRx(Arc<Queue>);
+
+/// A new open queue.
+fn queue() -> (QueueTx, QueueRx) {
+    let queue = Arc::new(Queue {
+        state: Mutex::new(QueueState {
+            items: VecDeque::with_capacity(QUEUE_SLOTS),
+            open: true,
+            waiting: false,
+        }),
+        ready: Condvar::new(),
+    });
+    (QueueTx(queue.clone()), QueueRx(queue))
+}
+
+impl QueueTx {
+    /// Append one item; a dropped receiving end is a closed connection.
+    fn push(&self, item: ReadResult, peer: &str) -> Result<(), EngineError> {
+        let mut state = self.0.state();
+        if !state.open {
+            return Err(closed(format!("writing frame to {peer}")));
+        }
+        state.items.push_back(item);
+        if state.waiting {
+            self.0.ready.notify_one();
+        }
+        Ok(())
+    }
+}
+
+impl QueueRx {
+    /// Block for the next item; once the sending end is gone and every
+    /// item it sent is read, the closed connection a socket reports.
+    fn recv(&self, peer: &str) -> ReadResult {
+        let mut state = self.0.state();
+        loop {
+            if let Some(item) = state.items.pop_front() {
+                return item;
+            }
+            if !state.open {
+                return Err(closed(format!("reading frame from {peer}")));
+            }
+            state.waiting = true;
+            state = self
+                .0
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.waiting = false;
+        }
+    }
+}
+
+impl Drop for QueueTx {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+impl Drop for QueueRx {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
+/// The send half of a link: a socket, or the queue an in-memory peer
+/// reads from.
+enum FrameTx {
+    Socket(TcpStream),
+    Queue(QueueTx),
+}
+
+impl FrameTx {
+    /// Send one frame to `peer`; returns its wire size.
+    fn send(&mut self, frame: &Frame, peer: &str) -> Result<usize, EngineError> {
+        match self {
+            FrameTx::Socket(stream) => write_frame(stream, frame, peer),
+            FrameTx::Queue(queue) => {
+                check_len(frame, peer)?;
+                let n = HEADER_LEN + frame.payload.len();
+                queue.push(Ok((frame.clone(), n)), peer)?;
+                Ok(n)
+            }
+        }
+    }
+
+    /// Send a checksum-damaged copy of `frame` (fault injection only): the
+    /// receiver reads the `WireError::Checksum` a socket reader reports.
+    fn send_corrupted(&mut self, frame: &Frame, peer: &str) -> Result<usize, EngineError> {
+        match self {
+            FrameTx::Socket(stream) => write_frame_corrupted(stream, frame, peer),
+            FrameTx::Queue(queue) => {
+                check_len(frame, peer)?;
+                let damaged = EngineError::Wire(WireError::Checksum {
+                    context: "frame payload",
+                });
+                queue.push(Err(damaged), peer)?;
+                Ok(HEADER_LEN + frame.payload.len())
+            }
+        }
+    }
+}
+
+/// An in-memory link: the send half of each end is the other's queue.
+fn queue_pair() -> ((FrameTx, QueueRx), (FrameTx, QueueRx)) {
+    let (a_tx, b_rx) = queue();
+    let (b_tx, a_rx) = queue();
+    ((FrameTx::Queue(a_tx), a_rx), (FrameTx::Queue(b_tx), b_rx))
+}
+
+/// The receive half of a [`FrameConn`].
+enum FrameRx {
+    Socket(BufReader<TcpStream>),
+    Queue(QueueRx),
+}
+
+/// A framed, bidirectional connection — a TCP stream (buffered reads,
+/// Nagle disabled) or one end of an in-memory pair — with cumulative byte
+/// accounting for the transport's counters.
 pub struct FrameConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    tx: FrameTx,
+    rx: FrameRx,
     peer: String,
     bytes_sent: u64,
     bytes_received: u64,
@@ -415,17 +598,26 @@ impl FrameConn {
             .try_clone()
             .map_err(net_err(format!("cloning connection to {peer}")))?;
         Ok(FrameConn {
-            reader: BufReader::new(stream),
-            writer,
+            tx: FrameTx::Socket(writer),
+            rx: FrameRx::Socket(BufReader::new(stream)),
             peer,
             bytes_sent: 0,
             bytes_received: 0,
         })
     }
 
-    /// The peer label this connection reports in errors.
-    pub fn peer(&self) -> &str {
-        &self.peer
+    /// An in-memory connection: two ends, labelled with the peer each one
+    /// talks to. Dropping one end closes the other's reads.
+    pub(crate) fn pair(a_peer: &str, b_peer: &str) -> (FrameConn, FrameConn) {
+        let ((a_tx, a_rx), (b_tx, b_rx)) = queue_pair();
+        let end = |tx, rx, peer: &str| FrameConn {
+            tx,
+            rx: FrameRx::Queue(rx),
+            peer: peer.to_string(),
+            bytes_sent: 0,
+            bytes_received: 0,
+        };
+        (end(a_tx, a_rx, a_peer), end(b_tx, b_rx, b_peer))
     }
 
     /// Relabel the peer once its identity is known (the coordinator learns
@@ -436,14 +628,7 @@ impl FrameConn {
 
     /// Send one frame.
     pub fn send(&mut self, frame: &Frame) -> Result<(), EngineError> {
-        let n = write_frame(&mut self.writer, frame, &self.peer)?;
-        self.bytes_sent += n as u64;
-        Ok(())
-    }
-
-    /// Send a checksum-damaged copy of `frame` (fault injection only).
-    pub fn send_corrupted(&mut self, frame: &Frame) -> Result<(), EngineError> {
-        let n = write_frame_corrupted(&mut self.writer, frame, &self.peer)?;
+        let n = self.tx.send(frame, &self.peer)?;
         self.bytes_sent += n as u64;
         Ok(())
     }
@@ -451,7 +636,10 @@ impl FrameConn {
     /// Receive one frame. See [`read_frame`] for the checksum-mismatch
     /// contract (typed error, stream stays aligned).
     pub fn recv(&mut self) -> Result<Frame, EngineError> {
-        let (f, n) = read_frame(&mut self.reader, &self.peer)?;
+        let (f, n) = match &mut self.rx {
+            FrameRx::Socket(reader) => read_frame(reader, &self.peer)?,
+            FrameRx::Queue(queue) => queue.recv(&self.peer)?,
+        };
         self.bytes_received += n as u64;
         Ok(f)
     }
@@ -464,6 +652,80 @@ impl FrameConn {
     /// Cumulative bytes read from this connection.
     pub fn bytes_received(&self) -> u64 {
         self.bytes_received
+    }
+}
+
+/// One worker's end of a peer-mesh link: the send half, and the queue of
+/// what the peer sent — filled by a reader thread over a socket
+/// ([`PeerLink::socket`]), by the peer itself in memory
+/// ([`PeerLink::pair`]).
+pub(crate) struct PeerLink {
+    tx: FrameTx,
+    rx: QueueRx,
+    /// The peer's label in errors ("partition 2").
+    peer: String,
+}
+
+impl PeerLink {
+    /// A mesh link over an established stream. The read half is drained
+    /// by a detached thread into an unbounded queue. Decoupling reads from
+    /// the worker's phase structure is what makes the mesh deadlock-free —
+    /// a peer's send never blocks on this worker reaching its own collect,
+    /// because the kernel buffer is always being emptied. A checksum
+    /// failure is pushed and reading continues (the stream stays
+    /// frame-aligned, the clean retransmission follows); any other error is
+    /// pushed and the thread exits.
+    pub(crate) fn socket(
+        stream: TcpStream,
+        mut reader: BufReader<TcpStream>,
+        peer: String,
+    ) -> PeerLink {
+        let (tx, rx) = queue();
+        let label = peer.clone();
+        std::thread::spawn(move || loop {
+            let res = read_frame(&mut reader, &label);
+            let fatal = !matches!(
+                &res,
+                Ok(_) | Err(EngineError::Wire(WireError::Checksum { .. }))
+            );
+            if tx.push(res, &label).is_err() || fatal {
+                break; // nobody is listening, or the stream is done
+            }
+        });
+        PeerLink {
+            tx: FrameTx::Socket(stream),
+            rx,
+            peer,
+        }
+    }
+
+    /// Both ends of an in-memory mesh link, labelled with the peer each
+    /// one talks to. Its queues are unbounded, like a socket's reader
+    /// queue, so a send never waits for the peer.
+    pub(crate) fn pair(a_peer: &str, b_peer: &str) -> (PeerLink, PeerLink) {
+        let ((a_tx, a_rx), (b_tx, b_rx)) = queue_pair();
+        let end = |tx, rx, peer: &str| PeerLink {
+            tx,
+            rx,
+            peer: peer.to_string(),
+        };
+        (end(a_tx, a_rx, a_peer), end(b_tx, b_rx, b_peer))
+    }
+
+    /// Send one frame to the peer; returns its wire size.
+    pub(crate) fn send(&mut self, frame: &Frame) -> Result<usize, EngineError> {
+        self.tx.send(frame, &self.peer)
+    }
+
+    /// Send a checksum-damaged copy of `frame` (see [`FrameTx::send_corrupted`]).
+    pub(crate) fn send_corrupted(&mut self, frame: &Frame) -> Result<usize, EngineError> {
+        self.tx.send_corrupted(frame, &self.peer)
+    }
+
+    /// Block for the next item from the peer; a dropped peer end is the
+    /// closed connection a socket reader reports.
+    pub(crate) fn recv(&self) -> ReadResult {
+        self.rx.recv(&self.peer)
     }
 }
 
@@ -737,8 +999,8 @@ impl WireMsg for Histogram {
 
 /// Worker → coordinator round report, one per closed timestep: what the
 /// status board shows and the straggler judge reads. The worker fills the
-/// round's fields; [`crate::Tcp`] fills `clock_ns` and the byte counters
-/// as it sends the report. Trace events, the metrics shard and attribution
+/// round's fields; its transport fills `clock_ns` and the byte counters as
+/// it sends the report. Trace events, the metrics shard and attribution
 /// rows travel once, in the Output frame.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryMsg {
@@ -752,9 +1014,9 @@ pub struct TelemetryMsg {
     /// session epoch. Worker clock domain: comparable within one worker's
     /// frames, not across workers or with the coordinator clock.
     pub clock_ns: u64,
-    /// Cumulative bytes this worker has written to sockets.
+    /// Cumulative bytes this worker has written to its links.
     pub bytes_sent: u64,
-    /// Cumulative bytes this worker has read from sockets.
+    /// Cumulative bytes this worker has read from its links.
     pub bytes_received: u64,
 }
 
@@ -1070,6 +1332,34 @@ mod tests {
         assert_eq!(got, f);
         assert_eq!(tx.bytes_sent(), (HEADER_LEN + 5) as u64);
         assert_eq!(rx.bytes_received(), (HEADER_LEN + 5) as u64);
+    }
+
+    /// An in-memory connection counts the bytes a socket would, refuses
+    /// an oversize payload before queueing it, and reports a dropped end
+    /// as a closed connection.
+    #[test]
+    fn in_memory_conn_behaves_like_a_socket() {
+        let (mut tx, mut rx) = FrameConn::pair("rx", "tx");
+        let f = data_frame(1, b"12345");
+        tx.send(&f).unwrap();
+        assert_eq!(rx.recv().unwrap(), f);
+        assert_eq!(tx.bytes_sent(), (HEADER_LEN + 5) as u64);
+        assert_eq!(rx.bytes_received(), (HEADER_LEN + 5) as u64);
+
+        let len = MAX_PAYLOAD_LEN as usize + 1;
+        let big = Frame::control(FrameKind::Output, 2, 0, Bytes::from(vec![0u8; len]));
+        assert!(matches!(
+            tx.send(&big),
+            Err(EngineError::FrameTooLarge { .. })
+        ));
+        assert_eq!(tx.bytes_sent(), (HEADER_LEN + 5) as u64);
+
+        drop(tx);
+        let err = rx.recv().unwrap_err();
+        assert!(err.to_string().contains("closed by peer"), "{err}");
+        assert!(err.to_string().contains("tx"), "{err}");
+        let err = rx.send(&f).unwrap_err();
+        assert!(err.to_string().contains("closed by peer"), "{err}");
     }
 
     #[test]

@@ -33,6 +33,9 @@ pub(crate) struct CoordTelemetry {
     /// Barrier-wait reports per timestep — `(partition, wait_ns,
     /// clock_ns)` per worker — judged once the round is complete.
     rounds: BTreeMap<u32, Vec<(u16, u64, u64)>>,
+    /// Judged rounds' emptied buffers, reused so that a round report
+    /// costs the coordinator no allocation.
+    spare: Vec<Vec<(u16, u64, u64)>>,
     /// Live status board, shared with the status-server thread.
     board: Arc<Mutex<StatusBoard>>,
 }
@@ -43,6 +46,7 @@ impl CoordTelemetry {
             stragglers: vec![Vec::new(); k],
             straggler_factor,
             rounds: BTreeMap::new(),
+            spare: Vec::new(),
             board: Arc::new(Mutex::new(StatusBoard::new(k))),
         }
     }
@@ -67,26 +71,32 @@ impl CoordTelemetry {
             });
         }
         lock_board(&self.board).note(p as u16, &msg);
-        let round = self.rounds.entry(msg.timestep).or_default();
+        let spare = &mut self.spare;
+        let round = self
+            .rounds
+            .entry(msg.timestep)
+            .or_insert_with(|| spare.pop().unwrap_or_else(|| Vec::with_capacity(k)));
         round.push((p as u16, msg.barrier_wait_ns, msg.clock_ns));
         if round.len() == k {
-            let round = self.rounds.remove(&msg.timestep).unwrap_or_default();
-            self.judge_round(round);
+            if let Some(mut round) = self.rounds.remove(&msg.timestep) {
+                self.judge_round(&mut round);
+                round.clear();
+                self.spare.push(round);
+            }
         }
         Ok(())
     }
 
     /// A complete barrier round: note every worker whose wait exceeded
-    /// `straggler_factor` × the round's median.
-    fn judge_round(&mut self, round: Vec<(u16, u64, u64)>) {
-        let mut waits: Vec<u64> = round.iter().map(|&(_, w, _)| w).collect();
-        waits.sort_unstable();
-        let median = waits.get(waits.len() / 2).copied().unwrap_or(0);
+    /// `straggler_factor` × the round's median. Sorts `round` by wait.
+    fn judge_round(&mut self, round: &mut [(u16, u64, u64)]) {
+        round.sort_unstable_by_key(|&(_, wait, _)| wait);
+        let median = round.get(round.len() / 2).map_or(0, |&(_, wait, _)| wait);
         if median == 0 {
             return;
         }
         let threshold = median as f64 * self.straggler_factor;
-        for (p, wait, clock_ns) in round {
+        for &(p, wait, clock_ns) in round.iter() {
             if (wait as f64) > threshold {
                 if let Some(slow) = self.stragglers.get_mut(p as usize) {
                     slow.push((clock_ns, wait));

@@ -13,10 +13,12 @@ mod common;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use common::emitted_bits;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 use tempograph_core::VertexIdx;
 use tempograph_engine::{
-    run_job_tcp, Cluster, Context, EngineError, Envelope, FaultPlan, JobConfig, SubgraphProgram,
-    WireError, WireMsg,
+    query_status, run_job_tcp, Cluster, Context, EngineError, Envelope, FaultPlan, JobConfig,
+    SubgraphProgram, WireError, WireMsg,
 };
 use tempograph_partition::{PartitionedGraph, Subgraph};
 
@@ -209,4 +211,64 @@ fn every_cluster_ends_every_scenario_the_same_way() {
             }
         }
     }
+}
+
+/// Set once the status query below got its reply.
+static STATUS_SEEN: AtomicBool = AtomicBool::new(false);
+
+/// Holds timestep 1 until the status board has been read (at most 10 s),
+/// so the query cannot race the end of the job.
+struct AwaitStatus;
+
+impl SubgraphProgram for AwaitStatus {
+    type Msg = Gossip;
+
+    fn compute(&mut self, ctx: &mut Context<'_, Gossip>, _msgs: &[Envelope<Gossip>]) {
+        if ctx.timestep() == 1 {
+            let start = Instant::now();
+            while !STATUS_SEEN.load(Ordering::SeqCst) && start.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        ctx.vote_to_halt();
+    }
+}
+
+/// An in-process job speaks the coordinator protocol, so it serves the
+/// live status board from its round reports like a TCP one.
+#[test]
+fn an_in_process_job_serves_the_status_board() {
+    let addr = match std::net::TcpListener::bind("127.0.0.1:0") {
+        Ok(l) => l.local_addr().unwrap().to_string(),
+        Err(e) => {
+            eprintln!("NOTICE: loopback sockets unavailable ({e}); skipping status board test");
+            return;
+        }
+    };
+    let (pg, src) = common::ring(12, PARTITIONS, TIMESTEPS);
+    let config = JobConfig::independent(TIMESTEPS)
+        .with_metrics()
+        .with_status_addr(addr.clone());
+    let job = std::thread::spawn(move || {
+        run_job_tcp(
+            &pg,
+            &src,
+            |_: &Subgraph, _: &PartitionedGraph| AwaitStatus,
+            config,
+            Cluster::InProcess,
+        )
+    });
+    let reply = query_status(&addr);
+    STATUS_SEEN.store(true, Ordering::SeqCst);
+    let result = job.join().unwrap();
+    let reply = reply.expect("the status board answers while the job runs");
+    assert_eq!(reply.workers.len(), PARTITIONS);
+    assert!(
+        reply
+            .workers
+            .iter()
+            .any(|w| w.last_telemetry_ms != u64::MAX),
+        "a round report reached the board: {reply:?}"
+    );
+    assert_eq!(result.expect("job completes").timesteps_run, TIMESTEPS);
 }

@@ -1,6 +1,6 @@
 //! Phase isolation: the property the one-rendezvous superstep rests on.
 //!
-//! A worker leaves `Transport::close_phase` as soon as it holds the
+//! A worker leaves `WorkerLinks::close_phase` as soon as it holds the
 //! aggregate and its own mail, and may send the next phase's batches while
 //! a slower peer is still collecting this one's. Every message here carries
 //! the (timestep, superstep) it was sent in, and every delivery checks it

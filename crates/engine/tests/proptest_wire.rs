@@ -4,7 +4,7 @@ use bytes::BytesMut;
 use proptest::prelude::*;
 use tempograph_core::VertexIdx;
 use tempograph_engine::batch::{legacy, merge_sorted_runs, MessageBatch};
-use tempograph_engine::sync::{Contribution, SyncPoint};
+use tempograph_engine::cluster::{fold_contributions, Contribution};
 use tempograph_engine::wire::{sort_envelopes, Envelope, WireMsg};
 use tempograph_partition::SubgraphId;
 
@@ -226,33 +226,27 @@ proptest! {
         prop_assert_eq!(decoded, envelopes);
     }
 
-    /// The barrier reduction equals the sequential fold for any worker
-    /// contributions.
+    /// The coordinator's round reduction equals the sequential fold for
+    /// any worker contributions, in any order they are folded.
     #[test]
     fn sync_reduction_matches_sequential_fold(
         contributions in proptest::collection::vec((0u64..1000, any::<bool>()), 1..6),
+        shift in 0usize..6,
     ) {
-        let n = contributions.len();
-        let sp = std::sync::Arc::new(SyncPoint::new(n));
         let expect_msgs: u64 = contributions.iter().map(|c| c.0).sum();
         let expect_halted = contributions.iter().all(|c| c.1);
-        let handles: Vec<_> = contributions
+        let mut contributions: Vec<Contribution> = contributions
             .into_iter()
-            .map(|(msgs, halted)| {
-                let sp = sp.clone();
-                std::thread::spawn(move || {
-                    sp.arrive(Contribution {
-                        msgs_sent: msgs,
-                        all_halted: halted,
-                    })
-                    .unwrap()
-                })
-            })
+            .map(|(msgs_sent, all_halted)| Contribution { msgs_sent, all_halted })
             .collect();
-        for h in handles {
-            let agg = h.join().unwrap();
+        for _ in 0..2 {
+            let agg = fold_contributions(&contributions);
             prop_assert_eq!(agg.total_msgs, expect_msgs);
             prop_assert_eq!(agg.all_halted, expect_halted);
+            prop_assert_eq!(agg.should_stop(), expect_msgs == 0 && expect_halted);
+            let n = contributions.len();
+            contributions.rotate_left(shift % n);
+            contributions.reverse();
         }
     }
 }

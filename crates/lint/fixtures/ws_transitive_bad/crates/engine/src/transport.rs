@@ -1,4 +1,4 @@
-//! Fixture transport: a `Transport`-shaped entry point that indexes a
+//! Fixture transport: a transport entry point that indexes a
 //! per-peer state vector — the P01 indexing sub-check, rooted at `send`.
 
 pub struct Mesh {

@@ -3,7 +3,7 @@
 //! Resolution is purely syntactic — no types, no trait solving — and errs
 //! toward over-approximation: a method call `x.send(…)` adds edges to
 //! *every* workspace method named `send`, and a qualified call
-//! `Transport::barrier(…)` to every method of that name on that owner.
+//! `WorkerLinks::barrier(…)` to every method of that name on that owner.
 //! Over-approximation keeps the reachability rules sound-for-the-workspace
 //! (a real call can't be missed because we couldn't type `x`), at the cost
 //! of occasional chains through a same-named method — which is what the
@@ -222,7 +222,7 @@ impl CallGraph {
     }
 
     /// Render the root→`id` call chain recorded by [`CallGraph::closure`],
-    /// e.g. `run_bsp → absorb_outbox → InProcess::send`.
+    /// e.g. `run_bsp → absorb_outbox → WorkerLinks::send`.
     pub fn chain(&self, parents: &BTreeMap<FnId, Option<FnId>>, id: FnId) -> String {
         let mut names = vec![self.item(id).display()];
         let mut cur = id;

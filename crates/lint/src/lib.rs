@@ -21,7 +21,7 @@
 //! ([`callgraph`]) let P01 and D02 — plus the new **H01** (no heap
 //! allocation in instrumentation code on the disabled path) — hold over
 //! the entire call closure rooted at the executor superstep loop, the
-//! `Transport` entry points, and the codec entry points, with findings
+//! transport's entry points, and the codec entry points, with findings
 //! reported as root→violation call chains.
 //!
 //! Wire and storage layouts are checked outside this crate: their bytes

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 pub struct FnItem {
     /// The function's name.
     pub name: String,
-    /// Enclosing `impl`/`trait` type head (`TraceSink`, `Transport`, …);
+    /// Enclosing `impl`/`trait` type head (`TraceSink`, `WorkerLinks`, …);
     /// `None` for free functions.
     pub owner: Option<String>,
     /// The trait being implemented, for fns inside `impl Trait for Type`.
@@ -439,8 +439,8 @@ mod tests {
     fn generic_impls_resolve_their_head_type() {
         let fs = fns("impl<T: WireMsg> WireMsg for Vec<T> { fn encode(&self) {} }");
         assert_eq!(fs[0].owner.as_deref(), Some("Vec"));
-        let fs = fns("impl<'a> Transport for InProcess<'a> { fn send(&mut self) {} }");
-        assert_eq!(fs[0].owner.as_deref(), Some("InProcess"));
+        let fs = fns("impl<'a> Link for Memory<'a> { fn send(&mut self) {} }");
+        assert_eq!(fs[0].owner.as_deref(), Some("Memory"));
     }
 
     #[test]
@@ -483,15 +483,15 @@ mod tests {
     fn visibility_and_trait_impls_are_tracked() {
         let fs = fns("pub fn api() {}\nfn helper() {}\n\
              impl Sink { pub fn record(&self) {} fn push(&self) {} }\n\
-             impl Transport for Tcp { fn send(&mut self) {} }\n\
-             trait Transport { fn barrier(&mut self) {} }");
+             impl Link for Socket { fn send(&mut self) {} }\n\
+             trait Link { fn barrier(&mut self) {} }");
         assert!(fs[0].is_pub, "pub free fn");
         assert!(!fs[1].is_pub, "private free fn");
         assert!(fs[2].is_pub, "pub inherent method");
         assert!(!fs[3].is_pub, "private inherent method");
         assert!(fs[4].is_pub, "trait-impl method is public via the trait");
-        assert_eq!(fs[4].trait_impl.as_deref(), Some("Transport"));
-        assert_eq!(fs[4].owner.as_deref(), Some("Tcp"));
+        assert_eq!(fs[4].trait_impl.as_deref(), Some("Link"));
+        assert_eq!(fs[4].owner.as_deref(), Some("Socket"));
         assert!(fs[5].is_pub, "trait decl method");
         assert!(fs[5].trait_impl.is_none());
     }

@@ -19,7 +19,7 @@
 //! On top of the per-file pass, [`analyze_transitive`] re-expresses P01 and
 //! D02 — and adds **H01** (no heap allocation in instrumentation code on
 //! the disabled path) — as reachability properties over the workspace call
-//! graph, rooted at the executor superstep loop, the `Transport`
+//! graph, rooted at the executor superstep loop, the transport's
 //! entry points, and the wire/frame/checkpoint/ledger codecs. Transitive
 //! findings carry a root→violation call chain in their message.
 //!
@@ -290,11 +290,18 @@ fn run(path: &str, src: &str, scope: Scope) -> Vec<Finding> {
 /// allocation-free when disabled.
 pub const HOT_ROOTS_EXECUTOR: &[&str] = &["run_timestep_loop", "run_bsp", "run_merge"];
 
-/// `Transport` entry points — every impl roots its own closure.
-/// `telemetry` is the per-round observability flush: it runs on the
-/// barrier path whenever any instrumentation is armed, so its closure
-/// obeys the same rules.
+/// The worker transport's entry points (`WorkerLinks`). `telemetry` is
+/// the per-round observability flush: it runs on the barrier path
+/// whenever any instrumentation is armed, so its closure obeys the same
+/// rules.
 pub const HOT_ROOTS_TRANSPORT: &[&str] = &["send", "close_phase", "barrier", "telemetry"];
+
+/// Where the superstep loop's roots live: the executor drivers and the
+/// transport's entry points.
+const LOOP_ROOT_FILES: &[(&str, &[&str])] = &[
+    ("crates/engine/src/executor.rs", HOT_ROOTS_EXECUTOR),
+    ("crates/engine/src/transport.rs", HOT_ROOTS_TRANSPORT),
+];
 
 /// Codec entry-point names: any fn with one of these names in a
 /// `CODEC_FILES` file roots the wire/frame/checkpoint/ledger closure.
@@ -320,7 +327,6 @@ const INDEX_CHECK_FILES: &[&str] = &[
     "crates/engine/src/transport.rs",
     "crates/engine/src/cluster.rs",
     "crates/engine/src/checkpoint.rs",
-    "crates/engine/src/sync.rs",
     "crates/ledger/src/record.rs",
 ];
 
@@ -361,16 +367,15 @@ fn outside_boundary(path: &str, f: &FnItem) -> bool {
         && !HOT_ROOTS_CODEC.contains(&f.name.as_str())
 }
 
-/// The superstep-loop root set: executor drivers plus `Transport` entry
-/// points. This is the per-superstep steady-state path — also the root
-/// set for H01 (allocations here happen every superstep).
+/// The superstep-loop root set: executor drivers plus the transport's
+/// entry points (`LOOP_ROOT_FILES`). This is the per-superstep
+/// steady-state path — also the root set for H01 (allocations here happen
+/// every superstep).
 pub fn loop_roots(graph: &CallGraph) -> Vec<FnId> {
-    let mut roots = graph.roots_in("crates/engine/src/executor.rs", |f| {
-        HOT_ROOTS_EXECUTOR.contains(&f.name.as_str())
-    });
-    roots.extend(graph.roots_in("crates/engine/src/transport.rs", |f| {
-        HOT_ROOTS_TRANSPORT.contains(&f.name.as_str())
-    }));
+    let mut roots = Vec::new();
+    for (file, names) in LOOP_ROOT_FILES {
+        roots.extend(graph.roots_in(file, |f| names.contains(&f.name.as_str())));
+    }
     roots.sort_unstable();
     roots.dedup();
     roots
@@ -892,6 +897,68 @@ fn a01(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::{Path, PathBuf};
+
+    fn workspace_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// A rule keyed on a file that no longer exists checks nothing, and
+    /// says nothing about it: every file and directory a rule names must
+    /// be in this workspace.
+    #[test]
+    fn every_path_a_rule_names_exists() {
+        let root = workspace_root();
+        let loop_files = LOOP_ROOT_FILES.iter().map(|(file, _)| *file);
+        for file in CODEC_FILES
+            .iter()
+            .chain(INDEX_CHECK_FILES)
+            .copied()
+            .chain(loop_files)
+        {
+            assert!(
+                root.join(file).is_file(),
+                "a rule names missing file {file}"
+            );
+        }
+        for dir in H01_FILES {
+            assert!(root.join(dir).is_dir(), "H01 names missing directory {dir}");
+        }
+    }
+
+    /// On the real workspace, every loop-root name is found in its file:
+    /// the executor drivers and the transport's `send`, `close_phase`,
+    /// `barrier` and `telemetry`.
+    #[test]
+    fn loop_roots_find_every_named_entry_point() {
+        let root = workspace_root();
+        let files = crate::walk::workspace_files(&root).expect("workspace walk");
+        let asts = files
+            .iter()
+            .map(|f| {
+                let src = std::fs::read_to_string(f).expect("readable source");
+                crate::parser::parse(&crate::walk::rel_path(&root, f), &src)
+            })
+            .collect();
+        let graph = CallGraph::build(asts);
+        let found: BTreeSet<(&str, &str)> = loop_roots(&graph)
+            .into_iter()
+            .map(|id| {
+                (
+                    graph.files[id.0].path.as_str(),
+                    graph.item(id).name.as_str(),
+                )
+            })
+            .collect();
+        for (file, names) in LOOP_ROOT_FILES {
+            for name in *names {
+                assert!(
+                    found.contains(&(*file, *name)),
+                    "no loop root `{name}` in {file}; found {found:?}"
+                );
+            }
+        }
+    }
 
     fn rules_of(src: &str) -> Vec<&'static str> {
         let mut r: Vec<_> = analyze_all_rules("fixture.rs", src)

@@ -178,7 +178,7 @@ fn transitive_bad_workspace_reports_chained_findings() {
         "{:#?}",
         report.findings
     );
-    // Indexing rooted directly at a Transport entry point.
+    // Indexing rooted directly at a transport entry point.
     assert!(
         has("P01", "engine/src/transport.rs", "Mesh::send"),
         "{:#?}",

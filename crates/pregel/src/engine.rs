@@ -14,7 +14,7 @@ use tempograph_engine::{
     run_job, Combiner, Context, Envelope, InstanceSource, JobConfig, SubgraphProgram, WireMsg,
 };
 use tempograph_partition::{discover_subgraphs, PartitionedGraph, Partitioning, Subgraph};
-use tempograph_trace::{Clock, Trace, TraceConfig};
+use tempograph_trace::Clock;
 
 /// Per-vertex user logic (Pregel's `Compute`). One program *value* is shared
 /// (immutably) by all vertices; per-vertex state lives in `Self::State`.
@@ -163,8 +163,6 @@ pub struct PregelResult<S> {
     pub states: Vec<S>,
     /// Run statistics.
     pub metrics: PregelMetrics,
-    /// Assembled trace (only from [`run_pregel_traced`]).
-    pub trace: Option<Trace>,
 }
 
 /// The counter every host adds its vertices' sends to.
@@ -177,29 +175,6 @@ pub fn run_pregel<P: VertexProgram + Clone>(
     partitioning: &Partitioning,
     program: &P,
     max_supersteps: usize,
-) -> PregelResult<P::State> {
-    run_pregel_impl(template, partitioning, program, max_supersteps, None)
-}
-
-/// [`run_pregel`] with structured tracing: the engine's span set
-/// (`"superstep"` / `"compute"` / `"send"` / `"barrier.arrive"` / `"drain"`
-/// per partition), and the result carries the assembled [`Trace`].
-pub fn run_pregel_traced<P: VertexProgram + Clone>(
-    template: &Arc<GraphTemplate>,
-    partitioning: &Partitioning,
-    program: &P,
-    max_supersteps: usize,
-    trace: TraceConfig,
-) -> PregelResult<P::State> {
-    run_pregel_impl(template, partitioning, program, max_supersteps, Some(trace))
-}
-
-fn run_pregel_impl<P: VertexProgram + Clone>(
-    template: &Arc<GraphTemplate>,
-    partitioning: &Partitioning,
-    program: &P,
-    max_supersteps: usize,
-    trace: Option<TraceConfig>,
 ) -> PregelResult<P::State> {
     let pg = Arc::new(discover_subgraphs(template.clone(), partitioning.clone()));
     // One default instance: the job needs a timestep, the hosts never read it.
@@ -214,9 +189,6 @@ fn run_pregel_impl<P: VertexProgram + Clone>(
     config.max_supersteps = max_supersteps;
     if program.has_combiner() {
         config = config.with_combiner(Arc::new(VertexCombiner(program.clone())));
-    }
-    if let Some(tc) = trace {
-        config = config.with_trace(tc);
     }
 
     let wall = Clock::start();
@@ -260,7 +232,6 @@ fn run_pregel_impl<P: VertexProgram + Clone>(
             .map(|s| s.expect("every vertex belongs to one subgraph"))
             .collect(),
         metrics: m,
-        trace: result.trace,
     }
 }
 
@@ -481,34 +452,6 @@ mod tests {
             Some(tempograph_metrics::Metric::Gauge(g)) => assert_eq!(*g, 0.0),
             other => panic!("expected gauge, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn traced_run_derives_metrics_from_spans() {
-        let t = path(12);
-        let part = Partitioning {
-            assignment: (0..12).map(|v| (v % 2) as u16).collect(),
-            k: 2,
-        };
-        let r = run_pregel_traced(&t, &part, &MaxProp, 100, TraceConfig::new());
-        assert!(r.states.iter().all(|&s| s == 11));
-        let trace = r.trace.expect("traced run returns a trace");
-        trace.validate().expect("trace invariants hold");
-        assert_eq!(trace.tracks.len(), 2);
-        // Aggregates are exactly derivable: the worker fed the same clock
-        // readings to the metrics and the spans.
-        let compute: u64 = trace.sum_spans("compute");
-        assert_eq!(compute, r.metrics.compute_ns);
-        // One rendezvous per phase: every barrier wait is a `barrier.arrive`.
-        assert_eq!(trace.sum_spans("barrier.arrive"), r.metrics.sync_ns);
-        assert_eq!(trace.span_count("barrier.post"), 0);
-        assert_eq!(
-            trace.span_count("superstep"),
-            r.metrics.supersteps * 2,
-            "one superstep span per partition per superstep"
-        );
-        // Untraced runs carry no trace.
-        assert!(run_pregel(&t, &part, &MaxProp, 100).trace.is_none());
     }
 
     #[test]

@@ -18,7 +18,5 @@
 pub mod engine;
 pub mod programs;
 
-pub use engine::{
-    run_pregel, run_pregel_traced, PregelMetrics, PregelResult, VertexContext, VertexProgram,
-};
+pub use engine::{run_pregel, PregelMetrics, PregelResult, VertexContext, VertexProgram};
 pub use programs::{BfsVertex, PageRankVertex, SsspVertex, WccVertex};

@@ -92,9 +92,9 @@ USAGE:
       cluster over loopback TCP (worker threads); tcp-process spawns one
       real `tempograph worker` process per partition. Results —
       including ledger records — are byte-identical across transports:
-      TCP workers ship their metrics/attribution home with their
-      results, so the coordinator folds the same data an in-process run
-      folds directly. --observe arms metrics + attribution without
+      every worker ships its metrics/attribution home with its results,
+      so the coordinator folds the same data on every transport.
+      --observe arms metrics + attribution without
       recording; --status-addr serves live cluster introspection for
       `tempograph status` (implies --observe); --straggler-factor (or
       env TEMPOGRAPH_STRAGGLER_FACTOR, default 4.0) tunes how many
@@ -102,7 +102,7 @@ USAGE:
       ALGO: tdsp | meme | hash | sssp | bfs | wcc | pagerank | topn | stats
 
   tempograph status    --addr HOST:PORT
-      Query a running TCP coordinator's status endpoint (started via
+      Query a running coordinator's status endpoint (started via
       `run --status-addr`): per-worker epoch, timestep, supersteps,
       barrier-wait watermark, bytes sent/received, telemetry age.
 
@@ -626,7 +626,8 @@ impl JobTuning {
     }
 
     /// True when the job should carry metrics + attribution — the same
-    /// predicate arms telemetry shipping on both sides of a TCP cluster.
+    /// predicate arms telemetry shipping on both sides of the coordinator
+    /// protocol.
     fn observability_on(&self) -> bool {
         self.ledger_on || self.observe || self.status_addr.is_some()
     }

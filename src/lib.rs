@@ -49,7 +49,7 @@ pub mod prelude {
     pub use tempograph_engine::{
         query_status, run_job, run_job_tcp, run_tcp_worker, AttributionRow, CheckpointConfig,
         Cluster, Context, CostAttribution, EngineError, Envelope, FaultPlan, InstanceSource,
-        JobConfig, JobResult, Pattern, StatusReplyMsg, SubgraphProgram, TimestepMode, Transport,
+        JobConfig, JobResult, Pattern, StatusReplyMsg, SubgraphProgram, TimestepMode,
         WorkerStatusWire, DEFAULT_STRAGGLER_FACTOR,
     };
     pub use tempograph_gen::{

@@ -114,12 +114,13 @@ fn disabled_attribution_adds_zero_hot_path_allocations() {
         "attribution-disabled runs must be allocation-reproducible"
     );
 
-    // Enabled, the whole surplus budget is the setup: one boxed shard per
+    // Enabled, the surplus budget is the setup — one boxed shard per
     // worker (subgraph-id list + two preallocated tables) and the
-    // driver-side row assembly — fixed costs regardless of how many
-    // supersteps record into the table. The budget sits well below the
-    // >200 invocations asserted above, so a per-record allocation leak
-    // would trip it.
+    // driver-side row assembly, fixed costs regardless of how many
+    // supersteps record into the table — plus one allocation per round
+    // report (armed observability sends one per worker per timestep, 72
+    // here). The budget sits well below the >200 invocations asserted
+    // above, so a per-record allocation leak would trip it.
     assert!(
         armed <= plain + 128,
         "attribution record path allocates per event: {armed} armed vs {plain} plain"

@@ -121,11 +121,12 @@ fn disabled_metrics_add_zero_hot_path_allocations() {
         "metrics-disabled runs must be allocation-reproducible"
     );
 
-    // Enabled, the whole surplus budget is the setup: one boxed shard per
-    // worker, the driver-side fold, and the registry's keys/entries — a
-    // fixed cost regardless of how many observations the run records. The
-    // budget sits below the >400 record events asserted above, so
-    // even a one-allocation-per-event leak would trip it.
+    // Enabled, the surplus budget is the setup — one boxed shard per
+    // worker, the driver-side fold, and the registry's keys/entries, a
+    // fixed cost regardless of how many observations the run records —
+    // plus one allocation per round report (one per worker per timestep,
+    // 72 here). The budget sits below the >400 record events asserted
+    // above, so even a one-allocation-per-event leak would trip it.
     assert!(
         armed <= plain + 384,
         "metrics record path allocates per event: {armed} armed vs {plain} plain"

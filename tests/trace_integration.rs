@@ -292,6 +292,39 @@ fn gofs_run_reports_cache_counters_in_trace() {
     assert_eq!(io_ns, trace.sum_spans("gofs.load"));
 }
 
+/// Each partition fills three rings — its worker's, its instance
+/// provider's (`memory.project` spans) and its transport's (`net.*`) — and
+/// its sinks go home once, at the end of the job, so each ring holds at
+/// most `cap` events however many timesteps filled it.
+fn assert_rings_bounded(trace: &Trace, cap: usize) {
+    trace
+        .validate()
+        .expect("bounded rings still yield a valid trace");
+    assert_eq!(trace.tracks.len(), PARTITIONS);
+    for track in &trace.tracks {
+        // Straggler instants are the coordinator's, not a ring's.
+        let (net, rest): (Vec<&tempograph::trace::TraceEvent>, Vec<_>) = track
+            .events
+            .iter()
+            .filter(|e| e.name() != "straggler.detected")
+            .partition(|e| e.name().starts_with("net."));
+        let (fetches, worker): (Vec<_>, Vec<_>) =
+            rest.into_iter().partition(|e| e.name() == "memory.project");
+        for (sink, events) in [
+            ("worker", &worker),
+            ("provider", &fetches),
+            ("transport", &net),
+        ] {
+            assert!(
+                !events.is_empty() && events.len() <= cap,
+                "{}: {} {sink} events, ring of {cap}",
+                track.name,
+                events.len()
+            );
+        }
+    }
+}
+
 #[test]
 fn flight_recorder_stays_bounded() {
     let (t, coll) = tweet_fixture();
@@ -306,32 +339,11 @@ fn flight_recorder_stays_bounded() {
             .with_trace(TraceConfig::new().flight_recorder(CAP)),
     );
     let trace = result.trace.as_ref().unwrap();
-    trace
-        .validate()
-        .expect("bounded ring still yields a valid trace");
-    // Each partition fills two rings: its worker's and its instance
-    // provider's (`memory.project` spans).
-    for track in &trace.tracks {
-        let fetches = track
-            .events
-            .iter()
-            .filter(|e| e.name() == "memory.project")
-            .count();
-        let worker = track.events.len() - fetches;
-        assert!(
-            worker <= CAP && fetches <= CAP,
-            "{}: {worker} worker and {fetches} provider events, rings of {CAP}",
-            track.name
-        );
-    }
+    assert_rings_bounded(trace, CAP);
     assert!(trace.span_count("memory.project") > 0);
-    assert!(trace.num_events() > 0);
 }
 
-/// The same bound over TCP: a worker's sinks go home once, at the end of
-/// the job, so each ring — the worker's, its provider's `memory.project`
-/// one and its transport's `net.*` one — holds at most `CAP` events
-/// however many timesteps filled it.
+/// The same bound over TCP.
 #[test]
 fn flight_recorder_stays_bounded_over_tcp() {
     if std::net::TcpListener::bind("127.0.0.1:0").is_err() {
@@ -352,31 +364,5 @@ fn flight_recorder_stays_bounded_over_tcp() {
         Cluster::Threads,
     )
     .expect("tcp job runs");
-    let trace = result.trace.as_ref().unwrap();
-    trace
-        .validate()
-        .expect("bounded rings still yield a valid trace");
-    assert_eq!(trace.tracks.len(), PARTITIONS);
-    for track in &trace.tracks {
-        // Straggler instants are the coordinator's, not a ring's.
-        let (net, rest): (Vec<&tempograph::trace::TraceEvent>, Vec<_>) = track
-            .events
-            .iter()
-            .filter(|e| e.name() != "straggler.detected")
-            .partition(|e| e.name().starts_with("net."));
-        let (fetches, worker): (Vec<_>, Vec<_>) =
-            rest.into_iter().partition(|e| e.name() == "memory.project");
-        for (sink, events) in [
-            ("worker", &worker),
-            ("provider", &fetches),
-            ("transport", &net),
-        ] {
-            assert!(
-                !events.is_empty() && events.len() <= CAP,
-                "{}: {} {sink} events, ring of {CAP}",
-                track.name,
-                events.len()
-            );
-        }
-    }
+    assert_rings_bounded(result.trace.as_ref().unwrap(), CAP);
 }

@@ -1,6 +1,6 @@
 //! Cross-transport equivalence harness: the same TI-BSP job must produce
 //! **byte-identical** output whether partitions exchange batches over
-//! in-process channels ([`run_job`]), a localhost TCP mesh between worker
+//! in-process links ([`run_job`]), a localhost TCP mesh between worker
 //! threads, or real spawned worker *processes* talking TCP — same emitted
 //! values (as f64 bit patterns), same counter totals, same final
 //! per-subgraph program state, same `(from, seq)` delivery order.
@@ -113,7 +113,7 @@ fn fingerprint(r: &JobResult) -> Fingerprint {
     }
 }
 
-/// Run the same job over in-process channels and over a thread-per-worker
+/// Run the same job over in-process links and over a thread-per-worker
 /// localhost TCP mesh; assert byte-identical fingerprints.
 fn assert_transport_equivalent<P, F>(
     label: &str,
@@ -371,8 +371,8 @@ fn spawned_worker_processes_match_in_process_run() {
 // ---------------------------------------------------------------------------
 // Telemetry-plane equivalence: a TCP run's JobResult must carry the same
 // registry, attribution table, trace, and ledger record as an in-process
-// run — the worker shards cross the wire as Telemetry frames and the
-// coordinator merges them through the same fold paths `run_job` uses.
+// run — on every cluster the worker shards go home in Output frames and
+// the coordinator merges them through the same fold paths.
 // ---------------------------------------------------------------------------
 
 /// Canonical JSON of a result's registry snapshot with clock-measured
@@ -457,9 +457,9 @@ fn stripped_record_json(
 /// Per-worker-track multiset of span names. Clock domains differ between
 /// an in-process run and TCP worker threads/processes, so timestamps are
 /// not comparable — but the *set* of spans each worker records is, since
-/// both transports drive the identical executor. Driver tracks (id ≥ k)
-/// are skipped (transport-specific bookkeeping), as are `net.*` events
-/// (transport-layer instrumentation the in-process path never emits).
+/// every cluster drives the identical executor over the identical
+/// transport, `net.*` spans included. Driver tracks (id ≥ k) are skipped
+/// (recovery bookkeeping).
 fn worker_span_multisets(
     label: &str,
     r: &JobResult,
@@ -480,9 +480,7 @@ fn worker_span_multisets(
         let names: &mut BTreeMap<&'static str, usize> = out.entry(t.track).or_default();
         for ev in &t.events {
             if let TraceEvent::Span { name, .. } = ev {
-                if !name.starts_with("net.") {
-                    *names.entry(name).or_insert(0) += 1;
-                }
+                *names.entry(name).or_insert(0) += 1;
             }
         }
     }
