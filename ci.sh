@@ -45,9 +45,13 @@ lint_stage() {
     cargo test -q --workspace golden_
 }
 
-# Fault-tolerance gate: the recovery-equivalence suite (fixed seeds baked
-# into the tests), the seeded fault-plan property tests, and the smoke test
-# asserting the disabled hooks add zero hot-path allocations.
+# Fault-tolerance gate over the failures a cluster can suffer: injected
+# worker deaths (threads and worker processes), torn checkpoint writes and
+# worker-process kills must each recover from the latest checkpoint,
+# byte-identical to a clean run. It runs the recovery-equivalence suite
+# (fixed seeds baked into the tests), the seeded fault-plan property tests,
+# and the smoke test asserting the disabled hooks add zero hot-path
+# allocations. Links are not faulted: they deliver in order or fail.
 faults_stage() {
     echo "==> faults: recovery-equivalence suite (all algorithms, 3 and 6 partitions)"
     cargo test -q --test recovery_equivalence
@@ -63,7 +67,9 @@ faults_stage() {
 # Transport gate: every algorithm must produce byte-identical results over
 # in-process links, a localhost TCP thread mesh, and real spawned worker
 # processes (the equivalence suite covers all three plus delivery-order
-# probes, telemetry equivalence, and frame-codec fuzzing), no batch may be
+# probes and telemetry equivalence; no frame is dropped, duplicated or
+# reordered on purpose, and the frame-codec fuzzing checks that damaged
+# bytes are a typed error, never a panic), no batch may be
 # delivered outside the phase it was sent in (the sentinel fence, the same
 # on every cluster, that replaced the second per-superstep barrier), and the
 # `tempograph` binary must drive a 2-process localhost cluster end-to-end —

@@ -81,7 +81,8 @@ pub fn trace_config() -> Option<TraceConfig> {
 
 /// Fault-injection opt-in from `TEMPOGRAPH_FAULTS` (unset/`0`/`off` ⇒
 /// config unchanged). A numeric seed derives a deterministic
-/// [`FaultPlan`] for the run's shape, arms checkpointing every 10
+/// [`FaultPlan`] for the run's shape — one or two worker deaths and
+/// possibly one torn checkpoint write — arms checkpointing every 10
 /// timesteps (matching the GoFS packing cadence) under the system temp
 /// dir, and lets the benchmark crash and recover mid-run — a chaos mode
 /// for eyeballing checkpoint/recovery overhead on the paper workloads.

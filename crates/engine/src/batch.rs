@@ -43,7 +43,7 @@
 //! the same run.
 
 use crate::error::WireError;
-use crate::wire::{get_u32, sort_envelopes, Envelope, WireMsg};
+use crate::wire::{get_u32, Envelope, WireMsg};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -403,9 +403,9 @@ pub fn merge_sorted_runs_traced<M>(
     out
 }
 
-/// The pre-batching message path, kept as an executable reference.
+/// The pre-batching message encoding, kept as an executable reference.
 ///
-/// Property tests assert the batched path delivers exactly what this one
+/// Property tests assert the batched path carries exactly what this one
 /// does, and the `micro_messaging` benchmark compares both in the same run.
 pub mod legacy {
     use super::*;
@@ -427,19 +427,21 @@ pub mod legacy {
     ) -> Result<Vec<Envelope<M>>, WireError> {
         (0..count).map(|_| Envelope::decode(bytes)).collect()
     }
-
-    /// The original delivery step: concatenate everything a destination
-    /// received, then stable-sort by `(from, seq)`.
-    pub fn deliver<M>(received: Vec<Vec<Envelope<M>>>) -> Vec<Envelope<M>> {
-        let mut all: Vec<Envelope<M>> = received.into_iter().flatten().collect();
-        sort_envelopes(&mut all);
-        all
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::sort_envelopes;
+
+    /// The original delivery step, the merge's oracle: concatenate
+    /// everything a destination received, then stable-sort by
+    /// `(from, seq)`.
+    fn stable_sorted(received: Vec<Vec<Envelope<u64>>>) -> Vec<Envelope<u64>> {
+        let mut all: Vec<Envelope<u64>> = received.into_iter().flatten().collect();
+        sort_envelopes(&mut all);
+        all
+    }
 
     fn env(from: u32, to: u32, seq: u32, payload: u64) -> Envelope<u64> {
         Envelope {
@@ -572,7 +574,7 @@ mod tests {
             vec![env(0, 9, 1, 6), env(4, 9, 0, 7)],
         ];
         let merged = merge_sorted_runs(runs.clone());
-        let reference = legacy::deliver(runs);
+        let reference = stable_sorted(runs);
         assert_eq!(merged, reference);
     }
 
@@ -588,7 +590,7 @@ mod tests {
             vec![env(0, 9, 1, 6), env(4, 9, 0, 7)],
             vec![env(2, 9, 6, 8)],
         ];
-        let reference = legacy::deliver(runs.clone());
+        let reference = stable_sorted(runs.clone());
         // Heap's algorithm over the run indices.
         let mut idx = [0usize, 1, 2, 3];
         let mut c = [0usize; 4];

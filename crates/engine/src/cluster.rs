@@ -197,7 +197,6 @@ where
         epoch,
         coord,
         peers,
-        config.faults.clone(),
         tracer,
         config.telemetry_armed(),
     );
@@ -826,6 +825,13 @@ where
     P: SubgraphProgram,
     F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync,
 {
+    if config.status_addr.is_some() && !config.telemetry_armed() {
+        // The board is fed by round reports, which only an armed job sends:
+        // refuse rather than bind a listener that would never show a round.
+        return Err(EngineError::Protocol {
+            detail: "a status board needs trace, metrics or attribution armed".into(),
+        });
+    }
     let k = pg.num_partitions();
     let source = &source.open(pg)?;
     let timesteps = effective_timesteps(&config, source.num_timesteps())?;

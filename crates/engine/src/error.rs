@@ -105,9 +105,10 @@ pub enum EngineError {
         /// Exit status / connection error that proved the death.
         detail: String,
     },
-    /// A peer's end-of-phase sentinel proved frames were lost in flight and
-    /// never retransmitted: the received data-frame sequence numbers do not
-    /// cover the sender's declared watermark.
+    /// A peer's end-of-phase sentinel declared a different data-frame
+    /// count than its link delivered. Links never drop a frame, so this is
+    /// a broken link or a broken sender; nothing is retransmitted, and the
+    /// error is fatal.
     FrameLoss {
         /// The peer partition whose frames went missing.
         peer: u16,

@@ -136,7 +136,9 @@ pub struct JobConfig<M> {
     /// Live introspection: when set, the coordinator serves the status
     /// board (`tempograph status`) on this address for the life of the
     /// job, on every [`crate::Cluster`]. The board is fed by round reports,
-    /// so it needs trace, metrics or attribution armed.
+    /// so it needs trace, metrics or attribution armed; without one, the
+    /// job is refused with [`EngineError::Protocol`] before any worker
+    /// starts.
     pub status_addr: Option<String>,
     /// Straggler threshold: a worker whose per-timestep barrier wait
     /// exceeds this multiple of the round's median wait earns a
@@ -498,10 +500,6 @@ struct Worker<'a, P: SubgraphProgram> {
 
     checkpoint: Option<CheckpointConfig>,
     faults: Option<Arc<FaultPlan>>,
-    /// Current (timestep, superstep) coordinate, kept for the fault hooks
-    /// on the send path (the merge phase runs at `timestep == timesteps`).
-    cur_t: u64,
-    cur_ss: u64,
     /// Restored from a checkpoint whose timestep loop had already ended
     /// (`WorkerCheckpoint::loop_done`): skip straight to the merge phase.
     loop_finished: bool,
@@ -563,8 +561,6 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             cum_checkpoint_bytes: 0,
             checkpoint: config.checkpoint.clone(),
             faults: config.faults.clone(),
-            cur_t: 0,
-            cur_ss: 0,
             loop_finished: false,
             out: WorkerOutput::default(),
             cur_counters: BTreeMap::new(),
@@ -763,8 +759,6 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
     ) -> Result<u32, EngineError> {
         let mut ss: usize = 0;
         loop {
-            self.cur_t = t as u64;
-            self.cur_ss = ss as u64;
             if let Some(faults) = &self.faults {
                 // Injected worker death at a (partition, timestep, superstep)
                 // coordinate. The merge phase runs at t == timesteps, so
@@ -1026,26 +1020,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             let bytes = buf.freeze();
             m.bytes_remote += bytes.len() as u64;
             m.batches_remote += 1;
-            if self
-                .faults
-                .as_ref()
-                .is_some_and(|f| f.should_fail_send(self.partition, self.cur_t, self.cur_ss))
-            {
-                // Transient loss: the first transmission is dropped and the
-                // batch retried — one counter tick and one trace marker, no
-                // behavioural change (delivery stays exactly-once).
-                m.send_retries += 1;
-                self.tracer
-                    .instant("fault.send_retry", Some(("dest", part as u64)));
-            }
-            let retransmits = self.transport.send(part as u16, kind, bytes)?;
-            if retransmits > 0 {
-                // Injected frame loss the transport recovered from (see
-                // [`crate::FrameFault`]) — same exactly-once accounting.
-                m.send_retries += retransmits;
-                self.tracer
-                    .instant("fault.frame_retransmit", Some(("dest", part as u64)));
-            }
+            self.transport.send(part as u16, kind, bytes)?;
         }
         Ok(())
     }

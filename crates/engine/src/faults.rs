@@ -1,22 +1,24 @@
 //! Deterministic fault injection for chaos-testing the TI-BSP engine.
 //!
-//! A [`FaultPlan`] is a fixed schedule of failures — worker panics at a
-//! `(partition, timestep, superstep)` coordinate, torn checkpoint writes,
-//! transient send failures — that the executor consults at well-defined
-//! points (superstep entry, the remote-send path, the checkpoint writer).
-//! Because the engine itself is deterministic, a plan derived from a `u64`
-//! seed reproduces the *same* crash at the *same* point of the *same*
-//! computation on every run: chaos runs are exactly replayable, which is
-//! what lets `tests/recovery_equivalence.rs` assert that a crashed-and-
-//! recovered job is byte-identical to an undisturbed one.
+//! A [`FaultPlan`] is a fixed schedule of the failures a cluster can
+//! actually suffer from its workers: a worker dying at a `(partition,
+//! timestep, superstep)` coordinate, or dying halfway through writing its
+//! checkpoint file (a torn write). The executor consults the plan at
+//! superstep entry and in the checkpoint writer. Because the engine itself
+//! is deterministic, a plan derived from a `u64` seed reproduces the *same*
+//! crash at the *same* point of the *same* computation on every run: chaos
+//! runs are exactly replayable, which is what lets
+//! `tests/recovery_equivalence.rs` assert that a crashed-and-recovered job
+//! is byte-identical to an undisturbed one.
 //!
-//! Panic-style events carry a one-shot flag (shared across recovery
-//! attempts of one `run_job` call), so a worker that died at timestep `t`
-//! does not die again when re-executing `t` after restoring a checkpoint —
-//! mirroring a real transient host failure. Send-failure events are
-//! stateless: they model a retried transmission and re-fire identically on
-//! re-execution, keeping the recovered message stream equal to the clean
-//! one.
+//! Links are not on the list. A socket and an in-memory queue both deliver
+//! a peer's frames once, in send order and undamaged, or fail with a typed
+//! error; a broken link is a dead worker (see [`crate::transport`]).
+//!
+//! Every event carries a one-shot flag (shared across recovery attempts
+//! of one `run_job` call), so a worker that died at timestep `t` does not
+//! die again when re-executing `t` after restoring a checkpoint —
+//! mirroring a real transient host failure.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -55,40 +57,6 @@ enum FaultKind {
     /// Kill the worker halfway through writing its checkpoint file for
     /// this timestep (exercises the tempfile + rename atomicity).
     CheckpointPanic,
-    /// One transient send failure: the first transmission of each remote
-    /// batch this worker sends during this superstep is "lost" and
-    /// retried (counted in `TimestepMetrics::send_retries`).
-    SendFail { superstep: u64 },
-    /// Damage the worker's `frame`-th outgoing data frame at the transport
-    /// seam (TCP only; the in-process transport has no frames to damage).
-    /// Stateless like `SendFail`: every damaged transmission is immediately
-    /// retransmitted, so delivery stays exactly-once and results are
-    /// byte-identical to a fault-free run. `frame` counts this worker's
-    /// data frames from 1 within one transport epoch. The `timestep` field
-    /// of the enclosing event is unused (stored as 0).
-    Frame { frame: u64, fault: FrameFault },
-}
-
-/// How an injected transport fault damages a data frame's first
-/// transmission. All four preserve exactly-once delivery: the sender
-/// immediately compensates (retransmit / receiver-side dedup), mirroring a
-/// reliable transport riding on a lossy wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrameFault {
-    /// The first transmission is lost before the wire; the sender
-    /// retransmits at once (ticks `TimestepMetrics::send_retries`).
-    Drop,
-    /// The frame is transmitted twice with the same sequence number; the
-    /// receiver deduplicates by `(peer, seq)`.
-    Duplicate,
-    /// The frame is held back and sent after the next data frame to the
-    /// same destination (or flushed before the end-of-phase sentinel); the
-    /// receiver restores sequence order.
-    Reorder,
-    /// The first transmission's payload is corrupted in flight (the
-    /// declared checksum no longer matches); the receiver discards it on
-    /// checksum failure and the sender retransmits a clean copy.
-    Truncate,
 }
 
 #[derive(Debug)]
@@ -96,8 +64,8 @@ struct FaultEvent {
     partition: u16,
     timestep: u64,
     kind: FaultKind,
-    /// One-shot latch for panic-style events; shared across the recovery
-    /// attempts of one job so a fault does not re-fire after restore.
+    /// One-shot latch; shared across the recovery attempts of one job so
+    /// a fault does not re-fire after restore.
     fired: AtomicBool,
 }
 
@@ -113,7 +81,7 @@ impl FaultEvent {
 /// A deterministic, reproducible schedule of injected failures.
 ///
 /// Build one explicitly with [`FaultPlan::panic_at`] /
-/// [`FaultPlan::fail_send_at`] / [`FaultPlan::panic_in_checkpoint`], or
+/// [`FaultPlan::panic_in_checkpoint`], or
 /// derive a pseudo-random schedule from a seed with
 /// [`FaultPlan::from_seed`]. Install it with
 /// [`crate::JobConfig::with_faults`]; recovery additionally requires
@@ -161,40 +129,11 @@ impl FaultPlan {
         self
     }
 
-    /// Schedule a transient send failure for every remote batch `partition`
-    /// sends during `(timestep, superstep)`. Stateless: re-fires
-    /// identically when the superstep is re-executed after recovery.
-    pub fn fail_send_at(mut self, partition: u16, timestep: usize, superstep: usize) -> Self {
-        self.events.push(FaultEvent {
-            partition,
-            timestep: timestep as u64,
-            kind: FaultKind::SendFail {
-                superstep: superstep as u64,
-            },
-            fired: AtomicBool::new(false),
-        });
-        self
-    }
-
-    /// Schedule a transport-seam fault on the `frame`-th data frame (1-based
-    /// within a transport epoch) that `partition` sends over a TCP
-    /// transport. Ignored by the in-process transport. Stateless.
-    pub fn frame_fault_at(mut self, partition: u16, frame: u64, fault: FrameFault) -> Self {
-        assert!(frame >= 1, "frame faults count data frames from 1");
-        self.events.push(FaultEvent {
-            partition,
-            timestep: 0,
-            kind: FaultKind::Frame { frame, fault },
-            fired: AtomicBool::new(false),
-        });
-        self
-    }
-
     /// Derive a pseudo-random schedule from `seed` for a job over
     /// `partitions` workers and (up to) `timesteps` timesteps: one or two
-    /// worker deaths, possibly one torn checkpoint write, and up to three
-    /// transient send failures. Identical seeds yield identical schedules
-    /// on every platform (splitmix64, no external RNG).
+    /// worker deaths and possibly one torn checkpoint write. Identical
+    /// seeds yield identical schedules on every platform (splitmix64, no
+    /// external RNG).
     pub fn from_seed(seed: u64, partitions: u16, timesteps: usize) -> Self {
         assert!(partitions >= 1 && timesteps >= 1);
         let mut s = SplitMix64(seed);
@@ -210,13 +149,6 @@ impl FaultPlan {
             let p = (s.next() % partitions as u64) as u16;
             let t = (s.next() % timesteps as u64) as usize;
             plan = plan.panic_in_checkpoint(p, t);
-        }
-        let n_sends = (s.next() % 4) as usize;
-        for _ in 0..n_sends {
-            let p = (s.next() % partitions as u64) as u16;
-            let t = (s.next() % timesteps as u64) as usize;
-            let ss = (s.next() % 3) as usize;
-            plan = plan.fail_send_at(p, t, ss);
         }
         plan.seed = Some(seed);
         plan
@@ -234,13 +166,10 @@ impl FaultPlan {
         Some(Self::from_seed(seed, partitions, timesteps))
     }
 
-    /// Number of scheduled panic-style events (worker deaths + torn
-    /// checkpoint writes). Bounds the recovery attempts a job can need.
+    /// Number of scheduled events (worker deaths + torn checkpoint
+    /// writes). Bounds the recovery attempts a job can need.
     pub fn panic_events(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, FaultKind::Panic { .. } | FaultKind::CheckpointPanic))
-            .count()
+        self.events.len()
     }
 
     /// Re-arm every one-shot event, so the same plan value can drive a
@@ -275,29 +204,8 @@ impl FaultPlan {
         })
     }
 
-    /// Stateless check: do `partition`'s remote sends transiently fail
-    /// during `(timestep, superstep)`?
-    pub(crate) fn should_fail_send(&self, partition: u16, timestep: u64, superstep: u64) -> bool {
-        self.events.iter().any(|e| {
-            e.partition == partition
-                && e.timestep == timestep
-                && e.kind == FaultKind::SendFail { superstep }
-        })
-    }
-
-    /// Stateless check: how should the `frame`-th data frame `partition`
-    /// sends be damaged at the transport seam, if at all?
-    pub(crate) fn frame_fault(&self, partition: u16, frame: u64) -> Option<FrameFault> {
-        self.events.iter().find_map(|e| match e.kind {
-            FaultKind::Frame { frame: f, fault } if e.partition == partition && f == frame => {
-                Some(fault)
-            }
-            _ => None,
-        })
-    }
-
-    /// Indices (into this plan's event list) of panic-style events whose
-    /// one-shot latch has fired. A multi-process coordinator ships this
+    /// Indices (into this plan's event list) of events whose one-shot
+    /// latch has fired. A multi-process coordinator ships this
     /// list to freshly spawned workers so their independently parsed copy
     /// of the plan does not replay a death that already happened.
     pub fn fired_indices(&self) -> Vec<u32> {
@@ -321,8 +229,7 @@ impl FaultPlan {
         }
     }
 
-    /// Index of `partition`'s earliest panic-style event that has not yet
-    /// fired, latching it as fired. A multi-process coordinator cannot
+    /// Index of `partition`'s earliest event that has not yet fired, latching it as fired. A multi-process coordinator cannot
     /// observe *which* event killed a remote worker (the panic happened in
     /// another address space), so it attributes the death to the earliest
     /// unfired candidate — exact for deterministic plans, whose events fire
@@ -331,11 +238,7 @@ impl FaultPlan {
         self.events
             .iter()
             .enumerate()
-            .filter(|(_, e)| {
-                e.partition == partition
-                    && matches!(e.kind, FaultKind::Panic { .. } | FaultKind::CheckpointPanic)
-            })
-            .find(|(_, e)| e.fire_once())
+            .find(|(_, e)| e.partition == partition && e.fire_once())
             .map(|(i, _)| i as u32)
     }
 
@@ -350,16 +253,6 @@ impl FaultPlan {
             parts.push(match e.kind {
                 FaultKind::Panic { superstep } => format!("panic@p{p}:t{t}:s{superstep}"),
                 FaultKind::CheckpointPanic => format!("ckpt@p{p}:t{t}"),
-                FaultKind::SendFail { superstep } => format!("send@p{p}:t{t}:s{superstep}"),
-                FaultKind::Frame { frame, fault } => {
-                    let name = match fault {
-                        FrameFault::Drop => "drop",
-                        FrameFault::Duplicate => "dup",
-                        FrameFault::Reorder => "reorder",
-                        FrameFault::Truncate => "trunc",
-                    };
-                    format!("{name}@p{p}:f{frame}")
-                }
             });
         }
         parts.join(";")
@@ -387,11 +280,6 @@ impl FaultPlan {
             plan = match kind {
                 "panic" => plan.panic_at(p, field('t')? as usize, field('s')? as usize),
                 "ckpt" => plan.panic_in_checkpoint(p, field('t')? as usize),
-                "send" => plan.fail_send_at(p, field('t')? as usize, field('s')? as usize),
-                "drop" => plan.frame_fault_at(p, field('f')?, FrameFault::Drop),
-                "dup" => plan.frame_fault_at(p, field('f')?, FrameFault::Duplicate),
-                "reorder" => plan.frame_fault_at(p, field('f')?, FrameFault::Reorder),
-                "trunc" => plan.frame_fault_at(p, field('f')?, FrameFault::Truncate),
                 other => return Err(format!("unknown fault kind `{other}` in `{part}`")),
             };
         }
@@ -431,14 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn send_failures_are_stateless() {
-        let plan = FaultPlan::new().fail_send_at(0, 1, 2);
-        assert!(plan.should_fail_send(0, 1, 2));
-        assert!(plan.should_fail_send(0, 1, 2), "re-fires on re-execution");
-        assert!(!plan.should_fail_send(0, 1, 1));
-    }
-
-    #[test]
     fn seeded_plans_are_reproducible_and_vary_by_seed() {
         let a = format!("{:?}", FaultPlan::from_seed(42, 3, 10));
         let b = format!("{:?}", FaultPlan::from_seed(42, 3, 10));
@@ -449,6 +329,20 @@ mod tests {
             let plan = FaultPlan::from_seed(seed, 4, 8);
             assert!(plan.panic_events() >= 1, "every seeded plan kills someone");
             assert_eq!(plan.seed(), Some(seed));
+        }
+    }
+
+    /// Seeds name fixed schedules (`TEMPOGRAPH_FAULTS`, the recovery
+    /// suite): a change to the draws must not move a seed's deaths.
+    #[test]
+    fn seeded_death_schedules_are_pinned() {
+        for (seed, partitions, timesteps, spec) in [
+            (0, 3, 10, "panic@p0:t9:s1;panic@p1:t0:s2;ckpt@p2:t0"),
+            (7, 4, 8, "panic@p0:t2:s0;panic@p2:t1:s1"),
+            (42, 3, 10, "panic@p1:t8:s0;panic@p1:t2:s1;ckpt@p1:t4"),
+        ] {
+            let plan = FaultPlan::from_seed(seed, partitions, timesteps);
+            assert_eq!(plan.to_spec(), spec, "seed {seed}");
         }
     }
 
@@ -463,32 +357,13 @@ mod tests {
     }
 
     #[test]
-    fn frame_faults_are_stateless_and_keyed_by_sender_and_ordinal() {
-        let plan = FaultPlan::new()
-            .frame_fault_at(1, 3, FrameFault::Drop)
-            .frame_fault_at(2, 3, FrameFault::Reorder);
-        assert_eq!(plan.frame_fault(1, 3), Some(FrameFault::Drop));
-        assert_eq!(plan.frame_fault(1, 3), Some(FrameFault::Drop), "re-fires");
-        assert_eq!(plan.frame_fault(2, 3), Some(FrameFault::Reorder));
-        assert_eq!(plan.frame_fault(1, 2), None);
-        assert_eq!(plan.frame_fault(0, 3), None);
-    }
-
-    #[test]
     fn spec_round_trips_every_event_kind_in_order() {
         let plan = FaultPlan::new()
             .panic_at(1, 3, 0)
             .panic_in_checkpoint(0, 2)
-            .fail_send_at(2, 1, 0)
-            .frame_fault_at(0, 3, FrameFault::Drop)
-            .frame_fault_at(1, 5, FrameFault::Duplicate)
-            .frame_fault_at(2, 7, FrameFault::Reorder)
-            .frame_fault_at(0, 9, FrameFault::Truncate);
+            .panic_at(2, 1, 1);
         let spec = plan.to_spec();
-        assert_eq!(
-            spec,
-            "panic@p1:t3:s0;ckpt@p0:t2;send@p2:t1:s0;drop@p0:f3;dup@p1:f5;reorder@p2:f7;trunc@p0:f9"
-        );
+        assert_eq!(spec, "panic@p1:t3:s0;ckpt@p0:t2;panic@p2:t1:s1");
         let back = FaultPlan::from_spec(&spec).unwrap();
         assert_eq!(back.to_spec(), spec, "spec is a fixed point");
         assert_eq!(format!("{:?}", back.events), format!("{:?}", plan.events));
@@ -498,6 +373,10 @@ mod tests {
             "missing field"
         );
         assert!(FaultPlan::from_spec("explode@p1:f1").is_err(), "bad kind");
+        assert!(
+            FaultPlan::from_spec("drop@p0:f3").is_err(),
+            "links do not drop frames"
+        );
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use cluster::{
 };
 pub use error::{EngineError, WireError};
 pub use executor::{JobConfig, Pattern, TimestepMode, DEFAULT_STRAGGLER_FACTOR};
-pub use faults::{FaultPlan, FrameFault, INJECTED_FAULT_MARKER};
+pub use faults::{FaultPlan, INJECTED_FAULT_MARKER};
 pub use metrics::{AttributionRow, CostAttribution, Emit, JobResult, TimestepMetrics};
 pub use net::{Frame, FrameConn, FrameKind, StatusReplyMsg, TelemetryMsg, WorkerStatusWire};
 pub use program::{Context, Phase, SubgraphProgram};

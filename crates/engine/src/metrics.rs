@@ -136,8 +136,9 @@ pub struct TimestepMetrics {
     pub batches_remote: u64,
     /// Slice files loaded from disk (GoFS source only).
     pub slice_loads: u64,
-    /// Remote batch transmissions retried after an injected transient send
-    /// failure (always 0 without fault injection).
+    /// Always 0: links deliver every frame once, so no send is retried.
+    /// The field stays until the next `FORMAT_VERSION`/`FRAME_VERSION`
+    /// bump, because worker checkpoints and Output frames encode it.
     pub send_retries: u64,
     /// Compute nanoseconds per superstep within this timestep. Feeds the
     /// *virtual makespan* model (see [`JobResult::virtual_timestep_ns`]):
@@ -349,9 +350,9 @@ impl JobResult {
     ///
     /// Counts are summed across every timestep row, every partition, and
     /// the merge phase, so after a checkpointed recovery they include the
-    /// restored pre-crash portion. `tempograph_recoveries_total` and
-    /// `tempograph_send_retries_total` make fault-injection runs
-    /// (`TEMPOGRAPH_FAULTS`) visible in the Prometheus/JSON output.
+    /// restored pre-crash portion. `tempograph_recoveries_total` makes
+    /// fault-injection runs (`TEMPOGRAPH_FAULTS`) visible in the
+    /// Prometheus/JSON output.
     pub fn export_into(&self, reg: &mut Registry) {
         let mut compute = 0u64;
         let mut msg = 0u64;
@@ -364,7 +365,6 @@ impl JobResult {
         let mut msgs_combined = 0u64;
         let mut batches_remote = 0u64;
         let mut slice_loads = 0u64;
-        let mut send_retries = 0u64;
         let rows = self
             .metrics
             .iter()
@@ -381,7 +381,6 @@ impl JobResult {
             msgs_combined += m.msgs_combined;
             batches_remote += m.batches_remote;
             slice_loads += m.slice_loads;
-            send_retries += m.send_retries;
         }
         // Supersteps are barrier-synchronised: every partition runs the
         // same count per timestep, so take the per-timestep max, not the
@@ -411,7 +410,6 @@ impl JobResult {
         reg.counter_add("tempograph_msgs_combined_total", &[], msgs_combined);
         reg.counter_add("tempograph_batches_remote_total", &[], batches_remote);
         reg.counter_add("tempograph_slice_loads_total", &[], slice_loads);
-        reg.counter_add("tempograph_send_retries_total", &[], send_retries);
         reg.counter_add("tempograph_recoveries_total", &[], self.recoveries as u64);
         reg.counter_add(
             "tempograph_emitted_values_total",
@@ -701,14 +699,12 @@ mod tests {
         r.metrics[0][1].supersteps = 4;
         r.metrics[0][0].msgs_local = 3;
         r.metrics[0][0].msgs_remote = 1;
-        r.metrics[0][0].send_retries = 2;
         r.recoveries = 1;
         let mut reg = Registry::new();
         r.export_into(&mut reg);
         let snap = reg.snapshot();
         assert_eq!(snap.counter_total("tempograph_compute_ns_total"), 40);
         assert_eq!(snap.counter_total("tempograph_supersteps_total"), 4);
-        assert_eq!(snap.counter_total("tempograph_send_retries_total"), 2);
         assert_eq!(snap.counter_total("tempograph_recoveries_total"), 1);
         match snap.get("tempograph_msgs_remote_fraction", &[]) {
             Some(tempograph_metrics::Metric::Gauge(g)) => assert_eq!(*g, 0.25),

@@ -21,11 +21,13 @@
 //! ```
 //!
 //! The header itself is not checksummed: the engine trusts TCP's integrity
-//! for the fixed-width fields and uses the payload checksum to catch the
-//! one corruption mode the fault plan injects (damaged payload bytes, see
-//! [`crate::FrameFault::Truncate`]). A checksum mismatch is detected *after*
-//! the whole frame has been consumed, so the stream stays frame-aligned and
-//! the receiver can simply await the retransmission.
+//! for the fixed-width fields and uses the payload checksum as a last
+//! check on the bytes it hands the decoders. Nothing is ever retransmitted,
+//! so a checksum mismatch is fatal to the link: a socket's reader reports
+//! it and stops, and the receiving worker fails with a typed error naming
+//! the peer (see [`crate::transport`]). The codec itself reads the whole
+//! damaged frame before reporting it, so [`read_frame`] leaves a stream
+//! frame-aligned.
 //!
 //! [`Frame::decode`] is a pure buffer decoder (what the codec proptests
 //! attack); [`read_frame`]/[`write_frame`] run the same codec over any
@@ -36,8 +38,8 @@
 //! queue of `ReadResult`s — the items a socket reader yields. A queue
 //! carries `Frame` values, so a payload is shared, never copied, and it
 //! reports what a socket would: the wire size `HEADER_LEN` + payload
-//! length, the payload cap ([`MAX_PAYLOAD_LEN`]), a checksum error for a
-//! damaged send, and a closed connection once the other end is dropped.
+//! length, the payload cap ([`MAX_PAYLOAD_LEN`]), and a closed connection
+//! once the other end is dropped. It cannot damage a frame.
 //! `FrameConn::pair` and `PeerLink::pair` make the in-memory links of
 //! an in-process cluster; everything above them cannot tell the two apart.
 
@@ -320,9 +322,7 @@ fn read_full(
 /// Read one frame from any byte stream. Returns the frame and the total
 /// bytes consumed. A checksum mismatch surfaces as
 /// `EngineError::Wire(WireError::Checksum)` **after** the full frame has
-/// been consumed, so the stream stays aligned and the caller may keep
-/// reading (that is how damaged-then-retransmitted data frames are
-/// skipped).
+/// been consumed, so the stream stays aligned.
 pub fn read_frame(r: &mut impl Read, peer: &str) -> Result<(Frame, usize), EngineError> {
     let mut header = [0u8; HEADER_LEN];
     read_full(r, &mut header, peer, true)?;
@@ -383,31 +383,9 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame, peer: &str) -> Result<usiz
     Ok(enc.len())
 }
 
-/// Write a deliberately damaged copy of `frame`: the last byte of the
-/// encoding is flipped (a payload byte when there is a payload, a checksum
-/// byte otherwise), so the header stays parseable but the receiver's
-/// checksum verification fails and the frame is discarded. Fault injection
-/// only ([`crate::FrameFault::Truncate`]).
-pub fn write_frame_corrupted(
-    w: &mut impl Write,
-    frame: &Frame,
-    peer: &str,
-) -> Result<usize, EngineError> {
-    check_len(frame, peer)?;
-    let mut enc = frame.encode().to_vec();
-    if let Some(last) = enc.last_mut() {
-        *last ^= 0xff;
-    }
-    w.write_all(&enc)
-        .and_then(|()| w.flush())
-        .map_err(net_err(format!("writing frame to {peer}")))?;
-    Ok(enc.len())
-}
-
 /// What the receive side of a link yields: a frame and the bytes it
-/// occupied on the wire, or the error reading it raised. A
-/// `WireError::Checksum` leaves the link usable (the stream stays
-/// frame-aligned); any other error ends it.
+/// occupied on the wire, or the error reading it raised, which ends the
+/// link.
 type ReadResult = Result<(Frame, usize), EngineError>;
 
 /// The error a link reports, in `context`, once the other end is gone.
@@ -544,22 +522,6 @@ impl FrameTx {
             }
         }
     }
-
-    /// Send a checksum-damaged copy of `frame` (fault injection only): the
-    /// receiver reads the `WireError::Checksum` a socket reader reports.
-    fn send_corrupted(&mut self, frame: &Frame, peer: &str) -> Result<usize, EngineError> {
-        match self {
-            FrameTx::Socket(stream) => write_frame_corrupted(stream, frame, peer),
-            FrameTx::Queue(queue) => {
-                check_len(frame, peer)?;
-                let damaged = EngineError::Wire(WireError::Checksum {
-                    context: "frame payload",
-                });
-                queue.push(Err(damaged), peer)?;
-                Ok(HEADER_LEN + frame.payload.len())
-            }
-        }
-    }
 }
 
 /// An in-memory link: the send half of each end is the other's queue.
@@ -633,8 +595,8 @@ impl FrameConn {
         Ok(())
     }
 
-    /// Receive one frame. See [`read_frame`] for the checksum-mismatch
-    /// contract (typed error, stream stays aligned).
+    /// Receive one frame. A checksum mismatch is a typed error (see
+    /// [`read_frame`]).
     pub fn recv(&mut self) -> Result<Frame, EngineError> {
         let (f, n) = match &mut self.rx {
             FrameRx::Socket(reader) => read_frame(reader, &self.peer)?,
@@ -671,10 +633,9 @@ impl PeerLink {
     /// by a detached thread into an unbounded queue. Decoupling reads from
     /// the worker's phase structure is what makes the mesh deadlock-free —
     /// a peer's send never blocks on this worker reaching its own collect,
-    /// because the kernel buffer is always being emptied. A checksum
-    /// failure is pushed and reading continues (the stream stays
-    /// frame-aligned, the clean retransmission follows); any other error is
-    /// pushed and the thread exits.
+    /// because the kernel buffer is always being emptied. A read error —
+    /// a closed stream, a malformed header, a checksum mismatch — is
+    /// pushed and the thread exits: the link is over.
     pub(crate) fn socket(
         stream: TcpStream,
         mut reader: BufReader<TcpStream>,
@@ -684,10 +645,7 @@ impl PeerLink {
         let label = peer.clone();
         std::thread::spawn(move || loop {
             let res = read_frame(&mut reader, &label);
-            let fatal = !matches!(
-                &res,
-                Ok(_) | Err(EngineError::Wire(WireError::Checksum { .. }))
-            );
+            let fatal = res.is_err();
             if tx.push(res, &label).is_err() || fatal {
                 break; // nobody is listening, or the stream is done
             }
@@ -715,11 +673,6 @@ impl PeerLink {
     /// Send one frame to the peer; returns its wire size.
     pub(crate) fn send(&mut self, frame: &Frame) -> Result<usize, EngineError> {
         self.tx.send(frame, &self.peer)
-    }
-
-    /// Send a checksum-damaged copy of `frame` (see [`FrameTx::send_corrupted`]).
-    pub(crate) fn send_corrupted(&mut self, frame: &Frame) -> Result<usize, EngineError> {
-        self.tx.send_corrupted(frame, &self.peer)
     }
 
     /// Block for the next item from the peer; a dropped peer end is the
@@ -1160,6 +1113,17 @@ mod tests {
         }
     }
 
+    /// `frame`'s encoding with its last byte flipped — a payload byte when
+    /// there is a payload, a checksum byte otherwise: the header parses,
+    /// the checksum does not match.
+    fn damaged(frame: &Frame) -> Vec<u8> {
+        let mut enc = frame.encode().to_vec();
+        if let Some(last) = enc.last_mut() {
+            *last ^= 0xff;
+        }
+        enc
+    }
+
     #[test]
     fn frame_roundtrips_through_buffer_and_pipe() {
         let frames = vec![
@@ -1198,9 +1162,8 @@ mod tests {
     #[test]
     fn corrupted_frame_is_a_typed_checksum_error_and_stream_stays_aligned() {
         let bad = data_frame(1, b"payload bytes");
-        let good = data_frame(2, b"clean retransmission");
-        let mut pipe = Vec::new();
-        write_frame_corrupted(&mut pipe, &bad, "pipe").unwrap();
+        let good = data_frame(2, b"the next frame");
+        let mut pipe = damaged(&bad);
         write_frame(&mut pipe, &good, "pipe").unwrap();
         let mut r = Cursor::new(pipe);
         let err = read_frame(&mut r, "pipe").unwrap_err();
@@ -1611,26 +1574,24 @@ mod tests {
         // Zeroed allocations are mapped lazily: this touches no pages.
         let frame = Frame::control(FrameKind::Output, 2, 0, Bytes::from(vec![0u8; len]));
         let mut w = Counting(0);
-        for write in [write_frame, write_frame_corrupted] {
-            let err = write(&mut w, &frame, "coordinator").unwrap_err();
-            assert_eq!(
-                err,
-                EngineError::FrameTooLarge {
-                    peer: "coordinator".into(),
-                    kind: FrameKind::Output,
-                    len,
-                    cap: MAX_PAYLOAD_LEN,
-                }
-            );
-            let text = err.to_string();
-            for part in [
-                "coordinator",
-                "Output",
-                &len.to_string(),
-                &MAX_PAYLOAD_LEN.to_string(),
-            ] {
-                assert!(text.contains(part), "{text}");
+        let err = write_frame(&mut w, &frame, "coordinator").unwrap_err();
+        assert_eq!(
+            err,
+            EngineError::FrameTooLarge {
+                peer: "coordinator".into(),
+                kind: FrameKind::Output,
+                len,
+                cap: MAX_PAYLOAD_LEN,
             }
+        );
+        let text = err.to_string();
+        for part in [
+            "coordinator",
+            "Output",
+            &len.to_string(),
+            &MAX_PAYLOAD_LEN.to_string(),
+        ] {
+            assert!(text.contains(part), "{text}");
         }
         assert_eq!(w.0, 0, "nothing may be written");
     }

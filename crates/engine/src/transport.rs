@@ -30,14 +30,16 @@
 //! (`tests/transport_equivalence.rs`) asserts this
 //! fingerprint-for-fingerprint.
 //!
-//! **Exactly-once delivery under injected frame faults.** Each data frame
-//! carries a per-(sender → receiver) sequence number counted from 1; every
-//! phase ends with a Sentinel watermark declaring the cumulative count.
-//! The receiver sorts by sequence, drops duplicates, skips
-//! checksum-damaged frames (the sender always follows them with a clean
-//! retransmission), and fails with [`EngineError::FrameLoss`] if the
-//! surviving sequence numbers do not contiguously cover the watermark.
-//! See [`crate::FrameFault`] for the injectable fault kinds.
+//! **Links are reliable FIFOs, and the receiver checks that they are.** A
+//! socket and an in-memory queue both deliver a peer's frames once, in
+//! send order and undamaged, or fail. Each data frame carries a
+//! per-(sender → receiver) sequence number counted from 1, and every phase
+//! ends with a Sentinel watermark declaring the cumulative count. The
+//! receiver checks, frame by frame, that each data frame's seq is the
+//! previous one + 1 and that the watermark equals the last seq; a repeated,
+//! reordered or damaged frame is a [`EngineError::Protocol`] error and a
+//! short count is [`EngineError::FrameLoss`], each naming the peer. Nothing
+//! is repaired: there is no retransmission to wait for.
 //!
 //! **Failure attribution.** A worker learns of a dead peer from a lost
 //! mesh link or from the coordinator's Abort frame; the failing call
@@ -46,8 +48,7 @@
 //! [`crate::cluster`].
 
 use crate::cluster::{Aggregate, Contribution};
-use crate::error::{EngineError, WireError};
-use crate::faults::{FaultPlan, FrameFault};
+use crate::error::EngineError;
 use crate::net::{
     accept_with_deadline, connect_with_retry, decode_payload, encode_payload, net_err, read_frame,
     AbortMsg, Frame, FrameConn, FrameKind, PeerLink, TelemetryMsg,
@@ -56,7 +57,6 @@ use crate::wire::WireMsg;
 use bytes::{Bytes, BytesMut};
 use std::io::BufReader;
 use std::net::TcpListener;
-use std::sync::Arc;
 use tempograph_trace::TraceSink;
 
 /// Handshake patience: how long the coordinator waits for worker hellos and
@@ -80,7 +80,7 @@ pub enum BatchKind {
 pub type PhaseMail = Vec<(BatchKind, Bytes)>;
 
 /// Typed out-of-range error for a peer index. Every per-peer state vector
-/// (`peers`, `send_seq`, `recv_done`, `held`) shares the mesh length, so
+/// (`peers`, `send_seq`, `recv_seq`) shares the mesh length, so
 /// this only fires on a corrupt partition id.
 fn bad_peer(d: usize) -> EngineError {
     EngineError::Protocol {
@@ -160,7 +160,7 @@ pub(crate) fn connect_mesh(
 
 /// One worker's transport: its coordinator connection and its peer mesh,
 /// over sockets or in-memory links alike. See the module docs for the
-/// phase fence and the exactly-once and failure-attribution contracts.
+/// phase fence and the in-order and failure-attribution contracts.
 pub(crate) struct WorkerLinks {
     partition: u16,
     epoch: u32,
@@ -170,15 +170,8 @@ pub(crate) struct WorkerLinks {
     /// Data frames sent per peer this epoch (the next frame's seq − 1, and
     /// the sentinel watermark).
     send_seq: Vec<u64>,
-    /// Highest contiguously accounted-for seq per peer.
-    recv_done: Vec<u64>,
-    /// Global 1-based ordinal of data frames sent by this worker — the
-    /// fault plan's `f{N}` coordinate (see [`FaultPlan::frame_fault_at`]).
-    frames_sent: u64,
-    /// One frame per peer held back by an injected Reorder fault; shipped
-    /// after the next frame to that peer (or at the phase sentinel).
-    held: Vec<Option<Frame>>,
-    faults: Option<Arc<FaultPlan>>,
+    /// Seq of the last data frame received from each peer this epoch.
+    recv_seq: Vec<u64>,
     tracer: TraceSink,
     peer_bytes_sent: u64,
     peer_bytes_received: u64,
@@ -200,7 +193,6 @@ impl WorkerLinks {
         epoch: u32,
         coord: FrameConn,
         peers: Vec<Option<PeerLink>>,
-        faults: Option<Arc<FaultPlan>>,
         tracer: TraceSink,
         telemetry_armed: bool,
     ) -> WorkerLinks {
@@ -211,10 +203,7 @@ impl WorkerLinks {
             coord,
             peers,
             send_seq: vec![0; k],
-            recv_done: vec![0; k],
-            frames_sent: 0,
-            held: (0..k).map(|_| None).collect(),
-            faults,
+            recv_seq: vec![0; k],
             tracer,
             peer_bytes_sent: 0,
             peer_bytes_received: 0,
@@ -260,24 +249,12 @@ impl WorkerLinks {
             })
     }
 
-    /// Write `frame` to peer `d` — damaged, when `corrupted` — promoting
-    /// any link failure to [`EngineError::RemoteWorkerDied`] naming that
-    /// peer: a mesh link only fails when the worker behind it is gone, and
-    /// naming it is what lets the coordinator distinguish primary from
-    /// cascade.
-    fn send_to_peer(
-        &mut self,
-        d: usize,
-        frame: &Frame,
-        corrupted: bool,
-    ) -> Result<(), EngineError> {
-        let link = self.link(d)?;
-        let sent = if corrupted {
-            link.send_corrupted(frame)
-        } else {
-            link.send(frame)
-        };
-        match sent {
+    /// Write `frame` to peer `d`, promoting any link failure to
+    /// [`EngineError::RemoteWorkerDied`] naming that peer: a mesh link only
+    /// fails when the worker behind it is gone, and naming it is what lets
+    /// the coordinator distinguish primary from cascade.
+    fn send_to_peer(&mut self, d: usize, frame: &Frame) -> Result<(), EngineError> {
+        match self.link(d)?.send(frame) {
             Ok(n) => {
                 self.peer_bytes_sent += n as u64;
                 Ok(())
@@ -291,59 +268,10 @@ impl WorkerLinks {
         }
     }
 
-    /// Ship `frame` to peer `d` under an optional injected fault, honouring
-    /// the exactly-once contract (see [`FrameFault`]). Returns the
-    /// retransmission count the fault forced.
-    fn deliver(
-        &mut self,
-        d: usize,
-        frame: Frame,
-        fault: Option<FrameFault>,
-    ) -> Result<u64, EngineError> {
-        if let Some(FrameFault::Reorder) = fault {
-            // Swap with the next frame to this peer: flush anything already
-            // held, then hold this one back.
-            if let Some(prev) = self.held.get_mut(d).and_then(Option::take) {
-                self.send_to_peer(d, &prev, false)?;
-            }
-            *self.held.get_mut(d).ok_or_else(|| bad_peer(d))? = Some(frame);
-            return Ok(0);
-        }
-        let retransmits = match fault {
-            None | Some(FrameFault::Reorder) => {
-                self.send_to_peer(d, &frame, false)?;
-                0
-            }
-            Some(FrameFault::Drop) => {
-                // The first transmission is lost in flight; what reaches
-                // the wire is already the retransmission.
-                self.send_to_peer(d, &frame, false)?;
-                1
-            }
-            Some(FrameFault::Duplicate) => {
-                // Two identical copies; the receiver's seq-dedup keeps one.
-                self.send_to_peer(d, &frame, false)?;
-                self.send_to_peer(d, &frame, false)?;
-                0
-            }
-            Some(FrameFault::Truncate) => {
-                // A checksum-damaged copy the receiver discards, then the
-                // clean retransmission.
-                self.send_to_peer(d, &frame, true)?;
-                self.send_to_peer(d, &frame, false)?;
-                1
-            }
-        };
-        // A frame held by an earlier Reorder ships right after this one.
-        if let Some(prev) = self.held.get_mut(d).and_then(Option::take) {
-            self.send_to_peer(d, &prev, false)?;
-        }
-        Ok(retransmits)
-    }
-
-    /// Collect each peer's frames up to its sentinel, ascending. Blocking
-    /// is safe: the round that precedes every collect proves all peers
-    /// sent their sentinel, and per-link FIFO puts this phase's data
+    /// Collect each peer's frames up to its sentinel, ascending, checking
+    /// that each link delivered them once and in order (module docs).
+    /// Blocking is safe: the round that precedes every collect proves all
+    /// peers sent their sentinel, and per-link FIFO puts this phase's data
     /// before it and the next phase's behind it.
     fn collect(&mut self) -> Result<PhaseMail, EngineError> {
         let t0 = self.tracer.now();
@@ -353,13 +281,15 @@ impl WorkerLinks {
             if j == me {
                 continue;
             }
-            let mut got: Vec<(u64, BatchKind, Bytes)> = Vec::new();
-            let watermark = loop {
+            let mut last = self.recv_seq.get(j).copied().ok_or_else(|| bad_peer(j))?;
+            loop {
                 let (frame, n) = match self.link(j)?.recv() {
                     Ok(pair) => pair,
-                    // A damaged frame was discarded; its retransmission is
-                    // behind it on the same link.
-                    Err(EngineError::Wire(WireError::Checksum { .. })) => continue,
+                    Err(e @ EngineError::Wire(_)) => {
+                        return Err(EngineError::Protocol {
+                            detail: format!("damaged frame from partition {j}: {e}"),
+                        })
+                    }
                     Err(e) => {
                         return Err(EngineError::RemoteWorkerDied {
                             partition: j as u16,
@@ -376,14 +306,17 @@ impl WorkerLinks {
                         ),
                     });
                 }
-                match frame.kind {
-                    FrameKind::Sentinel => break frame.seq,
-                    FrameKind::DataSuperstep => {
-                        got.push((frame.seq, BatchKind::Superstep, frame.payload));
+                let kind = match frame.kind {
+                    FrameKind::Sentinel if frame.seq == last => break,
+                    FrameKind::Sentinel => {
+                        return Err(EngineError::FrameLoss {
+                            peer: j as u16,
+                            expected: frame.seq,
+                            got: last,
+                        })
                     }
-                    FrameKind::DataNextTimestep => {
-                        got.push((frame.seq, BatchKind::NextTimestep, frame.payload));
-                    }
+                    FrameKind::DataSuperstep => BatchKind::Superstep,
+                    FrameKind::DataNextTimestep => BatchKind::NextTimestep,
                     other => {
                         return Err(EngineError::Protocol {
                             detail: format!(
@@ -391,33 +324,20 @@ impl WorkerLinks {
                             ),
                         })
                     }
-                }
-            };
-            // Canonicalise: injected reordering sorts out, duplicates drop
-            // out, and the sentinel convicts any genuine loss.
-            got.sort_by_key(|(seq, _, _)| *seq);
-            got.dedup_by_key(|(seq, _, _)| *seq);
-            let done = self.recv_done.get_mut(j).ok_or_else(|| bad_peer(j))?;
-            let mut covered = *done;
-            for (seq, _, _) in &got {
-                if *seq != covered + 1 {
-                    return Err(EngineError::FrameLoss {
-                        peer: j as u16,
-                        expected: watermark,
-                        got: covered,
+                };
+                if frame.seq != last + 1 {
+                    return Err(EngineError::Protocol {
+                        detail: format!(
+                            "data frame from partition {j} carries seq {} (expected {})",
+                            frame.seq,
+                            last + 1
+                        ),
                     });
                 }
-                covered = *seq;
+                last = frame.seq;
+                out.push((kind, frame.payload));
             }
-            if covered != watermark {
-                return Err(EngineError::FrameLoss {
-                    peer: j as u16,
-                    expected: watermark,
-                    got: covered,
-                });
-            }
-            *done = watermark;
-            out.extend(got.into_iter().map(|(_, kind, payload)| (kind, payload)));
+            *self.recv_seq.get_mut(j).ok_or_else(|| bad_peer(j))? = last;
         }
         let t1 = self.tracer.now();
         self.tracer.span_at("net.recv", t0, t1);
@@ -464,23 +384,19 @@ impl WorkerLinks {
         result
     }
 
-    /// Ship one encoded `MessageBatch` frame to partition `dst`. Returns
-    /// the number of *retransmissions* an injected frame fault forced
-    /// (recovered under the exactly-once contract) — the worker accounts
-    /// them as `send_retries`.
+    /// Ship one encoded `MessageBatch` frame to partition `dst`.
     pub(crate) fn send(
         &mut self,
         dst: u16,
         kind: BatchKind,
         bytes: Bytes,
-    ) -> Result<u64, EngineError> {
+    ) -> Result<(), EngineError> {
         let t0 = self.tracer.now();
         let d = dst as usize;
         let fkind = match kind {
             BatchKind::Superstep => FrameKind::DataSuperstep,
             BatchKind::NextTimestep => FrameKind::DataNextTimestep,
         };
-        self.frames_sent += 1;
         let seq = {
             let s = self.send_seq.get_mut(d).ok_or_else(|| bad_peer(d))?;
             *s += 1;
@@ -493,16 +409,12 @@ impl WorkerLinks {
             seq,
             payload: bytes,
         };
-        let fault = self
-            .faults
-            .as_ref()
-            .and_then(|f| f.frame_fault(self.partition, self.frames_sent));
-        let retransmits = self.deliver(d, frame, fault)?;
+        self.send_to_peer(d, &frame)?;
         let t1 = self.tracer.now();
         self.tracer
             .span_arg_at("net.send", t0, t1, "peer", dst as u64);
         self.tracer.counter("net.bytes_sent", self.peer_bytes_sent);
-        Ok(retransmits)
+        Ok(())
     }
 
     /// Close the current phase (a superstep, or a timestep's tail): send
@@ -515,15 +427,12 @@ impl WorkerLinks {
         &mut self,
         c: Contribution,
     ) -> Result<(Aggregate, PhaseMail), EngineError> {
-        // Flush Reorder holds and declare this phase's watermark to every
-        // peer, ascending — before contributing.
+        // Declare this phase's watermark to every peer, ascending — before
+        // contributing.
         let me = self.partition as usize;
         for d in 0..self.peers.len() {
             if d == me {
                 continue;
-            }
-            if let Some(prev) = self.held.get_mut(d).and_then(Option::take) {
-                self.send_to_peer(d, &prev, false)?;
             }
             let sentinel = Frame {
                 kind: FrameKind::Sentinel,
@@ -532,7 +441,7 @@ impl WorkerLinks {
                 seq: self.send_seq.get(d).copied().ok_or_else(|| bad_peer(d))?,
                 payload: Bytes::new(),
             };
-            self.send_to_peer(d, &sentinel, false)?;
+            self.send_to_peer(d, &sentinel)?;
         }
         let agg = self.coord_round(c)?;
         Ok((agg, self.collect()?))
@@ -582,7 +491,7 @@ impl WorkerLinks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::HEADER_LEN;
+    use crate::net::{bind_loopback, HEADER_LEN};
 
     const EPOCH: u32 = 3;
 
@@ -604,7 +513,6 @@ mod tests {
             EPOCH,
             mine,
             peers.collect(),
-            None,
             TraceSink::inert(),
             telemetry,
         );
@@ -647,16 +555,10 @@ mod tests {
     fn in_process_transport_round_trips_and_synchronises() {
         let (mut links, mut coord, mut peers) = worker0(2, true);
         assert_eq!(links.num_partitions(), 2);
-        assert_eq!(
-            links.send(1, BatchKind::Superstep, bytes(b"abc")).unwrap(),
-            0
-        );
-        assert_eq!(
-            links
-                .send(1, BatchKind::NextTimestep, bytes(b"xyz"))
-                .unwrap(),
-            0
-        );
+        links.send(1, BatchKind::Superstep, bytes(b"abc")).unwrap();
+        links
+            .send(1, BatchKind::NextTimestep, bytes(b"xyz"))
+            .unwrap();
         let peer = &mut peers[0];
         peer.send(&data(1, 1, b"hello")).unwrap();
         peer.send(&sentinel(1, 1)).unwrap();
@@ -716,33 +618,100 @@ mod tests {
         assert_eq!(mail, vec![(BatchKind::Superstep, bytes(b"g1"))]);
     }
 
-    /// A damaged frame is skipped for its retransmission, a duplicate seq
-    /// is dropped, and a gap below the watermark is frame loss.
+    /// Links deliver once and in order, so the receiver repairs nothing:
+    /// a repeated seq, two swapped frames and a gap below the watermark
+    /// each end the phase in a typed error naming the peer. (A damaged
+    /// frame is the socket case below; an in-memory link cannot damage
+    /// one.)
     #[test]
     fn duplicates_drop_and_a_gap_is_frame_loss() {
+        let names_peer_1 = |r: Result<(Aggregate, PhaseMail), EngineError>| match r {
+            Err(EngineError::Protocol { detail }) => {
+                assert!(detail.contains("partition 1"), "{detail}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        };
+        let cases: [&[Frame]; 2] = [
+            &[data(1, 1, b"one"), data(1, 1, b"one"), sentinel(1, 1)],
+            &[data(1, 2, b"two"), data(1, 1, b"one"), sentinel(1, 2)],
+        ];
+        for frames in cases {
+            let (mut links, mut coord, mut peers) = worker0(2, false);
+            for f in frames {
+                peers[0].send(f).unwrap();
+            }
+            release(&mut coord, 0);
+            names_peer_1(links.close_phase(Contribution::default()));
+        }
+
         let (mut links, mut coord, mut peers) = worker0(2, false);
         let peer = &mut peers[0];
-        peer.send_corrupted(&data(1, 1, b"one")).unwrap();
         peer.send(&data(1, 1, b"one")).unwrap();
-        peer.send(&data(1, 1, b"one")).unwrap();
-        peer.send(&data(1, 2, b"two")).unwrap();
-        peer.send(&sentinel(1, 2)).unwrap();
+        peer.send(&sentinel(1, 1)).unwrap();
         release(&mut coord, 0);
         let (_, mail) = links.close_phase(Contribution::default()).unwrap();
-        let payloads: Vec<Bytes> = mail.into_iter().map(|(_, b)| b).collect();
-        assert_eq!(payloads, [bytes(b"one"), bytes(b"two")]);
-        // Seq 3 never arrives.
-        peer.send(&data(1, 4, b"four")).unwrap();
-        peer.send(&sentinel(1, 4)).unwrap();
+        assert_eq!(mail, vec![(BatchKind::Superstep, bytes(b"one"))]);
+        // Seq 2 never arrives; the next phase's data starts at 3.
+        peer.send(&data(1, 3, b"three")).unwrap();
+        peer.send(&sentinel(1, 3)).unwrap();
+        release(&mut coord, 0);
+        names_peer_1(links.close_phase(Contribution::default()));
+        // Seq 2 never arrives and the sentinel declares it.
+        let (mut links, mut coord, mut peers) = worker0(2, false);
+        peers[0].send(&data(1, 1, b"one")).unwrap();
+        peers[0].send(&sentinel(1, 2)).unwrap();
         release(&mut coord, 0);
         assert_eq!(
             links.close_phase(Contribution::default()),
             Err(EngineError::FrameLoss {
                 peer: 1,
-                expected: 4,
-                got: 2
+                expected: 2,
+                got: 1
             })
         );
+    }
+
+    /// A frame whose payload was damaged on a real socket ends the phase in
+    /// a typed error naming the peer at once: nothing will retransmit it.
+    #[test]
+    fn a_damaged_frame_on_a_socket_is_a_typed_error() {
+        use std::io::Write;
+        use std::net::TcpStream;
+        let (listener, addr) = match bind_loopback("a test peer") {
+            Ok(pair) => pair,
+            Err(e) => {
+                eprintln!("NOTICE: loopback unavailable ({e}); skipping");
+                return;
+            }
+        };
+        let mut peer_end = TcpStream::connect(&addr).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        let (mut coord, mine) = FrameConn::pair("worker 0", "coordinator");
+        let link = PeerLink::socket(stream, reader, "partition 1".into());
+        let mut links = WorkerLinks::new(
+            0,
+            EPOCH,
+            mine,
+            vec![None, Some(link)],
+            TraceSink::inert(),
+            false,
+        );
+        let mut wire = data(1, 1, b"payload").encode().to_vec();
+        let last = wire.len() - 1;
+        wire[last] ^= 0xff; // a payload byte
+        peer_end.write_all(&wire).unwrap();
+        // The peer then hangs up, so a receiver waiting for a
+        // retransmission sees the link end instead of blocking forever.
+        drop(peer_end);
+        release(&mut coord, 0);
+        match links.close_phase(Contribution::default()) {
+            Err(EngineError::Protocol { detail }) => {
+                assert!(detail.contains("partition 1"), "{detail}");
+                assert!(detail.contains("checksum"), "{detail}");
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -258,7 +258,20 @@ fn an_in_process_job_serves_the_status_board() {
             Cluster::InProcess,
         )
     });
-    let reply = query_status(&addr);
+    // The board answers as soon as it is bound, which can be before the
+    // first round report lands: ask again (the job holds timestep 1, so
+    // timestep 0's reports are on their way) until one shows or 10 s pass.
+    let start = Instant::now();
+    let reply = loop {
+        let reply = query_status(&addr);
+        let reported = reply
+            .as_ref()
+            .is_ok_and(|r| r.workers.iter().any(|w| w.last_telemetry_ms != u64::MAX));
+        if reported || reply.is_err() || start.elapsed() > Duration::from_secs(10) {
+            break reply;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
     STATUS_SEEN.store(true, Ordering::SeqCst);
     let result = job.join().unwrap();
     let reply = reply.expect("the status board answers while the job runs");
@@ -271,4 +284,29 @@ fn an_in_process_job_serves_the_status_board() {
         "a round report reached the board: {reply:?}"
     );
     assert_eq!(result.expect("job completes").timesteps_run, TIMESTEPS);
+}
+
+/// A status board is fed by round reports, which only an armed job sends:
+/// asked for one without trace, metrics or attribution, every cluster
+/// refuses the job before a worker starts or a port is bound, instead of
+/// running it with no board.
+#[test]
+fn a_status_board_without_round_reports_is_refused() {
+    for cluster in [Cluster::InProcess, Cluster::Threads] {
+        let (pg, src) = common::ring(12, PARTITIONS, TIMESTEPS);
+        let config = JobConfig::independent(TIMESTEPS).with_status_addr("127.0.0.1:1");
+        let result = run_job_tcp(
+            &pg,
+            &src,
+            |_: &Subgraph, _: &PartitionedGraph| -> AwaitStatus { panic!("no worker may start") },
+            config,
+            cluster,
+        );
+        match result {
+            Err(EngineError::Protocol { detail }) => {
+                assert!(detail.contains("status board"), "{detail}")
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
 }

@@ -197,7 +197,9 @@ proptest! {
             sort_envelopes(run); // each per-sender run arrives sorted
         }
         let merged = merge_sorted_runs(runs.clone());
-        let reference = legacy::deliver(runs);
+        // The original delivery step: concatenate, then stable-sort.
+        let mut reference: Vec<_> = runs.into_iter().flatten().collect();
+        sort_envelopes(&mut reference);
         prop_assert_eq!(merged, reference);
     }
 

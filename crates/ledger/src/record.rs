@@ -147,6 +147,8 @@ pub struct RunAggregates {
     pub msgs_combined: u64,
     pub batches_remote: u64,
     pub slice_loads: u64,
+    /// Always 0 (links retry nothing); the record format keeps it until
+    /// the next `FORMAT_VERSION` bump.
     pub send_retries: u64,
     pub recoveries: u64,
     pub emitted_values: u64,

@@ -99,6 +99,9 @@ USAGE:
       `tempograph status` (implies --observe); --straggler-factor (or
       env TEMPOGRAPH_STRAGGLER_FACTOR, default 4.0) tunes how many
       multiples of the median barrier wait flag a straggler.
+      --faults SPEC injects worker deaths, `;`-separated: panic@pP:tT:sS
+      kills partition P at timestep T, superstep S; ckpt@pP:tT kills it
+      halfway through its checkpoint write after timestep T.
       ALGO: tdsp | meme | hash | sssp | bfs | wcc | pagerank | topn | stats
 
   tempograph status    --addr HOST:PORT
@@ -389,8 +392,8 @@ fn inspect_show(opts: &HashMap<String, String>, pos: &[&str]) -> Result<(), Stri
         a.msgs_local, a.msgs_remote, a.bytes_remote, a.batches_remote, a.msgs_combined
     );
     println!(
-        "work       : {} supersteps, {} slice loads, {} retries, {} recoveries, {} emits",
-        a.supersteps, a.slice_loads, a.send_retries, a.recoveries, a.emitted_values
+        "work       : {} supersteps, {} slice loads, {} recoveries, {} emits",
+        a.supersteps, a.slice_loads, a.recoveries, a.emitted_values
     );
     for w in &rec.workers {
         println!(
@@ -578,7 +581,9 @@ struct JobTuning {
     straggler_factor: Option<f64>,
     /// `--checkpoint-every N --checkpoint-dir D`.
     checkpoint: Option<(usize, String)>,
-    /// `--faults SPEC` (see `FaultPlan::from_spec`).
+    /// `--faults SPEC`: injected worker deaths, `;`-separated
+    /// `panic@pP:tT:sS` and `ckpt@pP:tT` events (see
+    /// `FaultPlan::from_spec`).
     fault_spec: Option<String>,
 }
 

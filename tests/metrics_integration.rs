@@ -191,25 +191,15 @@ fn gofs_run_exports_cache_instruments() {
 }
 
 #[test]
-fn faulted_run_exports_recoveries_and_send_retries() {
+fn faulted_run_exports_recoveries() {
     let (t, coll) = tweet_fixture();
     let pg = partitioned(&t);
     let tweets_col = t.vertex_schema().index_of(TWEETS_ATTR).unwrap();
     let dir = std::env::temp_dir().join(format!("metrics-int-faults-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // One worker panic mid-run (forces a checkpoint recovery) plus send
-    // failures blanketed over every early superstep — a retry only ticks
-    // when a remote batch is actually in flight at the faulted spot, and
-    // meme propagation crosses partitions every timestep.
-    let mut plan = FaultPlan::new().panic_at(1, 7, 0);
-    for p in 0..PARTITIONS as u16 {
-        for ts in 0..TIMESTEPS {
-            for ss in 0..3 {
-                plan = plan.fail_send_at(p, ts, ss);
-            }
-        }
-    }
+    // One worker panic mid-run forces a checkpoint recovery.
+    let plan = FaultPlan::new().panic_at(1, 7, 0);
     let result = run_job(
         &pg,
         &InstanceSource::Memory(coll),
@@ -226,10 +216,6 @@ fn faulted_run_exports_recoveries_and_send_retries() {
     assert_eq!(
         snap.counter_total("tempograph_recoveries_total"),
         result.recoveries as u64
-    );
-    assert!(
-        snap.counter_total("tempograph_send_retries_total") >= 1,
-        "the injected send failure must surface as a retry"
     );
 
     // The checkpoint/recovery duration instruments appear once exercised,

@@ -8,7 +8,7 @@
 //! state, pending cross-timestep/merge inboxes, sequence counters) make
 //! this a hard equality, not an approximation. Every paper algorithm is
 //! exercised at 3 and 6 partitions with crashes at every checkpoint
-//! boundary, plus torn-checkpoint-write and transient-send-failure cases.
+//! boundary, plus torn-checkpoint-write and worker-process-kill cases.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -321,35 +321,6 @@ fn hashtag_recovers_byte_identical_including_merge_phase_crash() {
     }
 }
 
-/// Transient send failures are retried, counted, and change nothing else.
-#[test]
-fn transient_send_failures_are_counted_and_harmless() {
-    let (t, src) = road_fixture();
-    let pg = partitioned(&t, 3);
-    let clean = run_job(&pg, &src, Wcc::factory(), JobConfig::independent(1));
-
-    let mut plan = FaultPlan::new();
-    for p in 0..3 {
-        plan = plan.fail_send_at(p, 0, 0);
-    }
-    let flaky = run_job(
-        &pg,
-        &src,
-        Wcc::factory(),
-        JobConfig::independent(1).with_faults(plan),
-    );
-    assert_eq!(
-        flaky.recoveries, 0,
-        "send failures must not trigger recovery"
-    );
-    let retries: u64 = flaky.metrics.iter().flatten().map(|m| m.send_retries).sum();
-    assert!(
-        retries > 0,
-        "at least one remote batch must have been retried"
-    );
-    assert_eq!(fingerprint(&clean), fingerprint(&flaky));
-}
-
 /// A worker killed halfway through writing its checkpoint file must leave
 /// only a `.tmp` staging file behind: recovery resumes from the *previous*
 /// manifest entry, the job still finishes byte-identical, and no staging
@@ -544,11 +515,9 @@ fn seeded_fault_runs_reproduce_trace_sequences() {
 
 // === TCP transport fault injection ======================================
 //
-// The same guarantees must hold when partitions talk over real sockets:
-// damaged frames (dropped, duplicated, reordered, corrupted in flight) are
-// repaired by retransmit/dedup without touching the output, and a worker
-// *process* killed mid-superstep is respawned and resumes from the latest
-// checkpoint, byte-identical to the fault-free run.
+// The same guarantees must hold when partitions talk over real sockets: a
+// worker thread or *process* killed mid-superstep is respawned and resumes
+// from the latest checkpoint, byte-identical to the fault-free run.
 
 fn sockets_available() -> bool {
     match std::net::TcpListener::bind("127.0.0.1:0") {
@@ -558,112 +527,6 @@ fn sockets_available() -> bool {
             false
         }
     }
-}
-
-/// All four frame-fault kinds injected into a TCP thread cluster: the job
-/// neither recovers nor diverges, and the lossy kinds are visibly repaired
-/// (retransmit counter ticks).
-#[test]
-fn tcp_frame_faults_are_repaired_and_output_neutral() {
-    use tempograph::engine::FrameFault;
-    if !sockets_available() {
-        return;
-    }
-    let (t, src, cfg) = tweet_fixture();
-    let tweets_col = t.vertex_schema().index_of(TWEETS_ATTR).unwrap();
-    let pg = partitioned(&t, 3);
-    let factory = MemeTracking::factory(cfg.meme.clone(), tweets_col);
-
-    let clean = run_job(
-        &pg,
-        &src,
-        &factory,
-        JobConfig::sequentially_dependent(TIMESTEPS),
-    );
-
-    let plan = FaultPlan::new()
-        .frame_fault_at(0, 1, FrameFault::Drop)
-        .frame_fault_at(1, 2, FrameFault::Duplicate)
-        .frame_fault_at(2, 1, FrameFault::Reorder)
-        .frame_fault_at(0, 3, FrameFault::Truncate);
-    let faulted = run_job_tcp(
-        &pg,
-        &src,
-        &factory,
-        JobConfig::sequentially_dependent(TIMESTEPS).with_faults(plan),
-        Cluster::Threads,
-    )
-    .expect("frame faults must not kill the job");
-
-    assert_eq!(
-        faulted.recoveries, 0,
-        "frame faults are repaired in-protocol, not via recovery"
-    );
-    let retries: u64 = faulted
-        .metrics
-        .iter()
-        .flatten()
-        .map(|m| m.send_retries)
-        .sum();
-    assert!(
-        retries >= 2,
-        "Drop and Truncate must each force a retransmission (saw {retries})"
-    );
-    assert_eq!(
-        fingerprint(&clean),
-        fingerprint(&faulted),
-        "frame faults must be invisible in the output"
-    );
-}
-
-/// 2–5 damaged frames over 3 senders' first 12 data frames, cycling
-/// through all four kinds, drawn from `seed`.
-fn seeded_frame_faults(seed: u64) -> FaultPlan {
-    use rand::{Rng, SeedableRng};
-    use tempograph::engine::FrameFault;
-    const KINDS: [FrameFault; 4] = [
-        FrameFault::Drop,
-        FrameFault::Duplicate,
-        FrameFault::Reorder,
-        FrameFault::Truncate,
-    ];
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let n = rng.gen_range(2..6usize);
-    (0..n).fold(FaultPlan::new(), |plan, i| {
-        let p = rng.gen_range(0..3u16);
-        let frame = rng.gen_range(1..13u64);
-        plan.frame_fault_at(p, frame, KINDS[i % KINDS.len()])
-    })
-}
-
-/// A seeded frame-fault schedule (the fuzz entry point) is equally
-/// invisible, and the same seed injects the same schedule twice.
-#[test]
-fn tcp_seeded_frame_faults_match_the_fault_free_run() {
-    if !sockets_available() {
-        return;
-    }
-    let (t, src) = road_fixture();
-    let lat_col = t.edge_schema().index_of(LATENCY_ATTR).unwrap();
-    let pg = partitioned(&t, 3);
-    let factory = Tdsp::factory(VertexIdx(0), lat_col);
-    let mk_cfg = || JobConfig::sequentially_dependent(TIMESTEPS).while_active(TIMESTEPS);
-
-    let clean = run_job(&pg, &src, &factory, mk_cfg());
-    let run_seeded = || {
-        run_job_tcp(
-            &pg,
-            &src,
-            &factory,
-            mk_cfg().with_faults(seeded_frame_faults(0xF8A7)),
-            Cluster::Threads,
-        )
-        .expect("seeded frame faults must not kill the job")
-    };
-    let a = run_seeded();
-    let b = run_seeded();
-    assert_eq!(fingerprint(&clean), fingerprint(&a));
-    assert_eq!(fingerprint(&clean), fingerprint(&b));
 }
 
 /// A TCP worker (thread cluster) killed mid-superstep: the coordinator
