@@ -168,9 +168,10 @@ miri_stage() {
 
 # Run-ledger gate: the ledger integration tests (stripped-record
 # byte-identity, measured-cost rebalance correctness), the release-only
-# ablation + zero-alloc smoke tests, and an end-to-end CLI smoke: two
-# seeded deterministic runs must record byte-identical ledger files, and
-# list/show/diff/rebalance must all work over them.
+# ablation + zero-alloc smoke tests, and an end-to-end CLI smoke: `inspect
+# DIR` must pass a freshly generated store and fail a copy with one slice
+# byte flipped, two seeded deterministic runs must record byte-identical
+# ledger files, and list/show/diff/rebalance must all work over them.
 inspect_stage() {
     echo "==> ledger: integration tests (byte-identity + rebalance correctness)"
     cargo test -q --test ledger_integration
@@ -181,7 +182,7 @@ inspect_stage() {
     echo "==> ledger: attribution overhead smoke test (disabled must not allocate)"
     cargo test -q --release --test ledger_overhead -- --ignored
 
-    echo "==> inspect CLI smoke: generate -> 2x run --ledger -> list/show/diff/rebalance"
+    echo "==> inspect CLI smoke: generate -> inspect DIR (fresh + corrupt) -> 2x run --ledger -> list/show/diff/rebalance"
     local work
     work="$(mktemp -d)"
     trap 'rm -rf "$work"' RETURN
@@ -189,6 +190,21 @@ inspect_stage() {
     local tg=target/release/tempograph
     "$tg" generate --out "$work/ds" --preset carn --scale 0.3 \
         --workload tweets --timesteps 8 --partitions 3 >/dev/null
+    "$tg" inspect "$work/ds" >/dev/null \
+        || { echo "FAIL: inspect rejected a freshly generated store" >&2; exit 1; }
+    # One byte flipped in the middle of one slice file.
+    cp -r "$work/ds" "$work/ds-bad"
+    local victim size at byte
+    victim="$(find "$work/ds-bad" -name '*.slice' | sort | head -n 1)"
+    size="$(wc -c < "$victim")"
+    at=$((size / 2))
+    byte="$(od -An -tu1 -j "$at" -N1 "$victim" | tr -d ' ')"
+    printf "$(printf '\\%03o' $((byte ^ 255)))" \
+        | dd of="$victim" bs=1 seek="$at" conv=notrunc status=none
+    if "$tg" inspect "$work/ds-bad" >/dev/null 2>&1; then
+        echo "FAIL: inspect passed a store with a corrupt slice" >&2; exit 1
+    fi
+    echo "    inspect DIR: fresh store validated, corrupt slice refused"
     "$tg" run --algo hash --data "$work/ds" --ledger "$work/runs-a" \
         --seed 3405691582 --deterministic true >/dev/null
     "$tg" run --algo hash --data "$work/ds" --ledger "$work/runs-b" \
@@ -277,6 +293,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release --workspace
 cargo test -q --workspace
+
+# The benchmark (perfbench/, its own package and lock file) builds against
+# this tree, so a public-API change that breaks it fails here. Building it
+# rewrites perfbench/Cargo.lock; the committed file is put back either way.
+echo "==> perfbench builds against this tree (perfbench/Cargo.lock restored)"
+perfbench_lock="$(mktemp)"
+cp perfbench/Cargo.lock "$perfbench_lock"
+perfbench_status=0
+cargo build -q --release --offline --manifest-path perfbench/Cargo.toml || perfbench_status=$?
+cp "$perfbench_lock" perfbench/Cargo.lock
+rm -f "$perfbench_lock"
+[[ "$perfbench_status" -eq 0 ]] || { echo "FAIL: perfbench does not build" >&2; exit 1; }
 
 echo "==> pregel: engine-hosted vertex programs vs sequential reference (PROPTEST_CASES=${PROPTEST_CASES:-64})"
 PROPTEST_CASES="${PROPTEST_CASES:-64}" \

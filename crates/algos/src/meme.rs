@@ -73,7 +73,7 @@ impl MemeTracking {
         let tweets = instance
             .vertex_text_list(self.tweets_col)
             .expect("tweets attribute must be a TextList vertex column");
-        let has_meme = |pos: u32| tweets.row(pos as usize).any(|t| t == self.meme);
+        let has_meme = |pos: u32| tweets.row(pos as usize).iter().any(|t| t == self.meme);
 
         let mut remote: Vec<(tempograph_partition::SubgraphId, VertexIdx)> = Vec::new();
         let mut stack = roots;
@@ -117,7 +117,7 @@ impl SubgraphProgram for MemeTracking {
                     .expect("tweets attribute must be a TextList vertex column");
                 let mut seeds = Vec::new();
                 for pos in ctx.subgraph().positions() {
-                    if tweets.row(pos as usize).any(|t| t == self.meme) {
+                    if tweets.row(pos as usize).iter().any(|t| t == self.meme) {
                         self.colored[pos as usize] = true;
                         self.newly_colored.push(pos);
                         seeds.push(pos);
@@ -144,7 +144,9 @@ impl SubgraphProgram for MemeTracking {
                     .subgraph()
                     .local_pos(e.payload)
                     .expect("notification targets a member vertex");
-                if !self.colored[pos as usize] && tweets.row(pos as usize).any(|t| t == self.meme) {
+                if !self.colored[pos as usize]
+                    && tweets.row(pos as usize).iter().any(|t| t == self.meme)
+                {
                     self.colored[pos as usize] = true;
                     self.newly_colored.push(pos);
                     roots.push(pos);

@@ -36,7 +36,7 @@ fn ref_meme(coll: &TimeSeriesCollection, meme: &str) -> HashMap<VertexIdx, usize
             .unwrap()
             .vertex_text_list(TWEETS_ATTR)
             .unwrap();
-        let has = |v: usize| tweets[v].iter().any(|x| x == meme);
+        let has = |v: usize| tweets.row(v).iter().any(|x| x == meme);
         let mut stack: Vec<u32> = if step == 0 {
             let seeds: Vec<u32> = (0..t.num_vertices() as u32)
                 .filter(|&v| has(v as usize))
@@ -293,7 +293,7 @@ fn hashtag_aggregation_matches_direct_count() {
             let tweets = coll.get(s).unwrap().vertex_text_list(TWEETS_ATTR).unwrap();
             tweets
                 .iter()
-                .map(|row| row.iter().filter(|x| *x == &cfg.meme).count() as u64)
+                .map(|row| row.iter().filter(|x| *x == cfg.meme).count() as u64)
                 .sum()
         })
         .collect();
@@ -523,7 +523,7 @@ fn topn_reports_most_active_vertices() {
         // Per subgraph at most 3 emits per timestep; emitted values are
         // actual tweet counts.
         for e in result.emitted.iter().filter(|e| e.timestep == s) {
-            assert_eq!(e.value as usize, tweets[e.vertex.idx()].len());
+            assert_eq!(e.value as usize, tweets.row(e.vertex.idx()).len());
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Typed attribute schemas and values.
+//! Typed attribute schemas.
 //!
 //! The paper's model gives every vertex of the template the same set of
 //! typed attributes `A(V̂) = {id, α1, …, αm}` and every edge
@@ -49,39 +49,6 @@ impl AttrType {
             5 => AttrType::TextList,
             _ => return None,
         })
-    }
-}
-
-/// A dynamically-typed attribute value; the row-oriented view of a column
-/// cell. Used at API boundaries — hot paths use the typed column slices on
-/// [`crate::GraphInstance`] instead.
-#[derive(Clone, Debug, PartialEq)]
-pub enum AttrValue {
-    /// See [`AttrType::Long`].
-    Long(i64),
-    /// See [`AttrType::Double`].
-    Double(f64),
-    /// See [`AttrType::Bool`].
-    Bool(bool),
-    /// See [`AttrType::Text`].
-    Text(String),
-    /// See [`AttrType::LongList`].
-    LongList(Vec<i64>),
-    /// See [`AttrType::TextList`].
-    TextList(Vec<String>),
-}
-
-impl AttrValue {
-    /// The [`AttrType`] of this value.
-    pub fn ty(&self) -> AttrType {
-        match self {
-            AttrValue::Long(_) => AttrType::Long,
-            AttrValue::Double(_) => AttrType::Double,
-            AttrValue::Bool(_) => AttrType::Bool,
-            AttrValue::Text(_) => AttrType::Text,
-            AttrValue::LongList(_) => AttrType::LongList,
-            AttrValue::TextList(_) => AttrType::TextList,
-        }
     }
 }
 
@@ -207,7 +174,7 @@ mod tests {
             AttrType::TextList,
         ] {
             // Instances are initialised with these defaults.
-            assert_eq!(crate::instance::Column::new(ty, 1).get(0).ty(), ty);
+            assert_eq!(crate::instance::Column::new(ty, 1).ty(), ty);
         }
     }
 

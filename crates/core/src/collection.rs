@@ -110,8 +110,10 @@ impl TimeSeriesCollection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attr::{AttrType, AttrValue};
+    use crate::attr::AttrType;
+    use crate::instance::Column;
     use crate::template::TemplateBuilder;
+    use crate::text::TextRows;
 
     fn template() -> Arc<GraphTemplate> {
         let mut b = TemplateBuilder::new("t", false);
@@ -187,6 +189,29 @@ mod tests {
         let mut c = TimeSeriesCollection::new(t, 0, 1);
         c.push(c.new_instance()).unwrap();
         c.get_mut(0).unwrap().vertex_i64_mut("x").unwrap()[0] = 77;
-        assert_eq!(c.get(0).unwrap().vertex_col(0).get(0), AttrValue::Long(77));
+        assert_eq!(c.get(0).unwrap().vertex_col(0), &Column::Long(vec![77, 0]));
+    }
+
+    /// A `Text` row holds exactly one string: a row of none or of two is
+    /// refused at push, where the rest of an instance's shape is checked.
+    #[test]
+    fn push_refuses_a_text_row_without_exactly_one_string() {
+        let mut b = TemplateBuilder::new("t", false);
+        b.vertex_schema().add("name", AttrType::Text);
+        b.add_vertex(1);
+        b.add_vertex(2);
+        let t = Arc::new(b.finalize().unwrap());
+        let mut c = TimeSeriesCollection::new(t, 0, 1);
+        for rows in [vec![vec!["a"], vec![]], vec![vec!["a"], vec!["b", "c"]]] {
+            let mut g = c.new_instance();
+            g.set_vertex_col("name", Column::Text(TextRows::from_rows(rows)))
+                .unwrap();
+            assert!(matches!(c.push(g), Err(CoreError::TemplateMismatch(_))));
+        }
+        let mut g = c.new_instance();
+        let names = TextRows::from_rows([["a"], [""]]);
+        g.set_vertex_col("name", Column::Text(names)).unwrap();
+        c.push(g).unwrap();
+        assert_eq!(c.len(), 1);
     }
 }

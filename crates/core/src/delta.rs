@@ -9,15 +9,18 @@
 //!
 //! * [`Column::changed_rows`] — which rows of `self` differ from `base`;
 //! * [`Column::gather_rows`] — extract those rows as a small dense column;
-//! * [`Column::scatter_rows`] — apply such a patch onto a clone of the base.
+//! * [`Column::patched`] — the base with such a patch applied: a clone
+//!   written over for a fixed-width or `LongList` column, a
+//!   [`TextRows::splice`](crate::TextRows::splice) for a text one.
 //!
 //! `Double` columns compare by **bit pattern** (`f64::to_bits`), so `NaN`
 //! payloads and signed zeros survive a delta round-trip exactly — the
-//! invariant is `base.scatter_rows(rows, values) == cur` for *any* floats,
+//! invariant is `base.patched(rows, values) == cur` for *any* floats,
 //! not just the well-behaved ones.
 
 use crate::error::{CoreError, Result};
 use crate::instance::Column;
+use crate::text::TextRows;
 
 /// Compare one row of two same-typed columns; `Double` compares by bits.
 macro_rules! rows_differ {
@@ -62,9 +65,12 @@ impl Column {
             (Column::Long(c), Column::Long(b)) => diff(c, b, |x, y| rows_differ!(x, y)),
             (Column::Double(c), Column::Double(b)) => diff(c, b, |x, y| rows_differ!(x, y, f64)),
             (Column::Bool(c), Column::Bool(b)) => diff(c, b, |x, y| rows_differ!(x, y)),
-            (Column::Text(c), Column::Text(b)) => diff(c, b, |x, y| rows_differ!(x, y)),
             (Column::LongList(c), Column::LongList(b)) => diff(c, b, |x, y| rows_differ!(x, y)),
-            (Column::TextList(c), Column::TextList(b)) => diff(c, b, |x, y| rows_differ!(x, y)),
+            (Column::Text(c), Column::Text(b)) | (Column::TextList(c), Column::TextList(b)) => {
+                let rows = 0..c.len() as u32;
+                rows.filter(|&i| c.row(i as usize) != b.row(i as usize))
+                    .collect()
+            }
             // Unreachable: the type check above already rejected mixed pairs.
             (c, b) => {
                 return Err(CoreError::DeltaMismatch(format!(
@@ -87,17 +93,18 @@ impl Column {
             Column::Long(v) => Column::Long(pick(v, rows)),
             Column::Double(v) => Column::Double(pick(v, rows)),
             Column::Bool(v) => Column::Bool(pick(v, rows)),
-            Column::Text(v) => Column::Text(pick(v, rows)),
             Column::LongList(v) => Column::LongList(pick(v, rows)),
-            Column::TextList(v) => Column::TextList(pick(v, rows)),
+            Column::Text(t) => Column::Text(t.gather(rows)),
+            Column::TextList(t) => Column::TextList(t.gather(rows)),
         }
     }
 
-    /// Overwrite `rows[i]` with `values[i]` for each i. The decode side of
-    /// a sparse delta: everything is validated (type, counts, strictly
-    /// ascending in-range rows) and reported as
-    /// [`CoreError::DeltaMismatch`] — untrusted bytes must never panic.
-    pub fn scatter_rows(&mut self, rows: &[u32], values: &Column) -> Result<()> {
+    /// `self` with row `rows[i]` replaced by row `i` of `values`: the
+    /// decode side of a sparse delta, and its one apply path. Everything
+    /// is validated (type, counts, strictly ascending in-range rows) and
+    /// reported as [`CoreError::DeltaMismatch`] — untrusted bytes must
+    /// never panic.
+    pub fn patched(&self, rows: &[u32], values: &Column) -> Result<Column> {
         if self.ty() != values.ty() {
             return Err(CoreError::DeltaMismatch(format!(
                 "patch type {:?} vs column {:?}",
@@ -127,18 +134,20 @@ impl Column {
             }
             prev = Some(r);
         }
-        fn put<T: Clone>(dst: &mut [T], rows: &[u32], values: &[T]) {
+        fn put<T: Clone>(base: &[T], rows: &[u32], values: &[T]) -> Vec<T> {
+            let mut out = base.to_vec();
             for (&r, v) in rows.iter().zip(values) {
-                dst[r as usize] = v.clone();
+                out[r as usize] = v.clone();
             }
+            out
         }
-        match (self, values) {
-            (Column::Long(d), Column::Long(v)) => put(d, rows, v),
-            (Column::Double(d), Column::Double(v)) => put(d, rows, v),
-            (Column::Bool(d), Column::Bool(v)) => put(d, rows, v),
-            (Column::Text(d), Column::Text(v)) => put(d, rows, v),
-            (Column::LongList(d), Column::LongList(v)) => put(d, rows, v),
-            (Column::TextList(d), Column::TextList(v)) => put(d, rows, v),
+        Ok(match (self, values) {
+            (Column::Long(d), Column::Long(v)) => Column::Long(put(d, rows, v)),
+            (Column::Double(d), Column::Double(v)) => Column::Double(put(d, rows, v)),
+            (Column::Bool(d), Column::Bool(v)) => Column::Bool(put(d, rows, v)),
+            (Column::LongList(d), Column::LongList(v)) => Column::LongList(put(d, rows, v)),
+            (Column::Text(d), Column::Text(v)) => Column::Text(splice(d, rows, v)?),
+            (Column::TextList(d), Column::TextList(v)) => Column::TextList(splice(d, rows, v)?),
             // Unreachable: the type check above already rejected mixed pairs.
             (d, v) => {
                 return Err(CoreError::DeltaMismatch(format!(
@@ -147,9 +156,15 @@ impl Column {
                     d.ty()
                 )))
             }
-        }
-        Ok(())
+        })
     }
+}
+
+/// [`TextRows::splice`], whose one failure left once the rows are vetted
+/// is text past the `u32` offsets.
+fn splice(base: &TextRows, rows: &[u32], patch: &TextRows) -> Result<TextRows> {
+    (base.splice(rows, patch))
+        .ok_or_else(|| CoreError::DeltaMismatch("patched text over 4 GiB".into()))
 }
 
 #[cfg(test)]
@@ -164,14 +179,12 @@ mod tests {
         assert_eq!(rows, vec![1, 3]);
         let patch = cur.gather_rows(&rows);
         assert_eq!(patch, Column::Long(vec![20, 40]));
-        let mut rebuilt = base.clone();
-        rebuilt.scatter_rows(&rows, &patch).unwrap();
-        assert_eq!(rebuilt, cur);
+        assert_eq!(base.patched(&rows, &patch).unwrap(), cur);
     }
 
     #[test]
     fn identical_columns_have_no_changes() {
-        let c = Column::Text(vec!["a".into(), "b".into()]);
+        let c = Column::Text(TextRows::from_rows([["a"], ["b"]]));
         assert!(c.changed_rows(&c.clone()).unwrap().is_empty());
     }
 
@@ -183,11 +196,7 @@ mod tests {
         // numerically but the bit patterns here are identical.
         let rows = cur.changed_rows(&base).unwrap();
         assert_eq!(rows, vec![0]);
-        let mut rebuilt = base.clone();
-        rebuilt
-            .scatter_rows(&rows, &cur.gather_rows(&rows))
-            .unwrap();
-        match rebuilt {
+        match base.patched(&rows, &cur.gather_rows(&rows)).unwrap() {
             Column::Double(v) => {
                 assert_eq!(v[0].to_bits(), (-0.0f64).to_bits());
                 assert!(v[2].is_nan());
@@ -198,15 +207,13 @@ mod tests {
 
     #[test]
     fn list_columns_delta() {
-        let base = Column::TextList(vec![vec![], vec!["x".into()], vec![]]);
-        let cur = Column::TextList(vec![vec![], vec!["x".into(), "y".into()], vec![]]);
+        let base = Column::TextList(TextRows::from_rows([vec![], vec!["x"], vec![]]));
+        let cur = Column::TextList(TextRows::from_rows([vec![], vec!["x", "y"], vec![]]));
         let rows = cur.changed_rows(&base).unwrap();
         assert_eq!(rows, vec![1]);
-        let mut rebuilt = base.clone();
-        rebuilt
-            .scatter_rows(&rows, &cur.gather_rows(&rows))
-            .unwrap();
-        assert_eq!(rebuilt, cur);
+        let patch = cur.gather_rows(&rows);
+        assert_eq!(patch, Column::TextList(TextRows::from_rows([["x", "y"]])));
+        assert_eq!(base.patched(&rows, &patch).unwrap(), cur);
     }
 
     #[test]
@@ -222,18 +229,20 @@ mod tests {
             Err(CoreError::DeltaMismatch(_))
         ));
 
-        let mut dst = Column::Long(vec![1, 2, 3]);
+        let dst = Column::Long(vec![1, 2, 3]);
         // Wrong patch type.
-        assert!(dst.scatter_rows(&[0], &Column::Double(vec![0.5])).is_err());
+        assert!(dst.patched(&[0], &Column::Double(vec![0.5])).is_err());
         // Count mismatch.
-        assert!(dst.scatter_rows(&[0, 1], &Column::Long(vec![9])).is_err());
+        assert!(dst.patched(&[0, 1], &Column::Long(vec![9])).is_err());
         // Out of range.
-        assert!(dst.scatter_rows(&[7], &Column::Long(vec![9])).is_err());
+        assert!(dst.patched(&[7], &Column::Long(vec![9])).is_err());
         // Not ascending.
-        assert!(dst
-            .scatter_rows(&[1, 1], &Column::Long(vec![9, 9]))
-            .is_err());
-        // Untouched on failure.
-        assert_eq!(dst, Column::Long(vec![1, 2, 3]));
+        assert!(dst.patched(&[1, 1], &Column::Long(vec![9, 9])).is_err());
+        // The same checks hold for text, which splices.
+        let text = Column::TextList(TextRows::from_rows([vec!["a"], vec![]]));
+        let patch = Column::TextList(TextRows::from_rows([vec!["b"], vec!["c"]]));
+        assert!(text.patched(&[1, 0], &patch).is_err());
+        assert!(text.patched(&[0, 2], &patch).is_err());
+        assert!(text.patched(&[0], &patch).is_err());
     }
 }

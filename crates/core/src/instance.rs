@@ -7,11 +7,13 @@
 //! resolve a name to a column position once and then use the positional
 //! accessors ([`GraphInstance::vertex_col`] etc.).
 
-use crate::attr::{AttrType, AttrValue, Schema};
+use crate::attr::{AttrType, Schema};
 use crate::error::{CoreError, Result};
 use crate::template::GraphTemplate;
+use crate::text::TextRows;
 
-/// A dense, typed column of attribute values.
+/// A dense, typed column of attribute values: the one form a column takes
+/// in a generated instance, a stored projection and a reader's view.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Column {
     /// `i64` values.
@@ -20,12 +22,12 @@ pub enum Column {
     Double(Vec<f64>),
     /// Booleans.
     Bool(Vec<bool>),
-    /// Strings.
-    Text(Vec<String>),
+    /// Strings: exactly one per row.
+    Text(TextRows),
     /// Lists of `i64`.
     LongList(Vec<Vec<i64>>),
     /// Lists of strings.
-    TextList(Vec<Vec<String>>),
+    TextList(TextRows),
 }
 
 impl Column {
@@ -35,9 +37,9 @@ impl Column {
             AttrType::Long => Column::Long(vec![0; len]),
             AttrType::Double => Column::Double(vec![0.0; len]),
             AttrType::Bool => Column::Bool(vec![false; len]),
-            AttrType::Text => Column::Text(vec![String::new(); len]),
+            AttrType::Text => Column::Text(TextRows::from_rows((0..len).map(|_| [""]))),
             AttrType::LongList => Column::LongList(vec![Vec::new(); len]),
-            AttrType::TextList => Column::TextList(vec![Vec::new(); len]),
+            AttrType::TextList => Column::TextList(TextRows::from_rows((0..len).map(|_| []))),
         }
     }
 
@@ -59,9 +61,8 @@ impl Column {
             Column::Long(v) => v.len(),
             Column::Double(v) => v.len(),
             Column::Bool(v) => v.len(),
-            Column::Text(v) => v.len(),
             Column::LongList(v) => v.len(),
-            Column::TextList(v) => v.len(),
+            Column::Text(t) | Column::TextList(t) => t.len(),
         }
     }
 
@@ -70,51 +71,16 @@ impl Column {
         self.len() == 0
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes; exact for text, which counts
+    /// what its buffers reserve.
     pub fn approx_bytes(&self) -> usize {
         match self {
             Column::Long(v) => v.len() * 8,
             Column::Double(v) => v.len() * 8,
             Column::Bool(v) => v.len(),
-            Column::Text(v) => v.iter().map(|s| s.len() + 24).sum(),
             Column::LongList(v) => v.iter().map(|l| l.len() * 8 + 24).sum(),
-            Column::TextList(v) => v
-                .iter()
-                .map(|l| l.iter().map(|s| s.len() + 24).sum::<usize>() + 24)
-                .sum(),
+            Column::Text(t) | Column::TextList(t) => t.heap_bytes(),
         }
-    }
-
-    /// Dynamically-typed read of row `i`.
-    pub fn get(&self, i: usize) -> AttrValue {
-        match self {
-            Column::Long(v) => AttrValue::Long(v[i]),
-            Column::Double(v) => AttrValue::Double(v[i]),
-            Column::Bool(v) => AttrValue::Bool(v[i]),
-            Column::Text(v) => AttrValue::Text(v[i].clone()),
-            Column::LongList(v) => AttrValue::LongList(v[i].clone()),
-            Column::TextList(v) => AttrValue::TextList(v[i].clone()),
-        }
-    }
-
-    /// Dynamically-typed write of row `i`; errors on type mismatch.
-    pub fn set(&mut self, i: usize, value: AttrValue) -> Result<()> {
-        match (self, value) {
-            (Column::Long(v), AttrValue::Long(x)) => v[i] = x,
-            (Column::Double(v), AttrValue::Double(x)) => v[i] = x,
-            (Column::Bool(v), AttrValue::Bool(x)) => v[i] = x,
-            (Column::Text(v), AttrValue::Text(x)) => v[i] = x,
-            (Column::LongList(v), AttrValue::LongList(x)) => v[i] = x,
-            (Column::TextList(v), AttrValue::TextList(x)) => v[i] = x,
-            (col, value) => {
-                return Err(CoreError::AttributeTypeMismatch {
-                    name: String::from("<column>"),
-                    expected: col.ty(),
-                    got: value.ty(),
-                })
-            }
-        }
-        Ok(())
     }
 }
 
@@ -194,7 +160,8 @@ impl GraphInstance {
         &self.edge_cols
     }
 
-    /// Check that schemas, column types and lengths match `template`.
+    /// Check that schemas, column types and lengths match `template`, and
+    /// that every `Text` row holds exactly one string.
     pub fn validate_against(&self, template: &GraphTemplate) -> Result<()> {
         if &self.vertex_schema != template.vertex_schema() {
             return Err(CoreError::TemplateMismatch(
@@ -232,6 +199,12 @@ impl GraphInstance {
                         def.name,
                         c.len(),
                         n
+                    )));
+                }
+                if matches!(c, Column::Text(t) if !t.one_per_row()) {
+                    return Err(CoreError::TemplateMismatch(format!(
+                        "{what} column `{}`: a Text row must hold exactly one string",
+                        def.name
                     )));
                 }
             }
@@ -293,21 +266,20 @@ impl GraphInstance {
     }
 
     /// Borrow a named `TextList` vertex column (e.g. tweets per interval).
-    pub fn vertex_text_list(&self, name: &str) -> Result<&[Vec<String>]> {
+    pub fn vertex_text_list(&self, name: &str) -> Result<&TextRows> {
         let i = self.vertex_schema.resolve_typed(name, AttrType::TextList)?;
         match &self.vertex_cols[i] {
-            Column::TextList(v) => Ok(v),
+            Column::TextList(t) => Ok(t),
             c => Err(type_err(name, c.ty(), AttrType::TextList)),
         }
     }
 
-    /// Mutably borrow a named `TextList` vertex column.
-    pub fn vertex_text_list_mut(&mut self, name: &str) -> Result<&mut [Vec<String>]> {
-        let i = self.vertex_schema.resolve_typed(name, AttrType::TextList)?;
-        match &mut self.vertex_cols[i] {
-            Column::TextList(v) => Ok(v),
-            c => Err(type_err(name, c.ty(), AttrType::TextList)),
-        }
+    /// Replace the named vertex column with `col`, which must have the
+    /// schema's type; [`Self::validate_against`] checks its length.
+    pub fn set_vertex_col(&mut self, name: &str, col: Column) -> Result<()> {
+        let i = self.vertex_schema.resolve_typed(name, col.ty())?;
+        self.vertex_cols[i] = col;
+        Ok(())
     }
 
     /// Borrow a named `Double` edge column (e.g. road latency).
@@ -355,6 +327,7 @@ mod tests {
         b.vertex_schema().add("count", AttrType::Long);
         b.vertex_schema()
             .add(GraphTemplate::IS_EXISTS, AttrType::Bool);
+        b.vertex_schema().add("label", AttrType::Text);
         b.edge_schema().add("latency", AttrType::Double);
         for i in 0..3 {
             b.add_vertex(i);
@@ -371,7 +344,7 @@ mod tests {
         assert_eq!(g.timestamp(), 42);
         assert_eq!(g.vertex_col(0), &Column::Double(vec![0.0; 3]));
         assert_eq!(g.edge_f64("latency").unwrap(), &[0.0, 0.0]);
-        assert!(g.vertex_text_list("tweets").unwrap()[0].is_empty());
+        assert!(g.vertex_text_list("tweets").unwrap().row(0).is_empty());
         g.validate_against(&t).unwrap();
     }
 
@@ -382,11 +355,15 @@ mod tests {
         g.vertex_i64_mut("count").unwrap()[2] = -7;
         g.vertex_bool_mut(GraphTemplate::IS_EXISTS).unwrap()[0] = true;
         g.edge_f64_mut("latency").unwrap()[0] = 9.0;
-        g.vertex_text_list_mut("tweets").unwrap()[1].push("#rust".into());
-        assert_eq!(g.vertex_col(2).get(2), AttrValue::Long(-7));
+        let tweets = TextRows::from_rows([vec![], vec!["#rust"], vec![]]);
+        g.set_vertex_col("tweets", Column::TextList(tweets))
+            .unwrap();
+        assert_eq!(g.vertex_col(2), &Column::Long(vec![0, 0, -7]));
         assert!(g.vertex_bool(GraphTemplate::IS_EXISTS).unwrap()[0]);
         assert_eq!(g.edge_f64("latency").unwrap()[0], 9.0);
-        assert_eq!(g.vertex_text_list("tweets").unwrap()[1], vec!["#rust"]);
+        let tweets = g.vertex_text_list("tweets").unwrap();
+        assert_eq!(tweets.row(1).iter().collect::<Vec<_>>(), ["#rust"]);
+        g.validate_against(&t).unwrap();
     }
 
     #[test]
@@ -405,15 +382,43 @@ mod tests {
             g.edge_f64_mut("missing"),
             Err(CoreError::UnknownAttribute(_))
         ));
+        assert!(matches!(
+            g.set_vertex_col("tweets", Column::new(AttrType::Long, 3)),
+            Err(CoreError::AttributeTypeMismatch { .. })
+        ));
     }
 
     #[test]
     fn dynamic_access_roundtrip() {
-        let mut load = Column::new(AttrType::Double, 3);
-        load.set(0, AttrValue::Double(1.25)).unwrap();
-        assert_eq!(load.get(0), AttrValue::Double(1.25));
+        let load = Column::new(AttrType::Double, 3);
+        let patched = load.patched(&[0], &Column::Double(vec![1.25])).unwrap();
+        assert_eq!(patched, Column::Double(vec![1.25, 0.0, 0.0]));
+        assert_eq!(patched.gather_rows(&[0]), Column::Double(vec![1.25]));
         // type mismatch rejected
-        assert!(load.set(0, AttrValue::Long(1)).is_err());
+        assert!(load.patched(&[0], &Column::Long(vec![1])).is_err());
+    }
+
+    #[test]
+    fn text_rows_hold_one_string_each() {
+        let t = template();
+        let mut g = GraphInstance::new(&t, 0);
+        g.set_vertex_col(
+            "label",
+            Column::Text(TextRows::from_rows([["a"], ["b"], ["c"]])),
+        )
+        .unwrap();
+        g.validate_against(&t).unwrap();
+        for bad in [
+            vec![vec!["a"], vec![], vec!["c"]],
+            vec![vec!["a"], vec!["b", "x"], vec!["c"]],
+        ] {
+            g.set_vertex_col("label", Column::Text(TextRows::from_rows(bad)))
+                .unwrap();
+            assert!(matches!(
+                g.validate_against(&t),
+                Err(CoreError::TemplateMismatch(m)) if m.contains("exactly one string")
+            ));
+        }
     }
 
     #[test]
@@ -459,9 +464,11 @@ mod tests {
         assert_eq!(c.len(), 4);
         assert!(!c.is_empty());
         assert_eq!(c.ty(), AttrType::Long);
-        assert_eq!(c.get(0), AttrValue::Long(0));
+        assert_eq!(c, Column::Long(vec![0; 4]));
         let empty = Column::new(AttrType::Text, 0);
         assert!(empty.is_empty());
+        let text = Column::new(AttrType::Text, 2);
+        assert_eq!(text, Column::Text(TextRows::from_rows([[""], [""]])));
     }
 
     #[test]
@@ -469,7 +476,9 @@ mod tests {
         let t = template();
         let mut g = GraphInstance::new(&t, 0);
         let before = g.approx_bytes();
-        g.vertex_text_list_mut("tweets").unwrap()[0].push("#abcdef".into());
+        let tweets = TextRows::from_rows([vec!["#abcdef"], vec![], vec![]]);
+        g.set_vertex_col("tweets", Column::TextList(tweets))
+            .unwrap();
         assert!(g.approx_bytes() > before);
     }
 }

@@ -50,10 +50,10 @@ pub mod kernels;
 pub mod template;
 pub mod text;
 
-pub use attr::{AttrDef, AttrType, AttrValue, Schema};
+pub use attr::{AttrDef, AttrType, Schema};
 pub use collection::TimeSeriesCollection;
 pub use error::{CoreError, Result};
 pub use ids::{EdgeIdx, VertexIdx};
 pub use instance::{Column, GraphInstance};
 pub use template::{GraphTemplate, Neighbor, TemplateBuilder};
-pub use text::TextRows;
+pub use text::{TextRow, TextRows};

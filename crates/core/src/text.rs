@@ -1,11 +1,14 @@
-//! Flat, read-only text columns.
+//! Flat text columns.
 //!
-//! [`Column::Text`](crate::Column) / [`Column::TextList`](crate::Column)
-//! are the *writable* form: one `String` per value. [`TextRows`] is the
-//! form a reader holds: every string of the column back to back in one
-//! validated buffer plus two offset arrays — three allocations per column
-//! instead of one per row and one per string.
+//! [`TextRows`] is the one form a text column takes, from the generator
+//! that fills it to the reader that counts in it:
+//! [`Column::Text`](crate::Column) and [`Column::TextList`](crate::Column)
+//! both hold one. Every string of the column lies back to back in one
+//! validated buffer, cut by two offset arrays — three allocations per
+//! column instead of one per row and one per string. Row `i` is a
+//! [`TextRow`], a borrowed view of its strings.
 
+use std::fmt;
 use std::ops::Range;
 
 /// A whole `Text` / `TextList` column, flat. Row `i` is a run of strings;
@@ -23,8 +26,47 @@ fn start_of(ends: &[u32], i: usize) -> usize {
     i.checked_sub(1).map_or(0, |p| ends[p] as usize)
 }
 
+/// One row of a [`TextRows`]: its strings, borrowed.
+#[derive(Clone, Copy)]
+pub struct TextRow<'a> {
+    rows: &'a TextRows,
+    /// The row's strings are `first..end` of the column's.
+    first: usize,
+    end: usize,
+}
+
+impl<'a> TextRow<'a> {
+    /// The row's strings in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a str> + 'a {
+        let rows = self.rows;
+        (self.first..self.end).map(move |j| rows.string(j))
+    }
+
+    /// Number of strings in the row.
+    pub fn len(&self) -> usize {
+        self.end - self.first
+    }
+
+    /// True when the row holds no string.
+    pub fn is_empty(&self) -> bool {
+        self.first == self.end
+    }
+}
+
+impl PartialEq for TextRow<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for TextRow<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 impl TextRows {
-    /// Flatten borrowed rows (the in-memory source converts once here).
+    /// Flatten borrowed rows.
     pub fn from_rows<'a, R>(rows: impl IntoIterator<Item = R>) -> Self
     where
         R: IntoIterator<Item = &'a str>,
@@ -38,7 +80,8 @@ impl TextRows {
             out.row_ends.push(out.str_ends.len() as u32);
         }
         assert!(out.buf.len() <= u32::MAX as usize, "text column over 4 GiB");
-        // The in-memory source keeps the column for the whole job.
+        // A column is kept as long as its instance is: reserve nothing
+        // beyond what it holds.
         out.buf.shrink_to_fit();
         out.str_ends.shrink_to_fit();
         out.row_ends.shrink_to_fit();
@@ -75,15 +118,33 @@ impl TextRows {
         self.row_ends.is_empty()
     }
 
-    /// The strings of row `i` in order (`.len()` is their number); panics
-    /// when `i` is out of range, like slice indexing.
-    pub fn row(&self, i: usize) -> impl ExactSizeIterator<Item = &str> {
-        (start_of(&self.row_ends, i)..self.row_ends[i] as usize)
-            .map(|j| &self.buf[start_of(&self.str_ends, j)..self.str_ends[j] as usize])
+    /// Number of strings over all rows.
+    pub fn num_strings(&self) -> usize {
+        self.str_ends.len()
+    }
+
+    /// True when every row holds exactly one string, as a `Text` column's
+    /// rows must.
+    pub fn one_per_row(&self) -> bool {
+        (self.row_ends.iter().enumerate()).all(|(i, &end)| end as usize == i + 1)
+    }
+
+    /// String `j` of the column.
+    fn string(&self, j: usize) -> &str {
+        &self.buf[start_of(&self.str_ends, j)..self.str_ends[j] as usize]
+    }
+
+    /// Row `i`; panics when `i` is out of range, like slice indexing.
+    pub fn row(&self, i: usize) -> TextRow<'_> {
+        TextRow {
+            rows: self,
+            first: start_of(&self.row_ends, i),
+            end: self.row_ends[i] as usize,
+        }
     }
 
     /// Rows in order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = impl ExactSizeIterator<Item = &str>> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = TextRow<'_>> {
         (0..self.len()).map(|i| self.row(i))
     }
 
@@ -134,43 +195,33 @@ impl TextRows {
     /// delta applied without cloning the base, copying maximal runs of
     /// rows from the base or the patch: consecutive patched rows are
     /// consecutive patch rows, so a delta that patches most rows costs a
-    /// bulk copy per run, not per row. A first pass over the runs vets
-    /// them and sizes the output exactly, at O(1) a run. `None` unless
-    /// `rows` is strictly ascending, in range and as long as `patch`, and
-    /// base and patch together fit the `u32` offsets.
+    /// bulk copy per run, not per row. `None` unless `rows` is strictly
+    /// ascending, in range and as long as `patch`, and base and patch
+    /// together fit the `u32` offsets.
     pub fn splice(&self, rows: &[u32], patch: &TextRows) -> Option<TextRows> {
         u32::try_from(self.buf.len() + patch.buf.len()).ok()?;
         if rows.len() != patch.len() {
             return None;
         }
         // Base rows `next..r`, then patch rows `k..k + run`, per run.
-        let (mut next, mut strings, mut bytes) = (0, 0, 0);
-        let mut add = |(s, b): (Range<usize>, Range<usize>)| {
-            strings += s.len();
-            bytes += b.len();
-        };
+        let (mut pieces, mut next) = (Vec::new(), 0);
         for (r, k, run) in runs(rows) {
             if r < next || r + run > self.len() {
                 return None;
             }
-            add(self.lie(next, r));
-            add(patch.lie(k, k + run));
+            pieces.extend([(self, next, r), (patch, k, k + run)]);
             next = r + run;
         }
-        add(self.lie(next, self.len()));
-        let mut out = TextRows {
-            buf: String::with_capacity(bytes),
-            str_ends: Vec::with_capacity(strings),
-            row_ends: Vec::with_capacity(self.len()),
-        };
-        next = 0;
-        for (r, k, run) in runs(rows) {
-            out.append_rows(self, next, r);
-            out.append_rows(patch, k, k + run);
-            next = r + run;
-        }
-        out.append_rows(self, next, self.len());
-        Some(out)
+        pieces.push((self, next, self.len()));
+        Some(concat(pieces.iter().copied()))
+    }
+
+    /// Rows `rows` (any order, repeats allowed) as a column of their own:
+    /// the patch of a sparse delta, or a subgraph's projection. Copies
+    /// maximal runs of consecutive rows; panics on a row out of range, as
+    /// the writer takes `rows` from the data it writes.
+    pub fn gather(&self, rows: &[u32]) -> TextRows {
+        concat(runs(rows).map(|(r, _, run)| (self, r, r + run)))
     }
 
     /// Where rows `from..to` lie: their strings' index range and their
@@ -196,9 +247,32 @@ impl TextRows {
     }
 }
 
+/// Rows `from..to` of each `(column, from, to)` piece, back to back. A
+/// first pass over the pieces sizes the output exactly, at O(1) a piece.
+fn concat<'a, I>(pieces: I) -> TextRows
+where
+    I: Iterator<Item = (&'a TextRows, usize, usize)> + Clone,
+{
+    let (mut rows, mut strings, mut bytes) = (0, 0, 0);
+    for (src, from, to) in pieces.clone() {
+        let (s, b) = src.lie(from, to);
+        (rows, strings, bytes) = (rows + to - from, strings + s.len(), bytes + b.len());
+    }
+    assert!(bytes <= u32::MAX as usize, "text column over 4 GiB");
+    let mut out = TextRows {
+        buf: String::with_capacity(bytes),
+        str_ends: Vec::with_capacity(strings),
+        row_ends: Vec::with_capacity(rows),
+    };
+    for (src, from, to) in pieces {
+        out.append_rows(src, from, to);
+    }
+    out
+}
+
 /// The maximal runs of consecutive rows in `rows`, in order: `(first row,
 /// its index in rows, length)`.
-fn runs(rows: &[u32]) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+fn runs(rows: &[u32]) -> impl Iterator<Item = (usize, usize, usize)> + Clone + '_ {
     let mut k = 0;
     std::iter::from_fn(move || {
         let r = *rows.get(k)? as usize;
@@ -219,7 +293,7 @@ mod tests {
     }
 
     fn unflatten(t: &TextRows) -> Vec<Vec<&str>> {
-        t.iter().map(|r| r.collect()).collect()
+        t.iter().map(|r| r.iter().collect()).collect()
     }
 
     #[test]
@@ -271,6 +345,30 @@ mod tests {
         assert!(base.splice(&[1], &patch).is_none(), "length mismatch");
         assert!(base.splice(&[2, 2, 3], &patch).is_none(), "not ascending");
         assert!(base.splice(&[1, 2, 5], &patch).is_none(), "out of range");
+    }
+
+    #[test]
+    fn gather_picks_rows_in_any_order() {
+        let base = lists(&[&["a"], &["b", "c"], &[], &["d"], &["e"]]);
+        let got = base.gather(&[3, 4, 1, 1, 2]);
+        assert_eq!(got, lists(&[&["d"], &["e"], &["b", "c"], &["b", "c"], &[]]));
+        assert_eq!(got.heap_bytes(), "debcbc".len() + 4 * (6 + 5));
+        assert_eq!(base.gather(&[]), TextRows::default());
+        assert_eq!(base.gather(&[0, 1, 2, 3, 4]), base);
+    }
+
+    #[test]
+    fn rows_compare_by_their_strings() {
+        let t = lists(&[&["a", "b"], &["ab"], &["a", "b"], &[], &[""]]);
+        assert_eq!(t.row(0), t.row(2));
+        assert_ne!(t.row(0), t.row(1));
+        assert_ne!(t.row(3), t.row(4));
+        assert_eq!(format!("{:?}", t.row(0)), r#"["a", "b"]"#);
+        assert!(t.row(3).is_empty() && !t.row(4).is_empty());
+        assert_eq!(t.num_strings(), 6);
+        assert!(!t.one_per_row());
+        assert!(lists(&[&["a"], &[""]]).one_per_row());
+        assert!(TextRows::default().one_per_row());
     }
 
     /// The output is sized from its runs, not from base plus patch: a

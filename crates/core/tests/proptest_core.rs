@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tempograph_core::{
-    AttrType, AttrValue, Column, GraphInstance, TemplateBuilder, TextRows, TimeSeriesCollection,
-    VertexIdx,
+    AttrType, Column, GraphInstance, TemplateBuilder, TextRows, TimeSeriesCollection, VertexIdx,
 };
 
 fn arb_attr_type() -> impl Strategy<Value = AttrType> {
@@ -18,20 +17,23 @@ fn arb_attr_type() -> impl Strategy<Value = AttrType> {
     ]
 }
 
-fn arb_value_of(ty: AttrType) -> BoxedStrategy<AttrValue> {
+/// One value of type `ty`, as a column of one row.
+fn arb_value_of(ty: AttrType) -> BoxedStrategy<Column> {
     match ty {
-        AttrType::Long => any::<i64>().prop_map(AttrValue::Long).boxed(),
+        AttrType::Long => any::<i64>().prop_map(|x| Column::Long(vec![x])).boxed(),
         AttrType::Double => any::<f64>()
             .prop_filter("finite", |x| x.is_finite())
-            .prop_map(AttrValue::Double)
+            .prop_map(|x| Column::Double(vec![x]))
             .boxed(),
-        AttrType::Bool => any::<bool>().prop_map(AttrValue::Bool).boxed(),
-        AttrType::Text => "[a-z#]{0,12}".prop_map(AttrValue::Text).boxed(),
+        AttrType::Bool => any::<bool>().prop_map(|x| Column::Bool(vec![x])).boxed(),
+        AttrType::Text => "[a-z#]{0,12}"
+            .prop_map(|s| Column::Text(TextRows::from_rows([[s.as_str()]])))
+            .boxed(),
         AttrType::LongList => proptest::collection::vec(any::<i64>(), 0..6)
-            .prop_map(AttrValue::LongList)
+            .prop_map(|l| Column::LongList(vec![l]))
             .boxed(),
         AttrType::TextList => proptest::collection::vec("[a-z#]{0,8}".prop_map(String::from), 0..4)
-            .prop_map(AttrValue::TextList)
+            .prop_map(|l| Column::TextList(TextRows::from_rows([l.iter().map(String::as_str)])))
             .boxed(),
     }
 }
@@ -86,21 +88,23 @@ proptest! {
         }
     }
 
-    /// Dynamic set-then-get returns exactly what was stored, for every
-    /// attribute type.
+    /// Patching one row then gathering it back returns exactly what was
+    /// stored, for every attribute type, and leaves the other rows be.
     #[test]
     fn column_set_get_roundtrip(
         ty in arb_attr_type(),
         len in 1usize..40,
         idx_frac in 0.0f64..1.0,
     ) {
-        let mut col = Column::new(ty, len);
+        let empty = Column::new(ty, len);
         let idx = ((len - 1) as f64 * idx_frac) as usize;
         let runner = &mut proptest::test_runner::TestRunner::deterministic();
         let value = arb_value_of(ty).new_tree(runner).unwrap().current();
-        col.set(idx, value.clone()).unwrap();
-        prop_assert_eq!(col.get(idx), value);
+        let col = empty.patched(&[idx as u32], &value).unwrap();
+        prop_assert_eq!(col.gather_rows(&[idx as u32]), value);
         prop_assert_eq!(col.len(), len);
+        let others: Vec<u32> = (0..len as u32).filter(|&r| r != idx as u32).collect();
+        prop_assert_eq!(col.gather_rows(&others), empty.gather_rows(&others));
     }
 
     /// Collections only accept the exact periodic timestamp sequence.

@@ -45,7 +45,7 @@
 
 use crate::cluster::{Aggregate, Contribution};
 use crate::error::{EngineError, WireError};
-use crate::wire::{get_u16, get_u32, get_u64, get_u8, WireMsg};
+use crate::wire::{get_u32, get_u8, WireMsg};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
@@ -177,7 +177,20 @@ impl Frame {
     /// unknown kind, payload overrun, checksum mismatch — is a typed
     /// [`WireError`], never a panic.
     pub fn decode(buf: &mut Bytes) -> Result<Frame, WireError> {
-        let h = Header::decode(buf)?;
+        let h = Header::parse(buf.first_chunk().ok_or(WireError::Eof {
+            context: "frame header",
+            needed: HEADER_LEN,
+            remaining: buf.remaining(),
+        })?)?;
+        if h.over_cap() {
+            // The length field is corrupt; report its most significant
+            // byte as the offending tag so the error names evidence.
+            return Err(WireError::BadTag {
+                context: "frame length (over cap)",
+                tag: (h.len >> 24) as u8,
+            });
+        }
+        buf.advance(HEADER_LEN);
         if buf.remaining() < h.len {
             return Err(WireError::Eof {
                 context: "frame payload",
@@ -212,24 +225,27 @@ struct Header {
 }
 
 impl Header {
-    /// Decode and validate the 33-byte header (magic, version, kind tag,
-    /// length cap). Shared by the pure decoder and the stream reader.
-    fn decode(buf: &mut Bytes) -> Result<Header, WireError> {
-        let magic = get_u32(buf, "frame magic")?;
+    /// Parse and validate the 33-byte header (magic, version, kind tag)
+    /// where it lies: in the buffer [`Frame::decode`] reads, or in the
+    /// stack array [`read_frame`] fills. The length cap is the caller's
+    /// to report ([`Header::over_cap`]).
+    fn parse(header: &[u8; HEADER_LEN]) -> Result<Header, WireError> {
+        let mut h = &header[..];
+        let magic = h.get_u32_le();
         if magic != u32::from_le_bytes(FRAME_MAGIC) {
             return Err(WireError::BadTag {
                 context: "frame magic",
                 tag: magic.to_le_bytes()[0],
             });
         }
-        let version = get_u16(buf, "frame version")?;
+        let version = h.get_u16_le();
         if version != FRAME_VERSION {
             return Err(WireError::BadTag {
                 context: "frame version",
                 tag: version.to_le_bytes()[0],
             });
         }
-        let kind = match get_u8(buf, "frame kind")? {
+        let kind = match h.get_u8() {
             1 => FrameKind::Hello,
             2 => FrameKind::Start,
             3 => FrameKind::Contribution,
@@ -250,27 +266,20 @@ impl Header {
                 })
             }
         };
-        let sender = get_u16(buf, "frame sender")?;
-        let epoch = get_u32(buf, "frame epoch")?;
-        let seq = get_u64(buf, "frame seq")?;
-        let len = get_u32(buf, "frame length")? as usize;
-        let checksum = get_u64(buf, "frame checksum")?;
-        if len > MAX_PAYLOAD_LEN as usize {
-            // The length field is corrupt; report its most significant
-            // byte as the offending tag so the error names evidence.
-            return Err(WireError::BadTag {
-                context: "frame length (over cap)",
-                tag: (len >> 24) as u8,
-            });
-        }
         Ok(Header {
             kind,
-            sender,
-            epoch,
-            seq,
-            len,
-            checksum,
+            sender: h.get_u16_le(),
+            epoch: h.get_u32_le(),
+            seq: h.get_u64_le(),
+            len: h.get_u32_le() as usize,
+            checksum: h.get_u64_le(),
         })
+    }
+
+    /// True when the declared payload is over [`MAX_PAYLOAD_LEN`]: the
+    /// length field is corrupt, and no byte of the payload may be read.
+    fn over_cap(&self) -> bool {
+        self.len > MAX_PAYLOAD_LEN as usize
     }
 }
 
@@ -326,20 +335,14 @@ fn read_full(
 pub fn read_frame(r: &mut impl Read, peer: &str) -> Result<(Frame, usize), EngineError> {
     let mut header = [0u8; HEADER_LEN];
     read_full(r, &mut header, peer, true)?;
-    let h = match Header::decode(&mut Bytes::copy_from_slice(&header)) {
-        Ok(h) => h,
-        Err(WireError::BadTag {
-            context: "frame length (over cap)",
-            ..
-        }) => {
-            return Err(EngineError::Protocol {
-                detail: format!(
-                    "frame from {peer} declares a payload over the {MAX_PAYLOAD_LEN}-byte cap"
-                ),
-            })
-        }
-        Err(e) => return Err(EngineError::Wire(e)),
-    };
+    let h = Header::parse(&header).map_err(EngineError::Wire)?;
+    if h.over_cap() {
+        return Err(EngineError::Protocol {
+            detail: format!(
+                "frame from {peer} declares a payload over the {MAX_PAYLOAD_LEN}-byte cap"
+            ),
+        });
+    }
     let mut payload = vec![0u8; h.len];
     read_full(r, &mut payload, peer, false)?;
     if fnv1a64_words(&payload) != h.checksum {

@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use tempograph_core::{GraphTemplate, TimeSeriesCollection};
+use tempograph_core::{Column, GraphTemplate, TextRows, TimeSeriesCollection};
 
 /// Name of the `Double` edge attribute carrying per-timestep travel time.
 pub const LATENCY_ATTR: &str = "latency";
@@ -168,21 +168,18 @@ pub fn generate_sir_tweets(template: Arc<GraphTemplate>, cfg: &SirConfig) -> Tim
 
     let mut coll = TimeSeriesCollection::new(template.clone(), cfg.start_time, cfg.period);
     for _step in 0..cfg.timesteps {
+        // Per vertex in order: the meme while infectious, then maybe one
+        // background tag.
+        let tweets = TextRows::from_rows((0..nv).map(|v| {
+            let meme = matches!(state[v], State::Infected(_)).then_some(cfg.meme.as_str());
+            let chatter = !cfg.background_tags.is_empty() && rng.gen_bool(cfg.background_rate);
+            let tag = chatter
+                .then(|| cfg.background_tags[rng.gen_range(0..cfg.background_tags.len())].as_str());
+            meme.into_iter().chain(tag)
+        }));
         let mut g = coll.new_instance();
-        {
-            let tweets = g
-                .vertex_text_list_mut(TWEETS_ATTR)
-                .expect("template must declare `tweets: TextList` on vertices");
-            for (v, row) in tweets.iter_mut().enumerate() {
-                if matches!(state[v], State::Infected(_)) {
-                    row.push(cfg.meme.clone());
-                }
-                if !cfg.background_tags.is_empty() && rng.gen_bool(cfg.background_rate) {
-                    let tag = &cfg.background_tags[rng.gen_range(0..cfg.background_tags.len())];
-                    row.push(tag.clone());
-                }
-            }
-        }
+        g.set_vertex_col(TWEETS_ATTR, Column::TextList(tweets))
+            .expect("template must declare `tweets: TextList` on vertices");
         coll.push(g)
             .expect("generator produces conforming instances");
 

@@ -7,7 +7,6 @@
 //! checksum over the payload; see [`frame`] / [`unframe`].
 
 use crate::error::{GofsError, Result};
-use crate::view::DecodedColumn;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tempograph_core::{AttrType, Column, GraphTemplate, Schema, TextRows, VertexIdx};
 
@@ -344,11 +343,6 @@ pub fn put_column(buf: &mut BytesMut, col: &Column) {
                 buf.put_u8(byte);
             }
         }
-        Column::Text(v) => {
-            for s in v {
-                put_str_mut(buf, s);
-            }
-        }
         Column::LongList(v) => {
             for list in v {
                 buf.put_u32_le(list.len() as u32);
@@ -357,10 +351,14 @@ pub fn put_column(buf: &mut BytesMut, col: &Column) {
                 }
             }
         }
-        Column::TextList(v) => {
-            for list in v {
-                buf.put_u32_le(list.len() as u32);
-                for s in list {
+        // A `Text` row is its one string, a `TextList` row a count first.
+        Column::Text(rows) | Column::TextList(rows) => {
+            let lists = matches!(col, Column::TextList(_));
+            for row in rows.iter() {
+                if lists {
+                    buf.put_u32_le(row.len() as u32);
+                }
+                for s in row.iter() {
                     put_str_mut(buf, s);
                 }
             }
@@ -399,10 +397,10 @@ fn skip(buf: &mut Bytes, n: usize) -> Result<()> {
     Ok(())
 }
 
-/// Read a typed column into the reader's form (see [`DecodedColumn`]).
-pub fn get_column(buf: &mut Bytes) -> Result<DecodedColumn> {
+/// Read a typed column; text comes out flat (see [`TextRows`]).
+pub fn get_column(buf: &mut Bytes) -> Result<Column> {
     let (ty, len) = column_header(buf)?;
-    Ok(DecodedColumn::Plain(Box::new(match ty {
+    Ok(match ty {
         AttrType::Long => Column::Long(get_words(buf, len, i64::from_le_bytes)?),
         AttrType::Double => Column::Double(get_words(buf, len, f64::from_le_bytes)?),
         AttrType::Bool => {
@@ -422,9 +420,9 @@ pub fn get_column(buf: &mut Bytes) -> Result<DecodedColumn> {
             }
             Column::LongList(v)
         }
-        AttrType::Text => return Ok(DecodedColumn::Text(get_text_rows(buf, len, false)?)),
-        AttrType::TextList => return Ok(DecodedColumn::TextList(get_text_rows(buf, len, true)?)),
-    })))
+        AttrType::Text => Column::Text(get_text_rows(buf, len, false)?),
+        AttrType::TextList => Column::TextList(get_text_rows(buf, len, true)?),
+    })
 }
 
 /// `len` 8-byte little-endian values off the front of `buf`: one bounds
@@ -499,7 +497,7 @@ fn walk_text(
 
 /// Decode a text column body into one flat [`TextRows`]: a sizing walk,
 /// then exactly three allocations however many rows and strings it has.
-fn get_text_rows(buf: &mut Bytes, rows: usize, lists: bool) -> Result<Box<TextRows>> {
+fn get_text_rows(buf: &mut Bytes, rows: usize, lists: bool) -> Result<TextRows> {
     let (strings, nbytes, used) = walk_text(buf, rows, lists, |_| Ok(()))?;
     let mut bytes = Vec::with_capacity(nbytes);
     let mut str_ends = Vec::with_capacity(strings);
@@ -518,9 +516,7 @@ fn get_text_rows(buf: &mut Bytes, rows: usize, lists: bool) -> Result<Box<TextRo
     skip(buf, used)?;
     // Validated once as a whole, then at each string boundary: a
     // multi-byte character split across two strings is corrupt.
-    TextRows::from_parts(bytes, str_ends, row_ends)
-        .map(Box::new)
-        .ok_or_else(not_utf8)
+    TextRows::from_parts(bytes, str_ends, row_ends).ok_or_else(not_utf8)
 }
 
 fn not_utf8() -> GofsError {
@@ -541,12 +537,9 @@ pub fn encoded_column_size(col: &Column) -> usize {
         Column::Long(v) => v.len() * 8,
         Column::Double(v) => v.len() * 8,
         Column::Bool(v) => v.len().div_ceil(8),
-        Column::Text(v) => v.iter().map(|s| 4 + s.len()).sum(),
         Column::LongList(v) => v.iter().map(|l| 4 + l.len() * 8).sum(),
-        Column::TextList(v) => v
-            .iter()
-            .map(|l| 4 + l.iter().map(|s| 4 + s.len()).sum::<usize>())
-            .sum(),
+        Column::Text(t) => 4 * t.num_strings() + t.text_len(),
+        Column::TextList(t) => 4 * (t.len() + t.num_strings()) + t.text_len(),
     };
     1 + 4 + body // tag + length prefix + packed values
 }
@@ -583,16 +576,15 @@ pub fn put_delta_column(buf: &mut BytesMut, base: &Column, cur: &Column) {
 }
 
 /// Read a delta record written by [`put_delta_column`] and rebuild the
-/// full column from `base`, the same column of the pack's base snapshot:
-/// a fixed-width column patches a clone of it (a `memcpy`), a text column
-/// is spliced from base and patch. All structural failures (unknown tag,
+/// full column from `base`, the same column of the pack's base snapshot,
+/// through [`Column::patched`]. All structural failures (unknown tag,
 /// out-of-range rows, type/length disagreements) surface as typed
 /// [`GofsError`]s.
-pub fn get_delta_column(buf: &mut Bytes, base: &DecodedColumn) -> Result<DecodedColumn> {
+pub fn get_delta_column(buf: &mut Bytes, base: &Column) -> Result<Column> {
     match get_u8(buf)? {
         DELTA_DENSE => {
             let col = get_column(buf)?;
-            let shape = |c: &DecodedColumn| (c.ty(), c.num_rows());
+            let shape = |c: &Column| (c.ty(), c.len());
             if shape(&col) != shape(base) {
                 let (col, base) = (shape(&col), shape(base));
                 return Err(GofsError::Corrupt(format!(
@@ -602,36 +594,21 @@ pub fn get_delta_column(buf: &mut Bytes, base: &DecodedColumn) -> Result<Decoded
             Ok(col)
         }
         DELTA_SPARSE => {
-            // Row indices, each a byte at least and in range; that they
-            // strictly ascend is vetted where they are applied.
+            // Row indices, each a byte at least; that they are in range
+            // and strictly ascend is vetted where they are applied.
             let n = get_varu64(buf)? as usize;
             let mut rows = Vec::with_capacity(check_count(buf, n, 1)?);
-            let mut at = 0u64;
+            let mut at = 0u32;
             for _ in 0..n {
-                at = at
-                    .checked_add(get_varu64(buf)?)
-                    .filter(|&row| row < base.num_rows() as u64)
+                at = (u32::try_from(get_varu64(buf)?).ok())
+                    .and_then(|step| at.checked_add(step))
                     .ok_or_else(|| GofsError::Corrupt("sparse delta row out of range".into()))?;
-                rows.push(at as u32);
+                rows.push(at);
             }
-            let patched = match (base, get_column(buf)?) {
-                (DecodedColumn::Plain(b), DecodedColumn::Plain(v)) => {
-                    let mut col = b.clone();
-                    col.scatter_rows(&rows, &v)
-                        .ok()
-                        .map(|()| DecodedColumn::Plain(col))
-                }
-                (DecodedColumn::Text(b), DecodedColumn::Text(v)) => b
-                    .splice(&rows, &v)
-                    .map(|t| DecodedColumn::Text(Box::new(t))),
-                (DecodedColumn::TextList(b), DecodedColumn::TextList(v)) => b
-                    .splice(&rows, &v)
-                    .map(|t| DecodedColumn::TextList(Box::new(t))),
-                (_, _) => None,
-            };
-            let base = base.ty();
-            patched.ok_or_else(|| {
-                GofsError::Corrupt(format!("sparse delta does not apply to {base:?}"))
+            let patch = get_column(buf)?;
+            base.patched(&rows, &patch).map_err(|e| {
+                let base = base.ty();
+                GofsError::Corrupt(format!("sparse delta does not apply to {base:?}: {e}"))
             })
         }
         other => Err(GofsError::Corrupt(format!("unknown delta tag {other}"))),
@@ -838,11 +815,16 @@ pub fn decode_template(data: &[u8]) -> Result<GraphTemplate> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tempograph_core::{AttrValue, TemplateBuilder};
+    use tempograph_core::TemplateBuilder;
 
-    /// What a reader must get back for a written column.
-    fn read(col: &Column) -> DecodedColumn {
-        DecodedColumn::from(col.clone())
+    /// A `Text` column of these strings.
+    fn text(rows: &[&str]) -> Column {
+        Column::Text(TextRows::from_rows(rows.iter().map(|s| [*s])))
+    }
+
+    /// A `TextList` column of these rows.
+    fn lists(rows: &[&[&str]]) -> Column {
+        Column::TextList(TextRows::from_rows(rows.iter().map(|r| r.iter().copied())))
     }
 
     #[test]
@@ -952,7 +934,7 @@ mod tests {
                 let err = get_column(&mut Bytes::copy_from_slice(&buf[..cut])).unwrap_err();
                 assert!(matches!(err, GofsError::Corrupt(_)), "{err}");
             }
-            assert_eq!(get_column(&mut buf.freeze()).unwrap(), read(&col));
+            assert_eq!(get_column(&mut buf.freeze()).unwrap(), col);
         }
     }
 
@@ -1039,8 +1021,8 @@ mod tests {
             encoded_column_size(&cur)
         );
         let mut bytes = buf.freeze();
-        let back = get_delta_column(&mut bytes, &read(&base)).unwrap();
-        assert_eq!(back, read(&cur));
+        let back = get_delta_column(&mut bytes, &base).unwrap();
+        assert_eq!(back, cur);
         assert_eq!(bytes.remaining(), 0, "delta must consume exactly");
     }
 
@@ -1053,8 +1035,8 @@ mod tests {
         // Tag byte + dense encoding: never larger than dense + 1.
         assert_eq!(buf.len(), 1 + encoded_column_size(&cur));
         assert_eq!(buf[0], DELTA_DENSE);
-        let back = get_delta_column(&mut buf.freeze(), &read(&base)).unwrap();
-        assert_eq!(back, read(&cur));
+        let back = get_delta_column(&mut buf.freeze(), &base).unwrap();
+        assert_eq!(back, cur);
     }
 
     #[test]
@@ -1069,38 +1051,29 @@ mod tests {
                 Column::Bool(vec![true, false, true]),
                 Column::Bool(vec![true, true, true]),
             ),
-            (
-                Column::Text(vec!["a".into(), "b".into()]),
-                Column::Text(vec!["a".into(), "changed".into()]),
-            ),
+            (text(&["a", "b"]), text(&["a", "changed"])),
             (
                 Column::LongList(vec![vec![], vec![1]]),
                 Column::LongList(vec![vec![5], vec![1]]),
             ),
-            (
-                Column::TextList(vec![vec!["#x".into()], vec![]]),
-                Column::TextList(vec![vec!["#x".into(), "#y".into()], vec![]]),
-            ),
+            (lists(&[&["#x"], &[]]), lists(&[&["#x", "#y"], &[]])),
         ];
         for (base, cur) in pairs {
             let mut buf = BytesMut::new();
             put_delta_column(&mut buf, &base, &cur);
             let mut bytes = buf.freeze();
             let mut skipped = bytes.clone();
-            let back = get_delta_column(&mut bytes, &read(&base)).unwrap();
+            let back = get_delta_column(&mut bytes, &base).unwrap();
             // Compare Doubles by bit pattern (NaN != NaN under PartialEq,
             // but the codec's contract is exact bit preservation).
             match (&back, &cur) {
-                (DecodedColumn::Plain(a), Column::Double(b)) => {
-                    let Column::Double(a) = &**a else {
-                        panic!("{a:?} read back for a Double column")
-                    };
+                (Column::Double(a), Column::Double(b)) => {
                     assert_eq!(a.len(), b.len());
                     for (x, y) in a.iter().zip(b) {
                         assert_eq!(x.to_bits(), y.to_bits());
                     }
                 }
-                _ => assert_eq!(back, read(&cur)),
+                _ => assert_eq!(back, cur),
             }
             assert_eq!(bytes.remaining(), 0);
             skip_delta_column(&mut skipped).unwrap();
@@ -1117,12 +1090,7 @@ mod tests {
     /// does, and otherwise agrees with it on the count and the length.
     #[test]
     fn text_counts_on_the_record_fail_where_the_decoder_does() {
-        let list = |rows: &[&[&str]]| {
-            let rows = rows
-                .iter()
-                .map(|r| r.iter().map(|s| s.to_string()).collect());
-            Column::TextList(rows.collect())
-        };
+        let list = lists;
         let sparse = |steps: &[u64], patch: &Column| {
             let mut buf = BytesMut::new();
             buf.put_u8(DELTA_SPARSE);
@@ -1137,8 +1105,8 @@ mod tests {
             put_column(&mut buf, cur);
             buf.to_vec()
         };
-        let base = read(&list(&[&["#a"], &["#a", "#a"], &[], &["#b"]]));
-        let DecodedColumn::TextList(rows) = &base else {
+        let base = list(&[&["#a"], &["#a", "#a"], &[], &["#b"]]);
+        let Column::TextList(rows) = &base else {
             unreachable!()
         };
         let two = list(&[&["#a"], &[]]);
@@ -1153,11 +1121,7 @@ mod tests {
                 None,
             ),
             ("one row, two patched", sparse(&[3], &two), None),
-            (
-                "a Text patch",
-                sparse(&[0], &Column::Text(vec!["#a".into()])),
-                None,
-            ),
+            ("a Text patch", sparse(&[0], &text(&["#a"])), None),
             ("a patch of no rows", sparse(&[], &list(&[])), Some(3)),
             (
                 "every row",
@@ -1165,11 +1129,7 @@ mod tests {
                 Some(2),
             ),
             ("dense, one row short", dense(&two), None),
-            (
-                "dense Text",
-                dense(&Column::Text(vec!["#a".into(); 4])),
-                None,
-            ),
+            ("dense Text", dense(&text(&["#a"; 4])), None),
         ];
         for (what, record, want) in cases {
             let counted = delta_text_count_eq(&record, rows, "#a");
@@ -1177,9 +1137,7 @@ mod tests {
             let decoded = get_delta_column(&mut buf, &base)
                 .ok()
                 .and_then(|c| match c {
-                    DecodedColumn::TextList(t) => {
-                        Some((t.count_eq("#a"), record.len() - buf.len()))
-                    }
+                    Column::TextList(t) => Some((t.count_eq("#a"), record.len() - buf.len())),
                     _ => None,
                 });
             assert_eq!(counted.as_ref().ok().copied(), decoded, "{what}");
@@ -1189,7 +1147,7 @@ mod tests {
 
     #[test]
     fn corrupt_delta_records_are_typed_errors() {
-        let base = read(&Column::Long(vec![1, 2, 3]));
+        let base = Column::Long(vec![1, 2, 3]);
         // Unknown tag.
         let mut bad = Bytes::copy_from_slice(&[7]);
         assert!(matches!(
@@ -1226,9 +1184,9 @@ mod tests {
             Column::Long(vec![1, 2, 3]),
             Column::Double(vec![0.5]),
             Column::Bool(vec![true; 9]),
-            Column::Text(vec!["héllo".into(), "".into()]),
+            text(&["héllo", ""]),
             Column::LongList(vec![vec![1, 2], vec![]]),
-            Column::TextList(vec![vec!["a".into()], vec![]]),
+            lists(&[&["a"], &[]]),
         ];
         for col in cols {
             let mut buf = BytesMut::new();
@@ -1245,9 +1203,9 @@ mod tests {
             Column::Bool(vec![
                 true, false, true, true, false, true, false, true, true,
             ]),
-            Column::Text(vec!["".into(), "héllo".into(), "x".repeat(300)]),
+            text(&["", "héllo", &"x".repeat(300)]),
             Column::LongList(vec![vec![], vec![1, 2, 3]]),
-            Column::TextList(vec![vec!["#a".into()], vec![]]),
+            lists(&[&["#a"], &[]]),
         ];
         for col in cols {
             let mut buf = BytesMut::new();
@@ -1255,7 +1213,7 @@ mod tests {
             let mut bytes = buf.freeze();
             let mut skipped = bytes.clone();
             let back = get_column(&mut bytes).unwrap();
-            assert_eq!(back, read(&col));
+            assert_eq!(back, col);
             assert_eq!(bytes.remaining(), 0, "column must consume exactly");
             skip_column(&mut skipped).unwrap();
             assert_eq!(
@@ -1281,12 +1239,7 @@ mod tests {
         let mut buf = BytesMut::new();
         put_column(&mut buf, &col);
         let back = get_column(&mut buf.freeze()).unwrap();
-        match back {
-            DecodedColumn::Plain(c) => {
-                assert!(matches!(*c, Column::Double(ref v) if v[0].is_nan()))
-            }
-            _ => panic!("wrong type"),
-        }
+        assert!(matches!(back, Column::Double(ref v) if v[0].is_nan()));
     }
 
     #[test]
@@ -1325,7 +1278,7 @@ mod tests {
         }
         // Instances built against the decoded template work identically.
         let g = tempograph_core::GraphInstance::new(&back, 0);
-        assert_eq!(g.vertex_col(0).get(3), AttrValue::Long(0));
+        assert_eq!(g.vertex_col(0), &Column::Long(vec![0; 5]));
     }
 
     #[test]

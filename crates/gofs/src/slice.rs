@@ -30,9 +30,10 @@
 
 use crate::codec::{self, frame, unframe_owned};
 use crate::error::{GofsError, Result};
-use crate::view::{DecodedColumn, Projection, SubgraphInstance};
+use crate::view::{Projection, SubgraphInstance};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::sync::{Arc, OnceLock};
+use tempograph_core::Column;
 use tempograph_partition::SubgraphId;
 
 const SLICE_MAGIC: [u8; 4] = *b"GFSL";
@@ -193,7 +194,7 @@ impl SliceData {
         self.decoded().count()
     }
 
-    fn decoded(&self) -> impl Iterator<Item = &DecodedColumn> {
+    fn decoded(&self) -> impl Iterator<Item = &Column> {
         let cells = self.cells.iter().filter_map(|c| c.get());
         cells.flat_map(|i| i.decoded())
     }
@@ -379,7 +380,7 @@ pub fn decode_slice(data: Bytes) -> Result<SliceData> {
 mod tests {
     use super::*;
     use crate::view::F64Cells;
-    use tempograph_core::{Column, CoreError};
+    use tempograph_core::{CoreError, TextRows};
 
     fn si(timestep: usize, val: f64) -> Projection {
         Projection {
@@ -434,8 +435,10 @@ mod tests {
     fn two_column_pack(n_timesteps: usize) -> Vec<Projection> {
         (0..n_timesteps)
             .map(|t| {
-                let mut tweets = vec![vec!["#a".to_string()], vec![], vec!["#b".into(), "".into()]];
+                let mut tweets = [vec!["#a".to_string()], vec![], vec!["#b".into(), "".into()]];
                 tweets[t % 3].push(format!("#t{t}"));
+                let tweets =
+                    TextRows::from_rows(tweets.iter().map(|r| r.iter().map(String::as_str)));
                 Projection {
                     timestep: t,
                     timestamp: t as i64,
@@ -475,7 +478,7 @@ mod tests {
         // The other column is as cheap, and equals what was written.
         let tweets = cells[1].vertex_text_list(0).unwrap();
         assert_eq!(back.decoded_columns(), 5);
-        let got: Vec<Vec<&str>> = tweets.iter().map(|r| r.collect()).collect();
+        let got: Vec<Vec<&str>> = tweets.iter().map(|r| r.iter().collect()).collect();
         assert_eq!(got, vec![vec!["#a"], vec!["#t1"], vec!["#b", ""]]);
         // `get` hands back the same cached instance.
         assert!(Arc::ptr_eq(&cells[2], &back.get(SubgraphId(7), 2).unwrap()));

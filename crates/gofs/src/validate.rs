@@ -3,8 +3,8 @@
 //! [`validate_dataset`] walks every slice file of a store, decodes it
 //! (which re-checks every frame checksum), and verifies full coverage:
 //! each (subgraph, timestep) pair appears exactly once, with column shapes
-//! matching the subgraph's vertex/edge counts. Used by the CLI and by
-//! tests; also returns [`DatasetStats`] for capacity planning.
+//! matching the subgraph's vertex/edge counts. `tempograph inspect DIR`
+//! runs it and prints the [`DatasetStats`] it returns.
 
 use crate::error::{GofsError, Result};
 use crate::slice::{decode_slice, SliceKey};
@@ -52,7 +52,8 @@ pub fn validate_dataset(store: &GofsStore, pg: &PartitionedGraph) -> Result<Data
                 stats.total_bytes += data.len() as u64;
                 stats.bytes_per_partition[p as usize] += data.len() as u64;
 
-                let slice = decode_slice(data.into())?;
+                let slice = decode_slice(data.into())
+                    .map_err(|e| GofsError::Corrupt(format!("slice {}: {e}", path.display())))?;
                 if slice.partition != p || slice.key != key {
                     return Err(GofsError::Corrupt(format!(
                         "slice {} self-identifies as partition {} {:?}",
@@ -123,7 +124,7 @@ pub fn validate_dataset(store: &GofsStore, pg: &PartitionedGraph) -> Result<Data
                         let vertex = (0..nvc).map(|c| (inst.vertex_col(c), sg.num_vertices()));
                         let edge = (0..nec).map(|c| (inst.edge_col(c), sg.num_edges()));
                         for (col, rows) in vertex.chain(edge) {
-                            let got = col?.num_rows();
+                            let got = col?.len();
                             if got != rows {
                                 return Err(GofsError::Corrupt(format!(
                                     "{sg_id}@{t}: column of {got} rows, expected {rows}"

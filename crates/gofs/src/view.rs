@@ -1,11 +1,12 @@
-//! Instance data projected onto one subgraph, one type per direction:
-//! [`Projection`], the *writable* plain [`Column`]s the writer buffers
-//! `packing × subgraphs` of (so it stays nothing but its columns), and
-//! [`SubgraphInstance`], the reader's **column-lazy** form — it keeps its
-//! block of the slice file as zero-copy [`Bytes`] and decodes a column the
-//! first time an accessor asks for it, so a program that reads `latency`
-//! never pays for `tweets`. A dense `Double` column need not be decoded at
-//! all: [`SubgraphInstance::edge_f64_cells`] reads its cells where they lie.
+//! Instance data projected onto one subgraph, one type per direction, both
+//! over the one column type, [`Column`]: [`Projection`], the columns the
+//! writer buffers `packing × subgraphs` of (so it stays nothing but its
+//! columns), and [`SubgraphInstance`], the reader's **column-lazy** form —
+//! it keeps its block of the slice file as zero-copy [`Bytes`] and decodes
+//! a column the first time an accessor asks for it, so a program that
+//! reads `latency` never pays for `tweets`. A dense `Double` column need
+//! not be decoded at all: [`SubgraphInstance::edge_f64_cells`] reads its
+//! cells where they lie.
 
 use crate::codec;
 use crate::error::{GofsError, Result};
@@ -52,68 +53,6 @@ impl Projection {
     }
 }
 
-/// One column as a reader holds it — the single decoded form: text flat
-/// (see [`TextRows`]), everything else the plain [`Column`]. Every form is
-/// boxed, so a column's slot in a [`SubgraphInstance`] stays 40 bytes.
-#[derive(Clone, Debug, PartialEq)]
-pub enum DecodedColumn {
-    /// A `Long`, `Double`, `Bool` or `LongList` column (never a text one).
-    Plain(Box<Column>),
-    /// A `Text` column: one string per row.
-    Text(Box<TextRows>),
-    /// A `TextList` column.
-    TextList(Box<TextRows>),
-}
-
-impl DecodedColumn {
-    /// The column's element type.
-    pub fn ty(&self) -> AttrType {
-        match self {
-            DecodedColumn::Plain(c) => c.ty(),
-            DecodedColumn::Text(_) => AttrType::Text,
-            DecodedColumn::TextList(_) => AttrType::TextList,
-        }
-    }
-
-    /// Number of rows.
-    pub fn num_rows(&self) -> usize {
-        match self {
-            DecodedColumn::Plain(c) => c.len(),
-            DecodedColumn::Text(t) | DecodedColumn::TextList(t) => t.len(),
-        }
-    }
-
-    /// The column, unless it is a text one.
-    fn plain(&self) -> Option<&Column> {
-        match self {
-            DecodedColumn::Plain(c) => Some(c),
-            DecodedColumn::Text(_) | DecodedColumn::TextList(_) => None,
-        }
-    }
-
-    /// Approximate heap bytes held.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            DecodedColumn::Plain(c) => c.approx_bytes(),
-            DecodedColumn::Text(t) | DecodedColumn::TextList(t) => t.heap_bytes(),
-        }
-    }
-}
-
-impl From<Column> for DecodedColumn {
-    fn from(col: Column) -> Self {
-        match col {
-            Column::Text(v) => DecodedColumn::Text(Box::new(TextRows::from_rows(
-                v.iter().map(|s| std::iter::once(s.as_str())),
-            ))),
-            Column::TextList(v) => DecodedColumn::TextList(Box::new(TextRows::from_rows(
-                v.iter().map(|l| l.iter().map(String::as_str)),
-            ))),
-            plain => DecodedColumn::Plain(Box::new(plain)),
-        }
-    }
-}
-
 /// The cells of a `Double` column as [`SubgraphInstance::edge_f64_cells`]
 /// hands them out: row `q` is [`F64Cells::get`]`(q)` either way.
 #[derive(Clone, Copy, Debug)]
@@ -152,12 +91,12 @@ impl F64Cells<'_> {
 
 /// One column of a [`SubgraphInstance`]: where its record ends in the
 /// block, found once (it starts where the previous one ends), and its
-/// decoded form, made once. 40 bytes, as a lone decoded cell was.
+/// decoded form, made once and boxed, so the slot is 32 bytes.
 #[derive(Debug, Default)]
 pub(crate) struct Col {
     end: OnceLock<usize>,
     /// What [`codec::get_column`] / [`codec::get_delta_column`] made of it.
-    decoded: OnceLock<DecodedColumn>,
+    decoded: OnceLock<Box<Column>>,
 }
 
 /// A [`Projection`] as a reader sees it — what the engine hands to the
@@ -187,8 +126,7 @@ pub struct SubgraphInstance {
 }
 
 impl SubgraphInstance {
-    /// Project a full instance onto `subgraph`, converting the columns to
-    /// the reader's form once (the in-memory source).
+    /// Project a full instance onto `subgraph` (the in-memory source).
     pub fn project(instance: &GraphInstance, subgraph: &Subgraph, timestep: usize) -> Self {
         Projection::project(instance, subgraph, timestep).into()
     }
@@ -196,24 +134,24 @@ impl SubgraphInstance {
     /// Vertex column `col` (schema position), decoded on first touch.
     /// Corruption found then is [`GofsError::Corrupt`] naming subgraph,
     /// timestep and column, and fails this column only.
-    pub fn vertex_col(&self, col: usize) -> Result<&DecodedColumn> {
+    pub fn vertex_col(&self, col: usize) -> Result<&Column> {
         self.column(col, self.n_vertex_cols)
     }
 
     /// Edge column `col` (schema position); see [`Self::vertex_col`].
-    pub fn edge_col(&self, col: usize) -> Result<&DecodedColumn> {
+    pub fn edge_col(&self, col: usize) -> Result<&Column> {
         self.column(self.n_vertex_cols + col, self.cols.len())
     }
 
     /// Column `i`, which must be among the first `end`.
-    fn column(&self, i: usize, end: usize) -> Result<&DecodedColumn> {
+    fn column(&self, i: usize, end: usize) -> Result<&Column> {
         let cell = (self.cols.get(..end).and_then(|cols| cols.get(i)))
             .ok_or_else(|| GofsError::OutOfRange(format!("column {i} of {end}")))?;
         if let Some(col) = cell.decoded.get() {
             return Ok(col);
         }
         let col = self.decode(i).map_err(|e| self.corrupt(i, e))?;
-        Ok(cell.decoded.get_or_init(|| col))
+        Ok(cell.decoded.get_or_init(|| Box::new(col)))
     }
 
     /// `e`, met reading column `i`, as the error that names where.
@@ -223,7 +161,7 @@ impl SubgraphInstance {
     }
 
     /// Decode record `i`, noting where it ends.
-    fn decode(&self, i: usize) -> Result<DecodedColumn> {
+    fn decode(&self, i: usize) -> Result<Column> {
         let mut buf = self.block.slice(self.start_of(i)?..);
         let col = match self.base.as_deref() {
             None => codec::get_column(&mut buf)?,
@@ -272,26 +210,24 @@ impl SubgraphInstance {
 
     /// Borrow a `Double` vertex column by schema position.
     pub fn vertex_f64(&self, col: usize) -> Result<&[f64]> {
-        let c = self.vertex_col(col)?;
-        match c.plain() {
-            Some(Column::Double(v)) => Ok(v),
-            _ => Err(mismatch(c.ty(), AttrType::Double)),
+        match self.vertex_col(col)? {
+            Column::Double(v) => Ok(v),
+            c => Err(mismatch(c.ty(), AttrType::Double)),
         }
     }
 
     /// Borrow a `Long` vertex column by schema position.
     pub fn vertex_i64(&self, col: usize) -> Result<&[i64]> {
-        let c = self.vertex_col(col)?;
-        match c.plain() {
-            Some(Column::Long(v)) => Ok(v),
-            _ => Err(mismatch(c.ty(), AttrType::Long)),
+        match self.vertex_col(col)? {
+            Column::Long(v) => Ok(v),
+            c => Err(mismatch(c.ty(), AttrType::Long)),
         }
     }
 
     /// Borrow a `TextList` vertex column by schema position.
     pub fn vertex_text_list(&self, col: usize) -> Result<&TextRows> {
         match self.vertex_col(col)? {
-            DecodedColumn::TextList(t) => Ok(t),
+            Column::TextList(t) => Ok(t),
             c => Err(mismatch(c.ty(), AttrType::TextList)),
         }
     }
@@ -310,7 +246,7 @@ impl SubgraphInstance {
             return Ok(self.vertex_text_list(col)?.count_eq(needle));
         };
         let base = match base.column(col, base.cols.len()) {
-            Ok(DecodedColumn::TextList(t)) => t,
+            Ok(Column::TextList(t)) => t,
             Ok(c) => return Err(mismatch(c.ty(), AttrType::TextList)),
             Err(e) => return Err(self.corrupt(col, e)),
         };
@@ -324,19 +260,17 @@ impl SubgraphInstance {
 
     /// Borrow a `Bool` vertex column by schema position.
     pub fn vertex_bool(&self, col: usize) -> Result<&[bool]> {
-        let c = self.vertex_col(col)?;
-        match c.plain() {
-            Some(Column::Bool(v)) => Ok(v),
-            _ => Err(mismatch(c.ty(), AttrType::Bool)),
+        match self.vertex_col(col)? {
+            Column::Bool(v) => Ok(v),
+            c => Err(mismatch(c.ty(), AttrType::Bool)),
         }
     }
 
     /// Borrow a `Double` edge column by schema position.
     pub fn edge_f64(&self, col: usize) -> Result<&[f64]> {
-        let c = self.edge_col(col)?;
-        match c.plain() {
-            Some(Column::Double(v)) => Ok(v),
-            _ => Err(mismatch(c.ty(), AttrType::Double)),
+        match self.edge_col(col)? {
+            Column::Double(v) => Ok(v),
+            c => Err(mismatch(c.ty(), AttrType::Double)),
         }
     }
 
@@ -368,8 +302,10 @@ impl SubgraphInstance {
     }
 
     /// The columns decoded so far.
-    pub fn decoded(&self) -> impl Iterator<Item = &DecodedColumn> {
-        self.cols.iter().filter_map(|c| c.decoded.get())
+    pub fn decoded(&self) -> impl Iterator<Item = &Column> {
+        self.cols
+            .iter()
+            .filter_map(|c| c.decoded.get().map(|c| &**c))
     }
 }
 
@@ -382,7 +318,7 @@ impl From<Projection> for SubgraphInstance {
             cols: (p.vertex_cols.into_iter().chain(p.edge_cols))
                 .map(|c| Col {
                     end: OnceLock::new(),
-                    decoded: OnceLock::from(DecodedColumn::from(c)),
+                    decoded: OnceLock::from(Box::new(c)),
                 })
                 .collect(),
             sg: SubgraphId(0),
@@ -481,14 +417,14 @@ mod tests {
         assert!(si.vertex_text_list(0).is_err());
     }
 
-    /// Boxed decoded forms keep a column slot, record end included, as
-    /// large as the decoded cell alone was: a larger per-instance
-    /// `Box<[Col]>` falls in another allocator size class, and at 48 or 56
-    /// bytes moved `hash_tweets`' peak memory by +12 or +6 MB.
+    /// A boxed decoded column keeps a column slot, record end included,
+    /// at 32 bytes: a larger per-instance `Box<[Col]>` falls in another
+    /// allocator size class, and at 48 or 56 bytes moved `hash_tweets`'
+    /// peak memory by +12 or +6 MB.
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn a_column_slot_is_40_bytes() {
-        assert_eq!(std::mem::size_of::<Col>(), 40);
+    fn a_column_slot_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Col>(), 32);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use tempograph_core::{AttrType, TemplateBuilder, TimeSeriesCollection};
+use tempograph_core::{AttrType, Column, TemplateBuilder, TextRows, TimeSeriesCollection};
 use tempograph_gofs::store::{bins_for_partition, write_dataset};
 use tempograph_gofs::{GofsStore, InstanceLoader, SubgraphInstance};
 use tempograph_partition::{discover_subgraphs, PartitionedGraph, Partitioning};
@@ -82,11 +82,15 @@ fn collection(
         for x in g.vertex_i64_mut("v").unwrap() {
             *x = rng.next() as i64;
         }
-        for tags in g.vertex_text_list_mut("tags").unwrap() {
-            *tags = (0..rng.below(4))
-                .map(|_| "#".repeat(1 + rng.below(40) as usize))
-                .collect();
-        }
+        let tags: Vec<Vec<String>> = (0..g.vertex_text_list("tags").unwrap().len())
+            .map(|_| {
+                (0..rng.below(4))
+                    .map(|_| "#".repeat(1 + rng.below(40) as usize))
+                    .collect()
+            })
+            .collect();
+        let tags = TextRows::from_rows(tags.iter().map(|r| r.iter().map(String::as_str)));
+        g.set_vertex_col("tags", Column::TextList(tags)).unwrap();
         for x in g.edge_f64_mut("w").unwrap() {
             *x = rng.below(1 << 20) as f64 / 8.0;
         }

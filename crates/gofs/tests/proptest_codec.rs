@@ -2,14 +2,26 @@
 
 use bytes::BytesMut;
 use proptest::prelude::*;
-use tempograph_core::{AttrType, Column, Schema, TemplateBuilder};
+use tempograph_core::{AttrType, Column, Schema, TemplateBuilder, TextRows};
 use tempograph_gofs::codec::{
     decode_template, encode_template, frame, get_column, get_delta_column, get_schema, put_column,
     put_delta_column, put_schema, unframe,
 };
 use tempograph_gofs::slice::{decode_slice, encode_slice, SliceKey};
-use tempograph_gofs::{DecodedColumn, Projection, SubgraphInstance};
+use tempograph_gofs::{Projection, SubgraphInstance};
 use tempograph_partition::SubgraphId;
+
+/// A `Text` column of these strings.
+fn text(rows: Vec<String>) -> Column {
+    Column::Text(TextRows::from_rows(rows.iter().map(|s| [s.as_str()])))
+}
+
+/// A `TextList` column of these rows.
+fn text_list(rows: Vec<Vec<String>>) -> Column {
+    Column::TextList(TextRows::from_rows(
+        rows.iter().map(|r| r.iter().map(String::as_str)),
+    ))
+}
 
 fn arb_column() -> impl Strategy<Value = Column> {
     prop_oneof![
@@ -20,15 +32,14 @@ fn arb_column() -> impl Strategy<Value = Column> {
         )
         .prop_map(Column::Double),
         proptest::collection::vec(any::<bool>(), 0..70).prop_map(Column::Bool),
-        proptest::collection::vec("[\\PC]{0,16}".prop_map(String::from), 0..20)
-            .prop_map(Column::Text),
+        proptest::collection::vec("[\\PC]{0,16}".prop_map(String::from), 0..20).prop_map(text),
         proptest::collection::vec(proptest::collection::vec(any::<i64>(), 0..5), 0..15)
             .prop_map(Column::LongList),
         proptest::collection::vec(
             proptest::collection::vec("[a-z#0-9]{0,10}".prop_map(String::from), 0..4),
             0..12
         )
-        .prop_map(Column::TextList),
+        .prop_map(text_list),
     ]
 }
 
@@ -40,7 +51,7 @@ proptest! {
         put_column(&mut buf, &col);
         let mut bytes = buf.freeze();
         let back = get_column(&mut bytes).unwrap();
-        prop_assert_eq!(back, DecodedColumn::from(col));
+        prop_assert_eq!(back, col);
         prop_assert_eq!(bytes.len(), 0);
     }
 
@@ -53,7 +64,7 @@ proptest! {
         }
         let mut bytes = buf.freeze();
         for c in &cols {
-            prop_assert_eq!(get_column(&mut bytes).unwrap(), DecodedColumn::from(c.clone()));
+            prop_assert_eq!(&get_column(&mut bytes).unwrap(), c);
         }
         prop_assert_eq!(bytes.len(), 0);
     }
@@ -201,28 +212,32 @@ proptest! {
                         if (perm >> (i % 64)) & 1 == 1 { *x = !*x; }
                     }
                 }
-                Column::Text(v) => {
-                    for (i, x) in v.iter_mut().enumerate() {
-                        if (perm >> (i % 64)) & 1 == 1 { x.push('!'); }
-                    }
+                Column::Text(t) => {
+                    let rows = t.iter().enumerate().map(|(i, row)| {
+                        let s: String = row.iter().collect();
+                        if (perm >> (i % 64)) & 1 == 1 { s + "!" } else { s }
+                    });
+                    cur = text(rows.collect());
                 }
                 Column::LongList(v) => {
                     for (i, x) in v.iter_mut().enumerate() {
                         if (perm >> (i % 64)) & 1 == 1 { x.push(9); }
                     }
                 }
-                Column::TextList(v) => {
-                    for (i, x) in v.iter_mut().enumerate() {
-                        if (perm >> (i % 64)) & 1 == 1 { x.push("z".into()); }
-                    }
+                Column::TextList(t) => {
+                    let rows = t.iter().enumerate().map(|(i, row)| {
+                        let z = ((perm >> (i % 64)) & 1 == 1).then_some("z");
+                        row.iter().chain(z).map(String::from).collect()
+                    });
+                    cur = text_list(rows.collect());
                 }
             }
         }
         let mut buf = BytesMut::new();
         put_delta_column(&mut buf, &base, &cur);
         let mut bytes = buf.freeze();
-        let back = get_delta_column(&mut bytes, &base.into()).unwrap();
-        prop_assert_eq!(back, DecodedColumn::from(cur));
+        let back = get_delta_column(&mut bytes, &base).unwrap();
+        prop_assert_eq!(back, cur);
         prop_assert_eq!(bytes.len(), 0);
     }
 
@@ -248,7 +263,7 @@ proptest! {
                         vertex_cols: vec![Column::Long(
                             (0..16).map(|i| (i + toff + sgi) as i64).collect(),
                         )],
-                        edge_cols: vec![Column::Text(vec![format!("e{toff}")])],
+                        edge_cols: vec![text(vec![format!("e{toff}")])],
                     })
                     .collect()
             })

@@ -11,13 +11,13 @@ use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use tempograph_core::{AttrType, Column};
+use tempograph_core::{AttrType, Column, TextRows};
 use tempograph_gofs::codec::{
     delta_text_count_eq, frame, get_column, get_delta_column, put_column, put_delta_column,
     skip_column, skip_delta_column, unframe,
 };
 use tempograph_gofs::slice::{decode_slice, encode_slice, SliceData, SliceKey};
-use tempograph_gofs::{DecodedColumn, F64Cells, GofsError, Projection};
+use tempograph_gofs::{F64Cells, GofsError, Projection};
 use tempograph_partition::SubgraphId;
 
 const MAGIC: [u8; 4] = *b"GFSL";
@@ -52,6 +52,13 @@ const NEEDLES: [&str; 9] = [
 /// The delta record tags (`codec.rs`).
 const DELTA_DENSE: u8 = 0;
 const DELTA_SPARSE: u8 = 1;
+
+/// A `TextList` column of these rows.
+fn text_list<S: AsRef<str>>(rows: &[Vec<S>]) -> Column {
+    Column::TextList(TextRows::from_rows(
+        rows.iter().map(|r| r.iter().map(AsRef::as_ref)),
+    ))
+}
 
 // ---- the largest single allocation a thread asks for ---------------------
 
@@ -122,16 +129,19 @@ impl Rng {
                 Column::Double((0..rows).map(|_| self.below(1000) as f64 / 8.0).collect())
             }
             AttrType::Bool => Column::Bool((0..rows).map(|_| self.below(2) == 1).collect()),
-            AttrType::Text => Column::Text((0..rows).map(|_| self.text()).collect()),
+            AttrType::Text => {
+                let strings: Vec<String> = (0..rows).map(|_| self.text()).collect();
+                Column::Text(TextRows::from_rows(strings.iter().map(|s| [s.as_str()])))
+            }
             AttrType::LongList => Column::LongList(
                 (0..rows)
                     .map(|_| (0..self.below(4)).map(|_| self.next() as i64).collect())
                     .collect(),
             ),
-            AttrType::TextList => Column::TextList(
-                (0..rows)
+            AttrType::TextList => text_list(
+                &(0..rows)
                     .map(|_| (0..self.below(4)).map(|_| self.text()).collect())
-                    .collect(),
+                    .collect::<Vec<Vec<String>>>(),
             ),
         }
     }
@@ -146,9 +156,7 @@ impl Rng {
                 .collect(),
             _ => return fresh,
         };
-        let mut cur = base.clone();
-        cur.scatter_rows(&rows, &fresh.gather_rows(&rows)).unwrap();
-        cur
+        base.patched(&rows, &fresh.gather_rows(&rows)).unwrap()
     }
 }
 
@@ -190,7 +198,7 @@ fn read(
     t: usize,
     vertex_side: bool,
     col: usize,
-) -> Result<DecodedColumn, String> {
+) -> Result<Column, String> {
     let inst = slice.get(sg, t).map_err(|e| e.to_string())?;
     let got = if vertex_side {
         inst.vertex_col(col)
@@ -278,14 +286,14 @@ type Verdicts = (Option<(u64, usize)>, Option<(u64, usize)>);
 /// `TextList` record `record` over `base`, counted by the record kernel
 /// and by decoding it: both `(count, record length)`, or `None` where
 /// each fails.
-fn both_counts(record: &[u8], base: &DecodedColumn, needle: &str) -> Verdicts {
-    let DecodedColumn::TextList(rows) = base else {
+fn both_counts(record: &[u8], base: &Column, needle: &str) -> Verdicts {
+    let Column::TextList(rows) = base else {
         panic!("a {:?} base", base.ty())
     };
     let kernel = delta_text_count_eq(record, rows, needle).ok();
     let mut buf = Bytes::copy_from_slice(record);
     let decoder = match get_delta_column(&mut buf, base) {
-        Ok(DecodedColumn::TextList(t)) => Some((t.count_eq(needle), record.len() - buf.len())),
+        Ok(Column::TextList(t)) => Some((t.count_eq(needle), record.len() - buf.len())),
         _ => None,
     };
     (kernel, decoder)
@@ -370,7 +378,7 @@ proptest! {
     }
 
     /// Written projections come back through the lazy accessors, column
-    /// by column in any order, text row by row.
+    /// by column in any order.
     #[test]
     fn lazy_reads_equal_what_was_written(
         vertex in proptest::collection::vec(0u8..6, 0..=3),
@@ -392,21 +400,7 @@ proptest! {
             let written = &rows[sg][t];
             let written = if vertex_side { &written.vertex_cols[c] } else { &written.edge_cols[c] };
             let got = read(&slice, sg_ids[sg], 5 + t, vertex_side, c).unwrap();
-            prop_assert_eq!(&got, &DecodedColumn::from(written.clone()));
-            match (&got, written) {
-                (DecodedColumn::TextList(got), Column::TextList(rows)) => {
-                    prop_assert_eq!(got.len(), rows.len());
-                    for (i, row) in rows.iter().enumerate() {
-                        prop_assert_eq!(&got.row(i).collect::<Vec<_>>(), row);
-                    }
-                }
-                (DecodedColumn::Text(got), Column::Text(rows)) => {
-                    let flat: Vec<&str> = got.iter().flatten().collect();
-                    prop_assert_eq!(&flat, rows);
-                }
-                (DecodedColumn::Plain(got), written) => prop_assert_eq!(&**got, written),
-                (got, written) => panic!("{:?} read back as {:?}", written.ty(), got.ty()),
-            }
+            prop_assert_eq!(&got, written);
         }
         // Everything was touched once; nothing was decoded twice.
         prop_assert_eq!(slice.decoded_columns(), order.len());
@@ -438,10 +432,10 @@ proptest! {
             skip_column(&mut full_skip).unwrap();
             prop_assert_eq!(full_skip.len(), full_get.len());
             let patched = get_delta_column(&mut delta_get, &decoded).unwrap();
-            prop_assert_eq!(patched, DecodedColumn::from(c.clone()));
+            prop_assert_eq!(&patched, c);
             skip_delta_column(&mut delta_skip).unwrap();
             prop_assert_eq!(delta_skip.len(), delta_get.len());
-            prop_assert_eq!(decoded, DecodedColumn::from(b.clone()));
+            prop_assert_eq!(&decoded, b);
         }
         prop_assert_eq!((full_get.len(), delta_get.len()), (0, 0));
     }
@@ -464,7 +458,6 @@ proptest! {
         let (mut full, mut delta) = (BytesMut::new(), BytesMut::new());
         put_column(&mut full, &cur);
         put_delta_column(&mut delta, &base, &cur);
-        let base = DecodedColumn::from(base);
         for record in [full.to_vec(), delta.to_vec()] {
             let pos = ((record.len() - 1) as f64 * pos_frac) as usize;
             let mut bad = record.clone();
@@ -541,7 +534,8 @@ proptest! {
             for needle in NEEDLES {
                 let (count, decoded) = counted(&slice, sg_ids[sg], 5 + t, c, needle).unwrap();
                 prop_assert_eq!(Some(count), decoded_count(&other, sg_ids[sg], 5 + t, c, needle));
-                let want = written.iter().flatten().filter(|s| *s == needle).count();
+                let strings = written.iter().flat_map(|row| row.iter());
+                let want = strings.filter(|s| *s == needle).count();
                 prop_assert_eq!(count, want as u64);
                 // A pack base keeps its column for its deltas; a delta
                 // keeps nothing.
@@ -605,7 +599,6 @@ proptest! {
         let (mut full, mut delta) = (BytesMut::new(), BytesMut::new());
         put_column(&mut full, &cur);
         put_delta_column(&mut delta, &base, &cur);
-        let base = DecodedColumn::from(base);
         let dense = [&[DELTA_DENSE][..], &full].concat();
         for record in [dense, delta.to_vec()] {
             let whole = both_counts(&record, &base, NEEDLES[needle]);
@@ -626,7 +619,7 @@ proptest! {
 /// two-byte character split across two adjacent strings.
 #[test]
 fn a_character_split_across_two_strings_is_corrupt() {
-    let whole = Column::TextList(vec![vec!["é".into(), "".into()]]);
+    let whole = text_list(&[vec!["é", ""]]);
     let mut record = BytesMut::new();
     put_column(&mut record, &whole);
     // tag, u32 rows, u32 strings, then [len 2]["é"][len 0] — re-cut the
@@ -663,13 +656,7 @@ fn a_character_split_across_two_strings_is_corrupt() {
     // The count on the record: the split in a pack base, which both of
     // its timesteps read, and in a dense and a sparse patch.
     let long = "0123456789abcdef0123456789";
-    let col = |rows: &[&[&str]]| {
-        Column::TextList(
-            rows.iter()
-                .map(|r| r.iter().map(|s| s.to_string()).collect())
-                .collect(),
-        )
-    };
+    let col = |rows: &[&[&str]]| text_list(&rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>());
     let cases = [
         ("base", [col(&[&["é", ""]]), col(&[&["é", ""]])], 0),
         ("dense patch", [col(&[&["a"]]), col(&[&["é", ""]])], 1),
@@ -725,7 +712,7 @@ fn a_character_split_across_two_strings_is_corrupt() {
 /// the decoder, calls the block corrupt.
 #[test]
 fn a_trailing_byte_after_a_delta_record_is_corrupt() {
-    let col = |tags: &[&str]| Column::TextList(tags.iter().map(|t| vec![t.to_string()]).collect());
+    let col = |tags: &[&str]| Column::TextList(TextRows::from_rows(tags.iter().map(|t| [*t])));
     let rows: Vec<Projection> = [col(&["#a", "#b", "#a"]), col(&["#a", "#a", "#a"])]
         .into_iter()
         .enumerate()
@@ -769,15 +756,14 @@ fn record_tags(rows: &[Projection]) -> u8 {
 /// last string as in its first.
 #[test]
 fn a_string_that_is_not_utf8_is_corrupt_whatever_the_needle() {
-    let long = "0123456789abcdef0123456789".to_string();
-    let base = Column::TextList(vec![vec!["a".into()], vec![long.clone()]]);
-    let base_rows = DecodedColumn::from(base.clone());
-    let DecodedColumn::TextList(rows) = &base_rows else {
+    let long = "0123456789abcdef0123456789";
+    let base = text_list(&[vec!["a"], vec![long]]);
+    let Column::TextList(rows) = &base else {
         unreachable!()
     };
     for cur in [
-        Column::TextList(vec![vec!["~".into(), "#a".into()], vec![long.clone()]]),
-        Column::TextList(vec![vec!["#a".into(), "~".into()], vec!["b".into()]]),
+        text_list(&[vec!["~", "#a"], vec![long]]),
+        text_list(&[vec!["#a", "~"], vec!["b"]]),
     ] {
         let mut record = BytesMut::new();
         put_delta_column(&mut record, &base, &cur);
@@ -788,7 +774,7 @@ fn a_string_that_is_not_utf8_is_corrupt_whatever_the_needle() {
             bad[at] = 0xFF;
             let err = delta_text_count_eq(&bad, rows, needle).unwrap_err();
             assert!(matches!(err, GofsError::Corrupt(_)), "{err}");
-            assert_eq!(both_counts(&bad, &base_rows, needle), (None, None));
+            assert_eq!(both_counts(&bad, &base, needle), (None, None));
         }
     }
 }

@@ -1,7 +1,9 @@
 //! The write path is pinned: the bytes of a small store, hashed at the
 //! commit before the read path went column-lazy, must never move without a
 //! `FORMAT_VERSION` bump — `put_column` / `put_delta_column` /
-//! `encode_slice` may get cheaper, not different.
+//! `encode_slice` may get cheaper, not different. So are the bytes of a
+//! small generated tweets store: the tweet generator may build its column
+//! another way, but it must draw its random numbers in the same order.
 
 /// FNV-1a of every file of a small store that exercises all six column
 /// types, sparse and dense deltas, a partial last pack and two bins.
@@ -10,7 +12,7 @@ const PINNED: u64 = 0x2757_fa32_47a0_f324;
 
 fn small_store_fnv(dir: &std::path::Path) -> u64 {
     use tempograph_core::{
-        AttrType, AttrValue, Column, GraphInstance, TemplateBuilder, TimeSeriesCollection,
+        AttrType, Column, GraphInstance, TemplateBuilder, TextRows, TimeSeriesCollection,
     };
     use tempograph_partition::{discover_subgraphs, Partitioning};
     let mut b = TemplateBuilder::new("pin", false);
@@ -35,48 +37,43 @@ fn small_store_fnv(dir: &std::path::Path) -> u64 {
     ));
     let mut coll = TimeSeriesCollection::new(t.clone(), 1000, 60);
     for ts in 0..7usize {
-        let mut vcols: Vec<Column> = t
-            .vertex_schema()
-            .iter()
-            .map(|a| Column::new(a.ty, 12))
+        // n: one row changes per timestep (sparse); name: constant.
+        let n = Column::Long(
+            (0..12)
+                .map(|v| if v == ts { -1 } else { v as i64 })
+                .collect(),
+        );
+        let names: Vec<String> = (0..12).map(|v| format!("v{v}é")).collect();
+        let name = Column::Text(TextRows::from_rows(names.iter().map(|s| [s.as_str()])));
+        // tweets: i.i.d.-looking (dense), with empty lists and strings.
+        let tweets: Vec<Vec<String>> = (0..12usize)
+            .map(|v| {
+                (0..(v * 7 + ts * 3) % 4)
+                    .map(|j| {
+                        if j == 2 {
+                            String::new()
+                        } else {
+                            format!("#t{}", (v + ts + j) % 5)
+                        }
+                    })
+                    .collect()
+            })
             .collect();
-        let mut ecols: Vec<Column> = t
-            .edge_schema()
-            .iter()
-            .map(|a| Column::new(a.ty, 11))
-            .collect();
-        for v in 0..12usize {
-            // n: one row changes per timestep (sparse); name: constant.
-            vcols[0]
-                .set(v, AttrValue::Long(if v == ts { -1 } else { v as i64 }))
-                .unwrap();
-            vcols[1].set(v, AttrValue::Text(format!("v{v}é"))).unwrap();
-            // tweets: i.i.d.-looking (dense), with empty lists and strings.
-            let tags = (0..(v * 7 + ts * 3) % 4)
-                .map(|j| {
-                    if j == 2 {
-                        String::new()
-                    } else {
-                        format!("#t{}", (v + ts + j) % 5)
-                    }
-                })
-                .collect();
-            vcols[2].set(v, AttrValue::TextList(tags)).unwrap();
-            vcols[3]
-                .set(v, AttrValue::Bool((v + ts / 3) % 2 == 0))
-                .unwrap();
-        }
-        for e in 0..11usize {
-            ecols[0]
-                .set(e, AttrValue::Double(ts as f64 * 1.5 + e as f64 / 8.0))
-                .unwrap();
-            let plates = if e % 4 == ts % 4 {
+        let tweets = TextRows::from_rows(tweets.iter().map(|r| r.iter().map(String::as_str)));
+        let up = Column::Bool((0..12usize).map(|v| (v + ts / 3) % 2 == 0).collect());
+        let vcols = vec![n, name, Column::TextList(tweets), up];
+        let latency = (0..11usize).map(|e| ts as f64 * 1.5 + e as f64 / 8.0);
+        let plates = (0..11usize).map(|e| {
+            if e % 4 == ts % 4 {
                 vec![ts as i64, e as i64]
             } else {
                 vec![]
-            };
-            ecols[1].set(e, AttrValue::LongList(plates)).unwrap();
-        }
+            }
+        });
+        let ecols = vec![
+            Column::Double(latency.collect()),
+            Column::LongList(plates.collect()),
+        ];
         let g = GraphInstance::from_parts(
             coll.next_timestamp(),
             t.vertex_schema().clone(),
@@ -87,6 +84,44 @@ fn small_store_fnv(dir: &std::path::Path) -> u64 {
         coll.push(g).unwrap();
     }
     tempograph_gofs::store::write_dataset(dir, pg, &coll, 3, 2).unwrap();
+    store_fnv(dir)
+}
+
+/// FNV-1a of every file of a small `generate_sir_tweets` store: seeded
+/// infections, recoveries and background tags over two partitions, in
+/// packs of four with a partial last pack. Taken at the commit before the
+/// generator built its `tweets` column flat.
+const GENERATED_PINNED: u64 = 0xc2af_b33b_9ec8_8f61;
+
+fn generated_store_fnv(dir: &std::path::Path) -> u64 {
+    use std::sync::Arc;
+    use tempograph_gen::{generate_sir_tweets, road_network, RoadNetConfig, SirConfig};
+    use tempograph_partition::{discover_subgraphs, Partitioning};
+    let t = Arc::new(road_network(&RoadNetConfig {
+        width: 8,
+        height: 6,
+        ..Default::default()
+    }));
+    let cfg = SirConfig {
+        timesteps: 9,
+        hit_prob: 0.4,
+        initial_infected: 3,
+        infectious_steps: 2,
+        background_rate: 0.3,
+        seed: 7,
+        ..Default::default()
+    };
+    let coll = generate_sir_tweets(t.clone(), &cfg);
+    let n = t.num_vertices();
+    let assignment = (0..n).map(|v| u16::from(v >= n / 2)).collect();
+    let pg = Arc::new(discover_subgraphs(t, Partitioning { assignment, k: 2 }));
+    tempograph_gofs::store::write_dataset(dir, pg, &coll, 4, 2).unwrap();
+    store_fnv(dir)
+}
+
+/// FNV-1a over every file under `dir`, each prefixed by its relative path,
+/// in path order.
+fn store_fnv(dir: &std::path::Path) -> u64 {
     let mut files = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
@@ -116,4 +151,16 @@ fn written_store_bytes_are_pinned() {
     std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(tempograph_gofs::codec::FORMAT_VERSION, 2);
     assert_eq!(got, PINNED, "store bytes changed: {got:#018x}");
+}
+
+#[test]
+fn generated_store_bytes_are_pinned() {
+    let dir = std::env::temp_dir().join(format!("gofs-gen-pin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let got = generated_store_fnv(&dir);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(
+        got, GENERATED_PINNED,
+        "generated store bytes changed: {got:#018x}"
+    );
 }

@@ -62,7 +62,9 @@ USAGE:
       Generate a synthetic time-series graph dataset as a GoFS store.
 
   tempograph inspect   DIR
-      Print a stored dataset's metadata, template and partition stats.
+      Print a stored dataset's metadata, template and partition stats,
+      then read and check every slice (exits non-zero on a missing or
+      corrupt one) and print the storage stats.
 
   tempograph inspect   list                     [--ledger DIR]
   tempograph inspect   show RUN [--json true]   [--ledger DIR]
@@ -321,6 +323,14 @@ fn cmd_inspect(opts: &HashMap<String, String>, rest: &[String]) -> Result<(), St
         "edge cut : {:.3}%",
         100.0 * tempograph::partition::cut_fraction(t, store.partitioning())
     );
+    // Every slice read, checksummed and decoded: a missing or corrupt one
+    // fails the command.
+    let stats = tempograph::gofs::validate_dataset(&store, &pg).map_err(|e| e.to_string())?;
+    println!(
+        "slices   : {} files, {} bytes; per partition: {:?}",
+        stats.slice_files, stats.total_bytes, stats.bytes_per_partition
+    );
+    println!("validated: {} (subgraph, timestep) records", stats.records);
     Ok(())
 }
 

@@ -43,7 +43,7 @@ pub mod prelude {
         HashtagAggregation, MemeTracking, PageRank, Sssp, Tdsp, TopNActivity, Wcc,
     };
     pub use tempograph_core::{
-        AttrType, AttrValue, GraphInstance, GraphTemplate, Schema, TemplateBuilder,
+        AttrType, Column, GraphInstance, GraphTemplate, Schema, TemplateBuilder, TextRows,
         TimeSeriesCollection, VertexIdx,
     };
     pub use tempograph_engine::{
