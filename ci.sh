@@ -306,6 +306,15 @@ cp "$perfbench_lock" perfbench/Cargo.lock
 rm -f "$perfbench_lock"
 [[ "$perfbench_status" -eq 0 ]] || { echo "FAIL: perfbench does not build" >&2; exit 1; }
 
+# Each workload once at smoke size, untraced: perfbench exits non-zero on a
+# failed repetition or a wrong output (HASH's digest is checked against a
+# direct count over the generated collection). About a second for all four.
+echo "==> perfbench smoke: every workload's output digest checked"
+for workload in tdsp_road tdsp_hashcut_tcp hash_tweets tdsp_road_ckpt_proc; do
+    perfbench/target/release/perfbench --workload "$workload" --size smoke --trace 0 >/dev/null \
+        || { echo "FAIL: perfbench smoke $workload" >&2; exit 1; }
+done
+
 echo "==> pregel: engine-hosted vertex programs vs sequential reference (PROPTEST_CASES=${PROPTEST_CASES:-64})"
 PROPTEST_CASES="${PROPTEST_CASES:-64}" \
     cargo test -q -p tempograph-pregel --test reference

@@ -11,10 +11,11 @@
 //! (the vertex field carries the timestep index; this is the algorithm's
 //! tabular output, not a per-vertex result).
 //!
-//! The count is `SubgraphInstance::vertex_text_count_eq`. On a GoFS delta
-//! instance it walks the stored record in place — a sparse one as the
-//! base's count, less the base's matches in the patched rows, plus the
-//! patch's — so only each pack base decodes the `tweets` column.
+//! The count is `SubgraphInstance::vertex_text_count_eq`, which decodes no
+//! `tweets` column on a GoFS store. A pack base walks its stored record in
+//! place once and keeps the rows holding the tag; each delta instance
+//! walks its own record — a sparse one as the base's count, less the
+//! base's matches in the patched rows, plus the patch's.
 
 use tempograph_core::{kernels, VertexIdx};
 use tempograph_engine::{Combiner, Context, Envelope, SubgraphProgram};

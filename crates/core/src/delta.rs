@@ -10,8 +10,9 @@
 //! * [`Column::changed_rows`] — which rows of `self` differ from `base`;
 //! * [`Column::gather_rows`] — extract those rows as a small dense column;
 //! * [`Column::patched`] — the base with such a patch applied: a clone
-//!   written over for a fixed-width or `LongList` column, a
-//!   [`TextRows::splice`](crate::TextRows::splice) for a text one.
+//!   written over for a fixed-width or `LongList` column, a splice of
+//!   maximal row runs for a text one. It vets the patch's rows once, for
+//!   every type.
 //!
 //! `Double` columns compare by **bit pattern** (`f64::to_bits`), so `NaN`
 //! payloads and signed zeros survive a delta round-trip exactly — the
@@ -160,8 +161,8 @@ impl Column {
     }
 }
 
-/// [`TextRows::splice`], whose one failure left once the rows are vetted
-/// is text past the `u32` offsets.
+/// [`TextRows::splice`] over rows [`Column::patched`] has vetted: its one
+/// failure is text past the `u32` offsets.
 fn splice(base: &TextRows, rows: &[u32], patch: &TextRows) -> Result<TextRows> {
     (base.splice(rows, patch))
         .ok_or_else(|| CoreError::DeltaMismatch("patched text over 4 GiB".into()))

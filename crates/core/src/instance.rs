@@ -299,12 +299,6 @@ impl GraphInstance {
             c => Err(type_err(name, c.ty(), AttrType::Double)),
         }
     }
-
-    /// Approximate heap footprint in bytes (used by the GoFS slice cache).
-    pub fn approx_bytes(&self) -> usize {
-        let cols = self.vertex_cols.iter().chain(&self.edge_cols);
-        cols.map(Column::approx_bytes).sum()
-    }
 }
 
 fn type_err(name: &str, expected: AttrType, got: AttrType) -> CoreError {
@@ -469,16 +463,5 @@ mod tests {
         assert!(empty.is_empty());
         let text = Column::new(AttrType::Text, 2);
         assert_eq!(text, Column::Text(TextRows::from_rows([[""], [""]])));
-    }
-
-    #[test]
-    fn approx_bytes_is_positive_and_monotone() {
-        let t = template();
-        let mut g = GraphInstance::new(&t, 0);
-        let before = g.approx_bytes();
-        let tweets = TextRows::from_rows([vec!["#abcdef"], vec![], vec![]]);
-        g.set_vertex_col("tweets", Column::TextList(tweets))
-            .unwrap();
-        assert!(g.approx_bytes() > before);
     }
 }

@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tempograph_core::{
-    AttrType, Column, GraphInstance, TemplateBuilder, TextRows, TimeSeriesCollection, VertexIdx,
+    AttrType, Column, CoreError, GraphInstance, TemplateBuilder, TextRows, TimeSeriesCollection,
+    VertexIdx,
 };
 
 fn arb_attr_type() -> impl Strategy<Value = AttrType> {
@@ -54,7 +55,8 @@ fn flat(rows: &[Vec<&str>]) -> TextRows {
 proptest! {
     /// Splicing patch rows into a flat column equals flattening the rows
     /// patched one by one — with none, some or all rows patched, empty
-    /// rows and empty strings — and a malformed patch is `None`.
+    /// rows and empty strings — and a malformed patch is refused before
+    /// any splice, as a `DeltaMismatch`.
     #[test]
     fn splice_equals_flattening_the_patched_rows(
         base in proptest::collection::vec(proptest::collection::vec(0usize..7, 0..4), 0..12),
@@ -74,16 +76,18 @@ proptest! {
         for (&r, row) in rows.iter().zip(&patch) {
             want[r as usize] = row.clone();
         }
-        let (base, patch_rows) = (flat(&base), flat(&patch));
-        prop_assert_eq!(base.splice(&rows, &patch_rows), Some(flat(&want)));
+        let (n, base) = (base.len() as u32, Column::TextList(flat(&base)));
+        let patch = Column::TextList(flat(&patch));
+        prop_assert_eq!(base.patched(&rows, &patch).unwrap(), Column::TextList(flat(&want)));
 
+        let refused = |rows: &[u32]| matches!(base.patched(rows, &patch), Err(CoreError::DeltaMismatch(_)));
         if let Some((&last, init)) = rows.split_last() {
-            prop_assert!(base.splice(init, &patch_rows).is_none(), "length mismatch");
-            let past = [init, &[base.len() as u32]].concat();
-            prop_assert!(base.splice(&past, &patch_rows).is_none(), "row out of range");
+            prop_assert!(refused(init), "length mismatch");
+            let past = [init, &[n]].concat();
+            prop_assert!(refused(&past), "row out of range");
             if let Some(&first) = init.first() {
                 let swapped = [&[last], &init[1..], &[first]].concat();
-                prop_assert!(base.splice(&swapped, &patch_rows).is_none(), "not ascending");
+                prop_assert!(refused(&swapped), "not ascending");
             }
         }
     }

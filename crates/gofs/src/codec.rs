@@ -451,7 +451,7 @@ pub fn skip_column(buf: &mut Bytes) -> Result<()> {
             skip(buf, m.saturating_mul(8))
         }),
         AttrType::Text | AttrType::TextList => {
-            let (_, _, used) = walk_text(buf, len, ty == AttrType::TextList, |_| Ok(()))?;
+            let (_, _, used) = walk_text(buf, len, ty == AttrType::TextList, |_, _| Ok(()))?;
             skip(buf, used)
         }
     }
@@ -470,24 +470,24 @@ fn read_u32(data: &[u8], at: &mut usize) -> Result<usize> {
 }
 
 /// Measure the body of a `Text` (`lists == false`) or `TextList` column of
-/// `rows` rows at the head of `data`, handing `each` every string's bytes
-/// in order: `(strings, string bytes, encoded bytes)`. Every length is
-/// vetted against `data`, which bounds all three.
+/// `rows` rows at the head of `data`, handing `each` every string's row
+/// and bytes in order: `(strings, string bytes, encoded bytes)`. Every
+/// length is vetted against `data`, which bounds all three.
 fn walk_text(
     data: &[u8],
     rows: usize,
     lists: bool,
-    mut each: impl FnMut(&[u8]) -> Result<()>,
+    mut each: impl FnMut(usize, &[u8]) -> Result<()>,
 ) -> Result<(usize, usize, usize)> {
     let (mut at, mut strings, mut bytes) = (0, 0, 0);
-    for _ in 0..rows {
+    for row in 0..rows {
         let m = if lists { read_u32(data, &mut at)? } else { 1 };
         for _ in 0..m {
             let len = read_u32(data, &mut at)?;
             let s = (at.checked_add(len))
                 .and_then(|end| data.get(at..end))
                 .ok_or_else(overrun)?;
-            each(s)?;
+            each(row, s)?;
             (at, bytes) = (at + len, bytes + len);
         }
         strings += m;
@@ -498,7 +498,7 @@ fn walk_text(
 /// Decode a text column body into one flat [`TextRows`]: a sizing walk,
 /// then exactly three allocations however many rows and strings it has.
 fn get_text_rows(buf: &mut Bytes, rows: usize, lists: bool) -> Result<TextRows> {
-    let (strings, nbytes, used) = walk_text(buf, rows, lists, |_| Ok(()))?;
+    let (strings, nbytes, used) = walk_text(buf, rows, lists, |_, _| Ok(()))?;
     let mut bytes = Vec::with_capacity(nbytes);
     let mut str_ends = Vec::with_capacity(strings);
     let mut row_ends = Vec::with_capacity(rows);
@@ -629,28 +629,88 @@ pub fn skip_delta_column(buf: &mut Bytes) -> Result<()> {
     }
 }
 
-/// How many strings equal `needle` in the `TextList` column a
-/// [`put_delta_column`] record over `base` stands for — what
+/// What a delta record's count needs of its pack base's `TextList`
+/// column, found in one walk of the base's plain record
+/// ([`text_list_matches`]): the column's shape, and `M`, the rows holding
+/// one needle.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TextMatches {
+    /// The string looked for.
+    pub needle: Box<str>,
+    /// Rows of the column.
+    pub rows: usize,
+    /// Bytes of text over all its strings.
+    pub text_len: usize,
+    /// `M`: the rows holding `needle`, ascending, each with how many
+    /// strings of it equal `needle`.
+    pub matched: Vec<(u32, u32)>,
+}
+
+impl TextMatches {
+    /// How many strings of the column equal the needle: the sum over `M`.
+    pub fn count(&self) -> u64 {
+        self.matched.iter().map(|&(_, n)| u64::from(n)).sum()
+    }
+
+    /// Heap bytes held: what is reserved, not just what is used.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.needle.len() + self.matched.capacity() * std::mem::size_of::<(u32, u32)>()
+    }
+}
+
+/// The [`TextMatches`] of `needle` in the `TextList` [`put_column`] record
+/// at the head of `record`, and the record's length, found in one walk of
+/// the record where it lies: what [`get_column`] then
+/// [`TextRows::count_eq`] give, or an error wherever the decoder errs.
+/// Nothing is built but `M`.
+pub fn text_list_matches(record: &[u8], needle: &str) -> Result<(TextMatches, usize)> {
+    let mut matched: Vec<(u32, u32)> = Vec::new();
+    // A row number fits a `u32`: the header counts rows in one.
+    let (rows, text_len, len) =
+        text_list_walk(record, needle.as_bytes(), |row| match matched.last_mut() {
+            Some((r, n)) if *r as usize == row => *n += 1,
+            _ => matched.push((row as u32, 1)),
+        })?;
+    // A base keeps its matches as long as it lives.
+    matched.shrink_to_fit();
+    let needle = needle.into();
+    let matches = TextMatches {
+        needle,
+        rows,
+        text_len,
+        matched,
+    };
+    Ok((matches, len))
+}
+
+/// How many strings equal the needle in the `TextList` column a
+/// [`put_delta_column`] record over its base stands for — what
 /// [`get_delta_column`] and [`TextRows::count_eq`] give, or an error
-/// wherever the decoder errs — and how long the record is. Nothing is
-/// built. A dense record is walked in place. A sparse one counts
+/// wherever the decoder errs — and how long the record is. `base` is the
+/// base column's [`TextMatches`] of the needle. Nothing is built. A dense
+/// record is walked in place. A sparse one counts
 /// `count(base) − Σ_{r ∈ P ∩ M} c_base(r) + count(patch)`: `P` are the
-/// patched rows, read off their varints one at a time, and `M` the base
-/// rows holding `needle` with their counts ([`TextRows::rows_eq`]). The
-/// two sorted lists merge, so no base row is read but its matches.
+/// patched rows, read off their varints one at a time, and `M` the base's
+/// matches. The two sorted lists merge, so no base row is read at all.
 ///
 /// Every check the decoder makes is made here: the tag, each length
 /// against the record, each string's UTF-8, rows in range and strictly
 /// ascending, the patch a `TextList` of one row per index (a dense record
-/// one of the base's rows), and the `u32` bound [`TextRows::splice`]
-/// keeps.
-pub fn delta_text_count_eq(record: &[u8], base: &TextRows, needle: &str) -> Result<(u64, usize)> {
+/// one of the base's rows), and the `u32` bound of base and patch text
+/// together.
+pub fn delta_text_count_eq(record: &[u8], base: &TextMatches) -> Result<(u64, usize)> {
+    let needle = base.needle.as_bytes();
+    let count_eq = |plain: &[u8]| {
+        let mut count = 0;
+        let (rows, bytes, len) = text_list_walk(plain, needle, |_| count += 1)?;
+        Ok::<_, GofsError>((count, rows, bytes, len))
+    };
     let mut at = 1;
     match record.first() {
         Some(&DELTA_DENSE) => {
-            let (count, rows, _, len) = text_list_count_eq(&record[at..], needle.as_bytes())?;
-            if rows != base.len() {
-                let base = base.len();
+            let (count, rows, _, len) = count_eq(&record[at..])?;
+            if rows != base.rows {
+                let base = base.rows;
                 return Err(GofsError::Corrupt(format!(
                     "dense delta of {rows} rows over a {base}-row base"
                 )));
@@ -661,14 +721,13 @@ pub fn delta_text_count_eq(record: &[u8], base: &TextRows, needle: &str) -> Resu
             // Row indices, each a byte at least.
             let n = read_varu64(record, &mut at)? as usize;
             let n = check_count(&record[at..], n, 1)?;
-            let matched = base.rows_eq(needle);
-            let mut count: u64 = matched.iter().map(|&(_, c)| u64::from(c)).sum();
-            let mut matched = matched.iter().peekable();
+            let mut count = base.count();
+            let mut matched = base.matched.iter().peekable();
             let mut row = 0u64;
             for k in 0..n {
                 let step = read_varu64(record, &mut at)?;
                 row = (row.checked_add(step))
-                    .filter(|&row| row < base.len() as u64 && (k == 0 || step > 0))
+                    .filter(|&row| row < base.rows as u64 && (k == 0 || step > 0))
                     .ok_or_else(|| {
                         GofsError::Corrupt("sparse delta row out of range or repeated".into())
                     })?;
@@ -678,8 +737,8 @@ pub fn delta_text_count_eq(record: &[u8], base: &TextRows, needle: &str) -> Resu
                     }
                 }
             }
-            let (patched, rows, bytes, len) = text_list_count_eq(&record[at..], needle.as_bytes())?;
-            if rows != n || u32::try_from(base.text_len() + bytes).is_err() {
+            let (patched, rows, bytes, len) = count_eq(&record[at..])?;
+            if rows != n || u32::try_from(base.text_len + bytes).is_err() {
                 return Err(GofsError::Corrupt(
                     "sparse delta does not apply to TextList".into(),
                 ));
@@ -691,34 +750,40 @@ pub fn delta_text_count_eq(record: &[u8], base: &TextRows, needle: &str) -> Resu
     }
 }
 
-/// Count the strings equal to `needle` in a `TextList` [`put_column`]
-/// record at the head of `record`, where they lie, with every check
-/// [`get_text_rows`] makes: each length vetted against the record, each
-/// string UTF-8 — string by string is the decoder's rule, a valid buffer
-/// that every string end cuts at a character boundary — and their bytes
-/// within the `u32` bound. `(count, rows, string bytes, record length)`.
-fn text_list_count_eq(record: &[u8], needle: &[u8]) -> Result<(u64, usize, usize, usize)> {
+/// Walk a `TextList` [`put_column`] record at the head of `record` where
+/// it lies, handing `hit` the row of each string equal to `needle`, with
+/// every check [`get_text_rows`] makes: each length vetted against the
+/// record, each string UTF-8 — string by string is the decoder's rule, a
+/// valid buffer that every string end cuts at a character boundary — and
+/// their bytes within the `u32` bound. `(rows, string bytes, record
+/// length)`.
+fn text_list_walk(
+    record: &[u8],
+    needle: &[u8],
+    mut hit: impl FnMut(usize),
+) -> Result<(usize, usize, usize)> {
     let mut at = 0;
     let (ty, rows) = read_column_header(record, &mut at)?;
     if ty != AttrType::TextList {
         return Err(GofsError::Corrupt(format!("{ty:?} record, not TextList")));
     }
     let body = &record[at..];
-    let mut count = 0;
-    let (_, bytes, used) = walk_text(body, rows, true, |s| {
-        count += u64::from(s == needle);
+    let (_, bytes, used) = walk_text(body, rows, true, |row, s| {
+        if s == needle {
+            hit(row);
+        }
         Ok(())
     })?;
     // A body that is ASCII throughout, length prefixes included, holds
     // ASCII strings only: one vectorised pass vets them all. Any other
     // body is vetted string by string.
     if !body[..used].is_ascii() {
-        walk_text(body, rows, true, |s| {
+        walk_text(body, rows, true, |_, s| {
             std::str::from_utf8(s).map(drop).map_err(|_| not_utf8())
         })?;
     }
     u32::try_from(bytes).map_err(|_| not_utf8())?;
-    Ok((count, rows, bytes, at + used))
+    Ok((rows, bytes, at + used))
 }
 
 /// The cells of a `Double` record, as little-endian words where they lie
@@ -1106,9 +1171,11 @@ mod tests {
             buf.to_vec()
         };
         let base = list(&[&["#a"], &["#a", "#a"], &[], &["#b"]]);
-        let Column::TextList(rows) = &base else {
-            unreachable!()
-        };
+        let mut plain = BytesMut::new();
+        put_column(&mut plain, &base);
+        let (matches, len) = text_list_matches(&plain, "#a").unwrap();
+        assert_eq!((matches.count(), len), (3, plain.len()));
+        assert_eq!(matches.matched, [(0, 1), (1, 2)]);
         let two = list(&[&["#a"], &[]]);
         let cases = [
             ("rows 0 and 2", sparse(&[0, 2], &two), Some(3)),
@@ -1132,7 +1199,7 @@ mod tests {
             ("dense Text", dense(&text(&["#a"; 4])), None),
         ];
         for (what, record, want) in cases {
-            let counted = delta_text_count_eq(&record, rows, "#a");
+            let counted = delta_text_count_eq(&record, &matches);
             let mut buf = Bytes::from(record.clone());
             let decoded = get_delta_column(&mut buf, &base)
                 .ok()

@@ -207,10 +207,17 @@ impl InstanceLoader {
                 }
                 buf
             }
-            // Free a misfit before allocating its replacement.
+            // Free a misfit before allocating its replacement, with room
+            // for a next pack up to 1/256 larger: packs of one bin differ
+            // by a few kilobytes in megabytes, and a buffer a few
+            // kilobytes short is replaced by one placed in fresh pages
+            // while the freed one stays resident.
             misfit => {
                 drop(misfit);
-                Vec::new()
+                let mut fresh = Vec::new();
+                // A length no allocation can hold fails in the read.
+                let _ = fresh.try_reserve_exact(len.saturating_add(len / 256));
+                fresh
             }
         };
         file.read_to_end(&mut data)?;
@@ -521,6 +528,31 @@ mod tests {
             assert_eq!(loader.resident(), vec![]);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// A pack a little larger than the one it replaces is read into the
+    /// replaced pack's buffer (here pack 1, 1/512 longer, which then fails
+    /// its frame check), not into a new one.
+    #[test]
+    fn a_slightly_larger_pack_is_read_into_the_replaced_buffer() {
+        let dir = tmp("larger");
+        let (pg, store) = dataset(&dir, 20, 10, 5);
+        let sg = pg.subgraphs_of_partition(0)[0];
+        let len = |pack| std::fs::metadata(store.slice_path(0, SliceKey { bin: 0, pack }));
+        let (len0, len1) = (len(0).unwrap().len(), len(1).unwrap().len());
+        assert_eq!(len0, len1);
+        let path = store.slice_path(0, SliceKey { bin: 0, pack: 1 });
+        let mut file = std::fs::read(&path).unwrap();
+        assert!(file.len() >= 512, "pack 1 grows");
+        file.resize(file.len() + file.len() / 512, 0);
+        std::fs::write(&path, file).unwrap();
+        let mut loader = InstanceLoader::new(store, &pg, 0);
+        loader.load(sg, 0).unwrap();
+        let len0 = len0 as usize;
+        assert_eq!(loader.cached_bytes(), len0 + len0 / 256);
+        assert!(loader.load(sg, 10).is_err());
+        assert_eq!(loader.recycled, 1, "read into pack 0's buffer");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -135,13 +135,15 @@ impl SliceData {
         let inst = Arc::new(SubgraphInstance {
             timestep: self.t_start + toff,
             timestamp: self.timestamps[toff],
-            n_vertex_cols: self.n_vertex_cols,
+            // Read from the header as a `u32`.
+            n_vertex_cols: self.n_vertex_cols as u32,
             cols: std::iter::repeat_with(Default::default)
                 .take(n_cols)
                 .collect(),
             sg: self.sg_ids[sg_index],
             block,
             base,
+            kept: OnceLock::new(),
         });
         Ok(self.cells[idx].get_or_init(|| inst).clone())
     }
@@ -165,12 +167,15 @@ impl SliceData {
 
     /// Approximate heap bytes held: the whole buffer the file was read
     /// into (its capacity, which a recycled buffer may hold beyond the
-    /// file's length) plus every column decoded so far. Grows as columns
-    /// are touched — the loader's cache accounting reflects what is
-    /// actually resident, not the fully-decoded worst case.
+    /// file's length) plus every column decoded and every needle's
+    /// matches kept so far. Grows as columns are touched — the loader's
+    /// cache accounting reflects what is actually resident, not the
+    /// fully-decoded worst case.
     pub fn approx_bytes(&self) -> usize {
-        let decoded = self.decoded().map(|c| c.approx_bytes());
-        self.blocks.buffer_capacity() + decoded.sum::<usize>()
+        let cells = self.cells.iter().filter_map(|c| c.get());
+        let held =
+            cells.map(|i| i.kept_bytes() + i.decoded().map(Column::approx_bytes).sum::<usize>());
+        self.blocks.buffer_capacity() + held.sum::<usize>()
     }
 
     /// The buffer the file was read into, for the next read to reuse.
@@ -485,6 +490,27 @@ mod tests {
         for (t, row) in rows[0].iter().enumerate() {
             assert_eq!(*cells[t], SubgraphInstance::from(row.clone()));
         }
+    }
+
+    #[test]
+    fn kept_needle_matches_are_counted() {
+        let rows = vec![two_column_pack(4)];
+        let key = SliceKey { bin: 0, pack: 0 };
+        let back = decode_slice(encode_slice(0, key, &[SubgraphId(7)], 0, &rows)).unwrap();
+        let cells: Vec<_> = (0..4)
+            .map(|t| back.get(SubgraphId(7), t).unwrap())
+            .collect();
+        let before = back.approx_bytes();
+        // A delta's count keeps its base's matches of "#a" (row 0 only),
+        // and decodes nothing.
+        assert_eq!(cells[2].vertex_text_count_eq(0, "#a").unwrap(), 1);
+        assert_eq!(back.decoded_columns(), 0);
+        let kept = std::mem::size_of::<crate::view::Kept>() + "#a".len() + 8;
+        assert_eq!(back.approx_bytes(), before + kept);
+        // Another needle is walked afresh: nothing more is kept.
+        assert_eq!(cells[3].vertex_text_count_eq(0, "#t3").unwrap(), 1);
+        assert_eq!(cells[0].vertex_text_count_eq(0, "#b").unwrap(), 1);
+        assert_eq!(back.approx_bytes(), before + kept);
     }
 
     #[test]

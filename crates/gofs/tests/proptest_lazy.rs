@@ -2,7 +2,8 @@
 //! order columns and timesteps are touched in, every accessor hands back
 //! exactly the projection that was written; a `Double` column read in
 //! place is its decoded form bit for bit; a `TextList` count taken on a
-//! delta record is the decoded column's count; and corrupt bytes — behind
+//! record — a pack base's plain one, or a delta's against its base's
+//! needle matches — is the decoded column's count; and corrupt bytes — behind
 //! a valid checksum — end in a typed error or a value (the same one from
 //! the record kernels as from the decoder), never in a panic or in an
 //! allocation sized by a corrupt count.
@@ -14,7 +15,7 @@ use std::cell::Cell;
 use tempograph_core::{AttrType, Column, TextRows};
 use tempograph_gofs::codec::{
     delta_text_count_eq, frame, get_column, get_delta_column, put_column, put_delta_column,
-    skip_column, skip_delta_column, unframe,
+    skip_column, skip_delta_column, text_list_matches, unframe, TextMatches,
 };
 use tempograph_gofs::slice::{decode_slice, encode_slice, SliceData, SliceKey};
 use tempograph_gofs::{F64Cells, GofsError, Projection};
@@ -280,6 +281,15 @@ fn decoded_count(
     Some(rows.count_eq(needle))
 }
 
+/// `TextList` column `base`'s needle matches, as a pack base's walk of
+/// its plain record finds them.
+fn summary(base: &Column, needle: &str) -> TextMatches {
+    assert_eq!(base.ty(), AttrType::TextList);
+    let mut plain = BytesMut::new();
+    put_column(&mut plain, base);
+    text_list_matches(&plain, needle).unwrap().0
+}
+
 /// What the record kernel and the decoder say of one record.
 type Verdicts = (Option<(u64, usize)>, Option<(u64, usize)>);
 
@@ -287,13 +297,42 @@ type Verdicts = (Option<(u64, usize)>, Option<(u64, usize)>);
 /// and by decoding it: both `(count, record length)`, or `None` where
 /// each fails.
 fn both_counts(record: &[u8], base: &Column, needle: &str) -> Verdicts {
-    let Column::TextList(rows) = base else {
-        panic!("a {:?} base", base.ty())
-    };
-    let kernel = delta_text_count_eq(record, rows, needle).ok();
+    let kernel = delta_text_count_eq(record, &summary(base, needle)).ok();
     let mut buf = Bytes::copy_from_slice(record);
     let decoder = match get_delta_column(&mut buf, base) {
         Ok(Column::TextList(t)) => Some((t.count_eq(needle), record.len() - buf.len())),
+        _ => None,
+    };
+    (kernel, decoder)
+}
+
+/// What the plain-record kernel and the decoder say of one record: the
+/// count, rows, text bytes, `M` and record length, or `None` where each
+/// fails.
+type Matches = Option<(u64, usize, usize, Vec<(u32, u32)>, usize)>;
+
+/// Plain `TextList` record `record`, walked by the kernel and decoded.
+fn both_matches(record: &[u8], needle: &str) -> (Matches, Matches) {
+    let kernel = text_list_matches(record, needle).ok().map(|(m, len)| {
+        assert_eq!(&*m.needle, needle);
+        (m.count(), m.rows, m.text_len, m.matched, len)
+    });
+    let mut buf = Bytes::copy_from_slice(record);
+    let decoder = match get_column(&mut buf) {
+        Ok(Column::TextList(t)) => {
+            let holding = t.iter().enumerate().filter_map(|(r, row)| {
+                let n = row.iter().filter(|s| *s == needle).count() as u32;
+                (n > 0).then_some((r as u32, n))
+            });
+            let len = record.len() - buf.len();
+            Some((
+                t.count_eq(needle),
+                t.len(),
+                t.text_len(),
+                holding.collect(),
+                len,
+            ))
+        }
         _ => None,
     };
     (kernel, decoder)
@@ -537,9 +576,8 @@ proptest! {
                 let strings = written.iter().flat_map(|row| row.iter());
                 let want = strings.filter(|s| *s == needle).count();
                 prop_assert_eq!(count, want as u64);
-                // A pack base keeps its column for its deltas; a delta
-                // keeps nothing.
-                prop_assert_eq!(decoded == 0, t > 0);
+                // Nothing is decoded, pack bases included.
+                prop_assert_eq!(decoded, 0);
             }
         }
     }
@@ -576,6 +614,37 @@ proptest! {
                 let kernel = counted(&slice, sg, t, c, NEEDLES[needle]).ok().map(|(n, _)| n);
                 assert_eq!(kernel, decoded_count(&other, sg, t, c, NEEDLES[needle]));
             }
+        });
+    }
+
+    /// A plain `TextList` record — a pack base's — whole, bit-flipped or
+    /// truncated as in `corrupt_records_never_panic_or_overallocate`: one
+    /// walk of it fails where decoding it does, and otherwise finds the
+    /// decoded column's count, rows and text bytes, `M` (the decoded rows
+    /// holding the needle, with how many each) and where the record ends,
+    /// sizing nothing by a corrupt count.
+    #[test]
+    fn needle_matches_on_a_plain_record_equal_the_decoded_rows(
+        rows in 0usize..9,
+        seed in any::<u64>(),
+        pos_frac in 0.0f64..1.0,
+        flip in 1u8..=255,
+        truncate in any::<bool>(),
+        needle in 0usize..NEEDLES.len(),
+    ) {
+        let mut rng = Rng(seed | 1);
+        let mut plain = BytesMut::new();
+        put_column(&mut plain, &rng.column(AttrType::TextList, rows));
+        let record = plain.to_vec();
+        let whole = both_matches(&record, NEEDLES[needle]);
+        prop_assert_eq!(&whole.0, &whole.1);
+        prop_assert_eq!(whole.0.map(|m| m.4), Some(record.len()));
+        let pos = ((record.len() - 1) as f64 * pos_frac) as usize;
+        let mut bad = record.clone();
+        if truncate { bad.truncate(pos) } else { bad[pos] ^= flip }
+        bounded_by(record.len(), || {
+            let (kernel, decoder) = both_matches(&bad, NEEDLES[needle]);
+            assert_eq!(kernel, decoder);
         });
     }
 
@@ -708,36 +777,40 @@ fn a_character_split_across_two_strings_is_corrupt() {
     }
 }
 
-/// A byte past a delta block's last record: the count on the record, as
-/// the decoder, calls the block corrupt.
+/// A byte past a block's last record — a delta's, or a lone pack base's:
+/// the count on the record, as the decoder, calls the block corrupt.
 #[test]
 fn a_trailing_byte_after_a_delta_record_is_corrupt() {
     let col = |tags: &[&str]| Column::TextList(TextRows::from_rows(tags.iter().map(|t| [*t])));
-    let rows: Vec<Projection> = [col(&["#a", "#b", "#a"]), col(&["#a", "#a", "#a"])]
-        .into_iter()
-        .enumerate()
-        .map(|(t, c)| Projection {
-            timestep: t,
-            timestamp: t as i64,
-            vertex_cols: vec![c],
-            edge_cols: vec![],
-        })
-        .collect();
-    let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, &[rows]);
-    let blocks_len = decode_slice(framed.clone()).unwrap().directory().1;
-    let mut payload = unframe(MAGIC, &framed).unwrap().to_vec();
-    let end_at = payload.len() - blocks_len - 8;
-    payload[end_at..end_at + 8].copy_from_slice(&(blocks_len as u64 + 1).to_le_bytes());
-    payload.push(0);
-    let bad = frame(MAGIC, &payload);
-    let (slice, other) = (
-        decode_slice(bad.clone()).unwrap(),
-        decode_slice(bad).unwrap(),
-    );
-    assert_eq!(counted(&slice, SubgraphId(9), 0, 0, "#a"), Ok((2, 1)));
-    let err = counted(&slice, SubgraphId(9), 1, 0, "#a").unwrap_err();
-    assert!(err.contains("1 trailing bytes in block"), "{err}");
-    assert_eq!(decoded_count(&other, SubgraphId(9), 1, 0, "#a"), None);
+    let written = [col(&["#a", "#b", "#a"]), col(&["#a", "#a", "#a"])];
+    for n_ts in [2, 1] {
+        let rows: Vec<Projection> = (written[..n_ts].iter().enumerate())
+            .map(|(t, c)| Projection {
+                timestep: t,
+                timestamp: t as i64,
+                vertex_cols: vec![c.clone()],
+                edge_cols: vec![],
+            })
+            .collect();
+        let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, &[rows]);
+        let blocks_len = decode_slice(framed.clone()).unwrap().directory().1;
+        let mut payload = unframe(MAGIC, &framed).unwrap().to_vec();
+        let end_at = payload.len() - blocks_len - 8;
+        payload[end_at..end_at + 8].copy_from_slice(&(blocks_len as u64 + 1).to_le_bytes());
+        payload.push(0);
+        let bad = frame(MAGIC, &payload);
+        let (slice, other) = (
+            decode_slice(bad.clone()).unwrap(),
+            decode_slice(bad).unwrap(),
+        );
+        let last = n_ts - 1;
+        if last > 0 {
+            assert_eq!(counted(&slice, SubgraphId(9), 0, 0, "#a"), Ok((2, 0)));
+        }
+        let err = counted(&slice, SubgraphId(9), last, 0, "#a").unwrap_err();
+        assert!(err.contains("1 trailing bytes in block"), "{n_ts}: {err}");
+        assert_eq!(decoded_count(&other, SubgraphId(9), last, 0, "#a"), None);
+    }
 }
 
 /// The delta tag of each pack's one delta record.
@@ -758,9 +831,6 @@ fn record_tags(rows: &[Projection]) -> u8 {
 fn a_string_that_is_not_utf8_is_corrupt_whatever_the_needle() {
     let long = "0123456789abcdef0123456789";
     let base = text_list(&[vec!["a"], vec![long]]);
-    let Column::TextList(rows) = &base else {
-        unreachable!()
-    };
     for cur in [
         text_list(&[vec!["~", "#a"], vec![long]]),
         text_list(&[vec!["#a", "~"], vec!["b"]]),
@@ -769,12 +839,115 @@ fn a_string_that_is_not_utf8_is_corrupt_whatever_the_needle() {
         put_delta_column(&mut record, &base, &cur);
         let at = record.iter().position(|&b| b == b'~').unwrap();
         for needle in ["#a", "~", "", "b"] {
-            assert!(delta_text_count_eq(&record, rows, needle).is_ok());
+            let matches = summary(&base, needle);
+            assert!(delta_text_count_eq(&record, &matches).is_ok());
             let mut bad = record.to_vec();
             bad[at] = 0xFF;
-            let err = delta_text_count_eq(&bad, rows, needle).unwrap_err();
+            let err = delta_text_count_eq(&bad, &matches).unwrap_err();
             assert!(matches!(err, GofsError::Corrupt(_)), "{err}");
             assert_eq!(both_counts(&bad, &base, needle), (None, None));
         }
+    }
+}
+
+/// A pack of two `TextList` vertex columns and one timestep's projection
+/// per entry of `cols`.
+fn text_pack(cols: &[[Column; 2]]) -> Vec<Projection> {
+    (cols.iter().enumerate())
+        .map(|(t, c)| Projection {
+            timestep: t,
+            timestamp: t as i64,
+            vertex_cols: c.to_vec(),
+            edge_cols: vec![],
+        })
+        .collect()
+}
+
+/// One pack base asked for two needles in each of two `TextList` columns,
+/// before its deltas and after them, in turn and again: every count is the
+/// written one, whichever `(column, needle)` the base keeps, and nothing
+/// is decoded.
+#[test]
+fn a_base_counts_every_needle_and_column_for_its_deltas() {
+    let col = |rows: &[&[&str]]| text_list(&rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>());
+    let written = text_pack(&[
+        [
+            col(&[&["#a", "#b"], &["#a"], &[]]),
+            col(&[&["#b"], &[], &["#b", "#b"]]),
+        ],
+        [
+            col(&[&["#a", "#b"], &["#b"], &[]]),
+            col(&[&["#b"], &["#a"], &["#b", "#b"]]),
+        ],
+        [
+            col(&[&["#a", "#b"], &["#a"], &["#a"]]),
+            col(&[&[], &[], &[]]),
+        ],
+    ]);
+    assert_eq!(record_tags(&written), DELTA_SPARSE);
+    let want = |t: usize, c: usize, needle: &str| {
+        let Column::TextList(rows) = &written[t].vertex_cols[c] else {
+            unreachable!()
+        };
+        rows.count_eq(needle)
+    };
+    let asks: Vec<(usize, usize, &str)> = (0..3)
+        .flat_map(|t| (0..2).flat_map(move |c| ["#a", "#b"].map(|n| (t, c, n))))
+        .collect();
+    let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, std::slice::from_ref(&written));
+    // Base first, deltas first, and every ask twice.
+    for order in [asks.clone(), asks.iter().rev().copied().collect()] {
+        let slice = decode_slice(framed.clone()).unwrap();
+        for &(t, c, needle) in order.iter().chain(&order) {
+            let got = counted(&slice, SubgraphId(9), t, c, needle);
+            assert_eq!(
+                got,
+                Ok((want(t, c, needle), 0)),
+                "t {t} column {c} {needle}"
+            );
+        }
+        assert_eq!(slice.decoded_columns(), 0);
+    }
+}
+
+/// A corrupt pack base record — a string that is not UTF-8 — fails the
+/// base's count of that column and every delta's with a typed `Corrupt`,
+/// as the decoder does; the other column of the same instances still
+/// reads.
+#[test]
+fn a_corrupt_base_record_fails_every_count_of_its_column_only() {
+    let col = |rows: &[&str]| text_list(&rows.iter().map(|r| vec![*r]).collect::<Vec<_>>());
+    let written = text_pack(&[
+        [col(&["~x", "#a", "#b"]), col(&["#a"; 3])],
+        [col(&["~x", "#a", "#c"]), col(&["#a", "#b", "#a"])],
+        [col(&["~x", "#c", "#c"]), col(&["#b"; 3])],
+    ]);
+    let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, std::slice::from_ref(&written));
+    let mut payload = unframe(MAGIC, &framed).unwrap().to_vec();
+    // "~x" is written once: in the base's record of column 0.
+    let at = payload.iter().position(|&b| b == b'~').unwrap();
+    assert_eq!(payload.iter().filter(|&&b| b == b'~').count(), 1);
+    payload[at] = 0xFF;
+    let bad = frame(MAGIC, &payload);
+    let (slice, other) = (
+        decode_slice(bad.clone()).unwrap(),
+        decode_slice(bad).unwrap(),
+    );
+    for (t, row) in written.iter().enumerate() {
+        let inst = slice.get(SubgraphId(9), t).unwrap();
+        for needle in ["#a", "~x", ""] {
+            let err = inst.vertex_text_count_eq(0, needle).unwrap_err();
+            assert!(matches!(err, GofsError::Corrupt(_)), "t {t}: {err}");
+            assert!(err.to_string().contains("sg9 timestep 0 column 0"), "{err}");
+            assert_eq!(decoded_count(&other, SubgraphId(9), t, 0, needle), None);
+        }
+        let Column::TextList(fine) = &row.vertex_cols[1] else {
+            unreachable!()
+        };
+        assert_eq!(
+            inst.vertex_text_count_eq(1, "#a").unwrap(),
+            fine.count_eq("#a")
+        );
+        assert_eq!(inst.vertex_text_list(1).unwrap(), fine);
     }
 }
