@@ -307,11 +307,16 @@ rm -f "$perfbench_lock"
 [[ "$perfbench_status" -eq 0 ]] || { echo "FAIL: perfbench does not build" >&2; exit 1; }
 
 # Each workload once at smoke size, untraced: perfbench exits non-zero on a
-# failed repetition or a wrong output (HASH's digest is checked against a
-# direct count over the generated collection). About a second for all four.
-echo "==> perfbench smoke: every workload's output digest checked"
-for workload in tdsp_road tdsp_hashcut_tcp hash_tweets tdsp_road_ckpt_proc; do
-    perfbench/target/release/perfbench --workload "$workload" --size smoke --trace 0 >/dev/null \
+# failed repetition or a wrong output. Each run's digest is pinned with
+# --golden (taken at seed 1, smoke size), so a wrong TDSP label fails here
+# too, not only a missing vertex or repetitions that disagree; a run with
+# `--golden 0` prints the actual digest. About a second for all four.
+echo "==> perfbench smoke: every workload's output digest pinned"
+for pinned in tdsp_road:88d8d5c9d627124a tdsp_hashcut_tcp:b56936c40e44c923 \
+        hash_tweets:254781fa9f0ae2e5 tdsp_road_ckpt_proc:88d8d5c9d627124a; do
+    workload="${pinned%%:*}"
+    perfbench/target/release/perfbench --workload "$workload" --size smoke --trace 0 \
+        --golden "${pinned##*:}" >/dev/null \
         || { echo "FAIL: perfbench smoke $workload" >&2; exit 1; }
 done
 

@@ -7,7 +7,8 @@
 //!
 //! With `latency_col = None` all edges weigh 1, degenerating to BFS — the
 //! exact configuration the paper uses for its Giraph comparison ("running
-//! SSSP on an unweighted graph degenerates to a BFS traversal").
+//! SSSP on an unweighted graph degenerates to a BFS traversal"). Otherwise
+//! an edge's weight is read in place at the row its adjacency entry names.
 
 use crate::tdsp::ordered_f64::F64;
 use std::cmp::Reverse;
@@ -97,12 +98,8 @@ impl SubgraphProgram for Sssp {
             let latencies = self
                 .latency_col
                 .map(|c| instance.edge_f64_cells(c).expect("latency must be Double"));
-            let weight = |sg: &Subgraph, e: tempograph_core::EdgeIdx| -> f64 {
-                match latencies {
-                    Some(l) => l.get(sg.edge_pos(e).expect("member edge") as usize),
-                    None => 1.0,
-                }
-            };
+            // An adjacency entry names its edge by its row in the columns.
+            let weight = |row: u32| -> f64 { latencies.map_or(1.0, |l| l.get(row as usize)) };
 
             let mut heap: BinaryHeap<Reverse<(F64, u32)>> = BinaryHeap::new();
             for &r in &self.roots {
@@ -118,15 +115,15 @@ impl SubgraphProgram for Sssp {
                 if d > self.label[u as usize] {
                     continue;
                 }
-                for &(v, e) in sg.local_neighbors(u) {
-                    let nd = d + weight(sg, e);
+                for &(v, row) in sg.local_neighbors(u) {
+                    let nd = d + weight(row);
                     if nd < self.label[v as usize] {
                         self.label[v as usize] = nd;
                         heap.push(Reverse((F64(nd), v)));
                     }
                 }
                 for rn in sg.remote_neighbors(u) {
-                    let nd = d + weight(sg, rn.edge);
+                    let nd = d + weight(rn.row);
                     let entry = remote
                         .entry(rn.vertex)
                         .or_insert((rn.subgraph, f64::INFINITY));

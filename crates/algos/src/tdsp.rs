@@ -47,7 +47,10 @@
 //! vote stands for it. The loop thus stops after the timestep of the last
 //! finalization, or runs to the cap when some vertex is never reached.
 //!
-//! Labels are measured as elapsed time since departure at `t0`.
+//! Labels are measured as elapsed time since departure at `t0`. A
+//! relaxation reads the edge's latency in place, at the row its adjacency
+//! entry names (the edge's row in [`Subgraph::edges`] and in the projected
+//! latency column), so no relaxation looks an edge up.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -120,9 +123,9 @@ pub struct Tdsp {
     /// Positions whose label left ∞ this timestep: what `end_of_timestep`
     /// finalizes.
     reached: Vec<u32>,
-    /// `closed[remote_base[pos] + i]`: an in-horizon `Relax` went over the
-    /// `i`-th remote adjacency entry of `pos`, so its far end is finalized.
-    remote_base: Vec<u32>,
+    /// Per remote adjacency entry, indexed by
+    /// [`Subgraph::remote_range`]: an in-horizon `Relax` went over it, so
+    /// its far end is finalized.
     closed: Vec<bool>,
     /// Vertices not yet finalized.
     remaining: usize,
@@ -142,13 +145,6 @@ impl Tdsp {
     ) -> impl Fn(&Subgraph, &tempograph_partition::PartitionedGraph) -> Tdsp {
         move |sg, _| {
             let n = sg.num_vertices();
-            let mut remote_base = Vec::with_capacity(n + 1);
-            let mut entries = 0u32;
-            remote_base.push(0);
-            for pos in sg.positions() {
-                entries += sg.remote_neighbors(pos).len() as u32;
-                remote_base.push(entries);
-            }
             Tdsp {
                 source,
                 latency_col,
@@ -156,8 +152,7 @@ impl Tdsp {
                 tdsp: vec![f64::INFINITY; n],
                 frontier: Vec::new(),
                 reached: Vec::new(),
-                remote_base,
-                closed: vec![false; entries as usize],
+                closed: vec![false; sg.num_remote_edges()],
                 remaining: n,
                 heap: BinaryHeap::new(),
                 relaxations: Vec::new(),
@@ -169,18 +164,13 @@ impl Tdsp {
     /// (the paper's Fig. 7a series).
     pub const FINALIZED: &'static str = "tdsp_finalized";
 
-    /// Closed flags of the remote adjacency entries of `pos`.
-    fn closed_range(&self, pos: u32) -> std::ops::Range<usize> {
-        self.remote_base[pos as usize] as usize..self.remote_base[pos as usize + 1] as usize
-    }
-
     /// Whether finalized `pos` can still change anything: see the module
     /// header for why a vertex with no open entry is inert.
     fn has_open_entry(&self, sg: &Subgraph, pos: u32) -> bool {
         sg.local_neighbors(pos)
             .iter()
             .any(|&(v, _)| self.tdsp[v as usize].is_infinite())
-            || self.closed[self.closed_range(pos)].iter().any(|&c| !c)
+            || self.closed[sg.remote_range(pos)].iter().any(|&c| !c)
     }
 
     /// Lower the working label of a not-yet-finalized `pos` to `arrival` and
@@ -201,7 +191,8 @@ impl Tdsp {
     fn modified_sssp(&mut self, ctx: &mut Context<'_, TdspMsg>, horizon: f64) {
         let instance = ctx.instance();
         let sg = ctx.subgraph();
-        // Read in place: a timestep pays for the latencies it relaxes.
+        // Read in place: a timestep pays for the latencies it relaxes, each
+        // at the row its adjacency entry names.
         let latencies = instance
             .edge_f64_cells(self.latency_col)
             .expect("latency attribute must be a Double edge column");
@@ -210,12 +201,11 @@ impl Tdsp {
             if d > self.label[u as usize] {
                 continue; // stale heap entry
             }
-            for &(v, e) in sg.local_neighbors(u) {
+            for &(v, row) in sg.local_neighbors(u) {
                 if self.tdsp[v as usize].is_finite() {
                     continue; // finalized: its label is ≤ departure ≤ d
                 }
-                let q = sg.edge_pos(e).expect("local edge belongs to subgraph");
-                let arrival = d + latencies.get(q as usize);
+                let arrival = d + latencies.get(row as usize);
                 if arrival <= horizon {
                     self.relax(v, arrival);
                 }
@@ -225,14 +215,11 @@ impl Tdsp {
             // reached this timestep may have been lowered since it last
             // sent, and must offer the better arrival again.
             let settled = self.tdsp[u as usize].is_finite();
-            for (rn, i) in sg.remote_neighbors(u).iter().zip(self.closed_range(u)) {
+            for (rn, i) in sg.remote_neighbors(u).iter().zip(sg.remote_range(u)) {
                 if settled && self.closed[i] {
                     continue;
                 }
-                let q = sg
-                    .edge_pos(rn.edge)
-                    .expect("crossing edge belongs to subgraph");
-                let arrival = d + latencies.get(q as usize);
+                let arrival = d + latencies.get(rn.row as usize);
                 if arrival <= horizon {
                     self.closed[i] = true;
                     self.relaxations.push((rn.subgraph, rn.vertex, arrival));

@@ -2,8 +2,12 @@
 //!
 //! Built once via [`TemplateBuilder`], then shared immutably (typically as an
 //! `Arc<GraphTemplate>`) by every instance, partition and engine worker.
-//! Adjacency is CSR — a flat offsets/targets pair — so traversal is a pair of
-//! slice reads with no pointer chasing.
+//! The template keeps its edges as an endpoint column; its whole-graph
+//! adjacency is CSR — a flat offsets/targets pair, so traversal is a pair
+//! of slice reads with no pointer chasing — built by the first
+//! [`GraphTemplate::neighbors`] call. The subgraph-centric path never makes
+//! that call: subgraph discovery builds each subgraph's CSR from the
+//! endpoints, so freezing or decoding a template builds no adjacency.
 
 use crate::attr::Schema;
 use crate::error::{CoreError, Result};
@@ -30,9 +34,10 @@ pub struct GraphTemplate {
     edge_ids: Vec<u64>,
     /// (source, target) per edge, by `EdgeIdx`.
     edge_endpoints: Vec<(VertexIdx, VertexIdx)>,
-    /// CSR offsets into `adjacency`, length |V|+1.
-    offsets: Vec<u32>,
-    adjacency: Vec<Neighbor>,
+    /// The whole-graph adjacency, built by the first [`Self::neighbors`]
+    /// call (the vertex-centric engine, the diameter estimate): a
+    /// subgraph-centric job never asks for it.
+    csr: OnceLock<Csr>,
     /// `(id, index)` sorted by id, built by the first [`Self::vertex_by_id`]
     /// call: nothing on a job's path looks a vertex up by id, so freezing
     /// or decoding a template builds no lookup structure.
@@ -41,6 +46,60 @@ pub struct GraphTemplate {
     edge_index: OnceLock<Vec<(u64, u32)>>,
     vertex_schema: Schema,
     edge_schema: Schema,
+}
+
+/// Whole-graph CSR adjacency: each vertex's entries sorted by
+/// (neighbour, edge).
+#[derive(Clone, Debug)]
+struct Csr {
+    /// Offsets into `adjacency`, length |V|+1.
+    offsets: Vec<u32>,
+    adjacency: Vec<Neighbor>,
+}
+
+impl Csr {
+    /// Build from endpoints already checked by [`GraphTemplate::from_parts`].
+    fn build(nv: usize, directed: bool, edge_endpoints: &[(VertexIdx, VertexIdx)]) -> Csr {
+        let mut degree = vec![0u32; nv];
+        for &(s, d) in edge_endpoints {
+            degree[s.idx()] += 1;
+            if !directed {
+                degree[d.idx()] += 1;
+            }
+        }
+        let mut offsets = Vec::with_capacity(nv + 1);
+        let mut acc = 0u32;
+        offsets.push(0);
+        for d in &degree {
+            acc += d;
+            offsets.push(acc);
+        }
+        // Reuse the degree array as each vertex's fill cursor.
+        let mut cursor = degree;
+        cursor.copy_from_slice(&offsets[..nv]);
+        let mut adjacency = vec![
+            Neighbor {
+                vertex: VertexIdx(0),
+                edge: EdgeIdx(0)
+            };
+            acc as usize
+        ];
+        for (e, &(s, d)) in (0u32..).zip(edge_endpoints) {
+            let e = EdgeIdx(e);
+            adjacency[cursor[s.idx()] as usize] = Neighbor { vertex: d, edge: e };
+            cursor[s.idx()] += 1;
+            if !directed {
+                adjacency[cursor[d.idx()] as usize] = Neighbor { vertex: s, edge: e };
+                cursor[d.idx()] += 1;
+            }
+        }
+        // Sort each vertex's adjacency by (neighbor, edge) for deterministic
+        // traversal order regardless of insertion order.
+        for w in offsets.windows(2) {
+            adjacency[w[0] as usize..w[1] as usize].sort_unstable_by_key(|n| (n.vertex, n.edge));
+        }
+        Csr { offsets, adjacency }
+    }
 }
 
 /// `(id, position)` pairs of `ids`, sorted by id.
@@ -127,12 +186,22 @@ impl GraphTemplate {
         self.edge_endpoints[e.idx()]
     }
 
-    /// Out-neighbours of `v` (both directions' neighbours when undirected).
+    /// Every edge's `(source, target)` endpoints, by [`EdgeIdx`].
+    pub fn edge_endpoints(&self) -> &[(VertexIdx, VertexIdx)] {
+        &self.edge_endpoints
+    }
+
+    /// Out-neighbours of `v` (both directions' neighbours when undirected),
+    /// sorted by (neighbour, edge). The first call builds the whole-graph
+    /// CSR (a pass over the endpoints and a sort per vertex).
     #[inline]
     pub fn neighbors(&self, v: VertexIdx) -> &[Neighbor] {
-        let lo = self.offsets[v.idx()] as usize;
-        let hi = self.offsets[v.idx() + 1] as usize;
-        &self.adjacency[lo..hi]
+        let csr = self
+            .csr
+            .get_or_init(|| Csr::build(self.num_vertices(), self.directed, &self.edge_endpoints));
+        let lo = csr.offsets[v.idx()] as usize;
+        let hi = csr.offsets[v.idx() + 1] as usize;
+        &csr.adjacency[lo..hi]
     }
 
     /// Out-degree of `v` (total adjacency degree when undirected).
@@ -199,7 +268,7 @@ impl GraphTemplate {
 }
 
 /// Incrementally constructs a [`GraphTemplate`]; call
-/// [`TemplateBuilder::finalize`] to validate and build the CSR adjacency.
+/// [`TemplateBuilder::finalize`] to validate and freeze it.
 #[derive(Debug)]
 pub struct TemplateBuilder {
     name: String,
@@ -292,7 +361,7 @@ impl TemplateBuilder {
         self.edge_ids.len()
     }
 
-    /// Validate schemas, build CSR adjacency and freeze the template.
+    /// Validate schemas, ids and endpoints and freeze the template.
     pub fn finalize(self) -> Result<GraphTemplate> {
         GraphTemplate::from_parts(
             self.name,
@@ -309,9 +378,10 @@ impl TemplateBuilder {
 impl GraphTemplate {
     /// Freeze a template from its columns: external vertex ids by
     /// [`VertexIdx`], external edge ids and `(source, target)` endpoints by
-    /// [`EdgeIdx`]. Validates the schemas, id uniqueness and endpoint range,
-    /// then builds the CSR adjacency — the one CSR builder, behind both
-    /// [`TemplateBuilder::finalize`] and the GoFS template decoder.
+    /// [`EdgeIdx`]. Validates the schemas, the `u32` capacities, id
+    /// uniqueness and endpoint range — for both
+    /// [`TemplateBuilder::finalize`] and the GoFS template decoder — and
+    /// builds no adjacency: [`Self::neighbors`] builds it on first use.
     pub fn from_parts(
         name: String,
         directed: bool,
@@ -348,7 +418,6 @@ impl GraphTemplate {
         }
 
         let nv = vertex_ids.len();
-        let mut degree = vec![0u32; nv];
         for (&(s, d), &edge) in edge_endpoints.iter().zip(&edge_ids) {
             if let Some(bad) = [s, d].into_iter().find(|v| v.idx() >= nv) {
                 return Err(CoreError::EndpointOutOfRange {
@@ -356,41 +425,6 @@ impl GraphTemplate {
                     vertex: bad.0,
                 });
             }
-            degree[s.idx()] += 1;
-            if !directed {
-                degree[d.idx()] += 1;
-            }
-        }
-        let mut offsets = Vec::with_capacity(nv + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<u32> = offsets[..nv].to_vec();
-        let mut adjacency = vec![
-            Neighbor {
-                vertex: VertexIdx(0),
-                edge: EdgeIdx(0)
-            };
-            acc as usize
-        ];
-        for (ei, &(s, d)) in edge_endpoints.iter().enumerate() {
-            let e = EdgeIdx(ei as u32);
-            adjacency[cursor[s.idx()] as usize] = Neighbor { vertex: d, edge: e };
-            cursor[s.idx()] += 1;
-            if !directed {
-                adjacency[cursor[d.idx()] as usize] = Neighbor { vertex: s, edge: e };
-                cursor[d.idx()] += 1;
-            }
-        }
-        // Sort each vertex's adjacency by (neighbor, edge) for deterministic
-        // traversal order regardless of insertion order.
-        for v in 0..nv {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            adjacency[lo..hi].sort_unstable_by_key(|n| (n.vertex, n.edge));
         }
 
         Ok(GraphTemplate {
@@ -399,8 +433,7 @@ impl GraphTemplate {
             vertex_ids,
             edge_ids,
             edge_endpoints,
-            offsets,
-            adjacency,
+            csr: OnceLock::new(),
             vertex_index: OnceLock::new(),
             edge_index: OnceLock::new(),
             vertex_schema,
@@ -575,6 +608,51 @@ mod tests {
         let mut sorted = ns.clone();
         sorted.sort_unstable();
         assert_eq!(ns, sorted);
+    }
+
+    #[test]
+    fn the_csr_is_built_by_the_first_neighbors_call_only() {
+        // Out of insertion order, with a self-loop and a parallel pair.
+        let ends = [(3, 1), (0, 2), (2, 2), (1, 3), (2, 0), (3, 0), (1, 2)];
+        for directed in [false, true] {
+            let g = GraphTemplate::from_parts(
+                "csr".into(),
+                directed,
+                Schema::new(),
+                Schema::new(),
+                vec![40, 10, 30, 20],
+                (0..ends.len() as u64).map(|e| 100 - e).collect(),
+                ends.iter()
+                    .map(|&(s, d)| (VertexIdx(s), VertexIdx(d)))
+                    .collect(),
+            )
+            .unwrap();
+            assert!(g.csr.get().is_none(), "from_parts built the CSR");
+            // Reference: every entry from the endpoints, sorted per vertex.
+            let mut want: Vec<Vec<(u32, u32)>> = vec![Vec::new(); 4];
+            for (e, &(s, d)) in (0u32..).zip(&ends) {
+                want[s as usize].push((d, e));
+                if !directed {
+                    want[d as usize].push((s, e));
+                }
+            }
+            for (v, list) in (0u32..).zip(&mut want) {
+                list.sort_unstable();
+                let got: Vec<(u32, u32)> = g
+                    .neighbors(VertexIdx(v))
+                    .iter()
+                    .map(|n| (n.vertex.0, n.edge.0))
+                    .collect();
+                assert_eq!(&got, list, "vertex {v}, directed {directed}");
+            }
+            // Built once: later calls read the same allocation.
+            let built = g.csr.get().expect("neighbors built the CSR");
+            assert!(std::ptr::eq(
+                g.neighbors(VertexIdx(2)).as_ptr(),
+                built.adjacency[built.offsets[2] as usize..].as_ptr()
+            ));
+            assert_eq!(g.degree(VertexIdx(2)), want[2].len());
+        }
     }
 
     #[test]

@@ -837,28 +837,32 @@ pub fn encode_template(t: &GraphTemplate) -> Bytes {
     frame(TEMPLATE_MAGIC, &buf)
 }
 
-/// Decode a framed [`GraphTemplate`]: the id and endpoint columns are read
-/// straight into vectors and frozen by [`GraphTemplate::from_parts`], so
-/// decoding builds no id map. A repeated vertex or edge id, an endpoint
-/// outside the vertex range or a short column is [`GofsError::Corrupt`].
-pub fn decode_template(data: &[u8]) -> Result<GraphTemplate> {
-    let mut buf = unframe(TEMPLATE_MAGIC, data)?;
+/// Decode a framed [`GraphTemplate`], parsing the buffer in place (the
+/// payload is a view of `data`, not a copy): the id and endpoint columns
+/// are read straight into vectors and frozen by
+/// [`GraphTemplate::from_parts`], so decoding builds no id map and no
+/// adjacency. A repeated vertex or edge id, an endpoint outside the vertex
+/// range or a short column is [`GofsError::Corrupt`].
+pub fn decode_template(data: Bytes) -> Result<GraphTemplate> {
+    let mut buf = unframe_owned(TEMPLATE_MAGIC, data)?;
     let name = get_str(&mut buf)?;
     let directed = get_u8(&mut buf)? != 0;
     let vertex_schema = get_schema(&mut buf)?;
     let edge_schema = get_schema(&mut buf)?;
     let nv = get_u32(&mut buf)? as usize;
-    check_count(&buf, nv, 8)?;
-    let vertex_ids: Vec<u64> = (0..nv).map(|_| buf.get_u64_le()).collect();
+    let vertex_ids = get_words(&mut buf, nv, u64::from_le_bytes)?;
     let ne = get_u32(&mut buf)? as usize;
-    check_count(&buf, ne, 16)?;
+    let n = check_count(&buf, ne, 16)? * 16;
     let mut edge_ids = Vec::with_capacity(ne);
     let mut endpoints = Vec::with_capacity(ne);
-    for _ in 0..ne {
-        edge_ids.push(buf.get_u64_le());
-        let source = VertexIdx(buf.get_u32_le());
-        endpoints.push((source, VertexIdx(buf.get_u32_le())));
+    // One 16-byte record per edge, read as four words: the id's low and
+    // high halves, then source and target.
+    for r in buf[..n].as_chunks::<4>().0.chunks_exact(4) {
+        let word = |i: usize| u32::from_le_bytes(r[i]);
+        edge_ids.push(u64::from(word(0)) | u64::from(word(1)) << 32);
+        endpoints.push((VertexIdx(word(2)), VertexIdx(word(3))));
     }
+    buf.advance(n);
     if buf.remaining() != 0 {
         return Err(GofsError::Corrupt(format!(
             "{} trailing bytes after the template",
@@ -1332,8 +1336,7 @@ mod tests {
         b.add_edge(8, 100, 400).unwrap();
         let t = b.finalize().unwrap();
 
-        let encoded = encode_template(&t);
-        let back = decode_template(&encoded).unwrap();
+        let back = decode_template(encode_template(&t)).unwrap();
         assert_eq!(back.name(), "codec-test");
         assert!(back.directed());
         assert_eq!(back.num_vertices(), 5);
@@ -1354,7 +1357,7 @@ mod tests {
         b.add_vertex(1);
         let t = b.finalize().unwrap();
         let enc = encode_template(&t);
-        assert!(decode_template(&enc[..10]).is_err());
+        assert!(decode_template(enc.slice(..10)).is_err());
     }
 
     /// A correctly framed template whose vertex ids repeat used to be
@@ -1372,7 +1375,7 @@ mod tests {
         let at = evil.windows(8).position(|w| w == third).unwrap();
         evil[at..at + 8].copy_from_slice(&0xAAAA_0001u64.to_le_bytes());
         assert!(matches!(
-            decode_template(&frame(TEMPLATE_MAGIC, &evil)),
+            decode_template(frame(TEMPLATE_MAGIC, &evil)),
             Err(GofsError::Corrupt(_))
         ));
     }

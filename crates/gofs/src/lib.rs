@@ -14,7 +14,8 @@
 //!   FNV-1a checksums); no serialisation framework is used;
 //! * [`view::SubgraphInstance`] — an instance *projected* onto one subgraph:
 //!   vertex attribute rows in local-position order, edge rows in
-//!   [`Subgraph::edge_pos`](tempograph_partition::Subgraph::edge_pos) order;
+//!   [`Subgraph::edges`](tempograph_partition::Subgraph::edges) order, the
+//!   rows the subgraph's adjacency entries name;
 //! * [`slice`](mod@slice) — the slice-file format: `(partition, bin, pack)` →
 //!   projected instances for ≤ `binning` subgraphs × ≤ `packing` timesteps;
 //! * [`store`] — dataset directory layout, template/partitioning

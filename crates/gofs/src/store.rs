@@ -10,11 +10,11 @@
 //!     ...
 //! ```
 
-use crate::codec::{self, frame, unframe};
+use crate::codec::{self, frame, unframe, unframe_owned};
 use crate::error::{GofsError, Result};
 use crate::slice::{encode_slice, SliceKey};
 use crate::view::Projection;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tempograph_core::{GraphInstance, GraphTemplate, TimeSeriesCollection};
@@ -111,8 +111,8 @@ fn encode_partitioning(p: &Partitioning) -> bytes::Bytes {
     frame(PART_MAGIC, &buf)
 }
 
-fn decode_partitioning(data: &[u8]) -> Result<Partitioning> {
-    let mut buf = unframe(PART_MAGIC, data)?;
+fn decode_partitioning(data: Bytes) -> Result<Partitioning> {
+    let mut buf = unframe_owned(PART_MAGIC, data)?;
     let k = codec::get_u32(&mut buf)? as usize;
     let n = codec::get_u64(&mut buf)? as usize;
     if n.checked_mul(2) != Some(buf.remaining()) {
@@ -315,14 +315,14 @@ fn check_partitions(meta: &DatasetMeta, k: usize) -> Result<()> {
 
 impl GofsStore {
     /// Open a dataset directory written by [`GofsWriter`]: decode its
-    /// metadata, template and partitioning.
+    /// metadata, template and partitioning, each parsed in the buffer it
+    /// was read into.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         let meta = read_meta(&dir)?;
-        let template = Arc::new(codec::decode_template(&std::fs::read(
-            dir.join("template.bin"),
-        )?)?);
-        let partitioning = decode_partitioning(&std::fs::read(dir.join("partitioning.bin"))?)?;
+        let read = |name: &str| std::fs::read(dir.join(name)).map(Bytes::from);
+        let template = Arc::new(codec::decode_template(read("template.bin")?)?);
+        let partitioning = decode_partitioning(read("partitioning.bin")?)?;
         partitioning
             .validate(&template)
             .map_err(GofsError::Corrupt)?;
@@ -472,8 +472,8 @@ mod tests {
         golden(&t, include_str!("../testdata/template.hex"));
         golden(&p, include_str!("../testdata/partitioning.hex"));
         assert_eq!(DatasetMeta::decode(&m).unwrap(), meta);
-        assert_eq!(decode_template(&t).unwrap().num_edges(), 2);
-        assert_eq!(decode_partitioning(&p).unwrap(), partitioning);
+        assert_eq!(decode_template(t).unwrap().num_edges(), 2);
+        assert_eq!(decode_partitioning(p).unwrap(), partitioning);
     }
 
     #[test]
@@ -495,6 +495,25 @@ mod tests {
         for (a, b) in pg.subgraphs().iter().zip(pg2.subgraphs().iter()) {
             assert_eq!(a.vertices(), b.vertices());
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Opening a store and discovering its subgraphs leave the template's
+    /// whole-graph CSR unbuilt: a job's path reads only the subgraphs'.
+    /// (The template keeps it private; its `Debug` form shows whether the
+    /// lazy cell is filled.)
+    #[test]
+    fn open_and_discovery_build_no_template_csr() {
+        let built = |t: &GraphTemplate| !format!("{t:?}").contains("csr: OnceLock(<uninit>)");
+        let dir = tmp();
+        let (pg, coll) = small_dataset();
+        write_dataset(&dir, pg, &coll, 3, 2).unwrap();
+        let store = GofsStore::open(&dir).unwrap();
+        let pg = store.partitioned_graph();
+        assert!(!built(store.template()), "open or discovery built the CSR");
+        let v = pg.subgraphs()[0].vertex_at(0);
+        assert!(!store.template().neighbors(v).is_empty());
+        assert!(built(store.template()), "the probe must see a built CSR");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -595,7 +614,7 @@ mod tests {
             assignment: vec![0, 2, 1, 2, 0],
             k: 3,
         };
-        assert_eq!(decode_partitioning(&encode_partitioning(&p)).unwrap(), p);
+        assert_eq!(decode_partitioning(encode_partitioning(&p)).unwrap(), p);
     }
 
     #[test]

@@ -22,9 +22,9 @@ use tempograph_partition::{Subgraph, SubgraphId};
 ///
 /// * vertex attribute rows in **local-position order** (row `p` belongs to
 ///   `subgraph.vertex_at(p)`);
-/// * edge attribute rows in **edge-position order** (row `q` belongs to
-///   `subgraph.edges()[q]`; translate with
-///   [`Subgraph::edge_pos`](tempograph_partition::Subgraph::edge_pos)).
+/// * edge attribute rows in **edge-row order** (row `q` belongs to
+///   `subgraph.edges()[q]`; every adjacency entry of the subgraph names its
+///   edge by this row).
 ///
 /// This is what GoFS stores in slice files.
 #[derive(Clone, Debug, PartialEq)]
@@ -456,13 +456,24 @@ mod tests {
     }
 
     #[test]
-    fn edge_pos_maps_into_projected_rows() {
+    fn edge_rows_map_into_projected_rows() {
         let (t, pg, g) = setup();
         let sg = pg.subgraph(pg.subgraph_of_vertex(VertexIdx(2)));
         let si = SubgraphInstance::project(&g, sg, 0);
-        let crossing = t.edge_by_id(1).unwrap();
-        let q = sg.edge_pos(crossing).unwrap();
-        assert_eq!(si.edge_f64(0).unwrap()[q as usize], 1.5);
+        let pos = sg.local_pos(VertexIdx(2)).unwrap();
+        // The crossing edge 1-2, reached through vertex 2's remote entry.
+        let [rn] = sg.remote_neighbors(pos) else {
+            panic!("vertex 2 has one remote neighbour")
+        };
+        assert_eq!(rn.vertex, VertexIdx(1));
+        assert_eq!(sg.edges()[rn.row as usize], t.edge_by_id(1).unwrap());
+        assert_eq!(si.edge_f64(0).unwrap()[rn.row as usize], 1.5);
+        // The local edge 2-3.
+        let [(_, row)] = sg.local_neighbors(pos) else {
+            panic!("vertex 2 has one local neighbour")
+        };
+        assert_eq!(sg.edges()[*row as usize], t.edge_by_id(2).unwrap());
+        assert_eq!(si.edge_f64(0).unwrap()[*row as usize], 2.5);
     }
 
     #[test]

@@ -128,7 +128,7 @@ proptest! {
             b.add_edge(i as u64, (s % n) * 3 + 1, (d % n) * 3 + 1).unwrap();
         }
         let t = b.finalize().unwrap();
-        let back = decode_template(&encode_template(&t)).unwrap();
+        let back = decode_template(encode_template(&t)).unwrap();
         prop_assert_eq!(back.num_vertices(), t.num_vertices());
         prop_assert_eq!(back.num_edges(), t.num_edges());
         prop_assert_eq!(back.directed(), t.directed());

@@ -5,7 +5,7 @@
 //! a repeated id, an out-of-range endpoint, a short column — into
 //! `GofsError::Corrupt`, never a panic.
 
-use bytes::{BufMut, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
 use tempograph_core::{AttrType, EdgeIdx, Schema, VertexIdx};
 use tempograph_gofs::codec::{decode_template, encode_template, frame, put_schema, put_str};
@@ -90,7 +90,7 @@ fn arb_columns() -> impl Strategy<Value = (bool, Vec<u64>, Vec<(u64, u32, u32)>)
         })
 }
 
-fn is_corrupt(data: &[u8]) -> bool {
+fn is_corrupt(data: Bytes) -> bool {
     matches!(decode_template(data), Err(GofsError::Corrupt(_)))
 }
 
@@ -100,7 +100,7 @@ proptest! {
     #[test]
     fn decode_matches_the_columns_and_the_adjacency((directed, vids, edges) in arb_columns()) {
         let data = frame(MAGIC, &payload(directed, &vids, &edges));
-        let t = decode_template(&data).unwrap();
+        let t = decode_template(data.clone()).unwrap();
         prop_assert_eq!(t.directed(), directed);
         prop_assert_eq!(t.num_vertices(), vids.len());
         prop_assert_eq!(t.num_edges(), edges.len());
@@ -133,20 +133,20 @@ proptest! {
             let mut dup = vids.clone();
             let i = (pick % dup.len() as u64) as usize;
             dup[(i + 1) % vids.len()] = dup[i];
-            prop_assert!(is_corrupt(&frame(MAGIC, &payload(directed, &dup, &edges))));
+            prop_assert!(is_corrupt(frame(MAGIC, &payload(directed, &dup, &edges))));
         }
         if edges.len() >= 2 {
             let mut dup = edges.clone();
             let i = (pick % dup.len() as u64) as usize;
             dup[(i + 1) % edges.len()].0 = dup[i].0;
-            prop_assert!(is_corrupt(&frame(MAGIC, &payload(directed, &vids, &dup))));
+            prop_assert!(is_corrupt(frame(MAGIC, &payload(directed, &vids, &dup))));
         }
         if !edges.is_empty() {
             let mut stray = edges.clone();
             let i = (pick % stray.len() as u64) as usize;
             let far = vids.len() as u32 + over;
             if pick & 1 == 0 { stray[i].1 = far } else { stray[i].2 = far }
-            prop_assert!(is_corrupt(&frame(MAGIC, &payload(directed, &vids, &stray))));
+            prop_assert!(is_corrupt(frame(MAGIC, &payload(directed, &vids, &stray))));
         }
     }
 
@@ -161,13 +161,13 @@ proptest! {
     ) {
         let good = payload(directed, &vids, &edges);
         let keep = (good.len() as f64 * cut_frac) as usize;
-        prop_assert!(is_corrupt(&frame(MAGIC, &good[..keep])));
+        prop_assert!(is_corrupt(frame(MAGIC, &good[..keep])));
         let mut longer = good.clone();
         longer.push(0);
-        prop_assert!(is_corrupt(&frame(MAGIC, &longer)));
+        prop_assert!(is_corrupt(frame(MAGIC, &longer)));
         let mut warped = good;
         let at = ((warped.len() - 1) as f64 * flip_frac) as usize;
         warped[at] ^= flip;
-        let _ = decode_template(&frame(MAGIC, &warped));
+        let _ = decode_template(frame(MAGIC, &warped));
     }
 }

@@ -6,8 +6,16 @@
 //! into a [`PartitionedGraph`]: per-subgraph CSR adjacency split into
 //! **local** neighbours (same subgraph, traversed in-memory) and **remote**
 //! neighbours (other partitions' subgraphs, reached by message passing).
+//!
+//! Every adjacency entry names its edge by **row**: the edge's index in
+//! [`Subgraph::edges`], which is also its row in every edge column of the
+//! subgraph's projected instances, so a program reads an edge attribute
+//! with no lookup. Discovery builds each subgraph's CSR straight from the
+//! template's endpoint column, in row order; it never asks the template
+//! for its own whole-graph adjacency.
 
 use crate::Partitioning;
+use std::ops::Range;
 use std::sync::Arc;
 use tempograph_core::{EdgeIdx, GraphTemplate, VertexIdx};
 
@@ -35,9 +43,10 @@ impl std::fmt::Display for SubgraphId {
 pub struct RemoteNeighbor {
     /// Remote endpoint (template index).
     pub vertex: VertexIdx,
-    /// Connecting edge (template index) — lets algorithms read edge
+    /// Row of the connecting edge in [`Subgraph::edges`] and in the
+    /// subgraph's projected edge columns — lets algorithms read edge
     /// attributes such as latency for the crossing edge.
-    pub edge: EdgeIdx,
+    pub row: u32,
     /// Subgraph owning the remote endpoint.
     pub subgraph: SubgraphId,
     /// Partition owning the remote endpoint.
@@ -59,8 +68,8 @@ pub struct Subgraph {
     /// GoFS attribute projection.
     edges: Vec<EdgeIdx>,
     local_offsets: Vec<u32>,
-    /// (local position of target, connecting edge).
-    local_adj: Vec<(u32, EdgeIdx)>,
+    /// (local position of target, row of the connecting edge).
+    local_adj: Vec<(u32, u32)>,
     remote_offsets: Vec<u32>,
     remote_adj: Vec<RemoteNeighbor>,
 }
@@ -97,20 +106,29 @@ impl Subgraph {
         self.vertices.binary_search(&v).ok().map(|i| i as u32)
     }
 
-    /// Intra-subgraph neighbours of the vertex at local position `pos`.
+    /// Intra-subgraph neighbours of the vertex at local position `pos`:
+    /// (neighbour's local position, edge row), sorted.
     #[inline]
-    pub fn local_neighbors(&self, pos: u32) -> &[(u32, EdgeIdx)] {
+    pub fn local_neighbors(&self, pos: u32) -> &[(u32, u32)] {
         let lo = self.local_offsets[pos as usize] as usize;
         let hi = self.local_offsets[pos as usize + 1] as usize;
         &self.local_adj[lo..hi]
     }
 
-    /// Cross-partition neighbours of the vertex at local position `pos`.
+    /// Cross-partition neighbours of the vertex at local position `pos`,
+    /// sorted by (neighbour, edge row).
     #[inline]
     pub fn remote_neighbors(&self, pos: u32) -> &[RemoteNeighbor] {
-        let lo = self.remote_offsets[pos as usize] as usize;
-        let hi = self.remote_offsets[pos as usize + 1] as usize;
-        &self.remote_adj[lo..hi]
+        &self.remote_adj[self.remote_range(pos)]
+    }
+
+    /// Where the remote entries of `pos` lie among all of this subgraph's
+    /// remote entries (`0..num_remote_edges()`), the range
+    /// [`Self::remote_neighbors`] slices: per-entry program state can live
+    /// in one dense vector indexed by it.
+    #[inline]
+    pub fn remote_range(&self, pos: u32) -> Range<usize> {
+        self.remote_offsets[pos as usize] as usize..self.remote_offsets[pos as usize + 1] as usize
     }
 
     /// Total number of remote edges leaving this subgraph.
@@ -119,6 +137,7 @@ impl Subgraph {
     }
 
     /// All distinct edges touching this subgraph (local + crossing), sorted.
+    /// An adjacency entry's edge row indexes this slice.
     pub fn edges(&self) -> &[EdgeIdx] {
         &self.edges
     }
@@ -126,12 +145,6 @@ impl Subgraph {
     /// Number of distinct edges touching this subgraph.
     pub fn num_edges(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Position of template edge `e` within [`Subgraph::edges`], if present.
-    /// Edge-attribute rows in a projected subgraph instance use this index.
-    pub fn edge_pos(&self, e: EdgeIdx) -> Option<u32> {
-        self.edges.binary_search(&e).ok().map(|i| i as u32)
     }
 
     /// Iterate all local positions.
@@ -202,10 +215,13 @@ impl PartitionedGraph {
 /// freeze the partitioned view. `partitioning` must be valid for `template`;
 /// pass an `Arc` to share it with others that hold it (a GoFS store).
 ///
-/// Linear in `|V| + |E|` after the union-find: every vertex's local
-/// position is recorded as members are gathered, and each subgraph's edge
-/// list comes out of one ascending pass over the template's edges already
-/// sorted and duplicate-free.
+/// Linear in `|V| + |E|` after the union-find, plus a sort of each
+/// vertex's entries: every vertex's local position is recorded as members
+/// are gathered, one pass over the edges counts each vertex's local and
+/// remote entries and each subgraph's edges, and a second pass, in
+/// ascending edge order, appends each edge to its subgraphs' edge lists —
+/// so its index there is its row — and places each endpoint's entry at
+/// that vertex's cursor.
 pub fn discover_subgraphs(
     template: Arc<GraphTemplate>,
     partitioning: impl Into<Arc<Partitioning>>,
@@ -215,10 +231,20 @@ pub fn discover_subgraphs(
         .validate(&template)
         .expect("partitioning must match template");
     let n = template.num_vertices();
+    let directed = template.directed();
+    let ends = template.edge_endpoints();
     let assignment = &partitioning.assignment;
 
-    // Union-find over local edges (weakly connected: ignore direction).
+    // Union-find over local edges (weakly connected: ignore direction),
+    // linked by size. Ids are ordered by each component's *name*: the
+    // vertex that linking each source's root under its target's root,
+    // unbalanced, would leave at the root. Slice files name subgraphs by
+    // id, so this order is part of the store format. Each tree root keeps
+    // its component's name and a merge takes the target tree's, so names
+    // do not depend on how the trees are shaped.
     let mut parent: Vec<u32> = (0..n as u32).collect();
+    let mut name: Vec<u32> = (0..n as u32).collect();
+    let mut size = vec![1u32; n];
     fn find(parent: &mut [u32], mut x: u32) -> u32 {
         while parent[x as usize] != x {
             let gp = parent[parent[x as usize] as usize];
@@ -227,105 +253,182 @@ pub fn discover_subgraphs(
         }
         x
     }
-    for e in template.edges() {
-        let (s, d) = template.endpoints(e);
+    for &(s, d) in ends {
         if assignment[s.idx()] == assignment[d.idx()] {
             let (rs, rd) = (find(&mut parent, s.0), find(&mut parent, d.0));
             if rs != rd {
-                parent[rs as usize] = rd;
+                let (big, small) = if size[rs as usize] < size[rd as usize] {
+                    (rd, rs)
+                } else {
+                    (rs, rd)
+                };
+                parent[small as usize] = big;
+                size[big as usize] += size[small as usize];
+                name[big as usize] = name[rd as usize];
             }
         }
     }
 
-    // Root → subgraph id, ids assigned in (partition, root vertex) order
-    // for determinism.
+    // Name → subgraph id, ids assigned in (partition, name) order for
+    // determinism. The size array, done with, holds each vertex's name.
     let mut roots: Vec<(u16, u32)> = Vec::new();
-    let mut root_of = vec![0u32; n];
+    let mut root_of = size;
     for v in 0..n as u32 {
-        let r = find(&mut parent, v);
+        let r = name[find(&mut parent, v) as usize];
         root_of[v as usize] = r;
         if r == v {
             roots.push((assignment[v as usize], v));
         }
     }
     roots.sort_unstable();
-    // Reuse the union-find array as the root → id table.
+    // Reuse the union-find array as the name → id table.
     let mut sg_of_root = parent;
     for (i, &(_, r)) in roots.iter().enumerate() {
         sg_of_root[r as usize] = i as u32;
     }
+    // In place: the root table becomes the vertex → subgraph table.
     let vertex_to_subgraph: Vec<SubgraphId> = root_of
-        .iter()
-        .map(|&r| SubgraphId(sg_of_root[r as usize]))
+        .into_iter()
+        .map(|r| SubgraphId(sg_of_root[r as usize]))
         .collect();
-
-    // Gather members per subgraph (ascending vertex order by construction,
-    // so a vertex's index in its list is its binary-search position).
+    let sg_of = |v: VertexIdx| vertex_to_subgraph[v.idx()];
     let num_sg = roots.len();
-    let mut members: Vec<Vec<VertexIdx>> = vec![Vec::new(); num_sg];
-    let mut local_pos = vec![0u32; n];
-    for (v, sg) in vertex_to_subgraph.iter().enumerate() {
-        let list = &mut members[sg.idx()];
-        local_pos[v] = list.len() as u32;
-        list.push(VertexIdx(v as u32));
-    }
 
-    // Edge universe per subgraph: the edges in its members' adjacency —
-    // those it is the source of, plus (undirected) those it is the target
-    // of — filled in ascending edge order, so each list is sorted and
-    // duplicate-free as built.
-    let mut edges: Vec<Vec<EdgeIdx>> = vec![Vec::new(); num_sg];
-    for e in template.edges() {
-        let (s, d) = template.endpoints(e);
-        let (a, b) = (vertex_to_subgraph[s.idx()], vertex_to_subgraph[d.idx()]);
-        edges[a.idx()].push(e);
-        if !template.directed() && b != a {
-            edges[b.idx()].push(e);
+    // Entry counts, into the union-find's two arrays, now free. An edge
+    // gives its source an entry and, undirected, its target one (an
+    // undirected self-loop gives its vertex two). The entry is local when
+    // both ends share a subgraph — ends in one partition joined by an edge
+    // share a component — and the edge then belongs to that subgraph
+    // alone; a crossing edge belongs to the source's subgraph and,
+    // undirected, to the target's too.
+    let (mut local_at, mut remote_at) = (name, sg_of_root);
+    local_at.fill(0);
+    remote_at.fill(0);
+    let mut num_edges = vec![0u32; num_sg];
+    for &(s, d) in ends {
+        let (a, b) = (sg_of(s), sg_of(d));
+        num_edges[a.idx()] += 1;
+        let count = if a == b {
+            &mut local_at
+        } else {
+            &mut remote_at
+        };
+        count[s.idx()] += 1;
+        if !directed {
+            count[d.idx()] += 1;
+            if a != b {
+                num_edges[b.idx()] += 1;
+            }
         }
     }
 
-    // Freeze each subgraph's CSR.
+    // Members per subgraph, in ascending vertex order, so a vertex's index
+    // in its list is its binary-search position.
+    let mut num_vertices = vec![0u32; num_sg];
+    for sg in &vertex_to_subgraph {
+        num_vertices[sg.idx()] += 1;
+    }
+    let mut members: Vec<Vec<VertexIdx>> = num_vertices
+        .iter()
+        .map(|&len| Vec::with_capacity(len as usize))
+        .collect();
+    let mut local_pos = vec![0u32; n];
+    for (v, sg) in (0u32..).zip(&vertex_to_subgraph) {
+        let list = &mut members[sg.idx()];
+        local_pos[v as usize] = list.len() as u32;
+        list.push(VertexIdx(v));
+    }
+
+    // Offsets from the counts; each count becomes its vertex's cursor, an
+    // index into its subgraph's entries.
     let mut subgraphs = Vec::with_capacity(num_sg);
     let mut partition_subgraphs: Vec<Vec<SubgraphId>> = vec![Vec::new(); partitioning.k];
-    for (i, (verts, edges)) in members.into_iter().zip(edges).enumerate() {
-        let id = SubgraphId(i as u32);
+    for (i, (verts, &num_edges)) in (0u32..).zip(members.into_iter().zip(&num_edges)) {
+        let id = SubgraphId(i);
         let part = assignment[verts[0].idx()];
         partition_subgraphs[part as usize].push(id);
-
         let mut local_offsets = Vec::with_capacity(verts.len() + 1);
-        let mut local_adj = Vec::new();
         let mut remote_offsets = Vec::with_capacity(verts.len() + 1);
-        let mut remote_adj = Vec::new();
-        local_offsets.push(0u32);
-        remote_offsets.push(0u32);
-
-        for &v in &verts {
-            for nb in template.neighbors(v) {
-                if assignment[nb.vertex.idx()] == part {
-                    local_adj.push((local_pos[nb.vertex.idx()], nb.edge));
-                } else {
-                    remote_adj.push(RemoteNeighbor {
-                        vertex: nb.vertex,
-                        edge: nb.edge,
-                        subgraph: vertex_to_subgraph[nb.vertex.idx()],
-                        partition: assignment[nb.vertex.idx()],
-                    });
-                }
-            }
-            local_offsets.push(local_adj.len() as u32);
-            remote_offsets.push(remote_adj.len() as u32);
+        let (mut local, mut remote) = (0u32, 0u32);
+        local_offsets.push(0);
+        remote_offsets.push(0);
+        for v in &verts {
+            let (l, r) = (local_at[v.idx()], remote_at[v.idx()]);
+            (local_at[v.idx()], remote_at[v.idx()]) = (local, remote);
+            local += l;
+            remote += r;
+            local_offsets.push(local);
+            remote_offsets.push(remote);
         }
-
+        let unset = RemoteNeighbor {
+            vertex: VertexIdx(0),
+            row: 0,
+            subgraph: id,
+            partition: part,
+        };
         subgraphs.push(Subgraph {
             id,
             partition: part,
             vertices: verts,
-            edges,
+            edges: Vec::with_capacity(num_edges as usize),
             local_offsets,
-            local_adj,
+            local_adj: vec![(0, 0); local as usize],
             remote_offsets,
-            remote_adj,
+            remote_adj: vec![unset; remote as usize],
         });
+    }
+
+    // Rows and entries: edges in ascending order, so an edge's index in
+    // its subgraph's list is its row there.
+    for (e, &(s, d)) in (0u32..).zip(ends) {
+        let (a, b) = (sg_of(s), sg_of(d));
+        let sg = &mut subgraphs[a.idx()];
+        let row = sg.edges.len() as u32;
+        sg.edges.push(EdgeIdx(e));
+        if a == b {
+            let at = &mut local_at[s.idx()];
+            sg.local_adj[*at as usize] = (local_pos[d.idx()], row);
+            *at += 1;
+            if !directed {
+                let at = &mut local_at[d.idx()];
+                sg.local_adj[*at as usize] = (local_pos[s.idx()], row);
+                *at += 1;
+            }
+            continue;
+        }
+        let at = &mut remote_at[s.idx()];
+        sg.remote_adj[*at as usize] = RemoteNeighbor {
+            vertex: d,
+            row,
+            subgraph: b,
+            partition: assignment[d.idx()],
+        };
+        *at += 1;
+        if !directed {
+            let sg = &mut subgraphs[b.idx()];
+            let row = sg.edges.len() as u32;
+            sg.edges.push(EdgeIdx(e));
+            let at = &mut remote_at[d.idx()];
+            sg.remote_adj[*at as usize] = RemoteNeighbor {
+                vertex: s,
+                row,
+                subgraph: a,
+                partition: assignment[s.idx()],
+            };
+            *at += 1;
+        }
+    }
+
+    // Each vertex's entries by (neighbour, row): rows ascend with edge
+    // indices inside one subgraph, so this is the template's
+    // (neighbour, edge) order.
+    for sg in &mut subgraphs {
+        for w in sg.local_offsets.windows(2) {
+            sg.local_adj[w[0] as usize..w[1] as usize].sort_unstable();
+        }
+        for w in sg.remote_offsets.windows(2) {
+            sg.remote_adj[w[0] as usize..w[1] as usize].sort_unstable_by_key(|r| (r.vertex, r.row));
+        }
     }
 
     PartitionedGraph {
@@ -434,6 +537,19 @@ mod tests {
             let total = sg.local_neighbors(pos).len() + sg.remote_neighbors(pos).len();
             assert_eq!(total, t.degree(v), "degree mismatch at {v:?}");
         }
+    }
+
+    /// A row in place of the template `EdgeIdx` keeps both entry kinds at
+    /// their old sizes: a remote entry is 16 bytes (4 + 4 + 4 + 2,
+    /// padded), a local one 8. A larger entry grows every subgraph's CSR:
+    /// `tdsp_road`'s subgraphs hold ≈ 815 k entries, so 4 bytes more per
+    /// entry is ≈ 3.3 MB more to fault in at every open (a fresh page cost
+    /// 1.8–3.7 µs on the 2-vCPU host the open was measured on) and more
+    /// peak memory.
+    #[test]
+    fn entries_keep_their_sizes() {
+        assert_eq!(std::mem::size_of::<RemoteNeighbor>(), 16);
+        assert_eq!(std::mem::size_of::<(u32, u32)>(), 8);
     }
 
     #[test]

@@ -3,12 +3,16 @@
 //! connected through same-partition edges; its `edges` are the sorted,
 //! deduplicated edges of its members' adjacency; local neighbours are
 //! addressed by `binary_search` position in its sorted vertex list, and
-//! every other neighbour is remote, tagged with its owner.
+//! every other neighbour is remote, tagged with its owner. Each entry
+//! names its edge by row: the row is below `edges().len()` and
+//! `edges()[row]` is the template edge of that entry, and each vertex's
+//! entries keep the template's (neighbour, edge) order. Ids follow
+//! (partition, the name an unbalanced union-find gives the component).
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use tempograph_core::{EdgeIdx, TemplateBuilder, VertexIdx};
-use tempograph_partition::{discover_subgraphs, Partitioning, RemoteNeighbor, SubgraphId};
+use tempograph_partition::{discover_subgraphs, Partitioning, SubgraphId};
 
 /// A random graph (self-loops and parallel edges included) and an
 /// assignment of one of three kinds: random over 2–5 partitions, all in
@@ -63,6 +67,29 @@ fn components(n: usize, edges: &[(u32, u32)], assignment: &[u16]) -> Vec<u32> {
     label
 }
 
+/// The name discovery orders ids by: the root each component gets from
+/// linking each source's root under its target's root, in edge order,
+/// with no balancing. Slice files name subgraphs by id, so a store stays
+/// readable only while ids keep this order.
+fn linked_names(n: usize, edges: &[(u32, u32)], assignment: &[u16]) -> Vec<u32> {
+    let mut parent: Vec<u32> = (0..n as u32).collect();
+    let find = |parent: &[u32], mut x: u32| {
+        while parent[x as usize] != x {
+            x = parent[x as usize];
+        }
+        x
+    };
+    for &(s, d) in edges {
+        if assignment[s as usize] == assignment[d as usize] {
+            let (rs, rd) = (find(&parent, s), find(&parent, d));
+            if rs != rd {
+                parent[rs as usize] = rd;
+            }
+        }
+    }
+    (0..n as u32).map(|v| find(&parent, v)).collect()
+}
+
 proptest! {
     #[test]
     fn discovery_matches_its_definition((directed, n, edges, partitioning) in arb_case()) {
@@ -98,6 +125,14 @@ proptest! {
         }
         let dense: Vec<SubgraphId> = (0..pg.subgraphs().len() as u32).map(SubgraphId).collect();
         prop_assert_eq!(listed, dense);
+        // ... and, inside a partition, by the component's linked name.
+        let names = linked_names(n as usize, &edges, &assignment);
+        let keys: Vec<(u16, u32)> = pg
+            .subgraphs()
+            .iter()
+            .map(|sg| (sg.partition(), names[sg.vertices()[0].idx()]))
+            .collect();
+        prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "ids out of order: {:?}", keys);
 
         for sg in pg.subgraphs() {
             let verts = sg.vertices();
@@ -124,16 +159,25 @@ proptest! {
                         let at = verts.binary_search(&nb.vertex).unwrap();
                         local.push((at as u32, nb.edge));
                     } else {
-                        remote.push(RemoteNeighbor {
-                            vertex: nb.vertex,
-                            edge: nb.edge,
-                            subgraph: pg.subgraph_of_vertex(nb.vertex),
-                            partition: owner,
-                        });
+                        remote.push((nb.vertex, nb.edge, pg.subgraph_of_vertex(nb.vertex), owner));
                     }
                 }
-                prop_assert_eq!(sg.local_neighbors(pos as u32), &local[..]);
-                prop_assert_eq!(sg.remote_neighbors(pos as u32), &remote[..]);
+                // Rows index the edge list; read through it, the entries
+                // are the template's, in its order.
+                let edge = |row: u32| {
+                    prop_assert!((row as usize) < sg.edges().len(), "row {} of {}", row, sg.edges().len());
+                    Ok(sg.edges()[row as usize])
+                };
+                let mut got_local = Vec::new();
+                for &(at, row) in sg.local_neighbors(pos as u32) {
+                    got_local.push((at, edge(row)?));
+                }
+                let mut got_remote = Vec::new();
+                for rn in sg.remote_neighbors(pos as u32) {
+                    got_remote.push((rn.vertex, edge(rn.row)?, rn.subgraph, rn.partition));
+                }
+                prop_assert_eq!(got_local, local);
+                prop_assert_eq!(got_remote, remote);
                 prop_assert_eq!(sg.local_pos(v), Some(pos as u32));
             }
         }

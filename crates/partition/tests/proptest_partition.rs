@@ -87,8 +87,9 @@ proptest! {
     /// Subgraph discovery invariants, for any partitioner output:
     /// * every vertex belongs to exactly one subgraph;
     /// * local + remote adjacency per vertex equals its template degree;
-    /// * each subgraph's edge list covers exactly the edges its adjacency
-    ///   mentions, and `edge_pos` inverts it;
+    /// * each subgraph's edge list is sorted and covers exactly the edges
+    ///   its adjacency mentions, and each entry's row indexes its edge
+    ///   (an edge between the vertex and the entry's neighbour);
     /// * subgraphs are internally weakly connected.
     #[test]
     fn subgraph_discovery_invariants(
@@ -104,19 +105,27 @@ proptest! {
         prop_assert_eq!(total, t.num_vertices());
 
         for sg in pg.subgraphs() {
+            let mut mentioned = vec![false; sg.num_edges()];
             for pos in sg.positions() {
                 let v = sg.vertex_at(pos);
                 prop_assert_eq!(pg.subgraph_of_vertex(v), sg.id());
                 let deg = sg.local_neighbors(pos).len() + sg.remote_neighbors(pos).len();
                 prop_assert_eq!(deg, t.degree(v));
                 // Local neighbours really are members; remote ones are not.
-                for &(lp, e) in sg.local_neighbors(pos) {
+                // Each row names an edge joining `v` and the neighbour.
+                let joins = |row: u32, w| {
+                    let (s, d) = t.endpoints(sg.edges()[row as usize]);
+                    (s, d) == (v, w) || (s, d) == (w, v)
+                };
+                for &(lp, row) in sg.local_neighbors(pos) {
                     prop_assert!(lp < sg.num_vertices() as u32);
-                    prop_assert!(sg.edge_pos(e).is_some());
+                    prop_assert!(joins(row, sg.vertex_at(lp)));
+                    mentioned[row as usize] = true;
                 }
                 for rn in sg.remote_neighbors(pos) {
                     prop_assert!(sg.local_pos(rn.vertex).is_none());
-                    prop_assert!(sg.edge_pos(rn.edge).is_some());
+                    prop_assert!(joins(rn.row, rn.vertex));
+                    mentioned[rn.row as usize] = true;
                     prop_assert_eq!(pg.subgraph_of_vertex(rn.vertex), rn.subgraph);
                     prop_assert_eq!(
                         pg.subgraph(rn.subgraph).partition(),
@@ -124,14 +133,11 @@ proptest! {
                     );
                 }
             }
-            // edge list sorted + deduplicated, edge_pos inverts.
-            let edges = sg.edges();
-            for w in edges.windows(2) {
+            // Edge list sorted + deduplicated, every edge some entry's.
+            for w in sg.edges().windows(2) {
                 prop_assert!(w[0] < w[1]);
             }
-            for (q, &e) in edges.iter().enumerate() {
-                prop_assert_eq!(sg.edge_pos(e), Some(q as u32));
-            }
+            prop_assert!(mentioned.iter().all(|&m| m), "an edge no entry names");
             // Internal weak connectivity via union-find over local edges.
             let nv = sg.num_vertices();
             let mut parent: Vec<u32> = (0..nv as u32).collect();
