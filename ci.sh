@@ -160,7 +160,7 @@ miri_stage() {
         echo "    miri component not installed on nightly; skipping miri"
         return 0
     fi
-    cargo +nightly miri test -q -p tempograph-engine wire::tests
+    cargo +nightly miri test -q -p tempograph-core wire::tests
     cargo +nightly miri test -q -p tempograph-gofs slice::tests
     cargo +nightly miri test -q -p tempograph-gofs codec::tests
     cargo +nightly miri test -q -p tempograph-core text::tests
@@ -169,8 +169,9 @@ miri_stage() {
 # Run-ledger gate: the ledger integration tests (stripped-record
 # byte-identity, measured-cost rebalance correctness), the release-only
 # ablation + zero-alloc smoke tests, and an end-to-end CLI smoke: `inspect
-# DIR` must pass a freshly generated store and fail a copy with one slice
-# byte flipped, two seeded deterministic runs must record byte-identical
+# DIR` must pass a freshly generated store and fail each copy with one byte
+# flipped in a slice, in meta.bin or in partitioning.bin, two seeded
+# deterministic runs must record byte-identical
 # ledger files, and list/show/diff/rebalance must all work over them.
 inspect_stage() {
     echo "==> ledger: integration tests (byte-identity + rebalance correctness)"
@@ -192,19 +193,27 @@ inspect_stage() {
         --workload tweets --timesteps 8 --partitions 3 >/dev/null
     "$tg" inspect "$work/ds" >/dev/null \
         || { echo "FAIL: inspect rejected a freshly generated store" >&2; exit 1; }
-    # One byte flipped in the middle of one slice file.
-    cp -r "$work/ds" "$work/ds-bad"
-    local victim size at byte
-    victim="$(find "$work/ds-bad" -name '*.slice' | sort | head -n 1)"
-    size="$(wc -c < "$victim")"
-    at=$((size / 2))
-    byte="$(od -An -tu1 -j "$at" -N1 "$victim" | tr -d ' ')"
-    printf "$(printf '\\%03o' $((byte ^ 255)))" \
-        | dd of="$victim" bs=1 seek="$at" conv=notrunc status=none
-    if "$tg" inspect "$work/ds-bad" >/dev/null 2>&1; then
-        echo "FAIL: inspect passed a store with a corrupt slice" >&2; exit 1
-    fi
-    echo "    inspect DIR: fresh store validated, corrupt slice refused"
+    # One byte flipped in the middle of one file: a slice, then each
+    # metadata file, each in its own copy of the store.
+    local file victim size at byte
+    for file in slice meta.bin partitioning.bin; do
+        rm -rf "$work/ds-bad"
+        cp -r "$work/ds" "$work/ds-bad"
+        if [[ "$file" == slice ]]; then
+            victim="$(find "$work/ds-bad" -name '*.slice' | sort | head -n 1)"
+        else
+            victim="$work/ds-bad/$file"
+        fi
+        size="$(wc -c < "$victim")"
+        at=$((size / 2))
+        byte="$(od -An -tu1 -j "$at" -N1 "$victim" | tr -d ' ')"
+        printf "$(printf '\\%03o' $((byte ^ 255)))" \
+            | dd of="$victim" bs=1 seek="$at" conv=notrunc status=none
+        if "$tg" inspect "$work/ds-bad" >/dev/null 2>&1; then
+            echo "FAIL: inspect passed a store with a corrupt $file" >&2; exit 1
+        fi
+    done
+    echo "    inspect DIR: fresh store validated, corrupt slice, meta.bin and partitioning.bin refused"
     "$tg" run --algo hash --data "$work/ds" --ledger "$work/runs-a" \
         --seed 3405691582 --deterministic true >/dev/null
     "$tg" run --algo hash --data "$work/ds" --ledger "$work/runs-b" \

@@ -16,8 +16,9 @@
 //! * the Merge master sums the series and emits
 //!   `(transition t→t+1 encoded as VertexIdx(t), stable_count)`.
 
+use tempograph_core::wire::{self, WireError, WireMsg};
 use tempograph_core::VertexIdx;
-use tempograph_engine::{wire, Context, Envelope, SubgraphProgram, WireError, WireMsg};
+use tempograph_engine::{Context, Envelope, SubgraphProgram};
 use tempograph_partition::Subgraph;
 
 /// Messages: superstep label relaxations or merged stability series.

@@ -54,8 +54,9 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use tempograph_core::wire::{self, WireError, WireMsg};
 use tempograph_core::VertexIdx;
-use tempograph_engine::{wire, Combiner, Context, Envelope, SubgraphProgram, WireError, WireMsg};
+use tempograph_engine::{Combiner, Context, Envelope, SubgraphProgram};
 use tempograph_partition::{Subgraph, SubgraphId};
 
 /// TDSP message: a remote relaxation.

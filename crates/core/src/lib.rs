@@ -21,6 +21,9 @@
 //! per attribute, indexed by the template's dense vertex/edge index — which
 //! keeps scans cache-friendly and serialisation trivial.
 //!
+//! [`wire`] is the workspace's one codec vocabulary: the layers above
+//! (engine frames, GoFS metadata, the run ledger) all decode through it.
+//!
 //! ```
 //! use tempograph_core::{TemplateBuilder, AttrType, TimeSeriesCollection};
 //!
@@ -49,6 +52,7 @@ pub mod instance;
 pub mod kernels;
 pub mod template;
 pub mod text;
+pub mod wire;
 
 pub use attr::{AttrDef, AttrType, Schema};
 pub use collection::TimeSeriesCollection;

@@ -42,12 +42,12 @@
 //! content and order, and the `micro_messaging` benchmark measures both in
 //! the same run.
 
-use crate::error::WireError;
-use crate::wire::{get_u32, Envelope, WireMsg};
+use crate::wire::Envelope;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use tempograph_core::wire::{get_u32, WireError, WireMsg};
 use tempograph_partition::SubgraphId;
 use tempograph_trace::TraceSink;
 

@@ -29,15 +29,13 @@
 //! a checkpoint of `t` therefore reproduces the clean run bit-for-bit —
 //! the property `tests/recovery_equivalence.rs` asserts.
 
-use crate::error::WireError;
 use crate::metrics::{Emit, TimestepMetrics};
-use crate::wire::{Envelope, WireMsg};
-use bytes::{Buf, Bytes, BytesMut};
-use std::collections::BTreeSet;
+use crate::wire::Envelope;
+use bytes::{Bytes, BytesMut};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use tempograph_gofs::codec::{frame, unframe};
-use tempograph_gofs::error::{GofsError, Result};
+use tempograph_core::wire::{WireError, WireMsg};
+use tempograph_gofs::codec::{decode_framed, frame};
+use tempograph_gofs::error::Result;
 use tempograph_gofs::store::write_atomic;
 use tempograph_partition::SubgraphId;
 
@@ -132,25 +130,6 @@ impl<M: WireMsg> WireMsg for SubgraphCheckpoint<M> {
     }
 }
 
-/// Unframe `data` and decode its payload with `decode`, which must consume
-/// it exactly. The one place a codec failure in a framed file (checkpoint,
-/// manifest, ledger run record) becomes [`GofsError::Corrupt`], prefixed
-/// with `what` — the error [`latest_valid`] falls back past.
-pub fn decode_framed<T>(
-    magic: [u8; 4],
-    data: &[u8],
-    what: &str,
-    decode: impl FnOnce(&mut Bytes) -> std::result::Result<T, WireError>,
-) -> Result<T> {
-    let mut buf = unframe(magic, data)?;
-    let corrupt = |detail: String| GofsError::Corrupt(format!("{what}: {detail}"));
-    let value = decode(&mut buf).map_err(|e| corrupt(e.to_string()))?;
-    if buf.remaining() != 0 {
-        return Err(corrupt(format!("{} trailing bytes", buf.remaining())));
-    }
-    Ok(value)
-}
-
 impl<M: WireMsg> WorkerCheckpoint<M> {
     /// Serialise into a framed (magic/version/checksum) byte buffer.
     pub fn encode(&self) -> Bytes {
@@ -166,7 +145,8 @@ impl<M: WireMsg> WorkerCheckpoint<M> {
     }
 
     /// Decode a framed checkpoint file, validating magic, version and
-    /// checksum first (typed [`GofsError`] on any corruption).
+    /// checksum first (typed [`GofsError`](tempograph_gofs::GofsError) on any
+    /// corruption).
     pub fn decode(data: &[u8]) -> Result<Self> {
         decode_framed(CHECKPOINT_MAGIC, data, "checkpoint record", |buf| {
             let partition = u32::decode(buf)?;
@@ -261,26 +241,13 @@ pub fn latest_valid<M: WireMsg>(dir: &Path, partitions: u16) -> Option<u64> {
     None
 }
 
-/// Intern a counter name loaded from disk so it can re-enter the engine's
-/// `&'static str`-keyed counter maps. Leaks once per distinct name — the
-/// universe of counter names is tiny and fixed per program.
-pub(crate) fn intern(name: &str) -> &'static str {
-    static POOL: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(&s) = pool.get(name) {
-        return s;
-    }
-    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    pool.insert(leaked);
-    leaked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::BufMut;
     use tempograph_core::VertexIdx;
-    use tempograph_gofs::codec::{assert_hex_golden, FORMAT_VERSION};
+    use tempograph_gofs::codec::{assert_hex_golden, unframe, FORMAT_VERSION};
+    use tempograph_gofs::error::GofsError;
 
     fn tmp() -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -551,13 +518,5 @@ mod tests {
         commit_manifest(&dir, 0).unwrap();
         assert_eq!(latest_valid::<M>(&dir, 2), None);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn intern_is_stable() {
-        let a = intern("ckpt-test-counter");
-        let b = intern("ckpt-test-counter");
-        assert!(std::ptr::eq(a, b), "same name must intern to one &'static");
-        assert_eq!(intern("ckpt-other"), "ckpt-other");
     }
 }

@@ -50,13 +50,13 @@ use crate::program::SubgraphProgram;
 use crate::provider::{InstanceSource, JobSource};
 use crate::telemetry::CoordTelemetry;
 use crate::transport::{connect_mesh, WorkerLinks, HANDSHAKE_TIMEOUT_MS};
-use crate::wire::WireMsg;
 use bytes::{Buf, Bytes, BytesMut};
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::Arc;
+use tempograph_core::wire::WireMsg;
 use tempograph_partition::{PartitionedGraph, Subgraph, SubgraphId};
 use tempograph_trace::{Clock, Trace, TraceEvent, TraceSink};
 

@@ -5,78 +5,12 @@
 //! engine-internal, but a panic in a worker poisons the whole cluster and
 //! loses the structured cause. Lint rule **P01** now forbids
 //! `unwrap`/`expect`/`panic!` in that path; corruption instead surfaces as
-//! a [`WireError`] (codec layer) wrapped into an [`EngineError`] (worker
-//! layer), which the driver re-raises with the failing partition attached.
+//! a [`WireError`] (the workspace codec's, `tempograph_core::wire`)
+//! wrapped into an [`EngineError`] (worker layer), which the driver
+//! re-raises with the failing partition attached.
 
 use std::fmt;
-
-/// A malformed wire buffer, detected during decode.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// The buffer ended before a fixed-width read.
-    Eof {
-        /// What was being decoded.
-        context: &'static str,
-        /// Bytes the read required.
-        needed: usize,
-        /// Bytes actually remaining.
-        remaining: usize,
-    },
-    /// A tag byte matched no known variant.
-    BadTag {
-        /// The enum or frame whose tag was read.
-        context: &'static str,
-        /// The offending tag value.
-        tag: u8,
-    },
-    /// A decoded count or id lies outside what the record allows (a
-    /// histogram whose bucket count is not `BUCKETS`, a partition id past
-    /// `u16::MAX`).
-    OutOfRange {
-        /// The field that was read.
-        context: &'static str,
-        /// The value found on the wire.
-        value: u64,
-    },
-    /// A length-prefixed string was not valid UTF-8.
-    Utf8 {
-        /// What was being decoded.
-        context: &'static str,
-    },
-    /// A framed payload's checksum did not match its contents.
-    Checksum {
-        /// The frame whose checksum failed.
-        context: &'static str,
-    },
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Eof {
-                context,
-                needed,
-                remaining,
-            } => write!(
-                f,
-                "unexpected end of wire buffer decoding {context}: \
-                 need {needed} bytes, {remaining} remain"
-            ),
-            WireError::BadTag { context, tag } => {
-                write!(f, "unknown {context} tag {tag:#04x}")
-            }
-            WireError::OutOfRange { context, value } => {
-                write!(f, "{context} {value} out of range")
-            }
-            WireError::Utf8 { context } => write!(f, "invalid UTF-8 decoding {context}"),
-            WireError::Checksum { context } => {
-                write!(f, "checksum mismatch decoding {context}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
+use tempograph_core::wire::WireError;
 
 /// A worker-level failure surfaced to the driver as a value, not a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]

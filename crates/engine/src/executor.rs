@@ -39,7 +39,7 @@ use crate::batch::{
     combine_envelopes, merge_sorted_runs_traced, BufferPool, Combiner, MessageBatch,
 };
 use crate::checkpoint::{
-    self, checkpoint_path, commit_manifest, CheckpointConfig, SubgraphCheckpoint, WorkerCheckpoint,
+    checkpoint_path, commit_manifest, CheckpointConfig, SubgraphCheckpoint, WorkerCheckpoint,
 };
 use crate::cluster::{Aggregate, Contribution};
 use crate::error::EngineError;
@@ -1255,7 +1255,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             .into_iter()
             .map(|row| {
                 row.into_iter()
-                    .map(|(name, v)| (checkpoint::intern(&name), v))
+                    .map(|(name, v)| (tempograph_core::wire::intern(&name), v))
                     .collect()
             })
             .collect();

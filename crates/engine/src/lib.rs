@@ -61,7 +61,7 @@ pub use checkpoint::{
 pub use cluster::{
     run_cluster as run_job_tcp, run_job, run_tcp_worker, Cluster, INJECTED_EXIT_CODE,
 };
-pub use error::{EngineError, WireError};
+pub use error::EngineError;
 pub use executor::{JobConfig, Pattern, TimestepMode, DEFAULT_STRAGGLER_FACTOR};
 pub use faults::{FaultPlan, INJECTED_FAULT_MARKER};
 pub use metrics::{AttributionRow, CostAttribution, Emit, JobResult, TimestepMetrics};
@@ -69,6 +69,7 @@ pub use net::{Frame, FrameConn, FrameKind, StatusReplyMsg, TelemetryMsg, WorkerS
 pub use program::{Context, Phase, SubgraphProgram};
 pub use provider::{GofsProvider, InstanceProvider, InstanceSource, MemoryProvider};
 pub use telemetry::query_status;
+pub use tempograph_core::wire::{WireError, WireMsg};
 pub use tempograph_trace::{Trace, TraceConfig, TraceMode, TraceSink};
 pub use transport::{BatchKind, PhaseMail};
-pub use wire::{Envelope, WireMsg};
+pub use wire::Envelope;

@@ -1,9 +1,8 @@
 //! Execution metrics: the raw material for the paper's Figures 6 and 7.
 
-use crate::error::WireError;
-use crate::wire::WireMsg;
 use bytes::{Bytes, BytesMut};
 use std::collections::BTreeMap;
+use tempograph_core::wire::{WireError, WireMsg};
 use tempograph_core::VertexIdx;
 use tempograph_metrics::{ratio_or_zero, Histogram, Registry};
 use tempograph_partition::SubgraphId;

@@ -44,16 +44,15 @@
 //! an in-process cluster; everything above them cannot tell the two apart.
 
 use crate::cluster::{Aggregate, Contribution};
-use crate::error::{EngineError, WireError};
-use crate::wire::{get_u32, get_u8, WireMsg};
+use crate::error::EngineError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use tempograph_core::wire::{WireError, WireMsg};
 use tempograph_gofs::codec::fnv1a64_words;
-use tempograph_metrics::{Histogram, BUCKETS};
-use tempograph_trace::{Clock, TraceEvent};
+use tempograph_trace::Clock;
 
 /// Frame magic: "TempoGraph FRame".
 pub const FRAME_MAGIC: [u8; 4] = *b"TGFR";
@@ -62,7 +61,9 @@ pub const FRAME_MAGIC: [u8; 4] = *b"TGFR";
 /// a version mismatch at decode is corruption (mixed-build clusters are not
 /// supported). v2 added the telemetry plane ([`FrameKind::Telemetry`],
 /// [`FrameKind::StatusRequest`], [`FrameKind::StatusReply`]). v3 encodes
-/// telemetry from the engine's own records ([`TraceEvent`], [`Histogram`],
+/// telemetry from the engine's own records
+/// ([`TraceEvent`](tempograph_trace::TraceEvent),
+/// [`Histogram`](tempograph_metrics::Histogram),
 /// [`MetricsShard`](crate::metrics::MetricsShard),
 /// [`AttributionRow`](crate::metrics::AttributionRow)) instead of
 /// field-for-field wire copies; the payload bytes did not change. v4 moves
@@ -867,92 +868,6 @@ impl WireMsg for Aggregate {
 
 // ---- observability records and telemetry payloads ----------------------
 
-/// One tag byte (1 = span, 2 = instant, 3 = counter), then the name, `a`
-/// (span start / event timestamp), `b` (span duration / counter value, 0
-/// for instants) and the optional argument (always `None` for counters).
-/// Names are written straight from their `&'static str` and interned back
-/// on decode.
-impl WireMsg for TraceEvent {
-    fn encode(&self, buf: &mut BytesMut) {
-        let (tag, name, a, b, arg) = match *self {
-            TraceEvent::Span {
-                name,
-                start_ns,
-                dur_ns,
-                arg,
-            } => (1u8, name, start_ns, dur_ns, arg),
-            TraceEvent::Instant { name, ts_ns, arg } => (2, name, ts_ns, 0, arg),
-            TraceEvent::Counter { name, ts_ns, value } => (3, name, ts_ns, value, None),
-        };
-        buf.put_u8(tag);
-        name.encode(buf);
-        a.encode(buf);
-        b.encode(buf);
-        arg.encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        type Arg = Option<(&'static str, u64)>;
-        let build: fn(&'static str, u64, u64, Arg) -> TraceEvent =
-            match get_u8(buf, "trace event kind")? {
-                1 => |name, start_ns, dur_ns, arg| TraceEvent::Span {
-                    name,
-                    start_ns,
-                    dur_ns,
-                    arg,
-                },
-                2 => |name, ts_ns, _, arg| TraceEvent::Instant { name, ts_ns, arg },
-                3 => |name, ts_ns, value, _| TraceEvent::Counter { name, ts_ns, value },
-                tag => {
-                    return Err(WireError::BadTag {
-                        context: "trace event kind",
-                        tag,
-                    })
-                }
-            };
-        Ok(build(
-            <&'static str>::decode(buf)?,
-            u64::decode(buf)?,
-            u64::decode(buf)?,
-            Arg::decode(buf)?,
-        ))
-    }
-}
-
-/// A `u32` bucket count (always [`BUCKETS`]), the buckets, then count,
-/// sum, min and max.
-impl WireMsg for Histogram {
-    fn encode(&self, buf: &mut BytesMut) {
-        (BUCKETS as u32).encode(buf);
-        for bucket in self.buckets() {
-            bucket.encode(buf);
-        }
-        self.count().encode(buf);
-        self.sum().encode(buf);
-        self.min().encode(buf);
-        self.max().encode(buf);
-    }
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let n = get_u32(buf, "histogram bucket count")?;
-        if n as usize != BUCKETS {
-            return Err(WireError::OutOfRange {
-                context: "histogram bucket count",
-                value: n.into(),
-            });
-        }
-        let mut buckets = [0u64; BUCKETS];
-        for slot in &mut buckets {
-            *slot = u64::decode(buf)?;
-        }
-        Ok(Histogram::from_parts(
-            buckets,
-            u64::decode(buf)?,
-            u64::decode(buf)?,
-            u64::decode(buf)?,
-            u64::decode(buf)?,
-        ))
-    }
-}
-
 /// Worker → coordinator round report, one per closed timestep: what the
 /// status board shows and the straggler judge reads. The worker fills the
 /// round's fields; its transport fills `clock_ns` and the byte counters as
@@ -1089,6 +1004,8 @@ mod tests {
     use super::*;
     use std::io::Cursor;
     use tempograph_gofs::codec::assert_hex_golden;
+    use tempograph_metrics::Histogram;
+    use tempograph_trace::TraceEvent;
 
     /// Loopback socket pair, or `None` (with a notice) where the sandbox
     /// forbids sockets — the documented skip path for TCP tests.

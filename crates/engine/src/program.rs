@@ -20,8 +20,9 @@
 //! `SendToSubgraphInNextTimestep`, `SendMessageToMerge`, `VoteToHalt`,
 //! `VoteToHaltTimestep`.
 
-use crate::wire::{Envelope, WireMsg};
+use crate::wire::Envelope;
 use std::sync::Arc;
+use tempograph_core::wire::WireMsg;
 use tempograph_core::VertexIdx;
 use tempograph_gofs::SubgraphInstance;
 use tempograph_partition::{PartitionedGraph, Subgraph, SubgraphId};

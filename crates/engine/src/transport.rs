@@ -53,10 +53,10 @@ use crate::net::{
     accept_with_deadline, connect_with_retry, decode_payload, encode_payload, net_err, read_frame,
     AbortMsg, Frame, FrameConn, FrameKind, PeerLink, TelemetryMsg,
 };
-use crate::wire::WireMsg;
 use bytes::{Bytes, BytesMut};
 use std::io::BufReader;
 use std::net::TcpListener;
+use tempograph_core::wire::WireMsg;
 use tempograph_trace::TraceSink;
 
 /// Handshake patience: how long the coordinator waits for worker hellos and

@@ -2,10 +2,11 @@
 
 use bytes::BytesMut;
 use proptest::prelude::*;
+use tempograph_core::wire::WireMsg;
 use tempograph_core::VertexIdx;
 use tempograph_engine::batch::{legacy, merge_sorted_runs, MessageBatch};
 use tempograph_engine::cluster::{fold_contributions, Contribution};
-use tempograph_engine::wire::{sort_envelopes, Envelope, WireMsg};
+use tempograph_engine::wire::{sort_envelopes, Envelope};
 use tempograph_partition::SubgraphId;
 
 fn roundtrip<M: WireMsg + PartialEq + std::fmt::Debug>(m: &M) -> M {

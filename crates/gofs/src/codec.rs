@@ -1,13 +1,25 @@
-//! From-scratch binary codec on `bytes`.
+//! GoFS's binary formats on `bytes`: the frame envelope and the column
+//! codec. Every framed file (GoFS metadata and slices, engine checkpoints,
+//! run records) carries a 4-byte magic, a `u16` version, a `u64` payload
+//! length and an FNV-1a-64 checksum footer; see [`frame`] / [`unframe`].
+//! Payloads decode through `tempograph_core::wire` ([`WireMsg`], checked
+//! `get_*` reads): [`decode_framed`] for whole records, `wire::get_*` and
+//! `wire::get_vec` for the slice and template headers; a [`WireError`] is
+//! [`GofsError::Corrupt`].
 //!
-//! Wire conventions: little-endian fixed-width integers, length-prefixed
-//! strings and sequences (`u32` lengths), one-byte type tags for columns
-//! (reusing [`AttrType::tag`]). Framed payloads (template files, slice
-//! files) carry a 4-byte magic, a `u16` version and a trailing FNV-1a-64
-//! checksum over the payload; see [`frame`] / [`unframe`].
+//! The column codec ([`put_column`], delta records) is a layout, not a
+//! message: one-byte type tags (reusing [`AttrType::tag`]), then the rows
+//! packed. It reads the rows itself, because its in-place walkers
+//! (`read_u32`, `read_varu64`, `walk_text`, [`text_list_matches`],
+//! [`delta_text_count_eq`], `f64_cells`) index a `&[u8]` where it lies and
+//! `get_words` parses a run of 8-byte words with one bounds check: no
+//! cursor advances per value, no string is copied to count it. Only its
+//! tag bytes and `LongList` rows (each laid out as a `Vec<i64>`) go
+//! through the vocabulary.
 
 use crate::error::{GofsError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use tempograph_core::wire::{self, put_str, WireError, WireMsg};
 use tempograph_core::{AttrType, Column, GraphTemplate, Schema, TextRows, VertexIdx};
 
 /// Format version stamped into every framed file this build writes, and
@@ -117,6 +129,25 @@ fn framed_payload(magic: [u8; 4], data: &[u8]) -> Result<std::ops::Range<usize>>
     Ok(start..start + len)
 }
 
+/// Unframe `data` and decode its payload with `decode`, which must consume
+/// it exactly. The one place a codec failure in a framed record file
+/// (dataset metadata, partitioning, checkpoint, manifest, ledger run
+/// record) becomes [`GofsError::Corrupt`], prefixed with `what`.
+pub fn decode_framed<T>(
+    magic: [u8; 4],
+    data: &[u8],
+    what: &str,
+    decode: impl FnOnce(&mut Bytes) -> std::result::Result<T, WireError>,
+) -> Result<T> {
+    let mut buf = unframe(magic, data)?;
+    let corrupt = |detail: String| GofsError::Corrupt(format!("{what}: {detail}"));
+    let value = decode(&mut buf).map_err(|e| corrupt(e.to_string()))?;
+    if buf.remaining() != 0 {
+        return Err(corrupt(format!("{} trailing bytes", buf.remaining())));
+    }
+    Ok(value)
+}
+
 /// Test helper: assert that `bytes` equal a committed hex golden.
 ///
 /// The golden's first line names the version constant that governs the
@@ -158,29 +189,6 @@ pub fn assert_hex_golden(bytes: &[u8], golden: &str, constant: &str, version: u1
     }
 }
 
-// ---- primitives ---------------------------------------------------------
-
-/// Append a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-/// Read a length-prefixed UTF-8 string. Validates UTF-8 against the
-/// buffer view and copies once into the returned `String` (`split_to` +
-/// `to_vec` would copy twice).
-pub fn get_str(buf: &mut Bytes) -> Result<String> {
-    let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(GofsError::Corrupt("string overruns buffer".into()));
-    }
-    let s = std::str::from_utf8(&buf[..len])
-        .map_err(|_| GofsError::Corrupt("invalid UTF-8 in string".into()))?
-        .to_owned();
-    buf.advance(len);
-    Ok(s)
-}
-
 // ---- varints -------------------------------------------------------------
 
 /// Append an LEB128 varint (7 value bits per byte, low bits first).
@@ -213,7 +221,7 @@ fn read_varu64(data: &[u8], at: &mut usize) -> Result<u64> {
     }
     let mut x = 0u64;
     for shift in (0..64).step_by(7) {
-        let b = *data.get(*at).ok_or_else(|| eof("u8"))?;
+        let b = *data.get(*at).ok_or_else(overrun)?;
         *at += 1;
         let low = (b & 0x7f) as u64;
         if shift == 63 && low > 1 {
@@ -225,50 +233,6 @@ fn read_varu64(data: &[u8], at: &mut usize) -> Result<u64> {
         }
     }
     Err(GofsError::Corrupt("varint longer than 10 bytes".into()))
-}
-
-fn eof(what: &str) -> GofsError {
-    GofsError::Corrupt(format!("unexpected EOF reading {what}"))
-}
-
-/// Checked `u32` read.
-pub fn get_u32(buf: &mut Bytes) -> Result<u32> {
-    if buf.remaining() < 4 {
-        return Err(eof("u32"));
-    }
-    Ok(buf.get_u32_le())
-}
-
-/// Checked `u64` read.
-pub fn get_u64(buf: &mut Bytes) -> Result<u64> {
-    if buf.remaining() < 8 {
-        return Err(eof("u64"));
-    }
-    Ok(buf.get_u64_le())
-}
-
-/// Checked `i64` read.
-pub fn get_i64(buf: &mut Bytes) -> Result<i64> {
-    if buf.remaining() < 8 {
-        return Err(eof("i64"));
-    }
-    Ok(buf.get_i64_le())
-}
-
-/// Checked `f64` read.
-pub fn get_f64(buf: &mut Bytes) -> Result<f64> {
-    if buf.remaining() < 8 {
-        return Err(eof("f64"));
-    }
-    Ok(buf.get_f64_le())
-}
-
-/// Checked `u8` read.
-pub fn get_u8(buf: &mut Bytes) -> Result<u8> {
-    if buf.remaining() < 1 {
-        return Err(eof("u8"));
-    }
-    Ok(buf.get_u8())
 }
 
 /// Reject an element count the rest of `buf` cannot back (each element
@@ -290,18 +254,18 @@ pub(crate) fn check_count(buf: &[u8], n: usize, min_size: usize) -> Result<usize
 pub fn put_schema(buf: &mut BytesMut, schema: &Schema) {
     buf.put_u32_le(schema.len() as u32);
     for def in schema.iter() {
-        put_str(buf, &def.name);
+        def.name.encode(buf);
         buf.put_u8(def.ty.tag());
     }
 }
 
-/// Read a [`Schema`].
+/// Read a [`Schema`], then validate it.
 pub fn get_schema(buf: &mut Bytes) -> Result<Schema> {
-    let n = get_u32(buf)? as usize;
+    let n = wire::get_u32(buf, "schema length")?;
     let mut schema = Schema::new();
     for _ in 0..n {
-        let name = get_str(buf)?;
-        let tag = get_u8(buf)?;
+        let name = String::decode(buf)?;
+        let tag = wire::get_u8(buf, "attr type tag")?;
         let ty = AttrType::from_tag(tag)
             .ok_or_else(|| GofsError::Corrupt(format!("unknown attr type tag {tag}")))?;
         schema.add(name, ty);
@@ -343,14 +307,8 @@ pub fn put_column(buf: &mut BytesMut, col: &Column) {
                 buf.put_u8(byte);
             }
         }
-        Column::LongList(v) => {
-            for list in v {
-                buf.put_u32_le(list.len() as u32);
-                for &x in list {
-                    buf.put_i64_le(x);
-                }
-            }
-        }
+        // A row is laid out as its `Vec<i64>`.
+        Column::LongList(v) => v.iter().for_each(|list| list.encode(buf)),
         // A `Text` row is its one string, a `TextList` row a count first.
         Column::Text(rows) | Column::TextList(rows) => {
             let lists = matches!(col, Column::TextList(_));
@@ -359,16 +317,11 @@ pub fn put_column(buf: &mut BytesMut, col: &Column) {
                     buf.put_u32_le(row.len() as u32);
                 }
                 for s in row.iter() {
-                    put_str_mut(buf, s);
+                    put_str(buf, s);
                 }
             }
         }
     }
-}
-
-fn put_str_mut(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
 }
 
 /// Read a column record's tag and row count.
@@ -381,12 +334,12 @@ fn column_header(buf: &mut Bytes) -> Result<(AttrType, usize)> {
 
 /// [`column_header`] at `*at` in `data`, stepping over it.
 fn read_column_header(data: &[u8], at: &mut usize) -> Result<(AttrType, usize)> {
-    let tag = *data.get(*at).ok_or_else(|| eof("u8"))?;
+    let tag = *data.get(*at).ok_or_else(overrun)?;
     let ty = AttrType::from_tag(tag)
         .ok_or_else(|| GofsError::Corrupt(format!("unknown column tag {tag}")))?;
     *at += 1;
     let rows = data.get(*at..).and_then(|d| d.first_chunk::<4>());
-    let rows = rows.ok_or_else(|| eof("u32"))?;
+    let rows = rows.ok_or_else(overrun)?;
     *at += 4;
     Ok((ty, u32::from_le_bytes(*rows) as usize))
 }
@@ -408,18 +361,7 @@ pub fn get_column(buf: &mut Bytes) -> Result<Column> {
             let v = (0..len).map(|i| raw[i / 8] & (1 << (i % 8)) != 0).collect();
             Column::Bool(v)
         }
-        AttrType::LongList => {
-            let mut v = Vec::with_capacity(check_count(buf, len, 4)?);
-            for _ in 0..len {
-                let m = get_u32(buf)? as usize;
-                let mut list = Vec::with_capacity(check_count(buf, m, 8)?);
-                for _ in 0..m {
-                    list.push(get_i64(buf)?);
-                }
-                v.push(list);
-            }
-            Column::LongList(v)
-        }
+        AttrType::LongList => Column::LongList(wire::get_vec(buf, len)?),
         AttrType::Text => Column::Text(get_text_rows(buf, len, false)?),
         AttrType::TextList => Column::TextList(get_text_rows(buf, len, true)?),
     })
@@ -447,7 +389,7 @@ pub fn skip_column(buf: &mut Bytes) -> Result<()> {
         AttrType::Long | AttrType::Double => skip(buf, len.saturating_mul(8)),
         AttrType::Bool => skip(buf, len.div_ceil(8)),
         AttrType::LongList => (0..len).try_for_each(|_| {
-            let m = get_u32(buf)? as usize;
+            let m = wire::get_u32(buf, "LongList row length")? as usize;
             skip(buf, m.saturating_mul(8))
         }),
         AttrType::Text | AttrType::TextList => {
@@ -458,7 +400,7 @@ pub fn skip_column(buf: &mut Bytes) -> Result<()> {
 }
 
 fn overrun() -> GofsError {
-    GofsError::Corrupt("text column overruns buffer".into())
+    GofsError::Corrupt("column record overruns buffer".into())
 }
 
 /// Little-endian `u32` at `*at`, stepping over it.
@@ -581,7 +523,7 @@ pub fn put_delta_column(buf: &mut BytesMut, base: &Column, cur: &Column) {
 /// out-of-range rows, type/length disagreements) surface as typed
 /// [`GofsError`]s.
 pub fn get_delta_column(buf: &mut Bytes, base: &Column) -> Result<Column> {
-    match get_u8(buf)? {
+    match wire::get_u8(buf, "delta tag")? {
         DELTA_DENSE => {
             let col = get_column(buf)?;
             let shape = |c: &Column| (c.ty(), c.len());
@@ -617,7 +559,7 @@ pub fn get_delta_column(buf: &mut Bytes, base: &Column) -> Result<Column> {
 
 /// Step over one [`put_delta_column`] record without allocating.
 pub fn skip_delta_column(buf: &mut Bytes) -> Result<()> {
-    match get_u8(buf)? {
+    match wire::get_u8(buf, "delta tag")? {
         DELTA_DENSE => skip_column(buf),
         DELTA_SPARSE => {
             for _ in 0..get_varu64(buf)? {
@@ -746,7 +688,7 @@ pub fn delta_text_count_eq(record: &[u8], base: &TextMatches) -> Result<(u64, us
             Ok((count + patched, at + len))
         }
         Some(&other) => Err(GofsError::Corrupt(format!("unknown delta tag {other}"))),
-        None => Err(eof("u8")),
+        None => Err(overrun()),
     }
 }
 
@@ -820,7 +762,7 @@ const TEMPLATE_MAGIC: [u8; 4] = *b"GFTP";
 pub fn encode_template(t: &GraphTemplate) -> Bytes {
     let mut buf = BytesMut::new();
     put_str(&mut buf, t.name());
-    buf.put_u8(t.directed() as u8);
+    t.directed().encode(&mut buf);
     put_schema(&mut buf, t.vertex_schema());
     put_schema(&mut buf, t.edge_schema());
     buf.put_u32_le(t.num_vertices() as u32);
@@ -845,13 +787,13 @@ pub fn encode_template(t: &GraphTemplate) -> Bytes {
 /// range or a short column is [`GofsError::Corrupt`].
 pub fn decode_template(data: Bytes) -> Result<GraphTemplate> {
     let mut buf = unframe_owned(TEMPLATE_MAGIC, data)?;
-    let name = get_str(&mut buf)?;
-    let directed = get_u8(&mut buf)? != 0;
+    let name = String::decode(&mut buf)?;
+    let directed = bool::decode(&mut buf)?;
     let vertex_schema = get_schema(&mut buf)?;
     let edge_schema = get_schema(&mut buf)?;
-    let nv = get_u32(&mut buf)? as usize;
+    let nv = wire::get_u32(&mut buf, "template vertex count")? as usize;
     let vertex_ids = get_words(&mut buf, nv, u64::from_le_bytes)?;
-    let ne = get_u32(&mut buf)? as usize;
+    let ne = wire::get_u32(&mut buf, "template edge count")? as usize;
     let n = check_count(&buf, ne, 16)? * 16;
     let mut edge_ids = Vec::with_capacity(ne);
     let mut endpoints = Vec::with_capacity(ne);
@@ -1410,8 +1352,12 @@ mod tests {
     #[test]
     fn string_overrun_detected() {
         let mut buf = BytesMut::new();
+        buf.put_u32_le(1); // one attribute, whose name
         buf.put_u32_le(1000); // claims 1000 bytes
         buf.put_slice(b"short");
-        assert!(get_str(&mut buf.freeze()).is_err());
+        assert!(matches!(
+            get_schema(&mut buf.freeze()),
+            Err(GofsError::Corrupt(_))
+        ));
     }
 }

@@ -67,6 +67,14 @@ impl From<std::io::Error> for GofsError {
     }
 }
 
+/// Every codec failure in a stored record is corruption: callers read
+/// through `tempograph_core::wire` and write `?`.
+impl From<tempograph_core::wire::WireError> for GofsError {
+    fn from(e: tempograph_core::wire::WireError) -> Self {
+        GofsError::Corrupt(e.to_string())
+    }
+}
+
 impl From<tempograph_core::CoreError> for GofsError {
     fn from(e: tempograph_core::CoreError) -> Self {
         GofsError::Core(e)
@@ -88,6 +96,15 @@ mod tests {
             actual: 2,
         };
         assert!(e.to_string().contains("checksum"));
+    }
+
+    #[test]
+    fn wire_errors_are_corrupt() {
+        let e: GofsError = tempograph_core::wire::WireError::Utf8 { context: "name" }.into();
+        assert!(
+            matches!(e, GofsError::Corrupt(ref d) if d.contains("UTF-8")),
+            "{e}"
+        );
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! This crate reproduces that storage layer on a local filesystem — one
 //! directory per partition stands in for one host's disk:
 //!
-//! * [`codec`] — a from-scratch binary format on `bytes` (magic, version,
-//!   FNV-1a checksums); no serialisation framework is used;
+//! * [`codec`] — a from-scratch binary format on `bytes`: the frame
+//!   envelope (magic, version, FNV-1a checksums) and the column codec;
+//!   metadata records decode through `tempograph_core::wire`, the
+//!   workspace's one codec vocabulary; no serialisation framework is used;
 //! * [`view::SubgraphInstance`] — an instance *projected* onto one subgraph:
 //!   vertex attribute rows in local-position order, edge rows in
 //!   [`Subgraph::edges`](tempograph_partition::Subgraph::edges) order, the

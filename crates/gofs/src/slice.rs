@@ -31,8 +31,9 @@
 use crate::codec::{self, frame, unframe_owned};
 use crate::error::{GofsError, Result};
 use crate::view::{Projection, SubgraphInstance};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::sync::{Arc, OnceLock};
+use tempograph_core::wire;
 use tempograph_core::Column;
 use tempograph_partition::SubgraphId;
 
@@ -308,35 +309,23 @@ pub fn encode_slice(
 /// load allocates the file once.
 pub fn decode_slice(data: Bytes) -> Result<SliceData> {
     let mut buf = unframe_owned(SLICE_MAGIC, data)?;
-    if buf.len() < 22 {
-        return Err(GofsError::Corrupt("slice header truncated".into()));
-    }
-    let partition = buf.get_u16_le();
-    let bin = codec::get_u32(&mut buf)?;
-    let pack = codec::get_u32(&mut buf)?;
-    let t_start = codec::get_u32(&mut buf)? as usize;
-    let n_timesteps = codec::get_u32(&mut buf)? as usize;
-    let n_sg = codec::get_u32(&mut buf)? as usize;
+    let partition = wire::get_u16(&mut buf, "slice partition")?;
+    let bin = wire::get_u32(&mut buf, "slice bin")?;
+    let pack = wire::get_u32(&mut buf, "slice pack")?;
+    let t_start = wire::get_u32(&mut buf, "slice first timestep")? as usize;
+    let n_timesteps = wire::get_u32(&mut buf, "slice timesteps")? as usize;
+    let n_sg = wire::get_u32(&mut buf, "slice subgraphs")? as usize;
     if n_sg.saturating_mul(n_timesteps) > u32::MAX as usize {
         return Err(GofsError::Corrupt(format!(
             "implausible slice grid {n_sg}×{n_timesteps}"
         )));
     }
-    let mut sg_ids = Vec::with_capacity(codec::check_count(&buf, n_sg, 4)?);
-    for _ in 0..n_sg {
-        sg_ids.push(SubgraphId(codec::get_u32(&mut buf)?));
-    }
-    let mut timestamps = Vec::with_capacity(codec::check_count(&buf, n_timesteps, 8)?);
-    for _ in 0..n_timesteps {
-        timestamps.push(codec::get_i64(&mut buf)?);
-    }
-    let n_vertex_cols = codec::get_u32(&mut buf)? as usize;
-    let n_edge_cols = codec::get_u32(&mut buf)? as usize;
+    let sg_ids: Vec<SubgraphId> = wire::get_vec(&mut buf, n_sg)?;
+    let timestamps: Vec<i64> = wire::get_vec(&mut buf, n_timesteps)?;
+    let n_vertex_cols = wire::get_u32(&mut buf, "slice vertex columns")? as usize;
+    let n_edge_cols = wire::get_u32(&mut buf, "slice edge columns")? as usize;
     let n_cells = n_sg * n_timesteps;
-    let mut offsets = Vec::with_capacity(codec::check_count(&buf, n_cells + 1, 8)?);
-    for _ in 0..=n_cells {
-        offsets.push(codec::get_u64(&mut buf)?);
-    }
+    let offsets: Vec<u64> = wire::get_vec(&mut buf, n_cells + 1)?;
     // Everything left is the block region — keep it as a zero-copy view.
     let blocks = buf.slice(..);
     // Vet the directory once here so block() can slice unchecked.

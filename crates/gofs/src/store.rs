@@ -10,13 +10,14 @@
 //!     ...
 //! ```
 
-use crate::codec::{self, frame, unframe, unframe_owned};
+use crate::codec::{self, decode_framed, frame};
 use crate::error::{GofsError, Result};
 use crate::slice::{encode_slice, SliceKey};
 use crate::view::Projection;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use tempograph_core::wire::{self, WireError, WireMsg};
 use tempograph_core::{GraphInstance, GraphTemplate, TimeSeriesCollection};
 use tempograph_partition::{discover_subgraphs, PartitionedGraph, Partitioning, SubgraphId};
 
@@ -64,62 +65,76 @@ pub struct DatasetMeta {
     pub binning: usize,
 }
 
+/// A partition count read off disk. Partition ids are `u16`, so one past
+/// 65 536 is corrupt, refused before anything is sized by it.
+fn get_partition_count(buf: &mut Bytes) -> std::result::Result<usize, WireError> {
+    match wire::get_u32(buf, "partition count")? {
+        k if k <= 1 << 16 => Ok(k as usize),
+        k => Err(WireError::OutOfRange {
+            context: "partition count",
+            value: k.into(),
+        }),
+    }
+}
+
 impl DatasetMeta {
-    fn encode(&self) -> bytes::Bytes {
+    fn encode(&self) -> Bytes {
         let mut buf = BytesMut::new();
-        codec::put_str(&mut buf, &self.name);
-        buf.put_i64_le(self.start_time);
-        buf.put_i64_le(self.period);
-        buf.put_u64_le(self.num_timesteps as u64);
-        buf.put_u32_le(self.num_partitions as u32);
-        buf.put_u32_le(self.packing as u32);
-        buf.put_u32_le(self.binning as u32);
+        self.name.encode(&mut buf);
+        self.start_time.encode(&mut buf);
+        self.period.encode(&mut buf);
+        (self.num_timesteps as u64).encode(&mut buf);
+        (self.num_partitions as u32).encode(&mut buf);
+        (self.packing as u32).encode(&mut buf);
+        (self.binning as u32).encode(&mut buf);
         frame(META_MAGIC, &buf)
     }
 
     fn decode(data: &[u8]) -> Result<Self> {
-        let mut buf = unframe(META_MAGIC, data)?;
-        let name = codec::get_str(&mut buf)?;
-        let start_time = codec::get_i64(&mut buf)?;
-        let period = codec::get_i64(&mut buf)?;
-        let num_timesteps = codec::get_u64(&mut buf)? as usize;
-        let num_partitions = codec::get_u32(&mut buf)? as usize;
-        let packing = codec::get_u32(&mut buf)? as usize;
-        let binning = codec::get_u32(&mut buf)? as usize;
-        if packing == 0 || binning == 0 {
+        // Fields decode in the order they are written.
+        let meta = decode_framed(META_MAGIC, data, "dataset meta", |buf| {
+            Ok(DatasetMeta {
+                name: String::decode(buf)?,
+                start_time: i64::decode(buf)?,
+                period: i64::decode(buf)?,
+                num_timesteps: u64::decode(buf)? as usize,
+                num_partitions: get_partition_count(buf)?,
+                packing: u32::decode(buf)? as usize,
+                binning: u32::decode(buf)? as usize,
+            })
+        })?;
+        if meta.packing == 0 || meta.binning == 0 {
             return Err(GofsError::Corrupt("packing/binning must be ≥ 1".into()));
         }
-        Ok(DatasetMeta {
-            name,
-            start_time,
-            period,
-            num_timesteps,
-            num_partitions,
-            packing,
-            binning,
-        })
+        Ok(meta)
     }
 }
 
-fn encode_partitioning(p: &Partitioning) -> bytes::Bytes {
+fn encode_partitioning(p: &Partitioning) -> Bytes {
     let mut buf = BytesMut::new();
-    buf.put_u32_le(p.k as u32);
-    buf.put_u64_le(p.assignment.len() as u64);
-    for &a in &p.assignment {
-        buf.put_u16_le(a);
+    (p.k as u32).encode(&mut buf);
+    (p.assignment.len() as u64).encode(&mut buf);
+    for a in &p.assignment {
+        a.encode(&mut buf);
     }
     frame(PART_MAGIC, &buf)
 }
 
-fn decode_partitioning(data: Bytes) -> Result<Partitioning> {
-    let mut buf = unframe_owned(PART_MAGIC, data)?;
-    let k = codec::get_u32(&mut buf)? as usize;
-    let n = codec::get_u64(&mut buf)? as usize;
-    if n.checked_mul(2) != Some(buf.remaining()) {
-        return Err(GofsError::Corrupt("assignment length mismatch".into()));
-    }
-    let assignment = (0..n).map(|_| buf.get_u16_le()).collect();
-    Ok(Partitioning { assignment, k })
+fn decode_partitioning(data: &[u8]) -> Result<Partitioning> {
+    decode_framed(PART_MAGIC, data, "partitioning", |buf| {
+        let k = get_partition_count(buf)?;
+        // The entries are the rest of the payload: the count is vetted
+        // once, then they are read as one run of 2-byte words.
+        let n = u64::decode(buf)?;
+        if n.checked_mul(2) != Some(buf.remaining() as u64) {
+            let context = "assignment length";
+            return Err(WireError::OutOfRange { context, value: n });
+        }
+        let assignment = buf.as_chunks::<2>().0.iter();
+        let assignment = assignment.map(|&a| u16::from_le_bytes(a)).collect();
+        buf.advance(buf.remaining());
+        Ok(Partitioning { assignment, k })
+    })
 }
 
 /// Split a partition's subgraph list into bins of at most `binning`, in
@@ -315,14 +330,14 @@ fn check_partitions(meta: &DatasetMeta, k: usize) -> Result<()> {
 
 impl GofsStore {
     /// Open a dataset directory written by [`GofsWriter`]: decode its
-    /// metadata, template and partitioning, each parsed in the buffer it
-    /// was read into.
+    /// metadata, template and partitioning, the template parsed in the
+    /// buffer it was read into.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         let meta = read_meta(&dir)?;
-        let read = |name: &str| std::fs::read(dir.join(name)).map(Bytes::from);
-        let template = Arc::new(codec::decode_template(read("template.bin")?)?);
-        let partitioning = decode_partitioning(read("partitioning.bin")?)?;
+        let template = std::fs::read(dir.join("template.bin"))?;
+        let template = Arc::new(codec::decode_template(template.into())?);
+        let partitioning = decode_partitioning(&std::fs::read(dir.join("partitioning.bin"))?)?;
         partitioning
             .validate(&template)
             .map_err(GofsError::Corrupt)?;
@@ -473,7 +488,97 @@ mod tests {
         golden(&p, include_str!("../testdata/partitioning.hex"));
         assert_eq!(DatasetMeta::decode(&m).unwrap(), meta);
         assert_eq!(decode_template(t).unwrap().num_edges(), 2);
-        assert_eq!(decode_partitioning(p).unwrap(), partitioning);
+        assert_eq!(decode_partitioning(&p).unwrap(), partitioning);
+    }
+
+    /// Partition ids are `u16`: a count past 65 536 is corrupt in either
+    /// file, before anything is sized by it.
+    #[test]
+    fn partition_count_past_u16_ids_is_corrupt() {
+        let meta = |num_partitions| DatasetMeta {
+            name: "k".into(),
+            start_time: 0,
+            period: 1,
+            num_timesteps: 1,
+            num_partitions,
+            packing: 1,
+            binning: 1,
+        };
+        let partitioning = |k| {
+            encode_partitioning(&Partitioning {
+                assignment: vec![],
+                k,
+            })
+        };
+        assert_eq!(
+            DatasetMeta::decode(&meta(65_536).encode()).unwrap(),
+            meta(65_536)
+        );
+        assert_eq!(
+            decode_partitioning(&partitioning(65_536)).unwrap().k,
+            65_536
+        );
+        assert!(matches!(
+            DatasetMeta::decode(&meta(65_537).encode()),
+            Err(GofsError::Corrupt(_))
+        ));
+        assert!(matches!(
+            decode_partitioning(&partitioning(65_537)),
+            Err(GofsError::Corrupt(_))
+        ));
+    }
+
+    /// Every single-bit flip and every truncation of the golden `meta.bin`
+    /// and `partitioning.bin` payloads, re-sealed in a valid frame, decodes
+    /// to a typed error or to a value that keeps the decoder's invariants
+    /// — never a panic.
+    #[test]
+    fn metadata_decoders_survive_every_flip_and_cut() {
+        let payload = |golden: &str, magic| {
+            let hex: String = golden.lines().skip(1).collect::<Vec<_>>().concat();
+            let bytes: Vec<u8> = (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect();
+            codec::unframe(magic, &bytes).unwrap().to_vec()
+        };
+        let damaged = |payload: &[u8]| {
+            let flips = (0..payload.len() * 8).map(|bit| {
+                let mut p = payload.to_vec();
+                p[bit / 8] ^= 1 << (bit % 8);
+                p
+            });
+            let cuts = (0..payload.len()).map(|n| payload[..n].to_vec());
+            flips.chain(cuts).collect::<Vec<_>>()
+        };
+        let mut decoded = [0usize; 2];
+        let meta = payload(include_str!("../testdata/meta.hex"), META_MAGIC);
+        for p in damaged(&meta) {
+            match DatasetMeta::decode(&frame(META_MAGIC, &p)) {
+                Ok(m) => {
+                    assert!(m.packing >= 1 && m.binning >= 1, "{m:?}");
+                    assert!(m.num_partitions <= 65_536, "{m:?}");
+                    decoded[0] += 1;
+                }
+                Err(GofsError::Corrupt(_)) => {}
+                Err(e) => panic!("untyped meta failure: {e}"),
+            }
+        }
+        let part = payload(include_str!("../testdata/partitioning.hex"), PART_MAGIC);
+        for p in damaged(&part) {
+            match decode_partitioning(&frame(PART_MAGIC, &p)) {
+                Ok(d) => {
+                    assert!(d.k <= 65_536, "{d:?}");
+                    let count = u64::from_le_bytes(p[4..12].try_into().unwrap());
+                    assert_eq!(d.assignment.len() as u64, count);
+                    decoded[1] += 1;
+                }
+                Err(GofsError::Corrupt(_)) => {}
+                Err(e) => panic!("untyped partitioning failure: {e}"),
+            }
+        }
+        // Flips in names, times and assignment entries still decode.
+        assert!(decoded.iter().all(|&n| n > 0), "{decoded:?}");
     }
 
     #[test]
@@ -614,7 +719,7 @@ mod tests {
             assignment: vec![0, 2, 1, 2, 0],
             k: 3,
         };
-        assert_eq!(decode_partitioning(encode_partitioning(&p)).unwrap(), p);
+        assert_eq!(decode_partitioning(&encode_partitioning(&p)).unwrap(), p);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use proptest::prelude::*;
+use tempograph_core::wire::put_str;
 use tempograph_core::{AttrType, EdgeIdx, Schema, VertexIdx};
-use tempograph_gofs::codec::{decode_template, encode_template, frame, put_schema, put_str};
+use tempograph_gofs::codec::{decode_template, encode_template, frame, put_schema};
 use tempograph_gofs::GofsError;
 
 const MAGIC: [u8; 4] = *b"GFTP";

@@ -6,8 +6,10 @@
 //! One record per file, in the GoFS on-disk idiom (`GFRN` magic / u16
 //! version / u64 length / FNV-1a checksum frame via
 //! [`tempograph_gofs::codec::frame`]). The payload is the record's
-//! [`WireMsg`] encoding — the engine's codec vocabulary, with the engine's
-//! own [`AttributionRow`] embedded: fixed-width little-endian scalars plus
+//! [`WireMsg`] encoding — the workspace's codec vocabulary
+//! (`tempograph_core::wire`), with the engine's own [`AttributionRow`]
+//! embedded, decoded through GoFS's [`decode_framed`] like every other
+//! framed record file: fixed-width little-endian scalars plus
 //! length-prefixed lists, no floats, no maps, no ambient clock or
 //! randomness anywhere in the encode path, so the encoding of a given
 //! [`RunRecord`] value is canonical: equal records produce byte-identical
@@ -26,9 +28,9 @@
 //! [`GofsError::UnsupportedVersion`]: tempograph_gofs::error::GofsError::UnsupportedVersion
 
 use bytes::{Bytes, BytesMut};
-use tempograph_engine::checkpoint::decode_framed;
-use tempograph_engine::{AttributionRow, JobResult, WireError, WireMsg};
-use tempograph_gofs::codec::{fnv1a64, frame};
+use tempograph_core::wire::{WireError, WireMsg};
+use tempograph_engine::{AttributionRow, JobResult};
+use tempograph_gofs::codec::{decode_framed, fnv1a64, frame};
 use tempograph_gofs::error::Result;
 use tempograph_metrics::json::Value;
 use tempograph_partition::SubgraphId;

@@ -92,6 +92,10 @@ const HOT_FNS: &[&str] = &[
 
 /// Files whose `fn decode` bodies are wire/storage codecs (rule W01).
 const CODEC_FILES: &[&str] = &[
+    "crates/core/src/wire.rs",
+    "crates/partition/src/subgraphs.rs",
+    "crates/trace/src/sink.rs",
+    "crates/metrics/src/histogram.rs",
     "crates/engine/src/wire.rs",
     "crates/engine/src/batch.rs",
     "crates/engine/src/checkpoint.rs",
@@ -123,7 +127,8 @@ struct Scope {
 }
 
 fn scope_for(path: &str) -> Scope {
-    let p01 = if path.ends_with("crates/engine/src/wire.rs")
+    let p01 = if path.ends_with("crates/core/src/wire.rs")
+        || path.ends_with("crates/engine/src/wire.rs")
         || path.ends_with("crates/engine/src/batch.rs")
     {
         Some(None)
@@ -321,6 +326,7 @@ pub const HOT_ROOTS_CODEC: &[&str] = &[
 /// every `self.inbox[i]` would bury the signal. gofs columnar reads are
 /// directory-vetted at decode (PR 6) and carry their own bounds checks.
 const INDEX_CHECK_FILES: &[&str] = &[
+    "crates/core/src/wire.rs",
     "crates/engine/src/wire.rs",
     "crates/engine/src/batch.rs",
     "crates/engine/src/net.rs",
@@ -898,6 +904,18 @@ fn a01(
 mod tests {
     use super::*;
     use std::path::{Path, PathBuf};
+
+    /// The codec vocabulary's home keeps the strictest scope: W01 over its
+    /// decoders, P01 over the whole file and the indexing sub-check. A
+    /// move of the module must carry all three.
+    #[test]
+    fn codec_vocabulary_keeps_w01_and_whole_file_p01() {
+        let home = "crates/core/src/wire.rs";
+        let scope = scope_for(home);
+        assert!(scope.w01, "W01 must cover {home}");
+        assert_eq!(scope.p01, Some(None), "P01 must cover all of {home}");
+        assert!(INDEX_CHECK_FILES.contains(&home));
+    }
 
     fn workspace_root() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")

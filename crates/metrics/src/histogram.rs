@@ -6,6 +6,9 @@
 //! element-wise addition — associative and commutative, which is what makes
 //! per-worker shard folding order-insensitive.
 
+use bytes::{Bytes, BytesMut};
+use tempograph_core::wire::{get_u32, WireError, WireMsg};
+
 /// Number of log2 buckets (`0`, one per power of two, plus the top bucket).
 pub const BUCKETS: usize = 65;
 
@@ -146,17 +149,44 @@ impl Histogram {
         }
         self.max
     }
+}
 
-    /// Rebuild a histogram from serialized parts (JSON snapshot import).
-    #[must_use]
-    pub fn from_parts(buckets: [u64; BUCKETS], count: u64, sum: u64, min: u64, max: u64) -> Self {
-        Histogram {
+/// A `u32` bucket count (always [`BUCKETS`]), the buckets, then count,
+/// sum, min and max.
+impl WireMsg for Histogram {
+    fn encode(&self, buf: &mut BytesMut) {
+        (BUCKETS as u32).encode(buf);
+        for bucket in self.buckets() {
+            bucket.encode(buf);
+        }
+        self.count().encode(buf);
+        self.sum().encode(buf);
+        self.min().encode(buf);
+        self.max().encode(buf);
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        let n = get_u32(buf, "histogram bucket count")?;
+        if n as usize != BUCKETS {
+            return Err(WireError::OutOfRange {
+                context: "histogram bucket count",
+                value: n.into(),
+            });
+        }
+        let mut buckets = [0u64; BUCKETS];
+        for slot in &mut buckets {
+            *slot = u64::decode(buf)?;
+        }
+        let count = u64::decode(buf)?;
+        let sum = u64::decode(buf)?;
+        let min = u64::decode(buf)?;
+        Ok(Histogram {
             buckets,
             count,
             sum,
+            // An empty histogram writes `min()`, 0; it holds the sentinel.
             min: if count == 0 { u64::MAX } else { min },
-            max,
-        }
+            max: u64::decode(buf)?,
+        })
     }
 }
 

@@ -1,6 +1,7 @@
 //! # tempograph-metrics — workspace metrics registry
 //!
-//! A std-only, dependency-free metrics subsystem mirroring the counter /
+//! A metrics subsystem on `std` (plus `tempograph-core`'s codec vocabulary
+//! and `bytes`, for [`Histogram`]'s `WireMsg` impl) mirroring the counter /
 //! gauge / histogram taxonomy that Pregel-family systems expose to
 //! operators, adapted to the workspace's deterministic-execution rules:
 //!

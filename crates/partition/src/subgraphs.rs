@@ -15,8 +15,10 @@
 //! for its own whole-graph adjacency.
 
 use crate::Partitioning;
+use bytes::{BufMut, Bytes, BytesMut};
 use std::ops::Range;
 use std::sync::Arc;
+use tempograph_core::wire::{get_u32, WireError, WireMsg};
 use tempograph_core::{EdgeIdx, GraphTemplate, VertexIdx};
 
 /// Globally unique subgraph identifier (dense, across all partitions).
@@ -34,6 +36,15 @@ impl SubgraphId {
 impl std::fmt::Display for SubgraphId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "sg{}", self.0)
+    }
+}
+
+impl WireMsg for SubgraphId {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_u32_le(self.0);
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        Ok(SubgraphId(get_u32(buf, "SubgraphId")?))
     }
 }
 
@@ -463,6 +474,16 @@ mod tests {
             k: 2,
         };
         (t, p)
+    }
+
+    #[test]
+    fn subgraph_id_wire_roundtrip() {
+        let mut buf = BytesMut::new();
+        SubgraphId(3).encode(&mut buf);
+        assert_eq!(&buf[..], &[3, 0, 0, 0], "laid out as its u32");
+        let mut bytes = buf.freeze();
+        assert_eq!(SubgraphId::decode(&mut bytes), Ok(SubgraphId(3)));
+        assert!(SubgraphId::decode(&mut bytes).is_err(), "empty is an error");
     }
 
     #[test]

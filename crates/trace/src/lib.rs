@@ -16,7 +16,9 @@
 //!   *inert* sink: every record method is one branch on the sink's
 //!   `active` flag, and its [`TraceSink::now`] clock still feeds the
 //!   engine's metrics.
-//! * **Dependency-free.** Only `std`.
+//! * **Few dependencies.** `std`, plus `tempograph-core`'s codec
+//!   vocabulary and `bytes` for [`TraceEvent`]'s `WireMsg` impl (events
+//!   travel in a worker's output frame).
 //!
 //! Three exports:
 //!

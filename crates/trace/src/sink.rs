@@ -1,7 +1,9 @@
 //! Per-worker event recording: the hot path.
 
+use bytes::{BufMut, Bytes, BytesMut};
 use std::io::Write;
 use std::time::Instant;
+use tempograph_core::wire::{get_u8, WireError, WireMsg};
 
 /// One recorded event. `Copy`-sized and allocation-free; names are
 /// `&'static str` so the hot path never formats or clones strings.
@@ -55,6 +57,57 @@ impl TraceEvent {
             | TraceEvent::Instant { name, .. }
             | TraceEvent::Counter { name, .. } => name,
         }
+    }
+}
+
+/// One tag byte (1 = span, 2 = instant, 3 = counter), then the name, `a`
+/// (span start / event timestamp), `b` (span duration / counter value, 0
+/// for instants) and the optional argument (always `None` for counters).
+/// Names are written straight from their `&'static str` and interned back
+/// on decode.
+impl WireMsg for TraceEvent {
+    fn encode(&self, buf: &mut BytesMut) {
+        let (tag, name, a, b, arg) = match *self {
+            TraceEvent::Span {
+                name,
+                start_ns,
+                dur_ns,
+                arg,
+            } => (1u8, name, start_ns, dur_ns, arg),
+            TraceEvent::Instant { name, ts_ns, arg } => (2, name, ts_ns, 0, arg),
+            TraceEvent::Counter { name, ts_ns, value } => (3, name, ts_ns, value, None),
+        };
+        buf.put_u8(tag);
+        name.encode(buf);
+        a.encode(buf);
+        b.encode(buf);
+        arg.encode(buf);
+    }
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        type Arg = Option<(&'static str, u64)>;
+        let build: fn(&'static str, u64, u64, Arg) -> TraceEvent =
+            match get_u8(buf, "trace event kind")? {
+                1 => |name, start_ns, dur_ns, arg| TraceEvent::Span {
+                    name,
+                    start_ns,
+                    dur_ns,
+                    arg,
+                },
+                2 => |name, ts_ns, _, arg| TraceEvent::Instant { name, ts_ns, arg },
+                3 => |name, ts_ns, value, _| TraceEvent::Counter { name, ts_ns, value },
+                tag => {
+                    return Err(WireError::BadTag {
+                        context: "trace event kind",
+                        tag,
+                    })
+                }
+            };
+        Ok(build(
+            <&'static str>::decode(buf)?,
+            u64::decode(buf)?,
+            u64::decode(buf)?,
+            Arg::decode(buf)?,
+        ))
     }
 }
 

@@ -7,7 +7,7 @@
 //! finite, so every property terminates or fails, and a checksum mismatch
 //! must leave the stream frame-aligned (the very next frame still decodes).
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use std::io::Cursor;
 use tempograph::engine::metrics::MetricsShard;
@@ -15,7 +15,7 @@ use tempograph::engine::net::{
     decode_payload, encode_payload, read_frame, write_frame, Frame, FrameKind, TelemetryMsg,
     HEADER_LEN,
 };
-use tempograph::engine::{AttributionRow, EngineError, WireError};
+use tempograph::engine::{AttributionRow, EngineError, WireError, WireMsg};
 use tempograph::metrics::{Histogram, BUCKETS};
 use tempograph::partition::SubgraphId;
 use tempograph::trace::TraceEvent;
@@ -241,9 +241,13 @@ fn histogram_strategy() -> impl Strategy<Value = Histogram> {
         any::<u64>(),
     )
         .prop_map(|(buckets, count, sum, min, max)| {
-            let mut parts = [0u64; BUCKETS];
-            parts.copy_from_slice(&buckets);
-            Histogram::from_parts(parts, count, sum, min, max)
+            // Arbitrary parts, laid out as the codec writes them.
+            let mut buf = BytesMut::new();
+            (BUCKETS as u32).encode(&mut buf);
+            for part in buckets.iter().chain(&[count, sum, min, max]) {
+                part.encode(&mut buf);
+            }
+            Histogram::decode(&mut buf.freeze()).unwrap()
         })
 }
 
