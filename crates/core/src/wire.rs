@@ -330,11 +330,12 @@ impl<T: WireMsg> WireMsg for Vec<T> {
 }
 
 /// `n` records off the front of `buf`: a `Vec`'s body once its length is
-/// known. The reservation is capped by what the buffer could possibly
-/// hold, so a corrupt `n` cannot size a huge allocation before the reads
-/// fail.
+/// known. The reservation is capped in bytes by what is left of `buf`
+/// (an element may be larger in memory than on the wire), so a corrupt
+/// `n` cannot size an allocation past the buffer before the reads fail.
 pub fn get_vec<T: WireMsg>(buf: &mut Bytes, n: usize) -> Result<Vec<T>, WireError> {
-    let mut v = Vec::with_capacity(n.min(buf.remaining().max(1)));
+    let fits = buf.remaining() / std::mem::size_of::<T>().max(1);
+    let mut v = Vec::with_capacity(n.min(fits));
     for _ in 0..n {
         v.push(T::decode(buf)?);
     }

@@ -148,6 +148,7 @@ impl<M: WireMsg> WorkerCheckpoint<M> {
     /// checksum first (typed [`GofsError`](tempograph_gofs::GofsError) on any
     /// corruption).
     pub fn decode(data: &[u8]) -> Result<Self> {
+        let data = Bytes::copy_from_slice(data);
         decode_framed(CHECKPOINT_MAGIC, data, "checkpoint record", |buf| {
             let partition = u32::decode(buf)?;
             Ok(WorkerCheckpoint {
@@ -190,6 +191,7 @@ impl Manifest {
     }
 
     fn decode(data: &[u8]) -> Result<Self> {
+        let data = Bytes::copy_from_slice(data);
         decode_framed(MANIFEST_MAGIC, data, "checkpoint manifest", |buf| {
             Ok(Manifest {
                 timesteps: Vec::decode(buf)?,
@@ -246,7 +248,7 @@ mod tests {
     use super::*;
     use bytes::BufMut;
     use tempograph_core::VertexIdx;
-    use tempograph_gofs::codec::{assert_hex_golden, unframe, FORMAT_VERSION};
+    use tempograph_gofs::codec::{assert_hex_golden, unframe_owned, FORMAT_VERSION};
     use tempograph_gofs::error::GofsError;
 
     fn tmp() -> PathBuf {
@@ -433,7 +435,11 @@ mod tests {
         ck: &WorkerCheckpoint<(VertexIdx, f64)>,
         edit: impl FnOnce(&mut BytesMut),
     ) -> Bytes {
-        let mut payload = BytesMut::from(unframe(CHECKPOINT_MAGIC, &ck.encode()).unwrap().to_vec());
+        let mut payload = BytesMut::from(
+            unframe_owned(CHECKPOINT_MAGIC, ck.encode())
+                .unwrap()
+                .to_vec(),
+        );
         edit(&mut payload);
         frame(CHECKPOINT_MAGIC, &payload)
     }

@@ -1,7 +1,7 @@
 //! GoFS's binary formats on `bytes`: the frame envelope and the column
 //! codec. Every framed file (GoFS metadata and slices, engine checkpoints,
 //! run records) carries a 4-byte magic, a `u16` version, a `u64` payload
-//! length and an FNV-1a-64 checksum footer; see [`frame`] / [`unframe`].
+//! length and an FNV-1a-64 checksum footer; see [`frame`] / [`unframe_owned`].
 //! Payloads decode through `tempograph_core::wire` ([`WireMsg`], checked
 //! `get_*` reads): [`decode_framed`] for whole records, `wire::get_*` and
 //! `wire::get_vec` for the slice and template headers; a [`WireError`] is
@@ -84,14 +84,8 @@ pub fn frame(magic: [u8; 4], payload: &[u8]) -> Bytes {
     out.freeze()
 }
 
-/// Validate magic/version/checksum and return the payload.
-pub fn unframe(magic: [u8; 4], data: &[u8]) -> Result<Bytes> {
-    let payload = framed_payload(magic, data)?;
-    Ok(Bytes::copy_from_slice(&data[payload]))
-}
-
-/// [`unframe`] of a buffer the caller hands over: the payload is a view
-/// of `data`, not a copy of it.
+/// Validate magic/version/checksum of a buffer the caller hands over and
+/// return the payload: a view of `data`, not a copy of it.
 pub fn unframe_owned(magic: [u8; 4], data: Bytes) -> Result<Bytes> {
     let payload = framed_payload(magic, &data)?;
     Ok(data.slice(payload))
@@ -132,14 +126,15 @@ fn framed_payload(magic: [u8; 4], data: &[u8]) -> Result<std::ops::Range<usize>>
 /// Unframe `data` and decode its payload with `decode`, which must consume
 /// it exactly. The one place a codec failure in a framed record file
 /// (dataset metadata, partitioning, checkpoint, manifest, ledger run
-/// record) becomes [`GofsError::Corrupt`], prefixed with `what`.
+/// record) becomes [`GofsError::Corrupt`], prefixed with `what`. The
+/// payload is a view of `data` (see [`unframe_owned`]), not a copy.
 pub fn decode_framed<T>(
     magic: [u8; 4],
-    data: &[u8],
+    data: Bytes,
     what: &str,
     decode: impl FnOnce(&mut Bytes) -> std::result::Result<T, WireError>,
 ) -> Result<T> {
-    let mut buf = unframe(magic, data)?;
+    let mut buf = unframe_owned(magic, data)?;
     let corrupt = |detail: String| GofsError::Corrupt(format!("{what}: {detail}"));
     let value = decode(&mut buf).map_err(|e| corrupt(e.to_string()))?;
     if buf.remaining() != 0 {
@@ -236,8 +231,9 @@ fn read_varu64(data: &[u8], at: &mut usize) -> Result<u64> {
 }
 
 /// Reject an element count the rest of `buf` cannot back (each element
-/// encodes to at least `min_size` bytes), so a corrupt count can never
-/// size an allocation.
+/// encodes to at least `min_size` bytes), before a walker or a bulk parse
+/// relies on the whole run being there. (A `Vec` decoded element by
+/// element needs no such check: `wire::get_vec` caps its reservation.)
 pub(crate) fn check_count(buf: &[u8], n: usize, min_size: usize) -> Result<usize> {
     if n.saturating_mul(min_size) > buf.len() {
         return Err(GofsError::Corrupt(format!(
@@ -848,23 +844,23 @@ mod tests {
     #[test]
     fn frame_roundtrip_and_tamper_detection() {
         let framed = frame(*b"TEST", b"hello world");
-        let payload = unframe(*b"TEST", &framed).unwrap();
+        let payload = unframe_owned(*b"TEST", framed.clone()).unwrap();
         assert_eq!(&payload[..], b"hello world");
 
         // Wrong magic.
         assert!(matches!(
-            unframe(*b"XXXX", &framed),
+            unframe_owned(*b"XXXX", framed.clone()),
             Err(GofsError::BadMagic { .. })
         ));
         // Flip a payload bit.
         let mut evil = framed.to_vec();
         evil[16] ^= 0x01;
         assert!(matches!(
-            unframe(*b"TEST", &evil),
+            unframe_owned(*b"TEST", evil.into()),
             Err(GofsError::ChecksumMismatch { .. })
         ));
         // Truncate.
-        assert!(unframe(*b"TEST", &framed[..framed.len() - 3]).is_err());
+        assert!(unframe_owned(*b"TEST", framed.slice(..framed.len() - 3)).is_err());
     }
 
     #[test]
@@ -874,14 +870,13 @@ mod tests {
         assert_eq!(&payload[..], b"hello world");
         // No copy: the payload points into the buffer handed over.
         assert_eq!(payload.as_ptr(), framed[14..].as_ptr());
-
+        // The view still checks the checksum.
         let mut evil = framed.to_vec();
         evil[16] ^= 0x01;
-        for bad in [evil, framed[..framed.len() - 3].to_vec()] {
-            let copied = unframe(*b"TEST", &bad).unwrap_err().to_string();
-            let owned = unframe_owned(*b"TEST", Bytes::from(bad)).unwrap_err();
-            assert_eq!(owned.to_string(), copied);
-        }
+        assert!(matches!(
+            unframe_owned(*b"TEST", evil.into()),
+            Err(GofsError::ChecksumMismatch { .. })
+        ));
         assert!(matches!(
             unframe_owned(*b"XXXX", framed),
             Err(GofsError::BadMagic { .. })
@@ -912,7 +907,7 @@ mod tests {
             let mut framed = frame(*b"TEST", b"payload").to_vec();
             framed[4..6].copy_from_slice(&other.to_le_bytes());
             assert!(matches!(
-                unframe(*b"TEST", &framed),
+                unframe_owned(*b"TEST", framed.into()),
                 Err(GofsError::UnsupportedVersion(v)) if v == other
             ));
         }
@@ -1311,7 +1306,8 @@ mod tests {
             b.add_vertex(id);
         }
         b.add_edge(0, 0xAAAA_0001, 0xAAAA_0003).unwrap();
-        let payload = unframe(TEMPLATE_MAGIC, &encode_template(&b.finalize().unwrap())).unwrap();
+        let payload =
+            unframe_owned(TEMPLATE_MAGIC, encode_template(&b.finalize().unwrap())).unwrap();
         let mut evil = payload.to_vec();
         let third = 0xAAAA_0003u64.to_le_bytes();
         let at = evil.windows(8).position(|w| w == third).unwrap();

@@ -630,7 +630,7 @@ mod tests {
     fn corrupt_directory_rejected_at_decode() {
         let (sg_ids, rows, key) = sample();
         let framed = encode_slice(3, key, &sg_ids, 20, &rows);
-        let payload = crate::codec::unframe(SLICE_MAGIC, &framed).unwrap();
+        let payload = unframe_owned(SLICE_MAGIC, framed.clone()).unwrap();
         // Directory starts after: 2 + 5*4 + 2*4 (ids) + 2*8 (timestamps) + 8.
         let dir_at = 2 + 20 + 8 + 16 + 8;
         // Truncate the block region so the last offset overruns.
@@ -653,7 +653,7 @@ mod tests {
         let sg_ids = vec![SubgraphId(3)];
         let rows = vec![two_column_pack(3)];
         let framed = encode_slice(0, SliceKey { bin: 0, pack: 0 }, &sg_ids, 0, &rows);
-        let payload = crate::codec::unframe(SLICE_MAGIC, &framed).unwrap();
+        let payload = unframe_owned(SLICE_MAGIC, framed.clone()).unwrap();
         // The last block ends in the dense latency record: tag, column
         // tag, u32 row count, 2 × f64. Claim a third row that is not there.
         let mut warped = payload.to_vec();
@@ -688,9 +688,7 @@ mod tests {
         let sg_ids = vec![SubgraphId(0)];
         let rows = vec![vec![si(0, 1.0)]];
         let framed = encode_slice(0, SliceKey { bin: 0, pack: 0 }, &sg_ids, 0, &rows);
-        let mut payload = crate::codec::unframe(SLICE_MAGIC, &framed)
-            .unwrap()
-            .to_vec();
+        let mut payload = unframe_owned(SLICE_MAGIC, framed.clone()).unwrap().to_vec();
         let blocks_len = (payload.len() - (2 + 20 + 4 + 8 + 8 + 16)) as u64;
         payload.push(0xAB);
         let dir_end = 2 + 20 + 4 + 8 + 8 + 8;

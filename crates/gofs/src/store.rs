@@ -90,7 +90,7 @@ impl DatasetMeta {
         frame(META_MAGIC, &buf)
     }
 
-    fn decode(data: &[u8]) -> Result<Self> {
+    fn decode(data: Bytes) -> Result<Self> {
         // Fields decode in the order they are written.
         let meta = decode_framed(META_MAGIC, data, "dataset meta", |buf| {
             Ok(DatasetMeta {
@@ -120,7 +120,7 @@ fn encode_partitioning(p: &Partitioning) -> Bytes {
     frame(PART_MAGIC, &buf)
 }
 
-fn decode_partitioning(data: &[u8]) -> Result<Partitioning> {
+fn decode_partitioning(data: Bytes) -> Result<Partitioning> {
     decode_framed(PART_MAGIC, data, "partitioning", |buf| {
         let k = get_partition_count(buf)?;
         // The entries are the rest of the payload: the count is vetted
@@ -315,7 +315,7 @@ pub struct GofsStore {
 }
 
 fn read_meta(dir: &Path) -> Result<DatasetMeta> {
-    DatasetMeta::decode(&std::fs::read(dir.join("meta.bin"))?)
+    DatasetMeta::decode(std::fs::read(dir.join("meta.bin"))?.into())
 }
 
 fn check_partitions(meta: &DatasetMeta, k: usize) -> Result<()> {
@@ -337,7 +337,8 @@ impl GofsStore {
         let meta = read_meta(&dir)?;
         let template = std::fs::read(dir.join("template.bin"))?;
         let template = Arc::new(codec::decode_template(template.into())?);
-        let partitioning = decode_partitioning(&std::fs::read(dir.join("partitioning.bin"))?)?;
+        let partitioning =
+            decode_partitioning(std::fs::read(dir.join("partitioning.bin"))?.into())?;
         partitioning
             .validate(&template)
             .map_err(GofsError::Corrupt)?;
@@ -486,9 +487,9 @@ mod tests {
         golden(&m, include_str!("../testdata/meta.hex"));
         golden(&t, include_str!("../testdata/template.hex"));
         golden(&p, include_str!("../testdata/partitioning.hex"));
-        assert_eq!(DatasetMeta::decode(&m).unwrap(), meta);
+        assert_eq!(DatasetMeta::decode(m.clone()).unwrap(), meta);
         assert_eq!(decode_template(t).unwrap().num_edges(), 2);
-        assert_eq!(decode_partitioning(&p).unwrap(), partitioning);
+        assert_eq!(decode_partitioning(p.clone()).unwrap(), partitioning);
     }
 
     /// Partition ids are `u16`: a count past 65 536 is corrupt in either
@@ -511,19 +512,16 @@ mod tests {
             })
         };
         assert_eq!(
-            DatasetMeta::decode(&meta(65_536).encode()).unwrap(),
+            DatasetMeta::decode(meta(65_536).encode()).unwrap(),
             meta(65_536)
         );
-        assert_eq!(
-            decode_partitioning(&partitioning(65_536)).unwrap().k,
-            65_536
-        );
+        assert_eq!(decode_partitioning(partitioning(65_536)).unwrap().k, 65_536);
         assert!(matches!(
-            DatasetMeta::decode(&meta(65_537).encode()),
+            DatasetMeta::decode(meta(65_537).encode()),
             Err(GofsError::Corrupt(_))
         ));
         assert!(matches!(
-            decode_partitioning(&partitioning(65_537)),
+            decode_partitioning(partitioning(65_537)),
             Err(GofsError::Corrupt(_))
         ));
     }
@@ -540,7 +538,7 @@ mod tests {
                 .step_by(2)
                 .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
                 .collect();
-            codec::unframe(magic, &bytes).unwrap().to_vec()
+            codec::unframe_owned(magic, bytes.into()).unwrap().to_vec()
         };
         let damaged = |payload: &[u8]| {
             let flips = (0..payload.len() * 8).map(|bit| {
@@ -554,7 +552,7 @@ mod tests {
         let mut decoded = [0usize; 2];
         let meta = payload(include_str!("../testdata/meta.hex"), META_MAGIC);
         for p in damaged(&meta) {
-            match DatasetMeta::decode(&frame(META_MAGIC, &p)) {
+            match DatasetMeta::decode(frame(META_MAGIC, &p)) {
                 Ok(m) => {
                     assert!(m.packing >= 1 && m.binning >= 1, "{m:?}");
                     assert!(m.num_partitions <= 65_536, "{m:?}");
@@ -566,7 +564,7 @@ mod tests {
         }
         let part = payload(include_str!("../testdata/partitioning.hex"), PART_MAGIC);
         for p in damaged(&part) {
-            match decode_partitioning(&frame(PART_MAGIC, &p)) {
+            match decode_partitioning(frame(PART_MAGIC, &p)) {
                 Ok(d) => {
                     assert!(d.k <= 65_536, "{d:?}");
                     let count = u64::from_le_bytes(p[4..12].try_into().unwrap());
@@ -710,7 +708,7 @@ mod tests {
             packing: 10,
             binning: 5,
         };
-        assert_eq!(DatasetMeta::decode(&m.encode()).unwrap(), m);
+        assert_eq!(DatasetMeta::decode(m.encode()).unwrap(), m);
     }
 
     #[test]
@@ -719,7 +717,7 @@ mod tests {
             assignment: vec![0, 2, 1, 2, 0],
             k: 3,
         };
-        assert_eq!(decode_partitioning(&encode_partitioning(&p)).unwrap(), p);
+        assert_eq!(decode_partitioning(encode_partitioning(&p)).unwrap(), p);
     }
 
     #[test]

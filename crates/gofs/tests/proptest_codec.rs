@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use tempograph_core::{AttrType, Column, Schema, TemplateBuilder, TextRows};
 use tempograph_gofs::codec::{
     decode_template, encode_template, frame, get_column, get_delta_column, get_schema, put_column,
-    put_delta_column, put_schema, unframe,
+    put_delta_column, put_schema, unframe_owned,
 };
 use tempograph_gofs::slice::{decode_slice, encode_slice, SliceKey};
 use tempograph_gofs::{Projection, SubgraphInstance};
@@ -97,7 +97,7 @@ proptest! {
         let mut evil = framed.to_vec();
         let pos = ((evil.len() - 1) as f64 * pos_frac) as usize;
         evil[pos] ^= flip;
-        prop_assert!(unframe(*b"TEST", &evil).is_err());
+        prop_assert!(unframe_owned(*b"TEST", evil.into()).is_err());
     }
 
     /// Any truncation of a framed payload is detected.
@@ -108,7 +108,7 @@ proptest! {
     ) {
         let framed = frame(*b"TEST", &payload);
         let keep = ((framed.len() - 1) as f64 * keep_frac) as usize;
-        prop_assert!(unframe(*b"TEST", &framed[..keep]).is_err());
+        prop_assert!(unframe_owned(*b"TEST", framed.slice(..keep)).is_err());
     }
 
     /// Random templates survive the codec byte-for-byte semantically.
@@ -270,7 +270,7 @@ proptest! {
             .collect();
         const MAGIC: [u8; 4] = *b"GFSL";
         let framed = encode_slice(0, SliceKey { bin: 0, pack: 0 }, &sg_ids, 0, &rows);
-        let payload = unframe(MAGIC, &framed).unwrap();
+        let payload = unframe_owned(MAGIC, framed.clone()).unwrap();
 
         // Bit flip anywhere in the payload, checksum made valid again.
         let mut warped = payload.to_vec();

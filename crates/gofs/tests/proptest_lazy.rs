@@ -15,7 +15,7 @@ use std::cell::Cell;
 use tempograph_core::{AttrType, Column, TextRows};
 use tempograph_gofs::codec::{
     delta_text_count_eq, frame, get_column, get_delta_column, put_column, put_delta_column,
-    skip_column, skip_delta_column, text_list_matches, unframe, TextMatches,
+    skip_column, skip_delta_column, text_list_matches, unframe_owned, TextMatches,
 };
 use tempograph_gofs::slice::{decode_slice, encode_slice, SliceData, SliceKey};
 use tempograph_gofs::{F64Cells, GofsError, Projection};
@@ -390,7 +390,7 @@ proptest! {
             }
         }
 
-        let payload = unframe(MAGIC, &framed).unwrap();
+        let payload = unframe_owned(MAGIC, framed.clone()).unwrap();
         let blocks_len = slice.directory().1;
         let mut flipped = payload.to_vec();
         let pos = ((flipped.len() - 1) as f64 * pos_frac) as usize;
@@ -527,7 +527,7 @@ proptest! {
         let sg_ids = [SubgraphId(0), SubgraphId(1)];
         let rows: Vec<Vec<Projection>> =
             (0..2).map(|_| pack(&mut rng, &vertex, &edge, (5, 4), n_ts)).collect();
-        let payload = unframe(MAGIC, &encode_slice(0, KEY, &sg_ids, 5, &rows)).unwrap();
+        let payload = unframe_owned(MAGIC, encode_slice(0, KEY, &sg_ids, 5, &rows)).unwrap();
         let mut warped = payload.to_vec();
         let pos = ((warped.len() - 1) as f64 * pos_frac) as usize;
         warped[pos] ^= flip;
@@ -600,7 +600,7 @@ proptest! {
         let sg_ids = [SubgraphId(0), SubgraphId(1)];
         let packs: Vec<Vec<Projection>> =
             (0..2).map(|_| pack(&mut rng, &vertex, &[], (rows, 0), n_ts)).collect();
-        let payload = unframe(MAGIC, &encode_slice(0, KEY, &sg_ids, 5, &packs)).unwrap();
+        let payload = unframe_owned(MAGIC, encode_slice(0, KEY, &sg_ids, 5, &packs)).unwrap();
         let mut warped = payload.to_vec();
         let pos = ((warped.len() - 1) as f64 * pos_frac) as usize;
         warped[pos] ^= flip;
@@ -710,7 +710,7 @@ fn a_character_split_across_two_strings_is_corrupt() {
         edge_cols: vec![],
     };
     let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, &[vec![row]]);
-    let mut payload = unframe(MAGIC, &framed).unwrap().to_vec();
+    let mut payload = unframe_owned(MAGIC, framed.clone()).unwrap().to_vec();
     let at = payload.len() - split.len();
     payload[at..].copy_from_slice(&split);
     let slice = decode_slice(frame(MAGIC, &payload)).unwrap();
@@ -746,7 +746,7 @@ fn a_character_split_across_two_strings_is_corrupt() {
             .collect();
         let kinds = record_tags(&rows);
         let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, &[rows]);
-        let mut payload = unframe(MAGIC, &framed).unwrap().to_vec();
+        let mut payload = unframe_owned(MAGIC, framed.clone()).unwrap().to_vec();
         let at = (payload.windows(10))
             .position(|w| w == [2, 0, 0, 0, 0xC3, 0xA9, 0, 0, 0, 0])
             .unwrap();
@@ -794,7 +794,7 @@ fn a_trailing_byte_after_a_delta_record_is_corrupt() {
             .collect();
         let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, &[rows]);
         let blocks_len = decode_slice(framed.clone()).unwrap().directory().1;
-        let mut payload = unframe(MAGIC, &framed).unwrap().to_vec();
+        let mut payload = unframe_owned(MAGIC, framed.clone()).unwrap().to_vec();
         let end_at = payload.len() - blocks_len - 8;
         payload[end_at..end_at + 8].copy_from_slice(&(blocks_len as u64 + 1).to_le_bytes());
         payload.push(0);
@@ -923,7 +923,7 @@ fn a_corrupt_base_record_fails_every_count_of_its_column_only() {
         [col(&["~x", "#c", "#c"]), col(&["#b"; 3])],
     ]);
     let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, std::slice::from_ref(&written));
-    let mut payload = unframe(MAGIC, &framed).unwrap().to_vec();
+    let mut payload = unframe_owned(MAGIC, framed.clone()).unwrap().to_vec();
     // "~x" is written once: in the base's record of column 0.
     let at = payload.iter().position(|&b| b == b'~').unwrap();
     assert_eq!(payload.iter().filter(|&&b| b == b'~').count(), 1);
@@ -950,4 +950,22 @@ fn a_corrupt_base_record_fails_every_count_of_its_column_only() {
         );
         assert_eq!(inst.vertex_text_list(1).unwrap(), fine);
     }
+}
+
+/// A `LongList` record whose row count is raised from 8 to 264: each row
+/// is a 24-byte `Vec` in memory but 4 bytes on the wire at least, so the
+/// decoder may reserve rows only by the bytes left, not by their number.
+#[test]
+fn a_raised_long_list_row_count_sizes_nothing_past_the_record() {
+    let rows: Vec<Vec<i64>> = (0..8).map(|r| vec![r, -r]).collect();
+    let mut record = BytesMut::new();
+    put_column(&mut record, &Column::LongList(rows));
+    let mut bad = record.to_vec();
+    assert_eq!(bad[1..5], 8u32.to_le_bytes());
+    bad[2] ^= 1;
+    let bad = Bytes::from(bad);
+    bounded_by(record.len(), || {
+        assert!(get_column(&mut bad.clone()).is_err());
+        assert!(skip_column(&mut bad.clone()).is_err());
+    });
 }

@@ -18,7 +18,7 @@
 //! # Compatibility
 //!
 //! The frame's version field is the GoFS-wide `FORMAT_VERSION`; unknown
-//! versions are rejected at `unframe` time with
+//! versions are rejected at `unframe_owned` time with
 //! [`GofsError::UnsupportedVersion`], corrupt payloads (and trailing
 //! bytes) with typed [`GofsError`] variants. The bytes are pinned by a
 //! hex golden under that constant: any layout change bumps the format
@@ -453,7 +453,7 @@ impl RunRecord {
     pub fn decode(data: &[u8]) -> Result<RunRecord> {
         decode_framed(
             RECORD_MAGIC,
-            data,
+            Bytes::copy_from_slice(data),
             "run record",
             <RunRecord as WireMsg>::decode,
         )
