@@ -170,7 +170,9 @@ miri_stage() {
 # byte-identity, measured-cost rebalance correctness), the release-only
 # ablation + zero-alloc smoke tests, and an end-to-end CLI smoke: `inspect
 # DIR` must pass a freshly generated store and fail each copy with one byte
-# flipped in a slice, in meta.bin or in partitioning.bin, two seeded
+# flipped in a slice (its middle, or the last chunk of the largest one), a
+# slice cut one byte short, or one byte flipped in meta.bin or in
+# partitioning.bin, two seeded
 # deterministic runs must record byte-identical
 # ledger files, and list/show/diff/rebalance must all work over them.
 inspect_stage() {
@@ -193,27 +195,38 @@ inspect_stage() {
         --workload tweets --timesteps 8 --partitions 3 >/dev/null
     "$tg" inspect "$work/ds" >/dev/null \
         || { echo "FAIL: inspect rejected a freshly generated store" >&2; exit 1; }
-    # One byte flipped in the middle of one file: a slice, then each
-    # metadata file, each in its own copy of the store.
-    local file victim size at byte
-    for file in slice meta.bin partitioning.bin; do
+    # One file damaged in each copy of the store: a byte flipped in the
+    # middle of the first slice, a byte flipped in the last chunk of the
+    # largest slice, the first slice cut one byte short, a byte flipped
+    # in the middle of each metadata file.
+    local damage victim size at byte
+    for damage in slice largest-slice-last-chunk truncated-slice meta.bin partitioning.bin; do
         rm -rf "$work/ds-bad"
         cp -r "$work/ds" "$work/ds-bad"
-        if [[ "$file" == slice ]]; then
-            victim="$(find "$work/ds-bad" -name '*.slice' | sort | head -n 1)"
-        else
-            victim="$work/ds-bad/$file"
-        fi
+        case "$damage" in
+            slice | truncated-slice)
+                victim="$(find "$work/ds-bad" -name '*.slice' | sort | head -n 1)" ;;
+            largest-slice-last-chunk)
+                victim="$(find "$work/ds-bad" -name '*.slice' -printf '%s %p\n' \
+                    | sort -k1,1nr -k2 | head -n 1 | cut -d' ' -f2-)" ;;
+            *)
+                victim="$work/ds-bad/$damage" ;;
+        esac
         size="$(wc -c < "$victim")"
-        at=$((size / 2))
-        byte="$(od -An -tu1 -j "$at" -N1 "$victim" | tr -d ' ')"
-        printf "$(printf '\\%03o' $((byte ^ 255)))" \
-            | dd of="$victim" bs=1 seek="$at" conv=notrunc status=none
+        if [[ "$damage" == truncated-slice ]]; then
+            truncate -s $((size - 1)) "$victim"
+        else
+            at=$((size / 2))
+            [[ "$damage" == largest-slice-last-chunk ]] && at=$((size - 1))
+            byte="$(od -An -tu1 -j "$at" -N1 "$victim" | tr -d ' ')"
+            printf "$(printf '\\%03o' $((byte ^ 255)))" \
+                | dd of="$victim" bs=1 seek="$at" conv=notrunc status=none
+        fi
         if "$tg" inspect "$work/ds-bad" >/dev/null 2>&1; then
-            echo "FAIL: inspect passed a store with a corrupt $file" >&2; exit 1
+            echo "FAIL: inspect passed a store with a damaged $damage" >&2; exit 1
         fi
     done
-    echo "    inspect DIR: fresh store validated, corrupt slice, meta.bin and partitioning.bin refused"
+    echo "    inspect DIR: fresh store validated; corrupt slices (middle, last chunk, cut short), meta.bin and partitioning.bin refused"
     "$tg" run --algo hash --data "$work/ds" --ledger "$work/runs-a" \
         --seed 3405691582 --deterministic true >/dev/null
     "$tg" run --algo hash --data "$work/ds" --ledger "$work/runs-b" \

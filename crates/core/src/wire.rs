@@ -51,6 +51,14 @@ pub enum WireError {
         /// The frame whose checksum failed.
         context: &'static str,
     },
+    /// A record decoded whole but left bytes behind it (see
+    /// [`decode_exact`]).
+    Trailing {
+        /// The record that was decoded.
+        context: &'static str,
+        /// Bytes left over.
+        bytes: usize,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -74,6 +82,9 @@ impl fmt::Display for WireError {
             WireError::Utf8 { context } => write!(f, "invalid UTF-8 decoding {context}"),
             WireError::Checksum { context } => {
                 write!(f, "checksum mismatch decoding {context}")
+            }
+            WireError::Trailing { context, bytes } => {
+                write!(f, "{bytes} trailing bytes after {context}")
             }
         }
     }
@@ -162,6 +173,21 @@ fn get_utf8<T>(buf: &mut Bytes, context: &'static str, own: fn(&str) -> T) -> Re
 pub fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
+}
+
+/// Decode all of `buf` with `decode`: a byte it leaves is
+/// [`WireError::Trailing`]. Every whole-record decoder (frame payloads,
+/// worker results, framed files) refuses trailing bytes through this.
+pub fn decode_exact<T>(
+    mut buf: Bytes,
+    context: &'static str,
+    decode: impl FnOnce(&mut Bytes) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let value = decode(&mut buf)?;
+    match buf.remaining() {
+        0 => Ok(value),
+        bytes => Err(WireError::Trailing { context, bytes }),
+    }
 }
 
 /// A record that can be written to a byte buffer and read back.
@@ -485,6 +511,22 @@ mod tests {
             Vec::<u64>::decode(&mut cut),
             Err(WireError::Eof { .. })
         ));
+    }
+
+    #[test]
+    fn decode_exact_refuses_what_is_left() {
+        let mut buf = BytesMut::new();
+        7u32.encode(&mut buf);
+        let one = buf.clone().freeze();
+        assert_eq!(decode_exact(one, "u32", u32::decode), Ok(7));
+        buf.put_u8(0);
+        assert_eq!(
+            decode_exact(buf.freeze(), "u32", u32::decode),
+            Err(WireError::Trailing {
+                context: "u32",
+                bytes: 1
+            })
+        );
     }
 
     #[test]

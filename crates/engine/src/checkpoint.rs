@@ -146,9 +146,9 @@ impl<M: WireMsg> WorkerCheckpoint<M> {
 
     /// Decode a framed checkpoint file, validating magic, version and
     /// checksum first (typed [`GofsError`](tempograph_gofs::GofsError) on any
-    /// corruption).
-    pub fn decode(data: &[u8]) -> Result<Self> {
-        let data = Bytes::copy_from_slice(data);
+    /// corruption). The record decodes in the buffer the file was read
+    /// into.
+    pub fn decode(data: Bytes) -> Result<Self> {
         decode_framed(CHECKPOINT_MAGIC, data, "checkpoint record", |buf| {
             let partition = u32::decode(buf)?;
             Ok(WorkerCheckpoint {
@@ -190,8 +190,7 @@ impl Manifest {
         frame(MANIFEST_MAGIC, &buf)
     }
 
-    fn decode(data: &[u8]) -> Result<Self> {
-        let data = Bytes::copy_from_slice(data);
+    fn decode(data: Bytes) -> Result<Self> {
         decode_framed(MANIFEST_MAGIC, data, "checkpoint manifest", |buf| {
             Ok(Manifest {
                 timesteps: Vec::decode(buf)?,
@@ -206,7 +205,7 @@ pub fn read_manifest(dir: &Path) -> Result<Manifest> {
     if !path.exists() {
         return Ok(Manifest::default());
     }
-    Manifest::decode(&std::fs::read(path)?)
+    Manifest::decode(std::fs::read(path)?.into())
 }
 
 /// Append `t` to the manifest (read–modify–write, atomic rename). Called by
@@ -231,7 +230,7 @@ pub fn latest_valid<M: WireMsg>(dir: &Path, partitions: u16) -> Option<u64> {
             let Ok(data) = std::fs::read(checkpoint_path(dir, t, p)) else {
                 continue 'candidates;
             };
-            let Ok(ck) = WorkerCheckpoint::<M>::decode(&data) else {
+            let Ok(ck) = WorkerCheckpoint::<M>::decode(data.into()) else {
                 continue 'candidates;
             };
             if ck.partition != p || ck.timestep != t {
@@ -299,7 +298,6 @@ mod tests {
                 compute_ns: 5,
                 supersteps: 3,
                 msgs_remote: 9,
-                send_retries: 1,
                 superstep_compute_ns: vec![2, 2, 1],
                 ..Default::default()
             }],
@@ -375,7 +373,7 @@ mod tests {
             "FORMAT_VERSION",
             FORMAT_VERSION,
         );
-        assert_eq!(WorkerCheckpoint::<u64>::decode(&enc).unwrap(), ck);
+        assert_eq!(WorkerCheckpoint::<u64>::decode(enc.clone()).unwrap(), ck);
     }
 
     #[test]
@@ -390,13 +388,13 @@ mod tests {
             "FORMAT_VERSION",
             FORMAT_VERSION,
         );
-        assert_eq!(Manifest::decode(&enc).unwrap(), m);
+        assert_eq!(Manifest::decode(enc.clone()).unwrap(), m);
     }
 
     #[test]
     fn checkpoint_roundtrip() {
         let ck = sample(1, 4);
-        let back = WorkerCheckpoint::decode(&ck.encode()).unwrap();
+        let back = WorkerCheckpoint::decode(ck.encode()).unwrap();
         assert_eq!(back, ck);
     }
 
@@ -408,23 +406,23 @@ mod tests {
         let mut evil = data.to_vec();
         evil[20] ^= 0x40;
         assert!(matches!(
-            Ck::decode(&evil),
+            Ck::decode(evil.into()),
             Err(GofsError::ChecksumMismatch { .. })
         ));
         // Truncation → corrupt frame.
-        assert!(Ck::decode(&data[..data.len() - 5]).is_err());
+        assert!(Ck::decode(data.slice(..data.len() - 5)).is_err());
         // Version bump (bytes 4..6 of the frame) → typed version error.
         let mut stale = data.to_vec();
         stale[4] = 0xFF;
         assert!(matches!(
-            Ck::decode(&stale),
+            Ck::decode(stale.into()),
             Err(GofsError::UnsupportedVersion(_))
         ));
         // Wrong magic.
         let mut alien = data.to_vec();
         alien[0] = b'X';
         assert!(matches!(
-            Ck::decode(&alien),
+            Ck::decode(alien.into()),
             Err(GofsError::BadMagic { .. })
         ));
     }
@@ -448,12 +446,12 @@ mod tests {
     fn checkpoint_decode_rejects_trailing_bytes() {
         type Ck = WorkerCheckpoint<(VertexIdx, f64)>;
         let ck = sample(0, 3);
-        assert_eq!(Ck::decode(&reframed(&ck, |_| {})).unwrap(), ck);
+        assert_eq!(Ck::decode(reframed(&ck, |_| {})).unwrap(), ck);
         let longer = reframed(&ck, |p| p.put_u8(0));
         assert!(
-            matches!(Ck::decode(&longer), Err(GofsError::Corrupt(ref d)) if d.contains("trailing")),
+            matches!(Ck::decode(longer.clone()), Err(GofsError::Corrupt(ref d)) if d.contains("trailing")),
             "{:?}",
-            Ck::decode(&longer)
+            Ck::decode(longer.clone())
         );
     }
 
@@ -464,7 +462,7 @@ mod tests {
         // Partition 65 536 would read back as 0 if narrowed unchecked.
         let alias = reframed(&ck, |p| p[..4].copy_from_slice(&65_536u32.to_le_bytes()));
         assert!(matches!(
-            WorkerCheckpoint::<M>::decode(&alias),
+            WorkerCheckpoint::<M>::decode(alias.clone()),
             Err(GofsError::Corrupt(_))
         ));
         // So `latest_valid` cannot take it for partition 0's file.

@@ -50,13 +50,13 @@ use crate::program::SubgraphProgram;
 use crate::provider::{InstanceSource, JobSource};
 use crate::telemetry::CoordTelemetry;
 use crate::transport::{connect_mesh, WorkerLinks, HANDSHAKE_TIMEOUT_MS};
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::sync::Arc;
-use tempograph_core::wire::WireMsg;
+use tempograph_core::wire::{self, WireMsg};
 use tempograph_partition::{PartitionedGraph, Subgraph, SubgraphId};
 use tempograph_trace::{Clock, Trace, TraceEvent, TraceSink};
 
@@ -94,27 +94,24 @@ impl WorkerOutput {
     }
 
     /// Decode an Output-frame payload (see [`WorkerOutput::encode`]).
-    pub(crate) fn decode(mut buf: Bytes) -> Result<WorkerOutput, EngineError> {
-        let output = WorkerOutput {
-            metrics: Vec::decode(&mut buf)?,
-            merge_metrics: TimestepMetrics::decode(&mut buf)?,
-            counters: Vec::decode(&mut buf)?,
-            merge_counters: BTreeMap::decode(&mut buf)?,
-            emits: Vec::decode(&mut buf)?,
-            timesteps_run: u64::decode(&mut buf)? as usize,
-            final_states: Vec::decode(&mut buf)?,
-            sinks: Vec::<(String, u32, Vec<TraceEvent>)>::decode(&mut buf)?
-                .into_iter()
-                .map(|(name, track, events)| (name, TraceSink::from_recorded(track, events)))
-                .collect(),
-            shard: Option::decode(&mut buf)?,
-            attr_rows: Vec::decode(&mut buf)?,
-        };
-        if buf.remaining() != 0 {
-            return Err(EngineError::Protocol {
-                detail: format!("{} trailing bytes after worker results", buf.remaining()),
-            });
-        }
+    pub(crate) fn decode(buf: Bytes) -> Result<WorkerOutput, EngineError> {
+        let output = wire::decode_exact(buf, "worker results", |buf| {
+            Ok(WorkerOutput {
+                metrics: Vec::decode(buf)?,
+                merge_metrics: TimestepMetrics::decode(buf)?,
+                counters: Vec::decode(buf)?,
+                merge_counters: BTreeMap::decode(buf)?,
+                emits: Vec::decode(buf)?,
+                timesteps_run: u64::decode(buf)? as usize,
+                final_states: Vec::decode(buf)?,
+                sinks: Vec::<(String, u32, Vec<TraceEvent>)>::decode(buf)?
+                    .into_iter()
+                    .map(|(name, track, events)| (name, TraceSink::from_recorded(track, events)))
+                    .collect(),
+                shard: Option::decode(buf)?,
+                attr_rows: Vec::decode(buf)?,
+            })
+        })?;
         Ok(output)
     }
 }
@@ -971,6 +968,19 @@ fn effective_timesteps<M>(config: &JobConfig<M>, available: usize) -> Result<usi
     Ok(timesteps)
 }
 
+/// Sort emits by (timestep, vertex, value): the job result's order. The
+/// key covers every field of an [`Emit`] (`total_cmp` tells every bit
+/// pattern of the value apart), so emits with equal keys are identical
+/// and an unstable sort returns what a stable one would, without its
+/// scratch buffer of half the emits.
+fn sort_emits(emitted: &mut [Emit]) {
+    emitted.sort_unstable_by(|a, b| {
+        (a.timestep, a.vertex)
+            .cmp(&(b.timestep, b.vertex))
+            .then(a.value.total_cmp(&b.value))
+    });
+}
+
 /// Fold per-worker outputs into the global [`JobResult`].
 fn assemble_job_result(
     mut outputs: Vec<WorkerOutput>,
@@ -1054,11 +1064,7 @@ fn assemble_job_result(
     });
 
     let mut emitted: Vec<Emit> = outputs.into_iter().flat_map(|o| o.emits).collect();
-    emitted.sort_by(|a, b| {
-        (a.timestep, a.vertex)
-            .cmp(&(b.timestep, b.vertex))
-            .then(a.value.total_cmp(&b.value))
-    });
+    sort_emits(&mut emitted);
 
     let mut result = JobResult {
         timesteps_run,
@@ -1086,8 +1092,55 @@ mod tests {
     use super::*;
     use crate::metrics::MetricsShard;
     use bytes::BufMut;
+    use tempograph_core::wire::WireError;
     use tempograph_core::VertexIdx;
     use tempograph_gofs::codec::assert_hex_golden;
+
+    /// The unstable emit sort returns the stable sort's vector, bit for
+    /// bit: duplicates, both zeros, NaNs of either sign and infinities
+    /// included.
+    #[test]
+    fn emits_sort_as_a_stable_sort_would() {
+        let values = [
+            1.5,
+            -0.0,
+            0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.5,
+            -2.0,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let emits: Vec<Emit> = (0..600)
+            .map(|_| Emit {
+                timestep: next(4),
+                vertex: VertexIdx(next(5) as u32),
+                value: values[next(values.len())],
+            })
+            .collect();
+        let mut stable = emits.clone();
+        stable.sort_by(|a, b| {
+            (a.timestep, a.vertex)
+                .cmp(&(b.timestep, b.vertex))
+                .then(a.value.total_cmp(&b.value))
+        });
+        let mut unstable = emits;
+        sort_emits(&mut unstable);
+        let bits = |v: &[Emit]| -> Vec<(usize, VertexIdx, u64)> {
+            v.iter()
+                .map(|e| (e.timestep, e.vertex, e.value.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&unstable), bits(&stable));
+    }
 
     /// `k` workers' ends of in-memory coordinator connections, each having
     /// said Hello, and the coordinator's source of the other ends.
@@ -1325,7 +1378,7 @@ mod tests {
         longer.put_u8(0);
         assert!(matches!(
             WorkerOutput::decode(longer.freeze()),
-            Err(EngineError::Protocol { .. })
+            Err(EngineError::Wire(WireError::Trailing { bytes: 1, .. }))
         ));
         for cut in 0..enc.len() {
             assert!(
@@ -1366,12 +1419,12 @@ mod tests {
             ..WorkerOutput::default()
         };
         let enc = output.encode();
-        // The Output-frame bytes are a wire format: the frame-v3 encoding
-        // of this sample (473 bytes), plus empty sinks, no shard and no
+        // The Output-frame bytes are a wire format: the frame-v5 encoding
+        // of this sample (449 bytes), plus empty sinks, no shard and no
         // attribution rows.
         assert_eq!(
             (enc.len(), tempograph_gofs::codec::fnv1a64(&enc)),
-            (482, 0x49ef_d1bd_ffc0_05c9)
+            (458, 0x786a_4d38_1c5b_7b29)
         );
         let decoded = WorkerOutput::decode(enc.clone()).unwrap();
         assert_eq!(decoded.metrics, output.metrics);

@@ -1228,7 +1228,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         let data = std::fs::read(checkpoint_path(&ck.dir, ct, self.partition))
             .expect("validated checkpoint readable");
         let snapshot =
-            WorkerCheckpoint::<P::Msg>::decode(&data).expect("validated checkpoint decodes");
+            WorkerCheckpoint::<P::Msg>::decode(data.into()).expect("validated checkpoint decodes");
         assert_eq!(snapshot.partition, self.partition, "checkpoint misfiled");
         assert_eq!(snapshot.timestep, ct, "checkpoint misfiled");
         assert_eq!(

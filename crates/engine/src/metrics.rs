@@ -135,10 +135,6 @@ pub struct TimestepMetrics {
     pub batches_remote: u64,
     /// Slice files loaded from disk (GoFS source only).
     pub slice_loads: u64,
-    /// Always 0: links deliver every frame once, so no send is retried.
-    /// The field stays until the next `FORMAT_VERSION`/`FRAME_VERSION`
-    /// bump, because worker checkpoints and Output frames encode it.
-    pub send_retries: u64,
     /// Compute nanoseconds per superstep within this timestep. Feeds the
     /// *virtual makespan* model (see [`JobResult::virtual_timestep_ns`]):
     /// on a single-core host, worker threads timeshare one CPU, so wall
@@ -163,7 +159,6 @@ impl TimestepMetrics {
         self.msgs_combined += other.msgs_combined;
         self.batches_remote += other.batches_remote;
         self.slice_loads += other.slice_loads;
-        self.send_retries += other.send_retries;
         // Element-wise max: within one superstep every partition waits for
         // the slowest, so the barrier-synchronised cost of superstep `ss` is
         // `max_p(compute[ss][p])` — the same reduce
@@ -197,7 +192,6 @@ impl WireMsg for TimestepMetrics {
         self.msgs_combined.encode(buf);
         self.batches_remote.encode(buf);
         self.slice_loads.encode(buf);
-        self.send_retries.encode(buf);
         self.superstep_compute_ns.encode(buf);
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
@@ -214,7 +208,6 @@ impl WireMsg for TimestepMetrics {
             msgs_combined: u64::decode(buf)?,
             batches_remote: u64::decode(buf)?,
             slice_loads: u64::decode(buf)?,
-            send_retries: u64::decode(buf)?,
             superstep_compute_ns: Vec::<u64>::decode(buf)?,
         })
     }
@@ -557,8 +550,7 @@ pub(crate) fn sample_metrics(seed: u64) -> TimestepMetrics {
         msgs_combined: seed + 10,
         batches_remote: seed + 11,
         slice_loads: seed + 12,
-        send_retries: seed + 13,
-        superstep_compute_ns: vec![seed + 14, seed + 15],
+        superstep_compute_ns: vec![seed + 13, seed + 14],
     }
 }
 

@@ -16,7 +16,8 @@
 //!     13     8  seq            per (sender → receiver) data-frame counter,
 //!                              counted from 1; 0 for control frames
 //!     21     4  len            payload length, u32 le (capped)
-//!     25     8  checksum       fnv1a64_words of the payload
+//!     25     8  checksum       fnv1a64_lanes of the payload (four-lane FNV-1a,
+//!                              the checksum of every GoFS frame and chunk)
 //!     33     …  payload
 //! ```
 //!
@@ -50,8 +51,8 @@ use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use tempograph_core::wire::{WireError, WireMsg};
-use tempograph_gofs::codec::fnv1a64_words;
+use tempograph_core::wire::{self, WireError, WireMsg};
+use tempograph_gofs::codec::fnv1a64_lanes;
 use tempograph_trace::Clock;
 
 /// Frame magic: "TempoGraph FRame".
@@ -69,8 +70,10 @@ pub const FRAME_MAGIC: [u8; 4] = *b"TGFR";
 /// field-for-field wire copies; the payload bytes did not change. v4 moves
 /// observability into the Output frame (trace sinks, metrics shard,
 /// attribution rows, once at job end) and slims [`TelemetryMsg`] to the
-/// per-timestep round report.
-pub const FRAME_VERSION: u16 = 4;
+/// per-timestep round report. v5 checksums payloads with GoFS's four-lane
+/// FNV-1a ([`fnv1a64_lanes`]) and drops `send_retries` from
+/// [`TimestepMetrics`](crate::metrics::TimestepMetrics).
+pub const FRAME_VERSION: u16 = 5;
 
 /// Fixed header size in bytes (see the module-level layout table).
 pub const HEADER_LEN: usize = 33;
@@ -168,7 +171,7 @@ impl Frame {
         buf.put_u32_le(self.epoch);
         buf.put_u64_le(self.seq);
         buf.put_u32_le(self.payload.len() as u32);
-        buf.put_u64_le(fnv1a64_words(&self.payload));
+        buf.put_u64_le(fnv1a64_lanes(&self.payload));
         buf.put_slice(&self.payload);
         buf.freeze()
     }
@@ -200,7 +203,7 @@ impl Frame {
             });
         }
         let payload = buf.split_to(h.len);
-        if fnv1a64_words(&payload) != h.checksum {
+        if fnv1a64_lanes(&payload) != h.checksum {
             return Err(WireError::Checksum {
                 context: "frame payload",
             });
@@ -346,7 +349,7 @@ pub fn read_frame(r: &mut impl Read, peer: &str) -> Result<(Frame, usize), Engin
     }
     let mut payload = vec![0u8; h.len];
     read_full(r, &mut payload, peer, false)?;
-    if fnv1a64_words(&payload) != h.checksum {
+    if fnv1a64_lanes(&payload) != h.checksum {
         return Err(EngineError::Wire(WireError::Checksum {
             context: "frame payload",
         }));
@@ -986,17 +989,8 @@ pub fn encode_payload<M: WireMsg>(m: &M) -> Bytes {
 }
 
 /// Decode a full control payload, requiring exact consumption.
-pub fn decode_payload<M: WireMsg>(mut payload: Bytes) -> Result<M, EngineError> {
-    let m = M::decode(&mut payload)?;
-    if payload.remaining() != 0 {
-        return Err(EngineError::Protocol {
-            detail: format!(
-                "{} trailing bytes after control payload",
-                payload.remaining()
-            ),
-        });
-    }
-    Ok(m)
+pub fn decode_payload<M: WireMsg>(payload: Bytes) -> Result<M, EngineError> {
+    Ok(wire::decode_exact(payload, "control payload", M::decode)?)
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! GoFS's binary formats on `bytes`: the frame envelope and the column
 //! codec. Every framed file (GoFS metadata and slices, engine checkpoints,
 //! run records) carries a 4-byte magic, a `u16` version, a `u64` payload
-//! length and an FNV-1a-64 checksum footer; see [`frame`] / [`unframe_owned`].
+//! length and a checksum footer ([`fnv1a64_lanes`]); see [`frame`] /
+//! [`unframe_owned`]. A slice file's head is such a frame with the block
+//! region after it (`leading_frame`).
 //! Payloads decode through `tempograph_core::wire` ([`WireMsg`], checked
 //! `get_*` reads): [`decode_framed`] for whole records, `wire::get_*` and
 //! `wire::get_vec` for the slice and template headers; a [`WireError`] is
@@ -23,10 +25,19 @@ use tempograph_core::wire::{self, put_str, WireError, WireMsg};
 use tempograph_core::{AttrType, Column, GraphTemplate, Schema, TextRows, VertexIdx};
 
 /// Format version stamped into every framed file this build writes, and
-/// the only one it reads: columnar delta slice payloads, [`fnv1a64_words`]
-/// frame checksums. Any other version is
-/// [`GofsError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u16 = 2;
+/// the only one it reads: columnar delta slice payloads behind a framed
+/// head with per-chunk checksums (see [`crate::slice`]), [`fnv1a64_lanes`]
+/// checksums. Any other version is [`GofsError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u16 = 3;
+
+/// Bytes in front of a frame's payload: magic, version, payload length.
+const FRAME_HEADER_LEN: usize = 14;
+
+/// Bytes a frame adds to its payload: the header and the checksum footer.
+pub(crate) const FRAME_OVERHEAD: usize = FRAME_HEADER_LEN + 8;
+
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64-bit hash — tiny, dependency-free, not cryptographic. Used
 /// for run-ledger ids.
@@ -34,70 +45,94 @@ pub const FORMAT_VERSION: u16 = 2;
 /// This is inherently byte-serial: every step multiplies the running hash
 /// before the next byte is folded in (`h = (h ^ b) · p`), so the chain
 /// cannot be widened or reordered without changing the output — there is
-/// no output-compatible 8-byte-at-a-time form. Frames therefore use
-/// [`fnv1a64_words`], the same mixing applied per 8-byte word, which does
-/// ~1/8th of the serial multiplies.
+/// no output-compatible 8-byte-at-a-time form. Checksums therefore use
+/// [`fnv1a64_lanes`].
 pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_BASIS;
     for &b in data {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
-/// FNV-1a-style checksum folding 8-byte little-endian words instead of
-/// single bytes — the frame checksum, adequate for detecting torn writes
-/// and bit rot. A short tail is
-/// zero-padded; that is unambiguous because the frame header fixes the
-/// payload length before the checksum is compared. Distinct from
-/// [`fnv1a64`] output-wise (see there for why the byte form cannot be
-/// widened in place).
-pub fn fnv1a64_words(data: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        let mut w = [0u8; 8];
-        w.copy_from_slice(c);
-        h ^= u64::from_le_bytes(w);
-        h = h.wrapping_mul(PRIME);
+/// The checksum of every frame, slice chunk and wire frame: FNV-1a over
+/// 8-byte little-endian words, dealt round-robin to four independent
+/// lanes (word `i` to lane `i % 4`), the lanes then folded into one hash
+/// in order, as four more words. The lanes' multiplies do not wait on
+/// each other, so a hash runs at about four words per multiply latency
+/// rather than one; a single changed word changes its lane, and so the
+/// hash, always. A short tail is zero-padded; that is unambiguous because
+/// every checksummed run has its length fixed beside it (a frame's length
+/// field, a slice's column directory).
+pub fn fnv1a64_lanes(data: &[u8]) -> u64 {
+    let fold = |h: u64, w: [u8; 8]| (h ^ u64::from_le_bytes(w)).wrapping_mul(FNV_PRIME);
+    let mut lanes = [FNV_BASIS; 4];
+    let (stripes, tail) = data.as_chunks::<32>();
+    for stripe in stripes {
+        let (words, _) = stripe.as_chunks::<8>();
+        for (lane, &w) in lanes.iter_mut().zip(words) {
+            *lane = fold(*lane, w);
+        }
     }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
+    for (lane, part) in lanes.iter_mut().zip(tail.chunks(8)) {
         let mut w = [0u8; 8];
-        w[..rem.len()].copy_from_slice(rem);
-        h ^= u64::from_le_bytes(w);
-        h = h.wrapping_mul(PRIME);
+        w[..part.len()].copy_from_slice(part);
+        *lane = fold(*lane, w);
     }
-    h
+    lanes
+        .iter()
+        .fold(FNV_BASIS, |h, lane| fold(h, lane.to_le_bytes()))
 }
 
 /// Wrap `payload` with `magic`, the current version and checksum footer.
 pub fn frame(magic: [u8; 4], payload: &[u8]) -> Bytes {
-    let mut out = BytesMut::with_capacity(payload.len() + 22);
+    let mut out = BytesMut::with_capacity(payload.len() + FRAME_OVERHEAD);
     out.put_slice(&magic);
     out.put_u16_le(FORMAT_VERSION);
     out.put_u64_le(payload.len() as u64);
     out.put_slice(payload);
-    out.put_u64_le(fnv1a64_words(payload));
+    out.put_u64_le(fnv1a64_lanes(payload));
     out.freeze()
 }
 
 /// Validate magic/version/checksum of a buffer the caller hands over and
 /// return the payload: a view of `data`, not a copy of it.
 pub fn unframe_owned(magic: [u8; 4], data: Bytes) -> Result<Bytes> {
-    let payload = framed_payload(magic, &data)?;
+    let len = frame_payload_len(magic, &data)?;
+    if data.len() - FRAME_OVERHEAD != len {
+        return Err(GofsError::Corrupt(format!(
+            "payload length {len} disagrees with file size"
+        )));
+    }
+    let payload = checked_payload(&data, len)?;
     Ok(data.slice(payload))
 }
 
-/// Where the payload of a framed buffer lies, once its magic, version,
-/// length and checksum are checked.
-fn framed_payload(magic: [u8; 4], data: &[u8]) -> Result<std::ops::Range<usize>> {
-    if data.len() < 22 {
-        return Err(GofsError::Corrupt("file shorter than frame header".into()));
+/// Check the frame `data` starts with — magic, version, length, checksum
+/// — and return where its payload lies. The bytes after the frame are the
+/// caller's: a slice file's block region follows its head frame.
+pub(crate) fn leading_frame(magic: [u8; 4], data: &[u8]) -> Result<std::ops::Range<usize>> {
+    let len = frame_payload_len(magic, data)?;
+    if data.len() - FRAME_OVERHEAD < len {
+        return Err(GofsError::Corrupt(format!(
+            "frame of {len} payload bytes overruns the {} bytes there are",
+            data.len()
+        )));
     }
-    let mut buf = data;
+    checked_payload(data, len)
+}
+
+/// Check the magic and version of the frame `data` starts with, and
+/// return the payload length its header states. `data` holds at least the
+/// header and the footer's worth of bytes ([`FRAME_OVERHEAD`]), else it
+/// is no frame.
+pub(crate) fn frame_payload_len(magic: [u8; 4], data: &[u8]) -> Result<usize> {
+    let header = data.first_chunk::<FRAME_HEADER_LEN>();
+    let Some(header) = header.filter(|_| data.len() >= FRAME_OVERHEAD) else {
+        return Err(GofsError::Corrupt("file shorter than frame header".into()));
+    };
+    let mut buf = &header[..];
     let mut found = [0u8; 4];
     buf.copy_to_slice(&mut found);
     if found != magic {
@@ -107,40 +142,40 @@ fn framed_payload(magic: [u8; 4], data: &[u8]) -> Result<std::ops::Range<usize>>
     if version != FORMAT_VERSION {
         return Err(GofsError::UnsupportedVersion(version));
     }
-    let len = buf.get_u64_le() as usize;
-    if buf.remaining() != len + 8 {
-        return Err(GofsError::Corrupt(format!(
-            "payload length {len} disagrees with file size"
-        )));
-    }
-    let start = data.len() - buf.remaining();
-    let actual = fnv1a64_words(&buf[..len]);
-    buf.advance(len);
-    let expected = buf.get_u64_le();
+    // A length past `usize` overruns any buffer.
+    Ok(usize::try_from(buf.get_u64_le()).unwrap_or(usize::MAX))
+}
+
+/// The payload range of a frame whose `len`-byte payload `data` holds
+/// with its footer, once the footer's checksum matches.
+fn checked_payload(data: &[u8], len: usize) -> Result<std::ops::Range<usize>> {
+    let payload = FRAME_HEADER_LEN..FRAME_HEADER_LEN + len;
+    let footer = data.get(payload.end..).and_then(|f| f.first_chunk::<8>());
+    let expected = u64::from_le_bytes(*footer.ok_or_else(|| {
+        GofsError::Corrupt(format!("frame of {len} payload bytes has no checksum"))
+    })?);
+    let actual = fnv1a64_lanes(&data[payload.clone()]);
     if expected != actual {
         return Err(GofsError::ChecksumMismatch { expected, actual });
     }
-    Ok(start..start + len)
+    Ok(payload)
 }
 
 /// Unframe `data` and decode its payload with `decode`, which must consume
-/// it exactly. The one place a codec failure in a framed record file
-/// (dataset metadata, partitioning, checkpoint, manifest, ledger run
-/// record) becomes [`GofsError::Corrupt`], prefixed with `what`. The
-/// payload is a view of `data` (see [`unframe_owned`]), not a copy.
+/// it exactly ([`wire::decode_exact`]). The one place a codec failure in a
+/// framed record file (dataset metadata, partitioning, checkpoint,
+/// manifest, ledger run record) becomes [`GofsError::Corrupt`], prefixed
+/// with `what`. The payload is a view of `data` (see [`unframe_owned`]),
+/// not a copy.
 pub fn decode_framed<T>(
     magic: [u8; 4],
     data: Bytes,
     what: &str,
     decode: impl FnOnce(&mut Bytes) -> std::result::Result<T, WireError>,
 ) -> Result<T> {
-    let mut buf = unframe_owned(magic, data)?;
-    let corrupt = |detail: String| GofsError::Corrupt(format!("{what}: {detail}"));
-    let value = decode(&mut buf).map_err(|e| corrupt(e.to_string()))?;
-    if buf.remaining() != 0 {
-        return Err(corrupt(format!("{} trailing bytes", buf.remaining())));
-    }
-    Ok(value)
+    let payload = unframe_owned(magic, data)?;
+    wire::decode_exact(payload, "payload", decode)
+        .map_err(|e| GofsError::Corrupt(format!("{what}: {e}")))
 }
 
 /// Test helper: assert that `bytes` equal a committed hex golden.
@@ -885,25 +920,65 @@ mod tests {
 
     #[test]
     fn fnv_words_known_values() {
-        // Empty input: offset basis, same as the byte form.
-        assert_eq!(fnv1a64_words(b""), 0xcbf2_9ce4_8422_2325);
-        // One full word folds exactly once.
+        let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        let basis = 0xcbf2_9ce4_8422_2325u64;
+        // Empty input: four untouched lanes, folded.
+        let empty = [basis; 4].iter().fold(basis, |h, &l| fold(h, l));
+        assert_eq!(fnv1a64_lanes(b""), empty);
+        // One full word folds once, into lane 0 only.
         let w = u64::from_le_bytes(*b"abcdefgh");
-        let expect = (0xcbf2_9ce4_8422_2325u64 ^ w).wrapping_mul(0x0000_0100_0000_01b3);
-        assert_eq!(fnv1a64_words(b"abcdefgh"), expect);
-        // A short tail is zero-padded — but zero-padding is unambiguous
-        // only together with the frame's length field, so "a" and "a\0"
-        // colliding here is by design, not a defect.
-        assert_eq!(fnv1a64_words(b"a"), fnv1a64_words(b"a\0"));
-        // Word and byte forms are different functions.
-        assert_ne!(fnv1a64_words(b"abcdefgh"), fnv1a64(b"abcdefgh"));
+        let lanes = [fold(basis, w), basis, basis, basis];
+        let one = lanes.iter().fold(basis, |h, &l| fold(h, l));
+        assert_eq!(fnv1a64_lanes(b"abcdefgh"), one);
+        // Words 0 and 4 share lane 0, in order.
+        let data: Vec<u8> = (0..40).collect();
+        let word = |i: usize| u64::from_le_bytes(data[i * 8..i * 8 + 8].try_into().unwrap());
+        let lanes = [
+            fold(fold(basis, word(0)), word(4)),
+            fold(basis, word(1)),
+            fold(basis, word(2)),
+            fold(basis, word(3)),
+        ];
+        let five = lanes.iter().fold(basis, |h, &l| fold(h, l));
+        assert_eq!(fnv1a64_lanes(&data), five);
+        // Swapping two words in different lanes moves the hash.
+        let mut swapped = data.clone();
+        swapped[..16].rotate_left(8);
+        assert_ne!(fnv1a64_lanes(&swapped), five);
+        // A short tail is zero-padded — unambiguous only together with a
+        // length kept beside the run, so "a" and "a\0" colliding here is
+        // by design, not a defect.
+        assert_eq!(fnv1a64_lanes(b"a"), fnv1a64_lanes(b"a\0"));
+        // Lane and byte forms are different functions.
+        assert_ne!(fnv1a64_lanes(b"abcdefgh"), fnv1a64(b"abcdefgh"));
+    }
+
+    /// A frame at the front of a longer buffer is found with its checks;
+    /// what follows it is not the frame's business.
+    #[test]
+    fn a_leading_frame_leaves_what_follows() {
+        let mut file = frame(*b"TEST", b"head").to_vec();
+        file.extend_from_slice(b"blocks");
+        assert_eq!(leading_frame(*b"TEST", &file).unwrap(), 14..18);
+        assert!(matches!(
+            unframe_owned(*b"TEST", file.clone().into()),
+            Err(GofsError::Corrupt(_))
+        ));
+        file[15] ^= 1;
+        assert!(matches!(
+            leading_frame(*b"TEST", &file),
+            Err(GofsError::ChecksumMismatch { .. })
+        ));
+        let short = frame(*b"TEST", b"head");
+        let err = leading_frame(*b"TEST", &short[..short.len() - 1]).unwrap_err();
+        assert!(matches!(err, GofsError::Corrupt(_)), "{err}");
     }
 
     #[test]
     fn other_frame_versions_are_rejected() {
-        // Any version but the current one — the retired version 1
+        // Any version but the current one — the retired versions 1 and 2
         // included — is rejected before any checksum guesswork.
-        for other in [1u16, 9] {
+        for other in [1u16, 2, 9] {
             let mut framed = frame(*b"TEST", b"payload").to_vec();
             framed[4..6].copy_from_slice(&other.to_le_bytes());
             assert!(matches!(

@@ -15,6 +15,7 @@ use crate::error::{GofsError, Result};
 use crate::slice::{encode_slice, SliceKey};
 use crate::view::Projection;
 use bytes::{Buf, Bytes, BytesMut};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tempograph_core::wire::{self, WireError, WireMsg};
@@ -39,9 +40,16 @@ pub fn tmp_sibling(path: &Path) -> PathBuf {
 /// `.tmp`. All GoFS dataset files and engine checkpoint files go through
 /// this, so every on-disk frame is either absent or complete.
 pub fn write_atomic(path: impl AsRef<Path>, data: &[u8]) -> Result<()> {
-    let path = path.as_ref();
+    write_atomic_parts(path.as_ref(), &[data])
+}
+
+/// [`write_atomic`] of `parts`, one after the other, joined by nothing
+/// but the file.
+fn write_atomic_parts(path: &Path, parts: &[&[u8]]) -> Result<()> {
     let tmp = tmp_sibling(path);
-    std::fs::write(&tmp, data)?;
+    let mut file = std::fs::File::create(&tmp)?;
+    parts.iter().try_for_each(|part| file.write_all(part))?;
+    drop(file);
     std::fs::rename(&tmp, path)?;
     Ok(())
 }
@@ -246,12 +254,13 @@ impl GofsWriter {
                     bin: bi as u32,
                     pack: self.pack_index,
                 };
-                let data = encode_slice(p as u16, key, bin, t_start, &rows);
+                // The head, then the blocks: no buffer holds both.
+                let file = encode_slice(p as u16, key, bin, t_start, &rows);
                 let path = self
                     .dir
                     .join(format!("partition-{p:03}"))
                     .join(key.file_name());
-                write_atomic(path, &data)?;
+                write_atomic_parts(&path, &[&file.head, &file.blocks])?;
             }
         }
         self.pack_index += 1;

@@ -1,7 +1,8 @@
 //! Deep dataset validation and storage statistics.
 //!
-//! [`validate_dataset`] walks every slice file of a store, decodes it
-//! (which re-checks every frame checksum), and verifies full coverage:
+//! [`validate_dataset`] walks every slice file of a store, reads it whole
+//! whatever its size and decodes it (which checks its head frame and every
+//! chunk checksum of its blocks), and verifies full coverage:
 //! each (subgraph, timestep) pair appears exactly once, with column shapes
 //! matching the subgraph's vertex/edge counts. `tempograph inspect DIR`
 //! runs it and prints the [`DatasetStats`] it returns.

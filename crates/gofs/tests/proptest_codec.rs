@@ -11,6 +11,9 @@ use tempograph_gofs::slice::{decode_slice, encode_slice, SliceKey};
 use tempograph_gofs::{Projection, SubgraphInstance};
 use tempograph_partition::SubgraphId;
 
+mod common;
+use common::{seal, unseal};
+
 /// A `Text` column of these strings.
 fn text(rows: Vec<String>) -> Column {
     Column::Text(TextRows::from_rows(rows.iter().map(|s| [s.as_str()])))
@@ -177,7 +180,7 @@ proptest! {
             })
             .collect();
         let data = encode_slice(2, SliceKey { bin: 1, pack: 3 }, &sg_ids, t_start, &rows);
-        let back = decode_slice(data).unwrap();
+        let back = decode_slice(data.into()).unwrap();
         prop_assert_eq!(back.partition, 2);
         prop_assert_eq!(back.n_timesteps, n_ts);
         for (i, sg) in sg_ids.iter().enumerate() {
@@ -268,15 +271,15 @@ proptest! {
                     .collect()
             })
             .collect();
-        const MAGIC: [u8; 4] = *b"GFSL";
         let framed = encode_slice(0, SliceKey { bin: 0, pack: 0 }, &sg_ids, 0, &rows);
-        let payload = unframe_owned(MAGIC, framed.clone()).unwrap();
+        let payload = unseal(framed);
 
-        // Bit flip anywhere in the payload, checksum made valid again.
+        // Bit flip anywhere in the head or the blocks, checksums made
+        // valid again.
         let mut warped = payload.to_vec();
         let pos = ((warped.len() - 1) as f64 * pos_frac) as usize;
         warped[pos] ^= flip;
-        if let Ok(slice) = decode_slice(frame(MAGIC, &warped)) {
+        if let Ok(slice) = decode_slice(seal(&warped)) {
             for &sg in &slice.sg_ids.clone() {
                 for t in slice.t_start..slice.t_start + slice.n_timesteps {
                     if let Ok(cell) = slice.get(sg, t) {
@@ -288,6 +291,6 @@ proptest! {
 
         // Truncation of the payload (any amount) is always rejected.
         let keep = payload.len().saturating_sub(cut).max(1);
-        prop_assert!(decode_slice(frame(MAGIC, &payload[..keep])).is_err());
+        prop_assert!(decode_slice(seal(&payload[..keep])).is_err());
     }
 }

@@ -14,14 +14,16 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tempograph_core::{AttrType, Column, TextRows};
 use tempograph_gofs::codec::{
-    delta_text_count_eq, frame, get_column, get_delta_column, put_column, put_delta_column,
-    skip_column, skip_delta_column, text_list_matches, unframe_owned, TextMatches,
+    delta_text_count_eq, get_column, get_delta_column, put_column, put_delta_column, skip_column,
+    skip_delta_column, text_list_matches, TextMatches,
 };
 use tempograph_gofs::slice::{decode_slice, encode_slice, SliceData, SliceKey};
 use tempograph_gofs::{F64Cells, GofsError, Projection};
 use tempograph_partition::SubgraphId;
 
-const MAGIC: [u8; 4] = *b"GFSL";
+mod common;
+use common::{seal, unseal};
+
 const KEY: SliceKey = SliceKey { bin: 0, pack: 0 };
 const TYPES: [AttrType; 6] = [
     AttrType::Long,
@@ -370,7 +372,7 @@ proptest! {
         let packs: Vec<Vec<Projection>> =
             (0..2).map(|_| pack(&mut rng, &vertex, &edge, (3, rows), n_ts)).collect();
         let framed = encode_slice(1, KEY, &sg_ids, 5, &packs);
-        let (slice, other) = (decode_slice(framed.clone()).unwrap(), decode_slice(framed.clone()).unwrap());
+        let (slice, other) = (decode_slice(framed.clone().into()).unwrap(), decode_slice(framed.clone().into()).unwrap());
         for (sg, pack) in sg_ids.iter().zip(&packs) {
             for (t, written) in pack.iter().enumerate() {
                 for &c in &doubles {
@@ -390,14 +392,14 @@ proptest! {
             }
         }
 
-        let payload = unframe_owned(MAGIC, framed.clone()).unwrap();
+        let payload = unseal(framed.clone());
         let blocks_len = slice.directory().1;
         let mut flipped = payload.to_vec();
         let pos = ((flipped.len() - 1) as f64 * pos_frac) as usize;
         flipped[pos] ^= flip;
         let truncated = cut_last_block(&payload, blocks_len, cut.min(blocks_len));
         for warped in [flipped, truncated] {
-            let reframed = frame(MAGIC, &warped);
+            let reframed = seal(&warped);
             let (Ok(slice), Ok(other)) = (decode_slice(reframed.clone()), decode_slice(reframed)) else {
                 continue;
             };
@@ -410,7 +412,7 @@ proptest! {
             }
         }
         // The last block short of its last bytes: its last column fails.
-        let truncated = frame(MAGIC, &cut_last_block(&payload, blocks_len, 1));
+        let truncated = seal(&cut_last_block(&payload, blocks_len, 1));
         let slice = decode_slice(truncated).unwrap();
         let last = doubles[doubles.len() - 1];
         prop_assert!(cells(&slice, sg_ids[1], 5 + n_ts - 1, last).is_err());
@@ -431,18 +433,26 @@ proptest! {
         let sg_ids = [SubgraphId(4), SubgraphId(2)];
         let rows: Vec<Vec<Projection>> =
             (0..2).map(|_| pack(&mut rng, &vertex, &edge, (v_rows, e_rows), n_ts)).collect();
-        let slice = decode_slice(encode_slice(1, KEY, &sg_ids, 5, &rows)).unwrap();
+        let slice = decode_slice(encode_slice(1, KEY, &sg_ids, 5, &rows).into()).unwrap();
         prop_assert_eq!(slice.decoded_columns(), 0);
 
+        // A delta instance is its holder's: hold each one for the sweep.
+        let held: Vec<Vec<_>> = (sg_ids.iter())
+            .map(|&sg| (0..n_ts).map(|t| slice.get(sg, 5 + t).unwrap()).collect())
+            .collect();
         let order = touches(&mut rng, 2, n_ts, vertex.len(), edge.len());
         for &(sg, t, vertex_side, c) in &order {
             let written = &rows[sg][t];
             let written = if vertex_side { &written.vertex_cols[c] } else { &written.edge_cols[c] };
-            let got = read(&slice, sg_ids[sg], 5 + t, vertex_side, c).unwrap();
-            prop_assert_eq!(&got, written);
+            let inst = &held[sg][t];
+            let got = if vertex_side { inst.vertex_col(c) } else { inst.edge_col(c) };
+            prop_assert_eq!(got.unwrap(), written);
         }
-        // Everything was touched once; nothing was decoded twice.
-        prop_assert_eq!(slice.decoded_columns(), order.len());
+        // Everything was touched once; nothing was decoded twice. The
+        // slice keeps the bases' columns, every one of them touched.
+        let decoded: usize = held.iter().flatten().map(|i| i.decoded().count()).sum();
+        prop_assert_eq!(decoded, order.len());
+        prop_assert_eq!(slice.decoded_columns(), 2 * (vertex.len() + edge.len()));
         // An accessor of the wrong side or past the schema is a typed error.
         let inst = slice.get(sg_ids[0], 5).unwrap();
         prop_assert!(inst.vertex_col(vertex.len()).is_err());
@@ -511,7 +521,7 @@ proptest! {
         }
     }
 
-    /// A whole slice, bit-flipped behind a re-framed checksum: every
+    /// A whole slice, bit-flipped behind re-sealed checksums: every
     /// column of every cell, in any order, is the written value, another
     /// value, or a typed error — and an error never poisons its neighbours'
     /// ability to answer. Truncation is rejected outright.
@@ -527,13 +537,16 @@ proptest! {
         let sg_ids = [SubgraphId(0), SubgraphId(1)];
         let rows: Vec<Vec<Projection>> =
             (0..2).map(|_| pack(&mut rng, &vertex, &edge, (5, 4), n_ts)).collect();
-        let payload = unframe_owned(MAGIC, encode_slice(0, KEY, &sg_ids, 5, &rows)).unwrap();
+        let payload = unseal(encode_slice(0, KEY, &sg_ids, 5, &rows));
         let mut warped = payload.to_vec();
         let pos = ((warped.len() - 1) as f64 * pos_frac) as usize;
         warped[pos] ^= flip;
+        // The chunk table re-sealed over the damage: the structural checks
+        // behind the checksums meet it.
+        let sealed = seal(&warped);
         let order = touches(&mut rng, 2, n_ts, vertex.len(), edge.len());
         bounded_by(warped.len(), || {
-            let Ok(slice) = decode_slice(frame(MAGIC, &warped)) else { return };
+            let Ok(slice) = decode_slice(sealed) else { return };
             for &(sg, t, vertex_side, c) in &order {
                 // The flip may have renamed a subgraph or moved the pack.
                 let (Some(&sg), t) = (slice.sg_ids.get(sg), slice.t_start + t) else { continue };
@@ -542,7 +555,7 @@ proptest! {
             }
         });
         let keep = payload.len().saturating_sub(cut).max(1);
-        prop_assert!(decode_slice(frame(MAGIC, &payload[..keep])).is_err());
+        prop_assert!(decode_slice(seal(&payload[..keep])).is_err());
     }
 
     /// `TextList` vertex columns among other columns, in packs of 1 to 5
@@ -564,7 +577,7 @@ proptest! {
         let packs: Vec<Vec<Projection>> =
             (0..2).map(|_| pack(&mut rng, &vertex, &[1], (rows, 2), n_ts)).collect();
         let framed = encode_slice(1, KEY, &sg_ids, 5, &packs);
-        let (slice, other) = (decode_slice(framed.clone()).unwrap(), decode_slice(framed).unwrap());
+        let (slice, other) = (decode_slice(framed.clone().into()).unwrap(), decode_slice(framed.into()).unwrap());
         for (sg, t, _, c) in touches(&mut rng, 2, n_ts, vertex.len(), 0) {
             if vertex[c] != 5 {
                 continue;
@@ -600,11 +613,11 @@ proptest! {
         let sg_ids = [SubgraphId(0), SubgraphId(1)];
         let packs: Vec<Vec<Projection>> =
             (0..2).map(|_| pack(&mut rng, &vertex, &[], (rows, 0), n_ts)).collect();
-        let payload = unframe_owned(MAGIC, encode_slice(0, KEY, &sg_ids, 5, &packs)).unwrap();
+        let payload = unseal(encode_slice(0, KEY, &sg_ids, 5, &packs));
         let mut warped = payload.to_vec();
         let pos = ((warped.len() - 1) as f64 * pos_frac) as usize;
         warped[pos] ^= flip;
-        let reframed = frame(MAGIC, &warped);
+        let reframed = seal(&warped);
         bounded_by(warped.len(), || {
             let (Ok(slice), Ok(other)) = (decode_slice(reframed.clone()), decode_slice(reframed)) else {
                 return;
@@ -710,10 +723,10 @@ fn a_character_split_across_two_strings_is_corrupt() {
         edge_cols: vec![],
     };
     let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, &[vec![row]]);
-    let mut payload = unframe_owned(MAGIC, framed.clone()).unwrap().to_vec();
+    let mut payload = unseal(framed.clone());
     let at = payload.len() - split.len();
     payload[at..].copy_from_slice(&split);
-    let slice = decode_slice(frame(MAGIC, &payload)).unwrap();
+    let slice = decode_slice(seal(&payload)).unwrap();
     let err = slice
         .get(SubgraphId(9), 0)
         .unwrap()
@@ -746,12 +759,12 @@ fn a_character_split_across_two_strings_is_corrupt() {
             .collect();
         let kinds = record_tags(&rows);
         let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, &[rows]);
-        let mut payload = unframe_owned(MAGIC, framed.clone()).unwrap().to_vec();
+        let mut payload = unseal(framed.clone());
         let at = (payload.windows(10))
             .position(|w| w == [2, 0, 0, 0, 0xC3, 0xA9, 0, 0, 0, 0])
             .unwrap();
         payload[at..at + 10].copy_from_slice(&split);
-        let bad = frame(MAGIC, &payload);
+        let bad = seal(&payload);
         let (slice, other) = (
             decode_slice(bad.clone()).unwrap(),
             decode_slice(bad).unwrap(),
@@ -793,12 +806,12 @@ fn a_trailing_byte_after_a_delta_record_is_corrupt() {
             })
             .collect();
         let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, &[rows]);
-        let blocks_len = decode_slice(framed.clone()).unwrap().directory().1;
-        let mut payload = unframe_owned(MAGIC, framed.clone()).unwrap().to_vec();
+        let blocks_len = decode_slice(framed.clone().into()).unwrap().directory().1;
+        let mut payload = unseal(framed.clone());
         let end_at = payload.len() - blocks_len - 8;
         payload[end_at..end_at + 8].copy_from_slice(&(blocks_len as u64 + 1).to_le_bytes());
         payload.push(0);
-        let bad = frame(MAGIC, &payload);
+        let bad = seal(&payload);
         let (slice, other) = (
             decode_slice(bad.clone()).unwrap(),
             decode_slice(bad).unwrap(),
@@ -897,7 +910,7 @@ fn a_base_counts_every_needle_and_column_for_its_deltas() {
     let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, std::slice::from_ref(&written));
     // Base first, deltas first, and every ask twice.
     for order in [asks.clone(), asks.iter().rev().copied().collect()] {
-        let slice = decode_slice(framed.clone()).unwrap();
+        let slice = decode_slice(framed.clone().into()).unwrap();
         for &(t, c, needle) in order.iter().chain(&order) {
             let got = counted(&slice, SubgraphId(9), t, c, needle);
             assert_eq!(
@@ -923,12 +936,12 @@ fn a_corrupt_base_record_fails_every_count_of_its_column_only() {
         [col(&["~x", "#c", "#c"]), col(&["#b"; 3])],
     ]);
     let framed = encode_slice(0, KEY, &[SubgraphId(9)], 0, std::slice::from_ref(&written));
-    let mut payload = unframe_owned(MAGIC, framed.clone()).unwrap().to_vec();
+    let mut payload = unseal(framed.clone());
     // "~x" is written once: in the base's record of column 0.
     let at = payload.iter().position(|&b| b == b'~').unwrap();
     assert_eq!(payload.iter().filter(|&&b| b == b'~').count(), 1);
     payload[at] = 0xFF;
-    let bad = frame(MAGIC, &payload);
+    let bad = seal(&payload);
     let (slice, other) = (
         decode_slice(bad.clone()).unwrap(),
         decode_slice(bad).unwrap(),

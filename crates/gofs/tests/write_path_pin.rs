@@ -7,8 +7,11 @@
 
 /// FNV-1a of every file of a small store that exercises all six column
 /// types, sparse and dense deltas, a partial last pack and two bins.
-/// Taken at the parent commit (1b9b6f1), before this file existed.
-const PINNED: u64 = 0x2757_fa32_47a0_f324;
+/// First taken before this file existed; re-pinned at format version 3,
+/// whose files hold the version-2 payload bytes unchanged behind a framed
+/// head with a chunk table and the four-lane checksum (checked file by
+/// file against the version-2 store when re-pinned).
+const PINNED: u64 = 0xb72a_9af3_c51d_f0a4;
 
 fn small_store_fnv(dir: &std::path::Path) -> u64 {
     use tempograph_core::{
@@ -89,9 +92,10 @@ fn small_store_fnv(dir: &std::path::Path) -> u64 {
 
 /// FNV-1a of every file of a small `generate_sir_tweets` store: seeded
 /// infections, recoveries and background tags over two partitions, in
-/// packs of four with a partial last pack. Taken at the commit before the
-/// generator built its `tweets` column flat.
-const GENERATED_PINNED: u64 = 0xc2af_b33b_9ec8_8f61;
+/// packs of four with a partial last pack. First taken at the commit
+/// before the generator built its `tweets` column flat; re-pinned at
+/// format version 3, like [`PINNED`].
+const GENERATED_PINNED: u64 = 0xb222_d278_2cdd_e98b;
 
 fn generated_store_fnv(dir: &std::path::Path) -> u64 {
     use std::sync::Arc;
@@ -149,7 +153,7 @@ fn written_store_bytes_are_pinned() {
     let _ = std::fs::remove_dir_all(&dir);
     let got = small_store_fnv(&dir);
     std::fs::remove_dir_all(&dir).unwrap();
-    assert_eq!(tempograph_gofs::codec::FORMAT_VERSION, 2);
+    assert_eq!(tempograph_gofs::codec::FORMAT_VERSION, 3);
     assert_eq!(got, PINNED, "store bytes changed: {got:#018x}");
 }
 

@@ -149,9 +149,6 @@ pub struct RunAggregates {
     pub msgs_combined: u64,
     pub batches_remote: u64,
     pub slice_loads: u64,
-    /// Always 0 (links retry nothing); the record format keeps it until
-    /// the next `FORMAT_VERSION` bump.
-    pub send_retries: u64,
     pub recoveries: u64,
     pub emitted_values: u64,
 }
@@ -160,7 +157,7 @@ impl RunAggregates {
     /// Every aggregate as `(name, value)`, in declaration order. Names
     /// ending in `_ns` are measured durations; the rest are deterministic
     /// counts for a seeded run.
-    pub fn fields(&self) -> [(&'static str, u64); 17] {
+    pub fn fields(&self) -> [(&'static str, u64); 16] {
         [
             ("wall_ns", self.wall_ns),
             ("virtual_ns", self.virtual_ns),
@@ -176,7 +173,6 @@ impl RunAggregates {
             ("msgs_combined", self.msgs_combined),
             ("batches_remote", self.batches_remote),
             ("slice_loads", self.slice_loads),
-            ("send_retries", self.send_retries),
             ("recoveries", self.recoveries),
             ("emitted_values", self.emitted_values),
         ]
@@ -206,7 +202,6 @@ impl WireMsg for RunAggregates {
             msgs_combined: u64::decode(buf)?,
             batches_remote: u64::decode(buf)?,
             slice_loads: u64::decode(buf)?,
-            send_retries: u64::decode(buf)?,
             recoveries: u64::decode(buf)?,
             emitted_values: u64::decode(buf)?,
         })
@@ -311,7 +306,6 @@ impl RunRecord {
             agg.msgs_combined += m.msgs_combined;
             agg.batches_remote += m.batches_remote;
             agg.slice_loads += m.slice_loads;
-            agg.send_retries += m.send_retries;
         }
         // Supersteps are barrier-synchronised: per-timestep max, summed
         // (the same reduce `JobResult::export_into` applies).
@@ -449,11 +443,12 @@ impl RunRecord {
     }
 
     /// Decode a framed record, verifying magic, version, and checksum, and
-    /// that the payload holds exactly one record.
-    pub fn decode(data: &[u8]) -> Result<RunRecord> {
+    /// that the payload holds exactly one record. The record decodes in
+    /// the buffer the file was read into.
+    pub fn decode(data: Bytes) -> Result<RunRecord> {
         decode_framed(
             RECORD_MAGIC,
-            Bytes::copy_from_slice(data),
+            data,
             "run record",
             <RunRecord as WireMsg>::decode,
         )
@@ -620,7 +615,6 @@ mod tests {
                 msgs_combined: 12,
                 batches_remote: 40,
                 slice_loads: 21,
-                send_retries: 0,
                 recoveries: 0,
                 emitted_values: 77,
             },
@@ -695,9 +689,8 @@ mod tests {
                 msgs_combined: 12,
                 batches_remote: 13,
                 slice_loads: 14,
-                send_retries: 15,
-                recoveries: 16,
-                emitted_values: 17,
+                recoveries: 15,
+                emitted_values: 16,
             },
             virtual_timestep_ns: vec![0x101, 0x102],
             workers: (0..2)
@@ -731,7 +724,7 @@ mod tests {
             "FORMAT_VERSION",
             tempograph_gofs::codec::FORMAT_VERSION,
         );
-        assert_eq!(RunRecord::decode(&enc).unwrap(), rec);
+        assert_eq!(RunRecord::decode(enc.clone()).unwrap(), rec);
     }
 
     /// Ledger file names are run ids: an id that moved would cut every
@@ -745,14 +738,14 @@ mod tests {
     fn round_trips_exactly() {
         let rec = sample();
         let bytes = rec.encode();
-        let back = RunRecord::decode(&bytes).unwrap();
+        let back = RunRecord::decode(bytes).unwrap();
         assert_eq!(back, rec);
     }
 
     #[test]
     fn empty_record_round_trips() {
         let rec = RunRecord::default();
-        assert_eq!(RunRecord::decode(&rec.encode()).unwrap(), rec);
+        assert_eq!(RunRecord::decode(rec.encode()).unwrap(), rec);
     }
 
     #[test]
@@ -772,18 +765,18 @@ mod tests {
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x10;
         assert!(matches!(
-            RunRecord::decode(&flipped),
+            RunRecord::decode(flipped.into()),
             Err(GofsError::ChecksumMismatch { .. })
         ));
 
         // Truncation → error, never a partial record.
-        assert!(RunRecord::decode(&good[..good.len() - 3]).is_err());
+        assert!(RunRecord::decode(good.slice(..good.len() - 3)).is_err());
 
         // Future version → typed rejection.
         let mut stale = good.to_vec();
         stale[4] = 0xFF;
         assert!(matches!(
-            RunRecord::decode(&stale),
+            RunRecord::decode(stale.into()),
             Err(GofsError::UnsupportedVersion(_))
         ));
 
@@ -791,7 +784,7 @@ mod tests {
         let mut alien = good.to_vec();
         alien[0] = b'X';
         assert!(matches!(
-            RunRecord::decode(&alien),
+            RunRecord::decode(alien.into()),
             Err(GofsError::BadMagic { .. })
         ));
     }

@@ -54,7 +54,7 @@ impl Ledger {
     /// Load a record by name.
     pub fn load(&self, name: &str) -> Result<RunRecord> {
         let data = std::fs::read(self.path_of(name)).map_err(GofsError::Io)?;
-        RunRecord::decode(&data)
+        RunRecord::decode(data.into())
     }
 
     /// Record a run, returning the name it was stored under. The name is

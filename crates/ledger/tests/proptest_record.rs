@@ -49,7 +49,7 @@ fn arb_config() -> impl Strategy<Value = ConfigFingerprint> {
 }
 
 fn arb_aggregates() -> impl Strategy<Value = RunAggregates> {
-    proptest::collection::vec(any::<u64>(), 17).prop_map(|v| RunAggregates {
+    proptest::collection::vec(any::<u64>(), 16).prop_map(|v| RunAggregates {
         wall_ns: v[0],
         virtual_ns: v[1],
         compute_ns: v[2],
@@ -64,9 +64,8 @@ fn arb_aggregates() -> impl Strategy<Value = RunAggregates> {
         msgs_combined: v[11],
         batches_remote: v[12],
         slice_loads: v[13],
-        send_retries: v[14],
-        recoveries: v[15],
-        emitted_values: v[16],
+        recoveries: v[14],
+        emitted_values: v[15],
     })
 }
 
@@ -137,7 +136,7 @@ proptest! {
     #[test]
     fn record_roundtrip(rec in arb_record()) {
         let bytes = rec.encode();
-        let back = RunRecord::decode(&bytes).unwrap();
+        let back = RunRecord::decode(bytes.clone()).unwrap();
         prop_assert_eq!(&back, &rec);
         // Canonical: re-encoding the decoded record reproduces the bytes.
         prop_assert_eq!(back.encode(), bytes);
@@ -147,7 +146,7 @@ proptest! {
     fn truncation_never_yields_a_record(rec in arb_record(), cut in 1usize..64) {
         let bytes = rec.encode();
         let keep = bytes.len().saturating_sub(cut);
-        prop_assert!(RunRecord::decode(&bytes[..keep]).is_err());
+        prop_assert!(RunRecord::decode(bytes.slice(..keep)).is_err());
     }
 
     #[test]
@@ -157,7 +156,7 @@ proptest! {
         bytes[i] ^= flip;
         // Either the frame rejects it outright, or (vanishingly unlikely
         // under FNV-1a) it decodes to something that is not the original.
-        match RunRecord::decode(&bytes) {
+        match RunRecord::decode(bytes.into()) {
             Err(_) => {}
             Ok(other) => prop_assert_ne!(other, rec),
         }

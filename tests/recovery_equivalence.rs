@@ -397,20 +397,20 @@ fn corrupted_checkpoints_fall_back_with_typed_errors() {
 
     let newest = checkpoint_path(&dir, 7, 0);
     let pristine = std::fs::read(&newest).unwrap();
-    assert!(WorkerCheckpoint::<VertexIdx>::decode(&pristine).is_ok());
+    assert!(WorkerCheckpoint::<VertexIdx>::decode(pristine.clone().into()).is_ok());
 
     // Bit-flip in the payload → checksum mismatch.
     let mut flipped = pristine.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x40;
     assert!(matches!(
-        WorkerCheckpoint::<VertexIdx>::decode(&flipped),
+        WorkerCheckpoint::<VertexIdx>::decode(flipped.clone().into()),
         Err(GofsError::ChecksumMismatch { .. })
     ));
 
     // Truncation → structurally corrupt.
     assert!(matches!(
-        WorkerCheckpoint::<VertexIdx>::decode(&pristine[..pristine.len() - 9]),
+        WorkerCheckpoint::<VertexIdx>::decode(pristine[..pristine.len() - 9].to_vec().into()),
         Err(GofsError::Corrupt(_))
     ));
 
@@ -418,7 +418,7 @@ fn corrupted_checkpoints_fall_back_with_typed_errors() {
     let mut stale = pristine.clone();
     stale[4] = 0xFF;
     assert!(matches!(
-        WorkerCheckpoint::<VertexIdx>::decode(&stale),
+        WorkerCheckpoint::<VertexIdx>::decode(stale.into()),
         Err(GofsError::UnsupportedVersion(_))
     ));
 
@@ -426,7 +426,7 @@ fn corrupted_checkpoints_fall_back_with_typed_errors() {
     let mut evil = pristine.clone();
     evil[..4].copy_from_slice(b"NOPE");
     assert!(matches!(
-        WorkerCheckpoint::<VertexIdx>::decode(&evil),
+        WorkerCheckpoint::<VertexIdx>::decode(evil.into()),
         Err(GofsError::BadMagic { .. })
     ));
 
