@@ -88,7 +88,7 @@ transport_stage() {
     PROPTEST_CASES="${PROPTEST_CASES:-64}" \
         cargo test -q --test frame_codec_prop
 
-    echo "==> transport: 2-process localhost smoke via the CLI"
+    echo "==> transport: 2-process localhost smoke via the CLI (HASH and TDSP)"
     local work
     work="$(mktemp -d)"
     trap 'rm -rf "$work"' RETURN
@@ -96,21 +96,31 @@ transport_stage() {
     local tg=target/release/tempograph
     "$tg" generate --out "$work/ds" --preset carn --scale 0.3 \
         --workload tweets --timesteps 6 --partitions 2 >/dev/null
-    "$tg" run --algo hash --data "$work/ds" --transport inprocess \
-        > "$work/inproc.txt"
-    if "$tg" run --algo hash --data "$work/ds" --transport tcp-process \
-            > "$work/tcp.txt"; then
-        # Identical summaries modulo the header (transport tag) and the
-        # wall-clock line.
-        sed -e '/^running /d' -e '/^finished in /d' "$work/inproc.txt" > "$work/a.txt"
-        sed -e '/^running /d' -e '/^finished in /d' "$work/tcp.txt" > "$work/b.txt"
-        diff -u "$work/a.txt" "$work/b.txt" \
-            || { echo "FAIL: tcp-process output differs from in-process" >&2; exit 1; }
-        echo "    2-process smoke OK"
-    else
-        echo "    NOTICE: tcp-process CLI run failed (loopback sockets" \
-             "unavailable in this sandbox?); skipping smoke"
-    fi
+    "$tg" generate --out "$work/roads" --preset carn --scale 0.3 \
+        --workload road --timesteps 6 --partitions 2 >/dev/null
+    # `emitted values` carries an order-sensitive digest of the result, so
+    # the diff also checks the coordinator's merge of the workers' sorted
+    # emit runs across a process boundary.
+    local run algo ds
+    for run in hash:ds tdsp:roads; do
+        algo="${run%%:*}"
+        ds="${run#*:}"
+        "$tg" run --algo "$algo" --data "$work/$ds" --transport inprocess \
+            > "$work/inproc-$algo.txt"
+        if "$tg" run --algo "$algo" --data "$work/$ds" --transport tcp-process \
+                > "$work/tcp-$algo.txt"; then
+            # Identical summaries modulo the header (transport tag) and the
+            # wall-clock line.
+            sed -e '/^running /d' -e '/^finished in /d' "$work/inproc-$algo.txt" > "$work/a.txt"
+            sed -e '/^running /d' -e '/^finished in /d' "$work/tcp-$algo.txt" > "$work/b.txt"
+            diff -u "$work/a.txt" "$work/b.txt" \
+                || { echo "FAIL: tcp-process $algo output differs from in-process" >&2; exit 1; }
+            echo "    2-process $algo smoke OK ($(grep '^emitted values' "$work/b.txt"))"
+        else
+            echo "    NOTICE: tcp-process CLI run failed (loopback sockets" \
+                 "unavailable in this sandbox?); skipping $algo smoke"
+        fi
+    done
 
     echo "==> transport: 2-process observability smoke (worker shards carried home in Output frames)"
     "$tg" run --algo hash --data "$work/ds" --observe true \

@@ -159,6 +159,23 @@ fn get_prefixed(buf: &mut Bytes, context: &'static str) -> Result<Bytes, WireErr
     Ok(buf.split_to(len))
 }
 
+/// Split off a run of `n` fixed-width records of `width` bytes each. The
+/// whole run is checked against what is left before anything is read, so
+/// a count the buffer cannot hold is [`WireError::Eof`] and sizes nothing.
+pub fn get_records(
+    buf: &mut Bytes,
+    n: usize,
+    width: usize,
+    context: &'static str,
+) -> Result<Bytes, WireError> {
+    let len = n.checked_mul(width).ok_or(WireError::OutOfRange {
+        context,
+        value: n as u64,
+    })?;
+    need(buf, len, context)?;
+    Ok(buf.split_to(len))
+}
+
 /// A [`put_str`] string, validated where it lies and handed to `own`:
 /// one copy, where `String::from_utf8(to_vec())` would copy first.
 fn get_utf8<T>(buf: &mut Bytes, context: &'static str, own: fn(&str) -> T) -> Result<T, WireError> {
@@ -201,6 +218,15 @@ pub trait WireMsg: Send + Clone + 'static {
     fn encode(&self, buf: &mut BytesMut);
     /// Read one message back from `buf`.
     fn decode(buf: &mut Bytes) -> Result<Self, WireError>;
+
+    /// Read `n` records off the front of `buf`: the body of a `Vec<Self>`
+    /// once its length is known. The default is [`get_vec`]; a type of
+    /// fixed-width records may check the whole run once and read it in
+    /// one pass instead, accepting exactly the bytes of `n` encodes and
+    /// reserving no more than `buf` can hold.
+    fn decode_run(buf: &mut Bytes, n: usize) -> Result<Vec<Self>, WireError> {
+        get_vec(buf, n)
+    }
 }
 
 impl WireMsg for () {
@@ -351,7 +377,7 @@ impl<T: WireMsg> WireMsg for Vec<T> {
     }
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         let len = get_u32(buf, "Vec length")? as usize;
-        get_vec(buf, len)
+        T::decode_run(buf, len)
     }
 }
 

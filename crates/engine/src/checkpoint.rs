@@ -398,6 +398,23 @@ mod tests {
         assert_eq!(back, ck);
     }
 
+    /// The trailing emit run decodes into a vector of exactly its count:
+    /// a restore neither regrows it nor keeps room it will not use.
+    #[test]
+    fn a_restored_emit_run_is_sized_to_its_count() {
+        let mut ck = sample(1, 4);
+        ck.emits = (0..600)
+            .map(|i| Emit {
+                timestep: i / 100,
+                vertex: VertexIdx(i as u32 % 100),
+                value: i as f64 * 0.5,
+            })
+            .collect();
+        let back = WorkerCheckpoint::decode(ck.encode()).unwrap();
+        assert_eq!(back, ck);
+        assert_eq!(back.emits.capacity(), 600);
+    }
+
     #[test]
     fn corruption_yields_typed_errors() {
         type Ck = WorkerCheckpoint<(VertexIdx, f64)>;

@@ -36,12 +36,22 @@
 //! committed checkpoint; anything else would recur deterministically
 //! after a restore, so it is returned as `RemoteWorkerDied` naming the
 //! partition.
+//!
+//! **Results come home in order.** Each worker sorts its emits as every
+//! timestep (and the merge phase) closes, so its Output frame carries one
+//! run already in the result's (timestep, vertex, value) order. Assembly
+//! merges the `k` runs in one pass (`merge_emit_runs`) and sorts
+//! nothing; a run out of order is a protocol error naming its partition.
+//! With tracing armed, the driver track shows the collect: a
+//! `collect.decode` span per Output frame and one `collect.assemble`.
 
 use crate::checkpoint;
 use crate::error::EngineError;
 use crate::executor::{run_worker_body, JobConfig, TimestepMode, WorkerOutput};
 use crate::faults::{payload_is_injected, FaultPlan};
-use crate::metrics::{AttributionRow, CostAttribution, Emit, JobResult, TimestepMetrics};
+use crate::metrics::{
+    AttributionRow, CostAttribution, Emit, JobResult, TimestepMetrics, EMIT_BYTES,
+};
 use crate::net::{
     accept_with_deadline, bind_loopback, connect_with_retry, decode_payload, encode_payload,
     AbortMsg, Frame, FrameConn, FrameKind, HelloMsg, PeerLink, StartMsg, COORDINATOR, RESUME_NONE,
@@ -58,7 +68,7 @@ use std::process::{Child, Command};
 use std::sync::Arc;
 use tempograph_core::wire::{self, WireMsg};
 use tempograph_partition::{PartitionedGraph, Subgraph, SubgraphId};
-use tempograph_trace::{Clock, Trace, TraceEvent, TraceSink};
+use tempograph_trace::{Clock, Trace, TraceConfig, TraceEvent, TraceSink};
 
 /// Exit code a worker process uses for an *injected* death (fault-plan
 /// panic), so the coordinator can tell "recoverable drill" from "real bug"
@@ -74,7 +84,7 @@ impl WorkerOutput {
     /// so the coordinator assembles the [`JobResult`] from exactly what
     /// [`WorkerOutput::decode`] returns.
     pub(crate) fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+        let mut buf = BytesMut::with_capacity(self.payload_hint());
         self.metrics.encode(&mut buf);
         self.merge_metrics.encode(&mut buf);
         self.counters.encode(&mut buf);
@@ -91,6 +101,21 @@ impl WorkerOutput {
         self.shard.encode(&mut buf);
         self.attr_rows.encode(&mut buf);
         buf.freeze()
+    }
+
+    /// Bytes to reserve for the Output payload: the emit run and the final
+    /// states exactly, the per-timestep rows generously, so that a large
+    /// payload is written into one allocation and not copied by a
+    /// doubling chain. Trace events are not counted: a traced payload may
+    /// still grow.
+    fn payload_hint(&self) -> usize {
+        let states: usize = self.final_states.iter().map(|(_, s)| 8 + s.len()).sum();
+        let rows: usize = self
+            .metrics
+            .iter()
+            .map(|m| 256 + 8 * m.superstep_compute_ns.len())
+            .sum();
+        4 + EMIT_BYTES * self.emits.len() + 4 + states + rows + 4096
     }
 
     /// Decode an Output-frame payload (see [`WorkerOutput::encode`]).
@@ -340,6 +365,37 @@ enum EpochEnd {
     Died { death: Death, injected: bool },
 }
 
+/// The coordinator's own trace track, after the `k` partition tracks:
+/// recovery markers and the collect of the results. Inert (it records and
+/// allocates nothing) when the job is untraced.
+struct DriverTrack {
+    sink: TraceSink,
+    /// Output-frame bytes decoded so far, over every epoch, so the
+    /// `collect.bytes` counter never falls.
+    collected: u64,
+}
+
+impl DriverTrack {
+    fn new(trace: Option<TraceConfig>, k: usize) -> Self {
+        DriverTrack {
+            sink: trace.map_or_else(TraceSink::inert, |tc| tc.sink(k as u32)),
+            collected: 0,
+        }
+    }
+
+    /// Decode partition `p`'s Output frame: a `collect.decode` span naming
+    /// the partition, and the frame's bytes added to `collect.bytes`.
+    fn decode_output(&mut self, p: usize, payload: Bytes) -> Result<WorkerOutput, EngineError> {
+        let span = self.sink.start();
+        self.collected += payload.len() as u64;
+        let output = WorkerOutput::decode(payload)?;
+        self.sink
+            .span_arg_since("collect.decode", span, "partition", p as u64);
+        self.sink.counter("collect.bytes", self.collected);
+        Ok(output)
+    }
+}
+
 /// Judge a thread-hosted epoch's primary death by that thread's join
 /// result. Only an injected panic is recoverable: a real panic or a typed
 /// worker error would recur deterministically after a relaunch.
@@ -444,6 +500,7 @@ fn serve_epoch(
     resume_from: Option<u64>,
     faults: Option<&FaultPlan>,
     mut telem: Option<&mut CoordTelemetry>,
+    driver: &mut DriverTrack,
 ) -> Result<Result<Vec<WorkerOutput>, Death>, EngineError> {
     let mut conns: Vec<Option<FrameConn>> = (0..k).map(|_| None).collect();
     let mut peer_addrs = vec![String::new(); k];
@@ -515,7 +572,7 @@ fn serve_epoch(
             };
             match frame.kind {
                 FrameKind::Contribution => contribs.push(decode_payload(frame.payload)?),
-                FrameKind::Output => outputs.push(WorkerOutput::decode(frame.payload)?),
+                FrameKind::Output => outputs.push(driver.decode_output(p, frame.payload)?),
                 FrameKind::Abort => {
                     // A worker saw the death first-hand; trust its
                     // attribution over our own later EOF observation.
@@ -605,6 +662,7 @@ fn run_epoch_threads<P, F>(
     config: &JobConfig<P::Msg>,
     timesteps: usize,
     telem: Option<&mut CoordTelemetry>,
+    driver: &mut DriverTrack,
 ) -> Result<EpochEnd, EngineError>
 where
     P: SubgraphProgram,
@@ -654,6 +712,7 @@ where
             resume_from,
             config.faults.as_deref(),
             telem,
+            driver,
         );
         // Reap every thread (an Abort broadcast or the dropped connections
         // unblock them) before judging.
@@ -701,6 +760,7 @@ fn kill_and_reap<'a>(children: impl IntoIterator<Item = &'a mut Child>) {
 }
 
 /// One epoch with workers as spawned processes over loopback TCP.
+#[allow(clippy::too_many_arguments)]
 fn run_epoch_processes(
     k: usize,
     epoch: u32,
@@ -709,6 +769,7 @@ fn run_epoch_processes(
     worker_args: &[String],
     faults: Option<&FaultPlan>,
     telem: Option<&mut CoordTelemetry>,
+    driver: &mut DriverTrack,
 ) -> Result<EpochEnd, EngineError> {
     let (listener, coord_addr) = bind_loopback("the coordinator listener")?;
     let mut children: Vec<Child> = Vec::with_capacity(k);
@@ -731,7 +792,15 @@ fn run_epoch_processes(
             }
         }
     }
-    match serve_epoch(accept_on(listener), k, epoch, resume_from, faults, telem) {
+    match serve_epoch(
+        accept_on(listener),
+        k,
+        epoch,
+        resume_from,
+        faults,
+        telem,
+        driver,
+    ) {
         Ok(Ok(outputs)) => {
             for c in &mut children {
                 let _ = c.wait();
@@ -852,9 +921,7 @@ where
     let mut telem = config
         .telemetry_armed()
         .then(|| CoordTelemetry::new(k, config.straggler_factor));
-    // Driver-side sink (its own track, after the k partition tracks) for
-    // recovery markers.
-    let mut driver_sink = config.trace.map(|tc| tc.sink(k as u32));
+    let mut driver = DriverTrack::new(config.trace, k);
     let _status_server = match (&config.status_addr, &telem) {
         (Some(addr), Some(ct)) => Some(ct.serve_status(addr)?),
         _ => None,
@@ -871,6 +938,7 @@ where
                 &config,
                 timesteps,
                 telem.as_mut(),
+                &mut driver,
             )?,
             Cluster::Processes {
                 worker_bin,
@@ -883,6 +951,7 @@ where
                 worker_args,
                 config.faults.as_deref(),
                 telem.as_mut(),
+                &mut driver,
             )?,
         };
         let (death, injected) = match end {
@@ -891,25 +960,29 @@ where
                 if let Some(ct) = telem.take() {
                     ct.merge_into(&mut outputs);
                 }
-                let trace = config.trace.map(|_| {
-                    let mut sinks: Vec<(String, TraceSink)> =
-                        outputs.iter_mut().flat_map(|o| o.sinks.drain(..)).collect();
-                    if let Some(sink) = driver_sink.take() {
-                        if !sink.events().is_empty() {
-                            sinks.push(("driver".to_string(), sink));
-                        }
-                    }
-                    Trace::from_sinks(sinks)
-                });
-                return Ok(assemble_job_result(
+                let sinks: Option<Vec<(String, TraceSink)>> = config
+                    .trace
+                    .map(|_| outputs.iter_mut().flat_map(|o| o.sinks.drain(..)).collect());
+                let span = driver.sink.start();
+                let mut result = assemble_job_result(
                     outputs,
                     k,
                     total_wall_ns,
                     recoveries,
-                    trace,
                     config.metrics,
                     config.attribution,
-                ));
+                )?;
+                driver.sink.span_arg_since(
+                    "collect.assemble",
+                    span,
+                    "emits",
+                    result.emitted.len() as u64,
+                );
+                result.trace = sinks.map(|mut sinks| {
+                    sinks.push(("driver".to_string(), driver.sink));
+                    Trace::from_sinks(sinks)
+                });
+                return Ok(result);
             }
             EpochEnd::Died { death, injected } => (death, injected),
         };
@@ -936,12 +1009,10 @@ where
         if let Some(ct) = telem.as_mut() {
             ct.reset(epoch);
         }
-        if let Some(sink) = &mut driver_sink {
-            sink.instant(
-                "recovery.attempt",
-                Some(("resume_t", resume_from.unwrap_or(u64::MAX))),
-            );
-        }
+        driver.sink.instant(
+            "recovery.attempt",
+            Some(("resume_t", resume_from.unwrap_or(u64::MAX))),
+        );
     }
 }
 
@@ -968,29 +1039,82 @@ fn effective_timesteps<M>(config: &JobConfig<M>, available: usize) -> Result<usi
     Ok(timesteps)
 }
 
-/// Sort emits by (timestep, vertex, value): the job result's order. The
-/// key covers every field of an [`Emit`] (`total_cmp` tells every bit
-/// pattern of the value apart), so emits with equal keys are identical
-/// and an unstable sort returns what a stable one would, without its
-/// scratch buffer of half the emits.
-fn sort_emits(emitted: &mut [Emit]) {
-    emitted.sort_unstable_by(|a, b| {
-        (a.timestep, a.vertex)
-            .cmp(&(b.timestep, b.vertex))
-            .then(a.value.total_cmp(&b.value))
-    });
+/// Merge the workers' emit runs, each already in result order (a worker
+/// sorts every timestep's emits as the timestep closes), in one pass into
+/// a vector reserved to their total. Emits that compare equal are
+/// identical, so this is the vector a sort of all of them would return,
+/// bit for bit. A run out of order is refused, naming its partition.
+///
+/// Each step copies, from the run with the least head, every emit up to
+/// the least head of the others as one slice, so runs that interleave in
+/// long stretches (a partition's vertices are mostly contiguous) cost two
+/// comparisons per emit. Each adjacent pair of a run is checked in the
+/// step that takes its first emit.
+fn merge_emit_runs(runs: Vec<Vec<Emit>>) -> Result<Vec<Emit>, EngineError> {
+    let mut merged = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    // (partition, what is left of its run) for every run not yet drained.
+    let mut live: Vec<(usize, &[Emit])> = runs
+        .iter()
+        .enumerate()
+        .filter(|(_, run)| !run.is_empty())
+        .map(|(p, run)| (p, run.as_slice()))
+        .collect();
+    while let Some((lead, bound)) = lead_and_bound(&live) {
+        let (p, run) = &mut live[lead];
+        let whole: &[Emit] = run;
+        let mut taken = 1;
+        for (prev, next) in whole.iter().zip(whole.iter().skip(1)) {
+            if next.result_order(prev).is_lt() {
+                return Err(EngineError::Protocol {
+                    detail: format!("partition {p} sent its emits out of result order"),
+                });
+            }
+            if bound.is_some_and(|b| next.result_order(&b).is_gt()) {
+                break;
+            }
+            taken += 1;
+        }
+        let (stretch, rest) = whole.split_at(taken);
+        merged.extend_from_slice(stretch);
+        *run = rest;
+        if rest.is_empty() {
+            live.swap_remove(lead);
+        }
+    }
+    Ok(merged)
 }
 
-/// Fold per-worker outputs into the global [`JobResult`].
+/// The index in `live` of the run with the least head, and the least head
+/// of the other runs (`None` when it is the last run). `None` when every
+/// run is drained.
+fn lead_and_bound(live: &[(usize, &[Emit])]) -> Option<(usize, Option<Emit>)> {
+    let mut heads = live
+        .iter()
+        .enumerate()
+        .filter_map(|(i, (_, run))| run.first().map(|head| (i, head)));
+    let (mut lead, mut least) = heads.next()?;
+    let mut bound: Option<&Emit> = None;
+    for (i, head) in heads {
+        if head.result_order(least).is_lt() {
+            bound = Some(least);
+            (lead, least) = (i, head);
+        } else if bound.is_none_or(|b| head.result_order(b).is_lt()) {
+            bound = Some(head);
+        }
+    }
+    Some((lead, bound.copied()))
+}
+
+/// Fold per-worker outputs into the global [`JobResult`] (its trace is the
+/// caller's to attach).
 fn assemble_job_result(
     mut outputs: Vec<WorkerOutput>,
     k: usize,
     total_wall_ns: u64,
     recoveries: usize,
-    trace: Option<Trace>,
     metrics_enabled: bool,
     attribution_enabled: bool,
-) -> JobResult {
+) -> Result<JobResult, EngineError> {
     let timesteps_run = outputs.first().map_or(0, |o| o.timesteps_run);
     debug_assert!(outputs.iter().all(|o| o.timesteps_run == timesteps_run));
     let mut metrics = vec![vec![TimestepMetrics::default(); k]; timesteps_run];
@@ -1063,8 +1187,7 @@ fn assemble_job_result(
         CostAttribution { rows }
     });
 
-    let mut emitted: Vec<Emit> = outputs.into_iter().flat_map(|o| o.emits).collect();
-    sort_emits(&mut emitted);
+    let emitted = merge_emit_runs(outputs.into_iter().map(|o| o.emits).collect())?;
 
     let mut result = JobResult {
         timesteps_run,
@@ -1076,7 +1199,7 @@ fn assemble_job_result(
         total_wall_ns,
         recoveries,
         final_states,
-        trace,
+        trace: None,
         attribution,
         registry: None,
     };
@@ -1084,12 +1207,13 @@ fn assemble_job_result(
         result.export_into(&mut reg);
         result.registry = Some(reg);
     }
-    result
+    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::sort_emits;
     use crate::metrics::MetricsShard;
     use bytes::BufMut;
     use tempograph_core::wire::WireError;
@@ -1098,7 +1222,8 @@ mod tests {
 
     /// The unstable emit sort returns the stable sort's vector, bit for
     /// bit: duplicates, both zeros, NaNs of either sign and infinities
-    /// included.
+    /// included. So does the merge of the emits split over k sorted runs,
+    /// some of them empty; a run out of order is a typed error.
     #[test]
     fn emits_sort_as_a_stable_sort_would() {
         let values = [
@@ -1132,7 +1257,7 @@ mod tests {
                 .cmp(&(b.timestep, b.vertex))
                 .then(a.value.total_cmp(&b.value))
         });
-        let mut unstable = emits;
+        let mut unstable = emits.clone();
         sort_emits(&mut unstable);
         let bits = |v: &[Emit]| -> Vec<(usize, VertexIdx, u64)> {
             v.iter()
@@ -1140,6 +1265,32 @@ mod tests {
                 .collect()
         };
         assert_eq!(bits(&unstable), bits(&stable));
+
+        for k in [1usize, 2, 3, 9] {
+            // Run `k - 1` stays empty whenever k > 1; the others draw at
+            // random.
+            let mut runs: Vec<Vec<Emit>> = vec![Vec::new(); k];
+            for &e in &emits {
+                runs[next(k.saturating_sub(1).max(1))].push(e);
+            }
+            for run in &mut runs {
+                sort_emits(run);
+            }
+            let merged = merge_emit_runs(runs).unwrap();
+            assert_eq!(bits(&merged), bits(&stable), "{k} runs");
+        }
+        assert!(merge_emit_runs(vec![Vec::new(); 3]).unwrap().is_empty());
+
+        let at = |timestep: usize, vertex: u32| Emit {
+            timestep,
+            vertex: VertexIdx(vertex),
+            value: 0.0,
+        };
+        let runs = vec![vec![at(0, 1), at(2, 0)], vec![at(0, 0), at(1, 5), at(1, 4)]];
+        match merge_emit_runs(runs) {
+            Err(EngineError::Protocol { detail }) => assert!(detail.contains("partition 1")),
+            other => panic!("an unsorted run must be refused, got {other:?}"),
+        }
     }
 
     /// `k` workers' ends of in-memory coordinator connections, each having
@@ -1158,6 +1309,22 @@ mod tests {
         }
         let mut host = host.into_iter();
         (workers, Box::new(move || Ok(host.next().unwrap())))
+    }
+
+    /// Serve epoch 0 of a fresh, untraced job.
+    fn serve_untraced(
+        accept: Accept,
+        k: usize,
+    ) -> Result<Result<Vec<WorkerOutput>, Death>, EngineError> {
+        serve_epoch(
+            accept,
+            k,
+            0,
+            None,
+            None,
+            None,
+            &mut DriverTrack::new(None, k),
+        )
     }
 
     fn death_of(served: Result<Result<Vec<WorkerOutput>, Death>, EngineError>) -> u16 {
@@ -1186,7 +1353,7 @@ mod tests {
     fn the_coordinator_blames_a_dropped_worker_link() {
         let (mut workers, accept) = hello_links(3);
         drop(workers.remove(1));
-        assert_eq!(death_of(serve_epoch(accept, 3, 0, None, None, None)), 1);
+        assert_eq!(death_of(serve_untraced(accept, 3)), 1);
         for w in &mut workers {
             assert_told_of(w, 1);
         }
@@ -1203,7 +1370,7 @@ mod tests {
         };
         let frame = Frame::control(FrameKind::Abort, 0, 0, encode_payload(&abort));
         workers[0].send(&frame).unwrap();
-        assert_eq!(death_of(serve_epoch(accept, 3, 0, None, None, None)), 2);
+        assert_eq!(death_of(serve_untraced(accept, 3)), 2);
         for w in &mut workers {
             assert_told_of(w, 2);
         }

@@ -333,6 +333,15 @@ impl AttributionShard {
     }
 }
 
+/// Sort emits into the job result's order ([`Emit::result_order`]). Emits
+/// that compare equal are identical, so an unstable sort returns what a
+/// stable one would, without its scratch buffer of half the emits. Only
+/// the worker sorts, one timestep's emits at a time; the coordinator
+/// merges the workers' sorted runs.
+pub(crate) fn sort_emits(emits: &mut [Emit]) {
+    emits.sort_unstable_by(Emit::result_order);
+}
+
 /// Per-worker result handed back to the driver as one Output frame
 /// (`encode`/`decode`, in [`crate::cluster`]).
 ///
@@ -346,6 +355,9 @@ pub(crate) struct WorkerOutput {
     pub(crate) merge_metrics: TimestepMetrics,
     pub(crate) counters: Vec<BTreeMap<&'static str, u64>>,
     pub(crate) merge_counters: BTreeMap<&'static str, u64>,
+    /// Emits in result order: each timestep's are sorted as it closes, so
+    /// every checkpoint holds a sorted prefix and a restored run stays
+    /// sorted.
     pub(crate) emits: Vec<Emit>,
     pub(crate) timesteps_run: usize,
     /// Final per-subgraph program state (see [`crate::JobResult::final_states`]).
@@ -627,6 +639,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
     ) -> Result<(), EngineError> {
         for t in start_t..timesteps {
             let ts0 = self.tracer.now();
+            let emits0 = self.out.emits.len();
             let mut m = TimestepMetrics::default();
             self.cur_counters = BTreeMap::new();
             self.memo.clear();
@@ -692,6 +705,10 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             // virtual-makespan model accounts for its skew too.
             m.superstep_compute_ns.push(eot_elapsed);
             self.tracer.span_at("end_of_timestep", eot0, eot1);
+
+            // This timestep's emits all carry `t`, which no earlier one
+            // does: sorted here, they keep the whole run in result order.
+            sort_emits(&mut self.out.emits[emits0..]);
 
             // Timestep barrier + global while-loop decision; the staged
             // cross-timestep runs become the next timestep's superstep-0
@@ -866,6 +883,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         let mut m = TimestepMetrics::default();
         self.cur_counters = BTreeMap::new();
         let wall0 = self.tracer.now();
+        let emits0 = self.out.emits.len();
         let mut ignored = 0u64;
         let supersteps = self.run_bsp(
             timesteps,
@@ -875,6 +893,8 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             &mut m,
             &mut ignored,
         )?;
+        // Merge emits carry the timestep count, past every timestep's.
+        sort_emits(&mut self.out.emits[emits0..]);
         m.supersteps = supersteps;
         self.sample_traffic_counters(&m);
         let wall1 = self.tracer.now();

@@ -1,8 +1,9 @@
 //! Execution metrics: the raw material for the paper's Figures 6 and 7.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use tempograph_core::wire::{WireError, WireMsg};
+use tempograph_core::wire::{self, WireError, WireMsg};
 use tempograph_core::VertexIdx;
 use tempograph_metrics::{ratio_or_zero, Histogram, Registry};
 use tempograph_partition::SubgraphId;
@@ -226,7 +227,25 @@ pub struct Emit {
     pub value: f64,
 }
 
-/// The timestep travels as a `u64`.
+impl Emit {
+    /// The job result's order: (timestep, vertex, value), the value by
+    /// `f64::total_cmp`. The key covers every field (`total_cmp` tells
+    /// every bit pattern apart), so emits that compare equal are
+    /// identical.
+    pub(crate) fn result_order(&self, other: &Emit) -> Ordering {
+        (self.timestep, self.vertex)
+            .cmp(&(other.timestep, other.vertex))
+            .then(self.value.total_cmp(&other.value))
+    }
+}
+
+/// Bytes of one encoded [`Emit`]: `u64` timestep, `u32` vertex, `f64`
+/// value bits, little-endian.
+pub(crate) const EMIT_BYTES: usize = 20;
+
+/// The timestep travels as a `u64`. A run of emits (a worker's results, a
+/// checkpoint's) is one block of `EMIT_BYTES`-byte records, checked
+/// against the bytes left once and read in one pass.
 impl WireMsg for Emit {
     fn encode(&self, buf: &mut BytesMut) {
         (self.timestep as u64).encode(buf);
@@ -239,6 +258,17 @@ impl WireMsg for Emit {
             vertex: VertexIdx::decode(buf)?,
             value: f64::decode(buf)?,
         })
+    }
+    fn decode_run(buf: &mut Bytes, n: usize) -> Result<Vec<Emit>, WireError> {
+        let block = wire::get_records(buf, n, EMIT_BYTES, "emit run")?;
+        Ok(block
+            .chunks_exact(EMIT_BYTES)
+            .map(|mut rec| Emit {
+                timestep: rec.get_u64_le() as usize,
+                vertex: VertexIdx(rec.get_u32_le()),
+                value: rec.get_f64_le(),
+            })
+            .collect())
     }
 }
 
@@ -304,7 +334,11 @@ pub struct JobResult {
     pub counters: BTreeMap<String, Vec<Vec<u64>>>,
     /// Merge-phase counters: name → per-partition sums.
     pub merge_counters: BTreeMap<String, Vec<u64>>,
-    /// All emitted values, sorted by (timestep, vertex).
+    /// All emitted values, sorted by (timestep, vertex, value), the value
+    /// ordered by `f64::total_cmp`, so the order is total and the same on
+    /// every cluster. Each worker sorts its own emits as each timestep
+    /// (and the merge phase) closes; the coordinator merges the workers'
+    /// sorted runs.
     pub emitted: Vec<Emit>,
     /// End-to-end wall nanoseconds (includes merge phase).
     pub total_wall_ns: u64,

@@ -874,6 +874,20 @@ fn cmd_status(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// FNV-1a over the emits in the order the job returned them, each as its
+/// 20-byte wire record (`u64` timestep, `u32` vertex, `f64` value bits,
+/// little-endian): two runs print one digest only when they agree on every
+/// emit and on its place.
+fn emit_digest(emitted: &[tempograph::engine::Emit]) -> u64 {
+    let mut records = Vec::with_capacity(20 * emitted.len());
+    for e in emitted {
+        records.extend_from_slice(&(e.timestep as u64).to_le_bytes());
+        records.extend_from_slice(&e.vertex.0.to_le_bytes());
+        records.extend_from_slice(&e.value.to_bits().to_le_bytes());
+    }
+    tempograph::gofs::codec::fnv1a64(&records)
+}
+
 fn cmd_run(opts: &HashMap<String, String>) -> Result<(), String> {
     let dir = opts.get("data").ok_or("--data DIR is required")?;
     let algo = opts.get("algo").ok_or("--algo is required")?;
@@ -955,7 +969,11 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), String> {
         "finished in {elapsed:.2?} ({} timesteps run)",
         result.timesteps_run
     );
-    println!("emitted values : {}", result.emitted.len());
+    println!(
+        "emitted values : {} (digest {:016x})",
+        result.emitted.len(),
+        emit_digest(&result.emitted)
+    );
     for (name, per_t) in &result.counters {
         let total: u64 = per_t.iter().flatten().sum();
         println!("counter {name:24} total {total}");

@@ -84,13 +84,31 @@ fn traced_run_validates_and_exactly_derives_metrics() {
     let trace = result.trace.as_ref().expect("trace attached");
     trace.validate().expect("structurally valid trace");
 
-    // One track per partition, each carrying its timesteps.
-    assert_eq!(trace.tracks.len(), PARTITIONS);
+    // One track per partition, each carrying its timesteps, then the
+    // driver's, carrying the collect: one decode per worker's results,
+    // in partition order, then the assembly.
+    assert_eq!(trace.tracks.len(), PARTITIONS + 1);
     assert_eq!(
         trace.span_count("timestep"),
         result.timesteps_run * PARTITIONS
     );
     assert_eq!(trace.span_count("merge_phase"), PARTITIONS);
+    let decodes: Vec<_> = trace.spans("collect.decode").collect();
+    assert!(decodes.iter().all(|s| s.track == PARTITIONS as u32));
+    let partitions: Vec<_> = decodes.iter().map(|s| s.arg).collect();
+    let expected: Vec<_> = (0..PARTITIONS as u64)
+        .map(|p| Some(("partition", p)))
+        .collect();
+    assert_eq!(partitions, expected);
+    assert!(trace.counter_final("collect.bytes") > 0);
+    let assembly: Vec<_> = trace.spans("collect.assemble").collect();
+    assert_eq!(assembly.len(), 1);
+    assert_eq!(
+        assembly[0].arg,
+        Some(("emits", result.emitted.len() as u64))
+    );
+    let last_decode_end = decodes.iter().map(|s| s.start_ns + s.dur_ns).max();
+    assert!(last_decode_end <= Some(assembly[0].start_ns));
 
     // The acceptance bar is "within 1%"; the shared-clock design makes the
     // derivation *exact*, so assert equality outright.
@@ -295,13 +313,17 @@ fn gofs_run_reports_cache_counters_in_trace() {
 /// Each partition fills three rings — its worker's, its instance
 /// provider's (`memory.project` spans) and its transport's (`net.*`) — and
 /// its sinks go home once, at the end of the job, so each ring holds at
-/// most `cap` events however many timesteps filled it.
+/// most `cap` events however many timesteps filled it. The driver's track
+/// (the collect) is one more ring.
 fn assert_rings_bounded(trace: &Trace, cap: usize) {
     trace
         .validate()
         .expect("bounded rings still yield a valid trace");
-    assert_eq!(trace.tracks.len(), PARTITIONS);
-    for track in &trace.tracks {
+    let (partitions, driver) = trace.tracks.split_at(PARTITIONS);
+    assert!(
+        matches!(driver, [d] if d.name == "driver" && !d.events.is_empty() && d.events.len() <= cap)
+    );
+    for track in partitions {
         // Straggler instants are the coordinator's, not a ring's.
         let (net, rest): (Vec<&tempograph::trace::TraceEvent>, Vec<_>) = track
             .events
