@@ -50,10 +50,14 @@ lint_stage() {
 # worker-process kills must each recover from the latest checkpoint,
 # byte-identical to a clean run. It runs the recovery-equivalence suite
 # (fixed seeds baked into the tests), the seeded fault-plan property tests,
-# and the smoke test asserting the disabled hooks add zero hot-path
-# allocations. Links are not faulted: they deliver in order or fail.
+# the smoke test asserting the disabled hooks add zero hot-path
+# allocations, and a CLI smoke where a worker process dies and its
+# relaunched successor restores program state from a checkpoint file. Links
+# are not faulted: they deliver in order or fail. The CLI smoke skips
+# loudly when loopback sockets are unavailable, as the transport smoke
+# does.
 faults_stage() {
-    echo "==> faults: recovery-equivalence suite (all algorithms, 3 and 6 partitions)"
+    echo "==> faults: recovery-equivalence suite (seven programs, 3 and 6 partitions)"
     cargo test -q --test recovery_equivalence
 
     echo "==> faults: engine fault-plan property tests (PROPTEST_CASES=${PROPTEST_CASES:-64})"
@@ -62,6 +66,51 @@ faults_stage() {
 
     echo "==> faults: checkpoint overhead smoke test (disabled hooks must not allocate)"
     cargo test -q --release --test checkpoint_overhead -- --ignored
+
+    echo "==> faults: 2-process recovery smoke via the CLI (TDSP and MEME, a worker process dies)"
+    local work
+    work="$(mktemp -d)"
+    trap 'rm -rf "$work"' RETURN
+    cargo build -q --release --bin tempograph
+    local tg=target/release/tempograph
+    "$tg" generate --out "$work/ds" --preset carn --scale 0.3 \
+        --workload tweets --timesteps 6 --partitions 2 >/dev/null
+    "$tg" generate --out "$work/roads" --preset carn --scale 0.3 \
+        --workload road --timesteps 6 --partitions 2 >/dev/null
+    # Checkpoints commit after timesteps 1, 3 and 5; partition 1 dies at
+    # superstep 0 of timestep 4, so its relaunched process restores the
+    # checkpoint of timestep 3.
+    local fired="injected fault: worker for partition 1 killed at timestep 4, superstep 0"
+    local run algo ds
+    for run in tdsp:roads meme:ds; do
+        algo="${run%%:*}"
+        ds="${run#*:}"
+        if ! "$tg" run --algo "$algo" --data "$work/$ds" --transport tcp-process \
+                >/dev/null 2>&1; then
+            echo "    NOTICE: tcp-process CLI run failed (loopback sockets" \
+                 "unavailable in this sandbox?); skipping $algo recovery smoke"
+            continue
+        fi
+        "$tg" run --algo "$algo" --data "$work/$ds" --transport inprocess \
+            > "$work/clean-$algo.txt"
+        "$tg" run --algo "$algo" --data "$work/$ds" --transport tcp-process \
+            --checkpoint-dir "$work/ckpt-$algo" --checkpoint-every 2 \
+            --faults "panic@p1:t4:s0" \
+            > "$work/faulted-$algo.txt" 2> "$work/faulted-$algo.err" \
+            || { cat "$work/faulted-$algo.err" >&2; echo "FAIL: faulted $algo run did not recover" >&2; exit 1; }
+        grep -qF "$fired" "$work/faulted-$algo.err" \
+            || { echo "FAIL: the injected $algo fault never fired" >&2; exit 1; }
+        # Identical summaries modulo the header, the wall-clock line and the
+        # slice-load count: the relaunched workers reload the slices their
+        # predecessors had cached.
+        sed -e '/^running /d' -e '/^finished in /d' -e '/^slice loads/d' \
+            "$work/clean-$algo.txt" > "$work/a.txt"
+        sed -e '/^running /d' -e '/^finished in /d' -e '/^slice loads/d' \
+            "$work/faulted-$algo.txt" > "$work/b.txt"
+        diff -u "$work/a.txt" "$work/b.txt" \
+            || { echo "FAIL: recovered tcp-process $algo output differs from in-process" >&2; exit 1; }
+        echo "    recovered 2-process $algo smoke OK ($(grep '^emitted values' "$work/b.txt"))"
+    done
 }
 
 # Transport gate: every algorithm must produce byte-identical results over

@@ -269,12 +269,42 @@ impl SubgraphProgram for CommunityEvolution {
         }
         ctx.vote_to_halt();
     }
+
+    // `tweets_col` is configuration, and `label` is rebuilt at superstep
+    // 0 of every timestep: the previous labels and the series so far are
+    // the state.
+    fn save_state(&self, buf: &mut bytes::BytesMut) {
+        self.prev_label.encode(buf);
+        self.stable_per_transition.encode(buf);
+    }
+
+    fn restore_state(&mut self, buf: &mut bytes::Bytes) -> Result<(), WireError> {
+        self.prev_label = wire::get_sized_vec(buf, self.prev_label.len(), "community labels")?;
+        self.stable_per_transition = Vec::decode(buf)?;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bytes::BytesMut;
+
+    /// The previous labels, then the stability series, each behind a `u32`
+    /// count.
+    #[test]
+    fn state_bytes_are_pinned() {
+        let p = CommunityEvolution {
+            tweets_col: 0,
+            label: vec![7, 7],
+            prev_label: vec![5, u64::MAX],
+            stable_per_transition: vec![3],
+        };
+        let mut want = vec![2, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0];
+        want.extend([0xFF; 8]);
+        want.extend([1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(crate::saved_state(&p), want);
+    }
 
     #[test]
     fn msg_roundtrip() {

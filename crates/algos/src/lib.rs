@@ -43,3 +43,11 @@ pub use stats::InstanceStats;
 pub use tdsp::{Tdsp, TdspCombiner};
 pub use topn::TopNActivity;
 pub use wcc::Wcc;
+
+/// The bytes `save_state` writes for `p`: what the in-module tests pin.
+#[cfg(test)]
+fn saved_state(p: &impl tempograph_engine::SubgraphProgram) -> Vec<u8> {
+    let mut buf = bytes::BytesMut::new();
+    p.save_state(&mut buf);
+    buf.to_vec()
+}

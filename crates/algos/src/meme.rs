@@ -9,6 +9,7 @@
 //! reproducing the paper's "when did the meme first reach each user"
 //! output and the Fig. 7c per-timestep colouring counts.
 
+use tempograph_core::wire::{self, WireError, WireMsg};
 use tempograph_core::VertexIdx;
 use tempograph_engine::{Combiner, Context, Envelope, SubgraphProgram};
 use tempograph_partition::Subgraph;
@@ -179,23 +180,14 @@ impl SubgraphProgram for MemeTracking {
     // the cumulative coloured set C* (and any frontier not yet flushed by
     // `end_of_timestep`) is the recoverable state.
     fn save_state(&self, buf: &mut bytes::BytesMut) {
-        use bytes::BufMut;
-        buf.put_u32_le(self.colored.len() as u32);
-        for &c in &self.colored {
-            buf.put_u8(c as u8);
-        }
-        buf.put_u32_le(self.newly_colored.len() as u32);
-        for &p in &self.newly_colored {
-            buf.put_u32_le(p);
-        }
+        self.colored.encode(buf);
+        self.newly_colored.encode(buf);
     }
 
-    fn restore_state(&mut self, buf: &mut bytes::Bytes) {
-        use bytes::Buf;
-        let n = buf.get_u32_le() as usize;
-        self.colored = (0..n).map(|_| buf.get_u8() != 0).collect();
-        let n = buf.get_u32_le() as usize;
-        self.newly_colored = (0..n).map(|_| buf.get_u32_le()).collect();
+    fn restore_state(&mut self, buf: &mut bytes::Bytes) -> Result<(), WireError> {
+        self.colored = wire::get_sized_vec(buf, self.colored.len(), "meme coloured set")?;
+        self.newly_colored = Vec::decode(buf)?;
+        Ok(())
     }
 }
 
@@ -207,6 +199,20 @@ mod tests {
     use std::sync::Arc;
     use tempograph_core::{AttrType, TemplateBuilder};
     use tempograph_partition::{discover_subgraphs, Partitioning};
+
+    /// The coloured set, a byte per vertex, then the frontier, each behind
+    /// a `u32` count.
+    #[test]
+    fn state_bytes_are_pinned() {
+        let p = MemeTracking {
+            meme: "#x".into(),
+            tweets_col: 0,
+            colored: vec![true, false, true],
+            newly_colored: vec![2, 0],
+        };
+        let want = [3, 0, 0, 0, 1, 0, 1, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0];
+        assert_eq!(crate::saved_state(&p), want);
+    }
 
     #[test]
     fn factory_sizes_state_to_subgraph() {

@@ -18,6 +18,7 @@
 //! reached vertex, and an `isExists` flip can reopen a path without any
 //! message arriving.
 
+use tempograph_core::wire::{self, WireError, WireMsg};
 use tempograph_core::VertexIdx;
 use tempograph_engine::{Context, Envelope, SubgraphProgram};
 use tempograph_partition::Subgraph;
@@ -150,5 +151,33 @@ impl SubgraphProgram for TemporalReachability {
         if self.reached.iter().all(|&r| r) {
             ctx.vote_to_halt_timestep();
         }
+    }
+
+    // `source` and `exists_col` are configuration, rebuilt by the factory;
+    // `newly` is empty at every timestep boundary.
+    fn save_state(&self, buf: &mut bytes::BytesMut) {
+        self.reached.encode(buf);
+    }
+
+    fn restore_state(&mut self, buf: &mut bytes::Bytes) -> Result<(), WireError> {
+        self.reached = wire::get_sized_vec(buf, self.reached.len(), "reached flags")?;
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The reached flags, a byte per vertex behind a `u32` count.
+    #[test]
+    fn state_bytes_are_pinned() {
+        let p = TemporalReachability {
+            source: VertexIdx(0),
+            exists_col: 0,
+            reached: vec![false, true, true],
+            newly: Vec::new(),
+        };
+        assert_eq!(crate::saved_state(&p), [3, 0, 0, 0, 0, 1, 1]);
     }
 }

@@ -13,6 +13,7 @@
 use crate::tdsp::ordered_f64::F64;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use tempograph_core::wire::{self, WireError, WireMsg};
 use tempograph_core::VertexIdx;
 use tempograph_engine::{Combiner, Context, Envelope, SubgraphProgram};
 use tempograph_partition::Subgraph;
@@ -158,29 +159,37 @@ impl SubgraphProgram for Sssp {
     // `source` and `latency_col` are configuration, rebuilt by the factory;
     // only the mutable labels and pending roots need to cross a checkpoint.
     fn save_state(&self, buf: &mut bytes::BytesMut) {
-        use bytes::BufMut;
-        buf.put_u32_le(self.label.len() as u32);
-        for &l in &self.label {
-            buf.put_f64_le(l);
-        }
-        buf.put_u32_le(self.roots.len() as u32);
-        for &r in &self.roots {
-            buf.put_u32_le(r);
-        }
+        self.label.encode(buf);
+        self.roots.encode(buf);
     }
 
-    fn restore_state(&mut self, buf: &mut bytes::Bytes) {
-        use bytes::Buf;
-        let n = buf.get_u32_le() as usize;
-        self.label = (0..n).map(|_| buf.get_f64_le()).collect();
-        let n = buf.get_u32_le() as usize;
-        self.roots = (0..n).map(|_| buf.get_u32_le()).collect();
+    fn restore_state(&mut self, buf: &mut bytes::Bytes) -> Result<(), WireError> {
+        self.label = wire::get_sized_vec(buf, self.label.len(), "sssp labels")?;
+        self.roots = Vec::decode(buf)?;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The labels as `f64` bits, then the roots, each behind a `u32`
+    /// count.
+    #[test]
+    fn state_bytes_are_pinned() {
+        let p = Sssp {
+            source: VertexIdx(0),
+            latency_col: None,
+            label: vec![0.0, 2.5, f64::INFINITY],
+            roots: vec![1],
+        };
+        let want = [
+            3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0x40, 0, 0, 0, 0, 0, 0, 0xF0,
+            0x7F, 1, 0, 0, 0, 1, 0, 0, 0,
+        ];
+        assert_eq!(crate::saved_state(&p), want);
+    }
 
     #[test]
     fn factory_initializes_infinite_labels() {

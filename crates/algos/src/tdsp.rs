@@ -316,21 +316,17 @@ impl SubgraphProgram for Tdsp {
         // One allocation, not a doubling chain: the chain's leftovers
         // raised a checkpointing worker's peak memory by 15 %.
         buf.reserve(4 + 8 * self.tdsp.len() + self.closed.len().div_ceil(8));
-        buf.put_u32_le(self.tdsp.len() as u32);
-        for &l in &self.tdsp {
-            buf.put_f64_le(l);
-        }
+        self.tdsp.encode(buf);
         for bits in self.closed.chunks(8) {
             buf.put_u8(bits.iter().rev().fold(0, |b, &c| b << 1 | c as u8));
         }
     }
 
-    fn restore_state(&mut self, buf: &mut bytes::Bytes) {
-        use bytes::Buf;
-        let n = buf.get_u32_le() as usize;
-        self.tdsp = (0..n).map(|_| buf.get_f64_le()).collect();
-        for bits in self.closed.chunks_mut(8) {
-            let byte = buf.get_u8();
+    fn restore_state(&mut self, buf: &mut bytes::Bytes) -> Result<(), WireError> {
+        self.tdsp = wire::get_sized_vec(buf, self.tdsp.len(), "tdsp values")?;
+        let flags = self.closed.len().div_ceil(8);
+        let packed = wire::get_records(buf, flags, 1, "tdsp closed flags")?;
+        for (bits, byte) in self.closed.chunks_mut(8).zip(packed.iter()) {
             for (i, c) in bits.iter_mut().enumerate() {
                 *c = byte >> i & 1 != 0;
             }
@@ -338,9 +334,10 @@ impl SubgraphProgram for Tdsp {
         // A finalized vertex's own TDSP is a valid stale label.
         self.label = self.tdsp.clone();
         self.remaining = self.tdsp.iter().filter(|l| l.is_infinite()).count();
-        self.frontier = (0..n as u32)
+        self.frontier = (0..self.tdsp.len() as u32)
             .filter(|&pos| self.tdsp[pos as usize].is_finite())
             .collect();
+        Ok(())
     }
 }
 
@@ -369,6 +366,30 @@ pub mod ordered_f64 {
 mod tests {
     use super::*;
     use bytes::BytesMut;
+
+    /// The TDSP values behind a `u32` count, then the closed flags eight
+    /// to a byte, low bit first.
+    #[test]
+    fn state_bytes_are_pinned() {
+        let mut closed = vec![false; 9];
+        (closed[0], closed[3], closed[8]) = (true, true, true);
+        let p = Tdsp {
+            source: VertexIdx(0),
+            latency_col: 0,
+            label: Vec::new(),
+            tdsp: vec![1.5, f64::INFINITY],
+            frontier: Vec::new(),
+            reached: Vec::new(),
+            closed,
+            remaining: 1,
+            heap: BinaryHeap::new(),
+            relaxations: Vec::new(),
+        };
+        let want = [
+            2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xF8, 0x3F, 0, 0, 0, 0, 0, 0, 0xF0, 0x7F, 0x09, 0x01,
+        ];
+        assert_eq!(crate::saved_state(&p), want);
+    }
 
     #[test]
     fn msg_roundtrip() {

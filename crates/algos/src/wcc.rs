@@ -7,6 +7,7 @@
 //! `O(subgraph-graph diameter)` supersteps — the canonical demonstration of
 //! why subgraph-centric beats vertex-centric on high-diameter graphs \[11\].
 
+use tempograph_core::wire::{WireError, WireMsg};
 use tempograph_engine::{Context, Envelope, SubgraphProgram};
 use tempograph_partition::{Subgraph, SubgraphId};
 
@@ -72,14 +73,26 @@ impl SubgraphProgram for Wcc {
     }
 
     fn save_state(&self, buf: &mut bytes::BytesMut) {
-        use bytes::BufMut;
-        buf.put_u64_le(self.label);
-        buf.put_u8(self.changed as u8);
+        (self.label, self.changed).encode(buf);
     }
 
-    fn restore_state(&mut self, buf: &mut bytes::Bytes) {
-        use bytes::Buf;
-        self.label = buf.get_u64_le();
-        self.changed = buf.get_u8() != 0;
+    fn restore_state(&mut self, buf: &mut bytes::Bytes) -> Result<(), WireError> {
+        (self.label, self.changed) = WireMsg::decode(buf)?;
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The label, then the changed flag as one byte.
+    #[test]
+    fn state_bytes_are_pinned() {
+        let p = Wcc {
+            label: 0x0102,
+            changed: true,
+        };
+        assert_eq!(crate::saved_state(&p), [2, 1, 0, 0, 0, 0, 0, 0, 1]);
     }
 }

@@ -34,7 +34,7 @@ pub enum WireError {
     },
     /// A decoded count or id lies outside what the record allows (a
     /// histogram whose bucket count is not `BUCKETS`, a partition id past
-    /// `u16::MAX`).
+    /// `u16::MAX`, a [`get_sized_vec`] count other than the one expected).
     OutOfRange {
         /// The field that was read.
         context: &'static str,
@@ -96,10 +96,12 @@ impl std::error::Error for WireError {}
 //
 // The `bytes` cursor panics on underflow; every read below checks
 // `remaining()` first so a truncated or corrupt buffer becomes a typed
-// [`WireError`] instead of a panic (lint rule P01).
+// [`WireError`] instead of a panic (lint rule P01 flags the unchecked
+// getters everywhere but here). They read any cursor: a `Bytes` record or
+// a fixed header in a `&[u8]`.
 
 #[inline]
-fn need(buf: &Bytes, n: usize, context: &'static str) -> Result<(), WireError> {
+fn need(buf: &impl Buf, n: usize, context: &'static str) -> Result<(), WireError> {
     if buf.remaining() < n {
         return Err(WireError::Eof {
             context,
@@ -112,42 +114,42 @@ fn need(buf: &Bytes, n: usize, context: &'static str) -> Result<(), WireError> {
 
 /// Checked little-endian `u8` read.
 #[inline]
-pub fn get_u8(buf: &mut Bytes, context: &'static str) -> Result<u8, WireError> {
+pub fn get_u8(buf: &mut impl Buf, context: &'static str) -> Result<u8, WireError> {
     need(buf, 1, context)?;
     Ok(buf.get_u8())
 }
 
 /// Checked little-endian `u16` read.
 #[inline]
-pub fn get_u16(buf: &mut Bytes, context: &'static str) -> Result<u16, WireError> {
+pub fn get_u16(buf: &mut impl Buf, context: &'static str) -> Result<u16, WireError> {
     need(buf, 2, context)?;
     Ok(buf.get_u16_le())
 }
 
 /// Checked little-endian `u32` read.
 #[inline]
-pub fn get_u32(buf: &mut Bytes, context: &'static str) -> Result<u32, WireError> {
+pub fn get_u32(buf: &mut impl Buf, context: &'static str) -> Result<u32, WireError> {
     need(buf, 4, context)?;
     Ok(buf.get_u32_le())
 }
 
 /// Checked little-endian `u64` read.
 #[inline]
-pub fn get_u64(buf: &mut Bytes, context: &'static str) -> Result<u64, WireError> {
+pub fn get_u64(buf: &mut impl Buf, context: &'static str) -> Result<u64, WireError> {
     need(buf, 8, context)?;
     Ok(buf.get_u64_le())
 }
 
 /// Checked little-endian `i64` read.
 #[inline]
-pub fn get_i64(buf: &mut Bytes, context: &'static str) -> Result<i64, WireError> {
+pub fn get_i64(buf: &mut impl Buf, context: &'static str) -> Result<i64, WireError> {
     need(buf, 8, context)?;
     Ok(buf.get_i64_le())
 }
 
 /// Checked little-endian `f64` read.
 #[inline]
-pub fn get_f64(buf: &mut Bytes, context: &'static str) -> Result<f64, WireError> {
+pub fn get_f64(buf: &mut impl Buf, context: &'static str) -> Result<f64, WireError> {
     need(buf, 8, context)?;
     Ok(buf.get_f64_le())
 }
@@ -381,6 +383,23 @@ impl<T: WireMsg> WireMsg for Vec<T> {
     }
 }
 
+/// A `Vec<T>` whose length the reader already knows (a program's
+/// per-vertex state, sized by its subgraph): the count prefix must equal
+/// `len`, else [`WireError::OutOfRange`] before anything is reserved.
+pub fn get_sized_vec<T: WireMsg>(
+    buf: &mut Bytes,
+    len: usize,
+    context: &'static str,
+) -> Result<Vec<T>, WireError> {
+    match get_u32(buf, context)? {
+        n if n as usize == len => T::decode_run(buf, len),
+        n => Err(WireError::OutOfRange {
+            context,
+            value: n.into(),
+        }),
+    }
+}
+
 /// `n` records off the front of `buf`: a `Vec`'s body once its length is
 /// known. The reservation is capped in bytes by what is left of `buf`
 /// (an element may be larger in memory than on the wire), so a corrupt
@@ -537,6 +556,46 @@ mod tests {
             Vec::<u64>::decode(&mut cut),
             Err(WireError::Eof { .. })
         ));
+    }
+
+    #[test]
+    fn a_sized_vec_refuses_any_other_count() {
+        let mut buf = BytesMut::new();
+        vec![1.5f64, -2.0].encode(&mut buf);
+        let two = buf.freeze();
+        assert_eq!(
+            get_sized_vec::<f64>(&mut two.clone(), 2, "labels"),
+            Ok(vec![1.5, -2.0])
+        );
+        for len in [0, 1, 3] {
+            assert_eq!(
+                get_sized_vec::<f64>(&mut two.clone(), len, "labels"),
+                Err(WireError::OutOfRange {
+                    context: "labels",
+                    value: 2
+                })
+            );
+        }
+        let mut cut = two.slice(..two.len() - 1);
+        assert!(matches!(
+            get_sized_vec::<f64>(&mut cut, 2, "labels"),
+            Err(WireError::Eof { .. })
+        ));
+    }
+
+    #[test]
+    fn checked_reads_take_a_byte_slice_too() {
+        let mut h: &[u8] = &[7, 1, 0];
+        assert_eq!(get_u8(&mut h, "tag"), Ok(7));
+        assert_eq!(get_u16(&mut h, "len"), Ok(1));
+        assert_eq!(
+            get_u32(&mut h, "seq"),
+            Err(WireError::Eof {
+                context: "seq",
+                needed: 4,
+                remaining: 0
+            })
+        );
     }
 
     #[test]

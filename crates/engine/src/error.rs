@@ -79,10 +79,13 @@ pub enum EngineError {
         /// The underlying storage failure, stringified.
         detail: String,
     },
-    /// Writing or committing a checkpoint failed. `detail` carries the
-    /// stringified storage error (the underlying `GofsError` is not `Eq`).
+    /// Writing, committing or restoring a checkpoint failed. A restore
+    /// names the file and the partition, and the subgraph when a program
+    /// refused its state blob. `detail` carries the stringified storage or
+    /// wire error (the underlying `GofsError` is not `Eq`).
     Checkpoint {
-        /// What the checkpoint machinery was doing (e.g. "writing slice 3").
+        /// What the checkpoint machinery was doing (e.g. "restoring
+        /// partition 1 from ckpt-t000003-p001.bin").
         context: String,
         /// The underlying storage failure, stringified.
         detail: String,

@@ -50,9 +50,11 @@ use crate::program::{Context, Outbox, Phase, SubgraphProgram};
 use crate::provider::{InstanceProvider, JobSource};
 use crate::transport::{BatchKind, PhaseMail, WorkerLinks};
 use crate::wire::{sort_envelopes, Envelope};
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::{Buf, BytesMut};
 use std::collections::{BTreeMap, HashMap};
+use std::path::Path;
 use std::sync::Arc;
+use tempograph_core::wire::{decode_exact, intern};
 use tempograph_gofs::store::{tmp_sibling, write_atomic};
 use tempograph_gofs::SubgraphInstance;
 use tempograph_partition::{PartitionedGraph, SubgraphId};
@@ -402,7 +404,7 @@ where
     worker.init_programs(factory);
     let start_t = match resume_from {
         Some(ct) => {
-            worker.restore_from(ct);
+            worker.restore_from(ct)?;
             ct as usize + 1
         }
         None => 0,
@@ -604,14 +606,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             self.run_merge(config)?;
         }
         // Capture final program states for the recovery-equivalence check.
-        for i in 0..self.sg_ids.len() {
-            let mut buf = BytesMut::new();
-            self.programs[i]
-                .as_ref()
-                .expect("program present")
-                .save_state(&mut buf);
-            self.out.final_states.push((self.sg_ids[i], buf.to_vec()));
-        }
+        self.out.final_states = self.program_states().collect();
         // Drain the trace sinks into the output. The provider's (GoFS
         // loader) sink shares this partition's track and is merged at
         // assembly.
@@ -1196,26 +1191,22 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
 
     /// Snapshot everything this worker needs to resume after timestep `t`.
     fn build_checkpoint(&self, t: u64, loop_done: bool) -> WorkerCheckpoint<P::Msg> {
-        let mut subgraphs = Vec::with_capacity(self.sg_ids.len());
-        for i in 0..self.sg_ids.len() {
-            let mut state = BytesMut::new();
-            self.programs[i]
-                .as_ref()
-                .expect("program present")
-                .save_state(&mut state);
-            subgraphs.push((
-                self.sg_ids[i],
-                SubgraphCheckpoint {
-                    state: state.to_vec(),
+        let subgraphs = self
+            .program_states()
+            .enumerate()
+            .map(|(i, (id, state))| {
+                let sub = SubgraphCheckpoint {
+                    state,
                     next_seq: self.next_seq[i],
                     merge_seq: self.merge_seq[i],
                     // Closing timestep `t` already delivered the next
                     // timestep's superstep-0 inbox.
                     next_inbox: self.inbox[i].clone(),
                     merge_inbox: self.merge_inbox[i].clone(),
-                },
-            ));
-        }
+                };
+                (id, sub)
+            })
+            .collect();
         WorkerCheckpoint {
             partition: self.partition,
             timestep: t,
@@ -1234,35 +1225,55 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         }
     }
 
+    /// Every local subgraph's program state, in subgraph order: what a
+    /// checkpoint stores and what the job reports as its final states.
+    fn program_states(&self) -> impl Iterator<Item = (SubgraphId, Vec<u8>)> + '_ {
+        self.sg_ids
+            .iter()
+            .zip(&self.programs)
+            .map(|(&id, program)| {
+                let mut buf = BytesMut::new();
+                program
+                    .as_ref()
+                    .expect("program present")
+                    .save_state(&mut buf);
+                (id, buf.to_vec())
+            })
+    }
+
     /// Load the (driver-validated) checkpoint of timestep `ct` and rebuild
     /// all resume state: program state, inboxes, sequence counters, and the
     /// metrics/counters/emits accumulated before the crash. Sleep flags are
     /// not restored: everyone resumes awake, which a sleeper's contract
-    /// makes equivalent.
-    fn restore_from(&mut self, ct: u64) {
-        let ck = self
-            .checkpoint
-            .clone()
-            .expect("restore requires checkpoint config");
+    /// makes equivalent. A file that does not read, decode or match this
+    /// worker's partition, timestep and subgraphs, or a state blob its
+    /// program refuses, is [`EngineError::Checkpoint`] naming the file,
+    /// the partition and the subgraph.
+    fn restore_from(&mut self, ct: u64) -> Result<(), EngineError> {
         let r0 = self.tracer.now();
-        let data = std::fs::read(checkpoint_path(&ck.dir, ct, self.partition))
-            .expect("validated checkpoint readable");
+        let p = self.partition;
+        let dir = self.checkpoint.as_ref().map_or(Path::new(""), |ck| &ck.dir);
+        let path = checkpoint_path(dir, ct, p);
+        let file = path.display();
+        let refuse = |detail: String| EngineError::Checkpoint {
+            context: format!("restoring partition {p} from {file}"),
+            detail,
+        };
+        let data = std::fs::read(&path).map_err(|e| refuse(e.to_string()))?;
         let snapshot =
-            WorkerCheckpoint::<P::Msg>::decode(data.into()).expect("validated checkpoint decodes");
-        assert_eq!(snapshot.partition, self.partition, "checkpoint misfiled");
-        assert_eq!(snapshot.timestep, ct, "checkpoint misfiled");
-        assert_eq!(
-            snapshot.subgraphs.len(),
-            self.sg_ids.len(),
-            "subgraph set changed under the checkpoint directory"
-        );
+            WorkerCheckpoint::<P::Msg>::decode(data.into()).map_err(|e| refuse(e.to_string()))?;
+        let held = (snapshot.partition, snapshot.timestep);
+        if held != (p, ct) {
+            return Err(refuse(format!("it holds (partition, timestep) {held:?}")));
+        }
+        if !snapshot.subgraphs.iter().map(|(sg, _)| sg).eq(&self.sg_ids) {
+            return Err(refuse("its subgraph list differs".into()));
+        }
         for (i, (sg, sub)) in snapshot.subgraphs.into_iter().enumerate() {
-            assert_eq!(sg, self.sg_ids[i], "subgraph order changed");
-            let mut state = Bytes::from(sub.state);
-            self.programs[i]
-                .as_mut()
-                .expect("program present")
-                .restore_state(&mut state);
+            let program = self.programs[i].as_mut().expect("program present");
+            let blob = sub.state.into();
+            decode_exact(blob, "program state", |b| program.restore_state(b))
+                .map_err(|e| refuse(format!("subgraph {}: {e}", sg.0)))?;
             self.next_seq[i] = sub.next_seq;
             self.merge_seq[i] = sub.merge_seq;
             self.inbox[i] = sub.next_inbox;
@@ -1270,14 +1281,9 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
         }
         self.loop_finished = snapshot.loop_done;
         self.out.metrics = snapshot.metrics;
-        self.out.counters = snapshot
-            .counters
-            .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|(name, v)| (tempograph_core::wire::intern(&name), v))
-                    .collect()
-            })
+        let rows = snapshot.counters.into_iter();
+        self.out.counters = rows
+            .map(|row| row.into_iter().map(|(n, v)| (intern(&n), v)).collect())
             .collect();
         self.out.emits = snapshot.emits;
         self.out.timesteps_run = ct as usize + 1;
@@ -1291,6 +1297,7 @@ impl<'a, P: SubgraphProgram> Worker<'a, P> {
             sh.recovery_restore_ns.record(r1 - r0);
         }
         self.tracer.span_arg_at("recovery.restore", r0, r1, "t", ct);
+        Ok(())
     }
 
     /// Sample cumulative traffic totals as trace counters (one sample per

@@ -1,6 +1,6 @@
 //! Execution metrics: the raw material for the paper's Figures 6 and 7.
 
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use tempograph_core::wire::{self, WireError, WireMsg};
@@ -260,15 +260,12 @@ impl WireMsg for Emit {
         })
     }
     fn decode_run(buf: &mut Bytes, n: usize) -> Result<Vec<Emit>, WireError> {
-        let block = wire::get_records(buf, n, EMIT_BYTES, "emit run")?;
-        Ok(block
-            .chunks_exact(EMIT_BYTES)
-            .map(|mut rec| Emit {
-                timestep: rec.get_u64_le() as usize,
-                vertex: VertexIdx(rec.get_u32_le()),
-                value: rec.get_f64_le(),
-            })
-            .collect())
+        let mut block = wire::get_records(buf, n, EMIT_BYTES, "emit run")?;
+        let mut run = Vec::with_capacity(n);
+        for _ in 0..n {
+            run.push(Emit::decode(&mut block)?);
+        }
+        Ok(run)
     }
 }
 

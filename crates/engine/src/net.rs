@@ -234,22 +234,22 @@ impl Header {
     /// stack array [`read_frame`] fills. The length cap is the caller's
     /// to report ([`Header::over_cap`]).
     fn parse(header: &[u8; HEADER_LEN]) -> Result<Header, WireError> {
-        let mut h = &header[..];
-        let magic = h.get_u32_le();
+        let h = &mut &header[..];
+        let magic = wire::get_u32(h, "frame magic")?;
         if magic != u32::from_le_bytes(FRAME_MAGIC) {
             return Err(WireError::BadTag {
                 context: "frame magic",
                 tag: magic.to_le_bytes()[0],
             });
         }
-        let version = h.get_u16_le();
+        let version = wire::get_u16(h, "frame version")?;
         if version != FRAME_VERSION {
             return Err(WireError::BadTag {
                 context: "frame version",
                 tag: version.to_le_bytes()[0],
             });
         }
-        let kind = match h.get_u8() {
+        let kind = match wire::get_u8(h, "frame kind")? {
             1 => FrameKind::Hello,
             2 => FrameKind::Start,
             3 => FrameKind::Contribution,
@@ -272,11 +272,11 @@ impl Header {
         };
         Ok(Header {
             kind,
-            sender: h.get_u16_le(),
-            epoch: h.get_u32_le(),
-            seq: h.get_u64_le(),
-            len: h.get_u32_le() as usize,
-            checksum: h.get_u64_le(),
+            sender: wire::get_u16(h, "frame sender")?,
+            epoch: wire::get_u32(h, "frame epoch")?,
+            seq: wire::get_u64(h, "frame seq")?,
+            len: wire::get_u32(h, "frame length")? as usize,
+            checksum: wire::get_u64(h, "frame checksum")?,
         })
     }
 

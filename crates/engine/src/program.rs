@@ -22,7 +22,7 @@
 
 use crate::wire::Envelope;
 use std::sync::Arc;
-use tempograph_core::wire::WireMsg;
+use tempograph_core::wire::{WireError, WireMsg};
 use tempograph_core::VertexIdx;
 use tempograph_gofs::SubgraphInstance;
 use tempograph_partition::{PartitionedGraph, Subgraph, SubgraphId};
@@ -275,17 +275,27 @@ pub trait SubgraphProgram: Send + 'static {
     fn merge(&mut self, _ctx: &mut Context<'_, Self::Msg>, _msgs: &[Envelope<Self::Msg>]) {}
 
     /// Serialise this program's persistent state into `buf` for a
-    /// checkpoint. Must round-trip exactly with
-    /// [`SubgraphProgram::restore_state`]: after `restore_state(save_state(p))`
-    /// the program must behave identically to `p`. Programs whose fields
-    /// are pure configuration (rebuilt by the factory) can keep the empty
-    /// default; any field *mutated* during the run must be saved, or
-    /// recovery will silently diverge — the recovery-equivalence harness
-    /// catches this.
+    /// checkpoint, in the workspace codec ([`WireMsg`] encodes). Must
+    /// round-trip exactly with [`SubgraphProgram::restore_state`]: after
+    /// `restore_state(save_state(p))` the program must behave identically
+    /// to `p`. Programs whose fields are pure configuration (rebuilt by the
+    /// factory) can keep the empty default; any field *mutated* during the
+    /// run must be saved, or recovery will silently diverge — the
+    /// recovery-equivalence harness catches this.
     fn save_state(&self, _buf: &mut bytes::BytesMut) {}
 
-    /// Restore persistent state written by [`SubgraphProgram::save_state`].
-    /// Called on a freshly factory-built program during recovery, before
-    /// any compute invocation.
-    fn restore_state(&mut self, _buf: &mut bytes::Bytes) {}
+    /// Restore persistent state written by [`SubgraphProgram::save_state`]
+    /// into a freshly factory-built program, before any compute
+    /// invocation. `buf` holds exactly this subgraph's blob. Read it with
+    /// the checked reads of `tempograph_core::wire` ([`WireMsg::decode`],
+    /// `wire::get_sized_vec` for a vector the factory already sized) and
+    /// refuse what does not fit with a [`WireError`]: a length other than
+    /// the subgraph's, a blob cut short. The engine refuses bytes left
+    /// unread ([`WireError::Trailing`]), which also catches a program that
+    /// saves state but keeps this default. A refusal ends the job with a
+    /// typed [`crate::EngineError::Checkpoint`] naming the partition and
+    /// the subgraph.
+    fn restore_state(&mut self, _buf: &mut bytes::Bytes) -> Result<(), WireError> {
+        Ok(())
+    }
 }

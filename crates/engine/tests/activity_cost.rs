@@ -27,7 +27,7 @@ use std::sync::Arc;
 use tempograph_core::VertexIdx;
 use tempograph_engine::{
     run_job_tcp, Cluster, Context, Envelope, FaultPlan, InstanceSource, JobConfig, JobResult,
-    SubgraphProgram,
+    SubgraphProgram, WireError, WireMsg,
 };
 use tempograph_metrics::Metric;
 use tempograph_partition::{PartitionedGraph, Subgraph, SubgraphId};
@@ -206,11 +206,12 @@ impl SubgraphProgram for Relay {
     }
 
     fn save_state(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.acc);
+        self.acc.encode(buf);
     }
 
-    fn restore_state(&mut self, buf: &mut Bytes) {
-        self.acc = buf.get_u64_le();
+    fn restore_state(&mut self, buf: &mut Bytes) -> Result<(), WireError> {
+        self.acc = u64::decode(buf)?;
+        Ok(())
     }
 }
 
@@ -347,11 +348,12 @@ impl SubgraphProgram for Napper {
     }
 
     fn save_state(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.acc);
+        self.acc.encode(buf);
     }
 
-    fn restore_state(&mut self, buf: &mut Bytes) {
-        self.acc = buf.get_u64_le();
+    fn restore_state(&mut self, buf: &mut Bytes) -> Result<(), WireError> {
+        self.acc = u64::decode(buf)?;
+        Ok(())
     }
 }
 

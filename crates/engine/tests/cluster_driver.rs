@@ -11,7 +11,7 @@
 
 mod common;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use common::emitted_bits;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -98,11 +98,12 @@ impl SubgraphProgram for RingGossip {
     }
 
     fn save_state(&self, buf: &mut BytesMut) {
-        buf.put_u64_le(self.acc);
+        self.acc.encode(buf);
     }
 
-    fn restore_state(&mut self, buf: &mut Bytes) {
-        self.acc = buf.get_u64_le();
+    fn restore_state(&mut self, buf: &mut Bytes) -> Result<(), WireError> {
+        self.acc = u64::decode(buf)?;
+        Ok(())
     }
 }
 

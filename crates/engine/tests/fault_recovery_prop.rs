@@ -21,6 +21,7 @@ use std::sync::{Arc, OnceLock};
 use tempograph_core::{TemplateBuilder, TimeSeriesCollection};
 use tempograph_engine::{
     run_job, Context, Envelope, FaultPlan, InstanceSource, JobConfig, JobResult, SubgraphProgram,
+    WireError, WireMsg,
 };
 use tempograph_partition::{discover_subgraphs, PartitionedGraph, Partitioning, Subgraph};
 
@@ -66,11 +67,12 @@ impl SubgraphProgram for ChainGossip {
     }
 
     fn save_state(&self, buf: &mut bytes::BytesMut) {
-        bytes::BufMut::put_u64_le(buf, self.acc);
+        self.acc.encode(buf);
     }
 
-    fn restore_state(&mut self, buf: &mut bytes::Bytes) {
-        self.acc = bytes::Buf::get_u64_le(buf);
+    fn restore_state(&mut self, buf: &mut bytes::Bytes) -> Result<(), WireError> {
+        self.acc = u64::decode(buf)?;
+        Ok(())
     }
 }
 

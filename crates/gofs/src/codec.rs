@@ -132,18 +132,17 @@ pub(crate) fn frame_payload_len(magic: [u8; 4], data: &[u8]) -> Result<usize> {
     let Some(header) = header.filter(|_| data.len() >= FRAME_OVERHEAD) else {
         return Err(GofsError::Corrupt("file shorter than frame header".into()));
     };
-    let mut buf = &header[..];
-    let mut found = [0u8; 4];
-    buf.copy_to_slice(&mut found);
+    let buf = &mut &header[..];
+    let found = wire::get_u32(buf, "frame magic")?.to_le_bytes();
     if found != magic {
         return Err(GofsError::BadMagic { found });
     }
-    let version = buf.get_u16_le();
+    let version = wire::get_u16(buf, "frame version")?;
     if version != FORMAT_VERSION {
         return Err(GofsError::UnsupportedVersion(version));
     }
     // A length past `usize` overruns any buffer.
-    Ok(usize::try_from(buf.get_u64_le()).unwrap_or(usize::MAX))
+    Ok(usize::try_from(wire::get_u64(buf, "frame length")?).unwrap_or(usize::MAX))
 }
 
 /// The payload range of a frame whose `len`-byte payload `data` holds

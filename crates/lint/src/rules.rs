@@ -5,7 +5,7 @@
 //! | D01  | no `HashMap`/`HashSet` iteration on determinism-critical paths without an explicit sort |
 //! | D02  | no `Instant::now`/`SystemTime::now` outside the trace crate's `Clock` abstraction |
 //! | D03  | no unseeded randomness (`thread_rng`, `from_entropy`, `OsRng`, `rand::random`) |
-//! | P01  | no `unwrap`/`expect`/`panic!` in the engine worker hot path (superstep loop, message decode) |
+//! | P01  | no `unwrap`/`expect`/`panic!` or unchecked `bytes::Buf` getter in the engine worker hot path (superstep loop, message decode, checkpoint restore) |
 //! | A01  | no `Ordering::Relaxed` on sync-critical atomics |
 //! | W01  | wire-format `decode` matches may not use `_` wildcard arms |
 //! | F01  | every crate root carries `#![forbid(unsafe_code)]` |
@@ -76,10 +76,11 @@ const SORT_CALLS: &[&str] = &[
 const ORDER_FREE: &[&str] = &["count", "sum", "any", "all", "len", "min", "max"];
 
 /// Hot-path function names in the executor for rule P01: the worker's
-/// timestep/superstep loop, compute phase, and the message decode/route
-/// path. Checkpoint I/O and driver-side assembly are deliberately outside —
-/// they may fail loudly.
+/// timestep/superstep loop, compute phase, the message decode/route path,
+/// and the checkpoint restore, which reads a file. Checkpoint writes and
+/// driver-side assembly are deliberately outside — they may fail loudly.
 const HOT_FNS: &[&str] = &[
+    "restore_from",
     "run_timestep_loop",
     "run_bsp",
     "run_merge",
@@ -109,7 +110,45 @@ const CODEC_FILES: &[&str] = &[
     "crates/algos/src/community.rs",
     "crates/algos/src/tdsp.rs",
     "crates/algos/src/meme.rs",
+    "crates/algos/src/sssp.rs",
+    "crates/algos/src/wcc.rs",
+    "crates/algos/src/reachability.rs",
 ];
+
+/// The codec vocabulary's home: its checked reads are the one place the
+/// panicking `bytes::Buf` getters may be called (rule P01).
+const WIRE_HOME: &str = "crates/core/src/wire.rs";
+
+/// The types of the `bytes::Buf` fixed-width getters (`get_u8`,
+/// `get_u32_le`, `get_f64`, …), each of which panics on a short buffer.
+const BUF_GETTER_TYPES: &[&str] = &[
+    "u8", "i8", "u16", "i16", "u32", "i32", "u64", "i64", "u128", "i128", "f32", "f64", "uint",
+    "int",
+];
+
+fn is_buf_getter(name: &str) -> bool {
+    let Some(ty) = name.strip_prefix("get_") else {
+        return false;
+    };
+    let endian = ["_le", "_be", "_ne"]
+        .iter()
+        .find_map(|s| ty.strip_suffix(s));
+    BUF_GETTER_TYPES.contains(&endian.unwrap_or(ty))
+}
+
+/// What P01 finds at token `t`, between the tokens `prev` and `next`:
+/// `.unwrap()`, `.expect()`, `panic!`/`todo!`/`unimplemented!`, or, in any
+/// file but [`WIRE_HOME`], a `bytes::Buf` getter in method form.
+fn p01_token(path: &str, prev: Option<&str>, t: &str, next: Option<&str>) -> Option<String> {
+    match (prev, t, next) {
+        (Some("."), "unwrap" | "expect", Some("(")) => Some(format!("`.{t}()`")),
+        (_, "panic" | "todo" | "unimplemented", Some("!")) => Some(format!("`{t}!`")),
+        (Some("."), _, Some("(")) if is_buf_getter(t) && !path.ends_with(WIRE_HOME) => Some(
+            format!("`.{t}()`, an unchecked `Buf` getter (read through `tempograph_core::wire`)"),
+        ),
+        _ => None,
+    }
+}
 
 /// What parts of a file each rule applies to.
 struct Scope {
@@ -127,7 +166,7 @@ struct Scope {
 }
 
 fn scope_for(path: &str) -> Scope {
-    let p01 = if path.ends_with("crates/core/src/wire.rs")
+    let p01 = if path.ends_with(WIRE_HOME)
         || path.ends_with("crates/engine/src/wire.rs")
         || path.ends_with("crates/engine/src/batch.rs")
     {
@@ -226,24 +265,14 @@ fn run(path: &str, src: &str, scope: Scope) -> Vec<Finding> {
                 if mask[i] {
                     continue;
                 }
-                let hit = if (texts[i] == "unwrap" || texts[i] == "expect")
-                    && i > 0
-                    && texts[i - 1] == "."
-                    && texts.get(i + 1) == Some(&"(")
-                {
-                    Some(format!("`.{}()` in the engine worker hot path", texts[i]))
-                } else if (texts[i] == "panic" || texts[i] == "todo" || texts[i] == "unimplemented")
-                    && texts.get(i + 1) == Some(&"!")
-                {
-                    Some(format!("`{}!` in the engine worker hot path", texts[i]))
-                } else {
-                    None
-                };
-                if let Some(what) = hit {
+                let prev = i.checked_sub(1).map(|j| texts[j]);
+                if let Some(what) = p01_token(path, prev, texts[i], texts.get(i + 1).copied()) {
                     push(
                         "P01",
                         toks[i].line,
-                        format!("{what} — return a typed `EngineError` instead"),
+                        format!(
+                            "{what} in the engine worker hot path — return a typed error instead"
+                        ),
                         &mut out,
                     );
                 }
@@ -310,9 +339,12 @@ const LOOP_ROOT_FILES: &[(&str, &[&str])] = &[
 
 /// Codec entry-point names: any fn with one of these names in a
 /// `CODEC_FILES` file roots the wire/frame/checkpoint/ledger closure.
+/// `restore_state` is a program's checkpoint decoder: it reads a blob
+/// from disk, so it is a codec even in `crates/algos`.
 pub const HOT_ROOTS_CODEC: &[&str] = &[
     "encode",
     "decode",
+    "restore_state",
     "encode_into",
     "decode_from",
     "read_frame",
@@ -367,7 +399,7 @@ const ALLOC_PATTERNS: &[(&[&str], &str)] = &[
 /// vertex programs) — its compute panics are recovered by the
 /// checkpoint/retry machinery, so traversal stops there, EXCEPT for codec
 /// entry points (algo message types cross the wire and their decode runs
-/// on the worker hot path).
+/// on the worker hot path; `restore_state` decodes a checkpoint blob).
 fn outside_boundary(path: &str, f: &FnItem) -> bool {
     (path.contains("crates/algos/") || path.contains("crates/pregel/"))
         && !HOT_ROOTS_CODEC.contains(&f.name.as_str())
@@ -480,17 +512,10 @@ fn scan_p01_body(
         let t = toks[i].text.as_str();
         let next = |k: usize| toks.get(i + k).map(|t| t.text.as_str());
         let prev = |k: usize| i.checked_sub(k).map(|j| toks[j].text.as_str());
-        let hit =
-            if (t == "unwrap" || t == "expect") && prev(1) == Some(".") && next(1) == Some("(") {
-                Some(format!("`.{t}()`"))
-            } else if (t == "panic" || t == "todo" || t == "unimplemented") && next(1) == Some("!")
-            {
-                Some(format!("`{t}!`"))
-            } else if check_index && t == "[" && can_panic_index(toks, i, be) {
-                Some("slice indexing on a non-literal index".to_string())
-            } else {
-                None
-            };
+        let hit = p01_token(&file.path, prev(1), t, next(1)).or_else(|| {
+            (check_index && t == "[" && can_panic_index(toks, i, be))
+                .then(|| "slice indexing on a non-literal index".to_string())
+        });
         if let Some(what) = hit {
             out.push(finding_at(
                 "P01",
@@ -910,7 +935,7 @@ mod tests {
     /// move of the module must carry all three.
     #[test]
     fn codec_vocabulary_keeps_w01_and_whole_file_p01() {
-        let home = "crates/core/src/wire.rs";
+        let home = WIRE_HOME;
         let scope = scope_for(home);
         assert!(scope.w01, "W01 must cover {home}");
         assert_eq!(scope.p01, Some(None), "P01 must cover all of {home}");

@@ -59,6 +59,21 @@ fn every_good_fixture_is_clean() {
     }
 }
 
+/// P01's unchecked-getter check: every `Buf` getter in method form fires,
+/// except in the codec vocabulary's home, whose checked reads wrap them.
+#[test]
+fn buf_getter_fixtures_fire_p01_outside_the_wire_home() {
+    let bad = findings_for("p01_buf_getter_bad.rs");
+    assert_eq!(bad.len(), 2, "{bad:#?}");
+    for f in &bad {
+        assert_eq!(f.rule, "P01");
+        assert!(f.msg.contains("unchecked `Buf` getter"), "{}", f.msg);
+    }
+    assert!(findings_for("p01_buf_getter_good.rs").is_empty());
+    let (_, src) = fixture("p01_buf_getter_bad.rs");
+    assert!(analyze_all_rules("crates/core/src/wire.rs", &src).is_empty());
+}
+
 #[test]
 fn bad_fixture_findings_carry_source_lines() {
     for f in findings_for("p01_bad.rs") {
@@ -178,6 +193,17 @@ fn transitive_bad_workspace_reports_chained_findings() {
         "{:#?}",
         report.findings
     );
+    // A program's checkpoint decoder is a root past the algos boundary;
+    // its compute is not.
+    assert!(
+        has("P01", "algos/src/meme.rs", "get_u32_le"),
+        "{:#?}",
+        report.findings
+    );
+    assert!(!report
+        .findings
+        .iter()
+        .any(|f| f.path.contains("algos") && f.line_text.contains("get_u8")));
     // Indexing rooted directly at a transport entry point.
     assert!(
         has("P01", "engine/src/transport.rs", "Mesh::send"),

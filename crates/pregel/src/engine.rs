@@ -351,7 +351,9 @@ impl<P: VertexProgram> SubgraphProgram for PregelHost<P> {
         self.states.encode(buf);
     }
 
-    // `run_pregel` arms no checkpoint, so `restore_state` keeps its default.
+    // `run_pregel` arms no checkpoint, so `restore_state` keeps its
+    // default: a restore would refuse the unread state as `Trailing`
+    // rather than diverge.
 }
 
 #[cfg(test)]

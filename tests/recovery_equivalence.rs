@@ -6,14 +6,20 @@
 //! The engine's determinism (delivery sorted by globally unique
 //! `(from, seq)`) plus complete inter-timestep state capture (program
 //! state, pending cross-timestep/merge inboxes, sequence counters) make
-//! this a hard equality, not an approximation. Every paper algorithm is
-//! exercised at 3 and 6 partitions with crashes at every checkpoint
-//! boundary, plus torn-checkpoint-write and worker-process-kill cases.
+//! this a hard equality, not an approximation. SSSP, WCC, MEME, TDSP,
+//! HASH, temporal reachability and community evolution are exercised at 3
+//! and 6 partitions with crashes at every checkpoint boundary, plus
+//! torn-checkpoint-write and worker-process-kill cases; a resealed state
+//! blob that a program refuses ends the job with a typed error.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use tempograph::engine::{checkpoint_path, latest_valid, read_manifest, WorkerCheckpoint};
+use tempograph::algos::{CommunityEvolution, TemporalReachability};
+use tempograph::engine::{
+    checkpoint_path, latest_valid, read_manifest, WireError, WorkerCheckpoint,
+};
+use tempograph::gen::ChurnConfig;
 use tempograph::gofs::GofsError;
 use tempograph::prelude::*;
 
@@ -66,6 +72,53 @@ fn tweet_fixture() -> (Arc<GraphTemplate>, InstanceSource, SirConfig) {
     };
     let coll = Arc::new(tempograph::gen::generate_sir_tweets(t.clone(), &cfg));
     (t, InstanceSource::Memory(coll), cfg)
+}
+
+/// The reachability source: a vertex inside the mesh, not on its rim.
+const REACH_SOURCE: VertexIdx = VertexIdx(78);
+
+/// The 12×12 road mesh with its vertices coming and going (`isExists`);
+/// [`REACH_SOURCE`] stays alive. Returns the existence column too.
+fn churn_fixture() -> (Arc<GraphTemplate>, InstanceSource, usize) {
+    let base = road(12, 12, 0xFACADE);
+    let mut b = TemplateBuilder::new("churny-road", false);
+    b.vertex_schema()
+        .add(GraphTemplate::IS_EXISTS, AttrType::Bool);
+    for v in base.vertices() {
+        b.add_vertex(base.vertex_id(v));
+    }
+    for e in base.edges() {
+        let (s, d) = base.endpoints(e);
+        b.add_edge(base.edge_id(e), base.vertex_id(s), base.vertex_id(d))
+            .unwrap();
+    }
+    let t = Arc::new(b.finalize().unwrap());
+    let coll = tempograph::gen::generate_topology_churn(
+        t.clone(),
+        &ChurnConfig {
+            timesteps: TIMESTEPS,
+            flip_prob: 0.15,
+            initial_alive: 0.6,
+            pinned_alive: vec![REACH_SOURCE],
+            seed: 13,
+            ..Default::default()
+        },
+    );
+    let exists_col = t
+        .vertex_schema()
+        .index_of(GraphTemplate::IS_EXISTS)
+        .unwrap();
+    (t, InstanceSource::Memory(Arc::new(coll)), exists_col)
+}
+
+/// One death at superstep 0 of the timestep after every checkpoint
+/// boundary before `until`, taking the `k` partitions in turn.
+fn boundary_crashes(k: usize, until: usize) -> Vec<(u16, usize, usize)> {
+    (EVERY..until)
+        .step_by(EVERY)
+        .enumerate()
+        .map(|(i, t)| ((i % k) as u16, t, 0))
+        .collect()
 }
 
 /// Fresh, private checkpoint directory for one test case.
@@ -198,18 +251,13 @@ fn meme_recovers_byte_identical_at_3_and_6_partitions() {
     let tweets_col = t.vertex_schema().index_of(TWEETS_ATTR).unwrap();
     for k in [3usize, 6] {
         let pg = partitioned(&t, k);
-        let crashes: Vec<(u16, usize, usize)> = (EVERY..TIMESTEPS)
-            .step_by(EVERY)
-            .enumerate()
-            .map(|(i, t)| ((i % k) as u16, t, 0))
-            .collect();
         assert_crash_equivalent(
             &format!("meme-k{k}"),
             &pg,
             &src,
             MemeTracking::factory(cfg.meme.clone(), tweets_col),
             || JobConfig::sequentially_dependent(TIMESTEPS),
-            &crashes,
+            &boundary_crashes(k, TIMESTEPS),
         );
     }
 }
@@ -224,11 +272,7 @@ fn tdsp_recovers_byte_identical_at_3_and_6_partitions() {
         let pg = partitioned(&t, k);
         let mk_cfg = || JobConfig::sequentially_dependent(TIMESTEPS).while_active(TIMESTEPS);
         let clean = run_job(&pg, &src, Tdsp::factory(VertexIdx(0), lat_col), mk_cfg());
-        let crashes: Vec<(u16, usize, usize)> = (EVERY..clean.timesteps_run)
-            .step_by(EVERY)
-            .enumerate()
-            .map(|(i, t)| ((i % k) as u16, t, 0))
-            .collect();
+        let crashes = boundary_crashes(k, clean.timesteps_run);
         assert!(
             !crashes.is_empty(),
             "tdsp-k{k}: fixture must survive past the first checkpoint boundary \
@@ -272,11 +316,7 @@ fn tdsp_recovers_byte_identical_while_most_subgraphs_sleep() {
         mk_cfg().with_attribution(),
     );
     // Die at superstep 0 after every boundary, and mid-BSP once.
-    let mut crashes: Vec<(u16, usize, usize)> = (EVERY..clean.timesteps_run)
-        .step_by(EVERY)
-        .enumerate()
-        .map(|(i, t)| ((i % 2) as u16, t, 0))
-        .collect();
+    let mut crashes = boundary_crashes(2, clean.timesteps_run);
     assert!(
         crashes.len() >= 2,
         "the fixture must survive two checkpoint boundaries (ran {} timesteps)",
@@ -317,6 +357,47 @@ fn hashtag_recovers_byte_identical_including_merge_phase_crash() {
             HashtagAggregation::factory("#meme", tweets_col),
             || JobConfig::eventually_dependent(TIMESTEPS),
             &[(0, 2, 0), (1, 4, 0), (1, TIMESTEPS, 0)],
+        );
+    }
+}
+
+/// Temporal reachability (sequentially dependent) carries its reached set
+/// from one timestep to the next: one worker dies at superstep 0 of the
+/// timestep after every checkpoint boundary.
+#[test]
+fn reachability_recovers_byte_identical_at_3_and_6_partitions() {
+    let (t, src, exists_col) = churn_fixture();
+    for k in [3usize, 6] {
+        let pg = partitioned(&t, k);
+        assert_crash_equivalent(
+            &format!("reach-k{k}"),
+            &pg,
+            &src,
+            TemporalReachability::factory(REACH_SOURCE, exists_col),
+            || JobConfig::sequentially_dependent(TIMESTEPS),
+            &boundary_crashes(k, TIMESTEPS),
+        );
+    }
+}
+
+/// Community evolution (eventually dependent) carries the previous labels
+/// and its stability series to Merge: deaths after every checkpoint
+/// boundary and one inside the Merge BSP.
+#[test]
+fn community_recovers_byte_identical_at_3_and_6_partitions() {
+    let (t, src, _) = tweet_fixture();
+    let tweets_col = t.vertex_schema().index_of(TWEETS_ATTR).unwrap();
+    for k in [3usize, 6] {
+        let pg = partitioned(&t, k);
+        let mut crashes = boundary_crashes(k, TIMESTEPS);
+        crashes.push((1, TIMESTEPS, 0));
+        assert_crash_equivalent(
+            &format!("community-k{k}"),
+            &pg,
+            &src,
+            CommunityEvolution::factory(tweets_col),
+            || JobConfig::eventually_dependent(TIMESTEPS),
+            &crashes,
         );
     }
 }
@@ -434,6 +515,164 @@ fn corrupted_checkpoints_fall_back_with_typed_errors() {
     std::fs::write(&newest, &flipped).unwrap();
     assert_eq!(latest_valid::<VertexIdx>(&dir, 3), Some(5));
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Where and how [`Resealing`] damages a checkpoint.
+#[derive(Clone)]
+struct Reseal {
+    dir: PathBuf,
+    partition: u16,
+    victim: SubgraphId,
+    /// The timestep whose superstep 0 reseals the checkpoint of the one
+    /// before.
+    at: usize,
+    /// The count written over the first one in the victim's state blob.
+    count: u32,
+}
+
+/// Program `P`, except that at superstep 0 of timestep `at` the subgraph
+/// `victim` raises the first count of its own state blob in its
+/// partition's newest checkpoint and reseals the file: damage that the
+/// frame checksum cannot see.
+struct Resealing<P> {
+    inner: P,
+    reseal: Reseal,
+}
+
+impl<P: SubgraphProgram> SubgraphProgram for Resealing<P> {
+    type Msg = P::Msg;
+
+    fn compute(&mut self, ctx: &mut Context<'_, P::Msg>, msgs: &[Envelope<P::Msg>]) {
+        let r = &self.reseal;
+        if ctx.subgraph().id() == r.victim && (ctx.timestep(), ctx.superstep()) == (r.at, 0) {
+            let path = checkpoint_path(&r.dir, r.at as u64 - 1, r.partition);
+            let data = std::fs::read(path).unwrap();
+            let mut ck = WorkerCheckpoint::<P::Msg>::decode(data.into()).unwrap();
+            let (_, sub) = ck
+                .subgraphs
+                .iter_mut()
+                .find(|(id, _)| *id == r.victim)
+                .unwrap();
+            sub.state[..4].copy_from_slice(&r.count.to_le_bytes());
+            ck.write(&r.dir).unwrap();
+        }
+        self.inner.compute(ctx, msgs);
+    }
+
+    fn end_of_timestep(&mut self, ctx: &mut Context<'_, P::Msg>) {
+        self.inner.end_of_timestep(ctx);
+    }
+
+    fn save_state(&self, buf: &mut bytes::BytesMut) {
+        self.inner.save_state(buf);
+    }
+
+    fn restore_state(&mut self, buf: &mut bytes::Bytes) -> Result<(), WireError> {
+        self.inner.restore_state(buf)
+    }
+}
+
+/// Program `P` with the default `restore_state`: it saves state that it
+/// never reads back.
+struct Forgetful<P>(P);
+
+impl<P: SubgraphProgram> SubgraphProgram for Forgetful<P> {
+    type Msg = P::Msg;
+
+    fn compute(&mut self, ctx: &mut Context<'_, P::Msg>, msgs: &[Envelope<P::Msg>]) {
+        self.0.compute(ctx, msgs);
+    }
+
+    fn end_of_timestep(&mut self, ctx: &mut Context<'_, P::Msg>) {
+        self.0.end_of_timestep(ctx);
+    }
+
+    fn save_state(&self, buf: &mut bytes::BytesMut) {
+        self.0.save_state(buf);
+    }
+}
+
+/// Recovery of a program that saves state but never restores it is not
+/// allowed to diverge silently: the bytes it leaves unread end the job
+/// with a typed error.
+#[test]
+fn a_program_that_never_restores_its_state_ends_the_job_typed() {
+    let (t, src, cfg) = tweet_fixture();
+    let tweets_col = t.vertex_schema().index_of(TWEETS_ATTR).unwrap();
+    let pg = partitioned(&t, 3);
+    let meme = MemeTracking::factory(cfg.meme.clone(), tweets_col);
+    let dir = ckpt_dir("forgetful");
+    let config = JobConfig::sequentially_dependent(TIMESTEPS)
+        .with_checkpoint(EVERY, &dir)
+        .with_faults(FaultPlan::new().panic_at(1, 2, 0));
+    let ended = run_job_tcp(
+        &pg,
+        &src,
+        move |sg: &Subgraph, pg: &PartitionedGraph| Forgetful(meme(sg, pg)),
+        config,
+        Cluster::InProcess,
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    match ended {
+        Err(EngineError::RemoteWorkerDied { detail, .. }) => {
+            let want = ["checkpoint failure restoring partition", "trailing bytes"];
+            for part in want {
+                assert!(detail.contains(part), "{detail}");
+            }
+        }
+        other => panic!("want a typed death, got {other:?}"),
+    }
+}
+
+/// A checkpoint resealed over a state blob whose count was raised, by one
+/// or to `u32::MAX`, ends the job with a typed error naming the partition
+/// and the subgraph: MEME refuses the count before sizing anything by it,
+/// and no worker panics.
+#[test]
+fn a_resealed_state_blob_with_a_raised_count_ends_the_job_typed() {
+    let (t, src, cfg) = tweet_fixture();
+    let tweets_col = t.vertex_schema().index_of(TWEETS_ATTR).unwrap();
+    let pg = partitioned(&t, 3);
+    let victim = pg.subgraph(pg.subgraphs_of_partition(1)[0]);
+    for count in [victim.num_vertices() as u32 + 1, u32::MAX] {
+        let dir = ckpt_dir(&format!("reseal-{count}"));
+        let reseal = Reseal {
+            dir: dir.clone(),
+            partition: 1,
+            victim: victim.id(),
+            at: 4,
+            count,
+        };
+        let meme = MemeTracking::factory(cfg.meme.clone(), tweets_col);
+        let factory = move |sg: &Subgraph, pg: &PartitionedGraph| Resealing {
+            inner: meme(sg, pg),
+            reseal: reseal.clone(),
+        };
+        // The death at timestep 5 resumes from the resealed timestep 3.
+        let config = JobConfig::sequentially_dependent(TIMESTEPS)
+            .with_checkpoint(EVERY, &dir)
+            .with_faults(FaultPlan::new().panic_at(1, 5, 0));
+        let ended = run_job_tcp(&pg, &src, factory, config, Cluster::InProcess);
+        let _ = std::fs::remove_dir_all(&dir);
+        match ended {
+            Err(EngineError::RemoteWorkerDied {
+                partition: 1,
+                detail,
+            }) => {
+                for part in [
+                    "checkpoint failure restoring partition 1".to_string(),
+                    format!(
+                        "subgraph {}: meme coloured set {count} out of range",
+                        victim.id().0
+                    ),
+                ] {
+                    assert!(detail.contains(&part), "count {count}: {detail}");
+                }
+                assert!(!detail.contains("panicked"), "count {count}: {detail}");
+            }
+            other => panic!("count {count}: want partition 1's typed death, got {other:?}"),
+        }
+    }
 }
 
 /// The same `FaultPlan` seed must reproduce the same injected failures and
